@@ -46,15 +46,13 @@ from .rmatrix import (
     embed,
     kappa,
     super_basis_phi,
-    t_matrix,
 )
-from .suites import SUITE_NAMES, SuiteReport, VerifyConfig, replay_sample, run_suites
+from .suites import SUITE_NAMES, SamplingError, SuiteReport, VerifyConfig, replay_sample, run_suites
 from .superfunc import (
     CatalogOverflowError,
     Descriptor,
     SuperFunction,
     SuperPoint,
-    apply_super_operator,
     fay_residual,
     heat_residual,
     periodicity_residual,
@@ -96,7 +94,6 @@ __all__ = [
     "super_phi",
     "super_phi_truncated",
     "super_phi_degenerate",
-    "apply_super_operator",
     "fay_residual",
     "heat_residual",
     "periodicity_residual",
@@ -105,7 +102,6 @@ __all__ = [
     "MultiIndex",
     "kappa",
     "HeisenbergBasis",
-    "t_matrix",
     "channel_shift",
     "basis_phi",
     "super_basis_phi",
@@ -119,6 +115,7 @@ __all__ = [
     "cybe_residual",
     # suites / cli
     "SUITE_NAMES",
+    "SamplingError",
     "VerifyConfig",
     "SuiteReport",
     "run_suites",

@@ -3,8 +3,9 @@
 The structured output is a single JSON document with the invoking
 configuration and one record per suite: {suite, samples, max_residual,
 worst_inputs, pass, seconds}.  Worst-case inputs are serialized so a failing
-sample can be replayed exactly.  The process exit code is 0 only if every
-selected suite passed.
+sample can be replayed exactly.  The process exits 0 if every selected suite
+passed, 1 if a residual exceeded the tolerance, and 2 for an invalid
+configuration, including a pole radius that leaves no pole-free sample.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .suites import (
     KIND_CHOICES,
     OUTPUT_CHOICES,
     SUITE_NAMES,
+    SamplingError,
     SuiteReport,
     VerifyConfig,
     run_suites,
@@ -108,7 +110,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    reports = run_suites(cfg)
+    try:
+        reports = run_suites(cfg)
+    except SamplingError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     doc = emit_report(reports, cfg.output, cfg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -65,8 +65,8 @@ class EllipticContext:
     def __post_init__(self) -> None:
         tau = complex(self.tau)
         object.__setattr__(self, "tau", tau)
-        if not tau.imag > 0:
-            raise ValueError("modulus must lie in the upper half plane")
+        if not (cmath.isfinite(tau) and tau.imag > 0):
+            raise ValueError("modulus must be finite and lie in the upper half plane")
         if not 0 < self.tol < 1e-2:
             raise ValueError("tol must be a small positive number")
         if not self.pole_radius > 0:

@@ -11,15 +11,14 @@ are exact up to floating-point rounding of the coefficients.
 from __future__ import annotations
 
 import cmath
-import math
 from typing import Callable, Iterable, Iterator, Mapping
-
-import numpy as np
 
 __all__ = [
     "GeneratorSet",
     "GrassmannElement",
     "GeneratorMismatchError",
+    "parity",
+    "nilpotent_powers",
     "taylor_shift",
     "grassmann_exp",
     "DEFAULT_GENERATOR_NAMES",
@@ -37,25 +36,21 @@ class GeneratorMismatchError(ValueError):
     """Raised when combining elements over different generator sets."""
 
 
-def _merge_sign(s: int, t: int) -> int:
-    """Sign of e_S * e_T for disjoint masks: (-1)**#{(i,j): i in S, j in T, i > j}."""
-    sign = 1
-    while t:
-        low = t & -t
-        j = low.bit_length() - 1
-        if ((s >> (j + 1)).bit_count()) & 1:
-            sign = -sign
-        t ^= low
-    return sign
+def parity(masks: Iterable[int]) -> str:
+    """'even', 'odd' or 'mixed' for the monomials named by masks; none counts as even."""
+    parities = {m.bit_count() & 1 for m in masks}
+    if len(parities) > 1:
+        return "mixed"
+    return "odd" if parities == {1} else "even"
 
 
 class GeneratorSet:
     """Fixed, ordered collection of anticommuting generator labels.
 
     The order is significant: it defines the canonical form of every
-    monomial and therefore every sign in the algebra.  Instances cache
-    sign and product tables, so sharing one instance across a computation
-    is preferred.
+    monomial and therefore every sign in the algebra.  Instances hold no
+    tables: signs are computed from the two masks on each call, so any two
+    sets with equal names behave identically.
     """
 
     def __init__(self, names: Iterable[str]) -> None:
@@ -67,8 +62,6 @@ class GeneratorSet:
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
         self.dim = 1 << len(names)
-        self._sign_table: np.ndarray | None = None
-        self._mul_tables: dict = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -96,17 +89,46 @@ class GeneratorSet:
         return g
 
     def sign(self, s: int, t: int) -> int:
-        """Reordering sign for e_S * e_T (masks assumed disjoint)."""
-        if self.n_generators <= 8:
-            if self._sign_table is None:
-                d = self.dim
-                table = np.ones((d, d), dtype=np.int8)
-                for a in range(d):
-                    for b in range(d):
-                        table[a, b] = _merge_sign(a, b)
-                self._sign_table = table
-            return int(self._sign_table[s, t])
-        return _merge_sign(s, t)
+        """Reordering sign of e_S * e_T for disjoint masks.
+
+        (-1) to the number of pairs (i, j) with i in S, j in T and i > j.
+        """
+        sign = 1
+        while t:
+            low = t & -t
+            if (s >> low.bit_length()).bit_count() & 1:
+                sign = -sign
+            t ^= low
+        return sign
+
+    def products(self, left, right) -> Iterator[tuple[int, int, object, object]]:
+        """The graded product rule over two mask-keyed collections.
+
+        left and right are anything whose items() yields (mask, value):
+        dicts, elements.  Yields (s | t, sign(s, t), a, b) for every pair of
+        disjoint masks, left outer and right inner, each in item order.
+        Callers combine a and b; overlapping masks contribute nothing.
+        """
+        sign = self.sign
+        right = list(right.items())
+        for s, a in left.items():
+            for t, b in right:
+                if not s & t:
+                    yield s | t, sign(s, t), a, b
+
+    def left_derivative(self, g: int | str, terms) -> Iterator[tuple[int, int, object]]:
+        """The left-derivative rule over a mask-keyed collection (see products).
+
+        For each (mask, value) whose monomial contains generator g, yields
+        (mask without g, sign, value): g is moved to the front, one sign per
+        generator standing before it, and removed.  Other monomials are
+        annihilated and yield nothing.
+        """
+        bit = 1 << self.index_of(g)
+        below = bit - 1
+        for m, value in terms.items():
+            if m & bit:
+                yield m ^ bit, -1 if (m & below).bit_count() & 1 else 1, value
 
     # -- element constructors --------------------------------------------
 
@@ -177,34 +199,6 @@ class GeneratorSet:
             terms[mask] = terms.get(mask, 0j) + coeff
         return GrassmannElement(self, terms)
 
-    # -- product table for coefficient-vector backends ---------------------
-
-    def mul_table(self, sup_a: tuple[int, ...], sup_b: tuple[int, ...]):
-        """Structure table of the product restricted to two mask supports.
-
-        Returns (out_support, table) with table of shape
-        (len(sup_a) * len(sup_b), len(out_support)) such that coefficient
-        vectors multiply as vec_c = (vec_a outer vec_b).ravel() @ table.
-        """
-        key = (sup_a, sup_b)
-        hit = self._mul_tables.get(key)
-        if hit is not None:
-            return hit
-        out_masks = sorted({s | t for s in sup_a for t in sup_b if not s & t})
-        if not out_masks:
-            out_masks = [0]
-        pos = {m: i for i, m in enumerate(out_masks)}
-        table = np.zeros((len(sup_a) * len(sup_b), len(out_masks)), dtype=np.complex128)
-        nb = len(sup_b)
-        for p, s in enumerate(sup_a):
-            for q, t in enumerate(sup_b):
-                if s & t:
-                    continue
-                table[p * nb + q, pos[s | t]] = self.sign(s, t)
-        result = (tuple(out_masks), table)
-        self._mul_tables[key] = result
-        return result
-
 
 def default_generators() -> GeneratorSet:
     return GeneratorSet(DEFAULT_GENERATOR_NAMES)
@@ -247,14 +241,7 @@ class GrassmannElement:
 
     def parity(self) -> str:
         """'even', 'odd' or 'mixed'; the zero element counts as even."""
-        if not self._terms:
-            return "even"
-        parities = {m.bit_count() & 1 for m in self._terms}
-        if parities == {0}:
-            return "even"
-        if parities == {1}:
-            return "odd"
-        return "mixed"
+        return parity(self._terms)
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self._terms.values()), default=0.0)
@@ -298,15 +285,10 @@ class GrassmannElement:
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         self._check(other)
-        gens = self.gens
         terms: dict[int, complex] = {}
-        for s, a in self._terms.items():
-            for t, b in other._terms.items():
-                if s & t:
-                    continue
-                u = s | t
-                terms[u] = terms.get(u, 0j) + gens.sign(s, t) * a * b
-        return GrassmannElement(gens, terms)
+        for u, sign, a, b in self.gens.products(self._terms, other._terms):
+            terms[u] = terms.get(u, 0j) + sign * a * b
+        return GrassmannElement(self.gens, terms)
 
     def __rmul__(self, other):
         if isinstance(other, _ScalarTypes):
@@ -319,20 +301,9 @@ class GrassmannElement:
         return NotImplemented
 
     def left_derivative(self, g: int | str) -> "GrassmannElement":
-        """Left derivative with respect to one generator.
-
-        On a monomial containing g the generator is moved to the front,
-        picking up one sign per generator standing before it, and removed.
-        Monomials without g are annihilated.
-        """
-        bit = 1 << self.gens.index_of(g)
-        below = bit - 1
+        """Left derivative with respect to one generator (see GeneratorSet.left_derivative)."""
         terms: dict[int, complex] = {}
-        for m, c in self._terms.items():
-            if not m & bit:
-                continue
-            sign = -1 if (m & below).bit_count() & 1 else 1
-            nm = m ^ bit
+        for nm, sign, c in self.gens.left_derivative(g, self._terms):
             terms[nm] = terms.get(nm, 0j) + sign * c
         return GrassmannElement(self.gens, terms)
 
@@ -368,6 +339,22 @@ class GrassmannElement:
         return f"<GrassmannElement {self}>"
 
 
+def nilpotent_powers(x: GrassmannElement) -> list[GrassmannElement]:
+    """[1, x, x^2, ...] up to the last nonzero power of x.
+
+    x must have no scalar part: each power then needs more generators than
+    the one before, so the list ends after at most n_generators + 1 entries.
+    """
+    if x.body != 0:
+        raise ValueError("a nilpotent element must have no scalar part")
+    out = [x.gens.one()]
+    power = x
+    while not power.is_zero():
+        out.append(power)
+        power = power * x
+    return out
+
+
 def taylor_shift(
     f: Callable[[complex, int], complex],
     z0: complex,
@@ -381,18 +368,9 @@ def taylor_shift(
     """
     if soul.parity() != "even":
         raise ValueError("shift must be an even element")
-    if soul.body != 0:
-        raise ValueError("shift must have no scalar part")
-    gens = soul.gens
-    out = gens.scalar(f(z0, 0))
-    power = gens.one()
+    out = soul.gens.scalar(f(z0, 0))
     factorial = 1.0
-    k = 0
-    while True:
-        k += 1
-        power = power * soul
-        if power.is_zero() or k > gens.n_generators:
-            break
+    for k, power in enumerate(nilpotent_powers(soul)[1:], 1):
         factorial *= k
         out = out + power * (f(z0, k) / factorial)
     return out
@@ -402,17 +380,9 @@ def grassmann_exp(x: GrassmannElement) -> GrassmannElement:
     """Exponential of an even element: exp(body) times the finite soul series."""
     if x.parity() != "even":
         raise ValueError("exponent must be an even element")
-    gens = x.gens
-    s = x.soul()
-    out = gens.one()
-    power = gens.one()
+    out = x.gens.one()
     factorial = 1.0
-    k = 0
-    while True:
-        k += 1
-        power = power * s
-        if power.is_zero() or k > gens.n_generators:
-            break
+    for k, power in enumerate(nilpotent_powers(x.soul())[1:], 1):
         factorial *= k
         out = out + power * (1.0 / factorial)
     return out * cmath.exp(x.body)

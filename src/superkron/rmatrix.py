@@ -25,14 +25,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .elliptic import EllipticContext, phi_derivs, phi_tau_derivs
-from .grassmann import GeneratorSet, GrassmannElement, default_generators
+from .grassmann import GeneratorMismatchError, GeneratorSet, GrassmannElement, default_generators, parity
 from .superfunc import SuperFunction, SuperPoint, _odd_element, super_phi
 
 __all__ = [
     "MultiIndex",
     "kappa",
     "HeisenbergBasis",
-    "t_matrix",
     "channel_shift",
     "basis_phi",
     "super_basis_phi",
@@ -122,10 +121,6 @@ class HeisenbergBasis:
 
     def nonzero_indices(self) -> list[MultiIndex]:
         return [a for a in self.canonical_indices() if not a.is_zero()]
-
-
-def t_matrix(alpha, basis: HeisenbergBasis) -> np.ndarray:
-    return basis.t(alpha)
 
 
 def channel_shift(alpha, N: int, tau: complex) -> complex:
@@ -262,14 +257,6 @@ class SuperMatrix:
         else:
             self.blocks[mask] = arr.copy()
 
-    def compact(self, tol: float = 0.0) -> "SuperMatrix":
-        """Drop blocks whose largest entry is at or below tol."""
-        out = SuperMatrix(self.gens, self.n_sites, self.site_dim)
-        for mask, arr in self.blocks.items():
-            if np.abs(arr).max() > tol:
-                out.blocks[mask] = arr.copy()
-        return out
-
     def entry(self, i: int, j: int) -> GrassmannElement:
         return GrassmannElement(
             self.gens, {mask: arr[i, j] for mask, arr in self.blocks.items()}
@@ -280,31 +267,15 @@ class SuperMatrix:
             return 0.0
         return max(float(np.abs(arr).max()) for arr in self.blocks.values())
 
-    def coefficient_matrix(self, spec) -> np.ndarray:
-        """Dense coefficient block of one monomial (labels, string, or mask)."""
-        mask = spec if isinstance(spec, int) else self.gens.mask_of(spec)
-        arr = self.blocks.get(mask)
-        if arr is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return arr.copy()
-
     def parity(self) -> str:
-        live = [m for m, a in self.blocks.items() if np.abs(a).max() > 0]
-        if not live:
-            return "even"
-        parities = {m.bit_count() & 1 for m in live}
-        if parities == {0}:
-            return "even"
-        if parities == {1}:
-            return "odd"
-        return "mixed"
+        return parity(m for m, a in self.blocks.items() if np.abs(a).max() > 0)
 
     def _like(self) -> "SuperMatrix":
         return SuperMatrix(self.gens, self.n_sites, self.site_dim)
 
     def _check_shape(self, other: "SuperMatrix") -> None:
         if self.gens != other.gens:
-            raise ValueError("matrices use different generator sets")
+            raise GeneratorMismatchError("matrices use different generator sets")
         if self.n_sites != other.n_sites or self.site_dim != other.site_dim:
             raise ValueError("matrix site structures differ")
 
@@ -329,28 +300,12 @@ class SuperMatrix:
             out.blocks[mask] = arr * c
         return out
 
-    def lmul_element(self, elem: GrassmannElement) -> "SuperMatrix":
-        """Multiply every entry by a Grassmann element from the left."""
-        out = self._like()
-        for emask, ecoeff in elem.items():
-            for mask, arr in self.blocks.items():
-                if emask & mask:
-                    continue
-                out.add_block(emask | mask, self.gens.sign(emask, mask) * ecoeff * arr)
-        return out
-
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check_shape(other)
         out = self._like()
-        for s, a in self.blocks.items():
-            for t, b in other.blocks.items():
-                if s & t:
-                    continue
-                out.add_block(s | t, self.gens.sign(s, t) * (a @ b))
+        for u, sign, a, b in self.gens.products(self.blocks, other.blocks):
+            out.add_block(u, sign * (a @ b))
         return out
-
-    def embed(self, sites: Sequence[int], n_total: int) -> "SuperMatrix":
-        return embed(self, sites, n_total)
 
 
 def embed(m: SuperMatrix, sites: Sequence[int], n_total: int = 3) -> SuperMatrix:

@@ -48,7 +48,7 @@ from .superfunc import (
     super_phi_degenerate,
 )
 
-__all__ = ["SUITE_NAMES", "VerifyConfig", "SuiteReport", "run_suites", "replay_sample"]
+__all__ = ["SUITE_NAMES", "SamplingError", "VerifyConfig", "SuiteReport", "run_suites", "replay_sample"]
 
 _TWO_PI_I = 2j * math.pi
 
@@ -70,6 +70,10 @@ OUTPUT_CHOICES = ("text", "structured")
 _MAX_REDRAWS = 64
 
 
+class SamplingError(ValueError):
+    """No pole-free sample within the redraw budget: the pole radius leaves no room."""
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """Bundle of knobs shared by every suite run."""
@@ -87,8 +91,7 @@ class VerifyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "tau", complex(self.tau))
-        if self.tau.imag <= 0:
-            raise ValueError("tau must have positive imaginary part")
+        self.context()  # rejects a bad modulus or pole radius before any suite runs
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if not self.tol_relative > 2.3e-16:
@@ -496,7 +499,7 @@ def run_suite(name: str, cfg: VerifyConfig) -> SuiteReport:
                 continue
             break
         if rel is None:
-            raise RuntimeError(
+            raise SamplingError(
                 f"suite {name!r}: no pole-free sample found in {_MAX_REDRAWS} draws"
             )
         if rel > max_rel:

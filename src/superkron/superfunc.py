@@ -34,6 +34,8 @@ from .grassmann import (
     GrassmannElement,
     default_generators,
     grassmann_exp,
+    nilpotent_powers,
+    parity,
 )
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "super_phi",
     "super_phi_truncated",
     "super_phi_degenerate",
-    "apply_super_operator",
     "fay_residual",
     "heat_residual",
     "periodicity_residual",
@@ -242,14 +243,7 @@ class SuperFunction:
         return out
 
     def parity(self) -> str:
-        if not self.terms:
-            return "even"
-        parities = {m.bit_count() & 1 for m in self.terms}
-        if parities == {0}:
-            return "even"
-        if parities == {1}:
-            return "odd"
-        return "mixed"
+        return parity(self.terms)
 
     # -- super-differential operators ---------------------------------------
 
@@ -286,14 +280,8 @@ class SuperFunction:
 
     def d_generator(self, g) -> "SuperFunction":
         """Left derivative with respect to one odd generator."""
-        bit = 1 << self.gens.index_of(g)
-        below = bit - 1
         out = self._blank()
-        for mask, row in self.terms.items():
-            if not mask & bit:
-                continue
-            sign = -1.0 if (mask & below).bit_count() & 1 else 1.0
-            nm = mask ^ bit
+        for nm, sign, row in self.gens.left_derivative(g, self.terms):
             for desc, coeff in row.items():
                 out.add_term(nm, desc.dtau, desc.j, desc.k, sign * coeff)
         return out
@@ -304,14 +292,9 @@ class SuperFunction:
             return self.scale(elem)
         elem = _as_element(self.gens, elem)
         out = self._blank()
-        for emask, ecoeff in elem.items():
-            for mask, row in self.terms.items():
-                if emask & mask:
-                    continue
-                sign = self.gens.sign(emask, mask)
-                nm = emask | mask
-                for desc, coeff in row.items():
-                    out.add_term(nm, desc.dtau, desc.j, desc.k, sign * ecoeff * coeff)
+        for nm, sign, ecoeff, row in self.gens.products(elem, self.terms):
+            for desc, coeff in row.items():
+                out.add_term(nm, desc.dtau, desc.j, desc.k, sign * ecoeff * coeff)
         return out
 
     # -- evaluation ----------------------------------------------------------
@@ -333,16 +316,13 @@ class SuperFunction:
         gens = self.gens
         z12 = complex(z1) - complex(z2)
 
-        powers: list[GrassmannElement] = [gens.one()]
+        powers = [gens.one()]
         if soul is not None:
             if soul.gens != gens:
                 raise GeneratorMismatchError("soul built over a different generator set")
-            if soul.parity() != "even" or soul.body != 0:
-                raise ValueError("soul must be even with no scalar part")
-            p = soul
-            while not p.is_zero():
-                powers.append(p)
-                p = p * soul
+            if soul.parity() != "even":
+                raise ValueError("soul must be an even element")
+            powers = nilpotent_powers(soul)
 
         # plan: (prefactor element, dtau, j, k, scalar coefficient)
         plan: list[tuple[GrassmannElement, int, int, int, complex]] = []
@@ -560,43 +540,6 @@ def super_phi_degenerate(
     return out
 
 
-# -- operator dispatcher -------------------------------------------------------
-
-
-def apply_super_operator(f: SuperFunction, op: str, arg=None) -> SuperFunction:
-    """Apply one named super-differential operation.
-
-    Supported: d_omega, d_zeta1, d_zeta2, d_zeta (explicit generator in
-    arg), mul_zeta / mul_mu / mul (element or generator in arg; slot
-    defaults for zeta1/mu), d_z1, d_z2, d_hbar, d_tau.
-    """
-    if op == "d_hbar":
-        return f.d_hbar()
-    if op == "d_z1":
-        return f.d_z1()
-    if op == "d_z2":
-        return f.d_z2()
-    if op == "d_tau":
-        return f.d_tau()
-    if op == "d_omega":
-        return f.d_generator(_slot_generator(f, "omega"))
-    if op == "d_zeta1":
-        return f.d_generator(_slot_generator(f, "zeta1"))
-    if op == "d_zeta2":
-        return f.d_generator(_slot_generator(f, "zeta2"))
-    if op == "d_zeta":
-        if arg is None:
-            raise ValueError("d_zeta needs a generator argument")
-        return f.d_generator(arg)
-    if op in ("mul_zeta", "mul_mu", "mul"):
-        if arg is None:
-            arg = f.slots.get("zeta1" if op == "mul_zeta" else "mu")
-        if arg is None:
-            raise ValueError(f"{op} needs an element argument")
-        return f.lmul(arg)
-    raise ValueError(f"unknown operator {op!r}")
-
-
 def _slot_generator(f: SuperFunction, slot: str):
     elem = f.slots.get(slot)
     if elem is None:
@@ -608,14 +551,6 @@ def _slot_generator(f: SuperFunction, slot: str):
 
 
 # -- residual checkers ---------------------------------------------------------
-
-
-def _pair_args(hbars, mus, truncated: bool):
-    h1, h2 = (complex(h) for h in hbars)
-    if truncated:
-        return h1, h2, None, None, None
-    mu1, mu2 = mus
-    return h1, h2, mu1, mu2, True
 
 
 def fay_residual(
@@ -702,9 +637,10 @@ def heat_residual(
         f = super_phi(hbar, mu, p1, p2, omega, ctx, gens=gens, kind=kind)
     zeta1 = f.slots["zeta1"]
     zeta2 = f.slots["zeta2"]
-    lhs = apply_super_operator(f, "d_omega") + f.d_tau().lmul(zeta1 + zeta2).scale(_TWO_PI_I)
+    lhs = f.d_generator(_slot_generator(f, "omega"))
+    lhs = lhs + f.d_tau().lmul(zeta1 + zeta2).scale(_TWO_PI_I)
     dh = f.d_hbar()
-    rhs = apply_super_operator(dh, "d_zeta1") + dh.d_z1().lmul(zeta1)
+    rhs = dh.d_generator(_slot_generator(dh, "zeta1")) + dh.d_z1().lmul(zeta1)
     if not truncated:
         rhs = rhs - dh.d_hbar().lmul(f.slots["mu"]).scale(0.5)
     lval = lhs.evaluate(p1.z, p2.z)

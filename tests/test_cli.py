@@ -1,6 +1,10 @@
 """Configuration, determinism, and process-level behavior of the verifier."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,29 @@ def test_main_invalid_config_exit_code(capsys):
     assert code == 2
     assert err.strip()
     assert cli.main(["theta", "--tol", "1e-30"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heat", "--tau-re", "nan"],
+        ["theta", "--tau-im", "nan"],
+        ["theta", "--tau-im", "inf"],
+        ["theta", "--pole-radius", "nan"],
+        ["heat", "--pole-radius", "0.6"],
+    ],
+)
+def test_invalid_input_exits_2_without_traceback(argv):
+    # a separate process, so the exit status and stderr are the real ones
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "superkron.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 2
+    assert "invalid configuration" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_main_structured_stdout(capsys):

@@ -5,6 +5,7 @@ identity is exact in floating point; no tolerance juggling is needed.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -204,20 +205,25 @@ def test_neg_and_sub(a):
     assert a * (-1) + a == GENS.zero()
 
 
-@given(elements, elements)
-@settings(max_examples=40)
-def test_mul_table_matches_direct_product(a, b):
-    sup_a = tuple(sorted(a.support())) or (0,)
-    sup_b = tuple(sorted(b.support())) or (0,)
-    out_masks, table = GENS.mul_table(sup_a, sup_b)
-    vec = [
-        [a.coefficient(s) * b.coefficient(t) for t in sup_b] for s in sup_a
-    ]
-    flat = [x for row in vec for x in row]
-    coeffs = [sum(f * table[i, c] for i, f in enumerate(flat)) for c in range(len(out_masks))]
-    want = a * b
-    got = GENS.element(dict(zip(out_masks, coeffs)))
-    assert got.isclose(want)
+def brute_sign(s, t):
+    """(-1) to the number of pairs i in S, j in T with i > j, by direct count."""
+    n = max(s, t).bit_length()
+    crossings = sum(1 for i in range(n) for j in range(n) if s >> i & 1 and t >> j & 1 and i > j)
+    return -1 if crossings % 2 else 1
+
+
+def test_sign_matches_pair_count():
+    pairs = [(s, t) for s in range(GENS.dim) for t in range(GENS.dim) if not s & t]
+    assert len(pairs) == 3**N_GEN
+    for s, t in pairs:
+        assert GENS.sign(s, t) == brute_sign(s, t)
+    # ten generators: random disjoint pairs
+    wide = GeneratorSet([f"g{i}" for i in range(10)])
+    rng = random.Random(1910)
+    for _ in range(500):
+        s = rng.randrange(wide.dim)
+        t = rng.randrange(wide.dim) & ~s
+        assert wide.sign(s, t) == brute_sign(s, t)
 
 
 # -- analytic helpers --------------------------------------------------------

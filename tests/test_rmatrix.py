@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from superkron.elliptic import EllipticContext, PoleProximityError, phi, phi_derivs
-from superkron.grassmann import default_generators
+from superkron.grassmann import GeneratorMismatchError, GeneratorSet, default_generators
 from superkron.rmatrix import (
     HeisenbergBasis,
     MultiIndex,
@@ -24,7 +24,6 @@ from superkron.rmatrix import (
     embed,
     kappa,
     super_basis_phi,
-    t_matrix,
 )
 from superkron.superfunc import SuperPoint, fay_residual, super_phi
 
@@ -79,10 +78,10 @@ def test_weyl_commutation_exhaustive():
 
 def test_basis_matrix_fixtures():
     b = HeisenbergBasis(2)
-    assert np.abs(t_matrix((0, 0), b) - np.eye(2)).max() < 1e-14
-    assert np.abs(t_matrix((1, 0), b) - np.diag([-1, 1])).max() < 1e-14
-    assert np.abs(t_matrix((0, 1), b) - np.array([[0, 1], [1, 0]])).max() < 1e-14
-    assert np.abs(t_matrix((1, 1), b) - np.array([[0, -1j], [1j, 0]])).max() < 1e-14
+    assert np.abs(b.t((0, 0)) - np.eye(2)).max() < 1e-14
+    assert np.abs(b.t((1, 0)) - np.diag([-1, 1])).max() < 1e-14
+    assert np.abs(b.t((0, 1)) - np.array([[0, 1], [1, 0]])).max() < 1e-14
+    assert np.abs(b.t((1, 1)) - np.array([[0, -1j], [1j, 0]])).max() < 1e-14
 
 
 def test_product_rule_exhaustive():
@@ -330,12 +329,15 @@ def test_matmul_grading_signs():
     assert np.abs(prod.blocks[mask12] - A @ B).max() < 1e-14
     prod_rev = mb @ ma
     assert np.abs(prod_rev.blocks[mask12] + B @ A).max() < 1e-14
+    with pytest.raises(GeneratorMismatchError):
+        ma @ SuperMatrix(GeneratorSet(["a", "b"]), 1, d, {1: B})
 
 
 def test_lmul_element_and_scale(rng):
     m = random_super_matrix(rng)
     z3 = GENS.generator("ζ3")
-    left = m.lmul_element(z3 * 2.0)
+    # an element times the identity matrix multiplies every entry from the left
+    left = SuperMatrix(GENS, 1, m.site_dim, {GENS.mask_of("ζ3"): 2.0 * np.eye(m.dim)}) @ m
     for i in range(m.dim):
         for j in range(m.dim):
             want = z3 * 2.0 * m.entry(i, j)
@@ -348,16 +350,7 @@ def test_entry_and_coefficient_matrix(rng):
     e = m.entry(0, 1)
     assert e.coefficient(0) == m.blocks[0][0, 1]
     assert e.coefficient(5) == m.blocks[5][0, 1]
-    cm = m.coefficient_matrix(5)
-    assert np.abs(cm - m.blocks[5]).max() == 0.0
-    assert np.abs(m.coefficient_matrix(9)).max() == 0.0
-
-
-def test_compact_drops_negligible_blocks(rng):
-    m = random_super_matrix(rng, masks=(0,))
-    m.add_block(7, np.full((2, 2), 1e-18))
-    squeezed = m.compact(tol=1e-15)
-    assert set(squeezed.blocks) == {0}
+    assert e.coefficient(9) == 0j
 
 
 def test_parity_of_blocks():

@@ -12,7 +12,6 @@ from superkron.superfunc import (
     Descriptor,
     SuperFunction,
     SuperPoint,
-    apply_super_operator,
     fay_residual,
     heat_residual,
     periodicity_residual,
@@ -155,14 +154,6 @@ def test_unknown_kind_rejected():
         SuperFunction(GENS, CTX, H1, kind="parabolic")
 
 
-def test_unknown_operator_rejected():
-    f = super_phi(H1, "μ1", P1, P2, "ω", CTX)
-    with pytest.raises(ValueError):
-        apply_super_operator(f, "d_bogus")
-    with pytest.raises(ValueError):
-        apply_super_operator(f, "d_zeta")  # missing generator argument
-
-
 # -- derivative catalog ---------------------------------------------------------
 
 
@@ -200,7 +191,7 @@ def test_covariant_square_equals_z_derivative():
     f = super_phi(H1, "μ1", P1, P2, "ω", CTX)
 
     def cov(q):
-        return apply_super_operator(q, "d_zeta1") + q.d_z1().lmul(Z1E)
+        return q.d_generator("ζ1") + q.d_z1().lmul(Z1E)
 
     lhs = cov(cov(f)).evaluate(P1.z, P2.z)
     rhs = f.d_z1().evaluate(P1.z, P2.z)
