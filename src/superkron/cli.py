@@ -5,7 +5,8 @@ configuration and one record per suite: {suite, samples, max_residual,
 worst_inputs, pass, seconds}.  Worst-case inputs are serialized so a failing
 sample can be replayed exactly.  The process exits 0 if every selected suite
 passed, 1 if a residual exceeded the tolerance, and 2 for an invalid
-configuration, including a pole radius that leaves no pole-free sample.
+configuration, including a pole radius that leaves no pole-free sample and
+a modulus at which the series cannot be summed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 
+from .elliptic import SeriesTruncationError
 from .suites import (
     KIND_CHOICES,
     OUTPUT_CHOICES,
@@ -112,7 +114,7 @@ def main(argv=None) -> int:
         return 2
     try:
         reports = run_suites(cfg)
-    except SamplingError as exc:
+    except (SamplingError, SeriesTruncationError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     doc = emit_report(reports, cfg.output, cfg)

@@ -89,7 +89,9 @@ def theta_stack(
     the pair magnitudes stay below tol relative to the running peak (which
     never drops below one) for two consecutive pairs, and only once the
     frequency has passed the turnaround |Im z| / Im tau where terms start
-    to decay.
+    to decay.  A term beyond the floating-point range raises
+    SeriesTruncationError, as does a sum that has not converged after
+    ctx.k_max pairs.
     """
     if max_dz < 0 or dtau < 0:
         raise ValueError("derivative orders must be non-negative")
@@ -105,7 +107,12 @@ def theta_stack(
         pair_rel = 0.0
         for sgn in (1.0, -1.0):
             f = sgn * n
-            base = cmath.exp(1j * math.pi * (tau * f * f + 2.0 * (z + 0.5) * f))
+            try:
+                base = cmath.exp(1j * math.pi * (tau * f * f + 2.0 * (z + 0.5) * f))
+            except OverflowError:
+                raise SeriesTruncationError(
+                    f"series term exceeds the floating-point range (z={z}, tau={tau})"
+                ) from None
             if dtau:
                 base *= (1j * math.pi * f * f) ** dtau
             fac = 1.0 + 0j
@@ -172,16 +179,27 @@ def lattice_reduce(w: complex, tau: complex) -> tuple[complex, int, int]:
 
 
 def lattice_distance(w: complex, tau: complex) -> float:
-    """Euclidean distance from w to the nearest point of Z + Z*tau."""
-    w_red, _, _ = lattice_reduce(w, tau)
-    best = abs(w_red)
-    for corner in (1.0, tau, 1.0 + tau, 1.0 - tau):
-        d = abs(w_red - corner)
-        if d < best:
-            best = d
-        d = abs(w_red + corner)
-        if d < best:
-            best = d
+    """Euclidean distance from w to the nearest point of Z + Z*tau.
+
+    Scans the rows n*tau + Z outward from the row nearest w, taking the
+    closest point of each row, and stops in each direction once the gap
+    between w and the next row exceeds the best distance found.  Exact for
+    every modulus in the upper half plane, reduced or not.
+    """
+    w = complex(w)
+    y = w.imag
+    row = tau.imag
+    n0 = round(y / row)
+    d = w - n0 * tau
+    best = abs(d - round(d.real))
+    for step in (1, -1):
+        n = n0 + step
+        while abs(y - n * row) < best:
+            d = w - n * tau
+            dist = abs(d - round(d.real))
+            if dist < best:
+                best = dist
+            n += step
     return best
 
 

@@ -11,6 +11,7 @@ are exact up to floating-point rounding of the coefficients.
 from __future__ import annotations
 
 import cmath
+import functools
 from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
@@ -200,7 +201,9 @@ class GeneratorSet:
         return GrassmannElement(self, terms)
 
 
+@functools.cache
 def default_generators() -> GeneratorSet:
+    """The one shared set over DEFAULT_GENERATOR_NAMES; instances hold no mutable state."""
     return GeneratorSet(DEFAULT_GENERATOR_NAMES)
 
 

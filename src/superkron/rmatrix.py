@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from itertools import product
 from math import comb
 from typing import NamedTuple, Sequence
@@ -26,7 +27,7 @@ import numpy as np
 
 from .elliptic import EllipticContext, phi_derivs, phi_tau_derivs
 from .grassmann import GeneratorMismatchError, GeneratorSet, GrassmannElement, default_generators, parity
-from .superfunc import SuperFunction, SuperPoint, _odd_element, super_phi
+from .superfunc import SuperFunction, SuperPoint, _odd_element, super_phi, three_term
 
 __all__ = [
     "MultiIndex",
@@ -174,7 +175,6 @@ def super_basis_phi(
     omega,
     ctx: EllipticContext,
     N: int,
-    gens: GeneratorSet | None = None,
     form: str = "shift",
 ) -> SuperFunction:
     """Odd extension of one channel function, in any of four equal shapes.
@@ -187,15 +187,14 @@ def super_basis_phi(
     rewritten through the flow identity, the shape that survives
     degeneration.  c = 2 pi i a2 / N throughout.
     """
-    if gens is None:
-        gens = default_generators()
+    gens = default_generators()
     c = _TWO_PI_I * alpha[1] / N
     rate = alpha[1] / N
     shift = channel_shift(alpha, N, ctx.tau)
     h_tot = complex(hbar) + shift
     if form == "shift":
         f = super_phi(
-            h_tot, mu, p1, p2, omega, ctx, gens=gens,
+            h_tot, mu, p1, p2, omega, ctx,
             exp_coeff=c, hbar_tau_rate=rate, tau_term="dtau",
         )
         if c == 0:
@@ -208,18 +207,18 @@ def super_basis_phi(
         if mu is not None:
             mu_eff = _odd_element(gens, mu, "mu") + mu_eff
         return super_phi(
-            h_tot, mu_eff, p1, p2, omega, ctx, gens=gens,
+            h_tot, mu_eff, p1, p2, omega, ctx,
             exp_coeff=c, hbar_tau_rate=rate, tau_term="dtau",
             check_slots=False,
         )
     if form == "basis":
         return super_phi(
-            h_tot, mu, p1, p2, omega, ctx, gens=gens,
+            h_tot, mu, p1, p2, omega, ctx,
             exp_coeff=c, hbar_tau_rate=rate, tau_term="full",
         )
     if form == "heat":
         return super_phi(
-            h_tot, mu, p1, p2, omega, ctx, gens=gens,
+            h_tot, mu, p1, p2, omega, ctx,
             exp_coeff=c, hbar_tau_rate=rate, tau_term="heat",
         )
     raise ValueError(f"form must be one of {BASIS_FORMS}")
@@ -353,6 +352,22 @@ def anticommutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return a @ b + b @ a
 
 
+def _channel_sum(indices, hbar, mu, p1, p2, omega, basis, ctx, super, form) -> SuperMatrix:
+    """Sum over the given index channels of T_a (x) T_-a times the channel coefficient."""
+    N = basis.N
+    z12 = complex(p1.z) - complex(p2.z)
+    out = SuperMatrix(default_generators(), 2, N)
+    for alpha in indices:
+        block = np.kron(basis.t(alpha), basis.t(-alpha))
+        if super:
+            value = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form=form).evaluate(p1.z, p2.z)
+            for mask, coeff in value.items():
+                out.add_block(mask, coeff * block)
+        else:
+            out.add_block(0, basis_phi(alpha, hbar, z12, ctx, N) * block)
+    return out
+
+
 def build_R(
     hbar: complex,
     mu,
@@ -363,7 +378,6 @@ def build_R(
     ctx: EllipticContext,
     super: bool = False,
     form: str = "shift",
-    gens: GeneratorSet | None = None,
 ) -> SuperMatrix:
     """Quantum operator: channel sum over all N^2 index pairs.
 
@@ -372,21 +386,7 @@ def build_R(
     Grassmann extension in the chosen form, the ordinary one the scalar
     channel function.  mu = None with super gives the truncated odd family.
     """
-    if gens is None:
-        gens = default_generators()
-    N = basis.N
-    z12 = complex(p1.z) - complex(p2.z)
-    out = SuperMatrix(gens, 2, N)
-    for alpha in basis.canonical_indices():
-        block = np.kron(basis.t(alpha), basis.t(-alpha))
-        if super:
-            fn = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, gens=gens, form=form)
-            value = fn.evaluate(p1.z, p2.z)
-            for mask, coeff in value.items():
-                out.add_block(mask, coeff * block)
-        else:
-            out.add_block(0, basis_phi(alpha, hbar, z12, ctx, N) * block)
-    return out
+    return _channel_sum(basis.canonical_indices(), hbar, mu, p1, p2, omega, basis, ctx, super, form)
 
 
 def build_r_classical(
@@ -396,29 +396,13 @@ def build_r_classical(
     basis: HeisenbergBasis,
     ctx: EllipticContext,
     super: bool = False,
-    form: str = "shift",
-    gens: GeneratorSet | None = None,
 ) -> SuperMatrix:
     """Classical operator: zero-parameter channel sum without the unit channel.
 
     The odd version uses the truncated channel extensions (odd parameter
     absent), matching the classical bracket identity it satisfies.
     """
-    if gens is None:
-        gens = default_generators()
-    N = basis.N
-    z12 = complex(p1.z) - complex(p2.z)
-    out = SuperMatrix(gens, 2, N)
-    for alpha in basis.nonzero_indices():
-        block = np.kron(basis.t(alpha), basis.t(-alpha))
-        if super:
-            fn = super_basis_phi(alpha, 0.0, None, p1, p2, omega, ctx, N, gens=gens, form=form)
-            value = fn.evaluate(p1.z, p2.z)
-            for mask, coeff in value.items():
-                out.add_block(mask, coeff * block)
-        else:
-            out.add_block(0, basis_phi(alpha, 0.0, z12, ctx, N) * block)
-    return out
+    return _channel_sum(basis.nonzero_indices(), 0.0, None, p1, p2, omega, basis, ctx, super, "shift")
 
 
 def aybe_residual(
@@ -429,46 +413,26 @@ def aybe_residual(
     basis: HeisenbergBasis,
     ctx: EllipticContext,
     super: bool = False,
-    form: str = "shift",
-    gens: GeneratorSet | None = None,
-    return_scale: bool = False,
 ):
-    """Three-term quadratic residual of the associative identity on 3 sites.
+    """(residual, scale) of the associative identity on 3 sites, see three_term.
 
-    Terms: (1,2)x(2,3) at (h1, h2), (3,1)x(1,2) at (-h2, h1-h2), and
-    (2,3)x(3,1) at (h2-h1, -h1), with matching odd-parameter differences in
-    the odd case.  An exact solution makes the block sum vanish.
+    Factors are operators embedded at sites (1,2), (2,3) and (3,1); the odd
+    version carries the odd parameters, and an exact solution makes the
+    block sum vanish.
     """
-    if gens is None:
-        gens = default_generators()
-    p1, p2, p3 = points
     h1, h2 = (complex(h) for h in hbars)
     if super:
-        mu1 = _odd_element(gens, mus[0], "mu1")
-        mu2 = _odd_element(gens, mus[1], "mu2")
-        params = [
-            (h1, mu1), (h2, mu2), (-h2, -mu2),
-            (h1 - h2, mu1 - mu2), (h2 - h1, mu2 - mu1), (-h1, -mu1),
-        ]
+        gens = default_generators()
+        x1 = (h1, _odd_element(gens, mus[0], "mu1"))
+        x2 = (h2, _odd_element(gens, mus[1], "mu2"))
     else:
-        params = [(h1, None), (h2, None), (-h2, None),
-                  (h1 - h2, None), (h2 - h1, None), (-h1, None)]
-    placements = [
-        ((1, 2), p1, p2), ((2, 3), p2, p3), ((3, 1), p3, p1),
-        ((1, 2), p1, p2), ((2, 3), p2, p3), ((3, 1), p3, p1),
-    ]
-    factors = []
-    for (h, m), (sites, pa, pb) in zip(params, placements):
-        r = build_R(h, m, pa, pb, omega, basis, ctx, super=super, form=form, gens=gens)
-        factors.append(embed(r, sites, 3))
-    prod1 = factors[0] @ factors[1]
-    prod2 = factors[2] @ factors[3]
-    prod3 = factors[4] @ factors[5]
-    residual = prod1 + prod2 + prod3
-    if return_scale:
-        scale = max(prod1.max_abs(), prod2.max_abs(), prod3.max_abs())
-        return residual, scale
-    return residual
+        x1, x2 = (h1, None), (h2, None)
+
+    def factor(x, a, b):
+        r = build_R(x[0], x[1], points[a], points[b], omega, basis, ctx, super=super)
+        return embed(r, (a + 1, b + 1), 3)
+
+    return three_term(factor, x1, x2, mul=operator.matmul, size=SuperMatrix.max_abs)
 
 
 def cybe_residual(
@@ -477,28 +441,20 @@ def cybe_residual(
     basis: HeisenbergBasis,
     ctx: EllipticContext,
     super: bool = False,
-    form: str = "shift",
-    gens: GeneratorSet | None = None,
-    return_scale: bool = False,
 ):
-    """Classical bracket residual on 3 sites.
+    """(residual, scale) of the classical bracket identity on 3 sites.
 
     Ordinary: commutators of the scalar-channel classical operators over the
     pairs (12,13), (12,23), (13,23).  Odd: the same sum with anticommutators,
-    since the odd classical operators have parity-odd entries.
+    since the odd classical operators have parity-odd entries.  The scale is
+    the largest bracket.
     """
-    if gens is None:
-        gens = default_generators()
     p1, p2, p3 = points
-    r12 = embed(build_r_classical(p1, p2, omega, basis, ctx, super=super, form=form, gens=gens), (1, 2), 3)
-    r13 = embed(build_r_classical(p1, p3, omega, basis, ctx, super=super, form=form, gens=gens), (1, 3), 3)
-    r23 = embed(build_r_classical(p2, p3, omega, basis, ctx, super=super, form=form, gens=gens), (2, 3), 3)
+    r12 = embed(build_r_classical(p1, p2, omega, basis, ctx, super=super), (1, 2), 3)
+    r13 = embed(build_r_classical(p1, p3, omega, basis, ctx, super=super), (1, 3), 3)
+    r23 = embed(build_r_classical(p2, p3, omega, basis, ctx, super=super), (2, 3), 3)
     bracket = anticommutator if super else commutator
     b1 = bracket(r12, r13)
     b2 = bracket(r12, r23)
     b3 = bracket(r13, r23)
-    residual = b1 + b2 + b3
-    if return_scale:
-        scale = max(b1.max_abs(), b2.max_abs(), b3.max_abs())
-        return residual, scale
-    return residual
+    return b1 + b2 + b3, max(b1.max_abs(), b2.max_abs(), b3.max_abs())

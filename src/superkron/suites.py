@@ -29,7 +29,7 @@ from .elliptic import (
     phi_trig,
     theta,
 )
-from .grassmann import default_generators
+from .grassmann import GrassmannElement, default_generators
 from .rmatrix import (
     HeisenbergBasis,
     MultiIndex,
@@ -46,6 +46,7 @@ from .superfunc import (
     periodicity_residual,
     super_phi,
     super_phi_degenerate,
+    three_term,
 )
 
 __all__ = ["SUITE_NAMES", "SamplingError", "VerifyConfig", "SuiteReport", "run_suites", "replay_sample"]
@@ -92,6 +93,8 @@ class VerifyConfig:
     def __post_init__(self):
         object.__setattr__(self, "tau", complex(self.tau))
         self.context()  # rejects a bad modulus or pole radius before any suite runs
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if not self.tol_relative > 2.3e-16:
@@ -166,6 +169,12 @@ def _scalar_kernel(kind: str, ctx: EllipticContext) -> Callable[[complex, comple
 
 def _rel(residual: float, scale: float) -> float:
     return residual / max(scale, 1.0)
+
+
+def _scalar_relation(f, zs, x1, x2) -> float:
+    """Relative three_term residual of a scalar kernel f(*x, z) at the even points zs."""
+    s, scale = three_term(lambda x, a, b: f(*x, zs[a] - zs[b]), x1, x2)
+    return _rel(abs(s), scale)
 
 
 # -- suite: theta --------------------------------------------------------------
@@ -254,24 +263,10 @@ def _compute_fay(inputs, cfg) -> float:
     ctx = cfg.context()
     h1 = _unpair(inputs["hbar1"])
     h2 = _unpair(inputs["hbar2"])
-    z1, z2, z3 = (_unpair(inputs[k]) for k in ("z1", "z2", "z3"))
-    z12, z23, z31 = z1 - z2, z2 - z3, z3 - z1
-    f = _scalar_kernel(cfg.kind, ctx)
-    t1 = f(h1, z12) * f(h2, z23)
-    t2 = f(-h2, z31) * f(h1 - h2, z12)
-    t3 = f(h2 - h1, z23) * f(-h1, z31)
-    rel = _rel(abs(t1 + t2 + t3), max(abs(t1), abs(t2), abs(t3)))
-    pts = _points(inputs)
-    res, scale = fay_residual(
-        (h1, h2),
-        None if cfg.truncated else ("μ1", "μ2"),
-        pts,
-        "ω",
-        ctx,
-        kind=cfg.kind,
-        truncated=cfg.truncated,
-        return_scale=True,
-    )
+    zs = [_unpair(inputs[k]) for k in ("z1", "z2", "z3")]
+    rel = _scalar_relation(_scalar_kernel(cfg.kind, ctx), zs, (h1,), (h2,))
+    mus = None if cfg.truncated else ("μ1", "μ2")
+    res, scale = fay_residual((h1, h2), mus, _points(inputs), "ω", ctx, kind=cfg.kind)
     return max(rel, _rel(res.max_abs(), scale))
 
 
@@ -291,17 +286,8 @@ def _compute_heat(inputs, cfg) -> float:
     h = _unpair(inputs["hbar"])
     p1 = SuperPoint(_unpair(inputs["z1"]), "ζ1")
     p2 = SuperPoint(_unpair(inputs["z2"]), "ζ2")
-    res, scale = heat_residual(
-        h,
-        None if cfg.truncated else "μ1",
-        p1,
-        p2,
-        "ω",
-        ctx,
-        kind=cfg.kind,
-        truncated=cfg.truncated,
-        return_scale=True,
-    )
+    mu = None if cfg.truncated else "μ1"
+    res, scale = heat_residual(h, mu, p1, p2, "ω", ctx, kind=cfg.kind)
     return _rel(res.max_abs(), scale)
 
 
@@ -317,10 +303,7 @@ def _compute_periodicity(inputs, cfg) -> float:
     rel = 0.0
     for direction in (1, "tau"):
         for slot in (1, 2):
-            res, scale = periodicity_residual(
-                direction, slot, h, mu, p1, p2, "ω", ctx,
-                truncated=cfg.truncated, return_scale=True,
-            )
+            res, scale = periodicity_residual(direction, slot, h, mu, p1, p2, "ω", ctx)
             rel = max(rel, _rel(res.max_abs(), scale))
     return rel
 
@@ -341,58 +324,36 @@ def _compute_basis(inputs, cfg) -> float:
     gens = default_generators()
     h1 = _unpair(inputs["hbar1"])
     h2 = _unpair(inputs["hbar2"])
-    z1, z2, z3 = (_unpair(inputs[k]) for k in ("z1", "z2", "z3"))
-    z12, z23, z31 = z1 - z2, z2 - z3, z3 - z1
+    zs = [_unpair(inputs[k]) for k in ("z1", "z2", "z3")]
     al = MultiIndex(*inputs["alpha"])
     be = MultiIndex(*inputs["beta"])
-
-    def bp(a, h, z):
-        return basis_phi(a, h, z, ctx, N)
-
-    t1 = bp(al, h1, z12) * bp(be, h2, z23)
-    t2 = bp(-be, -h2, z31) * bp(al - be, h1 - h2, z12)
-    t3 = bp(be - al, h2 - h1, z23) * bp(-al, -h1, z31)
-    rel = _rel(abs(t1 + t2 + t3), max(abs(t1), abs(t2), abs(t3)))
-
-    nonzero_triple = not (al.is_zero() or be.is_zero() or (al - be).is_zero())
-    if nonzero_triple:
-        t1 = bp(al, 0.0, z12) * bp(be, 0.0, z23)
-        t2 = bp(-be, 0.0, z31) * bp(al - be, 0.0, z12)
-        t3 = bp(be - al, 0.0, z23) * bp(-al, 0.0, z31)
-        rel = max(rel, _rel(abs(t1 + t2 + t3), max(abs(t1), abs(t2), abs(t3))))
-
-    p1, p2, p3 = _points(inputs)
+    pts = _points(inputs)
     mu1 = gens.generator("μ1")
     mu2 = gens.generator("μ2")
 
-    def sbp(a, h, m, pa, pb, za, zb, form="shift"):
-        return super_basis_phi(a, h, m, pa, pb, "ω", ctx, N, form=form).evaluate(za, zb)
+    def bp(alpha, h, z):
+        return basis_phi(alpha, h, z, ctx, N)
 
-    f1 = sbp(al, h1, mu1, p1, p2, z1, z2)
-    f2 = sbp(be, h2, mu2, p2, p3, z2, z3)
-    f3 = sbp(-be, -h2, -mu2, p3, p1, z3, z1)
-    f4 = sbp(al - be, h1 - h2, mu1 - mu2, p1, p2, z1, z2)
-    f5 = sbp(be - al, h2 - h1, mu2 - mu1, p2, p3, z2, z3)
-    f6 = sbp(-al, -h1, -mu1, p3, p1, z3, z1)
-    prods = [f1 * f2, f3 * f4, f5 * f6]
-    s = prods[0] + prods[1] + prods[2]
-    rel = max(rel, _rel(s.max_abs(), max(p.max_abs() for p in prods)))
+    def sbp(x, a, b, form="shift"):
+        pa, pb = pts[a], pts[b]
+        return super_basis_phi(x[0], x[1], x[2], pa, pb, "ω", ctx, N, form=form).evaluate(pa.z, pb.z)
 
+    # the channel identity at the sampled parameters, and at zero parameter
+    # when all three channels are nonzero; plain, then graded
+    nonzero_triple = not (al.is_zero() or be.is_zero() or (al - be).is_zero())
+    rel = _scalar_relation(bp, zs, (al, h1), (be, h2))
     if nonzero_triple:
-        g1 = sbp(al, 0.0, None, p1, p2, z1, z2)
-        g2 = sbp(be, 0.0, None, p2, p3, z2, z3)
-        g3 = sbp(-be, 0.0, None, p3, p1, z3, z1)
-        g4 = sbp(al - be, 0.0, None, p1, p2, z1, z2)
-        g5 = sbp(be - al, 0.0, None, p2, p3, z2, z3)
-        g6 = sbp(-al, 0.0, None, p3, p1, z3, z1)
-        prods = [g1 * g2, g3 * g4, g5 * g6]
-        s = prods[0] + prods[1] + prods[2]
-        rel = max(rel, _rel(s.max_abs(), max(p.max_abs() for p in prods)))
+        rel = max(rel, _scalar_relation(bp, zs, (al, 0.0), (be, 0.0)))
+    s, scale = three_term(sbp, (al, h1, mu1), (be, h2, mu2), size=GrassmannElement.max_abs)
+    rel = max(rel, _rel(s.max_abs(), scale))
+    if nonzero_triple:
+        s, scale = three_term(sbp, (al, 0.0, None), (be, 0.0, None), size=GrassmannElement.max_abs)
+        rel = max(rel, _rel(s.max_abs(), scale))
 
     # all four assembly forms of the same channel function agree
-    ref = sbp(al, h1, mu1, p1, p2, z1, z2)
+    ref = sbp((al, h1, mu1), 0, 1)
     for form in ("mu-shift", "basis", "heat"):
-        v = sbp(al, h1, mu1, p1, p2, z1, z2, form=form)
+        v = sbp((al, h1, mu1), 0, 1, form=form)
         rel = max(rel, _rel((v - ref).max_abs(), ref.max_abs()))
     return rel
 
@@ -404,9 +365,9 @@ def _compute_cybe(inputs, cfg) -> float:
     ctx = cfg.context()
     basis = HeisenbergBasis(cfg.n)
     pts = _points(inputs)
-    res, scale = cybe_residual(pts, "ω", basis, ctx, return_scale=True)
+    res, scale = cybe_residual(pts, "ω", basis, ctx)
     rel = _rel(res.max_abs(), scale)
-    res, scale = cybe_residual(pts, "ω", basis, ctx, super=True, return_scale=True)
+    res, scale = cybe_residual(pts, "ω", basis, ctx, super=True)
     return max(rel, _rel(res.max_abs(), scale))
 
 
@@ -416,11 +377,9 @@ def _compute_aybe(inputs, cfg) -> float:
     pts = _points(inputs)
     h1 = _unpair(inputs["hbar1"])
     h2 = _unpair(inputs["hbar2"])
-    res, scale = aybe_residual((h1, h2), None, pts, "ω", basis, ctx, return_scale=True)
+    res, scale = aybe_residual((h1, h2), None, pts, "ω", basis, ctx)
     rel = _rel(res.max_abs(), scale)
-    res, scale = aybe_residual(
-        (h1, h2), ("μ1", "μ2"), pts, "ω", basis, ctx, super=True, return_scale=True
-    )
+    res, scale = aybe_residual((h1, h2), ("μ1", "μ2"), pts, "ω", basis, ctx, super=True)
     rel = max(rel, _rel(res.max_abs(), scale))
     # operator assemblies of the odd quantum matrix agree
     ref = build_R(h1, "μ1", pts[0], pts[1], "ω", basis, ctx, super=True, form="shift")
@@ -437,22 +396,17 @@ def _compute_degenerations(inputs, cfg) -> float:
     ctx = cfg.context()
     h1 = _unpair(inputs["hbar1"])
     h2 = _unpair(inputs["hbar2"])
-    z1, z2, z3 = (_unpair(inputs[k]) for k in ("z1", "z2", "z3"))
+    zs = [_unpair(inputs[k]) for k in ("z1", "z2", "z3")]
+    z1, z2 = zs[0], zs[1]
     pts = _points(inputs)
     rel = 0.0
     for kind in ("trig", "rational"):
         fn = phi_trig if kind == "trig" else phi_rat
-        z12, z23, z31 = z1 - z2, z2 - z3, z3 - z1
-        t1 = fn(h1, z12, pole_radius=cfg.pole_radius) * fn(h2, z23, pole_radius=cfg.pole_radius)
-        t2 = fn(-h2, z31, pole_radius=cfg.pole_radius) * fn(h1 - h2, z12, pole_radius=cfg.pole_radius)
-        t3 = fn(h2 - h1, z23, pole_radius=cfg.pole_radius) * fn(-h1, z31, pole_radius=cfg.pole_radius)
-        rel = max(rel, _rel(abs(t1 + t2 + t3), max(abs(t1), abs(t2), abs(t3))))
-        rel = max(rel, _rel(abs(fn(h1, z12, 1, 1, cfg.pole_radius)), 1.0))
-        res, scale = fay_residual(
-            (h1, h2), ("μ1", "μ2"), pts, "ω", ctx, kind=kind, return_scale=True
-        )
+        rel = max(rel, _scalar_relation(_scalar_kernel(kind, ctx), zs, (h1,), (h2,)))
+        rel = max(rel, _rel(abs(fn(h1, z1 - z2, 1, 1, cfg.pole_radius)), 1.0))
+        res, scale = fay_residual((h1, h2), ("μ1", "μ2"), pts, "ω", ctx, kind=kind)
         rel = max(rel, _rel(res.max_abs(), scale))
-        res, scale = heat_residual(h1, "μ1", pts[0], pts[1], "ω", ctx, kind=kind, return_scale=True)
+        res, scale = heat_residual(h1, "μ1", pts[0], pts[1], "ω", ctx, kind=kind)
         rel = max(rel, _rel(res.max_abs(), scale))
         tmpl = super_phi(h1, "μ1", pts[0], pts[1], "ω", ctx, kind=kind).evaluate(z1, z2)
         closed = super_phi_degenerate(kind, h1, "μ1", pts[0], pts[1], "ω", pole_radius=cfg.pole_radius)

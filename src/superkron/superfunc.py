@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Sequence
@@ -46,6 +47,7 @@ __all__ = [
     "super_phi",
     "super_phi_truncated",
     "super_phi_degenerate",
+    "three_term",
     "fay_residual",
     "heat_residual",
     "periodicity_residual",
@@ -400,7 +402,6 @@ def super_phi(
     p2: SuperPoint,
     omega,
     ctx: EllipticContext,
-    gens: GeneratorSet | None = None,
     kind: str = "elliptic",
     exp_coeff: complex = 0.0,
     hbar_tau_rate: complex = 0.0,
@@ -421,8 +422,7 @@ def super_phi(
     shifts), "heat" replaces it by the mixed-derivative form of the flow
     identity, including the chain term through the exponential dressing.
     """
-    if gens is None:
-        gens = default_generators()
+    gens = default_generators()
     zeta1 = p1.resolve(gens)
     zeta2 = p2.resolve(gens)
     omega_e = _odd_element(gens, omega, "omega")
@@ -476,26 +476,13 @@ def super_phi_truncated(
     p2: SuperPoint,
     omega,
     ctx: EllipticContext,
-    gens: GeneratorSet | None = None,
     kind: str = "elliptic",
     exp_coeff: complex = 0.0,
     hbar_tau_rate: complex = 0.0,
     tau_term: str = "dtau",
 ) -> SuperFunction:
     """The three-term variant: full function with the odd parameter dropped."""
-    return super_phi(
-        hbar,
-        None,
-        p1,
-        p2,
-        omega,
-        ctx,
-        gens=gens,
-        kind=kind,
-        exp_coeff=exp_coeff,
-        hbar_tau_rate=hbar_tau_rate,
-        tau_term=tau_term,
-    )
+    return super_phi(hbar, None, p1, p2, omega, ctx, kind, exp_coeff, hbar_tau_rate, tau_term)
 
 
 def super_phi_degenerate(
@@ -505,7 +492,6 @@ def super_phi_degenerate(
     p1: SuperPoint,
     p2: SuperPoint,
     omega,
-    gens: GeneratorSet | None = None,
     pole_radius: float = 1e-3,
 ) -> GrassmannElement:
     """Closed-form value of the degenerate function, bypassing descriptors.
@@ -515,8 +501,7 @@ def super_phi_degenerate(
     with the odd partners in place of the shorthand; rational replaces the
     three parameter profiles by 1/h, 1/h^2, 1/h^3.
     """
-    if gens is None:
-        gens = default_generators()
+    gens = default_generators()
     if kind not in ("trig", "rational"):
         raise ValueError("degenerate kinds are 'trig' and 'rational'")
     zeta1 = p1.resolve(gens)
@@ -553,60 +538,56 @@ def _slot_generator(f: SuperFunction, slot: str):
 # -- residual checkers ---------------------------------------------------------
 
 
+def three_term(factor, x1, x2, mul=operator.mul, size=abs):
+    """The three-term quadratic relation behind the Fay and associative checks.
+
+    Forms f(x1)_12 f(x2)_23 + f(-x2)_31 f(x1-x2)_12 + f(x2-x1)_23 f(-x1)_31,
+    where factor(x, a, b) builds the factor with parameter tuple x between
+    points a and b (indices 0, 1, 2).  Tuples are negated and subtracted
+    entry by entry; a None entry, the absent odd parameter of the truncated
+    function, stays None.  Products are taken left to right with mul.
+    Returns the sum and the largest size of the three products, the scale
+    the residual is measured against; the exact relation makes the sum vanish.
+    """
+
+    def neg(x):
+        return tuple(None if v is None else -v for v in x)
+
+    def sub(x, y):
+        return tuple(None if u is None else u - v for u, v in zip(x, y))
+
+    p1 = mul(factor(x1, 0, 1), factor(x2, 1, 2))
+    p2 = mul(factor(neg(x2), 2, 0), factor(sub(x1, x2), 0, 1))
+    p3 = mul(factor(sub(x2, x1), 1, 2), factor(neg(x1), 2, 0))
+    return p1 + p2 + p3, max(size(p1), size(p2), size(p3))
+
+
 def fay_residual(
     hbars: Sequence[complex],
     mus,
     points: Sequence[SuperPoint],
     omega,
     ctx: EllipticContext,
-    gens: GeneratorSet | None = None,
     kind: str = "elliptic",
-    truncated: bool = False,
-    return_scale: bool = False,
 ):
-    """Three-term quadratic residual of the genus-one addition identity.
+    """(residual, scale) of the genus-one addition identity, see three_term.
 
-    Products are taken in the stated left-to-right order inside the
-    Grassmann algebra; the exact identity makes the sum vanish.  With
-    return_scale the largest product magnitude is reported for scaling.
+    Products are taken inside the Grassmann algebra.  mus = None checks the
+    truncated function (odd parameter absent).
     """
-    if gens is None:
-        gens = default_generators()
-    p1, p2, p3 = points
+    gens = default_generators()
     h1, h2 = (complex(h) for h in hbars)
-    if truncated:
+    if mus is None:
         mu1 = mu2 = None
     else:
         mu1 = _odd_element(gens, mus[0], "mu1")
         mu2 = _odd_element(gens, mus[1], "mu2")
 
-    def make(h, mu, pa, pb):
-        return super_phi(h, mu, pa, pb, omega, ctx, gens=gens, kind=kind)
+    def factor(x, a, b):
+        pa, pb = points[a], points[b]
+        return super_phi(x[0], x[1], pa, pb, omega, ctx, kind=kind).evaluate(pa.z, pb.z)
 
-    def diff(a, b):
-        if a is None and b is None:
-            return None
-        if a is None:
-            return -b
-        if b is None:
-            return a
-        return a - b
-
-    f1a = make(h1, mu1, p1, p2).evaluate(p1.z, p2.z)
-    f1b = make(h2, mu2, p2, p3).evaluate(p2.z, p3.z)
-    f2a = make(-h2, diff(None, mu2), p3, p1).evaluate(p3.z, p1.z)
-    f2b = make(h1 - h2, diff(mu1, mu2), p1, p2).evaluate(p1.z, p2.z)
-    f3a = make(h2 - h1, diff(mu2, mu1), p2, p3).evaluate(p2.z, p3.z)
-    f3b = make(-h1, diff(None, mu1), p3, p1).evaluate(p3.z, p1.z)
-
-    prod1 = f1a * f1b
-    prod2 = f2a * f2b
-    prod3 = f3a * f3b
-    residual = prod1 + prod2 + prod3
-    if return_scale:
-        scale = max(prod1.max_abs(), prod2.max_abs(), prod3.max_abs())
-        return residual, scale
-    return residual
+    return three_term(factor, (h1, mu1), (h2, mu2), size=GrassmannElement.max_abs)
 
 
 def heat_residual(
@@ -616,39 +597,29 @@ def heat_residual(
     p2: SuperPoint,
     omega,
     ctx: EllipticContext,
-    gens: GeneratorSet | None = None,
     kind: str = "elliptic",
-    truncated: bool = False,
-    return_scale: bool = False,
 ):
-    """Left-minus-right of the odd heat relation, evaluated at the points.
+    """(residual, scale): left minus right of the odd heat relation at the points.
 
     Left: (d_omega + 2 pi i (zeta1 + zeta2) d_tau).  Right:
     (d_zeta1 + zeta1 d_z1 - mu d_hbar / 2) d_hbar, with the mu term absent
-    for the truncated variant.  Modulus descriptors evaluate via the direct
-    modulus series while the right side uses only parameter/argument
-    derivatives, so the residual genuinely tests the relation.
+    for the truncated variant (mu = None).  Modulus descriptors evaluate via
+    the direct modulus series while the right side uses only
+    parameter/argument derivatives, so the residual genuinely tests the
+    relation.
     """
-    if gens is None:
-        gens = default_generators()
-    if truncated:
-        f = super_phi_truncated(hbar, p1, p2, omega, ctx, gens=gens, kind=kind)
-    else:
-        f = super_phi(hbar, mu, p1, p2, omega, ctx, gens=gens, kind=kind)
+    f = super_phi(hbar, mu, p1, p2, omega, ctx, kind=kind)
     zeta1 = f.slots["zeta1"]
     zeta2 = f.slots["zeta2"]
     lhs = f.d_generator(_slot_generator(f, "omega"))
     lhs = lhs + f.d_tau().lmul(zeta1 + zeta2).scale(_TWO_PI_I)
     dh = f.d_hbar()
     rhs = dh.d_generator(_slot_generator(dh, "zeta1")) + dh.d_z1().lmul(zeta1)
-    if not truncated:
+    if mu is not None:
         rhs = rhs - dh.d_hbar().lmul(f.slots["mu"]).scale(0.5)
     lval = lhs.evaluate(p1.z, p2.z)
     rval = rhs.evaluate(p1.z, p2.z)
-    residual = lval - rval
-    if return_scale:
-        return residual, max(lval.max_abs(), rval.max_abs(), 1e-300)
-    return residual
+    return lval - rval, max(lval.max_abs(), rval.max_abs(), 1e-300)
 
 
 def transition_factor(
@@ -685,27 +656,23 @@ def periodicity_residual(
     p2: SuperPoint,
     omega,
     ctx: EllipticContext,
-    gens: GeneratorSet | None = None,
-    truncated: bool = False,
-    return_scale: bool = False,
 ):
-    """Shifted value minus multiplier times value, per lattice direction.
+    """(residual, scale): shifted value minus multiplier times value.
 
     direction 1 shifts the chosen even coordinate by one (multiplier one);
     direction "tau" applies the full supertranslation: even coordinate
     gains the modulus plus 2 pi i zeta omega, the odd partner gains
     2 pi i omega, and the reference side is scaled by the transition
     factor.  Both sides evaluate without lattice reduction, otherwise the
-    check would assume what it verifies.
+    check would assume what it verifies.  mu = None checks the truncated
+    function.
     """
-    if gens is None:
-        gens = default_generators()
+    gens = default_generators()
     if slot not in (1, 2):
         raise ValueError("slot must be 1 or 2")
-    mu_for_build = None if truncated else mu
 
     def build(pa, pb, strict=True):
-        return super_phi(hbar, mu_for_build, pa, pb, omega, ctx, gens=gens, check_slots=strict)
+        return super_phi(hbar, mu, pa, pb, omega, ctx, check_slots=strict)
 
     base = build(p1, p2)
     base_val = base.evaluate(p1.z, p2.z, reduce=False)
@@ -715,10 +682,7 @@ def periodicity_residual(
             shifted = base.evaluate(p1.z + 1.0, p2.z, reduce=False)
         else:
             shifted = base.evaluate(p1.z, p2.z + 1.0, reduce=False)
-        residual = shifted - base_val
-        if return_scale:
-            return residual, max(shifted.max_abs(), base_val.max_abs(), 1e-300)
-        return residual
+        return shifted - base_val, max(shifted.max_abs(), base_val.max_abs(), 1e-300)
 
     if direction != "tau":
         raise ValueError("direction must be 1 or 'tau'")
@@ -740,15 +704,7 @@ def periodicity_residual(
         shifted = shifted_fn.evaluate(p1.z, p2.z + tau, soul=soul, reduce=False)
 
     factor = transition_factor(
-        gens,
-        hbar,
-        None if truncated else mu,
-        base.slots["zeta1" if slot == 1 else "zeta2"],
-        omega_e,
-        slot,
+        gens, hbar, mu, base.slots["zeta1" if slot == 1 else "zeta2"], omega_e, slot
     )
     reference = factor * base_val
-    residual = shifted - reference
-    if return_scale:
-        return residual, max(shifted.max_abs(), reference.max_abs(), 1e-300)
-    return residual
+    return shifted - reference, max(shifted.max_abs(), reference.max_abs(), 1e-300)

@@ -208,9 +208,9 @@ def test_criterion_07_ordinary_yang_baxter_equations(capsys):
 
         def one_sample(r):
             hbars, pts = _three_point_sample(r)
-            res, scale = aybe_residual(hbars, None, pts, "ω", b, CTX, return_scale=True)
+            res, scale = aybe_residual(hbars, None, pts, "ω", b, CTX)
             out = res.max_abs() / max(scale, 1.0)
-            res2, scale2 = cybe_residual(pts, "ω", b, CTX, return_scale=True)
+            res2, scale2 = cybe_residual(pts, "ω", b, CTX)
             return max(out, res2.max_abs() / max(scale2, 1.0))
 
         for _ in range(100):
@@ -229,11 +229,9 @@ def test_criterion_08_super_yang_baxter_equations(capsys):
 
         def one_sample(r):
             hbars, pts = _three_point_sample(r)
-            res, scale = aybe_residual(
-                hbars, ("μ1", "μ2"), pts, "ω", b, CTX, super=True, return_scale=True
-            )
+            res, scale = aybe_residual(hbars, ("μ1", "μ2"), pts, "ω", b, CTX, super=True)
             out = res.max_abs() / max(scale, 1.0)
-            res2, scale2 = cybe_residual(pts, "ω", b, CTX, super=True, return_scale=True)
+            res2, scale2 = cybe_residual(pts, "ω", b, CTX, super=True)
             return max(out, res2.max_abs() / max(scale2, 1.0))
 
         for _ in range(count):

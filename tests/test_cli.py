@@ -176,6 +176,9 @@ def test_main_invalid_config_exit_code(capsys):
         ["theta", "--tau-im", "inf"],
         ["theta", "--pole-radius", "nan"],
         ["heat", "--pole-radius", "0.6"],
+        ["theta", "--seed", "-1"],
+        ["theta", "--tau-im", "1000"],
+        ["theta", "--tau-im", "1e-4"],
     ],
 )
 def test_invalid_input_exits_2_without_traceback(argv):

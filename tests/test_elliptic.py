@@ -173,6 +173,20 @@ def test_lattice_distance_vanishes_on_lattice():
     assert lattice_distance(0.5, TAU1) > 0.3
 
 
+@pytest.mark.parametrize("tau", [5 + 0.05j, 3.3 + 0.4j, -0.45 + 0.6j, 0.3 + 1.1j])
+def test_lattice_distance_matches_brute_force(tau):
+    # unreduced moduli included: the nearest lattice point may lie far from
+    # the neighbours of the reduced representative
+    m, n = np.meshgrid(np.arange(-250, 251), np.arange(-80, 81))
+    lattice = (m + n * tau).ravel()
+    rng = np.random.default_rng(17)
+    points = [complex(x, y) for x, y in rng.uniform(-1.5, 1.5, size=(40, 2))]
+    points += [3 - 2 * tau + 0.01 * cmath.exp(1j * t) for t in rng.uniform(0, 2 * math.pi, 5)]
+    for w in points:
+        want = np.abs(lattice - w).min()
+        assert lattice_distance(w, tau) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 # -- two-variable kernel -----------------------------------------------------
 
 

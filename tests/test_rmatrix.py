@@ -465,37 +465,33 @@ def test_classical_limit_operator_structure():
 def test_associative_yang_baxter_residual():
     for N in (2, 3):
         b = HeisenbergBasis(N)
-        res, scale = aybe_residual(
-            (H1, H2), None, (P1, P2, P3), "ω", b, CTX, return_scale=True
-        )
+        res, scale = aybe_residual((H1, H2), None, (P1, P2, P3), "ω", b, CTX)
         assert rel(res.max_abs(), scale) < 1e-11
 
 
 def test_classical_yang_baxter_residual():
     for N in (2, 3):
         b = HeisenbergBasis(N)
-        res, scale = cybe_residual((P1, P2, P3), "ω", b, CTX, return_scale=True)
+        res, scale = cybe_residual((P1, P2, P3), "ω", b, CTX)
         assert rel(res.max_abs(), scale) < 1e-11
 
 
 def test_super_associative_yang_baxter_residual():
     b = HeisenbergBasis(2)
-    res, scale = aybe_residual(
-        (H1, H2), ("μ1", "μ2"), (P1, P2, P3), "ω", b, CTX, super=True, return_scale=True
-    )
+    res, scale = aybe_residual((H1, H2), ("μ1", "μ2"), (P1, P2, P3), "ω", b, CTX, super=True)
     assert rel(res.max_abs(), scale) < 1e-11
 
 
 def test_super_classical_yang_baxter_residual():
     b = HeisenbergBasis(2)
-    res, scale = cybe_residual((P1, P2, P3), "ω", b, CTX, super=True, return_scale=True)
+    res, scale = cybe_residual((P1, P2, P3), "ω", b, CTX, super=True)
     assert rel(res.max_abs(), scale) < 1e-11
 
 
 def test_single_site_super_aybe_equals_scalar_identity():
     b1 = HeisenbergBasis(1)
-    res = aybe_residual((H1, H2), ("μ1", "μ2"), (P1, P2, P3), "ω", b1, CTX, super=True)
-    fres = fay_residual((H1, H2), ("μ1", "μ2"), (P1, P2, P3), "ω", CTX)
+    res, _ = aybe_residual((H1, H2), ("μ1", "μ2"), (P1, P2, P3), "ω", b1, CTX, super=True)
+    fres, _ = fay_residual((H1, H2), ("μ1", "μ2"), (P1, P2, P3), "ω", CTX)
     assert (res.entry(0, 0) - fres).max_abs() == 0.0
 
 

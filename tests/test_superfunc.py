@@ -18,6 +18,7 @@ from superkron.superfunc import (
     super_phi,
     super_phi_degenerate,
     super_phi_truncated,
+    three_term,
     transition_factor,
 )
 
@@ -242,17 +243,31 @@ def test_descriptor_canonical_form():
 
 @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
 def test_three_term_identity(kind):
-    res, scale = fay_residual(
-        (H1, H2), ("μ1", "μ2"), (P1, P2, P3), "ω", CTX, kind=kind, return_scale=True
-    )
+    res, scale = fay_residual((H1, H2), ("μ1", "μ2"), (P1, P2, P3), "ω", CTX, kind=kind)
     assert rel(res.max_abs(), scale) < 1e-12
 
 
 def test_three_term_identity_truncated():
-    res, scale = fay_residual(
-        (H1, H2), None, (P1, P2, P3), "ω", CTX, truncated=True, return_scale=True
-    )
+    res, scale = fay_residual((H1, H2), None, (P1, P2, P3), "ω", CTX)
     assert rel(res.max_abs(), scale) < 1e-12
+
+
+def test_three_term_relation_can_fail():
+    # a slip in three_term's signs or placements that made the terms cancel
+    # trivially would pass the residual tests above; a wrong factor must not
+    zs = (P1.z, P2.z, P3.z)
+
+    def kernel(x, a, b):
+        return phi(x[0], zs[a] - zs[b], CTX)
+
+    def wrong(x, a, b):
+        # a shifted parameter: f(-x) is no longer the reflection of f(x)
+        return phi(x[0] + 0.01, zs[a] - zs[b], CTX)
+
+    s, scale = three_term(kernel, (H1,), (H2,))
+    assert abs(s) < 1e-10 * scale
+    s, scale = three_term(wrong, (H1,), (H2,))
+    assert abs(s) > 1e-3 * scale
 
 
 def test_first_product_sector_cross_checks():
@@ -269,29 +284,25 @@ def test_first_product_sector_cross_checks():
 
 @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
 def test_heat_identity(kind):
-    res, scale = heat_residual(H1, "μ1", P1, P2, "ω", CTX, kind=kind, return_scale=True)
+    res, scale = heat_residual(H1, "μ1", P1, P2, "ω", CTX, kind=kind)
     assert rel(res.max_abs(), scale) < 1e-12
 
 
 def test_heat_identity_truncated():
-    res, scale = heat_residual(H1, None, P1, P2, "ω", CTX, truncated=True, return_scale=True)
+    res, scale = heat_residual(H1, None, P1, P2, "ω", CTX)
     assert rel(res.max_abs(), scale) < 1e-12
 
 
 @pytest.mark.parametrize("direction", [1, "tau"])
 @pytest.mark.parametrize("slot", [1, 2])
 def test_translation_covariance(direction, slot):
-    res, scale = periodicity_residual(
-        direction, slot, H1, "μ1", P1, P2, "ω", CTX, return_scale=True
-    )
+    res, scale = periodicity_residual(direction, slot, H1, "μ1", P1, P2, "ω", CTX)
     assert rel(res.max_abs(), scale) < 1e-12
 
 
 @pytest.mark.parametrize("slot", [1, 2])
 def test_translation_covariance_truncated(slot):
-    res, scale = periodicity_residual(
-        "tau", slot, H1, None, P1, P2, "ω", CTX, truncated=True, return_scale=True
-    )
+    res, scale = periodicity_residual("tau", slot, H1, None, P1, P2, "ω", CTX)
     assert rel(res.max_abs(), scale) < 1e-12
 
 
