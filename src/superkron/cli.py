@@ -5,8 +5,9 @@ configuration and one record per suite: {suite, samples, max_residual,
 worst_inputs, pass, seconds}.  Worst-case inputs are serialized so a failing
 sample can be replayed exactly.  The process exits 0 if every selected suite
 passed, 1 if a residual exceeded the tolerance, and 2 for an invalid
-configuration, including a pole radius that leaves no pole-free sample and
-a modulus at which the series cannot be summed.
+configuration, including a pole radius that leaves no pole-free sample, a
+modulus at which the series cannot be summed, and an --out path that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -119,8 +120,12 @@ def main(argv=None) -> int:
         return 2
     doc = emit_report(reports, cfg.output, cfg)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(doc + "\n")
+        except OSError as exc:
+            print(f"invalid configuration: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         print(doc)
     return 0 if all(r.passed for r in reports) else 1

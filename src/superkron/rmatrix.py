@@ -227,21 +227,31 @@ def super_basis_phi(
 class SuperMatrix:
     """Square matrix over the Grassmann algebra, stored per basis monomial.
 
-    blocks maps a monomial bitmask to a dense complex matrix.  The product
-    multiplies coefficient blocks as matrices and basis monomials in the
-    algebra, keeping the left factor's monomial on the left; matrices have
-    complex entries, so no extra grading sign arises.
+    blocks maps a monomial bitmask to a dense complex matrix.  The matrix is
+    an operator on a chain of sites: sites lists, in the order of its tensor
+    factors, the 1-based chain positions they occupy, by default
+    (1, ..., n_sites).  The product multiplies basis monomials in the
+    algebra, keeping the left factor's monomial on the left, and contracts
+    the coefficient blocks over the sites the two factors share; each acts
+    as the identity on the other's remaining sites, and the result acts on
+    the sorted union of both site sets.  Factors on the same sites in the
+    same order multiply as plain matrices.  Matrices have complex entries,
+    so no extra grading sign arises.
     """
 
-    __slots__ = ("gens", "n_sites", "site_dim", "dim", "blocks")
+    __slots__ = ("gens", "n_sites", "site_dim", "dim", "blocks", "sites")
 
-    def __init__(self, gens: GeneratorSet, n_sites: int, site_dim: int, blocks=None) -> None:
+    def __init__(self, gens: GeneratorSet, n_sites: int, site_dim: int, blocks=None, sites=None) -> None:
         if n_sites < 1 or n_sites > 3:
             raise ValueError("n_sites must be 1, 2 or 3")
+        sites = tuple(range(1, n_sites + 1)) if sites is None else tuple(int(s) for s in sites)
+        if len(sites) != n_sites or len(set(sites)) != n_sites or min(sites) < 1:
+            raise ValueError("sites must name one distinct positive position per factor")
         self.gens = gens
         self.n_sites = n_sites
         self.site_dim = site_dim
         self.dim = site_dim**n_sites
+        self.sites = sites
         self.blocks: dict[int, np.ndarray] = {}
         if blocks:
             for mask, arr in blocks.items():
@@ -269,13 +279,19 @@ class SuperMatrix:
     def parity(self) -> str:
         return parity(m for m, a in self.blocks.items() if np.abs(a).max() > 0)
 
-    def _like(self) -> "SuperMatrix":
-        return SuperMatrix(self.gens, self.n_sites, self.site_dim)
+    def placed(self, sites: Sequence[int]) -> "SuperMatrix":
+        """The same blocks as an operator on the given chain sites, in factor order."""
+        out = SuperMatrix(self.gens, self.n_sites, self.site_dim, sites=sites)
+        out.blocks = dict(self.blocks)
+        return out
 
-    def _check_shape(self, other: "SuperMatrix") -> None:
+    def _like(self) -> "SuperMatrix":
+        return SuperMatrix(self.gens, self.n_sites, self.site_dim, sites=self.sites)
+
+    def _check_shape(self, other: "SuperMatrix", same_sites: bool = True) -> None:
         if self.gens != other.gens:
             raise GeneratorMismatchError("matrices use different generator sets")
-        if self.n_sites != other.n_sites or self.site_dim != other.site_dim:
+        if self.site_dim != other.site_dim or (same_sites and self.sites != other.sites):
             raise ValueError("matrix site structures differ")
 
     def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
@@ -300,48 +316,49 @@ class SuperMatrix:
         return out
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
-        self._check_shape(other)
-        out = self._like()
+        self._check_shape(other, same_sites=False)
+        sa, sb = self.sites, other.sites
+        na, nb = len(sa), len(sb)
+        union = tuple(sorted(set(sa) | set(sb)))
+        out = SuperMatrix(self.gens, len(union), self.site_dim, sites=union)
+        # block tensors carry output legs, then input legs, in factor order;
+        # the left factor's input leg at a shared site meets the right
+        # factor's output leg there
+        shared = [u for u in sa if u in sb]
+        axes = ([na + sa.index(u) for u in shared], [sb.index(u) for u in shared])
+        legs = (
+            [("out", u) for u in sa] + [("in", u) for u in sa if u not in shared]
+            + [("out", u) for u in sb if u not in shared] + [("in", u) for u in sb]
+        )
+        order = [legs.index((io, u)) for io in ("out", "in") for u in union]
+        d = self.site_dim
+        shape = (d,) * 2 * len(union)
         for u, sign, a, b in self.gens.products(self.blocks, other.blocks):
-            out.add_block(u, sign * (a @ b))
+            t = np.tensordot(a.reshape((d,) * 2 * na), b.reshape((d,) * 2 * nb), axes).transpose(order)
+            if u in out.blocks:
+                # in place: a fresh full-size temporary per term costs more than
+                # the narrow contraction
+                acc = out.blocks[u].reshape(shape)
+                (np.add if sign > 0 else np.subtract)(acc, t, out=acc)
+            else:
+                out.blocks[u] = np.multiply(sign, t, order="C").reshape(out.dim, out.dim)
         return out
 
 
 def embed(m: SuperMatrix, sites: Sequence[int], n_total: int = 3) -> SuperMatrix:
-    """Place a multi-site matrix at the named sites of a larger site chain.
+    """Dense form of a multi-site matrix placed at the named sites of a chain.
 
     sites lists, in the matrix's own factor order, which chain positions
-    (1-based) its tensor factors occupy; omitted positions get identities.
-    Reversed pairs like (3, 1) are index permutations, so one code path
-    realizes every subscript placement.
+    (1..n_total) its tensor factors occupy.  The placed matrix is multiplied
+    by the identity on all n_total sites, so omitted positions get
+    identities and reversed pairs like (3, 1) become index permutations.
+    Products of placed matrices need no embedding; this dense form is the
+    reference they are tested against.
     """
-    sites = tuple(int(s) for s in sites)
-    if len(sites) != m.n_sites:
-        raise ValueError("sites must name one position per matrix factor")
-    if len(set(sites)) != len(sites):
-        raise ValueError("sites must be distinct")
-    if any(s < 1 or s > n_total for s in sites):
+    if any(int(s) < 1 or int(s) > n_total for s in sites):
         raise ValueError(f"sites must lie in 1..{n_total}")
-    d = m.site_dim
-    out_letters = "abc"[:n_total]
-    in_letters = "def"[:n_total]
-    t_sub = (
-        "".join(out_letters[s - 1] for s in sites)
-        + "".join(in_letters[s - 1] for s in sites)
-    )
-    operands_sub = [t_sub]
-    rest = [s for s in range(1, n_total + 1) if s not in sites]
-    for s in rest:
-        operands_sub.append(out_letters[s - 1] + in_letters[s - 1])
-    script = ",".join(operands_sub) + "->" + out_letters + in_letters
-    eye = np.eye(d, dtype=complex)
-    out = SuperMatrix(m.gens, n_total, d)
-    big = d**n_total
-    for mask, arr in m.blocks.items():
-        tensor = arr.reshape((d,) * (2 * m.n_sites))
-        ops = [tensor] + [eye] * len(rest)
-        out.blocks[mask] = np.einsum(script, *ops).reshape(big, big)
-    return out
+    identity = SuperMatrix(m.gens, n_total, m.site_dim, {0: np.eye(m.site_dim**n_total)})
+    return m.placed(sites) @ identity
 
 
 def commutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
@@ -416,7 +433,7 @@ def aybe_residual(
 ):
     """(residual, scale) of the associative identity on 3 sites, see three_term.
 
-    Factors are operators embedded at sites (1,2), (2,3) and (3,1); the odd
+    Factors are operators placed at sites (1,2), (2,3) and (3,1); the odd
     version carries the odd parameters, and an exact solution makes the
     block sum vanish.
     """
@@ -430,7 +447,7 @@ def aybe_residual(
 
     def factor(x, a, b):
         r = build_R(x[0], x[1], points[a], points[b], omega, basis, ctx, super=super)
-        return embed(r, (a + 1, b + 1), 3)
+        return r.placed((a + 1, b + 1))
 
     return three_term(factor, x1, x2, mul=operator.matmul, size=SuperMatrix.max_abs)
 
@@ -450,9 +467,9 @@ def cybe_residual(
     the largest bracket.
     """
     p1, p2, p3 = points
-    r12 = embed(build_r_classical(p1, p2, omega, basis, ctx, super=super), (1, 2), 3)
-    r13 = embed(build_r_classical(p1, p3, omega, basis, ctx, super=super), (1, 3), 3)
-    r23 = embed(build_r_classical(p2, p3, omega, basis, ctx, super=super), (2, 3), 3)
+    r12 = build_r_classical(p1, p2, omega, basis, ctx, super=super).placed((1, 2))
+    r13 = build_r_classical(p1, p3, omega, basis, ctx, super=super).placed((1, 3))
+    r23 = build_r_classical(p2, p3, omega, basis, ctx, super=super).placed((2, 3))
     bracket = anticommutator if super else commutator
     b1 = bracket(r12, r13)
     b2 = bracket(r12, r23)

@@ -179,15 +179,18 @@ def test_main_invalid_config_exit_code(capsys):
         ["theta", "--seed", "-1"],
         ["theta", "--tau-im", "1000"],
         ["theta", "--tau-im", "1e-4"],
+        ["theta", "--samples", "1", "--out", "no-such-directory/r.json"],
+        ["theta", "--samples", "1", "--out", "."],
     ],
 )
-def test_invalid_input_exits_2_without_traceback(argv):
-    # a separate process, so the exit status and stderr are the real ones
+def test_invalid_input_exits_2_without_traceback(argv, tmp_path):
+    # a separate process, so the exit status and stderr are the real ones;
+    # it runs in an empty directory, so relative --out paths mean the same
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "superkron.cli", *argv],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 2
     assert "invalid configuration" in proc.stderr

@@ -25,7 +25,7 @@ from superkron.rmatrix import (
     kappa,
     super_basis_phi,
 )
-from superkron.superfunc import SuperPoint, fay_residual, super_phi
+from superkron.superfunc import SuperPoint, fay_residual, super_phi, three_term
 
 GENS = default_generators()
 CTX = EllipticContext(0.3 + 1.1j)
@@ -389,6 +389,44 @@ def test_embed_identity_is_identity():
     assert np.abs(big.blocks[0] - np.eye(d**3)).max() == 0.0
 
 
+# the placements aybe (12 23, 31 12, 23 31) and cybe (12 13, 12 23, 13 23)
+# multiply, their reverses, and two with a 1-site and a 3-site factor
+PLACEMENTS = [
+    ((1, 2), (2, 3)), ((3, 1), (1, 2)), ((2, 3), (3, 1)),
+    ((1, 2), (1, 3)), ((1, 3), (2, 3)),
+    ((2,), (3, 1)), ((3, 1, 2), (2, 3)),
+]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("sites", PLACEMENTS + [(sb, sa) for sa, sb in PLACEMENTS])
+def test_placed_product_matches_dense_embedding(rng, d, sites):
+    sa, sb = sites
+    a = random_super_matrix(rng, len(sa), d, masks=(0, 1, 2, 3, 6)).placed(sa)
+    b = random_super_matrix(rng, len(sb), d, masks=(0, 1, 4, 5)).placed(sb)
+    got = a @ b
+    want = embed(a, sa, 3) @ embed(b, sb, 3)
+    assert got.sites == (1, 2, 3)
+    assert set(got.blocks) == set(want.blocks)
+    assert (got - want).max_abs() <= 1e-14 * want.max_abs()
+
+
+def test_sites_are_checked(rng):
+    m = random_super_matrix(rng, 2, 2)
+    for bad in ((1, 1), (1, 2, 3), (0, 1), (2,)):
+        with pytest.raises(ValueError):
+            m.placed(bad)
+        with pytest.raises(ValueError):
+            SuperMatrix(GENS, 2, 2, sites=bad)
+    with pytest.raises(ValueError):
+        m.placed((1, 2)) + m.placed((2, 3))
+    with pytest.raises(ValueError):
+        m.placed((1, 2)) + m.placed((2, 1))
+    # the union of two placed factors still has at most three sites
+    with pytest.raises(ValueError):
+        m.placed((1, 2)) @ m.placed((3, 4))
+
+
 def test_commutator_and_anticommutator(rng):
     a = random_super_matrix(rng, masks=(0, 3))
     b = random_super_matrix(rng, masks=(0, 5))
@@ -486,6 +524,37 @@ def test_super_classical_yang_baxter_residual():
     b = HeisenbergBasis(2)
     res, scale = cybe_residual((P1, P2, P3), "ω", b, CTX, super=True)
     assert rel(res.max_abs(), scale) < 1e-11
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("super_", [False, True])
+def test_placed_aybe_products_match_dense_route(N, super_):
+    # the three products of aybe_residual, from placed factors and from
+    # dense embeddings of the same factors
+    b = HeisenbergBasis(N)
+    mu1, mu2 = (GENS.generator("μ1"), GENS.generator("μ2")) if super_ else (None, None)
+    points = (P1, P2, P3)
+
+    def products(place):
+        got = []
+
+        def factor(x, i, j):
+            r = build_R(x[0], x[1], points[i], points[j], "ω", b, CTX, super=super_)
+            return place(r, (i + 1, j + 1))
+
+        def mul(p, q):
+            got.append(p @ q)
+            return got[-1]
+
+        three_term(factor, (H1, mu1), (H2, mu2), mul=mul, size=SuperMatrix.max_abs)
+        return got
+
+    placed = products(SuperMatrix.placed)
+    dense = products(lambda r, sites: embed(r, sites, 3))
+    assert len(placed) == len(dense) == 3
+    for got, want in zip(placed, dense):
+        assert set(got.blocks) == set(want.blocks)
+        assert (got - want).max_abs() <= 1e-14 * want.max_abs()
 
 
 def test_single_site_super_aybe_equals_scalar_identity():
