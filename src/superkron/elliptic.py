@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _TWO_PI_I = 2j * math.pi
+_PI_I = 1j * math.pi
+# theta stacks one context memoizes before it starts again from empty
+_MEMO_LIMIT = 4096
 
 
 class PoleProximityError(ValueError):
@@ -55,12 +58,21 @@ class EllipticContext:
     encountered, which is also the honest floating-point noise floor),
     pole_radius the minimal allowed lattice distance for kernel arguments,
     k_max the hard cap on frequency pairs summed.
+
+    Each context also keeps a memo of the theta stacks summed under it,
+    keyed by (z, max_dz, dtau), so a stack requested again is not summed
+    again.  The memo is cleared whenever it holds _MEMO_LIMIT (4096)
+    stacks, so a long-lived context cannot grow it without limit.  It is
+    not a constructor parameter and takes no part in equality or
+    hashing: two equal contexts compare and hash equal but keep separate
+    memos.
     """
 
     tau: complex
     tol: float = 1e-14
     pole_radius: float = 1e-3
     k_max: int = 200
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tau = complex(self.tau)
@@ -92,29 +104,46 @@ def theta_stack(
     to decay.  A term beyond the floating-point range raises
     SeriesTruncationError, as does a sum that has not converged after
     ctx.k_max pairs.
+
+    The result is read-only and memoized on ctx (see EllipticContext): a
+    repeated request returns the same array.  A failed sum is not memoized.
     """
     if max_dz < 0 or dtau < 0:
         raise ValueError("derivative orders must be non-negative")
     z = complex(z)
+    key = (z, max_dz, dtau)
+    memo = ctx._stacks
+    stack = memo.get(key)
+    if stack is not None:
+        return stack
     tau = ctx.tau
-    totals = np.zeros(max_dz + 1, dtype=np.complex128)
-    peaks = np.ones(max_dz + 1)
+    # plain Python numbers: the same IEEE operations in the same order as
+    # numpy scalars, without the per-element boxing
+    totals = [0j] * (max_dz + 1)
+    peaks = [1.0] * (max_dz + 1)
+    shift = 2.0 * (z + 0.5)
     turn = abs(z.imag) / tau.imag
     quiet = 0
     p = 0
-    while True:
+    while quiet < 2:
+        if p >= ctx.k_max:
+            raise SeriesTruncationError(
+                f"series not converged after {ctx.k_max} frequency pairs "
+                f"(z={z}, tau={tau}); raise k_max or move the point"
+            )
         n = p + 0.5
         pair_rel = 0.0
         for sgn in (1.0, -1.0):
             f = sgn * n
             try:
-                base = cmath.exp(1j * math.pi * (tau * f * f + 2.0 * (z + 0.5) * f))
+                base = cmath.exp(_PI_I * (tau * f * f + shift * f))
             except OverflowError:
                 raise SeriesTruncationError(
                     f"series term exceeds the floating-point range (z={z}, tau={tau})"
                 ) from None
             if dtau:
-                base *= (1j * math.pi * f * f) ** dtau
+                base *= (_PI_I * f * f) ** dtau
+            step = _TWO_PI_I * f
             fac = 1.0 + 0j
             for d in range(max_dz + 1):
                 term = base * fac
@@ -125,19 +154,15 @@ def theta_stack(
                 rel = mag / peaks[d]
                 if rel > pair_rel:
                     pair_rel = rel
-                fac *= _TWO_PI_I * f
-        if p >= turn and pair_rel <= ctx.tol:
-            quiet += 1
-            if quiet >= 2:
-                return totals
-        else:
-            quiet = 0
+                fac *= step
+        quiet = quiet + 1 if p >= turn and pair_rel <= ctx.tol else 0
         p += 1
-        if p >= ctx.k_max:
-            raise SeriesTruncationError(
-                f"series not converged after {ctx.k_max} frequency pairs "
-                f"(z={z}, tau={tau}); raise k_max or move the point"
-            )
+    stack = np.array(totals, dtype=np.complex128)
+    stack.flags.writeable = False
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = stack
+    return stack
 
 
 def theta(z: complex, ctx: EllipticContext, dz: int = 0, dtau: int = 0) -> complex:

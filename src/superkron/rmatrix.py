@@ -94,6 +94,7 @@ class HeisenbergBasis:
         self.Q = self.q_power(1)
         self.Lam = self.lam_power(1)
         self._t_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def q_power(self, a1: int) -> np.ndarray:
         N = self.N
@@ -115,6 +116,15 @@ class HeisenbergBasis:
             phase = cmath.exp(1j * math.pi * a1 * a2 / self.N)
             cached = phase * (self.q_power(a1) @ self.lam_power(a2))
             self._t_cache[key] = cached
+        return cached
+
+    def pair(self, alpha) -> np.ndarray:
+        """Channel block T_a (x) T_-a, built once per index pair."""
+        key = (int(alpha[0]), int(alpha[1]))
+        cached = self._pair_cache.get(key)
+        if cached is None:
+            cached = np.kron(self.t(alpha), self.t(-alpha))
+            self._pair_cache[key] = cached
         return cached
 
     def canonical_indices(self) -> list[MultiIndex]:
@@ -236,7 +246,9 @@ class SuperMatrix:
     as the identity on the other's remaining sites, and the result acts on
     the sorted union of both site sets.  Factors on the same sites in the
     same order multiply as plain matrices.  Matrices have complex entries,
-    so no extra grading sign arises.
+    so no extra grading sign arises.  placed() shares the blocks, like a
+    numpy view, and += / -= update a matrix's blocks in place, so they also
+    change every matrix that shares them; + and - copy.
     """
 
     __slots__ = ("gens", "n_sites", "site_dim", "dim", "blocks", "sites")
@@ -294,17 +306,33 @@ class SuperMatrix:
         if self.site_dim != other.site_dim or (same_sites and self.sites != other.sites):
             raise ValueError("matrix site structures differ")
 
-    def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
+    def _accumulate(self, other: "SuperMatrix", sign: int) -> "SuperMatrix":
+        """Add sign * other into this matrix's own blocks, in place."""
         self._check_shape(other)
-        out = self._like()
-        for mask, arr in self.blocks.items():
-            out.add_block(mask, arr)
         for mask, arr in other.blocks.items():
-            out.add_block(mask, arr)
+            acc = self.blocks.get(mask)
+            if acc is None:
+                self.blocks[mask] = arr.copy() if sign > 0 else -arr
+            else:
+                (np.add if sign > 0 else np.subtract)(acc, arr, out=acc)
+        return self
+
+    def _copy(self) -> "SuperMatrix":
+        out = self._like()
+        out.blocks = {mask: arr.copy() for mask, arr in self.blocks.items()}
         return out
 
+    def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
+        return self._copy()._accumulate(other, 1)
+
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self + other.scale(-1.0)
+        return self._copy()._accumulate(other, -1)
+
+    def __iadd__(self, other: "SuperMatrix") -> "SuperMatrix":
+        return self._accumulate(other, 1)
+
+    def __isub__(self, other: "SuperMatrix") -> "SuperMatrix":
+        return self._accumulate(other, -1)
 
     def __neg__(self) -> "SuperMatrix":
         return self.scale(-1.0)
@@ -362,11 +390,15 @@ def embed(m: SuperMatrix, sites: Sequence[int], n_total: int = 3) -> SuperMatrix
 
 
 def commutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
-    return a @ b - b @ a
+    out = a @ b
+    out -= b @ a
+    return out
 
 
 def anticommutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
-    return a @ b + b @ a
+    out = a @ b
+    out += b @ a
+    return out
 
 
 def _channel_sum(indices, hbar, mu, p1, p2, omega, basis, ctx, super, form) -> SuperMatrix:
@@ -374,14 +406,20 @@ def _channel_sum(indices, hbar, mu, p1, p2, omega, basis, ctx, super, form) -> S
     N = basis.N
     z12 = complex(p1.z) - complex(p2.z)
     out = SuperMatrix(default_generators(), 2, N)
+    blocks = out.blocks
     for alpha in indices:
-        block = np.kron(basis.t(alpha), basis.t(-alpha))
+        block = basis.pair(alpha)
         if super:
             value = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form=form).evaluate(p1.z, p2.z)
-            for mask, coeff in value.items():
-                out.add_block(mask, coeff * block)
+            terms = value.items()
         else:
-            out.add_block(0, basis_phi(alpha, hbar, z12, ctx, N) * block)
+            terms = ((0, basis_phi(alpha, hbar, z12, ctx, N)),)
+        for mask, coeff in terms:
+            # in place: one channel term at a time, in channel order
+            if mask in blocks:
+                blocks[mask] += coeff * block
+            else:
+                blocks[mask] = coeff * block
     return out
 
 
@@ -474,4 +512,7 @@ def cybe_residual(
     b1 = bracket(r12, r13)
     b2 = bracket(r12, r23)
     b3 = bracket(r13, r23)
-    return b1 + b2 + b3, max(b1.max_abs(), b2.max_abs(), b3.max_abs())
+    scale = max(b1.max_abs(), b2.max_abs(), b3.max_abs())
+    b1 += b2
+    b1 += b3
+    return b1, scale

@@ -5,7 +5,8 @@ away from the edges) with a pure compute function returning the worst
 relative residual for that sample.  Samplers use a per-suite generator
 seeded from (seed, crc32(suite name)), so reports are reproducible and
 independent of which other suites run.  Samples that land inside a pole
-exclusion zone are redrawn a bounded number of times.
+exclusion zone are redrawn a bounded number of times.  A residual that is
+not finite counts as infinite, so its sample fails the suite.
 """
 
 from __future__ import annotations
@@ -168,6 +169,9 @@ def _scalar_kernel(kind: str, ctx: EllipticContext) -> Callable[[complex, comple
 
 
 def _rel(residual: float, scale: float) -> float:
+    """residual / max(scale, 1); infinite when either is not finite, so max() keeps it."""
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        return math.inf
     return residual / max(scale, 1.0)
 
 
@@ -456,6 +460,8 @@ def run_suite(name: str, cfg: VerifyConfig) -> SuiteReport:
             raise SamplingError(
                 f"suite {name!r}: no pole-free sample found in {_MAX_REDRAWS} draws"
             )
+        if math.isnan(rel):
+            rel = math.inf  # a residual that is not a number fails the suite
         if rel > max_rel:
             max_rel = float(rel)
             worst = inputs

@@ -548,6 +548,8 @@ def three_term(factor, x1, x2, mul=operator.mul, size=abs):
     function, stays None.  Products are taken left to right with mul.
     Returns the sum and the largest size of the three products, the scale
     the residual is measured against; the exact relation makes the sum vanish.
+    The third product is added in place, where the type allows, into the
+    fresh sum of the first two; the products themselves are left unchanged.
     """
 
     def neg(x):
@@ -559,7 +561,9 @@ def three_term(factor, x1, x2, mul=operator.mul, size=abs):
     p1 = mul(factor(x1, 0, 1), factor(x2, 1, 2))
     p2 = mul(factor(neg(x2), 2, 0), factor(sub(x1, x2), 0, 1))
     p3 = mul(factor(sub(x2, x1), 1, 2), factor(neg(x1), 2, 0))
-    return p1 + p2 + p3, max(size(p1), size(p2), size(p3))
+    total = p1 + p2
+    total += p3
+    return total, max(size(p1), size(p2), size(p3))
 
 
 def fay_residual(

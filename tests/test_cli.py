@@ -1,6 +1,7 @@
 """Configuration, determinism, and process-level behavior of the verifier."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,6 +159,32 @@ def test_main_failure_exit_code(capsys):
     assert code == 1
     assert "FAIL" in out
     assert "worst inputs" in out
+
+
+def test_non_finite_residual_fails(monkeypatch, capsys):
+    from superkron import suites
+
+    assert suites._rel(math.nan, 1.0) == math.inf
+    assert suites._rel(1e-20, math.nan) == math.inf
+    assert suites._rel(math.inf, 1.0) == math.inf
+    assert max(1e-20, suites._rel(math.nan, 1.0)) == math.inf
+    # the second of three samples has a NaN residual
+    sample, _ = suites._SUITES["theta"]
+    seen = []
+
+    def compute(inputs, cfg):
+        seen.append(inputs)
+        return math.nan if len(seen) % 3 == 2 else 1e-20
+
+    monkeypatch.setitem(suites._SUITES, "theta", (sample, compute))
+    (report,) = run_suites(VerifyConfig(suites=("theta",), samples=3))
+    assert not report.passed
+    assert report.max_residual == math.inf
+    assert report.worst_inputs == seen[1]
+    assert cli.main(["theta", "--samples", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "worst inputs for theta" in out
 
 
 def test_main_invalid_config_exit_code(capsys):

@@ -136,6 +136,111 @@ def test_theta_stack_consistent():
         assert stack[dz] == theta(0.31 + 0.17j, CTX1, dz=dz)
 
 
+# the six moduli of the benchmark's kernel sweep, reduced and not
+SWEEP_MODULI = (0.3 + 1.1j, 0.3 + 0.25j, -0.45 + 0.6j, 0.1 + 2.5j, 3.3 + 0.4j, 5 + 0.05j)
+
+
+def theta_stack_reference(z, ctx, max_dz=0, dtau=0):
+    """The series loop of theta_stack as it was, on numpy array elements."""
+    z = complex(z)
+    tau = ctx.tau
+    totals = np.zeros(max_dz + 1, dtype=np.complex128)
+    peaks = np.ones(max_dz + 1)
+    turn = abs(z.imag) / tau.imag
+    quiet = 0
+    p = 0
+    while True:
+        n = p + 0.5
+        pair_rel = 0.0
+        for sgn in (1.0, -1.0):
+            f = sgn * n
+            base = cmath.exp(1j * math.pi * (tau * f * f + 2.0 * (z + 0.5) * f))
+            if dtau:
+                base *= (1j * math.pi * f * f) ** dtau
+            fac = 1.0 + 0j
+            for d in range(max_dz + 1):
+                term = base * fac
+                totals[d] += term
+                mag = abs(term)
+                if mag > peaks[d]:
+                    peaks[d] = mag
+                rel = mag / peaks[d]
+                if rel > pair_rel:
+                    pair_rel = rel
+                fac *= TWO_PI_I * f
+        if p >= turn and pair_rel <= ctx.tol:
+            quiet += 1
+            if quiet >= 2:
+                return totals
+        else:
+            quiet = 0
+        p += 1
+        if p >= ctx.k_max:
+            raise SeriesTruncationError("reference series not converged")
+
+
+@pytest.mark.parametrize("tau", SWEEP_MODULI)
+def test_theta_stack_bitwise_equals_reference_loop(tau):
+    rng = np.random.default_rng(SWEEP_MODULI.index(tau))
+    zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    cell = cell_points(rng, 6, tau)
+    # unreduced: shifted by up to two periods either way
+    unreduced = [w + int(rng.integers(-2, 3)) + int(rng.integers(-2, 3)) * tau for w in cell]
+    ctx = EllipticContext(tau)
+    for z in zeros + cell + unreduced:
+        for max_dz in range(6):
+            for dtau in (0, 1):
+                want = theta_stack_reference(z, ctx, max_dz, dtau).tobytes()
+                # a fresh context sums, the shared one may answer from its memo
+                assert theta_stack(z, EllipticContext(tau), max_dz, dtau).tobytes() == want
+                assert theta_stack(z, ctx, max_dz, dtau).tobytes() == want
+
+
+def test_theta_stack_memo_returns_the_same_read_only_array():
+    ctx = EllipticContext(TAU1)
+    first = theta_stack(0.31 + 0.17j, ctx, max_dz=2)
+    assert theta_stack(0.31 + 0.17j, ctx, max_dz=2) is first
+    assert theta_stack(0.31 + 0.17j, ctx, max_dz=2, dtau=1) is not first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+
+
+def test_equal_contexts_keep_separate_memos():
+    a = EllipticContext(TAU1)
+    b = EllipticContext(TAU1)
+    assert a == b and hash(a) == hash(b)
+    stack = theta_stack(0.31 + 0.17j, a)
+    assert a._stacks and not b._stacks
+    assert theta_stack(0.31 + 0.17j, b) is not stack
+    assert a == b and hash(a) == hash(b)
+    assert "_stacks" not in repr(a)
+
+
+def test_theta_stack_memo_is_cleared_at_its_bound():
+    from superkron.elliptic import _MEMO_LIMIT
+
+    ctx = EllipticContext(0.1 + 2.5j)
+    zs = [complex(0.001 * i, 0.1) for i in range(_MEMO_LIMIT)]
+    for z in zs:
+        theta_stack(z, ctx)
+    assert len(ctx._stacks) == _MEMO_LIMIT
+    kept = theta_stack(zs[0], ctx)
+    assert theta_stack(zs[0], ctx) is kept
+    assert len(ctx._stacks) == _MEMO_LIMIT
+    theta_stack(0.5 + 0.2j, ctx)
+    assert len(ctx._stacks) == 1
+    assert theta_stack(zs[0], ctx) is not kept
+
+
+def test_series_truncation_is_not_memoized():
+    tight = EllipticContext(TAU1, k_max=8)
+    for _ in range(2):
+        with pytest.raises(SeriesTruncationError):
+            theta_stack(0.3 + 8.0j, tight)
+    assert not tight._stacks
+
+
 def test_context_validation():
     with pytest.raises(ValueError):
         EllipticContext(0.3 - 1.1j)
@@ -358,3 +463,46 @@ def test_trig_kernel_pole_lattice():
     with pytest.raises(PoleProximityError):
         phi_trig(0.2, 1j * math.pi + 1e-9)
     assert abs(phi_trig(0.2, 1.0)) < 20.0
+
+
+# -- independent high-precision oracle ---------------------------------------
+
+
+def mp_theta(mp, z, tau, dz=0):
+    """theta(z) = -e^(i pi tau/4) / q^(1/4) * theta_1(pi z, q), q = e^(i pi tau), via mpmath.
+
+    mpmath takes the principal branch of q^(1/4); dividing e^(i pi tau/4)
+    by it restores the branch the series uses.
+    """
+    q = mp.exp(1j * mp.pi * tau)
+    norm = -mp.exp(1j * mp.pi * tau / 4) / q ** mp.mpf(0.25)
+    return norm * mp.pi**dz * mp.jtheta(1, mp.pi * z, q, dz)
+
+
+# at 5+0.05i the series cancels: about four digits are lost (ROADMAP item 5, open)
+MPMATH_MODULI = [tau for tau in SWEEP_MODULI if tau != 5 + 0.05j] + [
+    pytest.param(5 + 0.05j, marks=pytest.mark.xfail(strict=True, reason="series cancellation")),
+]
+
+
+@pytest.mark.parametrize("tau", MPMATH_MODULI)
+def test_theta_and_kernel_match_mpmath(tau):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(SWEEP_MODULI.index(tau))
+    ctx = EllipticContext(tau)
+    with mpmath.workdps(30):
+        t = mpmath.mpc(tau)
+        for _ in range(6):
+            z, h = (complex(w) for w in cell_points(rng, 2, tau))
+            mz, mh = mpmath.mpc(z), mpmath.mpc(h)
+            pairs = [
+                (theta(z, ctx), mp_theta(mpmath, mz, t)),
+                (theta(z, ctx, dz=1), mp_theta(mpmath, mz, t, 1)),
+                (
+                    phi(h, z, ctx),
+                    mp_theta(mpmath, 0, t, 1) * mp_theta(mpmath, mh + mz, t)
+                    / (mp_theta(mpmath, mh, t) * mp_theta(mpmath, mz, t)),
+                ),
+            ]
+            for got, want in pairs:
+                assert abs(got - complex(want)) <= 1e-13 * abs(complex(want))

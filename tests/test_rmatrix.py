@@ -427,6 +427,45 @@ def test_sites_are_checked(rng):
         m.placed((1, 2)) @ m.placed((3, 4))
 
 
+def test_sums_are_blockwise_and_leave_operands_unchanged(rng):
+    a = random_super_matrix(rng, masks=(0, 1, 6))
+    b = random_super_matrix(rng, masks=(0, 3, 6))
+    saved = [{mask: arr.copy() for mask, arr in m.blocks.items()} for m in (a, b)]
+    zero = np.zeros((a.dim, a.dim), dtype=complex)
+    total, diff = a + b, a - b
+    acc = a + b
+    acc -= a
+    acc += b
+    for mask in (0, 1, 3, 6):
+        x, y = a.blocks.get(mask, zero), b.blocks.get(mask, zero)
+        assert np.array_equal(total.blocks[mask], x + y)
+        assert np.array_equal(diff.blocks[mask], x - y)
+        assert np.array_equal(acc.blocks[mask], x + y - x + y)
+    for m, blocks in zip((a, b), saved):
+        assert all(np.array_equal(m.blocks[mask], arr) for mask, arr in blocks.items())
+    with pytest.raises(ValueError):
+        acc += a.placed((2,))
+
+
+def test_channel_sum_matches_per_term_reference():
+    # the pair blocks are cached and the sum accumulates in place; each entry
+    # still sees the same products and additions in the same channel order
+    N = 3
+    b = HeisenbergBasis(N)
+    got = build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True)
+    want = SuperMatrix(GENS, 2, N)
+    for alpha in b.canonical_indices():
+        value = super_basis_phi(alpha, H1, "μ1", P1, P2, "ω", CTX, N).evaluate(P1.z, P2.z)
+        for mask, coeff in value.items():
+            want.add_block(mask, coeff * np.kron(b.t(alpha), b.t(-alpha)))
+    assert set(got.blocks) == set(want.blocks)
+    for mask, arr in want.blocks.items():
+        assert got.blocks[mask].tobytes() == arr.tobytes()
+    alpha = MultiIndex(1, 2)
+    assert b.pair(alpha) is b.pair(alpha)
+    assert np.array_equal(b.pair(alpha), np.kron(b.t(alpha), b.t(-alpha)))
+
+
 def test_commutator_and_anticommutator(rng):
     a = random_super_matrix(rng, masks=(0, 3))
     b = random_super_matrix(rng, masks=(0, 5))
