@@ -3,7 +3,9 @@
 The structured output is a single JSON document with the invoking
 configuration and one record per suite: {suite, samples, max_residual,
 worst_inputs, pass, seconds}.  Worst-case inputs are serialized so a failing
-sample can be replayed exactly.  The process exits 0 if every selected suite
+sample can be replayed exactly.  The document is strict JSON: an infinite
+max_residual (run_suite reports a NaN residual as infinity) is written as
+the string "inf".  The process exits 0 if every selected suite
 passed, 1 if a residual exceeded the tolerance, and 2 for an invalid
 configuration, including a pole radius that leaves no pole-free sample, a
 modulus at which the series cannot be summed, and an --out path that cannot
@@ -89,7 +91,7 @@ def emit_report(reports: list[SuiteReport], fmt: str = "text", cfg: VerifyConfig
         doc = {"reports": [r.to_dict() for r in reports]}
         if cfg is not None:
             doc["config"] = _config_dict(cfg)
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [f"{'suite':<14} {'samples':>7} {'max residual':>14} {'result':>7} {'seconds':>9}"]

@@ -322,12 +322,6 @@ class GrassmannElement:
     def __hash__(self) -> int:
         return hash((self.gens, tuple(sorted(self._terms.items(), key=lambda kv: kv[0]))))
 
-    def isclose(self, other: "GrassmannElement", tol: float = 1e-12) -> bool:
-        self._check(other)
-        diff = self - other
-        scale = max(self.max_abs(), other.max_abs(), 1.0)
-        return diff.max_abs() <= tol * scale
-
     def __str__(self) -> str:
         if not self._terms:
             return "(0+0j)"

@@ -139,6 +139,11 @@ def channel_shift(alpha, N: int, tau: complex) -> complex:
     return (alpha[0] + alpha[1] * tau) / N
 
 
+def _channel_hbar(alpha, hbar: complex, N: int, tau: complex) -> complex:
+    """Kernel parameter of one channel: hbar plus the channel's lattice offset."""
+    return complex(hbar) + channel_shift(alpha, N, tau)
+
+
 def basis_phi(
     alpha,
     hbar: complex,
@@ -159,8 +164,7 @@ def basis_phi(
     if j < 0 or k < 0:
         raise ValueError("derivative orders must be nonnegative")
     c = _TWO_PI_I * alpha[1] / N
-    shift = channel_shift(alpha, N, ctx.tau)
-    h_tot = complex(hbar) + shift
+    h_tot = _channel_hbar(alpha, hbar, N, ctx.tau)
     env = cmath.exp(c * z)
     if not dtau:
         tab = phi_derivs(h_tot, z, ctx, j, k)
@@ -195,43 +199,25 @@ def super_basis_phi(
     the five-term template on the dressed channel function with the full
     modulus derivative in the third term.  "heat": same with the third term
     rewritten through the flow identity, the shape that survives
-    degeneration.  c = 2 pi i a2 / N throughout.
+    degeneration.  c = 2 pi i a2 / N throughout.  The terms depend on the
+    channel only through a2: a1 and hbar enter only as the kernel parameter.
     """
+    if form not in BASIS_FORMS:
+        raise ValueError(f"form must be one of {BASIS_FORMS}")
     gens = default_generators()
     c = _TWO_PI_I * alpha[1] / N
-    rate = alpha[1] / N
-    shift = channel_shift(alpha, N, ctx.tau)
-    h_tot = complex(hbar) + shift
-    if form == "shift":
-        f = super_phi(
-            h_tot, mu, p1, p2, omega, ctx,
-            exp_coeff=c, hbar_tau_rate=rate, tau_term="dtau",
-        )
-        if c == 0:
-            return f
-        dress = gens.one() + (f.slots["zeta1"] * f.slots["zeta2"]) * c
-        return f.lmul(dress)
     if form == "mu-shift":
-        omega_e = _odd_element(gens, omega, "omega")
-        mu_eff = omega_e * c
-        if mu is not None:
-            mu_eff = _odd_element(gens, mu, "mu") + mu_eff
-        return super_phi(
-            h_tot, mu_eff, p1, p2, omega, ctx,
-            exp_coeff=c, hbar_tau_rate=rate, tau_term="dtau",
-            check_slots=False,
-        )
-    if form == "basis":
-        return super_phi(
-            h_tot, mu, p1, p2, omega, ctx,
-            exp_coeff=c, hbar_tau_rate=rate, tau_term="full",
-        )
-    if form == "heat":
-        return super_phi(
-            h_tot, mu, p1, p2, omega, ctx,
-            exp_coeff=c, hbar_tau_rate=rate, tau_term="heat",
-        )
-    raise ValueError(f"form must be one of {BASIS_FORMS}")
+        mu_eff = _odd_element(gens, omega, "omega") * c
+        mu = mu_eff if mu is None else _odd_element(gens, mu, "mu") + mu_eff
+    f = super_phi(
+        _channel_hbar(alpha, hbar, N, ctx.tau), mu, p1, p2, omega, ctx,
+        exp_coeff=c, hbar_tau_rate=alpha[1] / N,
+        tau_term={"basis": "full", "heat": "heat"}.get(form, "dtau"),
+        check_slots=form != "mu-shift",
+    )
+    if form != "shift" or c == 0:
+        return f
+    return f.lmul(gens.one() + (f.slots["zeta1"] * f.slots["zeta2"]) * c)
 
 
 class SuperMatrix:
@@ -402,15 +388,23 @@ def anticommutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
 
 
 def _channel_sum(indices, hbar, mu, p1, p2, omega, basis, ctx, super, form) -> SuperMatrix:
-    """Sum over the given index channels of T_a (x) T_-a times the channel coefficient."""
+    """Sum over the given index channels of T_a (x) T_-a times the channel coefficient.
+
+    An odd channel function is built once per a2 and evaluated at each
+    channel's own kernel parameter (see super_basis_phi).
+    """
     N = basis.N
     z12 = complex(p1.z) - complex(p2.z)
     out = SuperMatrix(default_generators(), 2, N)
     blocks = out.blocks
+    functions: dict[int, SuperFunction] = {}
     for alpha in indices:
         block = basis.pair(alpha)
         if super:
-            value = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form=form).evaluate(p1.z, p2.z)
+            f = functions.get(alpha[1])
+            if f is None:
+                f = functions[alpha[1]] = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form=form)
+            value = f.evaluate(p1.z, p2.z, hbar=_channel_hbar(alpha, hbar, N, ctx.tau))
             terms = value.items()
         else:
             terms = ((0, basis_phi(alpha, hbar, z12, ctx, N)),)

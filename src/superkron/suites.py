@@ -98,8 +98,8 @@ class VerifyConfig:
             raise ValueError("seed must be non-negative")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if not self.tol_relative > 2.3e-16:
-            raise ValueError("tolerance must exceed machine epsilon")
+        if not (math.isfinite(self.tol_relative) and self.tol_relative > 2.3e-16):
+            raise ValueError("tolerance must be finite and exceed machine epsilon")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.kind not in KIND_CHOICES:
@@ -132,10 +132,12 @@ class SuiteReport:
     seconds: float
 
     def to_dict(self) -> dict:
+        """Record of the structured report; an infinite max_residual is the string "inf"."""
+        r = self.max_residual
         return {
             "suite": self.suite,
             "samples": self.samples,
-            "max_residual": self.max_residual,
+            "max_residual": r if math.isfinite(r) else repr(r),
             "worst_inputs": self.worst_inputs,
             "pass": self.passed,
             "seconds": self.seconds,

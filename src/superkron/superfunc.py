@@ -135,9 +135,11 @@ class SuperFunction:
     exp(exp_coeff * z12) * d^{j,k,dtau} kernel(hbar, z12), z12 = z1 - z2.
     hbar_tau_rate records d(hbar)/d(modulus) for parameter shifts that
     depend on the modulus; the modulus-derivative operator honours it.
+    No term depends on hbar, so evaluate can take any parameter.  Change
+    terms only through add_term, which drops the cached evaluation plan.
     """
 
-    __slots__ = ("gens", "ctx", "hbar", "kind", "exp_coeff", "hbar_tau_rate", "terms", "slots")
+    __slots__ = ("gens", "ctx", "hbar", "kind", "exp_coeff", "hbar_tau_rate", "terms", "slots", "_plan")
 
     def __init__(
         self,
@@ -147,7 +149,6 @@ class SuperFunction:
         kind: str = "elliptic",
         exp_coeff: complex = 0.0,
         hbar_tau_rate: complex = 0.0,
-        terms: dict | None = None,
         slots: dict | None = None,
     ) -> None:
         if kind not in KINDS:
@@ -160,14 +161,12 @@ class SuperFunction:
         self.hbar_tau_rate = complex(hbar_tau_rate)
         self.terms: dict[int, dict[Descriptor, complex]] = {}
         self.slots = dict(slots) if slots else {}
-        if terms:
-            for mask, descs in terms.items():
-                for desc, coeff in descs.items():
-                    self.add_term(mask, desc.dtau, desc.j, desc.k, coeff)
+        self._plan = None
 
     # -- construction helpers ----------------------------------------------
 
     def add_term(self, mask: int, dtau: int, j: int, k: int, coeff: complex) -> None:
+        self._plan = None  # the cached evaluation plan reads the terms
         desc, coeff = _canonical(dtau, j, k, complex(coeff))
         if coeff == 0:
             return
@@ -266,9 +265,6 @@ class SuperFunction:
                     out.add_term(mask, desc.dtau, desc.j, desc.k, coeff * self.exp_coeff)
         return out
 
-    def d_z2(self) -> "SuperFunction":
-        return self.d_z1().scale(-1.0)
-
     def d_tau(self) -> "SuperFunction":
         """Total modulus derivative, honouring modulus-dependent hbar."""
         out = self._blank()
@@ -307,27 +303,47 @@ class SuperFunction:
         z2: complex,
         soul: GrassmannElement | None = None,
         reduce: bool = True,
+        hbar: complex | None = None,
     ) -> GrassmannElement:
         """Numeric value at (z1, z2) as a GrassmannElement.
 
         soul, if given, is an even nilpotent element added to z12; the
         coefficient functions are extended to it by their finite Taylor
         expansion, with derivatives skipped whenever the accompanying
-        Grassmann product already vanished.
+        Grassmann product already vanished.  hbar, if given, replaces the
+        kernel parameter for this call; the terms do not depend on it.  The
+        plan without a soul is built once and kept until add_term.
         """
         gens = self.gens
         z12 = complex(z1) - complex(z2)
-
-        powers = [gens.one()]
-        if soul is not None:
+        if soul is None:
+            if self._plan is None:
+                self._plan = self._make_plan([gens.one()])
+            rows, sizes = self._plan
+        else:
             if soul.gens != gens:
                 raise GeneratorMismatchError("soul built over a different generator set")
             if soul.parity() != "even":
                 raise ValueError("soul must be an even element")
-            powers = nilpotent_powers(soul)
+            rows, sizes = self._make_plan(nilpotent_powers(soul))
+        if not rows:
+            return gens.zero()
 
-        # plan: (prefactor element, dtau, j, k, scalar coefficient)
-        plan: list[tuple[GrassmannElement, int, int, int, complex]] = []
+        tables = self._tables(self.hbar if hbar is None else complex(hbar), z12, rows, sizes, reduce)
+        acc: dict[int, complex] = {}
+        for mask, dtau, j, k, scalar in rows:
+            value = tables[dtau][j, k]
+            if value == 0:
+                continue
+            acc[mask] = acc.get(mask, 0j) + scalar * value
+        envelope = cmath.exp(self.exp_coeff * z12) if self.exp_coeff != 0 else 1.0
+        return GrassmannElement(gens, {m: c * envelope for m, c in acc.items()})
+
+    def _make_plan(self, powers: list[GrassmannElement]):
+        """Rows (monomial, dtau, j, k, scalar) and {dtau: (max j, max k)} for the soul's powers."""
+        gens = self.gens
+        rows: list[tuple[int, int, int, int, complex]] = []
+        sizes: dict[int, tuple[int, int]] = {}
         for mask, row in self.terms.items():
             base = gens.basis_element(mask)
             factorial = 1.0
@@ -342,49 +358,36 @@ class SuperFunction:
                         weight = self.exp_coeff ** (m - i)
                         if weight == 0:
                             continue
-                        plan.append(
-                            (pre, desc.dtau, desc.j, desc.k + i, coeff * comb(m, i) * weight / factorial)
-                        )
-        if not plan:
-            return gens.zero()
+                        scalar = coeff * comb(m, i) * weight / factorial
+                        k = desc.k + i
+                        for pmask, pcoeff in pre.items():
+                            rows.append((pmask, desc.dtau, desc.j, k, pcoeff * scalar))
+                        mj, mk = sizes.get(desc.dtau, (0, 0))
+                        sizes[desc.dtau] = (max(mj, desc.j), max(mk, k))
+        return rows, sizes
 
-        tables = self._tables(z12, plan, reduce)
-        acc: dict[int, complex] = {}
-        for pre, dtau, j, k, scalar in plan:
-            value = tables[dtau][j, k] if dtau else tables[0][j, k]
-            if value == 0:
-                continue
-            for pmask, pcoeff in pre.items():
-                acc[pmask] = acc.get(pmask, 0j) + pcoeff * scalar * value
-        envelope = cmath.exp(self.exp_coeff * z12) if self.exp_coeff != 0 else 1.0
-        return GrassmannElement(gens, {m: c * envelope for m, c in acc.items()})
-
-    def _tables(self, z12: complex, plan, reduce: bool):
+    def _tables(self, hbar: complex, z12: complex, rows, sizes, reduce: bool):
         if self.kind == "elliptic":
-            need: dict[int, tuple[int, int]] = {}
-            for _, dtau, j, k, _ in plan:
-                pj, pk = need.get(dtau, (0, 0))
-                need[dtau] = (max(pj, j), max(pk, k))
             tables = {}
-            for dtau, (mj, mk) in need.items():
+            for dtau, (mj, mk) in sizes.items():
                 if dtau == 0:
-                    tables[0] = phi_derivs(self.hbar, z12, self.ctx, mj, mk, reduce=reduce)
+                    tables[0] = phi_derivs(hbar, z12, self.ctx, mj, mk, reduce=reduce)
                 else:
-                    tables[1] = phi_tau_derivs(self.hbar, z12, self.ctx, mj, mk)
+                    tables[1] = phi_tau_derivs(hbar, z12, self.ctx, mj, mk)
             return tables
         # degenerate kinds: fill exactly the requested cells; any modulus
         # derivative vanishes because it equals a mixed derivative of a
         # separated function
         fn = phi_trig if self.kind == "trig" else phi_rat
         cells: dict[int, dict[tuple[int, int], complex]] = {}
-        for _, dtau, j, k, _ in plan:
+        for _, dtau, j, k, _ in rows:
             tab = cells.setdefault(dtau, {})
             if (j, k) in tab:
                 continue
             if dtau:
                 tab[j, k] = 0j
             else:
-                tab[j, k] = fn(self.hbar, z12, j, k, self.ctx.pole_radius)
+                tab[j, k] = fn(hbar, z12, j, k, self.ctx.pole_radius)
         return cells
 
     def __repr__(self) -> str:

@@ -187,6 +187,35 @@ def test_non_finite_residual_fails(monkeypatch, capsys):
     assert "worst inputs for theta" in out
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_non_finite_residual_writes_strict_json(monkeypatch, capsys):
+    from superkron import suites
+
+    sample, compute = suites._SUITES["theta"]
+    # finite residuals are written exactly as before: plain numbers
+    cfg = VerifyConfig(suites=("theta",), samples=2, output="structured")
+    reports = run_suites(cfg)
+    doc = cli.emit_report(reports, "structured", cfg)
+    records = [
+        {"suite": r.suite, "samples": r.samples, "max_residual": r.max_residual,
+         "worst_inputs": r.worst_inputs, "pass": r.passed, "seconds": r.seconds}
+        for r in reports
+    ]
+    legacy = {"reports": records, "config": cli._config_dict(cfg)}
+    assert doc == json.dumps(legacy, indent=2, sort_keys=True)
+    assert json.loads(doc, parse_constant=_reject_constant)["reports"][0]["max_residual"] == reports[0].max_residual
+    # a NaN residual is reported as infinity and written as the string "inf"
+    monkeypatch.setitem(suites._SUITES, "theta", (sample, lambda inputs, cfg: math.nan))
+    assert cli.main(["theta", "--samples", "2", "--output", "structured"]) == 1
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    (rec,) = payload["reports"]
+    assert rec["max_residual"] == "inf"
+    assert rec["pass"] is False
+
+
 def test_main_invalid_config_exit_code(capsys):
     code = cli.main(["theta", "--tau-im", "-1.0"])
     err = capsys.readouterr().err
@@ -208,6 +237,7 @@ def test_main_invalid_config_exit_code(capsys):
         ["theta", "--tau-im", "1e-4"],
         ["theta", "--samples", "1", "--out", "no-such-directory/r.json"],
         ["theta", "--samples", "1", "--out", "."],
+        ["theta", "--samples", "1", "--tol", "inf", "--output", "structured"],
     ],
 )
 def test_invalid_input_exits_2_without_traceback(argv, tmp_path):

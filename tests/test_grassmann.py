@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import isclose
 from superkron.grassmann import (
     DEFAULT_GENERATOR_NAMES,
     GeneratorMismatchError,
@@ -133,8 +134,13 @@ def test_scalar_division():
 def test_isclose_tolerance():
     a = GENS.generator("ζ1")
     b = a + GENS.generator("ζ2") * 1e-15
-    assert a.isclose(b)
-    assert not a.isclose(b, tol=1e-16)
+    assert isclose(a, b)
+    assert not isclose(a, b, tol=1e-16)
+    # the scale is the larger magnitude, never below 1
+    assert isclose(a * 1e3, a * (1e3 + 1e-10))
+    assert isclose(a * 1e-13, a * 2e-13)
+    with pytest.raises(GeneratorMismatchError):
+        isclose(a, GeneratorSet(["a"]).generator("a"))
 
 
 def test_max_abs():
@@ -238,7 +244,7 @@ def test_exp_of_two_generator_block():
 def test_exp_inverse():
     x = GENS.scalar(0.3) + GENS.generator("μ1") * GENS.generator("ω") * (1 + 2j)
     prod = grassmann_exp(x) * grassmann_exp(x * (-1))
-    assert prod.isclose(GENS.one())
+    assert isclose(prod, GENS.one())
 
 
 def test_exp_additivity_for_commuting_arguments():
@@ -246,7 +252,7 @@ def test_exp_additivity_for_commuting_arguments():
     b = GENS.generator("μ1") * GENS.generator("ω") * (0.2 - 0.9j) + GENS.scalar(0.1)
     lhs = grassmann_exp(a + b)
     rhs = grassmann_exp(a) * grassmann_exp(b)
-    assert lhs.isclose(rhs)
+    assert isclose(lhs, rhs)
 
 
 def test_exp_scalar_matches_cmath():

@@ -10,6 +10,7 @@ import pytest
 from superkron.elliptic import EllipticContext, PoleProximityError, phi, phi_derivs
 from superkron.grassmann import GeneratorMismatchError, GeneratorSet, default_generators
 from superkron.rmatrix import (
+    BASIS_FORMS,
     HeisenbergBasis,
     MultiIndex,
     SuperMatrix,
@@ -447,23 +448,65 @@ def test_sums_are_blockwise_and_leave_operands_unchanged(rng):
         acc += a.placed((2,))
 
 
-def test_channel_sum_matches_per_term_reference():
-    # the pair blocks are cached and the sum accumulates in place; each entry
-    # still sees the same products and additions in the same channel order
-    N = 3
-    b = HeisenbergBasis(N)
-    got = build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True)
+def _per_channel_sum(b, indices, hbar, mu, form):
+    """The parent's sum: a fresh channel function per channel, added block by block."""
+    N = b.N
     want = SuperMatrix(GENS, 2, N)
-    for alpha in b.canonical_indices():
-        value = super_basis_phi(alpha, H1, "μ1", P1, P2, "ω", CTX, N).evaluate(P1.z, P2.z)
-        for mask, coeff in value.items():
+    for alpha in indices:
+        if form is None:
+            value = ((0, basis_phi(alpha, hbar, Z12, CTX, N)),)
+        else:
+            value = super_basis_phi(alpha, hbar, mu, P1, P2, "ω", CTX, N, form=form).evaluate(P1.z, P2.z).items()
+        for mask, coeff in value:
             want.add_block(mask, coeff * np.kron(b.t(alpha), b.t(-alpha)))
-    assert set(got.blocks) == set(want.blocks)
-    for mask, arr in want.blocks.items():
-        assert got.blocks[mask].tobytes() == arr.tobytes()
+    return want
+
+
+def test_channel_sum_matches_per_term_reference():
+    # one odd function per a2, evaluated at each channel's own parameter,
+    # and the cached pair blocks summed in place give bit for bit the sum of
+    # freshly built per-channel functions, in every form and both operators
+    for N in (2, 3):
+        b = HeisenbergBasis(N)
+        cases = [
+            (build_r_classical(P1, P2, "ω", b, CTX), b.nonzero_indices(), 0.0, None, None),
+            (build_r_classical(P1, P2, "ω", b, CTX, super=True), b.nonzero_indices(), 0.0, None, "shift"),
+        ]
+        for hbar in (H1, H1 + 2.0 - 3.0 * CTX.tau):  # reduced and unreduced
+            cases.append((build_R(hbar, None, P1, P2, "ω", b, CTX), b.canonical_indices(), hbar, None, None))
+            for form in BASIS_FORMS:
+                for mu in ("μ1", None):
+                    got = build_R(hbar, mu, P1, P2, "ω", b, CTX, super=True, form=form)
+                    cases.append((got, b.canonical_indices(), hbar, mu, form))
+        for got, indices, hbar, mu, form in cases:
+            want = _per_channel_sum(b, indices, hbar, mu, form)
+            assert list(got.blocks) == list(want.blocks), (N, hbar, mu, form)
+            for mask, arr in want.blocks.items():
+                assert got.blocks[mask].tobytes() == arr.tobytes(), (N, hbar, mu, form, mask)
     alpha = MultiIndex(1, 2)
     assert b.pair(alpha) is b.pair(alpha)
     assert np.array_equal(b.pair(alpha), np.kron(b.t(alpha), b.t(-alpha)))
+
+
+def test_channel_functions_are_built_once_per_a2(monkeypatch):
+    from superkron import rmatrix
+
+    built = []
+
+    def counting(alpha, *args, **kwargs):
+        built.append(alpha)
+        return super_basis_phi(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(rmatrix, "super_basis_phi", counting)
+    b = HeisenbergBasis(3)
+    build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True)
+    assert built == [MultiIndex(0, 0), MultiIndex(0, 1), MultiIndex(0, 2)]
+    built.clear()
+    build_r_classical(P1, P2, "ω", b, CTX, super=True)
+    assert built == [MultiIndex(0, 1), MultiIndex(0, 2), MultiIndex(1, 0)]
+    built.clear()
+    build_R(H1, "μ1", P1, P2, "ω", b, CTX)
+    assert built == []
 
 
 def test_commutator_and_anticommutator(rng):
