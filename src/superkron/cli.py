@@ -2,14 +2,18 @@
 
 The structured output is a single JSON document with the invoking
 configuration and one record per suite: {suite, samples, max_residual,
-worst_inputs, pass, seconds}.  Worst-case inputs are serialized so a failing
-sample can be replayed exactly.  The document is strict JSON: an infinite
-max_residual (run_suite reports a NaN residual as infinity) is written as
-the string "inf".  The process exits 0 if every selected suite
-passed, 1 if a residual exceeded the tolerance, and 2 for an invalid
-configuration, including a pole radius that leaves no pole-free sample, a
-modulus at which the series cannot be summed, and an --out path that cannot
-be written.
+worst_inputs, pass, seconds, redraws}, redraws counting the samples drawn
+again because they fell inside the pole radius.  Worst-case inputs are
+serialized so a failing sample can be replayed exactly.  The document is
+strict JSON: an infinite max_residual (run_suite reports a NaN residual as
+infinity) is written as the string "inf".  The process exits 0 if every
+selected suite passed, 1 if a residual exceeded the tolerance, and 2 for an
+invalid configuration, including a pole radius that leaves no pole-free
+sample, a modulus at which the series cannot be summed, an --out path that
+cannot be written, and a run that runs out of memory (a 3-site operator
+holds n**5 entries per Grassmann monomial).  A process that the operating
+system's out-of-memory killer ends cannot be caught, and exits with no code
+of its own.
 """
 
 from __future__ import annotations
@@ -119,6 +123,9 @@ def main(argv=None) -> int:
         reports = run_suites(cfg)
     except (SamplingError, SeriesTruncationError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"invalid configuration: out of memory at --n {cfg.n}; try a smaller --n", file=sys.stderr)
         return 2
     doc = emit_report(reports, cfg.output, cfg)
     if args.out:

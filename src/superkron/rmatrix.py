@@ -17,6 +17,7 @@ explicitly when enumerating channels.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from itertools import product
@@ -119,11 +120,12 @@ class HeisenbergBasis:
         return cached
 
     def pair(self, alpha) -> np.ndarray:
-        """Channel block T_a (x) T_-a, built once per index pair."""
+        """Stored entries of the channel block T_a (x) T_-a (see SuperMatrix), built once per index pair."""
         key = (int(alpha[0]), int(alpha[1]))
         cached = self._pair_cache.get(key)
         if cached is None:
-            cached = np.kron(self.t(alpha), self.t(-alpha))
+            # conserves the charge by construction: gathered without the check
+            cached = _stored(np.kron(self.t(alpha), self.t(-alpha)), 2, self.N)
             self._pair_cache[key] = cached
         return cached
 
@@ -220,21 +222,111 @@ def super_basis_phi(
     return f.lmul(gens.one() + (f.slots["zeta1"] * f.slots["zeta2"]) * c)
 
 
-class SuperMatrix:
-    """Square matrix over the Grassmann algebra, stored per basis monomial.
+@functools.lru_cache(maxsize=16)
+def _layout(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index plan of the stored layout of an n-site block (see SuperMatrix).
 
-    blocks maps a monomial bitmask to a dense complex matrix.  The matrix is
-    an operator on a chain of sites: sites lists, in the order of its tensor
-    factors, the 1-based chain positions they occupy, by default
-    (1, ..., n_sites).  The product multiplies basis monomials in the
-    algebra, keeping the left factor's monomial on the left, and contracts
-    the coefficient blocks over the sites the two factors share; each acts
-    as the identity on the other's remaining sites, and the result acts on
-    the sorted union of both site sets.  Factors on the same sites in the
-    same order multiply as plain matrices.  Matrices have complex entries,
-    so no extra grading sign arises.  placed() shares the blocks, like a
-    numpy view, and += / -= update a matrix's blocks in place, so they also
-    change every matrix that shares them; + and - copy.
+    Returns two read-only integer arrays of shape (d**n, d**(n-1)): the
+    implied last input of every stored entry, and its flat position in the
+    full (d**n, d**n) block.
+    """
+
+    def digit_sums(m):
+        flat = np.arange(d**m)
+        return sum(((flat // d**k) % d for k in range(m)), np.zeros_like(flat))
+
+    dim = d**n
+    last = (digit_sums(n)[:, None] - digit_sums(n - 1)[None, :]) % d
+    full = np.arange(dim)[:, None] * dim + np.arange(dim // d)[None, :] * d + last
+    last.flags.writeable = full.flags.writeable = False
+    return last, full
+
+
+def _stored(arr: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The entries of a full (d**n, d**n) block that the stored layout keeps."""
+    return np.take(arr, _layout(n, d)[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _product_plan(left_sites: tuple, right_sites: tuple, d: int):
+    """Where each stored entry of a product of placed blocks reads its factors.
+
+    Returns the sites of the product and two read-only integer arrays of
+    shape (terms, d**n * d**(n-1)), n the number of sites: for every stored
+    output entry, in row-major order, the flat positions of the left and
+    right stored entries of each contraction term.  Charge conservation of
+    the left factor fixes the sum of the middle indices at the shared sites,
+    so factors sharing s >= 1 sites have d**(s-1) terms, the last middle
+    index implied by the others; factors sharing one site, as every
+    Yang-Baxter product does, have one.  The right factor then conserves the
+    charge too, so every position read is stored.  Disjoint factors have one
+    term, and a left position of -1 where the left factor's charge does not
+    balance on its own sites: the product reads a zero appended to the
+    left block there.
+    """
+    union = tuple(sorted(set(left_sites) | set(right_sites)))
+    n = len(union)
+    rows = np.arange(d**n)[:, None]
+    cols = np.arange(d ** (n - 1))[None, :]
+    out = {u: (rows // d ** (n - 1 - k)) % d for k, u in enumerate(union)}
+    ins = {u: (cols // d ** (n - 2 - k)) % d for k, u in enumerate(union[:-1])}
+    ins[union[-1]] = _layout(n, d)[0]
+    shared = [u for u in left_sites if u in right_sites]
+    target = sum(out[u] for u in left_sites) - sum(ins[u] for u in left_sites if u not in shared)
+
+    def position(outs, inputs):
+        row = col = 0
+        for x in outs:
+            row = row * d + x
+        for x in inputs[:-1]:
+            col = col * d + x
+        return np.broadcast_to(row * d ** (len(inputs) - 1) + col, (d**n, d ** (n - 1))).ravel()
+
+    left, right = [], []
+    for free in product(range(d), repeat=max(len(shared) - 1, 0)):
+        mid = dict(zip(shared, free))
+        if shared:
+            mid[shared[-1]] = (target - sum(free)) % d
+        left.append(position([out[u] for u in left_sites], [mid.get(u, ins[u]) for u in left_sites]))
+        right.append(position([mid.get(u, out[u]) for u in right_sites], [ins[u] for u in right_sites]))
+    left, right = np.array(left), np.array(right)
+    if not shared:
+        # disjoint factors: the left one must balance its own charge
+        left[:, np.broadcast_to(target % d != 0, (d**n, d ** (n - 1))).ravel()] = -1
+    left.flags.writeable = right.flags.writeable = False
+    return union, left, right
+
+
+class SuperMatrix:
+    """Square matrix over the Grassmann algebra that conserves the Z_d charge.
+
+    The matrix is an operator on a chain of sites, each of dimension d
+    (site_dim): sites lists, in the order of its tensor factors, the
+    1-based chain positions they occupy, by default (1, ..., n_sites).
+    Its entries are indexed by output and input multi-indices in factor
+    order.  Charge conservation means every entry whose output and input
+    digit sums differ mod d is zero: the operator commutes with Q (x) ... (x) Q.
+    The R-matrices do, being channel sums of T_a (x) T_-a, and so do their
+    products and sums; only one entry in d can be nonzero.
+
+    blocks maps a monomial bitmask to the coefficients of just those entries,
+    a complex array of shape (d**n, d**(n-1)): rows are the output
+    multi-index, columns the inputs of every factor but the last, both
+    flattened in factor order, first factor most significant.  The last
+    input is implied: i_last = (sum of outputs - sum of other inputs) mod d.
+    The constructor and add_block take full (dim, dim) arrays, raise
+    ValueError if an entry off the charge pattern is nonzero, and keep the
+    rest; entry(i, j) takes full indices and reads 0 off the pattern.
+    Sums, scaling, max_abs and parity work on the stored entries.
+
+    The product multiplies basis monomials in the algebra, keeping the left
+    factor's monomial on the left, and contracts the coefficient blocks over
+    the sites the two factors share; each acts as the identity on the
+    other's remaining sites, and the result acts on the sorted union of both
+    site sets.  Matrices have complex entries, so no extra grading sign
+    arises.  placed() shares the blocks, like a numpy view, since the layout
+    depends only on factor order; += / -= update a matrix's blocks in place,
+    so they also change every matrix that shares them; + and - copy.
     """
 
     __slots__ = ("gens", "n_sites", "site_dim", "dim", "blocks", "sites")
@@ -256,18 +348,23 @@ class SuperMatrix:
                 self.add_block(mask, arr)
 
     def add_block(self, mask: int, arr: np.ndarray) -> None:
+        """Add a full (dim, dim) coefficient array at the monomial mask."""
         arr = np.asarray(arr, dtype=complex)
         if arr.shape != (self.dim, self.dim):
             raise ValueError(f"block shape {arr.shape} does not match dim {self.dim}")
+        stored = _stored(arr, self.n_sites, self.site_dim)
+        if np.count_nonzero(stored) != np.count_nonzero(arr):
+            raise ValueError(f"block {mask} has nonzero entries off the Z_{self.site_dim} charge pattern")
         if mask in self.blocks:
-            self.blocks[mask] = self.blocks[mask] + arr
+            self.blocks[mask] = self.blocks[mask] + stored
         else:
-            self.blocks[mask] = arr.copy()
+            self.blocks[mask] = stored
 
     def entry(self, i: int, j: int) -> GrassmannElement:
-        return GrassmannElement(
-            self.gens, {mask: arr[i, j] for mask, arr in self.blocks.items()}
-        )
+        col, last = divmod(j, self.site_dim)
+        if last != _layout(self.n_sites, self.site_dim)[0][i, col]:
+            return self.gens.zero()
+        return GrassmannElement(self.gens, {mask: arr[i, col] for mask, arr in self.blocks.items()})
 
     def max_abs(self) -> float:
         if not self.blocks:
@@ -330,44 +427,65 @@ class SuperMatrix:
         return out
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
+        """Graded product over the stored entries, through a cached index plan.
+
+        Each product of blocks gathers its factors' stored entries by the
+        plan of the two site tuples (see _product_plan) and multiplies them
+        in explicit real arithmetic, re = ar br - ai bi and im = ar bi + ai br,
+        summing the terms in plan order.  With one term this rounds exactly
+        as the dense complex matrix product of the full blocks does, whose
+        other terms are exact zeros; numpy's complex multiply rounds some
+        entries differently.  Block products accumulate in place in the
+        order and with the signs of GeneratorSet.products.
+        """
         self._check_shape(other, same_sites=False)
-        sa, sb = self.sites, other.sites
-        na, nb = len(sa), len(sb)
-        union = tuple(sorted(set(sa) | set(sb)))
+        union, left, right = _product_plan(self.sites, other.sites, self.site_dim)
         out = SuperMatrix(self.gens, len(union), self.site_dim, sites=union)
-        # block tensors carry output legs, then input legs, in factor order;
-        # the left factor's input leg at a shared site meets the right
-        # factor's output leg there
-        shared = [u for u in sa if u in sb]
-        axes = ([na + sa.index(u) for u in shared], [sb.index(u) for u in shared])
-        legs = (
-            [("out", u) for u in sa] + [("in", u) for u in sa if u not in shared]
-            + [("out", u) for u in sb if u not in shared] + [("in", u) for u in sb]
-        )
-        order = [legs.index((io, u)) for io in ("out", "in") for u in union]
-        d = self.site_dim
-        shape = (d,) * 2 * len(union)
-        for u, sign, a, b in self.gens.products(self.blocks, other.blocks):
-            t = np.tensordot(a.reshape((d,) * 2 * na), b.reshape((d,) * 2 * nb), axes).transpose(order)
-            if u in out.blocks:
-                # in place: a fresh full-size temporary per term costs more than
-                # the narrow contraction
-                acc = out.blocks[u].reshape(shape)
-                (np.add if sign > 0 else np.subtract)(acc, t, out=acc)
+
+        def gathered(blocks, at):
+            # real and imaginary parts of the entries at the plan's positions;
+            # -1, a position of a disjoint factor, reads a zero past the end
+            found = {}
+            for mask, arr in blocks.items():
+                parts = np.zeros((2, arr.size + 1))
+                parts[:, :-1] = arr.reshape(-1).view(float).reshape(-1, 2).T
+                found[mask] = parts.take(at, axis=1)
+            return found
+
+        sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        pairs = self.gens.products(gathered(self.blocks, left), gathered(other.blocks, right))
+        for u, sign, (ar, ai), (br, bi) in pairs:
+            re = ar * br
+            re -= ai * bi
+            im = ar * bi
+            im += ai * br
+            # one row per contraction term, summed in plan order
+            re, im = sum(re[1:], re[0]), sum(im[1:], im[0])
+            acc = sums.get(u)
+            if acc is None:
+                sums[u] = (re, im) if sign > 0 else (-re, -im)
             else:
-                out.blocks[u] = np.multiply(sign, t, order="C").reshape(out.dim, out.dim)
+                op = np.add if sign > 0 else np.subtract
+                op(acc[0], re, out=acc[0])
+                op(acc[1], im, out=acc[1])
+        shape = (out.dim, out.dim // out.site_dim)
+        for u, (re, im) in sums.items():
+            block = out.blocks[u] = np.empty(shape, dtype=complex)
+            block.real = re.reshape(shape)
+            block.imag = im.reshape(shape)
         return out
 
 
 def embed(m: SuperMatrix, sites: Sequence[int], n_total: int = 3) -> SuperMatrix:
-    """Dense form of a multi-site matrix placed at the named sites of a chain.
+    """A multi-site matrix placed at the named sites of an n_total-site chain.
 
     sites lists, in the matrix's own factor order, which chain positions
     (1..n_total) its tensor factors occupy.  The placed matrix is multiplied
     by the identity on all n_total sites, so omitted positions get
-    identities and reversed pairs like (3, 1) become index permutations.
-    Products of placed matrices need no embedding; this dense form is the
-    reference they are tested against.
+    identities and reversed pairs like (3, 1) become index permutations;
+    the result acts on sites (1, ..., n_total) in the usual layout.
+    Products of placed matrices need no embedding; embedded factors are the
+    reference tests compare them against.
     """
     if any(int(s) < 1 or int(s) > n_total for s in sites):
         raise ValueError(f"sites must lie in 1..{n_total}")

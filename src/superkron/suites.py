@@ -124,12 +124,15 @@ class VerifyConfig:
 
 @dataclass
 class SuiteReport:
+    """One suite's result; redraws counts the draws discarded inside the pole radius."""
+
     suite: str
     samples: int
     max_residual: float
     worst_inputs: dict
     passed: bool
     seconds: float
+    redraws: int
 
     def to_dict(self) -> dict:
         """Record of the structured report; an infinite max_residual is the string "inf"."""
@@ -141,6 +144,7 @@ class SuiteReport:
             "worst_inputs": self.worst_inputs,
             "pass": self.passed,
             "seconds": self.seconds,
+            "redraws": self.redraws,
         }
 
 
@@ -449,6 +453,7 @@ def run_suite(name: str, cfg: VerifyConfig) -> SuiteReport:
     t0 = perf_counter()
     max_rel = -1.0
     worst: dict = {}
+    redraws = 0
     for _ in range(cfg.samples):
         rel = None
         for _attempt in range(_MAX_REDRAWS):
@@ -456,6 +461,7 @@ def run_suite(name: str, cfg: VerifyConfig) -> SuiteReport:
             try:
                 rel = compute(inputs, cfg)
             except PoleProximityError:
+                redraws += 1
                 continue
             break
         if rel is None:
@@ -475,6 +481,7 @@ def run_suite(name: str, cfg: VerifyConfig) -> SuiteReport:
         worst_inputs=worst,
         passed=bool(max_rel < cfg.tol_relative),
         seconds=float(seconds),
+        redraws=redraws,
     )
 
 

@@ -1,6 +1,12 @@
-"""Comparison helpers shared by the test modules."""
+"""Comparison helpers and reference routes shared by the test modules."""
+
+import functools
+from itertools import product
+
+import numpy as np
 
 from superkron.grassmann import GrassmannElement
+from superkron.rmatrix import SuperMatrix
 
 
 def isclose(a: GrassmannElement, b: GrassmannElement, tol: float = 1e-12) -> bool:
@@ -10,3 +16,65 @@ def isclose(a: GrassmannElement, b: GrassmannElement, tol: float = 1e-12) -> boo
     """
     diff = a - b
     return diff.max_abs() <= tol * max(a.max_abs(), b.max_abs(), 1.0)
+
+
+@functools.cache
+def _charge_pattern(n: int, d: int):
+    """Full (row, column) of each stored entry of an n-site block, by explicit multi-indices."""
+
+    def flat(digits):
+        out = 0
+        for x in digits:
+            out = out * d + x
+        return out
+
+    rows = np.zeros((d**n, d ** (n - 1)), dtype=int)
+    cols = np.zeros_like(rows)
+    for outs in product(range(d), repeat=n):
+        for ins in product(range(d), repeat=n - 1):
+            last = (sum(outs) - sum(ins)) % d
+            rows[flat(outs), flat(ins)] = flat(outs)
+            cols[flat(outs), flat(ins)] = flat(ins + (last,))
+    return rows, cols
+
+
+def dense(m: SuperMatrix, mask: int) -> np.ndarray:
+    """The full (dim, dim) array of m's block at mask: stored entries on the charge pattern, zeros elsewhere."""
+    rows, cols = _charge_pattern(m.n_sites, m.site_dim)
+    full = np.zeros((m.dim, m.dim), dtype=complex)
+    full[rows, cols] = m.blocks[mask]
+    return full
+
+
+def dense_matmul(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
+    """Reference product of placed matrices: tensordot contraction of the full blocks.
+
+    Block tensors carry output legs, then input legs, in factor order; the
+    left factor's input leg at a shared site meets the right factor's output
+    leg there.  Block products accumulate in GeneratorSet.products order,
+    the first one scaled by its sign and the others added or subtracted in
+    place, and the sums are stored through the validating constructor.
+    """
+    sa, sb = a.sites, b.sites
+    na, nb = len(sa), len(sb)
+    union = tuple(sorted(set(sa) | set(sb)))
+    shared = [u for u in sa if u in sb]
+    axes = ([na + sa.index(u) for u in shared], [sb.index(u) for u in shared])
+    legs = (
+        [("out", u) for u in sa] + [("in", u) for u in sa if u not in shared]
+        + [("out", u) for u in sb if u not in shared] + [("in", u) for u in sb]
+    )
+    order = [legs.index((io, u)) for io in ("out", "in") for u in union]
+    d = a.site_dim
+    dim = d ** len(union)
+    full: dict[int, np.ndarray] = {}
+    left = {mask: dense(a, mask) for mask in a.blocks}
+    right = {mask: dense(b, mask) for mask in b.blocks}
+    for u, sign, x, y in a.gens.products(left, right):
+        t = np.tensordot(x.reshape((d,) * 2 * na), y.reshape((d,) * 2 * nb), axes).transpose(order)
+        if u in full:
+            acc = full[u].reshape(t.shape)
+            (np.add if sign > 0 else np.subtract)(acc, t, out=acc)
+        else:
+            full[u] = np.multiply(sign, t, order="C").reshape(dim, dim)
+    return SuperMatrix(a.gens, len(union), d, full, sites=union)

@@ -19,7 +19,7 @@ from superkron.suites import (
 )
 
 FAST = VerifyConfig(samples=3)
-REPORT_KEYS = {"suite", "samples", "max_residual", "worst_inputs", "pass", "seconds"}
+REPORT_KEYS = {"suite", "samples", "max_residual", "worst_inputs", "pass", "seconds", "redraws"}
 
 
 def test_suite_name_catalog():
@@ -125,6 +125,7 @@ def test_text_output_reports_worst_inputs_on_failure():
         worst_inputs={"hbar": [0.1, 0.2]},
         passed=False,
         seconds=0.5,
+        redraws=0,
     )
     text = cli.emit_report([fail], fmt="text")
     assert "FAIL" in text
@@ -201,7 +202,8 @@ def test_non_finite_residual_writes_strict_json(monkeypatch, capsys):
     doc = cli.emit_report(reports, "structured", cfg)
     records = [
         {"suite": r.suite, "samples": r.samples, "max_residual": r.max_residual,
-         "worst_inputs": r.worst_inputs, "pass": r.passed, "seconds": r.seconds}
+         "worst_inputs": r.worst_inputs, "pass": r.passed, "seconds": r.seconds,
+         "redraws": r.redraws}
         for r in reports
     ]
     legacy = {"reports": records, "config": cli._config_dict(cfg)}
@@ -214,6 +216,31 @@ def test_non_finite_residual_writes_strict_json(monkeypatch, capsys):
     (rec,) = payload["reports"]
     assert rec["max_residual"] == "inf"
     assert rec["pass"] is False
+
+
+def test_pole_redraws_are_counted_and_repeat():
+    assert run_suites(VerifyConfig(samples=3, suites=("theta",)))[0].redraws == 0
+    cfg = VerifyConfig(samples=10, suites=("kronecker",), pole_radius=0.2)
+    first, again = run_suites(cfg)[0], run_suites(cfg)[0]
+    assert first.redraws > 0
+    assert again.redraws == first.redraws
+    assert first.to_dict()["redraws"] == first.redraws
+
+
+def test_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+    from superkron import suites
+
+    sample, _ = suites._SUITES["cybe"]
+
+    def compute(inputs, cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(suites._SUITES, "cybe", (sample, compute))
+    assert cli.main(["cybe", "--n", "40", "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "--n 40" in captured.err and "invalid configuration" in captured.err
 
 
 def test_main_invalid_config_exit_code(capsys):

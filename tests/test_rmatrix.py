@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from helpers import dense, dense_matmul
 
 from superkron.elliptic import EllipticContext, PoleProximityError, phi, phi_derivs
 from superkron.grassmann import GeneratorMismatchError, GeneratorSet, default_generators
@@ -301,11 +302,16 @@ def brute_matmul(a, b):
     return out
 
 
-def random_super_matrix(rng, n_sites=1, site_dim=2, masks=(0, 1, 2, 3, 6)):
+def random_super_matrix(rng, n_sites=2, site_dim=2, masks=(0, 1, 2, 3, 6)):
+    """Random values on the charge pattern.
+
+    Two sites by default: a charge-conserving 1-site matrix is diagonal, so
+    1-site operands commute and cannot show an ordering mistake.
+    """
     m = SuperMatrix(GENS, n_sites, site_dim)
-    d = site_dim**n_sites
+    shape = (site_dim**n_sites, site_dim ** (n_sites - 1))
     for mask in masks:
-        m.add_block(mask, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        m.blocks[mask] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return m
 
 
@@ -315,30 +321,32 @@ def test_matmul_matches_entrywise_products(rng):
     got = a @ b
     want = brute_matmul(a, b)
     assert (got - want).max_abs() <= 1e-12 * max(want.max_abs(), 1.0)
+    assert (got - brute_matmul(b, a)).max_abs() > 1e-3 * want.max_abs()
 
 
-def test_matmul_grading_signs():
+def test_matmul_grading_signs(rng):
     # (zeta1 A)(zeta2 B) = -zeta1 zeta2 (A @ B) requires the crossing sign
     d = 2
-    A = np.array([[1.0, 2.0], [0.5, -1.0]], dtype=complex)
-    B = np.array([[0.0, 1.0], [1.0, 3.0]], dtype=complex)
-    ma = SuperMatrix(GENS, 1, d, {GENS.mask_of("ζ1"): A})
-    mb = SuperMatrix(GENS, 1, d, {GENS.mask_of("ζ2"): B})
+    A = dense(random_super_matrix(rng, masks=(0,)), 0)
+    B = dense(random_super_matrix(rng, masks=(0,)), 0)
+    assert np.abs(A @ B - B @ A).max() > 0.1
+    ma = SuperMatrix(GENS, 2, d, {GENS.mask_of("ζ1"): A})
+    mb = SuperMatrix(GENS, 2, d, {GENS.mask_of("ζ2"): B})
     prod = ma @ mb
     mask12 = GENS.mask_of("ζ1ζ2")
     assert set(prod.blocks) == {mask12}
-    assert np.abs(prod.blocks[mask12] - A @ B).max() < 1e-14
+    assert np.abs(dense(prod, mask12) - A @ B).max() < 1e-14
     prod_rev = mb @ ma
-    assert np.abs(prod_rev.blocks[mask12] + B @ A).max() < 1e-14
+    assert np.abs(dense(prod_rev, mask12) + B @ A).max() < 1e-14
     with pytest.raises(GeneratorMismatchError):
-        ma @ SuperMatrix(GeneratorSet(["a", "b"]), 1, d, {1: B})
+        ma @ SuperMatrix(GeneratorSet(["a", "b"]), 2, d, {1: B})
 
 
 def test_lmul_element_and_scale(rng):
     m = random_super_matrix(rng)
     z3 = GENS.generator("ζ3")
     # an element times the identity matrix multiplies every entry from the left
-    left = SuperMatrix(GENS, 1, m.site_dim, {GENS.mask_of("ζ3"): 2.0 * np.eye(m.dim)}) @ m
+    left = SuperMatrix(GENS, 2, m.site_dim, {GENS.mask_of("ζ3"): 2.0 * np.eye(m.dim)}) @ m
     for i in range(m.dim):
         for j in range(m.dim):
             want = z3 * 2.0 * m.entry(i, j)
@@ -348,10 +356,31 @@ def test_lmul_element_and_scale(rng):
 
 def test_entry_and_coefficient_matrix(rng):
     m = random_super_matrix(rng, masks=(0, 5))
-    e = m.entry(0, 1)
-    assert e.coefficient(0) == m.blocks[0][0, 1]
-    assert e.coefficient(5) == m.blocks[5][0, 1]
-    assert e.coefficient(9) == 0j
+    for i, j in product(range(m.dim), repeat=2):
+        e = m.entry(i, j)
+        assert e.coefficient(0) == dense(m, 0)[i, j]
+        assert e.coefficient(5) == dense(m, 5)[i, j]
+        assert e.coefficient(9) == 0j
+    # (0, 1) is off the charge pattern: output digits (0, 0), inputs (0, 1)
+    assert m.entry(0, 1).max_abs() == 0.0
+    assert m.entry(0, 0).coefficient(5) == m.blocks[5][0, 0]
+
+
+def test_off_pattern_block_is_rejected():
+    d = 3
+    full = np.zeros((d * d, d * d), dtype=complex)
+    full[0, 0] = 1.0  # outputs (0, 0), inputs (0, 0): conserves
+    m = SuperMatrix(GENS, 2, d, {0: full})
+    assert m.blocks[0].shape == (d * d, d)
+    full[0, 1] = 1e-300  # outputs (0, 0), inputs (0, 1): does not
+    with pytest.raises(ValueError):
+        SuperMatrix(GENS, 2, d, {0: full})
+    with pytest.raises(ValueError):
+        m.add_block(GENS.mask_of("ω"), full)
+    full[0, 1] = np.nan  # a NaN off the pattern is not zero either
+    with pytest.raises(ValueError):
+        m.add_block(0, full)
+    assert list(m.blocks) == [0] and m.entry(0, 1).max_abs() == 0.0
 
 
 def test_parity_of_blocks():
@@ -366,11 +395,10 @@ def test_parity_of_blocks():
 
 def test_embed_against_brute_force_contraction(rng):
     d = 2
-    A = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-    m = SuperMatrix(GENS, 2, d, {0: A})
-    T = A.reshape(d, d, d, d)
+    m = random_super_matrix(rng, masks=(0,))
+    T = dense(m, 0).reshape(d, d, d, d)
     for sites in ((1, 2), (2, 3), (3, 1), (1, 3), (2, 1)):
-        big = embed(m, sites, 3).blocks[0]
+        big = dense(embed(m, sites, 3), 0)
         brute = np.zeros((d**3, d**3), dtype=complex)
         s0, s1 = sites[0] - 1, sites[1] - 1
         for o in product(range(d), repeat=3):
@@ -387,26 +415,31 @@ def test_embed_identity_is_identity():
     d = 2
     m = SuperMatrix(GENS, 2, d, {0: np.eye(d * d)})
     big = embed(m, (1, 3), 3)
-    assert np.abs(big.blocks[0] - np.eye(d**3)).max() == 0.0
+    assert np.abs(dense(big, 0) - np.eye(d**3)).max() == 0.0
 
 
 # the placements aybe (12 23, 31 12, 23 31) and cybe (12 13, 12 23, 13 23)
-# multiply, their reverses, and two with a 1-site and a 3-site factor
-PLACEMENTS = [
+# multiply and their reverses, which share one site
+YBE_PLACEMENTS = [
     ((1, 2), (2, 3)), ((3, 1), (1, 2)), ((2, 3), (3, 1)),
     ((1, 2), (1, 3)), ((1, 3), (2, 3)),
-    ((2,), (3, 1)), ((3, 1, 2), (2, 3)),
 ]
+# with a 1-site and a 3-site factor (no shared site, and two), and their
+# reverses; the last two, appended after, share all three sites
+PLACEMENTS = YBE_PLACEMENTS + [((2,), (3, 1)), ((3, 1, 2), (2, 3))]
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("sites", PLACEMENTS + [(sb, sa) for sa, sb in PLACEMENTS])
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize(
+    "sites",
+    PLACEMENTS + [(sb, sa) for sa, sb in PLACEMENTS] + [((1, 2, 3), (3, 1, 2)), ((2, 1, 3), (2, 3, 1))],
+)
 def test_placed_product_matches_dense_embedding(rng, d, sites):
     sa, sb = sites
     a = random_super_matrix(rng, len(sa), d, masks=(0, 1, 2, 3, 6)).placed(sa)
     b = random_super_matrix(rng, len(sb), d, masks=(0, 1, 4, 5)).placed(sb)
     got = a @ b
-    want = embed(a, sa, 3) @ embed(b, sb, 3)
+    want = dense_matmul(embed(a, sa, 3), embed(b, sb, 3))
     assert got.sites == (1, 2, 3)
     assert set(got.blocks) == set(want.blocks)
     assert (got - want).max_abs() <= 1e-14 * want.max_abs()
@@ -432,7 +465,7 @@ def test_sums_are_blockwise_and_leave_operands_unchanged(rng):
     a = random_super_matrix(rng, masks=(0, 1, 6))
     b = random_super_matrix(rng, masks=(0, 3, 6))
     saved = [{mask: arr.copy() for mask, arr in m.blocks.items()} for m in (a, b)]
-    zero = np.zeros((a.dim, a.dim), dtype=complex)
+    zero = np.zeros_like(a.blocks[0])
     total, diff = a + b, a - b
     acc = a + b
     acc -= a
@@ -445,7 +478,7 @@ def test_sums_are_blockwise_and_leave_operands_unchanged(rng):
     for m, blocks in zip((a, b), saved):
         assert all(np.array_equal(m.blocks[mask], arr) for mask, arr in blocks.items())
     with pytest.raises(ValueError):
-        acc += a.placed((2,))
+        acc += a.placed((2, 3))
 
 
 def _per_channel_sum(b, indices, hbar, mu, form):
@@ -485,7 +518,9 @@ def test_channel_sum_matches_per_term_reference():
                 assert got.blocks[mask].tobytes() == arr.tobytes(), (N, hbar, mu, form, mask)
     alpha = MultiIndex(1, 2)
     assert b.pair(alpha) is b.pair(alpha)
-    assert np.array_equal(b.pair(alpha), np.kron(b.t(alpha), b.t(-alpha)))
+    pair = SuperMatrix(GENS, 2, b.N)
+    pair.blocks[0] = b.pair(alpha)
+    assert np.array_equal(dense(pair, 0), np.kron(b.t(alpha), b.t(-alpha)))
 
 
 def test_channel_functions_are_built_once_per_a2(monkeypatch):
@@ -526,7 +561,7 @@ def test_commutator_and_anticommutator(rng):
 def test_ordinary_R_matches_independent_channel_sum():
     N = 2
     b = HeisenbergBasis(N)
-    got = build_R(H1, None, P1, P2, "ω", b, CTX).blocks[0]
+    got = dense(build_R(H1, None, P1, P2, "ω", b, CTX), 0)
     # rebuild with explicit matrix powers instead of the cached basis
     Q = np.diag([cmath.exp(TPI * k / N) for k in range(1, N + 1)])
     Lam = np.zeros((N, N), dtype=complex)
@@ -575,7 +610,7 @@ def test_single_site_super_R_reduces_to_scalar():
 def test_classical_limit_operator_structure():
     N = 2
     b = HeisenbergBasis(N)
-    got = build_r_classical(P1, P2, "ω", b, CTX).blocks[0]
+    got = dense(build_r_classical(P1, P2, "ω", b, CTX), 0)
     acc = np.zeros((N * N, N * N), dtype=complex)
     for al in b.nonzero_indices():
         acc += np.kron(b.t(al), b.t(-al)) * basis_phi(al, 0.0, Z12, CTX, N)
@@ -637,6 +672,32 @@ def test_placed_aybe_products_match_dense_route(N, super_):
     for got, want in zip(placed, dense):
         assert set(got.blocks) == set(want.blocks)
         assert (got - want).max_abs() <= 1e-14 * want.max_abs()
+
+
+@pytest.mark.parametrize("super_", [False, True])
+def test_yang_baxter_products_equal_dense_reference_bitwise(super_):
+    # at N = 6 each stored entry of a one-site contraction is one product,
+    # rounded as the dense complex matrix product of the full blocks rounds
+    # it (the other five terms of that sum are exact zeros)
+    N = 6
+    b = HeisenbergBasis(N)
+    points = (P1, P2, P3)
+
+    def quantum(i, j):
+        mu = "μ1" if super_ else None
+        return build_R(H1, mu, points[i - 1], points[j - 1], "ω", b, CTX, super=super_).placed((i, j))
+
+    def classical(i, j):
+        return build_r_classical(points[i - 1], points[j - 1], "ω", b, CTX, super=super_).placed((i, j))
+
+    cybe = [((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))]
+    for build, placements in ((quantum, YBE_PLACEMENTS[:3]), (classical, cybe)):
+        for sa, sb in placements + [(sb, sa) for sa, sb in placements]:
+            x, y = build(*sa), build(*sb)
+            got, want = x @ y, dense_matmul(x, y)
+            assert list(got.blocks) == list(want.blocks), (sa, sb)
+            for mask, arr in want.blocks.items():
+                assert np.array_equal(got.blocks[mask], arr), (sa, sb, mask)
 
 
 def test_single_site_super_aybe_equals_scalar_identity():
