@@ -29,7 +29,6 @@ from .grassmann import (
     GrassmannElement,
     default_generators,
     grassmann_exp,
-    taylor_shift,
 )
 from .rmatrix import (
     HeisenbergBasis,
@@ -72,7 +71,6 @@ __all__ = [
     "GeneratorMismatchError",
     "default_generators",
     "grassmann_exp",
-    "taylor_shift",
     # elliptic
     "EllipticContext",
     "PoleProximityError",

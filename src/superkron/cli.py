@@ -9,22 +9,26 @@ strict JSON: an infinite max_residual (run_suite reports a NaN residual as
 infinity) is written as the string "inf".  The process exits 0 if every
 selected suite passed, 1 if a residual exceeded the tolerance, and 2 for an
 invalid configuration, including a pole radius that leaves no pole-free
-sample, a modulus at which the series cannot be summed, an --out path that
-cannot be written, and a run that runs out of memory (a 3-site operator
-holds n**5 entries per Grassmann monomial).  A process that the operating
-system's out-of-memory killer ends cannot be caught, and exits with no code
-of its own.
+sample, a modulus at which the series cannot be summed, a value that
+overflows the floating-point range, an --out path that cannot be written,
+and a run that runs out of memory (a 3-site operator holds n**5 entries per
+Grassmann monomial).  A process that the operating system's out-of-memory
+killer ends cannot be caught, and exits with no code of its own.
+
+--kind selects the kernel family of the kronecker, fay and heat suites
+only.  theta, periodicity, basis, cybe and aybe always run the elliptic
+kernel, and degenerations runs both degenerate kinds.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .elliptic import SeriesTruncationError
 from .suites import (
-    KIND_CHOICES,
     OUTPUT_CHOICES,
     SUITE_NAMES,
     SamplingError,
@@ -32,6 +36,7 @@ from .suites import (
     VerifyConfig,
     run_suites,
 )
+from .superfunc import KINDS
 
 __all__ = ["build_parser", "config_from_args", "emit_report", "main"]
 
@@ -49,7 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9, help="relative residual tolerance")
     p.add_argument("--seed", type=int, default=42, help="seed for deterministic sampling")
     p.add_argument("--pole-radius", type=float, default=1e-3, help="pole exclusion radius")
-    p.add_argument("--kind", choices=KIND_CHOICES, default="elliptic", help="kernel family")
+    p.add_argument(
+        "--kind",
+        choices=KINDS,
+        default="elliptic",
+        help="kernel family of the kronecker, fay and heat suites (the others ignore it)",
+    )
     p.add_argument(
         "--truncated",
         action="store_true",
@@ -76,18 +86,7 @@ def config_from_args(args: argparse.Namespace) -> VerifyConfig:
 
 
 def _config_dict(cfg: VerifyConfig) -> dict:
-    return {
-        "n": cfg.n,
-        "tau": [cfg.tau.real, cfg.tau.imag],
-        "samples": cfg.samples,
-        "tol_relative": cfg.tol_relative,
-        "seed": cfg.seed,
-        "pole_radius": cfg.pole_radius,
-        "suites": list(cfg.selected()),
-        "kind": cfg.kind,
-        "output": cfg.output,
-        "truncated": cfg.truncated,
-    }
+    return dataclasses.asdict(cfg) | {"tau": [cfg.tau.real, cfg.tau.imag], "suites": list(cfg.selected())}
 
 
 def emit_report(reports: list[SuiteReport], fmt: str = "text", cfg: VerifyConfig | None = None) -> str:
@@ -126,6 +125,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print(f"invalid configuration: out of memory at --n {cfg.n}; try a smaller --n", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"invalid configuration: floating-point overflow at tau={cfg.tau} ({exc})", file=sys.stderr)
         return 2
     doc = emit_report(reports, cfg.output, cfg)
     if args.out:

@@ -40,6 +40,10 @@ _TWO_PI_I = 2j * math.pi
 _PI_I = 1j * math.pi
 # theta stacks one context memoizes before it starts again from empty
 _MEMO_LIMIT = 4096
+# relative series tolerance, against the largest term met (the honest
+# floating-point noise floor), and the hard cap on frequency pairs summed
+_SERIES_TOL = 1e-14
+_K_MAX = 200
 
 
 class PoleProximityError(ValueError):
@@ -52,12 +56,11 @@ class SeriesTruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EllipticContext:
-    """Modulus plus numerical policy shared by every evaluation.
+    """Modulus plus the pole radius shared by every evaluation.
 
-    tol is the relative series tolerance (relative to the largest term
-    encountered, which is also the honest floating-point noise floor),
-    pole_radius the minimal allowed lattice distance for kernel arguments,
-    k_max the hard cap on frequency pairs summed.
+    pole_radius is the minimal allowed lattice distance for kernel
+    arguments.  The series tolerance and pair cap are the module constants
+    _SERIES_TOL (1e-14) and _K_MAX (200).
 
     Each context also keeps a memo of the theta stacks summed under it,
     keyed by (z, max_dz, dtau), so a stack requested again is not summed
@@ -69,9 +72,7 @@ class EllipticContext:
     """
 
     tau: complex
-    tol: float = 1e-14
     pole_radius: float = 1e-3
-    k_max: int = 200
     _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -79,12 +80,8 @@ class EllipticContext:
         object.__setattr__(self, "tau", tau)
         if not (cmath.isfinite(tau) and tau.imag > 0):
             raise ValueError("modulus must be finite and lie in the upper half plane")
-        if not 0 < self.tol < 1e-2:
-            raise ValueError("tol must be a small positive number")
         if not self.pole_radius > 0:
             raise ValueError("pole_radius must be positive")
-        if self.k_max < 8:
-            raise ValueError("k_max too small for any meaningful sum")
 
 
 def theta_stack(
@@ -98,12 +95,12 @@ def theta_stack(
     With dtau > 0 every entry additionally carries that many derivatives in
     the modulus.  All orders share one exponential per frequency.  Terms are
     summed in symmetric pairs of increasing frequency; the sum stops after
-    the pair magnitudes stay below tol relative to the running peak (which
-    never drops below one) for two consecutive pairs, and only once the
-    frequency has passed the turnaround |Im z| / Im tau where terms start
-    to decay.  A term beyond the floating-point range raises
+    the pair magnitudes stay below _SERIES_TOL relative to the running peak
+    (which never drops below one) for two consecutive pairs, and only once
+    the frequency has passed the turnaround |Im z| / Im tau where terms
+    start to decay.  A term beyond the floating-point range raises
     SeriesTruncationError, as does a sum that has not converged after
-    ctx.k_max pairs.
+    _K_MAX pairs.
 
     The result is read-only and memoized on ctx (see EllipticContext): a
     repeated request returns the same array.  A failed sum is not memoized.
@@ -126,10 +123,9 @@ def theta_stack(
     quiet = 0
     p = 0
     while quiet < 2:
-        if p >= ctx.k_max:
+        if p >= _K_MAX:
             raise SeriesTruncationError(
-                f"series not converged after {ctx.k_max} frequency pairs "
-                f"(z={z}, tau={tau}); raise k_max or move the point"
+                f"series not converged after {_K_MAX} frequency pairs (z={z}, tau={tau})"
             )
         n = p + 0.5
         pair_rel = 0.0
@@ -155,7 +151,7 @@ def theta_stack(
                 if rel > pair_rel:
                     pair_rel = rel
                 fac *= step
-        quiet = quiet + 1 if p >= turn and pair_rel <= ctx.tol else 0
+        quiet = quiet + 1 if p >= turn and pair_rel <= _SERIES_TOL else 0
         p += 1
     stack = np.array(totals, dtype=np.complex128)
     stack.flags.writeable = False

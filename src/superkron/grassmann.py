@@ -4,15 +4,15 @@ The algebra is generated by a fixed, ordered set of anticommuting symbols.
 A basis monomial is a subset of generators encoded as a bitmask over that
 order; an element is a sparse map from bitmask to coefficient.  Signs come
 from counting transpositions needed to bring concatenated monomials into
-canonical order, so products, left derivatives and nilpotent Taylor shifts
-are exact up to floating-point rounding of the coefficients.
+canonical order, so products, left derivatives and exponentials are exact
+up to floating-point rounding of the coefficients.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "GeneratorSet",
@@ -20,7 +20,6 @@ __all__ = [
     "GeneratorMismatchError",
     "parity",
     "nilpotent_powers",
-    "taylor_shift",
     "grassmann_exp",
     "DEFAULT_GENERATOR_NAMES",
     "default_generators",
@@ -150,9 +149,6 @@ class GeneratorSet:
             raise ValueError(f"mask {mask} out of range")
         return GrassmannElement(self, {mask: complex(coeff)})
 
-    def element(self, terms: Mapping[int, complex]) -> "GrassmannElement":
-        return GrassmannElement(self, {m: complex(c) for m, c in terms.items()})
-
     def mask_of(self, labels: Iterable[str] | str) -> int:
         """Bitmask of a monomial given as labels or as a concatenated string."""
         if isinstance(labels, str):
@@ -182,23 +178,6 @@ class GeneratorSet:
             else:
                 raise ValueError(f"cannot read generator at {text[pos:]!r}")
         return out
-
-    def parse(self, text: str) -> "GrassmannElement":
-        """Inverse of str(element); accepts the exact rendering format."""
-        terms: dict[int, complex] = {}
-        for chunk in text.strip().split(" + "):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if ")·" in chunk:
-                coeff_part, mono = chunk.split(")·", 1)
-                coeff = complex(coeff_part.lstrip("("))
-                mask = self.mask_of(mono)
-            else:
-                coeff = complex(chunk)
-                mask = 0
-            terms[mask] = terms.get(mask, 0j) + coeff
-        return GrassmannElement(self, terms)
 
 
 @functools.cache
@@ -349,27 +328,6 @@ def nilpotent_powers(x: GrassmannElement) -> list[GrassmannElement]:
     while not power.is_zero():
         out.append(power)
         power = power * x
-    return out
-
-
-def taylor_shift(
-    f: Callable[[complex, int], complex],
-    z0: complex,
-    soul: GrassmannElement,
-) -> GrassmannElement:
-    """Evaluate an analytic function at z0 + soul for a nilpotent even shift.
-
-    f(z, k) must return the k-th derivative at z.  The result is the finite
-    Taylor sum over powers of the soul; the expansion terminates because the
-    shift is nilpotent.
-    """
-    if soul.parity() != "even":
-        raise ValueError("shift must be an even element")
-    out = soul.gens.scalar(f(z0, 0))
-    factorial = 1.0
-    for k, power in enumerate(nilpotent_powers(soul)[1:], 1):
-        factorial *= k
-        out = out + power * (f(z0, k) / factorial)
     return out
 
 

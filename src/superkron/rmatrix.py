@@ -21,12 +21,11 @@ import functools
 import math
 import operator
 from itertools import product
-from math import comb
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .elliptic import EllipticContext, phi_derivs, phi_tau_derivs
+from .elliptic import EllipticContext, phi_derivs
 from .grassmann import GeneratorMismatchError, GeneratorSet, GrassmannElement, default_generators, parity
 from .superfunc import SuperFunction, SuperPoint, _odd_element, super_phi, three_term
 
@@ -68,9 +67,6 @@ class MultiIndex(NamedTuple):
     def __neg__(self):
         return MultiIndex(-self.a1, -self.a2)
 
-    def reduced(self, N: int) -> "MultiIndex":
-        return MultiIndex(self.a1 % N, self.a2 % N)
-
     def is_zero(self) -> bool:
         return self.a1 == 0 and self.a2 == 0
 
@@ -92,8 +88,6 @@ class HeisenbergBasis:
         if not isinstance(N, int) or N < 1:
             raise ValueError("N must be a positive integer")
         self.N = N
-        self.Q = self.q_power(1)
-        self.Lam = self.lam_power(1)
         self._t_cache: dict[tuple[int, int], np.ndarray] = {}
         self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -146,40 +140,11 @@ def _channel_hbar(alpha, hbar: complex, N: int, tau: complex) -> complex:
     return complex(hbar) + channel_shift(alpha, N, tau)
 
 
-def basis_phi(
-    alpha,
-    hbar: complex,
-    z: complex,
-    ctx: EllipticContext,
-    N: int,
-    j: int = 0,
-    k: int = 0,
-    dtau: bool = False,
-) -> complex:
-    """Derivatives of the dressed channel function exp(c z) kernel(h + shift, z).
-
-    c = 2 pi i a2 / N.  Argument derivatives go through the dressing by the
-    binomial chain rule.  With dtau the result is the full modulus
-    derivative: the partial one plus (a2/N) times the next parameter
-    derivative, because the channel shift moves with the modulus.
-    """
-    if j < 0 or k < 0:
-        raise ValueError("derivative orders must be nonnegative")
+def basis_phi(alpha, hbar: complex, z: complex, ctx: EllipticContext, N: int) -> complex:
+    """The dressed channel function exp(c z) kernel(h + shift, z), c = 2 pi i a2 / N."""
     c = _TWO_PI_I * alpha[1] / N
     h_tot = _channel_hbar(alpha, hbar, N, ctx.tau)
-    env = cmath.exp(c * z)
-    if not dtau:
-        tab = phi_derivs(h_tot, z, ctx, j, k)
-        val = sum(comb(k, i) * c ** (k - i) * tab[j, i] for i in range(k + 1))
-        return env * val
-    rate = alpha[1] / N
-    tab = phi_derivs(h_tot, z, ctx, j + 1, k)
-    ttab = phi_tau_derivs(h_tot, z, ctx, j, k)
-    val = sum(
-        comb(k, i) * c ** (k - i) * (ttab[j, i] + rate * tab[j + 1, i])
-        for i in range(k + 1)
-    )
-    return env * val
+    return cmath.exp(c * z) * phi_derivs(h_tot, z, ctx)[0, 0]
 
 
 def super_basis_phi(

@@ -41,6 +41,7 @@ from .rmatrix import (
     super_basis_phi,
 )
 from .superfunc import (
+    KINDS,
     SuperPoint,
     fay_residual,
     heat_residual,
@@ -66,7 +67,6 @@ SUITE_NAMES = (
     "degenerations",
 )
 
-KIND_CHOICES = ("elliptic", "trig", "rational")
 OUTPUT_CHOICES = ("text", "structured")
 
 _MAX_REDRAWS = 64
@@ -102,8 +102,8 @@ class VerifyConfig:
             raise ValueError("tolerance must be finite and exceed machine epsilon")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.kind not in KIND_CHOICES:
-            raise ValueError(f"kind must be one of {KIND_CHOICES}")
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}")
         if self.output not in OUTPUT_CHOICES:
             raise ValueError(f"output must be one of {OUTPUT_CHOICES}")
         names = tuple(self.suites)

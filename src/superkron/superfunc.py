@@ -513,14 +513,10 @@ def super_phi_degenerate(
     mu_e = None if mu is None else _odd_element(gens, mu, "mu")
     z12 = complex(p1.z) - complex(p2.z)
     h = complex(hbar)
-    if kind == "trig":
-        base = phi_trig(h, z12, 0, 0, pole_radius)
-        d1 = phi_trig(h, z12, 1, 0, pole_radius)
-        half_d2 = 0.5 * phi_trig(h, z12, 2, 0, pole_radius)
-    else:
-        base = phi_rat(h, z12, 0, 0, pole_radius)
-        d1 = phi_rat(h, z12, 1, 0, pole_radius)
-        half_d2 = 0.5 * phi_rat(h, z12, 2, 0, pole_radius)
+    fn = phi_trig if kind == "trig" else phi_rat
+    base = fn(h, z12, 0, 0, pole_radius)
+    d1 = fn(h, z12, 1, 0, pole_radius)
+    half_d2 = 0.5 * fn(h, z12, 2, 0, pole_radius)
     out = (zeta1 - zeta2) * base + omega_e * d1
     if mu_e is not None:
         out = out + zeta1 * zeta2 * mu_e * d1
@@ -629,20 +625,14 @@ def heat_residual(
     return lval - rval, max(lval.max_abs(), rval.max_abs(), 1e-300)
 
 
-def transition_factor(
-    gens: GeneratorSet,
-    hbar: complex,
-    mu,
-    zeta,
-    omega,
-    slot: int,
-) -> GrassmannElement:
+def transition_factor(hbar: complex, mu, zeta, omega, slot: int) -> GrassmannElement:
     """Multiplier acquired under the modulus-direction supertranslation.
 
     Slot 1 carries exp(-2 pi i (hbar - mu zeta1 - pi i mu omega)), slot 2
     the reciprocal sign pattern with zeta2.  mu = None gives the plain
     exp(-/+ 2 pi i hbar) of the truncated variant.
     """
+    gens = default_generators()
     sign = -1.0 if slot == 1 else 1.0
     exponent = gens.scalar(sign * _TWO_PI_I * complex(hbar))
     if mu is not None:
@@ -683,35 +673,22 @@ def periodicity_residual(
 
     base = build(p1, p2)
     base_val = base.evaluate(p1.z, p2.z, reduce=False)
-
+    zs = [p1.z, p2.z]
     if direction in (1, "1"):
-        if slot == 1:
-            shifted = base.evaluate(p1.z + 1.0, p2.z, reduce=False)
-        else:
-            shifted = base.evaluate(p1.z, p2.z + 1.0, reduce=False)
-        return shifted - base_val, max(shifted.max_abs(), base_val.max_abs(), 1e-300)
-
-    if direction != "tau":
-        raise ValueError("direction must be 1 or 'tau'")
-
-    omega_e = _odd_element(gens, omega, "omega")
-    tau = ctx.tau
-    if slot == 1:
-        zeta_old = base.slots["zeta1"]
-        zeta_new = zeta_old + omega_e * _TWO_PI_I
-        shifted_fn = build(SuperPoint(p1.z, zeta_new), p2, strict=False)
-        soul = (zeta_old * omega_e) * _TWO_PI_I
-        shifted = shifted_fn.evaluate(p1.z + tau, p2.z, soul=soul, reduce=False)
+        zs[slot - 1] += 1.0
+        shifted = base.evaluate(*zs, reduce=False)
+        reference = base_val
+    elif direction == "tau":
+        omega_e = _odd_element(gens, omega, "omega")
+        points = [p1, p2]
+        zeta_old = base.slots[f"zeta{slot}"]
+        points[slot - 1] = SuperPoint(zs[slot - 1], zeta_old + omega_e * _TWO_PI_I)
+        shifted_fn = build(*points, strict=False)
+        # a soul on z2 enters z12 = z1 - z2 with a minus sign
+        soul = (zeta_old * omega_e) * (_TWO_PI_I if slot == 1 else -_TWO_PI_I)
+        zs[slot - 1] += ctx.tau
+        shifted = shifted_fn.evaluate(*zs, soul=soul, reduce=False)
+        reference = transition_factor(hbar, mu, zeta_old, omega_e, slot) * base_val
     else:
-        zeta_old = base.slots["zeta2"]
-        zeta_new = zeta_old + omega_e * _TWO_PI_I
-        shifted_fn = build(p1, SuperPoint(p2.z, zeta_new), strict=False)
-        # the soul enters z12 = z1 - z2 with a minus sign
-        soul = (zeta_old * omega_e) * (-_TWO_PI_I)
-        shifted = shifted_fn.evaluate(p1.z, p2.z + tau, soul=soul, reduce=False)
-
-    factor = transition_factor(
-        gens, hbar, mu, base.slots["zeta1" if slot == 1 else "zeta2"], omega_e, slot
-    )
-    reference = factor * base_val
+        raise ValueError("direction must be 1 or 'tau'")
     return shifted - reference, max(shifted.max_abs(), reference.max_abs(), 1e-300)

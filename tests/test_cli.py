@@ -265,6 +265,7 @@ def test_main_invalid_config_exit_code(capsys):
         ["theta", "--samples", "1", "--out", "no-such-directory/r.json"],
         ["theta", "--samples", "1", "--out", "."],
         ["theta", "--samples", "1", "--tol", "inf", "--output", "structured"],
+        ["cybe", "--tau-im", "260", "--samples", "2"],
     ],
 )
 def test_invalid_input_exits_2_without_traceback(argv, tmp_path):

@@ -362,7 +362,7 @@ def test_pole_guard_propagates():
 
 
 def test_transition_factor_first_slot_expansion():
-    g1 = transition_factor(GENS, H1, MUE, Z1E, OME, 1)
+    g1 = transition_factor(H1, MUE, Z1E, OME, 1)
     exponent = GENS.scalar(-TPI * H1) + (MUE * Z1E) * TPI - (MUE * OME) * (2 * math.pi**2)
     assert isclose(g1, grassmann_exp(exponent))
     lead = cmath.exp(-TPI * H1)
@@ -372,14 +372,14 @@ def test_transition_factor_first_slot_expansion():
 
 
 def test_transition_factor_second_slot_expansion():
-    g2 = transition_factor(GENS, H1, MUE, Z2E, OME, 2)
+    g2 = transition_factor(H1, MUE, Z2E, OME, 2)
     exponent = GENS.scalar(TPI * H1) - (MUE * Z2E) * TPI + (MUE * OME) * (2 * math.pi**2)
     assert isclose(g2, grassmann_exp(exponent))
 
 
 def test_transition_factor_truncated_is_plain_exponential():
     for slot, sign in ((1, -1), (2, 1)):
-        g = transition_factor(GENS, H1, None, Z1E, OME, slot)
+        g = transition_factor(H1, None, Z1E, OME, slot)
         assert set(g.support()) == {0}
         assert g.coefficient(0) == pytest.approx(cmath.exp(sign * TPI * H1), rel=1e-14)
 
