@@ -10,14 +10,15 @@ end (suites, cli).
 """
 
 from .elliptic import (
+    KINDS,
     EllipticContext,
     PoleProximityError,
     SeriesTruncationError,
+    kernel_derivs,
     lattice_distance,
     lattice_reduce,
     phi,
     phi_derivs,
-    phi_dtau,
     phi_rat,
     phi_tau_derivs,
     phi_trig,
@@ -78,10 +79,11 @@ __all__ = [
     "theta",
     "phi",
     "phi_derivs",
-    "phi_dtau",
     "phi_tau_derivs",
     "phi_trig",
     "phi_rat",
+    "kernel_derivs",
+    "KINDS",
     "lattice_reduce",
     "lattice_distance",
     # superfunc

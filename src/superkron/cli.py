@@ -12,8 +12,10 @@ invalid configuration, including a pole radius that leaves no pole-free
 sample, a modulus at which the series cannot be summed, a value that
 overflows the floating-point range, an --out path that cannot be written,
 and a run that runs out of memory (a 3-site operator holds n**5 entries per
-Grassmann monomial).  A process that the operating system's out-of-memory
-killer ends cannot be caught, and exits with no code of its own.
+Grassmann monomial).  A reader that closes stdout early (verify ... | head)
+does not change the exit code.  A process that the operating system's
+out-of-memory killer ends cannot be caught, and exits with no code of its
+own.
 
 --kind selects the kernel family of the kronecker, fay and heat suites
 only.  theta, periodicity, basis, cybe and aybe always run the elliptic
@@ -25,9 +27,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
-from .elliptic import SeriesTruncationError
+from .elliptic import KINDS, SeriesTruncationError
 from .suites import (
     OUTPUT_CHOICES,
     SUITE_NAMES,
@@ -36,7 +39,6 @@ from .suites import (
     VerifyConfig,
     run_suites,
 )
-from .superfunc import KINDS
 
 __all__ = ["build_parser", "config_from_args", "emit_report", "main"]
 
@@ -138,7 +140,15 @@ def main(argv=None) -> int:
             print(f"invalid configuration: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     else:
-        print(doc)
+        try:
+            print(doc)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (verify ... | head): point stdout at
+            # devnull so the flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return 0 if all(r.passed for r in reports) else 1
 
 

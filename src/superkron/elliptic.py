@@ -6,7 +6,8 @@ lattice.  From it we build a two-variable kernel, doubly quasi-periodic
 with a simple pole of residue one along each variable's lattice, together
 with tables of mixed derivatives in both variables and an independent
 route to the modular-parameter derivative.  Hyperbolic and rational
-degenerations of the kernel are provided in closed form.
+degenerations of the kernel are provided in closed form, tabulated the same
+way; kernel_derivs maps a kernel family name to its table.
 """
 
 from __future__ import annotations
@@ -31,10 +32,13 @@ __all__ = [
     "phi",
     "phi_derivs",
     "phi_tau_derivs",
-    "phi_dtau",
     "phi_trig",
     "phi_rat",
+    "kernel_derivs",
+    "KINDS",
 ]
+
+KINDS = ("elliptic", "trig", "rational")
 
 _TWO_PI_I = 2j * math.pi
 _PI_I = 1j * math.pi
@@ -400,19 +404,6 @@ def phi_tau_derivs(
     return out
 
 
-def phi_dtau(hbar: complex, z: complex, ctx: EllipticContext, j: int = 0) -> complex:
-    """Modulus derivative of the j-th parameter derivative via the mixed route.
-
-    Uses the flow identity that trades one modulus derivative for one
-    parameter and one argument derivative over two pi i.  The direct route
-    (phi_tau_derivs) exists precisely so this identity stays testable.
-    """
-    if j not in (0, 1):
-        raise ValueError("parameter-derivative order limited to 1 here")
-    table = phi_derivs(hbar, z, ctx, j + 1, 1)
-    return complex(table[j + 1, 1] / _TWO_PI_I)
-
-
 # -- degenerations ----------------------------------------------------------
 
 
@@ -437,53 +428,75 @@ def _coth_derivs(x: complex, n_max: int, pole_radius: float) -> np.ndarray:
     return out
 
 
-def phi_trig(
-    hbar: complex,
-    z: complex,
-    j: int = 0,
-    k: int = 0,
-    pole_radius: float = 1e-3,
-) -> complex:
-    """Hyperbolic degeneration of the kernel and its derivatives.
-
-    The degenerate kernel is coth(hbar) + coth(z), so any genuinely mixed
-    derivative vanishes identically; so does the modulus derivative, which
-    equals a mixed derivative by the flow identity.
-    """
-    if j < 0 or k < 0 or j + k > 4:
-        raise ValueError("derivative orders must satisfy j + k <= 4")
-    if j and k:
-        return 0j
-    if k:
-        return complex(_coth_derivs(z, k, pole_radius)[k])
-    if j:
-        return complex(_coth_derivs(hbar, j, pole_radius)[j])
-    return complex(
-        _coth_derivs(hbar, 0, pole_radius)[0] + _coth_derivs(z, 0, pole_radius)[0]
+def _pole_derivs(x: complex, n_max: int, pole_radius: float) -> np.ndarray:
+    """[d^n/dx^n 1/x] for n = 0..n_max."""
+    if abs(x) < pole_radius:
+        raise PoleProximityError(f"argument {x} too close to the pole at zero")
+    return np.array(
+        [(-1.0) ** n * math.factorial(n) / x ** (n + 1) for n in range(n_max + 1)],
+        dtype=np.complex128,
     )
 
 
-def phi_rat(
+def _separated(profile, hbar: complex, z: complex, ctx: EllipticContext, max_j: int, max_k: int) -> np.ndarray:
+    """Table [j, k] of the kernel profile(hbar) + profile(z).
+
+    profile(x, n, pole_radius) returns the stack [f, f', ..., f^(n)] at x.
+    The kernel is a sum of one-variable functions, so every genuinely mixed
+    derivative is exactly zero.
+    """
+    if max_j < 0 or max_k < 0:
+        raise ValueError("derivative orders must be non-negative")
+    u = profile(complex(hbar), max_j, ctx.pole_radius)
+    v = profile(complex(z), max_k, ctx.pole_radius)
+    out = np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
+    out[:, 0] = u
+    out[0, :] = v
+    out[0, 0] = u[0] + v[0]
+    return out
+
+
+def phi_trig(hbar: complex, z: complex, ctx: EllipticContext, max_j: int = 0, max_k: int = 0) -> np.ndarray:
+    """Hyperbolic degeneration coth(hbar) + coth(z), tabulated like phi_derivs.
+
+    Poles sit on i pi Z in each variable; only ctx.pole_radius is read.
+    """
+    return _separated(_coth_derivs, hbar, z, ctx, max_j, max_k)
+
+
+def phi_rat(hbar: complex, z: complex, ctx: EllipticContext, max_j: int = 0, max_k: int = 0) -> np.ndarray:
+    """Rational degeneration 1/hbar + 1/z: one simple pole in each variable."""
+    return _separated(_pole_derivs, hbar, z, ctx, max_j, max_k)
+
+
+def kernel_derivs(
+    kind: str,
     hbar: complex,
     z: complex,
-    j: int = 0,
-    k: int = 0,
-    pole_radius: float = 1e-3,
-) -> complex:
-    """Rational degeneration: one simple pole in each variable, nothing else."""
-    if j < 0 or k < 0 or j + k > 4:
-        raise ValueError("derivative orders must satisfy j + k <= 4")
-    if j and k:
-        return 0j
+    ctx: EllipticContext,
+    max_j: int = 0,
+    max_k: int = 0,
+    dtau: int = 0,
+    reduce: bool = True,
+) -> np.ndarray:
+    """Table [j, k] of mixed derivatives of the kernel family kind (see KINDS).
 
-    def pole(x: complex, n: int) -> complex:
-        x = complex(x)
-        if abs(x) < pole_radius:
-            raise PoleProximityError(f"argument {x} too close to the pole at zero")
-        return (-1.0) ** n * math.factorial(n) / x ** (n + 1)
-
-    if k:
-        return pole(z, k)
-    if j:
-        return pole(hbar, j)
-    return pole(hbar, 0) + pole(z, 0)
+    Any other kind raises ValueError.  dtau = 1 tabulates their modulus
+    derivatives instead: for the elliptic kernel through the direct modulus
+    series (phi_tau_derivs, unreduced); for the degenerate kinds as zeros,
+    with no pole check, because the modulus derivative equals a mixed
+    derivative by the flow identity.  reduce applies to the elliptic table
+    with dtau = 0 only.
+    """
+    if dtau not in (0, 1):
+        raise ValueError("modulus-derivative order limited to 1")
+    if kind == "elliptic":
+        if dtau:
+            return phi_tau_derivs(hbar, z, ctx, max_j, max_k)
+        return phi_derivs(hbar, z, ctx, max_j, max_k, reduce=reduce)
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    if dtau:
+        return np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
+    # looked up at call time, so wrappers installed on the module are seen
+    return (phi_trig if kind == "trig" else phi_rat)(hbar, z, ctx, max_j, max_k)

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .elliptic import EllipticContext, phi_derivs
-from .grassmann import GeneratorMismatchError, GeneratorSet, GrassmannElement, default_generators, parity
+from .grassmann import GeneratorMismatchError, GeneratorSet, default_generators, parity
 from .superfunc import SuperFunction, SuperPoint, _odd_element, super_phi, three_term
 
 __all__ = [
@@ -281,8 +281,7 @@ class SuperMatrix:
     input is implied: i_last = (sum of outputs - sum of other inputs) mod d.
     The constructor and add_block take full (dim, dim) arrays, raise
     ValueError if an entry off the charge pattern is nonzero, and keep the
-    rest; entry(i, j) takes full indices and reads 0 off the pattern.
-    Sums, scaling, max_abs and parity work on the stored entries.
+    rest.  Sums, max_abs and parity work on the stored entries.
 
     The product multiplies basis monomials in the algebra, keeping the left
     factor's monomial on the left, and contracts the coefficient blocks over
@@ -325,12 +324,6 @@ class SuperMatrix:
         else:
             self.blocks[mask] = stored
 
-    def entry(self, i: int, j: int) -> GrassmannElement:
-        col, last = divmod(j, self.site_dim)
-        if last != _layout(self.n_sites, self.site_dim)[0][i, col]:
-            return self.gens.zero()
-        return GrassmannElement(self.gens, {mask: arr[i, col] for mask, arr in self.blocks.items()})
-
     def max_abs(self) -> float:
         if not self.blocks:
             return 0.0
@@ -344,9 +337,6 @@ class SuperMatrix:
         out = SuperMatrix(self.gens, self.n_sites, self.site_dim, sites=sites)
         out.blocks = dict(self.blocks)
         return out
-
-    def _like(self) -> "SuperMatrix":
-        return SuperMatrix(self.gens, self.n_sites, self.site_dim, sites=self.sites)
 
     def _check_shape(self, other: "SuperMatrix", same_sites: bool = True) -> None:
         if self.gens != other.gens:
@@ -366,7 +356,7 @@ class SuperMatrix:
         return self
 
     def _copy(self) -> "SuperMatrix":
-        out = self._like()
+        out = SuperMatrix(self.gens, self.n_sites, self.site_dim, sites=self.sites)
         out.blocks = {mask: arr.copy() for mask, arr in self.blocks.items()}
         return out
 
@@ -381,15 +371,6 @@ class SuperMatrix:
 
     def __isub__(self, other: "SuperMatrix") -> "SuperMatrix":
         return self._accumulate(other, -1)
-
-    def __neg__(self) -> "SuperMatrix":
-        return self.scale(-1.0)
-
-    def scale(self, c: complex) -> "SuperMatrix":
-        out = self._like()
-        for mask, arr in self.blocks.items():
-            out.blocks[mask] = arr * c
-        return out
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         """Graded product over the stored entries, through a cached index plan.

@@ -20,16 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import (
-    EllipticContext,
-    PoleProximityError,
-    phi,
-    phi_derivs,
-    phi_rat,
-    phi_tau_derivs,
-    phi_trig,
-    theta,
-)
+from .elliptic import KINDS, EllipticContext, PoleProximityError, kernel_derivs, phi_derivs, theta
 from .grassmann import GrassmannElement, default_generators
 from .rmatrix import (
     HeisenbergBasis,
@@ -41,7 +32,6 @@ from .rmatrix import (
     super_basis_phi,
 )
 from .superfunc import (
-    KINDS,
     SuperPoint,
     fay_residual,
     heat_residual,
@@ -166,12 +156,9 @@ def _cell_point(rng: np.random.Generator, tau: complex) -> complex:
     return x + y * tau
 
 
-def _scalar_kernel(kind: str, ctx: EllipticContext) -> Callable[[complex, complex], complex]:
-    if kind == "elliptic":
-        return lambda h, z: phi(h, z, ctx)
-    if kind == "trig":
-        return lambda h, z: phi_trig(h, z, pole_radius=ctx.pole_radius)
-    return lambda h, z: phi_rat(h, z, pole_radius=ctx.pole_radius)
+def _cells(*names: str) -> Callable:
+    """Sampler of one cell point per name, drawn in the order given."""
+    return lambda rng, cfg: {name: _pair(_cell_point(rng, cfg.tau)) for name in names}
 
 
 def _rel(residual: float, scale: float) -> float:
@@ -187,11 +174,12 @@ def _scalar_relation(f, zs, x1, x2) -> float:
     return _rel(abs(s), scale)
 
 
+def _kernel_relation(kind: str, ctx: EllipticContext, zs, h1: complex, h2: complex) -> float:
+    """_scalar_relation of the plain kernel of the given family."""
+    return _scalar_relation(lambda h, z: kernel_derivs(kind, h, z, ctx)[0, 0], zs, (h1,), (h2,))
+
+
 # -- suite: theta --------------------------------------------------------------
-
-
-def _sample_theta(rng, cfg) -> dict:
-    return {"z": _pair(_cell_point(rng, cfg.tau))}
 
 
 def _compute_theta(inputs, cfg) -> float:
@@ -214,51 +202,33 @@ def _compute_theta(inputs, cfg) -> float:
 # -- suite: kronecker ----------------------------------------------------------
 
 
-def _sample_kronecker(rng, cfg) -> dict:
-    return {
-        "hbar": _pair(_cell_point(rng, cfg.tau)),
-        "z": _pair(_cell_point(rng, cfg.tau)),
-    }
-
-
 def _compute_kronecker(inputs, cfg) -> float:
     ctx = cfg.context()
+    kind = cfg.kind
     h = _unpair(inputs["hbar"])
     z = _unpair(inputs["z"])
-    if cfg.kind != "elliptic":
-        fn = phi_trig if cfg.kind == "trig" else phi_rat
-        base = fn(h, z, pole_radius=cfg.pole_radius)
-        rel = _rel(abs(fn(h, z, 1, 1, cfg.pole_radius)), abs(base))
-        rel = max(rel, _rel(abs(fn(z, h, pole_radius=cfg.pole_radius) - base), abs(base)))
-        rel = max(rel, _rel(abs(fn(-h, -z, pole_radius=cfg.pole_radius) + base), abs(base)))
-        return rel
-    tab = phi_derivs(h, z, ctx, 1, 1)
+    tab = kernel_derivs(kind, h, z, ctx, 1, 1)
     base = tab[0, 0]
-    # flow identity via the independent modulus-differentiated series
-    lhs = _TWO_PI_I * phi_tau_derivs(h, z, ctx, 0, 0)[0, 0]
+    # flow identity via the independent modulus-differentiated series; both
+    # sides are exactly zero for the degenerate kinds
+    lhs = _TWO_PI_I * kernel_derivs(kind, h, z, ctx, dtau=1)[0, 0]
     rhs = tab[1, 1]
     rel = _rel(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
-    shifted1 = phi_derivs(h, z + 1.0, ctx, 0, 0, reduce=False)[0, 0]
-    rel = max(rel, _rel(abs(shifted1 - base), abs(base)))
-    fac = cmath.exp(-_TWO_PI_I * h)
-    shiftedt = phi_derivs(h, z + cfg.tau, ctx, 0, 0, reduce=False)[0, 0]
-    rel = max(rel, _rel(abs(shiftedt - fac * base), max(abs(shiftedt), abs(fac * base))))
-    rel = max(rel, _rel(abs(phi(z, h, ctx) - base), abs(base)))
-    rel = max(rel, _rel(abs(phi(-h, -z, ctx) + base), abs(base)))
+    if kind == "elliptic":
+        shifted1 = phi_derivs(h, z + 1.0, ctx, 0, 0, reduce=False)[0, 0]
+        rel = max(rel, _rel(abs(shifted1 - base), abs(base)))
+        fac = cmath.exp(-_TWO_PI_I * h)
+        shiftedt = phi_derivs(h, z + cfg.tau, ctx, 0, 0, reduce=False)[0, 0]
+        rel = max(rel, _rel(abs(shiftedt - fac * base), max(abs(shiftedt), abs(fac * base))))
+    rel = max(rel, _rel(abs(kernel_derivs(kind, z, h, ctx)[0, 0] - base), abs(base)))
+    rel = max(rel, _rel(abs(kernel_derivs(kind, -h, -z, ctx)[0, 0] + base), abs(base)))
     return rel
 
 
 # -- suite: fay ----------------------------------------------------------------
 
 
-def _sample_three_points(rng, cfg) -> dict:
-    return {
-        "hbar1": _pair(_cell_point(rng, cfg.tau)),
-        "hbar2": _pair(_cell_point(rng, cfg.tau)),
-        "z1": _pair(_cell_point(rng, cfg.tau)),
-        "z2": _pair(_cell_point(rng, cfg.tau)),
-        "z3": _pair(_cell_point(rng, cfg.tau)),
-    }
+_sample_three_points = _cells("hbar1", "hbar2", "z1", "z2", "z3")
 
 
 def _points(inputs) -> tuple:
@@ -274,21 +244,13 @@ def _compute_fay(inputs, cfg) -> float:
     h1 = _unpair(inputs["hbar1"])
     h2 = _unpair(inputs["hbar2"])
     zs = [_unpair(inputs[k]) for k in ("z1", "z2", "z3")]
-    rel = _scalar_relation(_scalar_kernel(cfg.kind, ctx), zs, (h1,), (h2,))
+    rel = _kernel_relation(cfg.kind, ctx, zs, h1, h2)
     mus = None if cfg.truncated else ("μ1", "μ2")
     res, scale = fay_residual((h1, h2), mus, _points(inputs), "ω", ctx, kind=cfg.kind)
     return max(rel, _rel(res.max_abs(), scale))
 
 
 # -- suite: heat ---------------------------------------------------------------
-
-
-def _sample_heat(rng, cfg) -> dict:
-    return {
-        "hbar": _pair(_cell_point(rng, cfg.tau)),
-        "z1": _pair(_cell_point(rng, cfg.tau)),
-        "z2": _pair(_cell_point(rng, cfg.tau)),
-    }
 
 
 def _compute_heat(inputs, cfg) -> float:
@@ -411,25 +373,24 @@ def _compute_degenerations(inputs, cfg) -> float:
     pts = _points(inputs)
     rel = 0.0
     for kind in ("trig", "rational"):
-        fn = phi_trig if kind == "trig" else phi_rat
-        rel = max(rel, _scalar_relation(_scalar_kernel(kind, ctx), zs, (h1,), (h2,)))
-        rel = max(rel, _rel(abs(fn(h1, z1 - z2, 1, 1, cfg.pole_radius)), 1.0))
+        rel = max(rel, _kernel_relation(kind, ctx, zs, h1, h2))
+        rel = max(rel, _rel(abs(kernel_derivs(kind, h1, z1 - z2, ctx, 1, 1)[1, 1]), 1.0))
         res, scale = fay_residual((h1, h2), ("μ1", "μ2"), pts, "ω", ctx, kind=kind)
         rel = max(rel, _rel(res.max_abs(), scale))
         res, scale = heat_residual(h1, "μ1", pts[0], pts[1], "ω", ctx, kind=kind)
         rel = max(rel, _rel(res.max_abs(), scale))
         tmpl = super_phi(h1, "μ1", pts[0], pts[1], "ω", ctx, kind=kind).evaluate(z1, z2)
-        closed = super_phi_degenerate(kind, h1, "μ1", pts[0], pts[1], "ω", pole_radius=cfg.pole_radius)
+        closed = super_phi_degenerate(kind, h1, "μ1", pts[0], pts[1], "ω", ctx)
         rel = max(rel, _rel((tmpl - closed).max_abs(), closed.max_abs()))
     return rel
 
 
 _SUITES: dict[str, tuple[Callable, Callable]] = {
-    "theta": (_sample_theta, _compute_theta),
-    "kronecker": (_sample_kronecker, _compute_kronecker),
+    "theta": (_cells("z"), _compute_theta),
+    "kronecker": (_cells("hbar", "z"), _compute_kronecker),
     "fay": (_sample_three_points, _compute_fay),
-    "heat": (_sample_heat, _compute_heat),
-    "periodicity": (_sample_heat, _compute_periodicity),
+    "heat": (_cells("hbar", "z1", "z2"), _compute_heat),
+    "periodicity": (_cells("hbar", "z1", "z2"), _compute_periodicity),
     "basis": (_sample_basis, _compute_basis),
     "cybe": (_sample_three_points, _compute_cybe),
     "aybe": (_sample_three_points, _compute_aybe),

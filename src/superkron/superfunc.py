@@ -11,6 +11,8 @@ which turns the whole object into a GrassmannElement.
 Modulus descriptors are evaluated through the direct modulus-differentiated
 series, never through the flow identity that the operators use for
 rewriting, so heat-equation residuals compare two independent routes.
+Evaluation reads one table per modulus order from elliptic.kernel_derivs,
+for every kernel family: elliptic, trigonometric or rational.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .elliptic import (
-    EllipticContext,
-    phi_derivs,
-    phi_rat,
-    phi_tau_derivs,
-    phi_trig,
-)
+from .elliptic import KINDS, EllipticContext, kernel_derivs
 from .grassmann import (
     GeneratorMismatchError,
     GeneratorSet,
@@ -52,12 +48,9 @@ __all__ = [
     "heat_residual",
     "periodicity_residual",
     "transition_factor",
-    "KINDS",
 ]
 
 _TWO_PI_I = 2j * math.pi
-
-KINDS = ("elliptic", "trig", "rational")
 
 
 class CatalogOverflowError(ValueError):
@@ -329,7 +322,11 @@ class SuperFunction:
         if not rows:
             return gens.zero()
 
-        tables = self._tables(self.hbar if hbar is None else complex(hbar), z12, rows, sizes, reduce)
+        hbar = self.hbar if hbar is None else complex(hbar)
+        tables = {
+            dtau: kernel_derivs(self.kind, hbar, z12, self.ctx, mj, mk, dtau, reduce)
+            for dtau, (mj, mk) in sizes.items()
+        }
         acc: dict[int, complex] = {}
         for mask, dtau, j, k, scalar in rows:
             value = tables[dtau][j, k]
@@ -365,30 +362,6 @@ class SuperFunction:
                         mj, mk = sizes.get(desc.dtau, (0, 0))
                         sizes[desc.dtau] = (max(mj, desc.j), max(mk, k))
         return rows, sizes
-
-    def _tables(self, hbar: complex, z12: complex, rows, sizes, reduce: bool):
-        if self.kind == "elliptic":
-            tables = {}
-            for dtau, (mj, mk) in sizes.items():
-                if dtau == 0:
-                    tables[0] = phi_derivs(hbar, z12, self.ctx, mj, mk, reduce=reduce)
-                else:
-                    tables[1] = phi_tau_derivs(hbar, z12, self.ctx, mj, mk)
-            return tables
-        # degenerate kinds: fill exactly the requested cells; any modulus
-        # derivative vanishes because it equals a mixed derivative of a
-        # separated function
-        fn = phi_trig if self.kind == "trig" else phi_rat
-        cells: dict[int, dict[tuple[int, int], complex]] = {}
-        for _, dtau, j, k, _ in rows:
-            tab = cells.setdefault(dtau, {})
-            if (j, k) in tab:
-                continue
-            if dtau:
-                tab[j, k] = 0j
-            else:
-                tab[j, k] = fn(hbar, z12, j, k, self.ctx.pole_radius)
-        return cells
 
     def __repr__(self) -> str:
         n = sum(len(r) for r in self.terms.values())
@@ -495,14 +468,15 @@ def super_phi_degenerate(
     p1: SuperPoint,
     p2: SuperPoint,
     omega,
-    pole_radius: float = 1e-3,
+    ctx: EllipticContext,
 ) -> GrassmannElement:
     """Closed-form value of the degenerate function, bypassing descriptors.
 
     Hyperbolic: (z1-z2 odd difference) (coth h + coth z12)
     - (omega + z1 z2 mu)/sinh^2 h + (z1+z2) mu omega cosh h / sinh^3 h,
     with the odd partners in place of the shorthand; rational replaces the
-    three parameter profiles by 1/h, 1/h^2, 1/h^3.
+    three parameter profiles by 1/h, 1/h^2, 1/h^3.  ctx supplies the pole
+    radius only.
     """
     gens = default_generators()
     if kind not in ("trig", "rational"):
@@ -512,15 +486,11 @@ def super_phi_degenerate(
     omega_e = _odd_element(gens, omega, "omega")
     mu_e = None if mu is None else _odd_element(gens, mu, "mu")
     z12 = complex(p1.z) - complex(p2.z)
-    h = complex(hbar)
-    fn = phi_trig if kind == "trig" else phi_rat
-    base = fn(h, z12, 0, 0, pole_radius)
-    d1 = fn(h, z12, 1, 0, pole_radius)
-    half_d2 = 0.5 * fn(h, z12, 2, 0, pole_radius)
+    base, d1, d2 = kernel_derivs(kind, hbar, z12, ctx, max_j=2)[:, 0]
     out = (zeta1 - zeta2) * base + omega_e * d1
     if mu_e is not None:
         out = out + zeta1 * zeta2 * mu_e * d1
-        out = out + (zeta1 + zeta2) * mu_e * omega_e * half_d2
+        out = out + (zeta1 + zeta2) * mu_e * omega_e * (0.5 * d2)
     return out
 
 

@@ -46,6 +46,11 @@ def dense(m: SuperMatrix, mask: int) -> np.ndarray:
     return full
 
 
+def entry(m: SuperMatrix, i: int, j: int) -> GrassmannElement:
+    """Entry (i, j) of m by full indices, read from the dense blocks: zero off the charge pattern."""
+    return GrassmannElement(m.gens, {mask: dense(m, mask)[i, j] for mask in m.blocks})
+
+
 def dense_matmul(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     """Reference product of placed matrices: tensordot contraction of the full blocks.
 

@@ -1,14 +1,17 @@
 """Configuration, determinism, and process-level behavior of the verifier."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import superkron
 from superkron import cli
 from superkron.suites import (
     SUITE_NAMES,
@@ -280,6 +283,38 @@ def test_invalid_input_exits_2_without_traceback(argv, tmp_path):
     assert proc.returncode == 2
     assert "invalid configuration" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["theta", "--samples", "3", "--output", "structured"], 0),
+        (["theta", "--samples", "3", "--tol", "3e-16"], 1),
+    ],
+)
+def test_closed_stdout_keeps_exit_code(argv, code, tmp_path):
+    # the reader closes the pipe before the report is written, as
+    # verify ... | head can; the verdict code must survive it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superkron.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == code
+    assert err == ""
+
+
+def test_every_export_resolves():
+    modules = [superkron] + [
+        importlib.import_module(f"superkron.{info.name}") for info in pkgutil.iter_modules(superkron.__path__)
+    ]
+    for module in modules:
+        namespace: dict = {}
+        exec(f"from {module.__name__} import *", namespace)
+        assert set(module.__all__) <= set(namespace), module.__name__
 
 
 def test_main_structured_stdout(capsys):

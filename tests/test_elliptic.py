@@ -21,7 +21,6 @@ from superkron.elliptic import (
     lattice_reduce,
     phi,
     phi_derivs,
-    phi_dtau,
     phi_rat,
     phi_tau_derivs,
     phi_trig,
@@ -387,8 +386,11 @@ def test_scalar_three_term_identity(rng):
         assert abs(s) <= 1e-11 * max(scale, 1.0)
 
 
-@pytest.mark.parametrize("kernel", [phi_trig, phi_rat])
-def test_scalar_three_term_identity_degenerate(kernel, rng):
+@pytest.mark.parametrize("table", [phi_trig, phi_rat])
+def test_scalar_three_term_identity_degenerate(table, rng):
+    def kernel(h, z):
+        return table(h, z, CTX1)[0, 0]
+
     for _ in range(10):
         vals = rng.normal(scale=0.8, size=5) + 1j * rng.normal(scale=0.4, size=5)
         h1, h2, z1, z2, z3 = vals
@@ -408,7 +410,7 @@ def test_modulus_derivative_two_routes(rng):
         direct = phi_tau_derivs(h, z, CTX1)[0, 0]
         mixed = phi_derivs(h, z, CTX1, 1, 1)[1, 1] / TWO_PI_I
         assert abs(direct - mixed) <= 1e-10 * max(abs(direct), 1.0)
-        assert phi_dtau(h, z, CTX1) == pytest.approx(direct, rel=1e-10)
+        assert mixed == pytest.approx(direct, rel=1e-10)
 
 
 def test_phi_tau_derivs_higher_orders(rng):
@@ -428,40 +430,42 @@ def test_phi_tau_derivs_higher_orders(rng):
 
 def test_trig_kernel_closed_form():
     h, z = 0.37 + 0.21j, -0.52 + 0.33j
+    tab = phi_trig(h, z, CTX1, 1, 2)
     want = 1 / cmath.tanh(h) + 1 / cmath.tanh(z)
-    assert phi_trig(h, z) == pytest.approx(want, rel=1e-14)
+    assert tab[0, 0] == pytest.approx(want, rel=1e-14)
     d_h = -1 / cmath.sinh(h) ** 2
-    assert phi_trig(h, z, j=1) == pytest.approx(d_h, rel=1e-13)
+    assert tab[1, 0] == pytest.approx(d_h, rel=1e-13)
     d_z2 = 2 * cmath.cosh(z) / cmath.sinh(z) ** 3
-    assert phi_trig(h, z, k=2) == pytest.approx(d_z2, rel=1e-13)
+    assert tab[0, 2] == pytest.approx(d_z2, rel=1e-13)
 
 
 def test_rational_kernel_closed_form():
-    assert phi_rat(1.0, 2.0) == pytest.approx(1.5)
-    assert phi_rat(0.5, 2.0, j=1) == pytest.approx(-4.0)
-    assert phi_rat(0.5, 0.5, k=2) == pytest.approx(16.0)
-    assert phi_rat(0.5, 0.25, j=2, k=0) == pytest.approx(16.0)
+    assert phi_rat(1.0, 2.0, CTX1)[0, 0] == pytest.approx(1.5)
+    assert phi_rat(0.5, 2.0, CTX1, 1)[1, 0] == pytest.approx(-4.0)
+    assert phi_rat(0.5, 0.5, CTX1, 0, 2)[0, 2] == pytest.approx(16.0)
+    assert phi_rat(0.5, 0.25, CTX1, 2, 0)[2, 0] == pytest.approx(16.0)
 
 
 @pytest.mark.parametrize("kernel", [phi_trig, phi_rat])
 def test_degenerate_mixed_derivatives_vanish(kernel):
-    assert kernel(0.4, 0.7, j=1, k=1) == 0j
-    assert kernel(0.4, 0.7, j=2, k=1) == 0j
+    tab = kernel(0.4, 0.7, CTX1, 2, 1)
+    assert tab[1, 1] == 0j
+    assert tab[2, 1] == 0j
 
 
 @pytest.mark.parametrize("kernel", [phi_trig, phi_rat])
 def test_degenerate_pole_and_order_guards(kernel):
     with pytest.raises(PoleProximityError):
-        kernel(1e-9, 0.4)
+        kernel(1e-9, 0.4, CTX1)
     with pytest.raises(ValueError):
-        kernel(0.3, 0.4, j=4, k=1)
+        kernel(0.3, 0.4, CTX1, -1, 0)
 
 
 def test_trig_kernel_pole_lattice():
     # poles sit on i*pi times integers, not on the unit lattice
     with pytest.raises(PoleProximityError):
-        phi_trig(0.2, 1j * math.pi + 1e-9)
-    assert abs(phi_trig(0.2, 1.0)) < 20.0
+        phi_trig(0.2, 1j * math.pi + 1e-9, CTX1)
+    assert abs(phi_trig(0.2, 1.0, CTX1)[0, 0]) < 20.0
 
 
 # -- independent high-precision oracle ---------------------------------------
