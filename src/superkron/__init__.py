@@ -25,7 +25,6 @@ from .elliptic import (
     theta,
 )
 from .grassmann import (
-    GeneratorMismatchError,
     GeneratorSet,
     GrassmannElement,
     default_generators,
@@ -69,7 +68,6 @@ __all__ = [
     # grassmann
     "GeneratorSet",
     "GrassmannElement",
-    "GeneratorMismatchError",
     "default_generators",
     "grassmann_exp",
     # elliptic

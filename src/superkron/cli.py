@@ -9,7 +9,8 @@ strict JSON: an infinite max_residual (run_suite reports a NaN residual as
 infinity) is written as the string "inf".  The process exits 0 if every
 selected suite passed, 1 if a residual exceeded the tolerance, and 2 for an
 invalid configuration, including a pole radius that leaves no pole-free
-sample, a modulus at which the series cannot be summed, a value that
+sample, a modulus at which the series cannot be summed or whose real part
+is so large that tau + 1 rounds to tau, a value that
 overflows the floating-point range, an --out path that cannot be written,
 and a run that runs out of memory (a 3-site operator holds n**5 entries per
 Grassmann monomial).  A reader that closes stdout early (verify ... | head)
@@ -19,7 +20,10 @@ own.
 
 --kind selects the kernel family of the kronecker, fay and heat suites
 only.  theta, periodicity, basis, cybe and aybe always run the elliptic
-kernel, and degenerations runs both degenerate kinds.
+kernel, and degenerations runs both degenerate kinds.  With --kind trig or
+rational, kronecker and heat compare table cells that are equal by
+construction, so they read exactly 0 and cannot see a wrong degenerate
+table; fay and degenerations are the suites that can.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind",
         choices=KINDS,
         default="elliptic",
-        help="kernel family of the kronecker, fay and heat suites (the others ignore it)",
+        help="kernel family of the kronecker, fay and heat suites (the others ignore it); with "
+        "trig or rational, kronecker and heat read 0 by construction, fay and degenerations check the table",
     )
     p.add_argument(
         "--truncated",

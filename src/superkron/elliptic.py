@@ -62,8 +62,10 @@ class SeriesTruncationError(RuntimeError):
 class EllipticContext:
     """Modulus plus the pole radius shared by every evaluation.
 
-    pole_radius is the minimal allowed lattice distance for kernel
-    arguments.  The series tolerance and pair cap are the module constants
+    The modulus must be finite, lie in the upper half plane and have a
+    real part small enough that tau + 1 differs from tau in double
+    precision.  pole_radius is the minimal allowed lattice distance for
+    kernel arguments.  The series tolerance and pair cap are the module constants
     _SERIES_TOL (1e-14) and _K_MAX (200).
 
     Each context also keeps a memo of the theta stacks summed under it,
@@ -84,6 +86,9 @@ class EllipticContext:
         object.__setattr__(self, "tau", tau)
         if not (cmath.isfinite(tau) and tau.imag > 0):
             raise ValueError("modulus must be finite and lie in the upper half plane")
+        if tau.real + 1.0 == tau.real:
+            # the lattice shift z -> z + 1 would vanish in double precision
+            raise ValueError(f"modulus real part {tau.real:g} is so large that tau + 1 rounds to tau")
         if not self.pole_radius > 0:
             raise ValueError("pole_radius must be positive")
 

@@ -1,11 +1,12 @@
 """Finite Grassmann (exterior) algebra with complex coefficients.
 
-The algebra is generated by a fixed, ordered set of anticommuting symbols.
-A basis monomial is a subset of generators encoded as a bitmask over that
-order; an element is a sparse map from bitmask to coefficient.  Signs come
-from counting transpositions needed to bring concatenated monomials into
-canonical order, so products, left derivatives and exponentials are exact
-up to floating-point rounding of the coefficients.
+The algebra is generated by one fixed, ordered set of anticommuting symbols,
+DEFAULT_GENERATOR_NAMES, held by default_generators().  A basis monomial is
+a subset of generators encoded as a bitmask over that order; an element is
+a sparse map from bitmask to coefficient.  Signs come from counting
+transpositions needed to bring concatenated monomials into canonical order,
+so products, left derivatives and exponentials are exact up to
+floating-point rounding of the coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Iterable, Iterator, Mapping
 __all__ = [
     "GeneratorSet",
     "GrassmannElement",
-    "GeneratorMismatchError",
     "parity",
     "nilpotent_powers",
     "grassmann_exp",
@@ -30,10 +30,6 @@ __all__ = [
 DEFAULT_GENERATOR_NAMES = ("ζ1", "ζ2", "ζ3", "μ1", "μ2", "ω")
 
 _ScalarTypes = (int, float, complex)
-
-
-class GeneratorMismatchError(ValueError):
-    """Raised when combining elements over different generator sets."""
 
 
 def parity(masks: Iterable[int]) -> str:
@@ -49,8 +45,10 @@ class GeneratorSet:
 
     The order is significant: it defines the canonical form of every
     monomial and therefore every sign in the algebra.  Instances hold no
-    tables: signs are computed from the two masks on each call, so any two
-    sets with equal names behave identically.
+    tables: signs are computed from the two masks on each call.  Elements
+    carry no set: they are read over default_generators(), the one set of
+    the algebra, whose element constructors and label helpers build and
+    name them.
     """
 
     def __init__(self, names: Iterable[str]) -> None:
@@ -71,12 +69,6 @@ class GeneratorSet:
 
     def __repr__(self) -> str:
         return f"GeneratorSet({', '.join(self.names)})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GeneratorSet) and self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
 
     def index_of(self, g: int | str) -> int:
         if isinstance(g, str):
@@ -133,21 +125,21 @@ class GeneratorSet:
     # -- element constructors --------------------------------------------
 
     def zero(self) -> "GrassmannElement":
-        return GrassmannElement(self, {})
+        return GrassmannElement({})
 
     def one(self) -> "GrassmannElement":
-        return GrassmannElement(self, {0: 1.0 + 0j})
+        return GrassmannElement({0: 1.0 + 0j})
 
     def scalar(self, c: complex) -> "GrassmannElement":
-        return GrassmannElement(self, {0: complex(c)})
+        return GrassmannElement({0: complex(c)})
 
     def generator(self, g: int | str) -> "GrassmannElement":
-        return GrassmannElement(self, {1 << self.index_of(g): 1.0 + 0j})
+        return GrassmannElement({1 << self.index_of(g): 1.0 + 0j})
 
     def basis_element(self, mask: int, coeff: complex = 1.0) -> "GrassmannElement":
         if not 0 <= mask < self.dim:
             raise ValueError(f"mask {mask} out of range")
-        return GrassmannElement(self, {mask: complex(coeff)})
+        return GrassmannElement({mask: complex(coeff)})
 
     def mask_of(self, labels: Iterable[str] | str) -> int:
         """Bitmask of a monomial given as labels or as a concatenated string."""
@@ -182,21 +174,25 @@ class GeneratorSet:
 
 @functools.cache
 def default_generators() -> GeneratorSet:
-    """The one shared set over DEFAULT_GENERATOR_NAMES; instances hold no mutable state."""
+    """The generator set of the algebra, over DEFAULT_GENERATOR_NAMES.
+
+    Built once and shared; every GrassmannElement, SuperFunction and
+    SuperMatrix is read over it, so values carry no set of their own.
+    """
     return GeneratorSet(DEFAULT_GENERATOR_NAMES)
 
 
 class GrassmannElement:
-    """Sparse element of a finite Grassmann algebra.
+    """Sparse element of the Grassmann algebra over default_generators().
 
-    Instances behave as immutable values: every operation returns a new
-    element, zero coefficients are pruned on construction.
+    terms maps a monomial bitmask to its coefficient.  Instances behave as
+    immutable values: every operation returns a new element, zero
+    coefficients are pruned on construction.
     """
 
-    __slots__ = ("gens", "_terms")
+    __slots__ = ("_terms",)
 
-    def __init__(self, gens: GeneratorSet, terms: Mapping[int, complex]) -> None:
-        self.gens = gens
+    def __init__(self, terms: Mapping[int, complex]) -> None:
         self._terms = {m: complex(c) for m, c in terms.items() if c != 0}
 
     # -- inspection -------------------------------------------------------
@@ -204,11 +200,8 @@ class GrassmannElement:
     def items(self) -> Iterator[tuple[int, complex]]:
         return iter(self._terms.items())
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
-
     def coefficient(self, mono: int | str | Iterable[str]) -> complex:
-        mask = mono if isinstance(mono, int) else self.gens.mask_of(mono)
+        mask = mono if isinstance(mono, int) else default_generators().mask_of(mono)
         return self._terms.get(mask, 0j)
 
     @property
@@ -216,7 +209,7 @@ class GrassmannElement:
         return self._terms.get(0, 0j)
 
     def soul(self) -> "GrassmannElement":
-        return GrassmannElement(self.gens, {m: c for m, c in self._terms.items() if m})
+        return GrassmannElement({m: c for m, c in self._terms.items() if m})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -230,26 +223,21 @@ class GrassmannElement:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check(self, other: "GrassmannElement") -> None:
-        if self.gens != other.gens:
-            raise GeneratorMismatchError("elements use different generator sets")
-
     def __add__(self, other):
         if isinstance(other, _ScalarTypes):
-            other = self.gens.scalar(other)
+            other = GrassmannElement({0: complex(other)})
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        self._check(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
             terms[m] = terms.get(m, 0j) + c
-        return GrassmannElement(self.gens, terms)
+        return GrassmannElement(terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, _ScalarTypes):
-            other = self.gens.scalar(other)
+            other = GrassmannElement({0: complex(other)})
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         return self + (-other)
@@ -258,19 +246,18 @@ class GrassmannElement:
         return (-self) + other
 
     def __neg__(self):
-        return GrassmannElement(self.gens, {m: -c for m, c in self._terms.items()})
+        return GrassmannElement({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, _ScalarTypes):
             c = complex(other)
-            return GrassmannElement(self.gens, {m: a * c for m, a in self._terms.items()})
+            return GrassmannElement({m: a * c for m, a in self._terms.items()})
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        self._check(other)
         terms: dict[int, complex] = {}
-        for u, sign, a, b in self.gens.products(self._terms, other._terms):
+        for u, sign, a, b in default_generators().products(self._terms, other._terms):
             terms[u] = terms.get(u, 0j) + sign * a * b
-        return GrassmannElement(self.gens, terms)
+        return GrassmannElement(terms)
 
     def __rmul__(self, other):
         if isinstance(other, _ScalarTypes):
@@ -285,21 +272,21 @@ class GrassmannElement:
     def left_derivative(self, g: int | str) -> "GrassmannElement":
         """Left derivative with respect to one generator (see GeneratorSet.left_derivative)."""
         terms: dict[int, complex] = {}
-        for nm, sign, c in self.gens.left_derivative(g, self._terms):
+        for nm, sign, c in default_generators().left_derivative(g, self._terms):
             terms[nm] = terms.get(nm, 0j) + sign * c
-        return GrassmannElement(self.gens, terms)
+        return GrassmannElement(terms)
 
     # -- comparison and rendering -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _ScalarTypes):
-            other = self.gens.scalar(other)
+            other = GrassmannElement({0: complex(other)})
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        return self.gens == other.gens and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.gens, tuple(sorted(self._terms.items(), key=lambda kv: kv[0]))))
+        return hash(tuple(sorted(self._terms.items(), key=lambda kv: kv[0])))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -308,7 +295,7 @@ class GrassmannElement:
         for m in sorted(self._terms, key=lambda m: (m.bit_count(), m)):
             c = self._terms[m]
             coeff = f"({c.real:.17g}{c.imag:+.17g}j)"
-            parts.append(coeff if m == 0 else f"{coeff}·{self.gens.monomial_label(m)}")
+            parts.append(coeff if m == 0 else f"{coeff}·{default_generators().monomial_label(m)}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -323,7 +310,7 @@ def nilpotent_powers(x: GrassmannElement) -> list[GrassmannElement]:
     """
     if x.body != 0:
         raise ValueError("a nilpotent element must have no scalar part")
-    out = [x.gens.one()]
+    out = [default_generators().one()]
     power = x
     while not power.is_zero():
         out.append(power)
@@ -335,7 +322,7 @@ def grassmann_exp(x: GrassmannElement) -> GrassmannElement:
     """Exponential of an even element: exp(body) times the finite soul series."""
     if x.parity() != "even":
         raise ValueError("exponent must be an even element")
-    out = x.gens.one()
+    out = default_generators().one()
     factorial = 1.0
     for k, power in enumerate(nilpotent_powers(x.soul())[1:], 1):
         factorial *= k

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .elliptic import EllipticContext, phi_derivs
-from .grassmann import GeneratorMismatchError, GeneratorSet, default_generators, parity
+from .grassmann import default_generators
 from .superfunc import SuperFunction, SuperPoint, _odd_element, super_phi, three_term
 
 __all__ = [
@@ -88,7 +88,6 @@ class HeisenbergBasis:
         if not isinstance(N, int) or N < 1:
             raise ValueError("N must be a positive integer")
         self.N = N
-        self._t_cache: dict[tuple[int, int], np.ndarray] = {}
         self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def q_power(self, a1: int) -> np.ndarray:
@@ -105,13 +104,8 @@ class HeisenbergBasis:
 
     def t(self, alpha) -> np.ndarray:
         a1, a2 = int(alpha[0]), int(alpha[1])
-        key = (a1, a2)
-        cached = self._t_cache.get(key)
-        if cached is None:
-            phase = cmath.exp(1j * math.pi * a1 * a2 / self.N)
-            cached = phase * (self.q_power(a1) @ self.lam_power(a2))
-            self._t_cache[key] = cached
-        return cached
+        phase = cmath.exp(1j * math.pi * a1 * a2 / self.N)
+        return phase * (self.q_power(a1) @ self.lam_power(a2))
 
     def pair(self, alpha) -> np.ndarray:
         """Stored entries of the channel block T_a (x) T_-a (see SuperMatrix), built once per index pair."""
@@ -171,11 +165,10 @@ def super_basis_phi(
     """
     if form not in BASIS_FORMS:
         raise ValueError(f"form must be one of {BASIS_FORMS}")
-    gens = default_generators()
     c = _TWO_PI_I * alpha[1] / N
     if form == "mu-shift":
-        mu_eff = _odd_element(gens, omega, "omega") * c
-        mu = mu_eff if mu is None else _odd_element(gens, mu, "mu") + mu_eff
+        mu_eff = _odd_element(omega, "omega") * c
+        mu = mu_eff if mu is None else _odd_element(mu, "mu") + mu_eff
     f = super_phi(
         _channel_hbar(alpha, hbar, N, ctx.tau), mu, p1, p2, omega, ctx,
         exp_coeff=c, hbar_tau_rate=alpha[1] / N,
@@ -184,7 +177,7 @@ def super_basis_phi(
     )
     if form != "shift" or c == 0:
         return f
-    return f.lmul(gens.one() + (f.slots["zeta1"] * f.slots["zeta2"]) * c)
+    return f.lmul(default_generators().one() + (f.slots["zeta1"] * f.slots["zeta2"]) * c)
 
 
 @functools.lru_cache(maxsize=16)
@@ -274,14 +267,15 @@ class SuperMatrix:
     The R-matrices do, being channel sums of T_a (x) T_-a, and so do their
     products and sums; only one entry in d can be nonzero.
 
-    blocks maps a monomial bitmask to the coefficients of just those entries,
+    blocks maps a monomial bitmask of default_generators(), the one
+    generator set of the algebra, to the coefficients of just those entries,
     a complex array of shape (d**n, d**(n-1)): rows are the output
     multi-index, columns the inputs of every factor but the last, both
     flattened in factor order, first factor most significant.  The last
     input is implied: i_last = (sum of outputs - sum of other inputs) mod d.
     The constructor and add_block take full (dim, dim) arrays, raise
     ValueError if an entry off the charge pattern is nonzero, and keep the
-    rest.  Sums, max_abs and parity work on the stored entries.
+    rest.  Sums and max_abs work on the stored entries.
 
     The product multiplies basis monomials in the algebra, keeping the left
     factor's monomial on the left, and contracts the coefficient blocks over
@@ -293,15 +287,14 @@ class SuperMatrix:
     so they also change every matrix that shares them; + and - copy.
     """
 
-    __slots__ = ("gens", "n_sites", "site_dim", "dim", "blocks", "sites")
+    __slots__ = ("n_sites", "site_dim", "dim", "blocks", "sites")
 
-    def __init__(self, gens: GeneratorSet, n_sites: int, site_dim: int, blocks=None, sites=None) -> None:
+    def __init__(self, n_sites: int, site_dim: int, blocks=None, sites=None) -> None:
         if n_sites < 1 or n_sites > 3:
             raise ValueError("n_sites must be 1, 2 or 3")
         sites = tuple(range(1, n_sites + 1)) if sites is None else tuple(int(s) for s in sites)
         if len(sites) != n_sites or len(set(sites)) != n_sites or min(sites) < 1:
             raise ValueError("sites must name one distinct positive position per factor")
-        self.gens = gens
         self.n_sites = n_sites
         self.site_dim = site_dim
         self.dim = site_dim**n_sites
@@ -329,18 +322,13 @@ class SuperMatrix:
             return 0.0
         return max(float(np.abs(arr).max()) for arr in self.blocks.values())
 
-    def parity(self) -> str:
-        return parity(m for m, a in self.blocks.items() if np.abs(a).max() > 0)
-
     def placed(self, sites: Sequence[int]) -> "SuperMatrix":
         """The same blocks as an operator on the given chain sites, in factor order."""
-        out = SuperMatrix(self.gens, self.n_sites, self.site_dim, sites=sites)
+        out = SuperMatrix(self.n_sites, self.site_dim, sites=sites)
         out.blocks = dict(self.blocks)
         return out
 
     def _check_shape(self, other: "SuperMatrix", same_sites: bool = True) -> None:
-        if self.gens != other.gens:
-            raise GeneratorMismatchError("matrices use different generator sets")
         if self.site_dim != other.site_dim or (same_sites and self.sites != other.sites):
             raise ValueError("matrix site structures differ")
 
@@ -356,7 +344,7 @@ class SuperMatrix:
         return self
 
     def _copy(self) -> "SuperMatrix":
-        out = SuperMatrix(self.gens, self.n_sites, self.site_dim, sites=self.sites)
+        out = SuperMatrix(self.n_sites, self.site_dim, sites=self.sites)
         out.blocks = {mask: arr.copy() for mask, arr in self.blocks.items()}
         return out
 
@@ -386,7 +374,7 @@ class SuperMatrix:
         """
         self._check_shape(other, same_sites=False)
         union, left, right = _product_plan(self.sites, other.sites, self.site_dim)
-        out = SuperMatrix(self.gens, len(union), self.site_dim, sites=union)
+        out = SuperMatrix(len(union), self.site_dim, sites=union)
 
         def gathered(blocks, at):
             # real and imaginary parts of the entries at the plan's positions;
@@ -399,7 +387,7 @@ class SuperMatrix:
             return found
 
         sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        pairs = self.gens.products(gathered(self.blocks, left), gathered(other.blocks, right))
+        pairs = default_generators().products(gathered(self.blocks, left), gathered(other.blocks, right))
         for u, sign, (ar, ai), (br, bi) in pairs:
             re = ar * br
             re -= ai * bi
@@ -435,7 +423,7 @@ def embed(m: SuperMatrix, sites: Sequence[int], n_total: int = 3) -> SuperMatrix
     """
     if any(int(s) < 1 or int(s) > n_total for s in sites):
         raise ValueError(f"sites must lie in 1..{n_total}")
-    identity = SuperMatrix(m.gens, n_total, m.site_dim, {0: np.eye(m.site_dim**n_total)})
+    identity = SuperMatrix(n_total, m.site_dim, {0: np.eye(m.site_dim**n_total)})
     return m.placed(sites) @ identity
 
 
@@ -459,7 +447,7 @@ def _channel_sum(indices, hbar, mu, p1, p2, omega, basis, ctx, super, form) -> S
     """
     N = basis.N
     z12 = complex(p1.z) - complex(p2.z)
-    out = SuperMatrix(default_generators(), 2, N)
+    out = SuperMatrix(2, N)
     blocks = out.blocks
     functions: dict[int, SuperFunction] = {}
     for alpha in indices:
@@ -535,9 +523,8 @@ def aybe_residual(
     """
     h1, h2 = (complex(h) for h in hbars)
     if super:
-        gens = default_generators()
-        x1 = (h1, _odd_element(gens, mus[0], "mu1"))
-        x2 = (h2, _odd_element(gens, mus[1], "mu2"))
+        x1 = (h1, _odd_element(mus[0], "mu1"))
+        x2 = (h2, _odd_element(mus[1], "mu2"))
     else:
         x1, x2 = (h1, None), (h2, None)
 

@@ -25,15 +25,7 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .elliptic import KINDS, EllipticContext, kernel_derivs
-from .grassmann import (
-    GeneratorMismatchError,
-    GeneratorSet,
-    GrassmannElement,
-    default_generators,
-    grassmann_exp,
-    nilpotent_powers,
-    parity,
-)
+from .grassmann import GrassmannElement, default_generators, grassmann_exp, nilpotent_powers
 
 __all__ = [
     "Descriptor",
@@ -84,16 +76,14 @@ def _canonical(dtau: int, j: int, k: int, coeff: complex) -> tuple[Descriptor, c
     return Descriptor(dtau, j, k), coeff
 
 
-def _as_element(gens: GeneratorSet, spec) -> GrassmannElement:
+def _as_element(spec) -> GrassmannElement:
     if isinstance(spec, GrassmannElement):
-        if spec.gens != gens:
-            raise GeneratorMismatchError("element built over a different generator set")
         return spec
-    return gens.generator(spec)
+    return default_generators().generator(spec)
 
 
-def _odd_element(gens: GeneratorSet, spec, label: str) -> GrassmannElement:
-    elem = _as_element(gens, spec)
+def _odd_element(spec, label: str) -> GrassmannElement:
+    elem = _as_element(spec)
     if not elem.is_zero() and elem.parity() != "odd":
         raise ValueError(f"{label} must be parity-odd")
     return elem
@@ -116,8 +106,8 @@ class SuperPoint:
     z: complex
     zeta: object
 
-    def resolve(self, gens: GeneratorSet) -> GrassmannElement:
-        return _odd_element(gens, self.zeta, "zeta")
+    def resolve(self) -> GrassmannElement:
+        return _odd_element(self.zeta, "zeta")
 
 
 class SuperFunction:
@@ -125,33 +115,28 @@ class SuperFunction:
 
     terms maps a basis-monomial bitmask to {Descriptor: complex}.  The
     analytic part of every stored pair is
-    exp(exp_coeff * z12) * d^{j,k,dtau} kernel(hbar, z12), z12 = z1 - z2.
-    hbar_tau_rate records d(hbar)/d(modulus) for parameter shifts that
-    depend on the modulus; the modulus-derivative operator honours it.
-    No term depends on hbar, so evaluate can take any parameter.  Change
-    terms only through add_term, which drops the cached evaluation plan.
+    exp(exp_coeff * z12) * d^{j,k,dtau} kernel(hbar, z12), z12 = z1 - z2,
+    and the monomials are those of default_generators().  No term depends
+    on hbar, so evaluate can take any parameter.  Change terms only
+    through add_term, which drops the cached evaluation plan.
     """
 
-    __slots__ = ("gens", "ctx", "hbar", "kind", "exp_coeff", "hbar_tau_rate", "terms", "slots", "_plan")
+    __slots__ = ("ctx", "hbar", "kind", "exp_coeff", "terms", "slots", "_plan")
 
     def __init__(
         self,
-        gens: GeneratorSet,
         ctx: EllipticContext,
         hbar: complex,
         kind: str = "elliptic",
         exp_coeff: complex = 0.0,
-        hbar_tau_rate: complex = 0.0,
         slots: dict | None = None,
     ) -> None:
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        self.gens = gens
         self.ctx = ctx
         self.hbar = complex(hbar)
         self.kind = kind
         self.exp_coeff = complex(exp_coeff)
-        self.hbar_tau_rate = complex(hbar_tau_rate)
         self.terms: dict[int, dict[Descriptor, complex]] = {}
         self.slots = dict(slots) if slots else {}
         self._plan = None
@@ -178,15 +163,7 @@ class SuperFunction:
             self.add_term(mask, dtau, j, k, c * coeff)
 
     def _blank(self) -> "SuperFunction":
-        return SuperFunction(
-            self.gens,
-            self.ctx,
-            self.hbar,
-            self.kind,
-            self.exp_coeff,
-            self.hbar_tau_rate,
-            slots=self.slots,
-        )
+        return SuperFunction(self.ctx, self.hbar, self.kind, self.exp_coeff, slots=self.slots)
 
     def copy(self) -> "SuperFunction":
         out = self._blank()
@@ -194,14 +171,11 @@ class SuperFunction:
         return out
 
     def _check_compatible(self, other: "SuperFunction") -> None:
-        if self.gens != other.gens:
-            raise GeneratorMismatchError("functions use different generator sets")
         same = (
             self.ctx == other.ctx
             and self.hbar == other.hbar
             and self.kind == other.kind
             and self.exp_coeff == other.exp_coeff
-            and self.hbar_tau_rate == other.hbar_tau_rate
         )
         if not same:
             raise ValueError("functions carry different analytic metadata")
@@ -236,9 +210,6 @@ class SuperFunction:
         }
         return out
 
-    def parity(self) -> str:
-        return parity(self.terms)
-
     # -- super-differential operators ---------------------------------------
 
     def d_hbar(self) -> "SuperFunction":
@@ -259,20 +230,21 @@ class SuperFunction:
         return out
 
     def d_tau(self) -> "SuperFunction":
-        """Total modulus derivative, honouring modulus-dependent hbar."""
+        """Modulus derivative at fixed hbar.
+
+        A parameter that moves with the modulus at rate r has the total
+        derivative d_tau() + d_hbar().scale(r).
+        """
         out = self._blank()
-        rate = self.hbar_tau_rate
         for mask, row in self.terms.items():
             for desc, coeff in row.items():
                 out.add_term(mask, desc.dtau + 1, desc.j, desc.k, coeff)
-                if rate != 0:
-                    out.add_term(mask, desc.dtau, desc.j + 1, desc.k, coeff * rate)
         return out
 
     def d_generator(self, g) -> "SuperFunction":
         """Left derivative with respect to one odd generator."""
         out = self._blank()
-        for nm, sign, row in self.gens.left_derivative(g, self.terms):
+        for nm, sign, row in default_generators().left_derivative(g, self.terms):
             for desc, coeff in row.items():
                 out.add_term(nm, desc.dtau, desc.j, desc.k, sign * coeff)
         return out
@@ -281,9 +253,9 @@ class SuperFunction:
         """Left multiplication by a Grassmann element (or scalar)."""
         if isinstance(elem, (int, float, complex)):
             return self.scale(elem)
-        elem = _as_element(self.gens, elem)
+        elem = _as_element(elem)
         out = self._blank()
-        for nm, sign, ecoeff, row in self.gens.products(elem, self.terms):
+        for nm, sign, ecoeff, row in default_generators().products(elem, self.terms):
             for desc, coeff in row.items():
                 out.add_term(nm, desc.dtau, desc.j, desc.k, sign * ecoeff * coeff)
         return out
@@ -307,15 +279,13 @@ class SuperFunction:
         kernel parameter for this call; the terms do not depend on it.  The
         plan without a soul is built once and kept until add_term.
         """
-        gens = self.gens
+        gens = default_generators()
         z12 = complex(z1) - complex(z2)
         if soul is None:
             if self._plan is None:
                 self._plan = self._make_plan([gens.one()])
             rows, sizes = self._plan
         else:
-            if soul.gens != gens:
-                raise GeneratorMismatchError("soul built over a different generator set")
             if soul.parity() != "even":
                 raise ValueError("soul must be an even element")
             rows, sizes = self._make_plan(nilpotent_powers(soul))
@@ -334,15 +304,14 @@ class SuperFunction:
                 continue
             acc[mask] = acc.get(mask, 0j) + scalar * value
         envelope = cmath.exp(self.exp_coeff * z12) if self.exp_coeff != 0 else 1.0
-        return GrassmannElement(gens, {m: c * envelope for m, c in acc.items()})
+        return GrassmannElement({m: c * envelope for m, c in acc.items()})
 
     def _make_plan(self, powers: list[GrassmannElement]):
         """Rows (monomial, dtau, j, k, scalar) and {dtau: (max j, max k)} for the soul's powers."""
-        gens = self.gens
         rows: list[tuple[int, int, int, int, complex]] = []
         sizes: dict[int, tuple[int, int]] = {}
         for mask, row in self.terms.items():
-            base = gens.basis_element(mask)
+            base = GrassmannElement({mask: 1.0})
             factorial = 1.0
             for m, power in enumerate(powers):
                 if m:
@@ -398,11 +367,10 @@ def super_phi(
     shifts), "heat" replaces it by the mixed-derivative form of the flow
     identity, including the chain term through the exponential dressing.
     """
-    gens = default_generators()
-    zeta1 = p1.resolve(gens)
-    zeta2 = p2.resolve(gens)
-    omega_e = _odd_element(gens, omega, "omega")
-    mu_e = None if mu is None else _odd_element(gens, mu, "mu")
+    zeta1 = p1.resolve()
+    zeta2 = p2.resolve()
+    omega_e = _odd_element(omega, "omega")
+    mu_e = None if mu is None else _odd_element(mu, "mu")
     if check_slots:
         # catches accidental slot reuse; shifted-slot rebuilds disable it
         used = [("zeta1", zeta1), ("zeta2", zeta2), ("omega", omega_e)]
@@ -416,12 +384,10 @@ def super_phi(
             combined |= m
 
     f = SuperFunction(
-        gens,
         ctx,
         hbar,
         kind=kind,
         exp_coeff=exp_coeff,
-        hbar_tau_rate=hbar_tau_rate,
         slots={"zeta1": zeta1, "zeta2": zeta2, "mu": mu_e, "omega": omega_e},
     )
     zz = zeta1 * zeta2
@@ -478,13 +444,12 @@ def super_phi_degenerate(
     three parameter profiles by 1/h, 1/h^2, 1/h^3.  ctx supplies the pole
     radius only.
     """
-    gens = default_generators()
     if kind not in ("trig", "rational"):
         raise ValueError("degenerate kinds are 'trig' and 'rational'")
-    zeta1 = p1.resolve(gens)
-    zeta2 = p2.resolve(gens)
-    omega_e = _odd_element(gens, omega, "omega")
-    mu_e = None if mu is None else _odd_element(gens, mu, "mu")
+    zeta1 = p1.resolve()
+    zeta2 = p2.resolve()
+    omega_e = _odd_element(omega, "omega")
+    mu_e = None if mu is None else _odd_element(mu, "mu")
     z12 = complex(p1.z) - complex(p2.z)
     base, d1, d2 = kernel_derivs(kind, hbar, z12, ctx, max_j=2)[:, 0]
     out = (zeta1 - zeta2) * base + omega_e * d1
@@ -548,13 +513,12 @@ def fay_residual(
     Products are taken inside the Grassmann algebra.  mus = None checks the
     truncated function (odd parameter absent).
     """
-    gens = default_generators()
     h1, h2 = (complex(h) for h in hbars)
     if mus is None:
         mu1 = mu2 = None
     else:
-        mu1 = _odd_element(gens, mus[0], "mu1")
-        mu2 = _odd_element(gens, mus[1], "mu2")
+        mu1 = _odd_element(mus[0], "mu1")
+        mu2 = _odd_element(mus[1], "mu2")
 
     def factor(x, a, b):
         pa, pb = points[a], points[b]
@@ -606,9 +570,9 @@ def transition_factor(hbar: complex, mu, zeta, omega, slot: int) -> GrassmannEle
     sign = -1.0 if slot == 1 else 1.0
     exponent = gens.scalar(sign * _TWO_PI_I * complex(hbar))
     if mu is not None:
-        mu_e = _odd_element(gens, mu, "mu")
-        zeta_e = _odd_element(gens, zeta, "zeta")
-        omega_e = _odd_element(gens, omega, "omega")
+        mu_e = _odd_element(mu, "mu")
+        zeta_e = _odd_element(zeta, "zeta")
+        omega_e = _odd_element(omega, "omega")
         inner = mu_e * zeta_e + (mu_e * omega_e) * (1j * math.pi)
         exponent = exponent + inner * (-sign * _TWO_PI_I)
     return grassmann_exp(exponent)
@@ -634,7 +598,6 @@ def periodicity_residual(
     check would assume what it verifies.  mu = None checks the truncated
     function.
     """
-    gens = default_generators()
     if slot not in (1, 2):
         raise ValueError("slot must be 1 or 2")
 
@@ -649,7 +612,7 @@ def periodicity_residual(
         shifted = base.evaluate(*zs, reduce=False)
         reference = base_val
     elif direction == "tau":
-        omega_e = _odd_element(gens, omega, "omega")
+        omega_e = _odd_element(omega, "omega")
         points = [p1, p2]
         zeta_old = base.slots[f"zeta{slot}"]
         points[slot - 1] = SuperPoint(zs[slot - 1], zeta_old + omega_e * _TWO_PI_I)

@@ -5,15 +5,12 @@ from itertools import product
 
 import numpy as np
 
-from superkron.grassmann import GrassmannElement
+from superkron.grassmann import GrassmannElement, default_generators
 from superkron.rmatrix import SuperMatrix
 
 
 def isclose(a: GrassmannElement, b: GrassmannElement, tol: float = 1e-12) -> bool:
-    """Every coefficient of a - b within tol times the larger magnitude, at least 1.
-
-    Elements over different generator sets raise GeneratorMismatchError.
-    """
+    """Every coefficient of a - b within tol times the larger magnitude, at least 1."""
     diff = a - b
     return diff.max_abs() <= tol * max(a.max_abs(), b.max_abs(), 1.0)
 
@@ -48,7 +45,7 @@ def dense(m: SuperMatrix, mask: int) -> np.ndarray:
 
 def entry(m: SuperMatrix, i: int, j: int) -> GrassmannElement:
     """Entry (i, j) of m by full indices, read from the dense blocks: zero off the charge pattern."""
-    return GrassmannElement(m.gens, {mask: dense(m, mask)[i, j] for mask in m.blocks})
+    return GrassmannElement({mask: dense(m, mask)[i, j] for mask in m.blocks})
 
 
 def dense_matmul(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
@@ -75,11 +72,11 @@ def dense_matmul(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     full: dict[int, np.ndarray] = {}
     left = {mask: dense(a, mask) for mask in a.blocks}
     right = {mask: dense(b, mask) for mask in b.blocks}
-    for u, sign, x, y in a.gens.products(left, right):
+    for u, sign, x, y in default_generators().products(left, right):
         t = np.tensordot(x.reshape((d,) * 2 * na), y.reshape((d,) * 2 * nb), axes).transpose(order)
         if u in full:
             acc = full[u].reshape(t.shape)
             (np.add if sign > 0 else np.subtract)(acc, t, out=acc)
         else:
             full[u] = np.multiply(sign, t, order="C").reshape(dim, dim)
-    return SuperMatrix(a.gens, len(union), d, full, sites=union)
+    return SuperMatrix(len(union), d, full, sites=union)

@@ -269,6 +269,7 @@ def test_main_invalid_config_exit_code(capsys):
         ["theta", "--samples", "1", "--out", "."],
         ["theta", "--samples", "1", "--tol", "inf", "--output", "structured"],
         ["cybe", "--tau-im", "260", "--samples", "2"],
+        ["kronecker", "--tau-re", "1e17", "--samples", "3"],
     ],
 )
 def test_invalid_input_exits_2_without_traceback(argv, tmp_path):

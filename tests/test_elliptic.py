@@ -246,6 +246,11 @@ def test_context_validation():
         EllipticContext(0.3 - 1.1j)
     with pytest.raises(ValueError):
         EllipticContext(0.5)
+    # from 2**53 on tau + 1 == tau, and the unit lattice shift vanishes
+    EllipticContext(1e15 + 1.1j)
+    for re in (1e16, 1e17, -1e17):
+        with pytest.raises(ValueError, match="rounds to tau"):
+            EllipticContext(complex(re, 1.1))
 
 
 def test_series_truncation_guard():
