@@ -17,7 +17,6 @@ from .elliptic import (
     kernel_derivs,
     lattice_distance,
     lattice_reduce,
-    phi,
     phi_derivs,
     phi_rat,
     phi_tau_derivs,
@@ -75,7 +74,6 @@ __all__ = [
     "PoleProximityError",
     "SeriesTruncationError",
     "theta",
-    "phi",
     "phi_derivs",
     "phi_tau_derivs",
     "phi_trig",

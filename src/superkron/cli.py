@@ -18,12 +18,12 @@ does not change the exit code.  A process that the operating system's
 out-of-memory killer ends cannot be caught, and exits with no code of its
 own.
 
---kind selects the kernel family of the kronecker, fay and heat suites
-only.  theta, periodicity, basis, cybe and aybe always run the elliptic
+--kind selects the kernel family of the kronecker and fay suites only.
+theta, heat, periodicity, basis, cybe and aybe always run the elliptic
 kernel, and degenerations runs both degenerate kinds.  With --kind trig or
-rational, kronecker and heat compare table cells that are equal by
-construction, so they read exactly 0 and cannot see a wrong degenerate
-table; fay and degenerations are the suites that can.
+rational, kronecker compares table cells that are equal by construction, so
+it reads exactly 0 and cannot see a wrong degenerate table; fay and
+degenerations are the suites that can.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind",
         choices=KINDS,
         default="elliptic",
-        help="kernel family of the kronecker, fay and heat suites (the others ignore it); with "
-        "trig or rational, kronecker and heat read 0 by construction, fay and degenerations check the table",
+        help="kernel family of the kronecker and fay suites (the others ignore it; "
+        "degenerations runs both degenerate kinds)",
     )
     p.add_argument(
         "--truncated",

@@ -29,7 +29,6 @@ __all__ = [
     "lattice_coords",
     "lattice_reduce",
     "lattice_distance",
-    "phi",
     "phi_derivs",
     "phi_tau_derivs",
     "phi_trig",
@@ -287,10 +286,12 @@ def phi_derivs(
 ) -> np.ndarray:
     """Table [j, k] of j-th parameter and k-th argument derivatives.
 
-    With reduce=True both arguments are translated into the fundamental
-    cell first and the exact quasi-periodicity multipliers (including the
-    cross terms they generate under differentiation) are restored, so the
-    table is valid for arbitrary arguments.  reduce=False sums the series
+    Cell [0, 0] is the kernel itself: simple poles on both argument
+    lattices with residue one in z, symmetric in (hbar, z), odd under joint
+    sign flip.  With reduce=True both arguments are translated into the
+    fundamental cell first and the exact quasi-periodicity multipliers
+    (including the cross terms they generate under differentiation) are
+    restored, so the table is valid for arbitrary arguments.  reduce=False sums the series
     at the given points directly, which is what independence checks of the
     quasi-periodicity itself must use.
     """
@@ -322,25 +323,6 @@ def phi_derivs(
                     acc += w_ji * comb(k, l) * c_h ** (k - l) * inner[i, l]
             out[j, k] = envelope * acc
     return out
-
-
-def phi(
-    hbar: complex,
-    z: complex,
-    ctx: EllipticContext,
-    j: int = 0,
-    k: int = 0,
-    reduce: bool = True,
-) -> complex:
-    """j-th parameter and k-th argument derivative of the kernel.
-
-    The kernel itself (j = k = 0) has simple poles on both argument
-    lattices with residue one in z, is symmetric in (hbar, z) and odd
-    under joint sign flip.
-    """
-    if j < 0 or k < 0 or j + k > 4:
-        raise ValueError("derivative orders must satisfy j + k <= 4")
-    return complex(phi_derivs(hbar, z, ctx, j, k, reduce=reduce)[j, k])
 
 
 def _derivs_of_square(f: np.ndarray) -> np.ndarray:

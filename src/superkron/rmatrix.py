@@ -157,8 +157,10 @@ def super_basis_phi(
     "shift": dressed plain function times (1 + c zeta1 zeta2), the nilpotent
     expansion of shifting the even argument by zeta1 zeta2.  "mu-shift":
     dressed function with the odd parameter displaced by c omega.  "basis":
-    the five-term template on the dressed channel function with the full
-    modulus derivative in the third term.  "heat": same with the third term
+    the five-term template on the dressed channel function, whose parameter
+    moves with the modulus at rate a2 / N, so the third term takes the total
+    modulus derivative (super_phi with hbar_tau_rate = a2 / N; the other
+    forms pass no rate).  "heat": same with the third term
     rewritten through the flow identity, the shape that survives
     degeneration.  c = 2 pi i a2 / N throughout.  The terms depend on the
     channel only through a2: a1 and hbar enter only as the kernel parameter.
@@ -171,13 +173,12 @@ def super_basis_phi(
         mu = mu_eff if mu is None else _odd_element(mu, "mu") + mu_eff
     f = super_phi(
         _channel_hbar(alpha, hbar, N, ctx.tau), mu, p1, p2, omega, ctx,
-        exp_coeff=c, hbar_tau_rate=alpha[1] / N,
-        tau_term={"basis": "full", "heat": "heat"}.get(form, "dtau"),
-        check_slots=form != "mu-shift",
+        exp_coeff=c, hbar_tau_rate=alpha[1] / N if form == "basis" else 0.0,
+        tau_term="heat" if form == "heat" else "dtau",
     )
     if form != "shift" or c == 0:
         return f
-    return f.lmul(default_generators().one() + (f.slots["zeta1"] * f.slots["zeta2"]) * c)
+    return f.lmul(default_generators().one() + (p1.resolve() * p2.resolve()) * c)
 
 
 @functools.lru_cache(maxsize=16)

@@ -21,6 +21,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -89,11 +90,19 @@ def _odd_element(spec, label: str) -> GrassmannElement:
     return elem
 
 
-def _support_mask(elem: GrassmannElement) -> int:
-    mask = 0
-    for m, _ in elem.items():
-        mask |= m
-    return mask
+def _plain_mask(elem: GrassmannElement) -> int:
+    """Bitmask of the generator elem is, when elem is one plain generator; else 0."""
+    support = list(elem.items())
+    if len(support) == 1 and support[0][0].bit_count() == 1 and support[0][1] == 1:
+        return support[0][0]
+    return 0
+
+
+def _generator_index(elem: GrassmannElement, label: str) -> int:
+    mask = _plain_mask(elem)
+    if not mask:
+        raise ValueError(f"{label} is not a single generator")
+    return mask.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -118,10 +127,12 @@ class SuperFunction:
     exp(exp_coeff * z12) * d^{j,k,dtau} kernel(hbar, z12), z12 = z1 - z2,
     and the monomials are those of default_generators().  No term depends
     on hbar, so evaluate can take any parameter.  Change terms only
-    through add_term, which drops the cached evaluation plan.
+    through add_term, which drops the cached evaluation plan.  Every
+    operator maps the stored rows into a new function with the same
+    analytic metadata.
     """
 
-    __slots__ = ("ctx", "hbar", "kind", "exp_coeff", "terms", "slots", "_plan")
+    __slots__ = ("ctx", "hbar", "kind", "exp_coeff", "terms", "_plan")
 
     def __init__(
         self,
@@ -129,7 +140,6 @@ class SuperFunction:
         hbar: complex,
         kind: str = "elliptic",
         exp_coeff: complex = 0.0,
-        slots: dict | None = None,
     ) -> None:
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
@@ -138,7 +148,6 @@ class SuperFunction:
         self.kind = kind
         self.exp_coeff = complex(exp_coeff)
         self.terms: dict[int, dict[Descriptor, complex]] = {}
-        self.slots = dict(slots) if slots else {}
         self._plan = None
 
     # -- construction helpers ----------------------------------------------
@@ -162,12 +171,17 @@ class SuperFunction:
         for mask, c in elem.items():
             self.add_term(mask, dtau, j, k, c * coeff)
 
-    def _blank(self) -> "SuperFunction":
-        return SuperFunction(self.ctx, self.hbar, self.kind, self.exp_coeff, slots=self.slots)
+    def _rows(self):
+        """(mask, descriptor, coeff) for every stored term."""
+        for mask, row in self.terms.items():
+            for desc, coeff in row.items():
+                yield mask, desc, coeff
 
-    def copy(self) -> "SuperFunction":
-        out = self._blank()
-        out.terms = {m: dict(row) for m, row in self.terms.items()}
+    def _derived(self, rows) -> "SuperFunction":
+        """A function with the same analytic metadata, built from (mask, (dtau, j, k), coeff) rows."""
+        out = SuperFunction(self.ctx, self.hbar, self.kind, self.exp_coeff)
+        for mask, desc, coeff in rows:
+            out.add_term(mask, *desc, coeff)
         return out
 
     def _check_compatible(self, other: "SuperFunction") -> None:
@@ -186,48 +200,30 @@ class SuperFunction:
         if not isinstance(other, SuperFunction):
             return NotImplemented
         self._check_compatible(other)
-        out = self.copy()
-        for mask, row in other.terms.items():
-            for desc, coeff in row.items():
-                out.add_term(mask, desc.dtau, desc.j, desc.k, coeff)
-        return out
+        return self._derived(chain(self._rows(), other._rows()))
 
     def __sub__(self, other: "SuperFunction") -> "SuperFunction":
         if not isinstance(other, SuperFunction):
             return NotImplemented
         return self + other.scale(-1.0)
 
-    def __neg__(self) -> "SuperFunction":
-        return self.scale(-1.0)
-
     def scale(self, c: complex) -> "SuperFunction":
-        out = self._blank()
-        if c == 0:
-            return out
-        out.terms = {
-            mask: {desc: coeff * c for desc, coeff in row.items()}
-            for mask, row in self.terms.items()
-        }
-        return out
+        return self._derived((mask, desc, coeff * c) for mask, desc, coeff in self._rows())
 
     # -- super-differential operators ---------------------------------------
 
     def d_hbar(self) -> "SuperFunction":
-        out = self._blank()
-        for mask, row in self.terms.items():
-            for desc, coeff in row.items():
-                out.add_term(mask, desc.dtau, desc.j + 1, desc.k, coeff)
-        return out
+        return self._derived((mask, (dtau, j + 1, k), coeff) for mask, (dtau, j, k), coeff in self._rows())
 
     def d_z1(self) -> "SuperFunction":
-        # chain rule through the exponential dressing in z12
-        out = self._blank()
-        for mask, row in self.terms.items():
-            for desc, coeff in row.items():
-                out.add_term(mask, desc.dtau, desc.j, desc.k + 1, coeff)
+        def rows():
+            # chain rule through the exponential dressing in z12
+            for mask, (dtau, j, k), coeff in self._rows():
+                yield mask, (dtau, j, k + 1), coeff
                 if self.exp_coeff != 0:
-                    out.add_term(mask, desc.dtau, desc.j, desc.k, coeff * self.exp_coeff)
-        return out
+                    yield mask, (dtau, j, k), coeff * self.exp_coeff
+
+        return self._derived(rows())
 
     def d_tau(self) -> "SuperFunction":
         """Modulus derivative at fixed hbar.
@@ -235,30 +231,25 @@ class SuperFunction:
         A parameter that moves with the modulus at rate r has the total
         derivative d_tau() + d_hbar().scale(r).
         """
-        out = self._blank()
-        for mask, row in self.terms.items():
-            for desc, coeff in row.items():
-                out.add_term(mask, desc.dtau + 1, desc.j, desc.k, coeff)
-        return out
+        return self._derived((mask, (dtau + 1, j, k), coeff) for mask, (dtau, j, k), coeff in self._rows())
 
     def d_generator(self, g) -> "SuperFunction":
         """Left derivative with respect to one odd generator."""
-        out = self._blank()
-        for nm, sign, row in default_generators().left_derivative(g, self.terms):
-            for desc, coeff in row.items():
-                out.add_term(nm, desc.dtau, desc.j, desc.k, sign * coeff)
-        return out
+        return self._derived(
+            (nm, desc, sign * coeff)
+            for nm, sign, row in default_generators().left_derivative(g, self.terms)
+            for desc, coeff in row.items()
+        )
 
     def lmul(self, elem) -> "SuperFunction":
         """Left multiplication by a Grassmann element (or scalar)."""
         if isinstance(elem, (int, float, complex)):
             return self.scale(elem)
-        elem = _as_element(elem)
-        out = self._blank()
-        for nm, sign, ecoeff, row in default_generators().products(elem, self.terms):
-            for desc, coeff in row.items():
-                out.add_term(nm, desc.dtau, desc.j, desc.k, sign * ecoeff * coeff)
-        return out
+        return self._derived(
+            (nm, desc, sign * ecoeff * coeff)
+            for nm, sign, ecoeff, row in default_generators().products(_as_element(elem), self.terms)
+            for desc, coeff in row.items()
+        )
 
     # -- evaluation ----------------------------------------------------------
 
@@ -351,7 +342,6 @@ def super_phi(
     exp_coeff: complex = 0.0,
     hbar_tau_rate: complex = 0.0,
     tau_term: str = "dtau",
-    check_slots: bool = True,
 ) -> SuperFunction:
     """Odd Grassmann-valued extension of the elliptic kernel.
 
@@ -362,50 +352,42 @@ def super_phi(
     mu = None drops the two mu-terms (the truncated variant).
 
     tau_term selects the representation of the third term: "dtau" keeps the
-    modulus descriptor, "full" adds hbar_tau_rate times a parameter
-    derivative (total modulus derivative for modulus-dependent parameter
-    shifts), "heat" replaces it by the mixed-derivative form of the flow
-    identity, including the chain term through the exponential dressing.
+    modulus descriptor, plus hbar_tau_rate times a parameter derivative
+    when the rate is nonzero (the total modulus derivative of a parameter
+    that moves with the modulus); "heat" replaces it by the mixed-derivative
+    form of the flow identity, including the chain term through the
+    exponential dressing, and ignores the rate.
+
+    Two slots that each hold one plain generator (a single generator with
+    coefficient one) must hold different ones, else ValueError.  Slots that
+    hold a combination, such as a shifted odd coordinate, are not checked.
     """
+    if tau_term not in ("dtau", "heat"):
+        raise ValueError("tau_term must be 'dtau' or 'heat'")
     zeta1 = p1.resolve()
     zeta2 = p2.resolve()
     omega_e = _odd_element(omega, "omega")
     mu_e = None if mu is None else _odd_element(mu, "mu")
-    if check_slots:
-        # catches accidental slot reuse; shifted-slot rebuilds disable it
-        used = [("zeta1", zeta1), ("zeta2", zeta2), ("omega", omega_e)]
-        if mu_e is not None:
-            used.append(("mu", mu_e))
-        combined = 0
-        for label, elem in used:
-            m = _support_mask(elem)
-            if m & combined:
-                raise ValueError(f"generator collision: {label} overlaps another slot")
-            combined |= m
+    combined = 0
+    for label, elem in (("zeta1", zeta1), ("zeta2", zeta2), ("omega", omega_e), ("mu", mu_e)):
+        m = 0 if elem is None else _plain_mask(elem)
+        if m & combined:
+            raise ValueError(f"generator collision: {label} reuses another slot's generator")
+        combined |= m
 
-    f = SuperFunction(
-        ctx,
-        hbar,
-        kind=kind,
-        exp_coeff=exp_coeff,
-        slots={"zeta1": zeta1, "zeta2": zeta2, "mu": mu_e, "omega": omega_e},
-    )
+    f = SuperFunction(ctx, hbar, kind=kind, exp_coeff=exp_coeff)
     zz = zeta1 * zeta2
     f.add_element_term(zeta1 - zeta2, 0, 0, 0)
     f.add_element_term(omega_e, 0, 1, 0)
     zzw = zz * omega_e
     if tau_term == "dtau":
         f.add_element_term(zzw, 1, 0, 0, _TWO_PI_I)
-    elif tau_term == "full":
-        f.add_element_term(zzw, 1, 0, 0, _TWO_PI_I)
         if hbar_tau_rate != 0:
             f.add_element_term(zzw, 0, 1, 0, _TWO_PI_I * hbar_tau_rate)
-    elif tau_term == "heat":
+    else:
         f.add_element_term(zzw, 0, 1, 1)
         if exp_coeff != 0:
             f.add_element_term(zzw, 0, 1, 0, exp_coeff)
-    else:
-        raise ValueError("tau_term must be 'dtau', 'full' or 'heat'")
     if mu_e is not None:
         f.add_element_term(zz * mu_e, 0, 1, 0)
         f.add_element_term((zeta1 + zeta2) * mu_e * omega_e, 0, 2, 0, 0.5)
@@ -457,16 +439,6 @@ def super_phi_degenerate(
         out = out + zeta1 * zeta2 * mu_e * d1
         out = out + (zeta1 + zeta2) * mu_e * omega_e * (0.5 * d2)
     return out
-
-
-def _slot_generator(f: SuperFunction, slot: str):
-    elem = f.slots.get(slot)
-    if elem is None:
-        raise ValueError(f"function has no {slot} slot")
-    support = list(elem.items())
-    if len(support) != 1 or support[0][0].bit_count() != 1 or support[0][1] != 1:
-        raise ValueError(f"{slot} slot is not a single generator")
-    return support[0][0].bit_length() - 1
 
 
 # -- residual checkers ---------------------------------------------------------
@@ -534,7 +506,6 @@ def heat_residual(
     p2: SuperPoint,
     omega,
     ctx: EllipticContext,
-    kind: str = "elliptic",
 ):
     """(residual, scale): left minus right of the odd heat relation at the points.
 
@@ -543,17 +514,17 @@ def heat_residual(
     for the truncated variant (mu = None).  Modulus descriptors evaluate via
     the direct modulus series while the right side uses only
     parameter/argument derivatives, so the residual genuinely tests the
-    relation.
+    relation.  zeta1 and omega must each be one plain generator.
     """
-    f = super_phi(hbar, mu, p1, p2, omega, ctx, kind=kind)
-    zeta1 = f.slots["zeta1"]
-    zeta2 = f.slots["zeta2"]
-    lhs = f.d_generator(_slot_generator(f, "omega"))
+    f = super_phi(hbar, mu, p1, p2, omega, ctx)
+    zeta1 = p1.resolve()
+    zeta2 = p2.resolve()
+    lhs = f.d_generator(_generator_index(_as_element(omega), "omega"))
     lhs = lhs + f.d_tau().lmul(zeta1 + zeta2).scale(_TWO_PI_I)
     dh = f.d_hbar()
-    rhs = dh.d_generator(_slot_generator(dh, "zeta1")) + dh.d_z1().lmul(zeta1)
+    rhs = dh.d_generator(_generator_index(zeta1, "zeta1")) + dh.d_z1().lmul(zeta1)
     if mu is not None:
-        rhs = rhs - dh.d_hbar().lmul(f.slots["mu"]).scale(0.5)
+        rhs = rhs - dh.d_hbar().lmul(_as_element(mu)).scale(0.5)
     lval = lhs.evaluate(p1.z, p2.z)
     rval = rhs.evaluate(p1.z, p2.z)
     return lval - rval, max(lval.max_abs(), rval.max_abs(), 1e-300)
@@ -601,10 +572,7 @@ def periodicity_residual(
     if slot not in (1, 2):
         raise ValueError("slot must be 1 or 2")
 
-    def build(pa, pb, strict=True):
-        return super_phi(hbar, mu, pa, pb, omega, ctx, check_slots=strict)
-
-    base = build(p1, p2)
+    base = super_phi(hbar, mu, p1, p2, omega, ctx)
     base_val = base.evaluate(p1.z, p2.z, reduce=False)
     zs = [p1.z, p2.z]
     if direction in (1, "1"):
@@ -614,9 +582,9 @@ def periodicity_residual(
     elif direction == "tau":
         omega_e = _odd_element(omega, "omega")
         points = [p1, p2]
-        zeta_old = base.slots[f"zeta{slot}"]
+        zeta_old = points[slot - 1].resolve()
         points[slot - 1] = SuperPoint(zs[slot - 1], zeta_old + omega_e * _TWO_PI_I)
-        shifted_fn = build(*points, strict=False)
+        shifted_fn = super_phi(hbar, mu, *points, omega, ctx)
         # a soul on z2 enters z12 = z1 - z2 with a minus sign
         soul = (zeta_old * omega_e) * (_TWO_PI_I if slot == 1 else -_TWO_PI_I)
         zs[slot - 1] += ctx.tau

