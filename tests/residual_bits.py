@@ -23,7 +23,7 @@ from superkron.suites import VerifyConfig, run_suites
 RECORD = Path(__file__).with_name("residual_bits.json")
 
 # (name, VerifyConfig fields); seed 42 throughout, sample counts sized so
-# that the whole list reruns in about a second
+# that the whole list reruns in a few seconds
 RUNS = (
     ("all-n2", {"n": 2, "samples": 4}),
     ("all-n2-truncated", {"n": 2, "samples": 4, "truncated": True}),
@@ -31,7 +31,11 @@ RUNS = (
     ("all-n3-truncated", {"n": 3, "samples": 4, "truncated": True}),
     ("kronecker-fay-trig", {"suites": ("kronecker", "fay"), "kind": "trig", "samples": 20}),
     ("kronecker-fay-rational", {"suites": ("kronecker", "fay"), "kind": "rational", "samples": 20}),
+    ("aybe-cybe-n4", {"suites": ("aybe", "cybe"), "n": 4, "samples": 2}),
+    ("aybe-cybe-n5", {"suites": ("aybe", "cybe"), "n": 5, "samples": 2}),
     ("aybe-cybe-n6", {"suites": ("aybe", "cybe"), "n": 6, "samples": 2}),
+    # channel parameters reduce across lattice cells at this modulus
+    ("aybe-cybe-n3-tau-3.3+0.4i", {"suites": ("aybe", "cybe"), "n": 3, "tau": 3.3 + 0.4j, "samples": 2}),
     ("kronecker-tau-5+0.05i", {"suites": ("kronecker",), "tau": 5 + 0.05j, "samples": 40}),
 )
 
