@@ -474,9 +474,27 @@ def kernel_derivs(
     with no pole check, because the modulus derivative equals a mixed
     derivative by the flow identity.  reduce applies to the elliptic table
     with dtau = 0 only.
+
+    hbar may also be a list, tuple or array of parameters: the tables at
+    each of them with the one z come back stacked, shape (len(hbar),
+    max_j + 1, max_k + 1), each equal bit for bit to its single-point
+    table.  Elliptic tables are then computed together
+    (batch.elliptic_tables): one batch sums all their theta series and the
+    table arithmetic runs over the parameter axis.  The batch has a fixed
+    numpy cost that pays off only from several points on, so the R-matrix
+    channel sums call it with all their channel parameters and the
+    single-point suites (theta, kronecker, fay, heat, periodicity, basis,
+    degenerations) do not.
     """
     if dtau not in (0, 1):
         raise ValueError("modulus-derivative order limited to 1")
+    if isinstance(hbar, (list, tuple, np.ndarray)):
+        if kind == "elliptic":
+            # loaded on first use, so single-point callers never compile it
+            from .batch import elliptic_tables
+
+            return elliptic_tables(hbar, z, ctx, max_j, max_k, dtau, reduce)
+        return np.array([kernel_derivs(kind, h, z, ctx, max_j, max_k, dtau, reduce) for h in hbar])
     if kind == "elliptic":
         if dtau:
             return phi_tau_derivs(hbar, z, ctx, max_j, max_k)

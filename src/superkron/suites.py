@@ -12,6 +12,7 @@ not finite counts as infinite, so its sample fails the suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -333,9 +334,15 @@ def _compute_basis(inputs, cfg) -> float:
 # -- suites: cybe / aybe -------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _basis(n: int) -> HeisenbergBasis:
+    """One basis per N, so that its cached channel blocks outlive a sample."""
+    return HeisenbergBasis(n)
+
+
 def _compute_cybe(inputs, cfg) -> float:
     ctx = cfg.context()
-    basis = HeisenbergBasis(cfg.n)
+    basis = _basis(cfg.n)
     pts = _points(inputs)
     res, scale = cybe_residual(pts, "ω", basis, ctx)
     rel = _rel(res.max_abs(), scale)
@@ -345,7 +352,7 @@ def _compute_cybe(inputs, cfg) -> float:
 
 def _compute_aybe(inputs, cfg) -> float:
     ctx = cfg.context()
-    basis = HeisenbergBasis(cfg.n)
+    basis = _basis(cfg.n)
     pts = _points(inputs)
     h1 = _unpair(inputs["hbar1"])
     h2 = _unpair(inputs["hbar2"])

@@ -267,27 +267,35 @@ class SuperFunction:
         coefficient functions are extended to it by their finite Taylor
         expansion, with derivatives skipped whenever the accompanying
         Grassmann product already vanished.  hbar, if given, replaces the
-        kernel parameter for this call; the terms do not depend on it.  The
-        plan without a soul is built once and kept until add_term.
+        kernel parameter for this call; the terms do not depend on it.
+        Evaluation is plan, one kernel_derivs table per modulus order, then
+        combine; the R-matrix channel sums call plan and combine themselves,
+        to request the tables of all their channels at once.
         """
-        gens = default_generators()
         z12 = complex(z1) - complex(z2)
-        if soul is None:
-            if self._plan is None:
-                self._plan = self._make_plan([gens.one()])
-            rows, sizes = self._plan
-        else:
-            if soul.parity() != "even":
-                raise ValueError("soul must be an even element")
-            rows, sizes = self._make_plan(nilpotent_powers(soul))
-        if not rows:
-            return gens.zero()
-
+        rows, sizes = self.plan(soul)
         hbar = self.hbar if hbar is None else complex(hbar)
         tables = {
             dtau: kernel_derivs(self.kind, hbar, z12, self.ctx, mj, mk, dtau, reduce)
             for dtau, (mj, mk) in sizes.items()
         }
+        return self.combine(rows, tables, z12)
+
+    def plan(self, soul: GrassmannElement | None = None):
+        """Rows (monomial, dtau, j, k, scalar) and the table sizes {dtau: (max j, max k)} they read.
+
+        The plan without a soul is built once and kept until add_term.
+        """
+        if soul is None:
+            if self._plan is None:
+                self._plan = self._make_plan([default_generators().one()])
+            return self._plan
+        if soul.parity() != "even":
+            raise ValueError("soul must be an even element")
+        return self._make_plan(nilpotent_powers(soul))
+
+    def combine(self, rows, tables: dict, z12: complex) -> GrassmannElement:
+        """The value from a plan's rows and the tables {dtau: table} they read, at z12."""
         acc: dict[int, complex] = {}
         for mask, dtau, j, k, scalar in rows:
             value = tables[dtau][j, k]

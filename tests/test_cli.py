@@ -269,6 +269,11 @@ def test_main_invalid_config_exit_code(capsys):
         ["theta", "--samples", "1", "--out", "."],
         ["theta", "--samples", "1", "--tol", "inf", "--output", "structured"],
         ["cybe", "--tau-im", "260", "--samples", "2"],
+        ["aybe", "--tau-im", "1e-4", "--n", "2", "--samples", "1"],
+        ["aybe", "--tau-im", "260", "--n", "2", "--samples", "1"],
+        # from N = 4 on, the channel tables are computed in one batch
+        ["aybe", "--tau-im", "1e-4", "--n", "4", "--samples", "1"],
+        ["aybe", "--tau-im", "260", "--n", "4", "--samples", "1"],
         ["kronecker", "--tau-re", "1e17", "--samples", "3"],
     ],
 )

@@ -14,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import phi
 
+from superkron.batch import theta_stacks
 from superkron.elliptic import (
     EllipticContext,
     PoleProximityError,
     SeriesTruncationError,
+    kernel_derivs,
     lattice_distance,
     lattice_reduce,
     phi_derivs,
@@ -186,13 +188,26 @@ def test_theta_stack_bitwise_equals_reference_loop(tau):
     # unreduced: shifted by up to two periods either way
     unreduced = [w + int(rng.integers(-2, 3)) + int(rng.integers(-2, 3)) * tau for w in cell]
     ctx = EllipticContext(tau)
-    for z in zeros + cell + unreduced:
-        for max_dz in range(6):
-            for dtau in (0, 1):
-                want = theta_stack_reference(z, ctx, max_dz, dtau).tobytes()
-                # a fresh context sums, the shared one may answer from its memo
-                assert theta_stack(z, EllipticContext(tau), max_dz, dtau).tobytes() == want
-                assert theta_stack(z, ctx, max_dz, dtau).tobytes() == want
+    keys = [(complex(z), max_dz, dtau) for z in zeros + cell + unreduced for max_dz in range(6) for dtau in (0, 1)]
+    wants = [theta_stack_reference(*key[:1], ctx, *key[1:]).tobytes() for key in keys]
+    for (z, max_dz, dtau), want in zip(keys, wants):
+        # a fresh context sums, the shared one may answer from its memo
+        assert theta_stack(z, EllipticContext(tau), max_dz, dtau).tobytes() == want
+        assert theta_stack(z, ctx, max_dz, dtau).tobytes() == want
+    # every key of the modulus summed in one batch
+    for stack, want in zip(theta_stacks(keys, EllipticContext(tau)), wants):
+        assert stack.tobytes() == want
+        assert not stack.flags.writeable
+
+
+def test_batched_stack_does_not_depend_on_its_neighbours():
+    # the far point turns around after 60 pairs, the cell points within one:
+    # each key still gets the bytes it gets summed alone
+    tau = 0.3 + 0.05j
+    keys = [(complex(z), 2, 1) for z in cell_points(np.random.default_rng(7), 4, tau)]
+    keys.append((0.2 + 3.0j, 2, 1))
+    for key, stack in zip(keys, theta_stacks(keys, EllipticContext(tau))):
+        assert stack.tobytes() == theta_stack(key[0], EllipticContext(tau), *key[1:]).tobytes()
 
 
 def test_theta_stack_memo_returns_the_same_read_only_array():
@@ -238,7 +253,31 @@ def test_series_truncation_is_not_memoized():
     for _ in range(2):
         with pytest.raises(SeriesTruncationError):
             theta_stack(0.1, tight)
+        with pytest.raises(SeriesTruncationError):
+            theta_stacks([(0.1 + 0j, 0, 0), (0.2 + 0j, 1, 0)], tight)
     assert not tight._stacks
+
+
+@pytest.mark.parametrize(
+    "tau, bad, message",
+    [
+        # turnaround after 190 pairs, with every term finite
+        (0.3 + 0.005j, 0.1 + 0.95j, "not converged after 200 frequency pairs"),
+        # the largest term is about exp(1142)
+        (0.3 + 1.1j, 0.3 - 20j, "exceeds the floating-point range"),
+    ],
+)
+def test_batched_series_errors_name_the_failing_point(tau, bad, message):
+    ctx = EllipticContext(tau)
+    good = (0.4 + 0.1 * tau.imag * 1j, 1, 0)
+    with pytest.raises(SeriesTruncationError, match=message) as err:
+        theta_stack(bad, EllipticContext(tau))
+    with pytest.raises(SeriesTruncationError, match=message) as batch_err:
+        theta_stacks([good, (bad, 1, 0)], ctx)
+    assert str(batch_err.value) == str(err.value)
+    # the neighbour's block spans the failing pairs; it is summed and kept, the failed key is not
+    assert list(ctx._stacks) == [good]
+    assert ctx._stacks[good].tobytes() == theta_stack(good[0], EllipticContext(tau), 1).tobytes()
 
 
 def test_context_validation():
@@ -371,6 +410,41 @@ def test_phi_pole_guards():
         phi(0.3, -0.3 + 1e-9, CTX1)  # first+second argument on the lattice
     with pytest.raises(PoleProximityError):
         phi(0.3, 1.0 + 1e-9, CTX1)  # reduction maps near a lattice point
+    # a batch fails if any of its parameters does
+    for hbars, z in (([0.3, 1.0 + TAU1], 0.4), ([0.3, 0.2], -0.2 + 1e-9), ([0.3], TAU1)):
+        with pytest.raises(PoleProximityError):
+            kernel_derivs("elliptic", hbars, z, CTX1)
+
+
+def test_multiplier_overflow_raises():
+    # z reduces in place, hbar by one period, and the multiplier
+    # exp(2 pi Im z) exceeds the floating-point range
+    tau = 0.3 + 260j
+    ctx = EllipticContext(tau)
+    hbar, z = 0.1 + 1.2 * tau, 0.2 + 0.45 * tau
+    with pytest.raises(OverflowError):
+        kernel_derivs("elliptic", hbar, z, ctx)
+    with pytest.raises(OverflowError):
+        kernel_derivs("elliptic", [0.1 + 0.2 * tau, hbar], z, ctx)
+
+
+@pytest.mark.parametrize("N", [2, 3, 6])
+def test_batched_tables_equal_per_point_tables(N):
+    # the channel parameters of an N-channel operator; z reduces by up to a
+    # period, and at 3.3+0.4i the parameters cross lattice cells
+    rng = np.random.default_rng(N)
+    for tau in (TAU1, 3.3 + 0.4j):
+        h, z1, z2 = cell_points(rng, 3, tau)
+        hbars = [h + (a1 + a2 * tau) / N for a1 in range(N) for a2 in range(N)]
+        sizes = ((0, 0, 0, True), (2, 1, 0, True), (4, 0, 0, True), (2, 2, 0, False), (1, 0, 1, True), (1, 1, 1, True))
+        for max_j, max_k, dtau, reduce in sizes:
+            got = kernel_derivs("elliptic", hbars, z1 - z2, EllipticContext(tau), max_j, max_k, dtau, reduce)
+            assert got.shape == (N * N, max_j + 1, max_k + 1)
+            for hbar, table in zip(hbars, got):
+                want = kernel_derivs("elliptic", hbar, z1 - z2, EllipticContext(tau), max_j, max_k, dtau, reduce)
+                assert table.tobytes() == want.tobytes(), (tau, hbar, max_j, max_k, dtau, reduce)
+        got = kernel_derivs("trig", hbars, z1 - z2, CTX1, 1, 1)
+        assert all(np.array_equal(t, phi_trig(hb, z1 - z2, CTX1, 1, 1)) for hb, t in zip(hbars, got))
 
 
 def test_scalar_three_term_identity(rng):

@@ -477,8 +477,9 @@ def _per_channel_sum(b, indices, hbar, mu, form):
 def test_channel_sum_matches_per_term_reference():
     # one odd function per a2, evaluated at each channel's own parameter,
     # and the cached pair blocks summed in place give bit for bit the sum of
-    # freshly built per-channel functions, in every form and both operators
-    for N in (2, 3):
+    # freshly built per-channel functions, in every form and both operators;
+    # from N = 4 on the channel tables are computed in one batch
+    for N in (2, 3, 4, 6):
         b = HeisenbergBasis(N)
         cases = [
             (build_r_classical(P1, P2, "ω", b, CTX), b.nonzero_indices(), 0.0, None, None),
@@ -497,6 +498,7 @@ def test_channel_sum_matches_per_term_reference():
                 assert got.blocks[mask].tobytes() == arr.tobytes(), (N, hbar, mu, form, mask)
     alpha = MultiIndex(1, 2)
     assert b.pair(alpha) is b.pair(alpha)
+    assert not b.pair(alpha).flags.writeable
     pair = SuperMatrix(2, b.N)
     pair.blocks[0] = b.pair(alpha)
     assert np.array_equal(dense(pair, 0), np.kron(b.t(alpha), b.t(-alpha)))
