@@ -8,8 +8,8 @@ arithmetic running over the parameter axis.  Each result equals bit for bit
 what the scalar routes in elliptic return at its point: complex values
 travel as (real, imaginary) pairs, every product goes through _cmul, which
 rounds as Python's and numpy's complex scalars do, and every sum runs in
-the scalar loops' order.  The scalar routes stay the reference, and the
-ones single points use: a batch has a fixed numpy cost.
+the scalar loops' order.  The scalar routes stay the reference;
+kernel_derivs decides which route a request takes.
 """
 
 from __future__ import annotations
@@ -149,9 +149,7 @@ def theta_stacks(keys: list, ctx: EllipticContext) -> list:
     on its batch neighbours, and the same errors: a term beyond the
     floating-point range that the key's own sum reaches, or no stop within
     _K_MAX pairs, raises SeriesTruncationError naming the point, and that
-    key is not memoized.  Stacks are memoized read-only.  A single point
-    costs more this way than through theta_stack's loop, so single-point
-    callers use that.
+    key is not memoized.  Stacks are memoized read-only.
     """
     memo = ctx._stacks
     tau = ctx.tau
@@ -360,8 +358,9 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     Returns shape (len(hbars), max_j + 1, max_k + 1), each table equal bit
     for bit to phi_derivs (dtau = 0) or phi_tau_derivs (dtau = 1) at its
     parameter, with the same pole checks, lattice reduction, multipliers and
-    errors; the first point that fails a pole check names the error.  All
-    theta stacks are summed by one theta_stacks request.
+    errors.  The first parameter that fails a pole check names the error,
+    unless a parameter before it fails otherwise.  All theta stacks are
+    summed by one theta_stacks request.
     """
     hbars = np.array(hbars, dtype=np.complex128).reshape(-1)
     z = complex(z)
@@ -370,6 +369,10 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     points = np.stack([hbars, hbars + z], axis=1).reshape(-1)
     near = np.flatnonzero(_lattice_distances(points, tau) < ctx.pole_radius)
     if near.size:
+        # the parameters before the first one near a pole raise their own
+        # errors first, as they do one by one
+        if near[0] >= 2:
+            elliptic_tables(hbars[:near[0] // 2], z, ctx, max_j, max_k, dtau, reduce)
         _require_regular(points[near[0]], ctx, ("hbar", "hbar+z")[near[0] % 2])
     with np.errstate(all="ignore"):
         if dtau or not reduce:

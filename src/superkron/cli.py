@@ -18,12 +18,9 @@ does not change the exit code.  A process that the operating system's
 out-of-memory killer ends cannot be caught, and exits with no code of its
 own.
 
---kind selects the kernel family of the kronecker and fay suites only.
-theta, heat, periodicity, basis, cybe and aybe always run the elliptic
-kernel, and degenerations runs both degenerate kinds.  With --kind trig or
-rational, kronecker compares table cells that are equal by construction, so
-it reads exactly 0 and cannot see a wrong degenerate table; fay and
-degenerations are the suites that can.
+--kind selects the kernel family of the fay suite only.  Every other suite
+but degenerations always runs the elliptic kernel, and degenerations runs
+both degenerate kinds.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind",
         choices=KINDS,
         default="elliptic",
-        help="kernel family of the kronecker and fay suites (the others ignore it; "
+        help="kernel family of the fay suite (the others ignore it; "
         "degenerations runs both degenerate kinds)",
     )
     p.add_argument(

@@ -47,6 +47,14 @@ _MEMO_LIMIT = 4096
 # floating-point noise floor), and the hard cap on frequency pairs summed
 _SERIES_TOL = 1e-14
 _K_MAX = 200
+# elliptic parameter lists at least this long are tabulated in one batch
+# (batch.elliptic_tables), shorter ones point by point.  A batch has a fixed
+# numpy cost: at one point, tau = 0.3+1.1i, theta_stack takes 28 us against
+# 134 us batched, phi_derivs(2, 2) 57 against 262 us and phi_tau_derivs 38
+# against 390 us.  CPU time per aybe sample on a 2-core host, point by point
+# against batched: 10-15 against 14-20 ms at N = 2 (4 channels), about equal
+# at N = 3 (9), 32-47 against 27-32 ms at N = 4 (16).
+_BATCH_POINTS = 12
 
 
 class PoleProximityError(ValueError):
@@ -478,18 +486,18 @@ def kernel_derivs(
     hbar may also be a list, tuple or array of parameters: the tables at
     each of them with the one z come back stacked, shape (len(hbar),
     max_j + 1, max_k + 1), each equal bit for bit to its single-point
-    table.  Elliptic tables are then computed together
-    (batch.elliptic_tables): one batch sums all their theta series and the
-    table arithmetic runs over the parameter axis.  The batch has a fixed
-    numpy cost that pays off only from several points on, so the R-matrix
-    channel sums call it with all their channel parameters and the
-    single-point suites (theta, kronecker, fay, heat, periodicity, basis,
-    degenerations) do not.
+    table.  An elliptic list of at least _BATCH_POINTS (12) parameters is
+    tabulated in one batch (batch.elliptic_tables), which sums all its theta
+    series together and runs the table arithmetic over the parameter axis;
+    a shorter list, or one of another kind, is tabulated point by point,
+    since a batch has a fixed numpy cost that only many points repay.  A
+    list that fails raises an error one of its points raises alone; the
+    two routes may name different failing points.
     """
     if dtau not in (0, 1):
         raise ValueError("modulus-derivative order limited to 1")
     if isinstance(hbar, (list, tuple, np.ndarray)):
-        if kind == "elliptic":
+        if kind == "elliptic" and len(hbar) >= _BATCH_POINTS:
             # loaded on first use, so single-point callers never compile it
             from .batch import elliptic_tables
 

@@ -136,11 +136,6 @@ class GeneratorSet:
     def generator(self, g: int | str) -> "GrassmannElement":
         return GrassmannElement({1 << self.index_of(g): 1.0 + 0j})
 
-    def basis_element(self, mask: int, coeff: complex = 1.0) -> "GrassmannElement":
-        if not 0 <= mask < self.dim:
-            raise ValueError(f"mask {mask} out of range")
-        return GrassmannElement({mask: complex(coeff)})
-
     def mask_of(self, labels: Iterable[str] | str) -> int:
         """Bitmask of a monomial given as labels or as a concatenated string."""
         if isinstance(labels, str):

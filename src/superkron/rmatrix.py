@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .elliptic import EllipticContext, PoleProximityError, SeriesTruncationError, kernel_derivs, phi_derivs
+from .elliptic import EllipticContext, kernel_derivs, phi_derivs
 from .grassmann import default_generators
 from .superfunc import SuperFunction, SuperPoint, _odd_element, super_phi, three_term
 
@@ -444,67 +444,42 @@ def anticommutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return out
 
 
-# Operators with fewer channels evaluate them one by one: below this count
-# the fixed numpy cost of a batched table request outweighs its saving per
-# point.  CPU time per aybe sample on a 2-core host, one by one against
-# batched: 10-15 against 14-20 ms at N = 2, about equal at N = 3, 32-47
-# against 27-32 ms at N = 4.
-_BATCH_CHANNELS = 12
-
-
-def _batched_values(indices, hbars, functions, z12, ctx, N) -> list:
-    """Every channel's coefficient terms from one table request per plan size and modulus order.
-
-    kernel_derivs takes the vector of channel parameters and sums their theta
-    series together (see batch.theta_stacks); each channel then combines
-    its own rows of the tables, so every coefficient is bit for bit that of a
-    per-channel evaluation.
-    """
-    if not functions:
-        kernels = kernel_derivs("elliptic", hbars, z12, ctx)[:, 0, 0]
-        return [((0, _dressing(alpha, z12, N) * kernel),) for alpha, kernel in zip(indices, kernels)]
-    plans = [functions[alpha[1]].plan() for alpha in indices]
-    groups: dict[tuple, list[int]] = {}
-    for i, alpha in enumerate(indices):
-        groups.setdefault((functions[alpha[1]].kind, tuple(plans[i][1].items())), []).append(i)
-    tables: list[dict] = [{} for _ in indices]
-    for (kind, sizes), members in groups.items():
-        for dtau, (mj, mk) in sizes:
-            stacked = kernel_derivs(kind, [hbars[i] for i in members], z12, ctx, mj, mk, dtau)
-            for i, table in zip(members, stacked):
-                tables[i][dtau] = table
-    return [functions[alpha[1]].combine(plans[i][0], tables[i], z12).items() for i, alpha in enumerate(indices)]
-
-
 def _channel_sum(indices, hbar, mu, p1, p2, omega, basis, ctx, super, form) -> SuperMatrix:
     """Sum over the given index channels of T_a (x) T_-a times the channel coefficient.
 
-    An odd channel function is built once per a2 and evaluated at each
-    channel's own kernel parameter (see super_basis_phi).  From
-    _BATCH_CHANNELS channels on, the coefficients come from one batched
-    request (see _batched_values); with fewer, or when that request fails,
-    each channel is evaluated on its own, which raises what the first
-    failing channel raises.
+    An odd channel function is built and planned once per a2 (see
+    super_basis_phi); each kernel_derivs request then takes the parameters
+    of every channel that reads a table of one size and modulus order, and
+    each channel combines its own rows of the stacked tables, bit for bit
+    its evaluation at its own parameter.  The ordinary operator requests the
+    plain kernel at every channel's parameter and multiplies in the
+    dressing.  kernel_derivs alone decides how the tables are computed.
     """
     N = basis.N
     z12 = complex(p1.z) - complex(p2.z)
     hbars = [_channel_hbar(alpha, hbar, N, ctx.tau) for alpha in indices]
-    functions: dict[int, SuperFunction] = {}
     if super:
+        functions: dict[int, SuperFunction] = {}
         for alpha in indices:
             if alpha[1] not in functions:
                 functions[alpha[1]] = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form=form)
-    values = None
-    if len(indices) >= _BATCH_CHANNELS:
-        try:
-            values = _batched_values(indices, hbars, functions, z12, ctx, N)
-        except (PoleProximityError, SeriesTruncationError, OverflowError):
-            pass
-    if values is None:
-        if super:
-            values = [functions[alpha[1]].evaluate(p1.z, p2.z, hbar=h).items() for alpha, h in zip(indices, hbars)]
-        else:
-            values = [((0, basis_phi(alpha, hbar, z12, ctx, N)),) for alpha in indices]
+        plans = [functions[alpha[1]].plan() for alpha in indices]
+        requests: dict[tuple, list[int]] = {}
+        for i, (_, sizes) in enumerate(plans):
+            for dtau, size in sizes.items():
+                requests.setdefault((dtau, size), []).append(i)
+        tables: list[dict] = [{} for _ in indices]
+        for (dtau, (mj, mk)), members in requests.items():
+            stacked = kernel_derivs("elliptic", [hbars[i] for i in members], z12, ctx, mj, mk, dtau)
+            for i, table in zip(members, stacked):
+                tables[i][dtau] = table
+        values = [
+            functions[alpha[1]].combine(rows, own, z12).items()
+            for alpha, (rows, _), own in zip(indices, plans, tables)
+        ]
+    else:
+        kernels = kernel_derivs("elliptic", hbars, z12, ctx)[:, 0, 0]
+        values = [((0, _dressing(alpha, z12, N) * kernel),) for alpha, kernel in zip(indices, kernels)]
     out = SuperMatrix(2, N)
     blocks = out.blocks
     for alpha, terms in zip(indices, values):

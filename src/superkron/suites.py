@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import KINDS, EllipticContext, PoleProximityError, kernel_derivs, phi_derivs, theta
+from .elliptic import KINDS, EllipticContext, PoleProximityError, kernel_derivs, phi_derivs, phi_tau_derivs, theta
 from .grassmann import GrassmannElement, default_generators
 from .rmatrix import (
     HeisenbergBasis,
@@ -205,24 +205,21 @@ def _compute_theta(inputs, cfg) -> float:
 
 def _compute_kronecker(inputs, cfg) -> float:
     ctx = cfg.context()
-    kind = cfg.kind
     h = _unpair(inputs["hbar"])
     z = _unpair(inputs["z"])
-    tab = kernel_derivs(kind, h, z, ctx, 1, 1)
+    tab = phi_derivs(h, z, ctx, 1, 1)
     base = tab[0, 0]
-    # flow identity via the independent modulus-differentiated series; both
-    # sides are exactly zero for the degenerate kinds
-    lhs = _TWO_PI_I * kernel_derivs(kind, h, z, ctx, dtau=1)[0, 0]
+    # flow identity via the independent modulus-differentiated series
+    lhs = _TWO_PI_I * phi_tau_derivs(h, z, ctx, 0, 0)[0, 0]
     rhs = tab[1, 1]
     rel = _rel(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
-    if kind == "elliptic":
-        shifted1 = phi_derivs(h, z + 1.0, ctx, 0, 0, reduce=False)[0, 0]
-        rel = max(rel, _rel(abs(shifted1 - base), abs(base)))
-        fac = cmath.exp(-_TWO_PI_I * h)
-        shiftedt = phi_derivs(h, z + cfg.tau, ctx, 0, 0, reduce=False)[0, 0]
-        rel = max(rel, _rel(abs(shiftedt - fac * base), max(abs(shiftedt), abs(fac * base))))
-    rel = max(rel, _rel(abs(kernel_derivs(kind, z, h, ctx)[0, 0] - base), abs(base)))
-    rel = max(rel, _rel(abs(kernel_derivs(kind, -h, -z, ctx)[0, 0] + base), abs(base)))
+    shifted1 = phi_derivs(h, z + 1.0, ctx, 0, 0, reduce=False)[0, 0]
+    rel = max(rel, _rel(abs(shifted1 - base), abs(base)))
+    fac = cmath.exp(-_TWO_PI_I * h)
+    shiftedt = phi_derivs(h, z + cfg.tau, ctx, 0, 0, reduce=False)[0, 0]
+    rel = max(rel, _rel(abs(shiftedt - fac * base), max(abs(shiftedt), abs(fac * base))))
+    rel = max(rel, _rel(abs(phi_derivs(z, h, ctx)[0, 0] - base), abs(base)))
+    rel = max(rel, _rel(abs(phi_derivs(-h, -z, ctx)[0, 0] + base), abs(base)))
     return rel
 
 

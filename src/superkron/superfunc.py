@@ -126,9 +126,9 @@ class SuperFunction:
     analytic part of every stored pair is
     exp(exp_coeff * z12) * d^{j,k,dtau} kernel(hbar, z12), z12 = z1 - z2,
     and the monomials are those of default_generators().  No term depends
-    on hbar, so evaluate can take any parameter.  Change terms only
-    through add_term, which drops the cached evaluation plan.  Every
-    operator maps the stored rows into a new function with the same
+    on hbar, so a plan combines with tables at any parameter.  Change
+    terms only through add_term, which drops the cached evaluation plan.
+    Every operator maps the stored rows into a new function with the same
     analytic metadata.
     """
 
@@ -259,24 +259,21 @@ class SuperFunction:
         z2: complex,
         soul: GrassmannElement | None = None,
         reduce: bool = True,
-        hbar: complex | None = None,
     ) -> GrassmannElement:
         """Numeric value at (z1, z2) as a GrassmannElement.
 
         soul, if given, is an even nilpotent element added to z12; the
         coefficient functions are extended to it by their finite Taylor
         expansion, with derivatives skipped whenever the accompanying
-        Grassmann product already vanished.  hbar, if given, replaces the
-        kernel parameter for this call; the terms do not depend on it.
-        Evaluation is plan, one kernel_derivs table per modulus order, then
-        combine; the R-matrix channel sums call plan and combine themselves,
-        to request the tables of all their channels at once.
+        Grassmann product already vanished.  Evaluation is plan, one
+        kernel_derivs table per modulus order, then combine; the R-matrix
+        channel sums call plan and combine themselves, with tables at each
+        channel's own parameter.
         """
         z12 = complex(z1) - complex(z2)
         rows, sizes = self.plan(soul)
-        hbar = self.hbar if hbar is None else complex(hbar)
         tables = {
-            dtau: kernel_derivs(self.kind, hbar, z12, self.ctx, mj, mk, dtau, reduce)
+            dtau: kernel_derivs(self.kind, self.hbar, z12, self.ctx, mj, mk, dtau, reduce)
             for dtau, (mj, mk) in sizes.items()
         }
         return self.combine(rows, tables, z12)

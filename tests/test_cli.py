@@ -72,6 +72,15 @@ def test_run_suites_is_deterministic():
     assert a == b
 
 
+def test_kronecker_runs_the_elliptic_kernel_under_every_kind():
+    # a degenerate kernel would compare cells equal by construction
+    want = run_suites(VerifyConfig(samples=5, suites=("kronecker",)))[0]
+    for kind in ("trig", "rational"):
+        got = run_suites(VerifyConfig(samples=5, suites=("kronecker",), kind=kind))[0]
+        assert got.max_residual.hex() == want.max_residual.hex() and got.max_residual > 0
+        assert got.worst_inputs == want.worst_inputs
+
+
 def test_suite_results_independent_of_selection():
     # each suite draws from its own named stream, so running it alone
     # reproduces the value it gets inside a larger selection

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import phi
 
-from superkron.batch import theta_stacks
+from superkron import batch
+from superkron.batch import elliptic_tables, theta_stacks
 from superkron.elliptic import (
     EllipticContext,
     PoleProximityError,
@@ -280,6 +281,18 @@ def test_batched_series_errors_name_the_failing_point(tau, bad, message):
     assert ctx._stacks[good].tobytes() == theta_stack(good[0], EllipticContext(tau), 1).tobytes()
 
 
+def test_batch_raises_what_its_points_raise_in_order():
+    # unreduced, the first parameter's series does not converge; the second
+    # is a lattice point
+    tau = 0.3 + 0.005j
+    first, z = 0.1 + 0.95j, 0.4 + 0.0005j
+    for hbars, error in (([first, tau], SeriesTruncationError), ([tau, first], PoleProximityError)):
+        with pytest.raises(error):
+            kernel_derivs("elliptic", hbars, z, EllipticContext(tau), dtau=1)
+        with pytest.raises(error):
+            elliptic_tables(hbars, z, EllipticContext(tau), 0, 0, 1, True)
+
+
 def test_context_validation():
     with pytest.raises(ValueError):
         EllipticContext(0.3 - 1.1j)
@@ -413,7 +426,7 @@ def test_phi_pole_guards():
     # a batch fails if any of its parameters does
     for hbars, z in (([0.3, 1.0 + TAU1], 0.4), ([0.3, 0.2], -0.2 + 1e-9), ([0.3], TAU1)):
         with pytest.raises(PoleProximityError):
-            kernel_derivs("elliptic", hbars, z, CTX1)
+            elliptic_tables(hbars, z, CTX1, 0, 0, 0, True)
 
 
 def test_multiplier_overflow_raises():
@@ -425,7 +438,7 @@ def test_multiplier_overflow_raises():
     with pytest.raises(OverflowError):
         kernel_derivs("elliptic", hbar, z, ctx)
     with pytest.raises(OverflowError):
-        kernel_derivs("elliptic", [0.1 + 0.2 * tau, hbar], z, ctx)
+        elliptic_tables([0.1 + 0.2 * tau, hbar], z, ctx, 0, 0, 0, True)
 
 
 @pytest.mark.parametrize("N", [2, 3, 6])
@@ -438,13 +451,35 @@ def test_batched_tables_equal_per_point_tables(N):
         hbars = [h + (a1 + a2 * tau) / N for a1 in range(N) for a2 in range(N)]
         sizes = ((0, 0, 0, True), (2, 1, 0, True), (4, 0, 0, True), (2, 2, 0, False), (1, 0, 1, True), (1, 1, 1, True))
         for max_j, max_k, dtau, reduce in sizes:
-            got = kernel_derivs("elliptic", hbars, z1 - z2, EllipticContext(tau), max_j, max_k, dtau, reduce)
+            got = elliptic_tables(hbars, z1 - z2, EllipticContext(tau), max_j, max_k, dtau, reduce)
             assert got.shape == (N * N, max_j + 1, max_k + 1)
             for hbar, table in zip(hbars, got):
                 want = kernel_derivs("elliptic", hbar, z1 - z2, EllipticContext(tau), max_j, max_k, dtau, reduce)
                 assert table.tobytes() == want.tobytes(), (tau, hbar, max_j, max_k, dtau, reduce)
         got = kernel_derivs("trig", hbars, z1 - z2, CTX1, 1, 1)
         assert all(np.array_equal(t, phi_trig(hb, z1 - z2, CTX1, 1, 1)) for hb, t in zip(hbars, got))
+
+
+def test_kernel_derivs_batches_elliptic_lists_from_twelve_points(monkeypatch):
+    calls = []
+
+    def counting(hbars, *args):
+        calls.append(len(hbars))
+        return elliptic_tables(hbars, *args)
+
+    monkeypatch.setattr(batch, "elliptic_tables", counting)
+    h, z = cell_points(np.random.default_rng(12), 2, TAU1)
+    hbars = [h + (a1 + a2 * TAU1) / 4 for a1 in range(4) for a2 in range(3)]
+    for dtau in (0, 1):
+        # eleven points go one by one, bit for bit the batch's tables
+        got = kernel_derivs("elliptic", hbars[:11], z, EllipticContext(TAU1), 2, 1, dtau)
+        want = elliptic_tables(hbars[:11], z, EllipticContext(TAU1), 2, 1, dtau, True)
+        assert got.tobytes() == want.tobytes()
+    assert calls == []
+    kernel_derivs("trig", hbars, z, CTX1, 1, 1)
+    assert calls == []
+    kernel_derivs("elliptic", hbars, z, EllipticContext(TAU1), 2, 1)
+    assert calls == [12]
 
 
 def test_scalar_three_term_identity(rng):

@@ -114,11 +114,6 @@ def test_mask_of_rejects_repeats():
         GENS.mask_of(["ζ1", "ζ1"])
 
 
-def test_basis_element_range_check():
-    with pytest.raises(ValueError):
-        GENS.basis_element(GENS.dim)
-
-
 def test_scalar_division():
     e = GENS.generator("ζ1") * 4
     assert e / 2 == GENS.generator("ζ1") * 2

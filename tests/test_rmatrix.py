@@ -525,6 +525,27 @@ def test_channel_functions_are_built_once_per_a2(monkeypatch):
     assert built == []
 
 
+def test_channel_sums_batch_their_tables_from_n_4(monkeypatch):
+    # kernel_derivs alone picks the route: 9 channels at N = 3 go one by
+    # one, 16 at N = 4 (15 classical) in one batch per table request
+    from superkron import batch
+
+    elliptic_tables = batch.elliptic_tables
+    calls = []
+
+    def counting(hbars, *args):
+        calls.append(len(hbars))
+        return elliptic_tables(hbars, *args)
+
+    monkeypatch.setattr(batch, "elliptic_tables", counting)
+    for N, want in ((3, []), (4, [16, 16, 16, 15, 15])):
+        b = HeisenbergBasis(N)
+        build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True)
+        build_R(H1, None, P1, P2, "ω", b, CTX)
+        build_r_classical(P1, P2, "ω", b, CTX, super=True)
+        assert calls == want, N
+
+
 def test_commutator_and_anticommutator(rng):
     a = random_super_matrix(rng, masks=(0, 3))
     b = random_super_matrix(rng, masks=(0, 5))

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from helpers import isclose, phi
-from superkron.elliptic import EllipticContext, PoleProximityError, phi_derivs, phi_rat, phi_trig
+from superkron.elliptic import EllipticContext, PoleProximityError, kernel_derivs, phi_derivs, phi_rat, phi_trig
 from superkron.grassmann import default_generators, grassmann_exp, parity
 from superkron.superfunc import (
     CatalogOverflowError,
@@ -336,13 +336,17 @@ def _bits(elem):
 
 @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
 def test_evaluate_at_another_parameter_equals_fresh_build(kind):
-    # the terms do not depend on the parameter, so one function (and its
-    # cached plan) serves every parameter bit for bit
+    # the terms do not depend on the parameter, so one function's cached
+    # plan, combined with tables at another parameter, is bit for bit the
+    # evaluation of a function built at that parameter
     opts = dict(kind=kind, exp_coeff=0.3 - 0.8j, hbar_tau_rate=0.5)
     f = super_phi(H1, "μ1", P1, P2, "ω", CTX, **opts)
     own = f.evaluate(P1.z, P2.z)
+    rows, sizes = f.plan()
+    z12 = P1.z - P2.z
     for h in (H2, H1 + 2.0 - CTX.tau, H1):
-        got = f.evaluate(P1.z, P2.z, hbar=h)
+        tables = {dtau: kernel_derivs(kind, h, z12, CTX, mj, mk, dtau) for dtau, (mj, mk) in sizes.items()}
+        got = f.combine(rows, tables, z12)
         fresh = super_phi(h, "μ1", P1, P2, "ω", CTX, **opts).evaluate(P1.z, P2.z)
         assert _bits(got) == _bits(fresh)
     assert _bits(f.evaluate(P1.z, P2.z)) == _bits(own)
