@@ -3,13 +3,16 @@
 theta_stacks sums the theta series of many (z, max_dz, dtau) keys in one
 frequency-vectorised numpy evaluation; elliptic_tables builds the
 phi_derivs or phi_tau_derivs tables of many parameters with one argument
-from them, with the pole checks, lattice reduction, multipliers and table
-arithmetic running over the parameter axis.  Each result equals bit for bit
-what the scalar routes in elliptic return at its point: complex values
-travel as (real, imaginary) pairs, every product goes through _cmul, which
-rounds as Python's and numpy's complex scalars do, and every sum runs in
-the scalar loops' order.  The scalar routes stay the reference;
-kernel_derivs decides which route a request takes.
+from them.  The lattice geometry is elliptic's own: each parameter is
+checked for poles and reduced by the scalar lattice_distance and
+lattice_reduce, and the theta memo is bounded by the same helper.  What
+runs over the parameter axis is what pays there: the series sums, the
+reciprocal recursions, the Leibniz cell sums and the multipliers.  Each
+result equals bit for bit what the scalar routes in elliptic return at its
+point: complex values travel as (real, imaginary) pairs, every product goes
+through _cmul, which rounds as Python's and numpy's complex scalars do, and
+every sum runs in the scalar loops' order.  The scalar routes stay the
+reference; kernel_derivs decides which route a request takes.
 """
 
 from __future__ import annotations
@@ -23,16 +26,17 @@ import numpy as np
 
 from .elliptic import (
     _K_MAX,
-    _MEMO_LIMIT,
     _PI_I,
     _SERIES_TOL,
     _TWO_PI_I,
     EllipticContext,
     SeriesTruncationError,
+    _memoize,
     _origin_data,
     _reciprocal_derivs,
     _reciprocal_dot,
     _require_regular,
+    lattice_distance,
     lattice_reduce,
 )
 
@@ -172,9 +176,8 @@ def theta_stacks(keys: list, ctx: EllipticContext) -> list:
                 sums, state = _sum_series(todo, max_dz, dtau, tau, pairs)
             sums.flags.writeable = False
             for i in np.flatnonzero(state == 0):
-                if len(memo) >= _MEMO_LIMIT:
-                    memo.clear()
-                memo[(todo[i], max_dz, dtau)] = found[(todo[i], max_dz, dtau)] = sums[i]
+                key = (todo[i], max_dz, dtau)
+                found[key] = _memoize(ctx, key, sums[i])
             if (state == 2).any():
                 z = todo[int((state == 2).argmax())]
                 raise SeriesTruncationError(f"series term exceeds the floating-point range (z={z}, tau={tau})")
@@ -316,75 +319,41 @@ def _shift_weights(n_z: int, n_h: int, max_j: int, max_k: int) -> np.ndarray:
                       for jj, i, kk, l in zip(*rows)] for rows in zip(j, p, k, q)])
 
 
-def _lattice_distances(w: np.ndarray, tau: complex) -> np.ndarray:
-    """lattice_distance at every point of w, each value as the scalar scan computes it."""
-    y = w.imag
-    row = tau.imag
-    n0 = np.round(y / row)
-
-    def distance(n):
-        # w - n tau less the nearest integer; an integer n times tau rounds as (n, 0.0) * tau
-        dr = w.real - (n * tau.real - 0.0 * tau.imag)
-        di = w.imag - (n * tau.imag + 0.0 * tau.real)
-        return np.hypot(dr - np.round(dr), di - 0.0)
-
-    best = distance(n0)
-    for step in (1, -1):
-        n = n0 + step
-        scan = np.abs(y - n * row) < best
-        while scan.any():
-            d = distance(n)
-            best = np.where(scan & (d < best), d, best)
-            n = n + step
-            scan &= np.abs(y - n * row) < best
-    return best
-
-
-def _lattice_reduce_all(w: np.ndarray, tau: complex) -> tuple[np.ndarray, np.ndarray]:
-    """lattice_reduce at every point of w: the reduced points and their n, bit for bit."""
-    y = w.imag / tau.imag
-    x = w.real - y * tau.real
-    # + 0.0: Python's round returns an integer, which has no negative zero
-    m = np.round(x) + 0.0
-    n = np.round(y) + 0.0
-    re = (w.real - m) - (n * tau.real - 0.0 * tau.imag)
-    im = (w.imag - 0.0) - (n * tau.imag + 0.0 * tau.real)
-    return _complex(re, im), n
-
-
 def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau: int, reduce: bool) -> np.ndarray:
     """The elliptic kernel_derivs tables at every parameter in hbars with one z.
 
     Returns shape (len(hbars), max_j + 1, max_k + 1), each table equal bit
     for bit to phi_derivs (dtau = 0) or phi_tau_derivs (dtau = 1) at its
-    parameter, with the same pole checks, lattice reduction, multipliers and
-    errors.  The first parameter that fails a pole check names the error,
-    unless a parameter before it fails otherwise.  All theta stacks are
-    summed by one theta_stacks request.
+    parameter, with the same multipliers and errors.  Poles are checked one
+    parameter at a time, z first and then each hbar and hbar+z in order, as
+    the scalar routes check them, so the first parameter that fails names
+    the error with the scalar message; the parameters before it are
+    tabulated first, so a series or overflow error of theirs comes first.
+    All theta stacks are summed by one theta_stacks request.
     """
     hbars = np.array(hbars, dtype=np.complex128).reshape(-1)
     z = complex(z)
     tau = ctx.tau
     _require_regular(z, ctx, "z")
-    points = np.stack([hbars, hbars + z], axis=1).reshape(-1)
-    near = np.flatnonzero(_lattice_distances(points, tau) < ctx.pole_radius)
-    if near.size:
-        # the parameters before the first one near a pole raise their own
-        # errors first, as they do one by one
-        if near[0] >= 2:
-            elliptic_tables(hbars[:near[0] // 2], z, ctx, max_j, max_k, dtau, reduce)
-        _require_regular(points[near[0]], ctx, ("hbar", "hbar+z")[near[0] % 2])
+    for i, h in enumerate(hbars.tolist()):
+        if min(lattice_distance(h, tau), lattice_distance(h + z, tau)) < ctx.pole_radius:
+            # the parameters before the first one near a pole raise their own
+            # errors first, as they do one by one
+            if i:
+                elliptic_tables(hbars[:i], z, ctx, max_j, max_k, dtau, reduce)
+            _require_regular(h, ctx, "hbar")
+            _require_regular(h + z, ctx, "hbar+z")
     with np.errstate(all="ignore"):
         if dtau or not reduce:
             re, im = _inner_tables(hbars, z, ctx, max_j, max_k, dot=bool(dtau))
         else:
             _, _, p, q, _, real = _leibniz_terms(max_j, max_k)
             z_red, _, n_z = lattice_reduce(z, tau)
-            h_red, n_h = _lattice_reduce_all(hbars, tau)
-            re, im = _inner_tables(h_red, z_red, ctx, max_j, max_k)
-            moved = np.flatnonzero(n_h != 0) if n_z == 0 else np.arange(len(hbars))
-            if moved.size:
-                shifts = [int(n) for n in n_h[moved]]
+            h_red, _, n_h = zip(*(lattice_reduce(h, tau) for h in hbars.tolist()))
+            re, im = _inner_tables(np.array(h_red), z_red, ctx, max_j, max_k)
+            moved = [i for i, n in enumerate(n_h) if n or n_z]
+            if moved:
+                shifts = [n_h[i] for i in moved]
                 envelope = np.array([cmath.exp(-_TWO_PI_I * (n_z * h + n * z_red))
                                      for h, n in zip(hbars[moved].tolist(), shifts)])
                 weights = np.array([_shift_weights(n_z, n, max_j, max_k) for n in shifts])

@@ -125,8 +125,7 @@ def theta_stack(
         raise ValueError("derivative orders must be non-negative")
     z = complex(z)
     key = (z, max_dz, dtau)
-    memo = ctx._stacks
-    stack = memo.get(key)
+    stack = ctx._stacks.get(key)
     if stack is not None:
         return stack
     tau = ctx.tau
@@ -171,6 +170,12 @@ def theta_stack(
         p += 1
     stack = np.array(totals, dtype=np.complex128)
     stack.flags.writeable = False
+    return _memoize(ctx, key, stack)
+
+
+def _memoize(ctx: EllipticContext, key: tuple, stack: np.ndarray) -> np.ndarray:
+    """Store stack in ctx's memo under key, first clearing a memo of _MEMO_LIMIT stacks."""
+    memo = ctx._stacks
     if len(memo) >= _MEMO_LIMIT:
         memo.clear()
     memo[key] = stack
@@ -485,30 +490,33 @@ def kernel_derivs(
 
     hbar may also be a list, tuple or array of parameters: the tables at
     each of them with the one z come back stacked, shape (len(hbar),
-    max_j + 1, max_k + 1), each equal bit for bit to its single-point
-    table.  An elliptic list of at least _BATCH_POINTS (12) parameters is
-    tabulated in one batch (batch.elliptic_tables), which sums all its theta
-    series together and runs the table arithmetic over the parameter axis;
-    a shorter list, or one of another kind, is tabulated point by point,
-    since a batch has a fixed numpy cost that only many points repay.  A
-    list that fails raises an error one of its points raises alone; the
-    two routes may name different failing points.
+    max_j + 1, max_k + 1) even for an empty list, each equal bit for bit to
+    its single-point table.  An elliptic list of at least _BATCH_POINTS (12)
+    parameters is tabulated in one batch (batch.elliptic_tables), which sums
+    all its theta series together and runs the table arithmetic over the
+    parameter axis; a shorter list, or one of another kind, is tabulated
+    point by point, since a batch has a fixed numpy cost that only many
+    points repay.  A list that fails raises an error one of its points
+    raises alone.  Both routes check poles point by point in the same order
+    and name the same failing point; only a series error may name a
+    different one, since the batch sums all series before it tabulates.
     """
     if dtau not in (0, 1):
         raise ValueError("modulus-derivative order limited to 1")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
     if isinstance(hbar, (list, tuple, np.ndarray)):
         if kind == "elliptic" and len(hbar) >= _BATCH_POINTS:
             # loaded on first use, so single-point callers never compile it
             from .batch import elliptic_tables
 
             return elliptic_tables(hbar, z, ctx, max_j, max_k, dtau, reduce)
-        return np.array([kernel_derivs(kind, h, z, ctx, max_j, max_k, dtau, reduce) for h in hbar])
+        tables = [kernel_derivs(kind, h, z, ctx, max_j, max_k, dtau, reduce) for h in hbar]
+        return np.array(tables, dtype=np.complex128).reshape(len(tables), max_j + 1, max_k + 1)
     if kind == "elliptic":
         if dtau:
             return phi_tau_derivs(hbar, z, ctx, max_j, max_k)
         return phi_derivs(hbar, z, ctx, max_j, max_k, reduce=reduce)
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
     if dtau:
         return np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
     # looked up at call time, so wrappers installed on the module are seen

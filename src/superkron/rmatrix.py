@@ -459,11 +459,12 @@ def _channel_sum(indices, hbar, mu, p1, p2, omega, basis, ctx, super, form) -> S
     z12 = complex(p1.z) - complex(p2.z)
     hbars = [_channel_hbar(alpha, hbar, N, ctx.tau) for alpha in indices]
     if super:
-        functions: dict[int, SuperFunction] = {}
+        planned: dict[int, tuple[SuperFunction, tuple]] = {}
         for alpha in indices:
-            if alpha[1] not in functions:
-                functions[alpha[1]] = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form=form)
-        plans = [functions[alpha[1]].plan() for alpha in indices]
+            if alpha[1] not in planned:
+                f = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form=form)
+                planned[alpha[1]] = f, f.plan()
+        plans = [planned[alpha[1]][1] for alpha in indices]
         requests: dict[tuple, list[int]] = {}
         for i, (_, sizes) in enumerate(plans):
             for dtau, size in sizes.items():
@@ -474,7 +475,7 @@ def _channel_sum(indices, hbar, mu, p1, p2, omega, basis, ctx, super, form) -> S
             for i, table in zip(members, stacked):
                 tables[i][dtau] = table
         values = [
-            functions[alpha[1]].combine(rows, own, z12).items()
+            planned[alpha[1]][0].combine(rows, own, z12).items()
             for alpha, (rows, _), own in zip(indices, plans, tables)
         ]
     else:

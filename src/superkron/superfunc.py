@@ -127,12 +127,12 @@ class SuperFunction:
     exp(exp_coeff * z12) * d^{j,k,dtau} kernel(hbar, z12), z12 = z1 - z2,
     and the monomials are those of default_generators().  No term depends
     on hbar, so a plan combines with tables at any parameter.  Change
-    terms only through add_term, which drops the cached evaluation plan.
+    terms only through add_term.
     Every operator maps the stored rows into a new function with the same
     analytic metadata.
     """
 
-    __slots__ = ("ctx", "hbar", "kind", "exp_coeff", "terms", "_plan")
+    __slots__ = ("ctx", "hbar", "kind", "exp_coeff", "terms")
 
     def __init__(
         self,
@@ -148,12 +148,10 @@ class SuperFunction:
         self.kind = kind
         self.exp_coeff = complex(exp_coeff)
         self.terms: dict[int, dict[Descriptor, complex]] = {}
-        self._plan = None
 
     # -- construction helpers ----------------------------------------------
 
     def add_term(self, mask: int, dtau: int, j: int, k: int, coeff: complex) -> None:
-        self._plan = None  # the cached evaluation plan reads the terms
         desc, coeff = _canonical(dtau, j, k, complex(coeff))
         if coeff == 0:
             return
@@ -281,29 +279,16 @@ class SuperFunction:
     def plan(self, soul: GrassmannElement | None = None):
         """Rows (monomial, dtau, j, k, scalar) and the table sizes {dtau: (max j, max k)} they read.
 
-        The plan without a soul is built once and kept until add_term.
+        Each call plans the current terms afresh; a caller that combines one
+        function with tables at many parameters plans it once and keeps the
+        plan, as the R-matrix channel sums do.
         """
         if soul is None:
-            if self._plan is None:
-                self._plan = self._make_plan([default_generators().one()])
-            return self._plan
-        if soul.parity() != "even":
+            powers = [default_generators().one()]
+        elif soul.parity() != "even":
             raise ValueError("soul must be an even element")
-        return self._make_plan(nilpotent_powers(soul))
-
-    def combine(self, rows, tables: dict, z12: complex) -> GrassmannElement:
-        """The value from a plan's rows and the tables {dtau: table} they read, at z12."""
-        acc: dict[int, complex] = {}
-        for mask, dtau, j, k, scalar in rows:
-            value = tables[dtau][j, k]
-            if value == 0:
-                continue
-            acc[mask] = acc.get(mask, 0j) + scalar * value
-        envelope = cmath.exp(self.exp_coeff * z12) if self.exp_coeff != 0 else 1.0
-        return GrassmannElement({m: c * envelope for m, c in acc.items()})
-
-    def _make_plan(self, powers: list[GrassmannElement]):
-        """Rows (monomial, dtau, j, k, scalar) and {dtau: (max j, max k)} for the soul's powers."""
+        else:
+            powers = nilpotent_powers(soul)
         rows: list[tuple[int, int, int, int, complex]] = []
         sizes: dict[int, tuple[int, int]] = {}
         for mask, row in self.terms.items():
@@ -327,6 +312,17 @@ class SuperFunction:
                         mj, mk = sizes.get(desc.dtau, (0, 0))
                         sizes[desc.dtau] = (max(mj, desc.j), max(mk, k))
         return rows, sizes
+
+    def combine(self, rows, tables: dict, z12: complex) -> GrassmannElement:
+        """The value from a plan's rows and the tables {dtau: table} they read, at z12."""
+        acc: dict[int, complex] = {}
+        for mask, dtau, j, k, scalar in rows:
+            value = tables[dtau][j, k]
+            if value == 0:
+                continue
+            acc[mask] = acc.get(mask, 0j) + scalar * value
+        envelope = cmath.exp(self.exp_coeff * z12) if self.exp_coeff != 0 else 1.0
+        return GrassmannElement({m: c * envelope for m, c in acc.items()})
 
     def __repr__(self) -> str:
         n = sum(len(r) for r in self.terms.values())

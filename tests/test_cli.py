@@ -158,8 +158,18 @@ def test_parser_rejects_unknown_suite():
         cli.build_parser().parse_args(["frobnicate"])
 
 
-def test_main_success_exit_code(capsys):
-    code = cli.main(["theta", "--samples", "3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "--samples", "3"],
+        # at N = 1 the classical operator has no channels: vacuous, not an error
+        ["cybe", "--n", "1", "--samples", "2"],
+        ["all", "--n", "1", "--samples", "1"],
+    ],
+    ids=["theta", "cybe-n1", "all-n1"],
+)
+def test_main_success_exit_code(capsys, argv):
+    code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out

@@ -423,10 +423,14 @@ def test_phi_pole_guards():
         phi(0.3, -0.3 + 1e-9, CTX1)  # first+second argument on the lattice
     with pytest.raises(PoleProximityError):
         phi(0.3, 1.0 + 1e-9, CTX1)  # reduction maps near a lattice point
-    # a batch fails if any of its parameters does
+    # a batch fails if any of its parameters does, naming the point that its
+    # scalar table names: a non-first hbar, an hbar+z, and z
     for hbars, z in (([0.3, 1.0 + TAU1], 0.4), ([0.3, 0.2], -0.2 + 1e-9), ([0.3], TAU1)):
-        with pytest.raises(PoleProximityError):
+        with pytest.raises(PoleProximityError) as batched:
             elliptic_tables(hbars, z, CTX1, 0, 0, 0, True)
+        with pytest.raises(PoleProximityError) as scalar:
+            phi_derivs(hbars[-1], z, CTX1)
+        assert str(batched.value) == str(scalar.value)
 
 
 def test_multiplier_overflow_raises():
@@ -480,6 +484,13 @@ def test_kernel_derivs_batches_elliptic_lists_from_twelve_points(monkeypatch):
     assert calls == []
     kernel_derivs("elliptic", hbars, z, EllipticContext(TAU1), 2, 1)
     assert calls == [12]
+
+
+def test_kernel_derivs_empty_list():
+    for kind in ("elliptic", "trig", "rational"):
+        assert kernel_derivs(kind, [], 0.4, CTX1, 2, 1).shape == (0, 3, 2)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        kernel_derivs("bogus", [], 0.4, CTX1)
 
 
 def test_scalar_three_term_identity(rng):

@@ -336,8 +336,8 @@ def _bits(elem):
 
 @pytest.mark.parametrize("kind", ["elliptic", "trig", "rational"])
 def test_evaluate_at_another_parameter_equals_fresh_build(kind):
-    # the terms do not depend on the parameter, so one function's cached
-    # plan, combined with tables at another parameter, is bit for bit the
+    # the terms do not depend on the parameter, so one function's plan,
+    # combined with tables at another parameter, is bit for bit the
     # evaluation of a function built at that parameter
     opts = dict(kind=kind, exp_coeff=0.3 - 0.8j, hbar_tau_rate=0.5)
     f = super_phi(H1, "μ1", P1, P2, "ω", CTX, **opts)
@@ -356,7 +356,7 @@ def test_evaluate_at_another_parameter_equals_fresh_build(kind):
 def test_add_term_after_evaluate_changes_the_next_result():
     f = super_phi(H1, "μ1", P1, P2, "ω", CTX)
     before = f.evaluate(P1.z, P2.z)
-    # an evaluation with a soul plans for itself and leaves the cached plan
+    # an evaluation with a soul leaves the next evaluation without one as it was
     f.evaluate(P1.z, P2.z, soul=(Z1E * OME) * TPI)
     assert _bits(f.evaluate(P1.z, P2.z)) == _bits(before)
     f.add_term(GENS.mask_of("ζ1ζ2"), 0, 2, 1, 0.75)
