@@ -38,6 +38,9 @@ RUNS = (
     ("aybe-cybe-n3-tau-3.3+0.4i", {"suites": ("aybe", "cybe"), "n": 3, "tau": 3.3 + 0.4j, "samples": 2}),
     # the same modulus at N = 4, where the channel sums take the batch route
     ("aybe-cybe-n4-tau-3.3+0.4i", {"suites": ("aybe", "cybe"), "n": 4, "tau": 3.3 + 0.4j, "samples": 2}),
+    # the same modulus at N = 6, the benchmark's order, and at N = 2
+    ("aybe-cybe-n6-tau-3.3+0.4i", {"suites": ("aybe", "cybe"), "n": 6, "tau": 3.3 + 0.4j, "samples": 2}),
+    ("aybe-cybe-n2-tau-3.3+0.4i", {"suites": ("aybe", "cybe"), "n": 2, "tau": 3.3 + 0.4j, "samples": 2}),
     ("kronecker-tau-5+0.05i", {"suites": ("kronecker",), "tau": 5 + 0.05j, "samples": 40}),
 )
 
