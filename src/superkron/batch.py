@@ -2,10 +2,10 @@
 
 theta_stacks sums the theta series of many (z, max_dz, dtau) keys in one
 frequency-vectorised numpy evaluation; elliptic_tables builds the
-phi_derivs or phi_tau_derivs tables of many parameters with one argument
-from them.  The lattice geometry is elliptic's own: each parameter is
-checked for poles and reduced by the scalar lattice_distance and
-lattice_reduce, and the theta memo is bounded by the same helper.  What
+phi_derivs or phi_tau_derivs tables of many (parameter, argument) points
+from them.  The lattice geometry is elliptic's own: each parameter and
+each distinct argument is checked for poles and reduced by the scalar
+lattice_distance and lattice_reduce, and the theta memo is bounded by the same helper.  What
 runs over the parameter axis is what pays there: the series sums, the
 reciprocal recursions, the Leibniz cell sums and the multipliers.  Each
 result equals bit for bit what the scalar routes in elliptic return at its
@@ -274,32 +274,33 @@ def _columns(parts: list) -> tuple:
     return np.stack([c[0] for c in parts], axis=1), np.stack([c[1] for c in parts], axis=1)
 
 
-def _inner_tables(hs: np.ndarray, z: complex, ctx: EllipticContext, max_j: int, max_k: int, dot: bool = False):
-    """_inner_table (or with dot, phi_tau_derivs' table) at every parameter in the array hs.
+def _inner_tables(hs: np.ndarray, zs: np.ndarray, which, ctx: EllipticContext, max_j: int, max_k: int, dot=False):
+    """_inner_table (or with dot, phi_tau_derivs' table) at every point (hs[i], zs[which[i]]).
 
     Returns the (real, imaginary) parts of the cells, shape (len(hs), cells).
     """
     top = max_j + max_k
     orders = (0, 1) if dot else (0,)
-    keys = [(w, n, d) for pair in zip((hs + z).tolist(), hs.tolist()) for w, n in zip(pair, (top, max_j))
+    keys = [(w, n, d) for pair in zip((hs + zs[which]).tolist(), hs.tolist()) for w, n in zip(pair, (top, max_j))
             for d in orders]
-    keys += [(z, max_k, d) for d in orders]
+    keys += [(z, max_k, d) for z in zs.tolist() for d in orders]
     stacks = theta_stacks(keys, ctx)
     step = 2 * len(orders)
-    a = np.array(stacks[0:-len(orders):step])
-    u = _reciprocals(np.array(stacks[len(orders):-len(orders):step]))
-    v = _reciprocal_derivs(stacks[-len(orders)])
+    points, args = stacks[:step * len(hs)], stacks[step * len(hs):]
+    a = np.array(points[0::step])
+    u = _reciprocals(np.array(points[len(orders)::step]))
+    v = [_reciprocal_derivs(stack) for stack in args[0::len(orders)]]
     j, k, p, q, coeff, real = _leibniz_terms(max_j, max_k)
-    A, U, V = _parts(a[:, p + q]), _columns(u), _parts(v[k - q])
+    A, U, V = _parts(a[:, p + q]), _columns(u), _parts(np.array(v)[which][:, k - q])
     U = (U[0][:, j - p], U[1][:, j - p])
     prime0, prime0_dot = _origin_data(ctx)
     inner = _ordered_sum(_chain((coeff, 0.0), A, U, V), real)
     if not dot:
         return _cmul(prime0.real, prime0.imag, *inner)
-    a_dot = _parts(np.array(stacks[1:-len(orders):step])[:, p + q])
-    u_dot = _columns(_reciprocal_dots(np.array(stacks[3:-len(orders):step]), u))
+    a_dot = _parts(np.array(points[1::step])[:, p + q])
+    u_dot = _columns(_reciprocal_dots(np.array(points[3::step]), u))
     u_dot = (u_dot[0][:, j - p], u_dot[1][:, j - p])
-    v_dot = _parts(_reciprocal_dot(stacks[-1], v)[k - q])
+    v_dot = _parts(np.array([_reciprocal_dot(stack, r) for stack, r in zip(args[1::2], v)])[which][:, k - q])
     x, y, w = _chain(a_dot, U, V), _chain(A, u_dot, V), _chain(A, U, v_dot)
     summed = ((x[0] + y[0]) + w[0], (x[1] + y[1]) + w[1])
     dots = _ordered_sum(_chain((coeff, 0.0), summed), real)
@@ -320,43 +321,46 @@ def _shift_weights(n_z: int, n_h: int, max_j: int, max_k: int) -> np.ndarray:
 
 
 def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau: int, reduce: bool) -> np.ndarray:
-    """The elliptic kernel_derivs tables at every parameter in hbars with one z.
+    """The elliptic kernel_derivs tables at every parameter in hbars, with one z or one z per parameter.
 
     Returns shape (len(hbars), max_j + 1, max_k + 1), each table equal bit
     for bit to phi_derivs (dtau = 0) or phi_tau_derivs (dtau = 1) at its
-    parameter, with the same multipliers and errors.  Poles are checked one
-    parameter at a time, z first and then each hbar and hbar+z in order, as
-    the scalar routes check them, so the first parameter that fails names
-    the error with the scalar message; the parameters before it are
-    tabulated first, so a series or overflow error of theirs comes first.
-    All theta stacks are summed by one theta_stacks request.
+    point, with the same multipliers and errors; each distinct z is checked,
+    reduced and summed once.  Poles are checked one point at a time, z, hbar
+    and hbar+z, in order, as the scalar routes check them, so the first
+    point that fails names the error with the scalar message; the points
+    before it are tabulated first, so a series or overflow error of theirs
+    comes first.  All theta stacks are summed by one theta_stacks request.
     """
     hbars = np.array(hbars, dtype=np.complex128).reshape(-1)
-    z = complex(z)
+    zs = np.broadcast_to(np.array(z, dtype=np.complex128), hbars.shape).copy()
     tau = ctx.tau
-    _require_regular(z, ctx, "z")
-    for i, h in enumerate(hbars.tolist()):
-        if min(lattice_distance(h, tau), lattice_distance(h + z, tau)) < ctx.pole_radius:
-            # the parameters before the first one near a pole raise their own
+    # distinct z by their bits, so that 0.0 and -0.0 stay apart
+    _, first, which = np.unique(zs.view(np.int64).reshape(-1, 2), axis=0, return_index=True, return_inverse=True)
+    distinct, which = zs[first], which.reshape(-1)
+    near = [lattice_distance(w, tau) < ctx.pole_radius for w in distinct.tolist()]
+    for i, (h, w) in enumerate(zip(hbars.tolist(), zs.tolist())):
+        if near[which[i]] or min(lattice_distance(h, tau), lattice_distance(h + w, tau)) < ctx.pole_radius:
+            # the points before the first one near a pole raise their own
             # errors first, as they do one by one
             if i:
-                elliptic_tables(hbars[:i], z, ctx, max_j, max_k, dtau, reduce)
+                elliptic_tables(hbars[:i], zs[:i], ctx, max_j, max_k, dtau, reduce)
+            _require_regular(w, ctx, "z")
             _require_regular(h, ctx, "hbar")
-            _require_regular(h + z, ctx, "hbar+z")
+            _require_regular(h + w, ctx, "hbar+z")
     with np.errstate(all="ignore"):
         if dtau or not reduce:
-            re, im = _inner_tables(hbars, z, ctx, max_j, max_k, dot=bool(dtau))
+            re, im = _inner_tables(hbars, distinct, which, ctx, max_j, max_k, dot=bool(dtau))
         else:
             _, _, p, q, _, real = _leibniz_terms(max_j, max_k)
-            z_red, _, n_z = lattice_reduce(z, tau)
+            z_red, _, n_z = zip(*(lattice_reduce(w, tau) for w in distinct.tolist()))
             h_red, _, n_h = zip(*(lattice_reduce(h, tau) for h in hbars.tolist()))
-            re, im = _inner_tables(np.array(h_red), z_red, ctx, max_j, max_k)
-            moved = [i for i, n in enumerate(n_h) if n or n_z]
+            re, im = _inner_tables(np.array(h_red), np.array(z_red), which, ctx, max_j, max_k)
+            moved = [i for i, (n, d) in enumerate(zip(n_h, which.tolist())) if n or n_z[d]]
             if moved:
-                shifts = [n_h[i] for i in moved]
-                envelope = np.array([cmath.exp(-_TWO_PI_I * (n_z * h + n * z_red))
-                                     for h, n in zip(hbars[moved].tolist(), shifts)])
-                weights = np.array([_shift_weights(n_z, n, max_j, max_k) for n in shifts])
+                at = [(hbars[i].item(), n_h[i], which[i]) for i in moved]
+                envelope = np.array([cmath.exp(-_TWO_PI_I * (n_z[d] * h + n * z_red[d])) for h, n, d in at])
+                weights = np.array([_shift_weights(n_z[d], n, max_j, max_k) for _, n, d in at])
                 cells = (re[moved][:, p * (max_k + 1) + q], im[moved][:, p * (max_k + 1) + q])
                 acc = _ordered_sum(_cmul(weights.real, weights.imag, *cells), real)
                 re[moved], im[moved] = _cmul(envelope.real[:, None], envelope.imag[:, None], *acc)

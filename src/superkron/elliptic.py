@@ -51,9 +51,7 @@ _K_MAX = 200
 # (batch.elliptic_tables), shorter ones point by point.  A batch has a fixed
 # numpy cost: at one point, tau = 0.3+1.1i, theta_stack takes 28 us against
 # 134 us batched, phi_derivs(2, 2) 57 against 262 us and phi_tau_derivs 38
-# against 390 us.  CPU time per aybe sample on a 2-core host, point by point
-# against batched: 10-15 against 14-20 ms at N = 2 (4 channels), about equal
-# at N = 3 (9), 32-47 against 27-32 ms at N = 4 (16).
+# against 390 us.
 _BATCH_POINTS = 12
 
 
@@ -488,30 +486,30 @@ def kernel_derivs(
     derivative by the flow identity.  reduce applies to the elliptic table
     with dtau = 0 only.
 
-    hbar may also be a list, tuple or array of parameters: the tables at
-    each of them with the one z come back stacked, shape (len(hbar),
-    max_j + 1, max_k + 1) even for an empty list, each equal bit for bit to
-    its single-point table.  An elliptic list of at least _BATCH_POINTS (12)
-    parameters is tabulated in one batch (batch.elliptic_tables), which sums
+    hbar may also be a list, tuple or array of parameters, with one z or a
+    list of as many: the tables at each (parameter, z) come back stacked,
+    shape (len(hbar), max_j + 1, max_k + 1) even for an empty list, each bit
+    for bit its single-point table.  An elliptic list of at least _BATCH_POINTS
+    (12) points is tabulated in one batch (batch.elliptic_tables), which sums
     all its theta series together and runs the table arithmetic over the
-    parameter axis; a shorter list, or one of another kind, is tabulated
-    point by point, since a batch has a fixed numpy cost that only many
-    points repay.  A list that fails raises an error one of its points
-    raises alone.  Both routes check poles point by point in the same order
-    and name the same failing point; only a series error may name a
-    different one, since the batch sums all series before it tabulates.
+    point axis, a shorter list or one of another kind point by point: a batch
+    has a fixed numpy cost that only many points repay.  A list that fails
+    raises an error one of its points raises alone.  Both routes check poles
+    point by point in the same order and name the same failing point; only a
+    series error may name another, as the batch sums all series first.
     """
     if dtau not in (0, 1):
         raise ValueError("modulus-derivative order limited to 1")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if isinstance(hbar, (list, tuple, np.ndarray)):
+        zs = z if isinstance(z, (list, tuple, np.ndarray)) else [z] * len(hbar)
         if kind == "elliptic" and len(hbar) >= _BATCH_POINTS:
             # loaded on first use, so single-point callers never compile it
             from .batch import elliptic_tables
 
-            return elliptic_tables(hbar, z, ctx, max_j, max_k, dtau, reduce)
-        tables = [kernel_derivs(kind, h, z, ctx, max_j, max_k, dtau, reduce) for h in hbar]
+            return elliptic_tables(hbar, zs, ctx, max_j, max_k, dtau, reduce)
+        tables = [kernel_derivs(kind, h, w, ctx, max_j, max_k, dtau, reduce) for h, w in zip(hbar, zs, strict=True)]
         return np.array(tables, dtype=np.complex128).reshape(len(tables), max_j + 1, max_k + 1)
     if kind == "elliptic":
         if dtau:

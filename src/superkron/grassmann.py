@@ -214,7 +214,8 @@ class GrassmannElement:
         return parity(self._terms)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
+        values = [abs(c) for c in self._terms.values()]
+        return float("nan") if any(map(cmath.isnan, values)) else max(values, default=0.0)
 
     # -- arithmetic ---------------------------------------------------------
 

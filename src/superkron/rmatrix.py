@@ -26,8 +26,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .elliptic import EllipticContext, kernel_derivs, phi_derivs
-from .grassmann import default_generators
-from .superfunc import SuperFunction, SuperPoint, _odd_element, super_phi, three_term
+from .grassmann import GrassmannElement, default_generators
+from .superfunc import SuperFunction, SuperPoint, _odd_element, super_phi, three_term, three_term_specs
 
 __all__ = [
     "MultiIndex",
@@ -39,6 +39,7 @@ __all__ = [
     "SuperMatrix",
     "build_R",
     "build_r_classical",
+    "channel_sums",
     "embed",
     "commutator",
     "anticommutator",
@@ -88,7 +89,6 @@ class HeisenbergBasis:
         if not isinstance(N, int) or N < 1:
             raise ValueError("N must be a positive integer")
         self.N = N
-        self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def q_power(self, a1: int) -> np.ndarray:
         N = self.N
@@ -107,16 +107,23 @@ class HeisenbergBasis:
         phase = cmath.exp(1j * math.pi * a1 * a2 / self.N)
         return phase * (self.q_power(a1) @ self.lam_power(a2))
 
-    def pair(self, alpha) -> np.ndarray:
-        """Stored entries of the channel block T_a (x) T_-a (see SuperMatrix), built once per index pair."""
-        key = (int(alpha[0]), int(alpha[1]))
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            # conserves the charge by construction: gathered without the check
-            cached = _stored(np.kron(self.t(alpha), self.t(-alpha)), 2, self.N)
-            cached.flags.writeable = False
-            self._pair_cache[key] = cached
-        return cached
+    @functools.cached_property
+    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a2, gather): gather[a1, r, c] is the stored entry (r, c) of T_a (x) T_-a for the only
+        a2 whose entry there is nonzero, a2[r, c] = c - (first output index of r) mod N."""
+        N = self.N
+        a2 = (np.arange(N)[None, :] - np.arange(N * N)[:, None] // N) % N
+        # conserve the charge by construction: gathered without the check
+        pairs = [[_stored(np.kron(self.t((a1, b)), self.t((-a1, -b))), 2, N) for b in range(N)] for a1 in range(N)]
+        gather = np.take_along_axis(np.array(pairs), a2[None, None], 1)[:, 0]
+        a2.flags.writeable = gather.flags.writeable = False
+        return a2, gather
+
+    def channel_blocks(self, coeffs: np.ndarray) -> np.ndarray:
+        """Stored entries of sum over a of coeffs[m, a1, a2] T_a (x) T_-a, shape (monomials, N**2, N),
+        summed over a1 in order as adding channel by channel sums them (other channels add zeros)."""
+        a2, gather = self._gather
+        return np.ascontiguousarray(np.add.accumulate(coeffs[:, :, a2] * gather, axis=1)[:, -1])
 
     def canonical_indices(self) -> list[MultiIndex]:
         return [MultiIndex(a1, a2) for a1, a2 in product(range(self.N), repeat=2)]
@@ -323,9 +330,7 @@ class SuperMatrix:
             self.blocks[mask] = stored
 
     def max_abs(self) -> float:
-        if not self.blocks:
-            return 0.0
-        return max(float(np.abs(arr).max()) for arr in self.blocks.values())
+        return float(np.max([np.abs(arr).max() for arr in self.blocks.values()], initial=0.0))
 
     def placed(self, sites: Sequence[int]) -> "SuperMatrix":
         """The same blocks as an operator on the given chain sites, in factor order."""
@@ -444,53 +449,123 @@ def anticommutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return out
 
 
-def _channel_sum(indices, hbar, mu, p1, p2, omega, basis, ctx, super, form) -> SuperMatrix:
-    """Sum over the given index channels of T_a (x) T_-a times the channel coefficient.
+# compiled odd channel functions by (form, a2, N, slots), cleared when it holds 1024
+_TEMPLATES: dict = {}
 
-    An odd channel function is built and planned once per a2 (see
-    super_basis_phi); each kernel_derivs request then takes the parameters
-    of every channel that reads a table of one size and modulus order, and
-    each channel combines its own rows of the stacked tables, bit for bit
-    its evaluation at its own parameter.  The ordinary operator requests the
-    plain kernel at every channel's parameter and multiplies in the
-    dressing.  kernel_derivs alone decides how the tables are computed.
+
+class _Template:
+    """An odd channel function's plan, one padded grid row per monomial (masks, in first-row order)
+    listing its plan rows in order: ints holds row index (-1 pads), modulus order and table cell."""
+
+    def __init__(self, f: SuperFunction) -> None:
+        rows, self.sizes = f.plan()
+        self.exp_coeff = f.exp_coeff
+        self.masks = np.array(list(dict.fromkeys(r[0] for r in rows)), dtype=int)
+        groups = [[i for i, r in enumerate(rows) if r[0] == m] for m in self.masks.tolist()]
+        width = max(map(len, groups), default=1)
+        grid = np.array([g + [-1] * (width - len(g)) for g in groups], dtype=int).reshape(-1, width)
+        cells = [(d, j * (self.sizes[d][1] + 1) + k) for _, d, j, k, _ in rows] + [(0, 0)]
+        self.ints = np.concatenate([grid[None], np.moveaxis(np.array(cells)[grid], -1, 0)])
+        self.scalar = np.array([r[4] for r in rows] + [0j])[grid]
+
+
+def _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) -> _Template:
+    """super_basis_phi compiled once per (form, a2, N, slots), its plan depending on neither a1, hbar nor ctx;
+    a slot is keyed as given, an element by its exact terms in order (repr keeps the sign of a zero)."""
+    slots = (p1.zeta, p2.zeta, omega, mu)
+    key = (form, alpha[1], N, *(tuple(map(repr, x.items())) if isinstance(x, GrassmannElement) else x for x in slots))
+    template = _TEMPLATES.get(key)
+    if template is None:
+        template = _Template(super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form=form))
+        if len(_TEMPLATES) >= 1024:
+            _TEMPLATES.clear()
+        _TEMPLATES[key] = template
+    return template
+
+
+def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext, super: bool = False) -> list[SuperMatrix]:
+    """The channel sums of several operators in one pass, each bit for bit the sum built alone.
+
+    Each op (indices, hbar, mu, p1, p2, form) sums T_a (x) T_-a times super_basis_phi (with super)
+    or the dressed kernel over a in indices, at hbar + (a1 + a2 tau)/N and z12 = p1.z - p2.z.  Odd
+    functions come compiled (_template); one kernel_derivs request per (modulus order, table size)
+    serves all channels; templates of one shape combine over the channel axis as SuperFunction.combine
+    does (its arithmetic and row order, zero cells skipped); blocks are HeisenbergBasis.channel_blocks.
+    A failed pass builds the operators one by one, to raise what building them in order raises.
     """
+    try:
+        return _channel_sums(ops, omega, basis, ctx, super)
+    except (ArithmeticError, RuntimeError, ValueError):
+        for op in ops if len(ops) > 1 else ():
+            _channel_sums([op], omega, basis, ctx, super)
+        raise
+
+
+def _channel_sums(ops, omega, basis, ctx, super) -> list[SuperMatrix]:
+    from .batch import _cmul, _complex, _ordered_sum  # loaded on first use, as kernel_derivs loads it
     N = basis.N
-    z12 = complex(p1.z) - complex(p2.z)
-    hbars = [_channel_hbar(alpha, hbar, N, ctx.tau) for alpha in indices]
-    if super:
-        planned: dict[int, tuple[SuperFunction, tuple]] = {}
+    flat, hbars, z12s, templates = [], [], [], []
+    for indices, hbar, mu, p1, p2, form in ops:
+        built: dict[int, _Template] = {}
         for alpha in indices:
-            if alpha[1] not in planned:
-                f = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form=form)
-                planned[alpha[1]] = f, f.plan()
-        plans = [planned[alpha[1]][1] for alpha in indices]
-        requests: dict[tuple, list[int]] = {}
-        for i, (_, sizes) in enumerate(plans):
-            for dtau, size in sizes.items():
-                requests.setdefault((dtau, size), []).append(i)
-        tables: list[dict] = [{} for _ in indices]
-        for (dtau, (mj, mk)), members in requests.items():
-            stacked = kernel_derivs("elliptic", [hbars[i] for i in members], z12, ctx, mj, mk, dtau)
-            for i, table in zip(members, stacked):
-                tables[i][dtau] = table
-        values = [
-            planned[alpha[1]][0].combine(rows, own, z12).items()
-            for alpha, (rows, _), own in zip(indices, plans, tables)
-        ]
-    else:
-        kernels = kernel_derivs("elliptic", hbars, z12, ctx)[:, 0, 0]
-        values = [((0, _dressing(alpha, z12, N) * kernel),) for alpha, kernel in zip(indices, kernels)]
-    out = SuperMatrix(2, N)
-    blocks = out.blocks
-    for alpha, terms in zip(indices, values):
-        block = basis.pair(alpha)
-        for mask, coeff in terms:
-            # in place: one channel term at a time, in channel order
-            if mask in blocks:
-                blocks[mask] += coeff * block
-            else:
-                blocks[mask] = coeff * block
+            flat.append(alpha[0] * N + alpha[1])
+            hbars.append(_channel_hbar(alpha, hbar, N, ctx.tau))
+            z12s.append(complex(p1.z) - complex(p2.z))
+            if super:
+                if alpha[1] not in built:
+                    built[alpha[1]] = _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form)
+                templates.append(built[alpha[1]])
+    requests: dict[tuple, list[int]] = {}
+    for i in range(len(hbars)):
+        for dtau, size in templates[i].sizes.items() if super else ((0, (0, 0)),):
+            requests.setdefault((dtau, size), []).append(i)
+    tables = [kernel_derivs("elliptic", [hbars[i] for i in m], [z12s[i] for i in m], ctx, *size, dtau)
+              for (dtau, size), m in requests.items()]
+    # every table in one buffer; a channel's table of modulus order d starts at offset[channel, d]
+    offset = np.zeros((len(hbars), 2), dtype=int)
+    for start, t, ((dtau, _), m) in zip(np.cumsum([0] + [t.size for t in tables]), tables, requests.items()):
+        offset[m, dtau] = start + np.arange(len(m)) * t[0].size
+    buf = np.concatenate([t.reshape(-1) for t in tables] + [np.zeros(1, dtype=complex)])
+    # per channel and monomial: coefficient, first plan row adding to it, presence
+    shape = (len(hbars), 1 << default_generators().n_generators)
+    coeffs, first, present = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=int), np.zeros(shape, dtype=bool)
+    if not super:
+        kernel = buf[offset[:, 0]]
+        dressing = np.array([_dressing((0, f % N), z, N) for f, z in zip(flat, z12s)], dtype=complex)
+        coeffs[:, 0] = _complex(*_cmul(dressing.real, dressing.imag, kernel.real, kernel.imag))
+        present[:, 0] = True
+    shapes: dict[tuple, list[int]] = {}
+    for i, t in enumerate(templates):
+        shapes.setdefault(t.scalar.shape, []).append(i)
+    envelope = np.array([cmath.exp(t.exp_coeff * z) if t.exp_coeff != 0 else 1.0 for t, z in zip(templates, z12s)],
+                        dtype=complex)
+    for members in shapes.values():
+        index: dict = {}
+        tidx = [index.setdefault(templates[i], len(index)) for i in members]
+        row, dtau, cell = np.moveaxis(np.array([t.ints for t in index])[tidx], 1, 0)
+        values = buf[offset[np.array(members)[:, None, None], dtau] + cell]
+        live = (row >= 0) & (values != 0)
+        scalar = np.array([t.scalar for t in index])[tidx]
+        acc = _ordered_sum(_cmul(scalar.real, scalar.imag, values.real, values.imag), live)
+        env = envelope[members][:, None]
+        coeff = _complex(*_cmul(*acc, env.real, env.imag))
+        # combine drops a monomial no row adds to, GrassmannElement a zero one
+        keep = live.any(axis=2) & (coeff != 0)
+        at = np.broadcast_to(np.array(members)[:, None], keep.shape)[keep]
+        masks = np.array([t.masks for t in index])[tidx][keep]
+        coeffs[at, masks], present[at, masks] = coeff[keep], True
+        first[at, masks] = np.take_along_axis(row, live.argmax(axis=2)[..., None], 2)[..., 0][keep]
+    out = [SuperMatrix(2, N) for _ in ops]
+    bounds = np.cumsum([0] + [len(op[0]) for op in ops])
+    for m, lo, hi in zip(out, bounds[:-1], bounds[1:]):
+        masks = np.flatnonzero(present[lo:hi].any(axis=0))
+        if len(masks):
+            # in the order channel by channel addition first meets them
+            at = present[lo:hi, masks].argmax(axis=0)
+            masks = masks[np.lexsort((first[lo:hi][at, masks], at))]
+            grid = np.zeros((len(masks), N * N), dtype=complex)
+            grid[:, flat[lo:hi]] = coeffs[lo:hi, masks].T
+            m.blocks = dict(zip(masks.tolist(), basis.channel_blocks(grid.reshape(-1, N, N))))
     return out
 
 
@@ -512,7 +587,7 @@ def build_R(
     Grassmann extension in the chosen form, the ordinary one the scalar
     channel function.  mu = None with super gives the truncated odd family.
     """
-    return _channel_sum(basis.canonical_indices(), hbar, mu, p1, p2, omega, basis, ctx, super, form)
+    return channel_sums([(basis.canonical_indices(), hbar, mu, p1, p2, form)], omega, basis, ctx, super)[0]
 
 
 def build_r_classical(
@@ -528,7 +603,7 @@ def build_r_classical(
     The odd version uses the truncated channel extensions (odd parameter
     absent), matching the classical bracket identity it satisfies.
     """
-    return _channel_sum(basis.nonzero_indices(), 0.0, None, p1, p2, omega, basis, ctx, super, "shift")
+    return channel_sums([(basis.nonzero_indices(), 0.0, None, p1, p2, "shift")], omega, basis, ctx, super)[0]
 
 
 def aybe_residual(
@@ -553,11 +628,10 @@ def aybe_residual(
     else:
         x1, x2 = (h1, None), (h2, None)
 
-    def factor(x, a, b):
-        r = build_R(x[0], x[1], points[a], points[b], omega, basis, ctx, super=super)
-        return r.placed((a + 1, b + 1))
-
-    return three_term(factor, x1, x2, mul=operator.matmul, size=SuperMatrix.max_abs)
+    specs = three_term_specs(x1, x2)
+    ops = [(basis.canonical_indices(), x[0], x[1], points[a], points[b], "shift") for x, a, b in specs]
+    built = iter(r.placed((a + 1, b + 1)) for r, (_, a, b) in zip(channel_sums(ops, omega, basis, ctx, super), specs))
+    return three_term(lambda *spec: next(built), x1, x2, mul=operator.matmul, size=SuperMatrix.max_abs)
 
 
 def cybe_residual(
@@ -574,10 +648,9 @@ def cybe_residual(
     since the odd classical operators have parity-odd entries.  The scale is
     the largest bracket.
     """
-    p1, p2, p3 = points
-    r12 = build_r_classical(p1, p2, omega, basis, ctx, super=super).placed((1, 2))
-    r13 = build_r_classical(p1, p3, omega, basis, ctx, super=super).placed((1, 3))
-    r23 = build_r_classical(p2, p3, omega, basis, ctx, super=super).placed((2, 3))
+    sites = ((1, 2), (1, 3), (2, 3))
+    ops = [(basis.nonzero_indices(), 0.0, None, points[a - 1], points[b - 1], "shift") for a, b in sites]
+    r12, r13, r23 = (r.placed(s) for r, s in zip(channel_sums(ops, omega, basis, ctx, super), sites))
     bracket = anticommutator if super else commutator
     b1 = bracket(r12, r13)
     b2 = bracket(r12, r23)

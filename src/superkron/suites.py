@@ -28,7 +28,7 @@ from .rmatrix import (
     MultiIndex,
     aybe_residual,
     basis_phi,
-    build_R,
+    channel_sums,
     cybe_residual,
     super_basis_phi,
 )
@@ -358,9 +358,9 @@ def _compute_aybe(inputs, cfg) -> float:
     res, scale = aybe_residual((h1, h2), ("μ1", "μ2"), pts, "ω", basis, ctx, super=True)
     rel = max(rel, _rel(res.max_abs(), scale))
     # operator assemblies of the odd quantum matrix agree
-    ref = build_R(h1, "μ1", pts[0], pts[1], "ω", basis, ctx, super=True, form="shift")
-    for form in ("basis", "heat"):
-        other = build_R(h1, "μ1", pts[0], pts[1], "ω", basis, ctx, super=True, form=form)
+    ops = [(basis.canonical_indices(), h1, "μ1", pts[0], pts[1], form) for form in ("shift", "basis", "heat")]
+    ref, *others = channel_sums(ops, "ω", basis, ctx, super=True)
+    for other in others:
         rel = max(rel, _rel((ref - other).max_abs(), ref.max_abs()))
     return rel
 

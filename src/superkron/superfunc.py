@@ -37,6 +37,7 @@ __all__ = [
     "super_phi_truncated",
     "super_phi_degenerate",
     "three_term",
+    "three_term_specs",
     "fay_residual",
     "heat_residual",
     "periodicity_residual",
@@ -265,8 +266,8 @@ class SuperFunction:
         expansion, with derivatives skipped whenever the accompanying
         Grassmann product already vanished.  Evaluation is plan, one
         kernel_derivs table per modulus order, then combine; the R-matrix
-        channel sums call plan and combine themselves, with tables at each
-        channel's own parameter.
+        channel sums compile plan's rows once and combine them over many
+        channels at once (rmatrix.channel_sums).
         """
         z12 = complex(z1) - complex(z2)
         rows, sizes = self.plan(soul)
@@ -281,7 +282,7 @@ class SuperFunction:
 
         Each call plans the current terms afresh; a caller that combines one
         function with tables at many parameters plans it once and keeps the
-        plan, as the R-matrix channel sums do.
+        plan, as the R-matrix channel sums do (compiled, see rmatrix._Template).
         """
         if soul is None:
             powers = [default_generators().one()]
@@ -445,19 +446,8 @@ def super_phi_degenerate(
 # -- residual checkers ---------------------------------------------------------
 
 
-def three_term(factor, x1, x2, mul=operator.mul, size=abs):
-    """The three-term quadratic relation behind the Fay and associative checks.
-
-    Forms f(x1)_12 f(x2)_23 + f(-x2)_31 f(x1-x2)_12 + f(x2-x1)_23 f(-x1)_31,
-    where factor(x, a, b) builds the factor with parameter tuple x between
-    points a and b (indices 0, 1, 2).  Tuples are negated and subtracted
-    entry by entry; a None entry, the absent odd parameter of the truncated
-    function, stays None.  Products are taken left to right with mul.
-    Returns the sum and the largest size of the three products, the scale
-    the residual is measured against; the exact relation makes the sum vanish.
-    The third product is added in place, where the type allows, into the
-    fresh sum of the first two; the products themselves are left unchanged.
-    """
+def three_term_specs(x1, x2) -> tuple:
+    """three_term's six (x, a, b) factor specs in its order; x negates and subtracts entrywise, None staying None."""
 
     def neg(x):
         return tuple(None if v is None else -v for v in x)
@@ -465,9 +455,23 @@ def three_term(factor, x1, x2, mul=operator.mul, size=abs):
     def sub(x, y):
         return tuple(None if u is None else u - v for u, v in zip(x, y))
 
-    p1 = mul(factor(x1, 0, 1), factor(x2, 1, 2))
-    p2 = mul(factor(neg(x2), 2, 0), factor(sub(x1, x2), 0, 1))
-    p3 = mul(factor(sub(x2, x1), 1, 2), factor(neg(x1), 2, 0))
+    return (x1, 0, 1), (x2, 1, 2), (neg(x2), 2, 0), (sub(x1, x2), 0, 1), (sub(x2, x1), 1, 2), (neg(x1), 2, 0)
+
+
+def three_term(factor, x1, x2, mul=operator.mul, size=abs):
+    """The three-term quadratic relation behind the Fay and associative checks.
+
+    Forms f(x1)_12 f(x2)_23 + f(-x2)_31 f(x1-x2)_12 + f(x2-x1)_23 f(-x1)_31,
+    where factor(x, a, b) builds the factor with parameter tuple x between
+    points a and b (indices 0, 1, 2), called once per spec of
+    three_term_specs, in its order.  Products are taken left to right with mul.
+    Returns the sum and the largest size of the three products, the scale
+    the residual is measured against; the exact relation makes the sum vanish.
+    The third product is added in place, where the type allows, into the
+    fresh sum of the first two; the products themselves are left unchanged.
+    """
+    f = [factor(*spec) for spec in three_term_specs(x1, x2)]
+    p1, p2, p3 = mul(f[0], f[1]), mul(f[2], f[3]), mul(f[4], f[5])
     total = p1 + p2
     total += p3
     return total, max(size(p1), size(p2), size(p3))

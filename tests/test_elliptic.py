@@ -486,6 +486,31 @@ def test_kernel_derivs_batches_elliptic_lists_from_twelve_points(monkeypatch):
     assert calls == [12]
 
 
+def test_kernel_derivs_takes_one_z_per_parameter():
+    # points with their own z, some sharing one, and two z that differ only
+    # in the sign of a zero imaginary part: each table is bit for bit its
+    # single-point table, on the per-point route (11 points) and the batch
+    rng = np.random.default_rng(7)
+    for tau in (TAU1, 3.3 + 0.4j):
+        ctx = EllipticContext(tau)
+        hs = list(cell_points(rng, 14, tau))
+        zs = list(cell_points(rng, 4, tau)) + [0.3 + 0j, complex(0.3, -0.0)]
+        zs = [zs[i % len(zs)] for i in range(len(hs))]
+        for n in (11, 14):
+            for max_j, max_k, dtau, reduce in ((2, 1, 0, True), (1, 2, 0, False), (1, 0, 1, True)):
+                got = kernel_derivs("elliptic", hs[:n], zs[:n], ctx, max_j, max_k, dtau, reduce)
+                for h, z, table in zip(hs, zs, got):
+                    want = kernel_derivs("elliptic", h, z, ctx, max_j, max_k, dtau, reduce)
+                    assert table.tobytes() == want.tobytes(), (tau, n, h, z, max_j, max_k, dtau, reduce)
+    for kind in ("trig", "rational"):
+        got = kernel_derivs(kind, hs, zs, CTX1, 2, 1)
+        assert all(t.tobytes() == kernel_derivs(kind, h, z, CTX1, 2, 1).tobytes() for h, z, t in zip(hs, zs, got))
+    for kind in ("elliptic", "trig", "rational"):
+        assert kernel_derivs(kind, [], [], CTX1, 2, 1).shape == (0, 3, 2)
+    with pytest.raises(ValueError):
+        kernel_derivs("elliptic", hs[:3], zs[:2], CTX1)
+
+
 def test_kernel_derivs_empty_list():
     for kind in ("elliptic", "trig", "rational"):
         assert kernel_derivs(kind, [], 0.4, CTX1, 2, 1).shape == (0, 3, 2)

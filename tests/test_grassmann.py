@@ -132,6 +132,10 @@ def test_isclose_tolerance():
 def test_max_abs():
     e = GENS.scalar(1) + GENS.generator("ω") * (3 + 4j)
     assert e.max_abs() == pytest.approx(5.0)
+    assert GrassmannElement({}).max_abs() == 0.0
+    # a NaN coefficient reads NaN wherever it stands
+    for terms in ({1: 1.0, 2: math.nan}, {2: math.nan, 1: 1.0}):
+        assert math.isnan(GrassmannElement(terms).max_abs())
 
 
 def test_equal_elements_hash_equal():

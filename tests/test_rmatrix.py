@@ -21,6 +21,7 @@ from superkron.rmatrix import (
     build_R,
     build_r_classical,
     channel_shift,
+    channel_sums,
     commutator,
     cybe_residual,
     embed,
@@ -478,7 +479,10 @@ def test_channel_sum_matches_per_term_reference():
     # one odd function per a2, evaluated at each channel's own parameter,
     # and the cached pair blocks summed in place give bit for bit the sum of
     # freshly built per-channel functions, in every form and both operators;
-    # from N = 4 on the channel tables are computed in one batch
+    # from N = 4 on the channel tables are computed in one batch.  An odd
+    # parameter with complex coefficients makes complex plan scalars, whose
+    # products round differently under numpy's array multiply
+    mu_c = GENS.generator("μ1") * (0.3 + 0.7j) - GENS.generator("μ2") * (1.1 - 0.2j)
     for N in (2, 3, 4, 6):
         b = HeisenbergBasis(N)
         cases = [
@@ -488,7 +492,7 @@ def test_channel_sum_matches_per_term_reference():
         for hbar in (H1, H1 + 2.0 - 3.0 * CTX.tau):  # reduced and unreduced
             cases.append((build_R(hbar, None, P1, P2, "ω", b, CTX), b.canonical_indices(), hbar, None, None))
             for form in BASIS_FORMS:
-                for mu in ("μ1", None):
+                for mu in ("μ1", None, mu_c):
                     got = build_R(hbar, mu, P1, P2, "ω", b, CTX, super=True, form=form)
                     cases.append((got, b.canonical_indices(), hbar, mu, form))
         for got, indices, hbar, mu, form in cases:
@@ -497,10 +501,11 @@ def test_channel_sum_matches_per_term_reference():
             for mask, arr in want.blocks.items():
                 assert got.blocks[mask].tobytes() == arr.tobytes(), (N, hbar, mu, form, mask)
     alpha = MultiIndex(1, 2)
-    assert b.pair(alpha) is b.pair(alpha)
-    assert not b.pair(alpha).flags.writeable
+    assert not any(x.flags.writeable for x in b._gather)
+    one = np.zeros((1, b.N, b.N), dtype=complex)
+    one[0, alpha.a1, alpha.a2] = 1.0
     pair = SuperMatrix(2, b.N)
-    pair.blocks[0] = b.pair(alpha)
+    pair.blocks[0] = b.channel_blocks(one)[0]
     assert np.array_equal(dense(pair, 0), np.kron(b.t(alpha), b.t(-alpha)))
 
 
@@ -514,6 +519,7 @@ def test_channel_functions_are_built_once_per_a2(monkeypatch):
         return super_basis_phi(alpha, *args, **kwargs)
 
     monkeypatch.setattr(rmatrix, "super_basis_phi", counting)
+    monkeypatch.setattr(rmatrix, "_TEMPLATES", {})
     b = HeisenbergBasis(3)
     build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True)
     assert built == [MultiIndex(0, 0), MultiIndex(0, 1), MultiIndex(0, 2)]
@@ -521,13 +527,22 @@ def test_channel_functions_are_built_once_per_a2(monkeypatch):
     build_r_classical(P1, P2, "ω", b, CTX, super=True)
     assert built == [MultiIndex(0, 1), MultiIndex(0, 2), MultiIndex(1, 0)]
     built.clear()
-    build_R(H1, "μ1", P1, P2, "ω", b, CTX)
+    build_R(H1, None, P1, P2, "ω", b, CTX)
     assert built == []
+    # compiled once: another parameter, points or modulus with the same
+    # slots builds nothing; other slots build their own
+    build_R(H2, "μ1", SuperPoint(0.1, "ζ1"), SuperPoint(0.3j, "ζ2"), "ω", b, EllipticContext(3.3 + 0.4j), super=True)
+    cybe_residual([P1, P2, P3], "ω", b, CTX, super=True)
+    assert built == [MultiIndex(0, 1), MultiIndex(0, 2), MultiIndex(1, 0)] * 2
+    # N per slot set: the odd quantum one and the classical ones of three point pairs
+    assert len(rmatrix._TEMPLATES) == 3 + 3 * 3
 
 
 def test_channel_sums_batch_their_tables_from_n_4(monkeypatch):
     # kernel_derivs alone picks the route: 9 channels at N = 3 go one by
-    # one, 16 at N = 4 (15 classical) in one batch per table request
+    # one, 16 at N = 4 (15 classical) in one batch per table request; a
+    # residual makes one request per table size and modulus order for all
+    # its operators, so from N = 2 (aybe) and N = 3 (cybe) it batches
     from superkron import batch
 
     elliptic_tables = batch.elliptic_tables
@@ -544,6 +559,108 @@ def test_channel_sums_batch_their_tables_from_n_4(monkeypatch):
         build_R(H1, None, P1, P2, "ω", b, CTX)
         build_r_classical(P1, P2, "ω", b, CTX, super=True)
         assert calls == want, N
+        calls.clear()
+    for N, want in ((2, [24, 24, 24]), (3, [54, 54, 54, 24, 24, 24]), (4, [96, 96, 96, 45, 45, 45])):
+        b = HeisenbergBasis(N)
+        aybe_residual((H1, H2), ("μ1", "μ2"), [P1, P2, P3], "ω", b, CTX, super=True)
+        aybe_residual((H1, H2), None, [P1, P2, P3], "ω", b, CTX)
+        cybe_residual([P1, P2, P3], "ω", b, CTX, super=True)
+        cybe_residual([P1, P2, P3], "ω", b, CTX)
+        assert calls == want, N
+        calls.clear()
+
+
+def _pass_ops(b):
+    """Operators of every kind for one channel_sums pass: points, parameters and slots differ."""
+    mu12 = GENS.generator("μ1") - GENS.generator("μ2")
+    quantum = [
+        (hbar, mu, p, q, form)
+        for hbar, p, q in ((H1, P1, P2), (H2 + 2.0 - 3.0 * CTX.tau, P2, P3), (-H1, P3, P1))
+        for mu in ("μ1", None, mu12)
+        for form in BASIS_FORMS
+    ]
+    classical = [(p, q) for p, q in ((P1, P2), (P1, P3), (P2, P3))]
+    return quantum, classical
+
+
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, 3.3 + 0.4j])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6])
+def test_channel_sums_equal_one_by_one_builds(N, tau):
+    # one pass over many operators gives bit for bit what building each
+    # alone gives, blocks and monomial order, ordinary and odd; at N = 1 the
+    # classical operator has no channel and is empty
+    b, ctx = HeisenbergBasis(N), EllipticContext(tau)
+    quantum, classical = _pass_ops(b)
+    for super in (False, True):
+        ops = [(b.canonical_indices(), hbar, mu, p, q, form) for hbar, mu, p, q, form in quantum]
+        ops += [(b.nonzero_indices(), 0.0, None, p, q, "shift") for p, q in classical]
+        got = channel_sums(ops, "ω", b, ctx, super=super)
+        want = [build_R(hbar, mu, p, q, "ω", b, ctx, super=super, form=form) for hbar, mu, p, q, form in quantum]
+        want += [build_r_classical(p, q, "ω", b, ctx, super=super) for p, q in classical]
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert list(g.blocks) == list(w.blocks), (super, i)
+            assert all(g.blocks[m].tobytes() == a.tobytes() for m, a in w.blocks.items()), (super, i)
+        if N == 1:
+            assert all(not w.blocks for w in want[-len(classical):])
+
+
+def test_template_keys_tell_slots_apart(monkeypatch):
+    # an element slot is keyed by its exact terms in order, signed zeros
+    # included: each of these gets its own template and a fresh build's bits
+    from superkron import rmatrix
+    from superkron.grassmann import GrassmannElement
+
+    m1, m2 = GENS.mask_of("μ1"), GENS.mask_of("μ2")
+    mus = [
+        GrassmannElement({m1: 1.0, m2: 1.0}),
+        GrassmannElement({m2: 1.0, m1: 1.0}),
+        GrassmannElement({m1: complex(1.0, 0.0)}),
+        GrassmannElement({m1: complex(1.0, -0.0)}),
+    ]
+    b = HeisenbergBasis(3)
+    monkeypatch.setattr(rmatrix, "_TEMPLATES", {})
+    for form in BASIS_FORMS:
+        got = [build_R(H1, mu, P1, P2, "ω", b, CTX, super=True, form=form) for mu in mus]
+        for mu, g in zip(mus, got):
+            rmatrix._TEMPLATES.clear()
+            want = build_R(H1, mu, P1, P2, "ω", b, CTX, super=True, form=form)
+            assert list(g.blocks) == list(want.blocks), form
+            assert all(g.blocks[m].tobytes() == a.tobytes() for m, a in want.blocks.items()), form
+        rmatrix._TEMPLATES.clear()
+        for mu in mus:
+            build_R(H1, mu, P1, P2, "ω", b, CTX, super=True, form=form)
+        assert len(rmatrix._TEMPLATES) == len(mus) * b.N, form
+    # the sum's monomials follow the terms' order
+    assert list(got[0].blocks) != list(got[1].blocks)
+
+
+def test_residual_raises_what_building_in_order_raises():
+    # the first operator's modulus-derivative series (unreduced) overflows,
+    # while the fourth, at parameter h - h = 0, sits on a pole: building in
+    # three_term order raises the series error, and so must the residual,
+    # although the pass checks every operator's poles in its first request
+    from superkron.elliptic import SeriesTruncationError
+
+    h = 0.3 + 30j
+    mu12 = GENS.generator("μ1") - GENS.generator("μ2")
+    for N in (2, 6):
+        b = HeisenbergBasis(N)
+        with pytest.raises(SeriesTruncationError) as first:
+            build_R(h, "μ1", P1, P2, "ω", b, CTX, super=True)
+        with pytest.raises(PoleProximityError):
+            build_R(0.0, mu12, P1, P2, "ω", b, CTX, super=True)
+        with pytest.raises(SeriesTruncationError) as got:
+            aybe_residual((h, h), ("μ1", "μ2"), [P1, P2, P3], "ω", b, CTX, super=True)
+        assert str(got.value) == str(first.value)
+
+
+def test_max_abs_keeps_nan():
+    for blocks in ({1: 1.0, 2: math.nan}, {2: math.nan, 1: 1.0}):
+        m = SuperMatrix(1, 1, {mask: np.array([[v]]) for mask, v in blocks.items()})
+        assert math.isnan(m.max_abs())
+    assert SuperMatrix(1, 1, {1: np.array([[-2.0]]), 2: np.array([[1.0]])}).max_abs() == 2.0
+    assert SuperMatrix(1, 1).max_abs() == 0.0
 
 
 def test_commutator_and_anticommutator(rng):
