@@ -214,8 +214,9 @@ class GrassmannElement:
         return parity(self._terms)
 
     def max_abs(self) -> float:
-        values = [abs(c) for c in self._terms.values()]
-        return float("nan") if any(map(cmath.isnan, values)) else max(values, default=0.0)
+        values = list(map(abs, self._terms.values()))
+        total = sum(values)  # NaN exactly when a modulus is; max drops a NaN that does not come first
+        return total if total != total else max(values, default=0.0)
 
     # -- arithmetic ---------------------------------------------------------
 

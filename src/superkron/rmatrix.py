@@ -484,9 +484,8 @@ def _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) -> _Template:
 
 
 def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext, super: bool = False) -> list[SuperMatrix]:
-    """The channel sums of several operators in one pass, each bit for bit the sum built alone.
-
-    Each op (indices, hbar, mu, p1, p2, form) sums T_a (x) T_-a times super_basis_phi (with super)
+    """The channel sums of several operators in one pass, each bit for bit the sum built alone:
+    each op (indices, hbar, mu, p1, p2, form) sums T_a (x) T_-a times super_basis_phi (with super)
     or the dressed kernel over a in indices, at hbar + (a1 + a2 tau)/N and z12 = p1.z - p2.z.  Odd
     functions come compiled (_template); one kernel_derivs request per (modulus order, table size)
     serves all channels; templates of one shape combine over the channel axis as SuperFunction.combine
