@@ -4,10 +4,10 @@ theta_stacks sums the theta series of many (z, max_dz, dtau) keys in one
 frequency-vectorised numpy evaluation; elliptic_tables builds the
 phi_derivs or phi_tau_derivs tables of many (parameter, argument) points
 from them.  The lattice geometry is elliptic's own: each parameter and
-each distinct argument is checked for poles and reduced by the scalar
-lattice_distance and lattice_reduce, and the theta memo is bounded by the same helper.  What
-runs over the parameter axis is what pays there: the series sums, the
-reciprocal recursions, the Leibniz cell sums and the multipliers.  Each
+distinct argument is checked and reduced by the scalar lattice_distance
+and lattice_reduce, the theta memo bounded by the same helper.  What runs
+over the point axis is what pays there: the series sums, the reciprocal
+recursions, the Leibniz cell sums and the multipliers.  Each
 result equals bit for bit what the scalar routes in elliptic return at its
 point: complex values travel as (real, imaginary) pairs, every product goes
 through _cmul, which rounds as Python's and numpy's complex scalars do, and
