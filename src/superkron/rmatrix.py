@@ -484,13 +484,13 @@ def _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) -> _Template:
 
 
 def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext, super: bool = False) -> list[SuperMatrix]:
-    """The channel sums of several operators in one pass, each bit for bit the sum built alone:
-    each op (indices, hbar, mu, p1, p2, form) sums T_a (x) T_-a times super_basis_phi (with super)
-    or the dressed kernel over a in indices, at hbar + (a1 + a2 tau)/N and z12 = p1.z - p2.z.  Odd
-    functions come compiled (_template); one kernel_derivs request per (modulus order, table size)
-    serves all channels; templates of one shape combine over the channel axis as SuperFunction.combine
-    does (its arithmetic and row order, zero cells skipped); blocks are HeisenbergBasis.channel_blocks.
-    A failed pass builds the operators one by one, to raise what building them in order raises.
+    """The channel sums of several operators in one pass, each bit for bit the sum built alone: each
+    op (indices, hbar, mu, p1, p2, form) sums T_a (x) T_-a times super_basis_phi (with super) or the
+    dressed kernel over the distinct a in indices, 0 <= a1, a2 < N, at hbar + (a1 + a2 tau)/N and
+    z12 = p1.z - p2.z.  Odd functions come compiled (_template); one kernel_derivs request per (modulus
+    order, table size) serves all channels; templates of one shape combine over the channel axis as
+    SuperFunction.combine does (its arithmetic and row order, zero cells skipped); blocks come from
+    HeisenbergBasis.channel_blocks.  A failed pass rebuilds the operators one by one and raises their first error.
     """
     try:
         return _channel_sums(ops, omega, basis, ctx, super)
