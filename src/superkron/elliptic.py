@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -24,6 +25,7 @@ __all__ = [
     "EllipticContext",
     "PoleProximityError",
     "SeriesTruncationError",
+    "pair_count",
     "theta",
     "theta_stack",
     "lattice_coords",
@@ -43,16 +45,14 @@ _TWO_PI_I = 2j * math.pi
 _PI_I = 1j * math.pi
 # theta stacks one context memoizes before it starts again from empty
 _MEMO_LIMIT = 4096
-# relative series tolerance, against the largest term met (the honest
-# floating-point noise floor), and the hard cap on frequency pairs summed
+# relative series tolerance and the hard cap on frequency pairs summed
 _SERIES_TOL = 1e-14
 _K_MAX = 200
-# elliptic parameter lists at least this long are tabulated in one batch
-# (batch.elliptic_tables), shorter ones point by point.  A batch has a fixed
-# numpy cost: at one point, tau = 0.3+1.1i, theta_stack takes 28 us against
-# 134 us batched, phi_derivs(2, 2) 57 against 262 us and phi_tau_derivs 38
-# against 390 us.
-_BATCH_POINTS = 12
+# derivative order the truncation rule covers: theta's argument order 5
+# plus one modulus derivative, whose factor pi i f^2 counts as two more
+_TOP_ORDER = 7
+# largest real part whose exponential is a finite double
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class PoleProximityError(ValueError):
@@ -60,7 +60,10 @@ class PoleProximityError(ValueError):
 
 
 class SeriesTruncationError(RuntimeError):
-    """Series failed to reach the requested tolerance within the term budget."""
+    """A theta series cannot be summed in double precision: it needs more
+    than _K_MAX frequency pairs, or its largest term exceeds the
+    floating-point range.  Both are decided from the point and the modulus
+    alone (pair_count), before any term is summed."""
 
 
 @dataclass(frozen=True)
@@ -71,11 +74,13 @@ class EllipticContext:
     real part small enough that tau + 1 differs from tau in double
     precision.  pole_radius is the minimal allowed lattice distance for
     kernel arguments.  The series tolerance and pair cap are the module constants
-    _SERIES_TOL (1e-14) and _K_MAX (200).
+    _SERIES_TOL (1e-14) and _K_MAX (200), and pair_count fixes the length of
+    every series from them.
 
-    Each context also keeps a memo of the theta stacks summed under it,
-    keyed by (z, max_dz, dtau), so a stack requested again is not summed
-    again.  The memo is cleared whenever it holds _MEMO_LIMIT (4096)
+    Each context also keeps a memo of the theta stacks that theta_stack
+    sums under it, keyed by (z, max_dz, dtau), so a stack requested again
+    is not summed again; the batch route (batch.elliptic_tables) neither
+    reads nor fills it.  The memo is cleared whenever it holds _MEMO_LIMIT (4096)
     stacks, so a long-lived context cannot grow it without limit.  It is
     not a constructor parameter and takes no part in equality or
     hashing: two equal contexts compare and hash equal but keep separate
@@ -98,6 +103,52 @@ class EllipticContext:
             raise ValueError("pole_radius must be positive")
 
 
+@lru_cache(maxsize=64)
+def _reach(t: float) -> float:
+    """The per-modulus part of pair_count: the smallest s >= 0 with
+    exp(-pi t s^2) (2s + 5)^_TOP_ORDER <= _SERIES_TOL, t = Im tau, by fixed-point
+    iteration from below (infinite when t is too small for a finite s)."""
+    goal = -math.log(_SERIES_TOL)
+    s = 0.0
+    while True:
+        nxt = math.sqrt((goal + _TOP_ORDER * math.log(2.0 * s + 5.0)) / (math.pi * t))
+        if not nxt > s:
+            return nxt
+        s = nxt
+
+
+def pair_count(z: complex, tau: complex) -> int:
+    """Number of symmetric frequency pairs the theta series sums at z: ceil(u + s).
+
+    With t = Im tau, the term of frequency f has modulus exp(pi t u^2 - pi t (f + Im z/t)^2)
+    times its derivative factors: a Gaussian centred on the turnaround
+    u = |Im z|/t.  Summing N pairs, f = +-1/2, ..., +-(N - 1/2), leaves out
+    |f| >= N + 1/2, where the Gaussian factor is at most exp(-pi t (s + 1/2)^2)
+    times its peak.  The summed frequency nearest the turnaround lies within
+    1/2 of it, at |f| >= max(1/2, u - 1/2), so the first omitted term of
+    derivative order d is at most exp(-pi t s^2) (2s + 5)^d times the summed
+    term of order d there, and later ones fall off as the Gaussian does.
+    The reach s = _reach(t) makes that bound _SERIES_TOL at d = _TOP_ORDER
+    (7: theta's argument order 5 plus one modulus derivative, whose factor
+    f^2 counts as two).  The count depends on z and tau only, not on the
+    orders summed, so both evaluators (theta_stack and batch) sum exactly
+    this many pairs and a stack's entries do not depend on its length.
+
+    Raises SeriesTruncationError when u + s exceeds _K_MAX (compared before
+    rounding up, so an infinite or undefined count raises too), or when the
+    largest term, at the summed frequency nearest the turnaround, has an
+    exponent beyond the floating-point range.
+    """
+    t = tau.imag
+    count = abs(z.imag) / t + _reach(t)
+    if not count <= _K_MAX:
+        raise SeriesTruncationError(f"series needs more than {_K_MAX} frequency pairs (z={z}, tau={tau})")
+    peak = math.floor(-z.imag / t) + 0.5
+    if -math.pi * (t * peak * peak + 2.0 * z.imag * peak) > _LOG_MAX:
+        raise SeriesTruncationError(f"series term exceeds the floating-point range (z={z}, tau={tau})")
+    return math.ceil(count)
+
+
 def theta_stack(
     z: complex,
     ctx: EllipticContext,
@@ -107,73 +158,41 @@ def theta_stack(
     """Argument-derivative stack [f, f', ..., f^(max_dz)] at z.
 
     With dtau > 0 every entry additionally carries that many derivatives in
-    the modulus.  All orders share one exponential per frequency.  Terms are
-    summed in symmetric pairs of increasing frequency; the sum stops after
-    the pair magnitudes stay below _SERIES_TOL relative to the running peak
-    (which never drops below one) for two consecutive pairs, and only once
-    the frequency has passed the turnaround |Im z| / Im tau where terms
-    start to decay.  A term beyond the floating-point range raises
-    SeriesTruncationError, as does a sum that has not converged after
-    _K_MAX pairs.
+    the modulus.  All orders share one exponential per frequency.  The sum
+    runs over pair_count(z, tau) symmetric pairs of increasing frequency,
+    + before -, for every order alike, so an entry of order d is the same
+    whatever max_dz >= d.  pair_count raises SeriesTruncationError before
+    any term is summed.
 
     The result is read-only and memoized on ctx (see EllipticContext): a
-    repeated request returns the same array.  A failed sum is not memoized.
+    repeated request returns the same array.  A failed request is not memoized.
     """
     if max_dz < 0 or dtau < 0:
         raise ValueError("derivative orders must be non-negative")
     z = complex(z)
     key = (z, max_dz, dtau)
-    stack = ctx._stacks.get(key)
+    memo = ctx._stacks
+    stack = memo.get(key)
     if stack is not None:
         return stack
     tau = ctx.tau
-    # plain Python numbers: the same IEEE operations in the same order as
-    # numpy scalars, without the per-element boxing
+    pairs = pair_count(z, tau)
+    # plain Python numbers: no per-element numpy boxing
     totals = [0j] * (max_dz + 1)
-    peaks = [1.0] * (max_dz + 1)
     shift = 2.0 * (z + 0.5)
-    turn = abs(z.imag) / tau.imag
-    quiet = 0
-    p = 0
-    while quiet < 2:
-        if p >= _K_MAX:
-            raise SeriesTruncationError(
-                f"series not converged after {_K_MAX} frequency pairs (z={z}, tau={tau})"
-            )
+    for p in range(pairs):
         n = p + 0.5
-        pair_rel = 0.0
-        for sgn in (1.0, -1.0):
-            f = sgn * n
-            try:
-                base = cmath.exp(_PI_I * (tau * f * f + shift * f))
-            except OverflowError:
-                raise SeriesTruncationError(
-                    f"series term exceeds the floating-point range (z={z}, tau={tau})"
-                ) from None
+        for f in (n, -n):
+            base = cmath.exp(_PI_I * (tau * f * f + shift * f))
             if dtau:
                 base *= (_PI_I * f * f) ** dtau
             step = _TWO_PI_I * f
             fac = 1.0 + 0j
             for d in range(max_dz + 1):
-                term = base * fac
-                totals[d] += term
-                mag = abs(term)
-                if mag > peaks[d]:
-                    peaks[d] = mag
-                rel = mag / peaks[d]
-                if rel > pair_rel:
-                    pair_rel = rel
+                totals[d] += base * fac
                 fac *= step
-        quiet = quiet + 1 if p >= turn and pair_rel <= _SERIES_TOL else 0
-        p += 1
     stack = np.array(totals, dtype=np.complex128)
     stack.flags.writeable = False
-    return _memoize(ctx, key, stack)
-
-
-def _memoize(ctx: EllipticContext, key: tuple, stack: np.ndarray) -> np.ndarray:
-    """Store stack in ctx's memo under key, first clearing a memo of _MEMO_LIMIT stacks."""
-    memo = ctx._stacks
     if len(memo) >= _MEMO_LIMIT:
         memo.clear()
     memo[key] = stack
@@ -244,6 +263,7 @@ def lattice_distance(w: complex, tau: complex) -> float:
 
 
 def _require_regular(w: complex, ctx: EllipticContext, label: str) -> None:
+    """PoleProximityError naming label unless w lies at least ctx.pole_radius off the lattice."""
     d = lattice_distance(w, ctx.tau)
     if d < ctx.pole_radius:
         raise PoleProximityError(
@@ -255,10 +275,28 @@ def _require_regular(w: complex, ctx: EllipticContext, label: str) -> None:
 # -- kernel and derivative tables -------------------------------------------
 
 
+def _check_request(hbar: complex, z: complex, series: tuple, ctx: EllipticContext) -> None:
+    """The error contract of one table request, before anything is summed.
+
+    First the series errors of its theta arguments (series, in the order
+    z, hbar, hbar+z), decided from tau and their imaginary parts alone by
+    pair_count; then the poles of z, hbar and hbar+z.
+    """
+    for w in series:
+        pair_count(w, ctx.tau)
+    _require_regular(z, ctx, "z")
+    _require_regular(hbar, ctx, "hbar")
+    _require_regular(hbar + z, ctx, "hbar+z")
+
+
 def _reciprocal_derivs(f: np.ndarray) -> np.ndarray:
-    """Derivatives of 1/f from derivatives of f (Leibniz recursion)."""
+    """Derivatives of 1/f from derivatives of f (Leibniz recursion).
+
+    f[d] is the d-th derivative, a number or, in the batch, an array over
+    points; so for this helper and the two below it.
+    """
     n = len(f)
-    r = np.zeros(n, dtype=np.complex128)
+    r = np.zeros(f.shape, dtype=np.complex128)
     r[0] = 1.0 / f[0]
     for m in range(1, n):
         acc = 0j
@@ -308,14 +346,13 @@ def phi_derivs(
     """
     hbar = complex(hbar)
     z = complex(z)
-    _require_regular(hbar, ctx, "hbar")
-    _require_regular(z, ctx, "z")
-    _require_regular(hbar + z, ctx, "hbar+z")
     if not reduce:
+        _check_request(hbar, z, (z, hbar, hbar + z), ctx)
         return _inner_table(hbar, z, ctx, max_j, max_k)
 
     z_red, _, n_z = lattice_reduce(z, ctx.tau)
     h_red, _, n_h = lattice_reduce(hbar, ctx.tau)
+    _check_request(hbar, z, (z_red, h_red, h_red + z_red), ctx)
     inner = _inner_table(h_red, z_red, ctx, max_j, max_k)
     if n_z == 0 and n_h == 0:
         return inner
@@ -339,7 +376,7 @@ def phi_derivs(
 def _derivs_of_square(f: np.ndarray) -> np.ndarray:
     """Derivatives of f^2 from derivatives of f."""
     n = len(f)
-    out = np.zeros(n, dtype=np.complex128)
+    out = np.zeros(f.shape, dtype=np.complex128)
     for s in range(n):
         out[s] = sum(comb(s, i) * f[i] * f[s - i] for i in range(s + 1))
     return out
@@ -349,7 +386,7 @@ def _reciprocal_dot(f_dot: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Modulus-derivative stack of 1/f from those of f and of 1/f itself."""
     n = len(r)
     r2 = _derivs_of_square(r)
-    out = np.zeros(n, dtype=np.complex128)
+    out = np.zeros(r.shape, dtype=np.complex128)
     for p in range(n):
         out[p] = -sum(comb(p, s) * f_dot[s] * r2[p - s] for s in range(p + 1))
     return out
@@ -372,9 +409,7 @@ def phi_tau_derivs(
     """
     hbar = complex(hbar)
     z = complex(z)
-    _require_regular(hbar, ctx, "hbar")
-    _require_regular(z, ctx, "z")
-    _require_regular(hbar + z, ctx, "hbar+z")
+    _check_request(hbar, z, (z, hbar, hbar + z), ctx)
     top = max_j + max_k
     a = theta_stack(hbar + z, ctx, top)
     a_dot = theta_stack(hbar + z, ctx, top, dtau=1)
@@ -488,15 +523,16 @@ def kernel_derivs(
 
     hbar may also be a list, tuple or array of parameters, with one z or a
     list of as many: the tables at each (parameter, z) come back stacked,
-    shape (len(hbar), max_j + 1, max_k + 1) even for an empty list, each bit
-    for bit its single-point table.  An elliptic list of at least _BATCH_POINTS
-    (12) points is tabulated in one batch (batch.elliptic_tables), which sums
-    all its theta series together and runs the table arithmetic over the
-    point axis, a shorter list or one of another kind point by point: a batch
-    has a fixed numpy cost that only many points repay.  A list that fails
-    raises an error one of its points raises alone.  Both routes check poles
-    point by point in the same order and name the same failing point; only a
-    series error may name another, as the batch sums all series first.
+    shape (len(hbar), max_j + 1, max_k + 1) even for an empty list.  Any
+    elliptic list, the empty one included, goes to batch.elliptic_tables,
+    which sums all its theta series at once in numpy: each point's table is
+    bit for bit the same whatever else the list holds, and agrees with its
+    single-point table to rounding.  A list of another kind is tabulated
+    point by point.  An elliptic request, single point or list, first
+    decides the series errors of every point in order (pair_count), then
+    checks poles, z, hbar and hbar+z, point after point, and only then
+    sums; so a list with a series error anywhere raises that error even if
+    an earlier point sits on a pole.
     """
     if dtau not in (0, 1):
         raise ValueError("modulus-derivative order limited to 1")
@@ -504,7 +540,7 @@ def kernel_derivs(
         raise ValueError(f"kind must be one of {KINDS}")
     if isinstance(hbar, (list, tuple, np.ndarray)):
         zs = z if isinstance(z, (list, tuple, np.ndarray)) else [z] * len(hbar)
-        if kind == "elliptic" and len(hbar) >= _BATCH_POINTS:
+        if kind == "elliptic":
             # loaded on first use, so single-point callers never compile it
             from .batch import elliptic_tables
 

@@ -488,20 +488,11 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext, super
     op (indices, hbar, mu, p1, p2, form) sums T_a (x) T_-a times super_basis_phi (with super) or the
     dressed kernel over the distinct a in indices, 0 <= a1, a2 < N, at hbar + (a1 + a2 tau)/N and
     z12 = p1.z - p2.z.  Odd functions come compiled (_template); one kernel_derivs request per (modulus
-    order, table size) serves all channels; templates of one shape combine over the channel axis as
-    SuperFunction.combine does (its arithmetic and row order, zero cells skipped); blocks come from
-    HeisenbergBasis.channel_blocks.  A failed pass rebuilds the operators one by one and raises their first error.
+    order, table size) serves all channels, in the order the channels first need them, and a pass raises
+    the error of its first failing request.  Templates of one shape combine with the tables over the
+    channel axis as SuperFunction.combine does (its row order, zero cells skipped), in numpy's complex
+    arithmetic, so they agree with evaluate to rounding; blocks come from HeisenbergBasis.channel_blocks.
     """
-    try:
-        return _channel_sums(ops, omega, basis, ctx, super)
-    except (ArithmeticError, RuntimeError, ValueError):
-        for op in ops if len(ops) > 1 else ():
-            _channel_sums([op], omega, basis, ctx, super)
-        raise
-
-
-def _channel_sums(ops, omega, basis, ctx, super) -> list[SuperMatrix]:
-    from .batch import _cmul, _complex, _ordered_sum  # loaded on first use, as kernel_derivs loads it
     N = basis.N
     flat, hbars, z12s, templates = [], [], [], []
     for indices, hbar, mu, p1, p2, form in ops:
@@ -531,7 +522,7 @@ def _channel_sums(ops, omega, basis, ctx, super) -> list[SuperMatrix]:
     if not super:
         kernel = buf[offset[:, 0]]
         dressing = np.array([_dressing((0, f % N), z, N) for f, z in zip(flat, z12s)], dtype=complex)
-        coeffs[:, 0] = _complex(*_cmul(dressing.real, dressing.imag, kernel.real, kernel.imag))
+        coeffs[:, 0] = dressing * kernel
         present[:, 0] = True
     shapes: dict[tuple, list[int]] = {}
     for i, t in enumerate(templates):
@@ -545,9 +536,8 @@ def _channel_sums(ops, omega, basis, ctx, super) -> list[SuperMatrix]:
         values = buf[offset[np.array(members)[:, None, None], dtau] + cell]
         live = (row >= 0) & (values != 0)
         scalar = np.array([t.scalar for t in index])[tidx]
-        acc = _ordered_sum(_cmul(scalar.real, scalar.imag, values.real, values.imag), live)
-        env = envelope[members][:, None]
-        coeff = _complex(*_cmul(*acc, env.real, env.imag))
+        # in row order; skipped cells and padding add zeros
+        coeff = np.cumsum(np.where(live, scalar * values, 0), axis=2)[..., -1] * envelope[members][:, None]
         # combine drops a monomial no row adds to, GrassmannElement a zero one
         keep = live.any(axis=2) & (coeff != 0)
         at = np.broadcast_to(np.array(members)[:, None], keep.shape)[keep]

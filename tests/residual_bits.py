@@ -7,6 +7,11 @@ on the interpreter, numpy and the machine, so the record names all three and
 test_residual_bits skips when they differ.  Regenerate the record with
 
     PYTHONPATH=src python tests/residual_bits.py
+
+or, to see what a change moves without writing, print every run's recorded
+and fresh max_residual side by side with
+
+    PYTHONPATH=src python tests/residual_bits.py --diff
 """
 
 from __future__ import annotations
@@ -72,7 +77,30 @@ def compute() -> dict:
     return json.loads(json.dumps(out))
 
 
+def diff(record: dict, fresh: dict) -> list[str]:
+    """One line per run and suite: recorded and fresh max_residual as hex and %.3e, and fresh / recorded."""
+    lines = []
+    for name in dict.fromkeys([*record, *fresh]):
+        old = {r["suite"]: float.fromhex(r["max_residual"]) for r in record.get(name, [])}
+        new = {r["suite"]: float.fromhex(r["max_residual"]) for r in fresh.get(name, [])}
+        for suite in dict.fromkeys([*old, *new]):
+            a, b = old.get(suite), new.get(suite)
+            cells = [x.hex() if x is not None else "-" for x in (a, b)]
+            cells += [f"{x:.3e}" if x is not None else "-" for x in (a, b)]
+            ratio = f"{b / a:.4f}" if a and b is not None else "-"
+            mark = "" if a == b else "  moved"
+            lines.append(f"{name:<28} {suite:<14} {cells[0]:>24} {cells[1]:>24} {cells[2]:>10} {cells[3]:>10} {ratio:>8}{mark}")
+    return lines
+
+
 if __name__ == "__main__":
-    doc = {"environment": environment(), "runs": compute()}
-    RECORD.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {RECORD}")
+    fresh = compute()
+    if sys.argv[1:] == ["--diff"]:
+        record = json.loads(RECORD.read_text(encoding="utf-8"))
+        header = ["run", "suite", "recorded", "fresh", "recorded", "fresh", "ratio"]
+        print("{:<28} {:<14} {:>24} {:>24} {:>10} {:>10} {:>8}".format(*header))
+        print("\n".join(diff(record["runs"], fresh)))
+    else:
+        RECORD.write_text(json.dumps({"environment": environment(), "runs": fresh}, indent=1, sort_keys=True) + "\n",
+                          encoding="utf-8")
+        print(f"wrote {RECORD}")

@@ -290,10 +290,16 @@ def test_main_invalid_config_exit_code(capsys):
         ["cybe", "--tau-im", "260", "--samples", "2"],
         ["aybe", "--tau-im", "1e-4", "--n", "2", "--samples", "1"],
         ["aybe", "--tau-im", "260", "--n", "2", "--samples", "1"],
-        # from N = 4 on, the channel tables are computed in one batch
         ["aybe", "--tau-im", "1e-4", "--n", "4", "--samples", "1"],
         ["aybe", "--tau-im", "260", "--n", "4", "--samples", "1"],
         ["kronecker", "--tau-re", "1e17", "--samples", "3"],
+        # the series is too long before any pole is checked, also where the
+        # pole check would scan about 1 / Im tau lattice rows
+        *(
+            [*suite, "--tau-im", im, "--samples", "2"]
+            for im in ("1e-300", "5e-324")
+            for suite in (["kronecker"], ["fay"], ["aybe", "--n", "2"], ["cybe", "--n", "4"])
+        ),
     ],
 )
 def test_invalid_input_exits_2_without_traceback(argv, tmp_path):
@@ -303,11 +309,23 @@ def test_invalid_input_exits_2_without_traceback(argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "superkron.cli", *argv],
-        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 2
     assert "invalid configuration" in proc.stderr
     assert "Traceback" not in proc.stderr
+    if "--tau-im" in argv and float(argv[argv.index("--tau-im") + 1]) < 1e-3:
+        assert "series needs more than 200 frequency pairs" in proc.stderr
+
+
+@pytest.mark.parametrize("n", ["3", "4", "6"])
+def test_series_error_comes_before_pole_redraws(n, capsys):
+    # at Im tau = 1e-4 the lattice is so dense that most draws land near a
+    # pole; the series length is decided first, so every N reports it
+    assert cli.main(["cybe", "--tau-im", "1e-4", "--n", n, "--samples", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: series needs more than 200 frequency pairs")
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(
