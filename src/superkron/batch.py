@@ -15,7 +15,6 @@ the lattice geometry and the error messages are elliptic's own.
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from math import comb
 
@@ -26,6 +25,7 @@ from .elliptic import (
     _PI_I,
     _TWO_PI_I,
     EllipticContext,
+    _envelope,
     _reciprocal_derivs,
     _reciprocal_dot,
     _require_regular,
@@ -100,17 +100,17 @@ def _cell_sums(terms: np.ndarray, last: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=2)[:, np.arange(len(last)), last]
 
 
-def _multiplied(tables: np.ndarray, hs: np.ndarray, z_red: np.ndarray, n_z, n_h, max_j: int, max_k: int):
-    """phi_derivs' lattice multipliers restored on the flattened tables of reduced points (see phi_derivs).
+def _multiplied(tables: np.ndarray, hs, ws, z_red, n_z, n_h, max_j: int, max_k: int):
+    """phi_derivs' lattice multipliers restored on the flattened tables of the points (hs, ws), z_red
+    the reduced ws (see phi_derivs).
 
-    The envelopes are exponentiated point by point in order, by cmath, so
-    one beyond the floating-point range raises OverflowError.
+    The envelopes are exponentiated point by point in order, by elliptic's
+    _envelope, so one beyond the floating-point range raises its OverflowError.
     """
     at = np.flatnonzero((n_z != 0) | (n_h != 0))
     if not len(at):
         return tables
-    envelope = np.array([cmath.exp(-_TWO_PI_I * (nz * h + nh * w))
-                         for h, w, nz, nh in zip(hs[at].tolist(), z_red[at].tolist(), n_z[at].tolist(), n_h[at].tolist())])
+    envelope = np.array([_envelope(*point) for point in zip(*(x[at].tolist() for x in (hs, ws, z_red, n_z, n_h)))])
     j, k, p, q, coeff, last = _cells(max_j, max_k)
     c_z, c_h = _powers(-_TWO_PI_I * n_z[at], max_j), _powers(-_TWO_PI_I * n_h[at], max_k)
     terms = coeff * c_z[:, j - p] * c_h[:, k - q] * tables[at][:, p * (max_k + 1) + q]
@@ -180,5 +180,5 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
         else:
             tables = prime0 * inner
     if reduced:
-        tables = _multiplied(tables, hs, z_red, n_z, n_h, max_j, max_k)
+        tables = _multiplied(tables, hs, ws, z_red, n_z, n_h, max_j, max_k)
     return tables[which].reshape(shape)

@@ -325,6 +325,14 @@ def _inner_table(hbar: complex, z: complex, ctx: EllipticContext, max_j: int, ma
     return out
 
 
+def _envelope(hbar: complex, z: complex, z_red: complex, n_z: int, n_h: int) -> complex:
+    """exp(-2 pi i (n_z hbar + n_h z_red)), phi_derivs' lattice multiplier; its OverflowError names the point."""
+    try:
+        return cmath.exp(-_TWO_PI_I * (n_z * hbar + n_h * z_red))
+    except OverflowError:
+        raise OverflowError(f"lattice multiplier exceeds the floating-point range (hbar={hbar}, z={z})") from None
+
+
 def phi_derivs(
     hbar: complex,
     z: complex,
@@ -358,7 +366,7 @@ def phi_derivs(
         return inner
     # shift in z contributes a multiplier exponential in the parameter and
     # vice versa; differentiation therefore mixes orders downward
-    envelope = cmath.exp(-_TWO_PI_I * (n_z * hbar + n_h * z_red))
+    envelope = _envelope(hbar, z, z_red, n_z, n_h)
     c_z = -_TWO_PI_I * n_z
     c_h = -_TWO_PI_I * n_h
     out = np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)

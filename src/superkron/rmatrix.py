@@ -43,7 +43,9 @@ __all__ = [
     "embed",
     "commutator",
     "anticommutator",
+    "aybe_ops",
     "aybe_residual",
+    "cybe_ops",
     "cybe_residual",
     "BASIS_FORMS",
 ]
@@ -483,34 +485,48 @@ def _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) -> _Template:
     return template
 
 
-def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext, super: bool = False) -> list[SuperMatrix]:
+def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> list[SuperMatrix]:
     """The channel sums of several operators in one pass, each bit for bit the sum built alone: each
-    op (indices, hbar, mu, p1, p2, form) sums T_a (x) T_-a times super_basis_phi (with super) or the
+    op (indices, hbar, mu, p1, p2, form, odd) sums T_a (x) T_-a times super_basis_phi (odd) or the
     dressed kernel over the distinct a in indices, 0 <= a1, a2 < N, at hbar + (a1 + a2 tau)/N and
     z12 = p1.z - p2.z.  Odd functions come compiled (_template); one kernel_derivs request per (modulus
-    order, table size) serves all channels, in the order the channels first need them, and a pass raises
-    the error of its first failing request.  Templates of one shape combine with the tables over the
-    channel axis as SuperFunction.combine does (its row order, zero cells skipped), in numpy's complex
-    arithmetic, so they agree with evaluate to rounding; blocks come from HeisenbergBasis.channel_blocks.
+    order, table size) serves all channels, order 0 first, else in the order the channels first need
+    them, and a pass raises the error of its first failing request.  An ordinary channel at the bits of
+    an odd one reads cell (0, 0) of its order-0 table (no cell depends on the table size).  Templates of
+    one shape combine with the tables over the channel axis as SuperFunction.combine does (its row order,
+    zero cells skipped), in numpy's complex arithmetic, so they agree with evaluate to rounding; blocks
+    come from HeisenbergBasis.channel_blocks.
     """
     N = basis.N
     flat, hbars, z12s, templates = [], [], [], []
-    for indices, hbar, mu, p1, p2, form in ops:
+    for indices, hbar, mu, p1, p2, form, odd in ops:
         built: dict[int, _Template] = {}
         for alpha in indices:
             flat.append(alpha[0] * N + alpha[1])
             hbars.append(_channel_hbar(alpha, hbar, N, ctx.tau))
             z12s.append(complex(p1.z) - complex(p2.z))
-            if super:
-                if alpha[1] not in built:
-                    built[alpha[1]] = _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form)
-                templates.append(built[alpha[1]])
+            if odd and alpha[1] not in built:
+                built[alpha[1]] = _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form)
+            templates.append(built[alpha[1]] if odd else None)
+    # an ordinary channel reads the order-0 table of an odd channel at its (hbar, z12) bits, else its own
+    bits = list(map(tuple, np.array([hbars, z12s], dtype=complex).T.copy().view(np.int64).tolist()))
+    odd_at = {b: i for i, b in enumerate(bits) if templates[i] is not None}
+    source = {i: odd_at.get(bits[i], i) for i, t in enumerate(templates) if t is None}
     requests: dict[tuple, list[int]] = {}
-    for i in range(len(hbars)):
-        for dtau, size in templates[i].sizes.items() if super else ((0, (0, 0)),):
-            requests.setdefault((dtau, size), []).append(i)
-    tables = [kernel_derivs("elliptic", [hbars[i] for i in m], [z12s[i] for i in m], ctx, *size, dtau)
-              for (dtau, size), m in requests.items()]
+    for i, t in enumerate(templates):
+        if source.get(i, i) == i:
+            for dtau, size in t.sizes.items() if t is not None else ((0, (0, 0)),):
+                requests.setdefault((dtau, size), []).append(i)
+    requests = dict(sorted(requests.items(), key=lambda r: r[0][0]))
+
+    def tabulate(order):
+        return [kernel_derivs("elliptic", [hbars[i] for i in m], [z12s[i] for i in m], ctx, *size, dtau)
+                for (dtau, size), m in requests.items() if dtau == order]
+
+    # between the orders, where a pass of ordinary operators alone raises a dressing's overflow
+    tables = tabulate(0)
+    dressing = np.array([_dressing((0, flat[i] % N), z12s[i], N) for i in source], dtype=complex)
+    tables += tabulate(1)
     # every table in one buffer; a channel's table of modulus order d starts at offset[channel, d]
     offset = np.zeros((len(hbars), 2), dtype=int)
     for start, t, ((dtau, _), m) in zip(np.cumsum([0] + [t.size for t in tables]), tables, requests.items()):
@@ -519,16 +535,15 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext, super
     # per channel and monomial: coefficient, first plan row adding to it, presence
     shape = (len(hbars), 1 << default_generators().n_generators)
     coeffs, first, present = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=int), np.zeros(shape, dtype=bool)
-    if not super:
-        kernel = buf[offset[:, 0]]
-        dressing = np.array([_dressing((0, f % N), z, N) for f, z in zip(flat, z12s)], dtype=complex)
-        coeffs[:, 0] = dressing * kernel
-        present[:, 0] = True
+    ordinary = np.array(list(source), dtype=int)
+    coeffs[ordinary, 0] = dressing * buf[offset[np.array(list(source.values()), dtype=int), 0]]
+    present[ordinary, 0] = True
     shapes: dict[tuple, list[int]] = {}
     for i, t in enumerate(templates):
-        shapes.setdefault(t.scalar.shape, []).append(i)
-    envelope = np.array([cmath.exp(t.exp_coeff * z) if t.exp_coeff != 0 else 1.0 for t, z in zip(templates, z12s)],
-                        dtype=complex)
+        if t is not None:
+            shapes.setdefault(t.scalar.shape, []).append(i)
+    envelope = np.array([cmath.exp(t.exp_coeff * z) if t is not None and t.exp_coeff != 0 else 1.0
+                         for t, z in zip(templates, z12s)], dtype=complex)
     for members in shapes.values():
         index: dict = {}
         tidx = [index.setdefault(templates[i], len(index)) for i in members]
@@ -576,7 +591,7 @@ def build_R(
     Grassmann extension in the chosen form, the ordinary one the scalar
     channel function.  mu = None with super gives the truncated odd family.
     """
-    return channel_sums([(basis.canonical_indices(), hbar, mu, p1, p2, form)], omega, basis, ctx, super)[0]
+    return channel_sums([(basis.canonical_indices(), hbar, mu, p1, p2, form, super)], omega, basis, ctx)[0]
 
 
 def build_r_classical(
@@ -592,7 +607,14 @@ def build_r_classical(
     The odd version uses the truncated channel extensions (odd parameter
     absent), matching the classical bracket identity it satisfies.
     """
-    return channel_sums([(basis.nonzero_indices(), 0.0, None, p1, p2, "shift")], omega, basis, ctx, super)[0]
+    return channel_sums([(basis.nonzero_indices(), 0.0, None, p1, p2, "shift", super)], omega, basis, ctx)[0]
+
+
+def aybe_ops(hbars, mus, points: Sequence[SuperPoint], basis: HeisenbergBasis, super: bool = False) -> list:
+    """The channel_sums ops of aybe_residual's six factors, in three_term_specs order."""
+    x1, x2 = ((complex(h), _odd_element(mus[i], f"mu{i + 1}") if super else None) for i, h in enumerate(hbars))
+    return [(basis.canonical_indices(), x[0], x[1], points[a], points[b], "shift", super)
+            for x, a, b in three_term_specs(x1, x2)]
 
 
 def aybe_residual(
@@ -603,24 +625,27 @@ def aybe_residual(
     basis: HeisenbergBasis,
     ctx: EllipticContext,
     super: bool = False,
+    factors: Sequence[SuperMatrix] | None = None,
 ):
     """(residual, scale) of the associative identity on 3 sites, see three_term.
 
     Factors are operators placed at sites (1,2), (2,3) and (3,1); the odd
     version carries the odd parameters, and an exact solution makes the
-    block sum vanish.
+    block sum vanish.  factors: the channel sums of aybe_ops of these arguments, if built already.
     """
-    h1, h2 = (complex(h) for h in hbars)
-    if super:
-        x1 = (h1, _odd_element(mus[0], "mu1"))
-        x2 = (h2, _odd_element(mus[1], "mu2"))
-    else:
-        x1, x2 = (h1, None), (h2, None)
+    ops = aybe_ops(hbars, mus, points, basis, super)
+    built = iter(channel_sums(ops, omega, basis, ctx) if factors is None else factors)
+    # the first two factors are f(x1)_12 and f(x2)_23
+    return three_term(lambda x, a, b: next(built).placed((a + 1, b + 1)), ops[0][1:3], ops[1][1:3],
+                      mul=operator.matmul, size=SuperMatrix.max_abs)
 
-    specs = three_term_specs(x1, x2)
-    ops = [(basis.canonical_indices(), x[0], x[1], points[a], points[b], "shift") for x, a, b in specs]
-    built = iter(r.placed((a + 1, b + 1)) for r, (_, a, b) in zip(channel_sums(ops, omega, basis, ctx, super), specs))
-    return three_term(lambda *spec: next(built), x1, x2, mul=operator.matmul, size=SuperMatrix.max_abs)
+
+_CYBE_SITES = ((1, 2), (1, 3), (2, 3))
+
+
+def cybe_ops(points: Sequence[SuperPoint], basis: HeisenbergBasis, super: bool = False) -> list:
+    """The channel_sums ops of cybe_residual's three classical operators, at sites (1,2), (1,3), (2,3)."""
+    return [(basis.nonzero_indices(), 0.0, None, points[a - 1], points[b - 1], "shift", super) for a, b in _CYBE_SITES]
 
 
 def cybe_residual(
@@ -629,17 +654,17 @@ def cybe_residual(
     basis: HeisenbergBasis,
     ctx: EllipticContext,
     super: bool = False,
+    factors: Sequence[SuperMatrix] | None = None,
 ):
     """(residual, scale) of the classical bracket identity on 3 sites.
 
     Ordinary: commutators of the scalar-channel classical operators over the
     pairs (12,13), (12,23), (13,23).  Odd: the same sum with anticommutators,
     since the odd classical operators have parity-odd entries.  The scale is
-    the largest bracket.
+    the largest bracket.  factors: the channel sums of cybe_ops of these arguments, if built already.
     """
-    sites = ((1, 2), (1, 3), (2, 3))
-    ops = [(basis.nonzero_indices(), 0.0, None, points[a - 1], points[b - 1], "shift") for a, b in sites]
-    r12, r13, r23 = (r.placed(s) for r, s in zip(channel_sums(ops, omega, basis, ctx, super), sites))
+    built = channel_sums(cybe_ops(points, basis, super), omega, basis, ctx) if factors is None else factors
+    r12, r13, r23 = (r.placed(s) for r, s in zip(built, _CYBE_SITES))
     bracket = anticommutator if super else commutator
     b1 = bracket(r12, r13)
     b2 = bracket(r12, r23)

@@ -26,9 +26,11 @@ from .grassmann import GrassmannElement, default_generators
 from .rmatrix import (
     HeisenbergBasis,
     MultiIndex,
+    aybe_ops,
     aybe_residual,
     basis_phi,
     channel_sums,
+    cybe_ops,
     cybe_residual,
     super_basis_phi,
 )
@@ -341,9 +343,10 @@ def _compute_cybe(inputs, cfg) -> float:
     ctx = cfg.context()
     basis = _basis(cfg.n)
     pts = _points(inputs)
-    res, scale = cybe_residual(pts, "ω", basis, ctx)
+    built = channel_sums(cybe_ops(pts, basis) + cybe_ops(pts, basis, super=True), "ω", basis, ctx)
+    res, scale = cybe_residual(pts, "ω", basis, ctx, factors=built[:3])
     rel = _rel(res.max_abs(), scale)
-    res, scale = cybe_residual(pts, "ω", basis, ctx, super=True)
+    res, scale = cybe_residual(pts, "ω", basis, ctx, super=True, factors=built[3:])
     return max(rel, _rel(res.max_abs(), scale))
 
 
@@ -353,15 +356,17 @@ def _compute_aybe(inputs, cfg) -> float:
     pts = _points(inputs)
     h1 = _unpair(inputs["hbar1"])
     h2 = _unpair(inputs["hbar2"])
-    res, scale = aybe_residual((h1, h2), None, pts, "ω", basis, ctx)
+    # one pass: ordinary and odd factors, then the other forms of the first odd factor
+    ops = aybe_ops((h1, h2), None, pts, basis) + aybe_ops((h1, h2), ("μ1", "μ2"), pts, basis, super=True)
+    ops += [(basis.canonical_indices(), h1, "μ1", pts[0], pts[1], form, True) for form in ("basis", "heat")]
+    built = channel_sums(ops, "ω", basis, ctx)
+    res, scale = aybe_residual((h1, h2), None, pts, "ω", basis, ctx, factors=built[:6])
     rel = _rel(res.max_abs(), scale)
-    res, scale = aybe_residual((h1, h2), ("μ1", "μ2"), pts, "ω", basis, ctx, super=True)
+    res, scale = aybe_residual((h1, h2), ("μ1", "μ2"), pts, "ω", basis, ctx, super=True, factors=built[6:12])
     rel = max(rel, _rel(res.max_abs(), scale))
     # operator assemblies of the odd quantum matrix agree
-    ops = [(basis.canonical_indices(), h1, "μ1", pts[0], pts[1], form) for form in ("shift", "basis", "heat")]
-    ref, *others = channel_sums(ops, "ω", basis, ctx, super=True)
-    for other in others:
-        rel = max(rel, _rel((ref - other).max_abs(), ref.max_abs()))
+    for other in built[12:]:
+        rel = max(rel, _rel((built[6] - other).max_abs(), built[6].max_abs()))
     return rel
 
 

@@ -12,6 +12,10 @@ or, to see what a change moves without writing, print every run's recorded
 and fresh max_residual side by side with
 
     PYTHONPATH=src python tests/residual_bits.py --diff
+
+which marks a suite "moved" where any field of its record differs, and
+exits 1 if one did (0 if the record holds), so it can gate a change that
+claims to keep every bit.
 """
 
 from __future__ import annotations
@@ -78,17 +82,18 @@ def compute() -> dict:
 
 
 def diff(record: dict, fresh: dict) -> list[str]:
-    """One line per run and suite: recorded and fresh max_residual as hex and %.3e, and fresh / recorded."""
+    """One line per run and suite: recorded and fresh max_residual as hex and %.3e, and fresh / recorded,
+    marked "moved" where the fresh record of the suite differs from the recorded one in any field."""
     lines = []
     for name in dict.fromkeys([*record, *fresh]):
-        old = {r["suite"]: float.fromhex(r["max_residual"]) for r in record.get(name, [])}
-        new = {r["suite"]: float.fromhex(r["max_residual"]) for r in fresh.get(name, [])}
+        old = {r["suite"]: r for r in record.get(name, [])}
+        new = {r["suite"]: r for r in fresh.get(name, [])}
         for suite in dict.fromkeys([*old, *new]):
-            a, b = old.get(suite), new.get(suite)
+            a, b = (float.fromhex(r[suite]["max_residual"]) if suite in r else None for r in (old, new))
             cells = [x.hex() if x is not None else "-" for x in (a, b)]
             cells += [f"{x:.3e}" if x is not None else "-" for x in (a, b)]
             ratio = f"{b / a:.4f}" if a and b is not None else "-"
-            mark = "" if a == b else "  moved"
+            mark = "" if old.get(suite) == new.get(suite) else "  moved"
             lines.append(f"{name:<28} {suite:<14} {cells[0]:>24} {cells[1]:>24} {cells[2]:>10} {cells[3]:>10} {ratio:>8}{mark}")
     return lines
 
@@ -99,7 +104,9 @@ if __name__ == "__main__":
         record = json.loads(RECORD.read_text(encoding="utf-8"))
         header = ["run", "suite", "recorded", "fresh", "recorded", "fresh", "ratio"]
         print("{:<28} {:<14} {:>24} {:>24} {:>10} {:>10} {:>8}".format(*header))
-        print("\n".join(diff(record["runs"], fresh)))
+        lines = diff(record["runs"], fresh)
+        print("\n".join(lines))
+        sys.exit(1 if any(line.endswith("moved") for line in lines) else 0)
     else:
         RECORD.write_text(json.dumps({"environment": environment(), "runs": fresh}, indent=1, sort_keys=True) + "\n",
                           encoding="utf-8")

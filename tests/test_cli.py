@@ -288,6 +288,9 @@ def test_main_invalid_config_exit_code(capsys):
         ["theta", "--samples", "1", "--out", "."],
         ["theta", "--samples", "1", "--tol", "inf", "--output", "structured"],
         ["cybe", "--tau-im", "260", "--samples", "2"],
+        # a lattice multiplier overflows; its message names the point
+        ["cybe", "--tau-im", "260", "--n", "4", "--samples", "2"],
+        ["cybe", "--tau-im", "260", "--n", "6", "--samples", "2"],
         ["aybe", "--tau-im", "1e-4", "--n", "2", "--samples", "1"],
         ["aybe", "--tau-im", "260", "--n", "2", "--samples", "1"],
         ["aybe", "--tau-im", "1e-4", "--n", "4", "--samples", "1"],
@@ -316,6 +319,8 @@ def test_invalid_input_exits_2_without_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     if "--tau-im" in argv and float(argv[argv.index("--tau-im") + 1]) < 1e-3:
         assert "series needs more than 200 frequency pairs" in proc.stderr
+    if "--tau-im" in argv and float(argv[argv.index("--tau-im") + 1]) == 260:
+        assert "z=" in proc.stderr
 
 
 @pytest.mark.parametrize("n", ["3", "4", "6"])

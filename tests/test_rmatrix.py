@@ -28,6 +28,7 @@ from superkron.rmatrix import (
     kappa,
     super_basis_phi,
 )
+from superkron.suites import VerifyConfig, replay_sample
 from superkron.superfunc import SuperPoint, fay_residual, super_phi, three_term
 
 GENS = default_generators()
@@ -592,22 +593,67 @@ def _pass_ops(b):
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 6])
 def test_channel_sums_equal_one_by_one_builds(N, tau):
     # one pass over many operators gives bit for bit what building each
-    # alone gives, blocks and monomial order, ordinary and odd; at N = 1 the
-    # classical operator has no channel and is empty
+    # alone gives, blocks and monomial order: all ordinary, all odd, and
+    # mixed, where an ordinary operator at the points of an odd one (every
+    # quantum one, each next to its odd twin, reference forms included, and
+    # the first classical one) reads the odd tables and the others request
+    # their own; at N = 1 the classical operator has no channel and is empty
     b, ctx = HeisenbergBasis(N), EllipticContext(tau)
     quantum, classical = _pass_ops(b)
-    for super in (False, True):
-        ops = [(b.canonical_indices(), hbar, mu, p, q, form) for hbar, mu, p, q, form in quantum]
-        ops += [(b.nonzero_indices(), 0.0, None, p, q, "shift") for p, q in classical]
-        got = channel_sums(ops, "ω", b, ctx, super=super)
-        want = [build_R(hbar, mu, p, q, "ω", b, ctx, super=super, form=form) for hbar, mu, p, q, form in quantum]
-        want += [build_r_classical(p, q, "ω", b, ctx, super=super) for p, q in classical]
-        assert len(got) == len(want)
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert list(g.blocks) == list(w.blocks), (super, i)
-            assert all(g.blocks[m].tobytes() == a.tobytes() for m, a in w.blocks.items()), (super, i)
-        if N == 1:
-            assert all(not w.blocks for w in want[-len(classical):])
+    ops, want = [], []
+    for odd in (False, True):
+        for hbar, mu, p, q, form in quantum:
+            ops.append((b.canonical_indices(), hbar, mu, p, q, form, odd))
+            want.append(build_R(hbar, mu, p, q, "ω", b, ctx, super=odd, form=form))
+        for p, q in classical:
+            ops.append((b.nonzero_indices(), 0.0, None, p, q, "shift", odd))
+            want.append(build_r_classical(p, q, "ω", b, ctx, super=odd))
+    half, nq = len(ops) // 2, len(quantum)
+    mixed = [i for pair in zip(range(nq), range(half, half + nq)) for i in pair] + [*range(nq, half), half + nq]
+    for kind, members in (("ordinary", range(half)), ("odd", range(half, len(ops))), ("mixed", mixed)):
+        got = channel_sums([ops[i] for i in members], "ω", b, ctx)
+        assert len(got) == len(members)
+        for i, g in zip(members, got):
+            w = want[i]
+            assert list(g.blocks) == list(w.blocks), (kind, i)
+            assert all(g.blocks[m].tobytes() == a.tobytes() for m, a in w.blocks.items()), (kind, i)
+    if N == 1:
+        assert all(not want[i].blocks for i in (*range(nq, half), *range(half + nq, len(ops))))
+
+
+def test_one_channel_sum_pass_per_yang_baxter_sample(monkeypatch):
+    # at N = 6 an aybe sample builds its ordinary and odd factors and the
+    # basis and heat forms in one pass, with one request per table: the
+    # kernel tables of the odd factors and the basis form, the heat form's
+    # (one more argument derivative), and the modulus-derivative tables.
+    # The ordinary factors read the odd ones' tables and the first odd factor
+    # is the shift-form reference.  A cybe sample makes one pass, two requests
+    from superkron import batch, rmatrix, suites
+
+    elliptic_tables, one_pass = batch.elliptic_tables, rmatrix.channel_sums
+    passes, requests = [], []
+
+    def counting_pass(ops, *args):
+        passes.append(len(ops))
+        return one_pass(ops, *args)
+
+    def counting_tables(hbars, z, ctx, max_j, max_k, dtau, reduce):
+        requests.append((len(hbars), dtau, max_j, max_k))
+        return elliptic_tables(hbars, z, ctx, max_j, max_k, dtau, reduce)
+
+    monkeypatch.setattr(batch, "elliptic_tables", counting_tables)
+    monkeypatch.setattr(rmatrix, "channel_sums", counting_pass)
+    monkeypatch.setattr(suites, "channel_sums", counting_pass)
+    cfg = suites.VerifyConfig(n=6)
+    inputs = suites._sample_three_points(np.random.default_rng(7), cfg)
+    suites.replay_sample("aybe", inputs, cfg)
+    assert passes == [6 + 6 + 2]
+    assert requests == [(7 * 36, 0, 2, 0), (36, 0, 2, 1), (7 * 36, 1, 0, 0)]
+    passes.clear()
+    requests.clear()
+    suites.replay_sample("cybe", inputs, cfg)
+    assert passes == [3 + 3]
+    assert requests == [(3 * 35, 0, 1, 0), (3 * 35, 1, 0, 0)]
 
 
 def test_template_keys_tell_slots_apart(monkeypatch):
@@ -658,6 +704,15 @@ def test_residual_raises_its_first_failing_request():
         with pytest.raises(PoleProximityError) as got:
             aybe_residual((h, h), ("μ1", "μ2"), [P1, P2, P3], "ω", b, CTX, super=True)
         assert str(got.value) == str(alone.value)
+        # an aybe sample's one pass, whose first request holds both residuals'
+        # kernel tables, raises what its first residual, the ordinary one, does
+        with pytest.raises(PoleProximityError) as first:
+            aybe_residual((h, h), None, [P1, P2, P3], "ω", b, CTX)
+        inputs = {"hbar1": [h.real, h.imag], "hbar2": [h.real, h.imag]}
+        inputs.update({f"z{i}": [p.z.real, p.z.imag] for i, p in enumerate((P1, P2, P3), 1)})
+        with pytest.raises(PoleProximityError) as merged:
+            replay_sample("aybe", inputs, VerifyConfig(n=N, tau=CTX.tau, pole_radius=CTX.pole_radius))
+        assert str(merged.value) == str(first.value) == str(alone.value)
 
 
 def test_max_abs_keeps_nan():
