@@ -26,8 +26,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .elliptic import EllipticContext, kernel_derivs, phi_derivs
-from .grassmann import GrassmannElement, default_generators
-from .superfunc import SuperFunction, SuperPoint, _odd_element, super_phi, three_term, three_term_specs
+from .grassmann import default_generators
+from .superfunc import (SuperFunction, SuperPoint, _dressing, _memo_key, _odd_element, _remember, super_phi, three_term,
+                        three_term_specs)
 
 __all__ = [
     "MultiIndex",
@@ -144,14 +145,9 @@ def _channel_hbar(alpha, hbar: complex, N: int, tau: complex) -> complex:
     return complex(hbar) + channel_shift(alpha, N, tau)
 
 
-def _dressing(alpha, z: complex, N: int) -> complex:
-    """The channel's exponential dressing exp(c z), c = 2 pi i a2 / N."""
-    return cmath.exp(_TWO_PI_I * alpha[1] / N * z)
-
-
 def basis_phi(alpha, hbar: complex, z: complex, ctx: EllipticContext, N: int) -> complex:
     """The dressed channel function exp(c z) kernel(h + shift, z), c = 2 pi i a2 / N."""
-    return _dressing(alpha, z, N) * phi_derivs(_channel_hbar(alpha, hbar, N, ctx.tau), z, ctx)[0, 0]
+    return _dressing(_TWO_PI_I * alpha[1] / N, z) * phi_derivs(_channel_hbar(alpha, hbar, N, ctx.tau), z, ctx)[0, 0]
 
 
 def super_basis_phi(
@@ -451,7 +447,7 @@ def anticommutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return out
 
 
-# compiled odd channel functions by (form, a2, N, slots), cleared when it holds 1024
+# compiled odd channel functions by (form, a2, N, slots), cleared when it holds 1024 (superfunc._remember)
 _TEMPLATES: dict = {}
 
 
@@ -473,16 +469,10 @@ class _Template:
 
 def _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) -> _Template:
     """super_basis_phi compiled once per (form, a2, N, slots), its plan depending on neither a1, hbar nor ctx;
-    a slot is keyed as given, an element by its exact terms in order (repr keeps the sign of a zero)."""
-    slots = (p1.zeta, p2.zeta, omega, mu)
-    key = (form, alpha[1], N, *(tuple(map(repr, x.items())) if isinstance(x, GrassmannElement) else x for x in slots))
-    template = _TEMPLATES.get(key)
-    if template is None:
-        template = _Template(super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form=form))
-        if len(_TEMPLATES) >= 1024:
-            _TEMPLATES.clear()
-        _TEMPLATES[key] = template
-    return template
+    a slot is keyed by superfunc._memo_key."""
+    key = (form, alpha[1], N, *map(_memo_key, (p1.zeta, p2.zeta, omega, mu)))
+    hit = _TEMPLATES.get(key)
+    return hit or _remember(_TEMPLATES, key, _Template(super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form)))
 
 
 def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> list[SuperMatrix]:
@@ -525,7 +515,7 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> li
 
     # between the orders, where a pass of ordinary operators alone raises a dressing's overflow
     tables = tabulate(0)
-    dressing = np.array([_dressing((0, flat[i] % N), z12s[i], N) for i in source], dtype=complex)
+    dressing = np.array([_dressing(_TWO_PI_I * (flat[i] % N) / N, z12s[i]) for i in source], dtype=complex)
     tables += tabulate(1)
     # every table in one buffer; a channel's table of modulus order d starts at offset[channel, d]
     offset = np.zeros((len(hbars), 2), dtype=int)
@@ -542,7 +532,7 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> li
     for i, t in enumerate(templates):
         if t is not None:
             shapes.setdefault(t.scalar.shape, []).append(i)
-    envelope = np.array([cmath.exp(t.exp_coeff * z) if t is not None and t.exp_coeff != 0 else 1.0
+    envelope = np.array([_dressing(t.exp_coeff, z) if t is not None and t.exp_coeff != 0 else 1.0
                          for t, z in zip(templates, z12s)], dtype=complex)
     for members in shapes.values():
         index: dict = {}

@@ -46,6 +46,32 @@ __all__ = [
 
 _TWO_PI_I = 2j * math.pi
 
+# super_phi's terms and SuperFunction.plan's rows by structure (_memo_key, _remember)
+_MEMO_LIMIT = 1024
+_PHI_TERMS: dict = {}
+_PLANS: dict = {}
+
+
+def _memo_key(x):
+    """x as part of a memo key: an element by its exact terms in order, else by its repr (both keep a zero's sign)."""
+    return tuple(map(repr, x.items())) if isinstance(x, GrassmannElement) else repr(x)
+
+
+def _remember(memo: dict, key, value):
+    """value, stored in memo under key; a memo that holds _MEMO_LIMIT entries is cleared first."""
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _dressing(c: complex, z12: complex) -> complex:
+    """The exponential dressing exp(c z12); its OverflowError names c and z12."""
+    try:
+        return cmath.exp(c * z12)
+    except OverflowError:
+        raise OverflowError(f"exponential dressing exceeds the floating-point range (c={c}, z12={z12})") from None
+
 
 class CatalogOverflowError(ValueError):
     """An operator requested a coefficient derivative outside the catalog."""
@@ -264,8 +290,8 @@ class SuperFunction:
         soul, if given, is an even nilpotent element added to z12; the
         coefficient functions are extended to it by their finite Taylor
         expansion, with derivatives skipped whenever the accompanying
-        Grassmann product already vanished.  Evaluation is plan, one
-        kernel_derivs table per modulus order, then combine; the R-matrix
+        Grassmann product already vanished.  Evaluation is plan (memoized),
+        one kernel_derivs table per modulus order, then combine; the R-matrix
         channel sums compile plan's rows once and combine them over many
         channels at once (rmatrix.channel_sums).
         """
@@ -278,12 +304,18 @@ class SuperFunction:
         return self.combine(rows, tables, z12)
 
     def plan(self, soul: GrassmannElement | None = None):
-        """Rows (monomial, dtau, j, k, scalar) and the table sizes {dtau: (max j, max k)} they read.
+        """Rows (monomial, dtau, j, k, scalar) as a tuple and the table sizes {dtau: (max j, max k)} they read.
 
-        Each call plans the current terms afresh; a caller that combines one
-        function with tables at many parameters plans it once and keeps the
-        plan, as the R-matrix channel sums do (compiled, see rmatrix._Template).
+        Memoized by content, the same for any hbar, ctx and kind: exp_coeff,
+        the stored rows in order and the soul's terms in order.  The rows
+        are a shared tuple, the sizes a fresh dict.
         """
+        key = (_memo_key(self.exp_coeff), tuple((m, d, repr(c)) for m, d, c in self._rows()), _memo_key(soul))
+        planned = _PLANS.get(key) or _remember(_PLANS, key, self._plan_rows(soul))
+        return planned[0], dict(planned[1])
+
+    def _plan_rows(self, soul: GrassmannElement | None):
+        """plan's rows and sizes as tuples, built from the current terms."""
         if soul is None:
             powers = [default_generators().one()]
         elif soul.parity() != "even":
@@ -312,7 +344,7 @@ class SuperFunction:
                             rows.append((pmask, desc.dtau, desc.j, k, pcoeff * scalar))
                         mj, mk = sizes.get(desc.dtau, (0, 0))
                         sizes[desc.dtau] = (max(mj, desc.j), max(mk, k))
-        return rows, sizes
+        return tuple(rows), tuple(sizes.items())
 
     def combine(self, rows, tables: dict, z12: complex) -> GrassmannElement:
         """The value from a plan's rows and the tables {dtau: table} they read, at z12."""
@@ -322,7 +354,7 @@ class SuperFunction:
             if value == 0:
                 continue
             acc[mask] = acc.get(mask, 0j) + scalar * value
-        envelope = cmath.exp(self.exp_coeff * z12) if self.exp_coeff != 0 else 1.0
+        envelope = _dressing(self.exp_coeff, z12) if self.exp_coeff != 0 else 1.0
         return GrassmannElement({m: c * envelope for m, c in acc.items()})
 
     def __repr__(self) -> str:
@@ -363,6 +395,7 @@ def super_phi(
     Two slots that each hold one plain generator (a single generator with
     coefficient one) must hold different ones, else ValueError.  Slots that
     hold a combination, such as a shifted odd coordinate, are not checked.
+    The terms are memoized by all but hbar, ctx and even coordinates; slots are checked on every call.
     """
     if tau_term not in ("dtau", "heat"):
         raise ValueError("tau_term must be 'dtau' or 'heat'")
@@ -378,21 +411,27 @@ def super_phi(
         combined |= m
 
     f = SuperFunction(ctx, hbar, kind=kind, exp_coeff=exp_coeff)
-    zz = zeta1 * zeta2
-    f.add_element_term(zeta1 - zeta2, 0, 0, 0)
-    f.add_element_term(omega_e, 0, 1, 0)
-    zzw = zz * omega_e
-    if tau_term == "dtau":
-        f.add_element_term(zzw, 1, 0, 0, _TWO_PI_I)
-        if hbar_tau_rate != 0:
-            f.add_element_term(zzw, 0, 1, 0, _TWO_PI_I * hbar_tau_rate)
-    else:
-        f.add_element_term(zzw, 0, 1, 1)
-        if exp_coeff != 0:
-            f.add_element_term(zzw, 0, 1, 0, exp_coeff)
-    if mu_e is not None:
-        f.add_element_term(zz * mu_e, 0, 1, 0)
-        f.add_element_term((zeta1 + zeta2) * mu_e * omega_e, 0, 2, 0, 0.5)
+    key = tuple(map(_memo_key, (kind, exp_coeff, hbar_tau_rate, tau_term, p1.zeta, p2.zeta, omega, mu)))
+    terms = _PHI_TERMS.get(key)
+    if terms is None:
+        zz = zeta1 * zeta2
+        f.add_element_term(zeta1 - zeta2, 0, 0, 0)
+        f.add_element_term(omega_e, 0, 1, 0)
+        zzw = zz * omega_e
+        if tau_term == "dtau":
+            f.add_element_term(zzw, 1, 0, 0, _TWO_PI_I)
+            if hbar_tau_rate != 0:
+                f.add_element_term(zzw, 0, 1, 0, _TWO_PI_I * hbar_tau_rate)
+        else:
+            f.add_element_term(zzw, 0, 1, 1)
+            if exp_coeff != 0:
+                f.add_element_term(zzw, 0, 1, 0, exp_coeff)
+        if mu_e is not None:
+            f.add_element_term(zz * mu_e, 0, 1, 0)
+            f.add_element_term((zeta1 + zeta2) * mu_e * omega_e, 0, 2, 0, 0.5)
+        terms = _remember(_PHI_TERMS, key, tuple((m, tuple(row.items())) for m, row in f.terms.items()))
+    # fresh rows, so that add_term on f cannot reach the memo
+    f.terms = {m: dict(row) for m, row in terms}
     return f
 
 

@@ -2,7 +2,11 @@
 
 For every run in RUNS, each suite's max_residual is kept as float hex,
 together with its worst_inputs and redraws, so a refactor that claims to
-keep every residual bit can be checked against the record.  Rounding depends
+keep every residual bit can be checked against the record.  Each run is
+computed twice in one process: first with the memos of symbolic work
+(superfunc's function terms and plans, rmatrix's channel templates) empty,
+then again with the memos the first computation filled; both must give the
+same record.  Rounding depends
 on the interpreter, numpy and the machine, so the record names all three and
 test_residual_bits skips when they differ.  Regenerate the record with
 
@@ -14,8 +18,10 @@ and fresh max_residual side by side with
     PYTHONPATH=src python tests/residual_bits.py --diff
 
 which marks a suite "moved" where any field of its record differs, and
-exits 1 if one did (0 if the record holds), so it can gate a change that
-claims to keep every bit.
+exits 1 if one did or the warm computation differs from the cold one (0 if
+the record holds), so it can gate a change that claims to keep every bit.
+Regeneration refuses to write a record that the warm computation does not
+repeat.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from superkron import rmatrix, superfunc
 from superkron.suites import VerifyConfig, run_suites
 
 RECORD = Path(__file__).with_name("residual_bits.json")
@@ -63,22 +70,25 @@ def environment() -> dict:
     }
 
 
-def compute() -> dict:
-    """{run name: [{suite, max_residual (float hex), worst_inputs, redraws}]}."""
-    out = {}
+def compute() -> tuple[dict, dict]:
+    """Two records {run name: [{suite, max_residual (float hex), worst_inputs, redraws}]}, cold and warm:
+    each run computed with the memos of symbolic work emptied first, then once more right after."""
+    cold, warm = {}, {}
     for name, fields in RUNS:
-        reports = run_suites(VerifyConfig(seed=42, **fields))
-        out[name] = [
-            {
-                "suite": r.suite,
-                "max_residual": float(r.max_residual).hex(),
-                "worst_inputs": r.worst_inputs,
-                "redraws": r.redraws,
-            }
-            for r in reports
-        ]
+        for memo in (superfunc._PHI_TERMS, superfunc._PLANS, rmatrix._TEMPLATES):
+            memo.clear()
+        for out in (cold, warm):
+            out[name] = [
+                {
+                    "suite": r.suite,
+                    "max_residual": float(r.max_residual).hex(),
+                    "worst_inputs": r.worst_inputs,
+                    "redraws": r.redraws,
+                }
+                for r in run_suites(VerifyConfig(seed=42, **fields))
+            ]
     # through JSON, so a fresh computation compares equal to the loaded record
-    return json.loads(json.dumps(out))
+    return json.loads(json.dumps(cold)), json.loads(json.dumps(warm))
 
 
 def diff(record: dict, fresh: dict) -> list[str]:
@@ -99,14 +109,18 @@ def diff(record: dict, fresh: dict) -> list[str]:
 
 
 if __name__ == "__main__":
-    fresh = compute()
+    fresh, warm = compute()
+    if warm != fresh:
+        print("warm memos moved these runs: " + ", ".join(n for n in fresh if warm[n] != fresh[n]))
     if sys.argv[1:] == ["--diff"]:
         record = json.loads(RECORD.read_text(encoding="utf-8"))
         header = ["run", "suite", "recorded", "fresh", "recorded", "fresh", "ratio"]
         print("{:<28} {:<14} {:>24} {:>24} {:>10} {:>10} {:>8}".format(*header))
         lines = diff(record["runs"], fresh)
         print("\n".join(lines))
-        sys.exit(1 if any(line.endswith("moved") for line in lines) else 0)
+        sys.exit(1 if warm != fresh or any(line.endswith("moved") for line in lines) else 0)
+    elif warm != fresh:
+        sys.exit(1)
     else:
         RECORD.write_text(json.dumps({"environment": environment(), "runs": fresh}, indent=1, sort_keys=True) + "\n",
                           encoding="utf-8")

@@ -291,6 +291,8 @@ def test_main_invalid_config_exit_code(capsys):
         # a lattice multiplier overflows; its message names the point
         ["cybe", "--tau-im", "260", "--n", "4", "--samples", "2"],
         ["cybe", "--tau-im", "260", "--n", "6", "--samples", "2"],
+        # a channel dressing exp(c z12) overflows; its message names c and z12
+        ["cybe", "--tau-im", "300", "--n", "6", "--samples", "3"],
         ["aybe", "--tau-im", "1e-4", "--n", "2", "--samples", "1"],
         ["aybe", "--tau-im", "260", "--n", "2", "--samples", "1"],
         ["aybe", "--tau-im", "1e-4", "--n", "4", "--samples", "1"],
@@ -321,6 +323,8 @@ def test_invalid_input_exits_2_without_traceback(argv, tmp_path):
         assert "series needs more than 200 frequency pairs" in proc.stderr
     if "--tau-im" in argv and float(argv[argv.index("--tau-im") + 1]) == 260:
         assert "z=" in proc.stderr
+    if "--tau-im" in argv and float(argv[argv.index("--tau-im") + 1]) == 300:
+        assert "exponential dressing" in proc.stderr and "z12=" in proc.stderr
 
 
 @pytest.mark.parametrize("n", ["3", "4", "6"])

@@ -1,4 +1,4 @@
-"""Every residual bit of the recorded verify runs, against tests/residual_bits.json."""
+"""Every residual bit of the recorded verify runs, cold and warm memos alike, against tests/residual_bits.json."""
 
 import json
 
@@ -12,7 +12,7 @@ def test_residuals_match_the_record():
     here = residual_bits.environment()
     if record["environment"] != here:
         pytest.skip(f"record made on {record['environment']}, this is {here}")
-    got = residual_bits.compute()
-    assert got.keys() == record["runs"].keys()
+    cold, warm = residual_bits.compute()
+    assert cold.keys() == warm.keys() == record["runs"].keys()
     for name, reports in record["runs"].items():
-        assert got[name] == reports, name
+        assert cold[name] == warm[name] == reports, name

@@ -686,6 +686,17 @@ def test_template_keys_tell_slots_apart(monkeypatch):
     assert list(got[0].blocks) != list(got[1].blocks)
 
 
+@pytest.mark.parametrize("odd", [False, True])
+def test_dressing_overflow_names_its_point(odd):
+    # exp(c z12) of the a2 = 5 channels at N = 6 leaves the floating-point
+    # range before any table does; the ordinary dressing and the odd
+    # envelope both name c and z12
+    ctx = EllipticContext(0.3 + 300j)
+    p1, p2 = SuperPoint(0.1 - 70j, "ζ1"), SuperPoint(0.626 + 73.9j, "ζ2")
+    with pytest.raises(OverflowError, match=r"exponential dressing .*\(c=5.23\d*j, z12=\(-0.526-143.9j\)\)"):
+        build_r_classical(p1, p2, "ω", HeisenbergBasis(6), ctx, super=odd)
+
+
 def test_residual_raises_its_first_failing_request():
     # the first operator's modulus-derivative series (unreduced) overflows,
     # while the fourth, at parameter h - h = 0, sits on a pole.  Built alone

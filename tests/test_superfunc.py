@@ -3,11 +3,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from helpers import isclose, phi
+from superkron import rmatrix, suites, superfunc
 from superkron.elliptic import EllipticContext, PoleProximityError, kernel_derivs, phi_derivs, phi_rat, phi_trig
-from superkron.grassmann import default_generators, grassmann_exp, parity
+from superkron.grassmann import GrassmannElement, default_generators, grassmann_exp, parity
 from superkron.superfunc import (
     CatalogOverflowError,
     Descriptor,
@@ -374,6 +376,154 @@ def test_pole_guard_propagates():
         super_phi(H1, "μ1", P1, SuperPoint(P1.z + 1e-9, "ζ2"), "ω", CTX).evaluate(
             P1.z, P1.z + 1e-9
         )
+
+
+def test_dressing_overflow_names_its_point():
+    f = super_phi(H1, "μ1", P1, P2, "ω", CTX, exp_coeff=2000.0)
+    with pytest.raises(OverflowError, match=r"exponential dressing .*c=\(2000\+0j\), z12="):
+        f.evaluate(P1.z, P2.z)
+
+
+# -- memoized symbolic work ---------------------------------------------------------
+
+
+@pytest.fixture
+def cold_memos(monkeypatch):
+    monkeypatch.setattr(superfunc, "_PHI_TERMS", {})
+    monkeypatch.setattr(superfunc, "_PLANS", {})
+
+
+def _row_bits(f):
+    return [(m, d, c.real.hex(), c.imag.hex()) for m, d, c in f._rows()]
+
+
+def _plan_bits(planned):
+    rows, sizes = planned
+    return [(*r[:4], r[4].real.hex(), r[4].imag.hex()) for r in rows], sizes
+
+
+def _memo_cases():
+    # mu as a sum in either order, with either sign of a zero, and the
+    # shifted odd coordinate zeta1 + 2 pi i omega of the periodicity check
+    m1, m2 = GENS.mask_of("μ1"), GENS.mask_of("μ2")
+    mus = [
+        GrassmannElement({m1: 1.0, m2: 1.0}),
+        GrassmannElement({m2: 1.0, m1: 1.0}),
+        GrassmannElement({m1: complex(1.0, 0.0)}),
+        GrassmannElement({m1: complex(1.0, -0.0)}),
+        "μ1",
+        None,
+    ]
+    firsts = (P1, SuperPoint(P1.z, Z1E + OME * TPI))
+    dressings = ({}, {"exp_coeff": TPI * 2 / 3, "hbar_tau_rate": 2 / 3}, {"exp_coeff": -TPI / 3})
+    return [
+        (mu, p1, {"tau_term": tau_term, **opts})
+        for mu in mus for p1 in firsts for tau_term in ("dtau", "heat") for opts in dressings
+    ]
+
+
+def test_memo_hits_equal_fresh_builds(cold_memos):
+    # every case gets its own entry, and a hit gives the rows, plans and
+    # evaluation bits of a build with both memos cleared
+    souls = (None, (Z1E * OME) * TPI)
+    cases = _memo_cases()
+
+    def built(case):
+        mu, p1, opts = case
+        f = super_phi(H1, mu, p1, P2, "ω", CTX, **opts)
+        return _row_bits(f), [_plan_bits(f.plan(s)) for s in souls], [_bits(f.evaluate(p1.z, P2.z, s)) for s in souls]
+
+    for case in cases:
+        built(case)
+    assert len(superfunc._PHI_TERMS) == len(cases)
+    n_plans = len(superfunc._PLANS)
+    hits = [built(case) for case in cases]
+    assert len(superfunc._PHI_TERMS) == len(cases) and len(superfunc._PLANS) == n_plans
+    for case, hit in zip(cases, hits):
+        superfunc._PHI_TERMS.clear()
+        superfunc._PLANS.clear()
+        assert hit == built(case), case
+    # mu as mu1 + mu2 and as mu2 + mu1 (the first case of each): the sum's
+    # terms follow the slot's order
+    assert hits[0][0] != hits[len(cases) // 6][0]
+
+
+def test_memoized_function_is_a_fresh_copy(cold_memos):
+    f = super_phi(H1, "μ1", P1, P2, "ω", CTX)
+    want = _row_bits(f)
+    f.add_term(GENS.mask_of("ζ1ζ2"), 0, 2, 1, 0.75)
+    f.add_term(GENS.mask_of("ω"), 0, 1, 0, 1.0)
+    g = super_phi(H2, "μ1", P1, P2, "ω", CTX)
+    assert _row_bits(g) == want and _row_bits(f) != want
+    rows, sizes = g.plan()
+    sizes[0] = (9, 9)
+    assert g.plan()[1] != sizes
+    assert isinstance(rows, tuple)
+
+
+def test_slot_checks_run_on_every_call(cold_memos):
+    super_phi(H1, "μ1", P1, P2, "ω", CTX)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="generator collision"):
+            super_phi(H1, "ζ1", P1, P2, "ω", CTX)
+        with pytest.raises(ValueError, match="mu must be parity-odd"):
+            super_phi(H1, Z1E * Z2E, P1, P2, "ω", CTX)
+        with pytest.raises(ValueError, match="tau_term"):
+            super_phi(H1, "μ1", P1, P2, "ω", CTX, tau_term="full")
+        with pytest.raises(ValueError, match="soul must be an even element"):
+            super_phi(H1, "μ1", P1, P2, "ω", CTX).plan(Z1E)
+
+
+def test_memos_are_cleared_at_their_bound(cold_memos):
+    for i in range(superfunc._MEMO_LIMIT):
+        super_phi(H1, "μ1", P1, P2, "ω", CTX, exp_coeff=complex(i)).plan()
+    assert len(superfunc._PHI_TERMS) == len(superfunc._PLANS) == superfunc._MEMO_LIMIT == 1024
+    super_phi(H1, "μ1", P1, P2, "ω", CTX, exp_coeff=-1.0).plan()
+    assert len(superfunc._PHI_TERMS) == len(superfunc._PLANS) == 1
+
+
+def test_second_graded_sample_builds_no_function(cold_memos, monkeypatch):
+    # the terms and plans depend on the slots and dressings only, so a
+    # second sample of each graded suite (basis: at the same channels)
+    # builds neither; counted, not timed
+    phi_, mul, plan_rows = superfunc.super_phi, GrassmannElement.__mul__, SuperFunction._plan_rows
+    inside, muls, plans = [False], [], []
+
+    def counting_phi(*args, **kwargs):
+        inside[0] = True
+        try:
+            return phi_(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counting_mul(self, other):
+        if inside[0]:
+            muls.append(other)
+        return mul(self, other)
+
+    def counting_plan_rows(self, soul):
+        plans.append(soul)
+        return plan_rows(self, soul)
+
+    for module in (superfunc, rmatrix, suites):
+        monkeypatch.setattr(module, "super_phi", counting_phi)
+    monkeypatch.setattr(GrassmannElement, "__mul__", counting_mul)
+    monkeypatch.setattr(SuperFunction, "_plan_rows", counting_plan_rows)
+    rng = np.random.default_rng(7)
+    for suite in ("fay", "heat", "periodicity", "basis", "degenerations"):
+        for truncated in (False, True):
+            cfg = suites.VerifyConfig(n=2, truncated=truncated)
+            sample, _ = suites._SUITES[suite]
+            first, second = sample(rng, cfg), sample(rng, cfg)
+            if suite == "basis":
+                second.update(alpha=first["alpha"], beta=first["beta"])
+            suites.replay_sample(suite, first, cfg)
+            # the counters see the cold memos' work (later suites share some functions)
+            assert (muls and plans) or suite != "fay" or truncated
+            muls.clear()
+            plans.clear()
+            suites.replay_sample(suite, second, cfg)
+            assert (muls, plans) == ([], []), (suite, truncated)
 
 
 # -- transition factors -----------------------------------------------------------
