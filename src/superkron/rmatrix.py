@@ -220,18 +220,18 @@ def _product_plan(left_sites: tuple, right_sites: tuple, d: int):
     """Where each stored entry of a product of placed blocks reads its factors.
 
     Returns the sites of the product and two read-only integer arrays of
-    shape (terms, d**n * d**(n-1)), n the number of sites: for every stored
-    output entry, in row-major order, the flat positions of the left and
-    right stored entries of each contraction term.  Charge conservation of
-    the left factor fixes the sum of the middle indices at the shared sites,
-    so factors sharing s >= 1 sites have d**(s-1) terms, the last middle
-    index implied by the others; factors sharing one site, as every
-    Yang-Baxter product does, have one.  The right factor then conserves the
-    charge too, so every position read is stored.  Disjoint factors have one
-    term, and a left position of -1 where the left factor's charge does not
-    balance on its own sites: the product reads a zero appended to the
-    left block there.
+    shape (terms, d**n, d**(n-1)), n the number of sites: for every stored
+    output entry, the flat positions of the left and right stored entries
+    of each contraction term.  Charge conservation of the left factor fixes
+    the sum of the middle indices at the shared sites, so factors sharing
+    s sites have d**(s-1) terms, the last middle index implied by the
+    others; factors sharing one site, as every Yang-Baxter product does,
+    have one.  The right factor then conserves the charge too, so every
+    position read is stored.  Factors that share no site raise ValueError.
     """
+    shared = [u for u in left_sites if u in right_sites]
+    if not shared:
+        raise ValueError(f"placed factors at {left_sites} and {right_sites} share no site")
     union = tuple(sorted(set(left_sites) | set(right_sites)))
     n = len(union)
     rows = np.arange(d**n)[:, None]
@@ -239,7 +239,6 @@ def _product_plan(left_sites: tuple, right_sites: tuple, d: int):
     out = {u: (rows // d ** (n - 1 - k)) % d for k, u in enumerate(union)}
     ins = {u: (cols // d ** (n - 2 - k)) % d for k, u in enumerate(union[:-1])}
     ins[union[-1]] = _layout(n, d)[0]
-    shared = [u for u in left_sites if u in right_sites]
     target = sum(out[u] for u in left_sites) - sum(ins[u] for u in left_sites if u not in shared)
 
     def position(outs, inputs):
@@ -248,19 +247,15 @@ def _product_plan(left_sites: tuple, right_sites: tuple, d: int):
             row = row * d + x
         for x in inputs[:-1]:
             col = col * d + x
-        return np.broadcast_to(row * d ** (len(inputs) - 1) + col, (d**n, d ** (n - 1))).ravel()
+        return np.broadcast_to(row * d ** (len(inputs) - 1) + col, (d**n, d ** (n - 1)))
 
     left, right = [], []
-    for free in product(range(d), repeat=max(len(shared) - 1, 0)):
+    for free in product(range(d), repeat=len(shared) - 1):
         mid = dict(zip(shared, free))
-        if shared:
-            mid[shared[-1]] = (target - sum(free)) % d
+        mid[shared[-1]] = (target - sum(free)) % d
         left.append(position([out[u] for u in left_sites], [mid.get(u, ins[u]) for u in left_sites]))
         right.append(position([mid.get(u, out[u]) for u in right_sites], [ins[u] for u in right_sites]))
     left, right = np.array(left), np.array(right)
-    if not shared:
-        # disjoint factors: the left one must balance its own charge
-        left[:, np.broadcast_to(target % d != 0, (d**n, d ** (n - 1))).ravel()] = -1
     left.flags.writeable = right.flags.writeable = False
     return union, left, right
 
@@ -289,12 +284,13 @@ class SuperMatrix:
 
     The product multiplies basis monomials in the algebra, keeping the left
     factor's monomial on the left, and contracts the coefficient blocks over
-    the sites the two factors share; each acts as the identity on the
-    other's remaining sites, and the result acts on the sorted union of both
-    site sets.  Matrices have complex entries, so no extra grading sign
-    arises.  placed() shares the blocks, like a numpy view, since the layout
-    depends only on factor order; += / -= update a matrix's blocks in place,
-    so they also change every matrix that shares them; + and - copy.
+    the sites the two factors share, which must be at least one; each acts
+    as the identity on the other's remaining sites, and the result acts on
+    the sorted union of both site sets.  Matrices have complex entries, so
+    no extra grading sign arises.  placed() shares the blocks, like a numpy
+    view, since the layout depends only on factor order; += / -= update a
+    matrix's blocks in place, so they also change every matrix that shares
+    them; + and - copy.
     """
 
     __slots__ = ("n_sites", "site_dim", "dim", "blocks", "sites")
@@ -372,49 +368,25 @@ class SuperMatrix:
         """Graded product over the stored entries, through a cached index plan.
 
         Each product of blocks gathers its factors' stored entries by the
-        plan of the two site tuples (see _product_plan) and multiplies them
-        in explicit real arithmetic, re = ar br - ai bi and im = ar bi + ai br,
-        summing the terms in plan order.  With one term this rounds exactly
-        as the dense complex matrix product of the full blocks does, whose
-        other terms are exact zeros; numpy's complex multiply rounds some
-        entries differently.  Block products accumulate in place in the
-        order and with the signs of GeneratorSet.products.
+        plan of the two site tuples (see _product_plan), multiplies them in
+        numpy's complex arithmetic and sums the contraction terms.  Block
+        products accumulate in place in the order and with the signs of
+        GeneratorSet.products.
         """
         self._check_shape(other, same_sites=False)
         union, left, right = _product_plan(self.sites, other.sites, self.site_dim)
         out = SuperMatrix(len(union), self.site_dim, sites=union)
-
-        def gathered(blocks, at):
-            # real and imaginary parts of the entries at the plan's positions;
-            # -1, a position of a disjoint factor, reads a zero past the end
-            found = {}
-            for mask, arr in blocks.items():
-                parts = np.zeros((2, arr.size + 1))
-                parts[:, :-1] = arr.reshape(-1).view(float).reshape(-1, 2).T
-                found[mask] = parts.take(at, axis=1)
-            return found
-
-        sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        pairs = default_generators().products(gathered(self.blocks, left), gathered(other.blocks, right))
-        for u, sign, (ar, ai), (br, bi) in pairs:
-            re = ar * br
-            re -= ai * bi
-            im = ar * bi
-            im += ai * br
-            # one row per contraction term, summed in plan order
-            re, im = sum(re[1:], re[0]), sum(im[1:], im[0])
-            acc = sums.get(u)
+        pairs = default_generators().products({mask: arr.take(left) for mask, arr in self.blocks.items()},
+                                              {mask: arr.take(right) for mask, arr in other.blocks.items()})
+        for u, sign, a, b in pairs:
+            block = a[0] * b[0]
+            for x, y in zip(a[1:], b[1:]):
+                block += x * y
+            acc = out.blocks.get(u)
             if acc is None:
-                sums[u] = (re, im) if sign > 0 else (-re, -im)
+                out.blocks[u] = block if sign > 0 else -block
             else:
-                op = np.add if sign > 0 else np.subtract
-                op(acc[0], re, out=acc[0])
-                op(acc[1], im, out=acc[1])
-        shape = (out.dim, out.dim // out.site_dim)
-        for u, (re, im) in sums.items():
-            block = out.blocks[u] = np.empty(shape, dtype=complex)
-            block.real = re.reshape(shape)
-            block.imag = im.reshape(shape)
+                (np.add if sign > 0 else np.subtract)(acc, block, out=acc)
         return out
 
 
@@ -452,19 +424,19 @@ _TEMPLATES: dict = {}
 
 
 class _Template:
-    """An odd channel function's plan, one padded grid row per monomial (masks, in first-row order)
-    listing its plan rows in order: ints holds row index (-1 pads), modulus order and table cell."""
+    """A channel function compiled to a dense matrix: matrix[m, c] is what table cell c (modulus order
+    dtau[c], flat position cell[c] in the table of size sizes[dtau]) contributes to monomial masks[m],
+    masks ascending; the function is exp(exp_coeff z12) times matrix @ cells."""
 
-    def __init__(self, f: SuperFunction) -> None:
-        rows, self.sizes = f.plan()
-        self.exp_coeff = f.exp_coeff
-        self.masks = np.array(list(dict.fromkeys(r[0] for r in rows)), dtype=int)
-        groups = [[i for i, r in enumerate(rows) if r[0] == m] for m in self.masks.tolist()]
-        width = max(map(len, groups), default=1)
-        grid = np.array([g + [-1] * (width - len(g)) for g in groups], dtype=int).reshape(-1, width)
-        cells = [(d, j * (self.sizes[d][1] + 1) + k) for _, d, j, k, _ in rows] + [(0, 0)]
-        self.ints = np.concatenate([grid[None], np.moveaxis(np.array(cells)[grid], -1, 0)])
-        self.scalar = np.array([r[4] for r in rows] + [0j])[grid]
+    def __init__(self, rows, sizes: dict, exp_coeff: complex) -> None:
+        self.sizes, self.exp_coeff = sizes, exp_coeff
+        masks = sorted({r[0] for r in rows})
+        cells = sorted({(d, j * (sizes[d][1] + 1) + k) for _, d, j, k, _ in rows})
+        self.masks = np.array(masks, dtype=int)
+        self.dtau, self.cell = np.array(cells, dtype=int).reshape(-1, 2).T
+        self.matrix = np.zeros((len(masks), len(cells)), dtype=complex)
+        for mask, d, j, k, scalar in rows:
+            self.matrix[masks.index(mask), cells.index((d, j * (sizes[d][1] + 1) + k))] += scalar
 
 
 def _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) -> _Template:
@@ -472,94 +444,80 @@ def _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) -> _Template:
     a slot is keyed by superfunc._memo_key."""
     key = (form, alpha[1], N, *map(_memo_key, (p1.zeta, p2.zeta, omega, mu)))
     hit = _TEMPLATES.get(key)
-    return hit or _remember(_TEMPLATES, key, _Template(super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form)))
+    if hit is None:
+        f = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form)
+        hit = _remember(_TEMPLATES, key, _Template(*f.plan(), f.exp_coeff))
+    return hit
+
+
+@functools.lru_cache(maxsize=64)
+def _ordinary(a2: int, N: int) -> _Template:
+    """The dressed kernel of an ordinary channel: cell (0, 0) into monomial 0, dressing c = 2 pi i a2 / N."""
+    return _Template(((0, 0, 0, 0, 1.0),), {0: (0, 0)}, _TWO_PI_I * a2 / N)
 
 
 def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> list[SuperMatrix]:
     """The channel sums of several operators in one pass, each bit for bit the sum built alone: each
     op (indices, hbar, mu, p1, p2, form, odd) sums T_a (x) T_-a times super_basis_phi (odd) or the
     dressed kernel over the distinct a in indices, 0 <= a1, a2 < N, at hbar + (a1 + a2 tau)/N and
-    z12 = p1.z - p2.z.  Odd functions come compiled (_template); one kernel_derivs request per (modulus
-    order, table size) serves all channels, order 0 first, else in the order the channels first need
-    them, and a pass raises the error of its first failing request.  An ordinary channel at the bits of
-    an odd one reads cell (0, 0) of its order-0 table (no cell depends on the table size).  Templates of
-    one shape combine with the tables over the channel axis as SuperFunction.combine does (its row order,
-    zero cells skipped), in numpy's complex arithmetic, so they agree with evaluate to rounding; blocks
-    come from HeisenbergBasis.channel_blocks.
+    z12 = p1.z - p2.z.  Every channel function is a _Template: an odd one compiled once (_template), an
+    ordinary one the one-cell _ordinary.  One kernel_derivs request per (modulus order, table size)
+    serves all channels, order 0 first, else in the order the channels first need them; an ordinary
+    channel at the bits of an odd one reads cell (0, 0) of that channel's order-0 table instead (no cell
+    depends on the table size).  A pass raises the error of its first failing request, else of its
+    first dressing.  The channels of one template contract its matrix with their table cells in one
+    in-order sum over the cells, in numpy's complex arithmetic, so they agree with evaluate to rounding;
+    an operator's blocks, in ascending monomial order, come from HeisenbergBasis.channel_blocks.
     """
     N = basis.N
-    flat, hbars, z12s, templates = [], [], [], []
+    flat, hbars, z12s, templates, odds = [], [], [], [], []
     for indices, hbar, mu, p1, p2, form, odd in ops:
         built: dict[int, _Template] = {}
         for alpha in indices:
             flat.append(alpha[0] * N + alpha[1])
             hbars.append(_channel_hbar(alpha, hbar, N, ctx.tau))
             z12s.append(complex(p1.z) - complex(p2.z))
-            if odd and alpha[1] not in built:
-                built[alpha[1]] = _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form)
-            templates.append(built[alpha[1]] if odd else None)
+            if alpha[1] not in built:
+                built[alpha[1]] = (_template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) if odd
+                                   else _ordinary(alpha[1], N))
+            templates.append(built[alpha[1]])
+            odds.append(odd)
     # an ordinary channel reads the order-0 table of an odd channel at its (hbar, z12) bits, else its own
     bits = list(map(tuple, np.array([hbars, z12s], dtype=complex).T.copy().view(np.int64).tolist()))
-    odd_at = {b: i for i, b in enumerate(bits) if templates[i] is not None}
-    source = {i: odd_at.get(bits[i], i) for i, t in enumerate(templates) if t is None}
+    odd_at = {b: i for i, b in enumerate(bits) if odds[i]}
+    reads = [i if odds[i] else odd_at.get(b, i) for i, b in enumerate(bits)]
     requests: dict[tuple, list[int]] = {}
     for i, t in enumerate(templates):
-        if source.get(i, i) == i:
-            for dtau, size in t.sizes.items() if t is not None else ((0, (0, 0)),):
+        if reads[i] == i:
+            for dtau, size in t.sizes.items():
                 requests.setdefault((dtau, size), []).append(i)
     requests = dict(sorted(requests.items(), key=lambda r: r[0][0]))
-
-    def tabulate(order):
-        return [kernel_derivs("elliptic", [hbars[i] for i in m], [z12s[i] for i in m], ctx, *size, dtau)
-                for (dtau, size), m in requests.items() if dtau == order]
-
-    # between the orders, where a pass of ordinary operators alone raises a dressing's overflow
-    tables = tabulate(0)
-    dressing = np.array([_dressing(_TWO_PI_I * (flat[i] % N) / N, z12s[i]) for i in source], dtype=complex)
-    tables += tabulate(1)
+    tables = [kernel_derivs("elliptic", [hbars[i] for i in m], [z12s[i] for i in m], ctx, *size, dtau)
+              for (dtau, size), m in requests.items()]
+    envelope = np.array([_dressing(t.exp_coeff, z) if t.exp_coeff != 0 else 1.0 for t, z in zip(templates, z12s)],
+                        dtype=complex)
     # every table in one buffer; a channel's table of modulus order d starts at offset[channel, d]
     offset = np.zeros((len(hbars), 2), dtype=int)
     for start, t, ((dtau, _), m) in zip(np.cumsum([0] + [t.size for t in tables]), tables, requests.items()):
         offset[m, dtau] = start + np.arange(len(m)) * t[0].size
-    buf = np.concatenate([t.reshape(-1) for t in tables] + [np.zeros(1, dtype=complex)])
-    # per channel and monomial: coefficient, first plan row adding to it, presence
-    shape = (len(hbars), 1 << default_generators().n_generators)
-    coeffs, first, present = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=int), np.zeros(shape, dtype=bool)
-    ordinary = np.array(list(source), dtype=int)
-    coeffs[ordinary, 0] = dressing * buf[offset[np.array(list(source.values()), dtype=int), 0]]
-    present[ordinary, 0] = True
-    shapes: dict[tuple, list[int]] = {}
+    offset = offset[reads]
+    buf = np.concatenate([np.zeros(0, dtype=complex)] + [t.reshape(-1) for t in tables])
+    members: dict[_Template, list[int]] = {}
     for i, t in enumerate(templates):
-        if t is not None:
-            shapes.setdefault(t.scalar.shape, []).append(i)
-    envelope = np.array([_dressing(t.exp_coeff, z) if t is not None and t.exp_coeff != 0 else 1.0
-                         for t, z in zip(templates, z12s)], dtype=complex)
-    for members in shapes.values():
-        index: dict = {}
-        tidx = [index.setdefault(templates[i], len(index)) for i in members]
-        row, dtau, cell = np.moveaxis(np.array([t.ints for t in index])[tidx], 1, 0)
-        values = buf[offset[np.array(members)[:, None, None], dtau] + cell]
-        live = (row >= 0) & (values != 0)
-        scalar = np.array([t.scalar for t in index])[tidx]
-        # in row order; skipped cells and padding add zeros
-        coeff = np.cumsum(np.where(live, scalar * values, 0), axis=2)[..., -1] * envelope[members][:, None]
-        # combine drops a monomial no row adds to, GrassmannElement a zero one
-        keep = live.any(axis=2) & (coeff != 0)
-        at = np.broadcast_to(np.array(members)[:, None], keep.shape)[keep]
-        masks = np.array([t.masks for t in index])[tidx][keep]
-        coeffs[at, masks], present[at, masks] = coeff[keep], True
-        first[at, masks] = np.take_along_axis(row, live.argmax(axis=2)[..., None], 2)[..., 0][keep]
+        members.setdefault(t, []).append(i)
+    coeffs = np.zeros((len(hbars), 1 << default_generators().n_generators), dtype=complex)
+    for t, at in members.items():
+        at = np.array(at)
+        terms = t.matrix * buf[offset[at[:, None], t.dtau] + t.cell][:, None]
+        # summed in cell order, no BLAS: a channel's bits do not depend on the rest of the pass
+        coeffs[at[:, None], t.masks] = np.add.accumulate(terms, axis=2)[..., -1] * envelope[at, None]
     out = [SuperMatrix(2, N) for _ in ops]
     bounds = np.cumsum([0] + [len(op[0]) for op in ops])
     for m, lo, hi in zip(out, bounds[:-1], bounds[1:]):
-        masks = np.flatnonzero(present[lo:hi].any(axis=0))
-        if len(masks):
-            # in the order channel by channel addition first meets them
-            at = present[lo:hi, masks].argmax(axis=0)
-            masks = masks[np.lexsort((first[lo:hi][at, masks], at))]
-            grid = np.zeros((len(masks), N * N), dtype=complex)
-            grid[:, flat[lo:hi]] = coeffs[lo:hi, masks].T
-            m.blocks = dict(zip(masks.tolist(), basis.channel_blocks(grid.reshape(-1, N, N))))
+        masks = np.flatnonzero(coeffs[lo:hi].any(axis=0))
+        grid = np.zeros((len(masks), N * N), dtype=complex)
+        grid[:, flat[lo:hi]] = coeffs[lo:hi, masks].T
+        m.blocks = dict(zip(masks.tolist(), basis.channel_blocks(grid.reshape(-1, N, N))))
     return out
 
 

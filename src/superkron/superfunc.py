@@ -292,8 +292,9 @@ class SuperFunction:
         expansion, with derivatives skipped whenever the accompanying
         Grassmann product already vanished.  Evaluation is plan (memoized),
         one kernel_derivs table per modulus order, then combine; the R-matrix
-        channel sums compile plan's rows once and combine them over many
-        channels at once (rmatrix.channel_sums).
+        channel sums compile plan's rows once into a dense matrix and
+        contract it with the tables of many channels at once
+        (rmatrix.channel_sums).
         """
         z12 = complex(z1) - complex(z2)
         rows, sizes = self.plan(soul)

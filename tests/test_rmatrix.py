@@ -407,14 +407,13 @@ def test_embed_identity_is_identity():
 
 
 # the placements aybe (12 23, 31 12, 23 31) and cybe (12 13, 12 23, 13 23)
-# multiply and their reverses, which share one site
-YBE_PLACEMENTS = [
+# multiply, which share one site, and a 3-site factor with a 2-site one,
+# which share two; the test adds their reverses and two that share all three
+PLACEMENTS = [
     ((1, 2), (2, 3)), ((3, 1), (1, 2)), ((2, 3), (3, 1)),
     ((1, 2), (1, 3)), ((1, 3), (2, 3)),
+    ((3, 1, 2), (2, 3)),
 ]
-# with a 1-site and a 3-site factor (no shared site, and two), and their
-# reverses; the last two, appended after, share all three sites
-PLACEMENTS = YBE_PLACEMENTS + [((2,), (3, 1)), ((3, 1, 2), (2, 3))]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -444,7 +443,9 @@ def test_sites_are_checked(rng):
         m.placed((1, 2)) + m.placed((2, 3))
     with pytest.raises(ValueError):
         m.placed((1, 2)) + m.placed((2, 1))
-    # the union of two placed factors still has at most three sites
+    # placed factors share a site, and their union still has at most three
+    with pytest.raises(ValueError, match="share no site"):
+        random_super_matrix(rng, 1, 2).placed((2,)) @ m.placed((3, 1))
     with pytest.raises(ValueError):
         m.placed((1, 2)) @ m.placed((3, 4))
 
@@ -487,7 +488,7 @@ def test_channel_sum_matches_per_term_reference():
     # one odd function per a2, evaluated at each channel's own parameter,
     # and the cached pair blocks summed in place give the sum of freshly
     # built per-channel functions, in every form and both operators, with
-    # the same monomials in the same order, to ROUTE_TOL: the reference
+    # the same monomials, ascending, to ROUTE_TOL: the reference
     # evaluates point by point, the channel sums in one batch.  An odd
     # parameter with complex coefficients makes complex plan scalars
     mu_c = GENS.generator("μ1") * (0.3 + 0.7j) - GENS.generator("μ2") * (1.1 - 0.2j)
@@ -505,7 +506,7 @@ def test_channel_sum_matches_per_term_reference():
                     cases.append((got, b.canonical_indices(), hbar, mu, form))
         for got, indices, hbar, mu, form in cases:
             want = _per_channel_sum(b, indices, hbar, mu, form)
-            assert list(got.blocks) == list(want.blocks), (N, hbar, mu, form)
+            assert list(got.blocks) == sorted(want.blocks), (N, hbar, mu, form)
             assert rel((got - want).max_abs(), want.max_abs()) <= ROUTE_TOL, (N, hbar, mu, form)
     alpha = MultiIndex(1, 2)
     assert not any(x.flags.writeable for x in b._gather)
@@ -682,8 +683,8 @@ def test_template_keys_tell_slots_apart(monkeypatch):
         for mu in mus:
             build_R(H1, mu, P1, P2, "ω", b, CTX, super=True, form=form)
         assert len(rmatrix._TEMPLATES) == len(mus) * b.N, form
-    # the sum's monomials follow the terms' order
-    assert list(got[0].blocks) != list(got[1].blocks)
+    # the sum's monomials come out ascending, whatever the terms' order
+    assert list(got[0].blocks) == list(got[1].blocks) == sorted(got[0].blocks)
 
 
 @pytest.mark.parametrize("odd", [False, True])
@@ -862,32 +863,6 @@ def test_placed_aybe_products_match_dense_route(N, super_):
     for got, want in zip(placed, dense):
         assert set(got.blocks) == set(want.blocks)
         assert (got - want).max_abs() <= 1e-14 * want.max_abs()
-
-
-@pytest.mark.parametrize("super_", [False, True])
-def test_yang_baxter_products_equal_dense_reference_bitwise(super_):
-    # at N = 6 each stored entry of a one-site contraction is one product,
-    # rounded as the dense complex matrix product of the full blocks rounds
-    # it (the other five terms of that sum are exact zeros)
-    N = 6
-    b = HeisenbergBasis(N)
-    points = (P1, P2, P3)
-
-    def quantum(i, j):
-        mu = "μ1" if super_ else None
-        return build_R(H1, mu, points[i - 1], points[j - 1], "ω", b, CTX, super=super_).placed((i, j))
-
-    def classical(i, j):
-        return build_r_classical(points[i - 1], points[j - 1], "ω", b, CTX, super=super_).placed((i, j))
-
-    cybe = [((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))]
-    for build, placements in ((quantum, YBE_PLACEMENTS[:3]), (classical, cybe)):
-        for sa, sb in placements + [(sb, sa) for sa, sb in placements]:
-            x, y = build(*sa), build(*sb)
-            got, want = x @ y, dense_matmul(x, y)
-            assert list(got.blocks) == list(want.blocks), (sa, sb)
-            for mask, arr in want.blocks.items():
-                assert np.array_equal(got.blocks[mask], arr), (sa, sb, mask)
 
 
 def test_single_site_super_aybe_equals_scalar_identity():
