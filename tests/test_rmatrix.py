@@ -407,12 +407,13 @@ def test_embed_identity_is_identity():
 
 
 # the placements aybe (12 23, 31 12, 23 31) and cybe (12 13, 12 23, 13 23)
-# multiply, which share one site, and a 3-site factor with a 2-site one,
-# which share two; the test adds their reverses and two that share all three
+# multiply, which share one site, a 1-site factor with a 3-site one, which
+# share one, and a 3-site factor with a 2-site one, which share two; the test
+# adds their reverses and, appended after, two that share all three sites
 PLACEMENTS = [
     ((1, 2), (2, 3)), ((3, 1), (1, 2)), ((2, 3), (3, 1)),
     ((1, 2), (1, 3)), ((1, 3), (2, 3)),
-    ((3, 1, 2), (2, 3)),
+    ((2,), (3, 1, 2)), ((3, 1, 2), (2, 3)),
 ]
 
 
