@@ -8,9 +8,11 @@ and the lattice multipliers over the point axis, in numpy's own complex
 arithmetic.  Every sum runs in order
 along its axis (cumsum, no pairwise or BLAS reduction) and every other
 operation is elementwise, so a point's table is bit for bit the same
-whatever else the list holds.  It agrees with the scalar routes of
-elliptic to rounding, not bit for bit.  The truncation rule (pair_count),
-the lattice geometry and the error messages are elliptic's own.
+whatever else the list holds.  Its theta sums are bit for bit those of
+elliptic.theta_stack; its tables agree with the scalar routes to rounding,
+not bit for bit.  The truncation rule (pair_count), the lattice geometry,
+the error messages and the context's pair-count and pole-check memos are
+elliptic's own.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from .elliptic import (
     _PI_I,
     _TWO_PI_I,
     EllipticContext,
+    _counted,
     _envelope,
     _reciprocal_derivs,
     _reciprocal_dot,
     _require_regular,
     lattice_reduce,
-    pair_count,
 )
 
 __all__ = ["elliptic_tables"]
@@ -152,12 +154,9 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     # theta arguments point by point, then the origin, whose stack normalises the kernel
     args = np.append(args.reshape(-1), 0j)
     arg_first, arg_which = _distinct(args)
-    pairs = np.array([pair_count(w, tau) for w in args[arg_first].tolist()])
-    checked: set = set()
+    pairs = np.array([_counted(w, ctx) for w in args[arg_first].tolist()])
     for h, w in zip(hs.tolist(), ws.tolist()):
-        if w not in checked:
-            _require_regular(w, ctx, "z")
-            checked.add(w)
+        _require_regular(w, ctx, "z")
         _require_regular(h, ctx, "hbar")
         _require_regular(h + w, ctx, "hbar+z")
 

@@ -77,19 +77,27 @@ class EllipticContext:
     _SERIES_TOL (1e-14) and _K_MAX (200), and pair_count fixes the length of
     every series from them.
 
-    Each context also keeps a memo of the theta stacks that theta_stack
-    sums under it, keyed by (z, max_dz, dtau), so a stack requested again
-    is not summed again; the batch route (batch.elliptic_tables) neither
-    reads nor fills it.  The memo is cleared whenever it holds _MEMO_LIMIT (4096)
-    stacks, so a long-lived context cannot grow it without limit.  It is
-    not a constructor parameter and takes no part in equality or
-    hashing: two equal contexts compare and hash equal but keep separate
-    memos.
+    Each context also keeps three memos, so that no theta argument is
+    summed, counted or pole-checked twice under it:
+    - _stacks: the longest theta stack theta_stack has summed at each
+      (z, dtau); a shorter request reads its prefix.  Only theta_stack
+      fills it, so the batch route (batch.elliptic_tables) sums its own.
+    - _pairs: pair_count at each theta argument counted under it, on
+      either route.
+    - _regular: the lattice distance of each point that passed the pole
+      check of _require_regular, on either route.
+    A check that fails raises and leaves no entry.  Each memo is cleared
+    whenever it holds _MEMO_LIMIT (4096) entries, so a long-lived context
+    cannot grow it without limit.  The memos are not constructor
+    parameters and take no part in equality or hashing: two equal
+    contexts compare and hash equal but keep separate memos.
     """
 
     tau: complex
     pole_radius: float = 1e-3
     _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _regular: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tau = complex(self.tau)
@@ -99,8 +107,16 @@ class EllipticContext:
         if tau.real + 1.0 == tau.real:
             # the lattice shift z -> z + 1 would vanish in double precision
             raise ValueError(f"modulus real part {tau.real:g} is so large that tau + 1 rounds to tau")
-        if not self.pole_radius > 0:
-            raise ValueError("pole_radius must be positive")
+        if not 0 < self.pole_radius < math.inf:
+            raise ValueError("pole_radius must be positive and finite")
+
+
+def _remember(memo: dict, key, value):
+    """value, stored in memo under key; a memo that holds _MEMO_LIMIT entries is cleared first."""
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 @lru_cache(maxsize=64)
@@ -149,6 +165,21 @@ def pair_count(z: complex, tau: complex) -> int:
     return math.ceil(count)
 
 
+def _counted(w: complex, ctx: EllipticContext) -> int:
+    """pair_count(w, ctx.tau), memoized on ctx."""
+    pairs = ctx._pairs.get(w)
+    if pairs is None:
+        pairs = _remember(ctx._pairs, w, pair_count(w, ctx.tau))
+    return pairs
+
+
+def _frozen(totals: list) -> np.ndarray:
+    """totals as a read-only complex array."""
+    stack = np.array(totals, dtype=np.complex128)
+    stack.flags.writeable = False
+    return stack
+
+
 def theta_stack(
     z: complex,
     ctx: EllipticContext,
@@ -164,39 +195,56 @@ def theta_stack(
     whatever max_dz >= d.  pair_count raises SeriesTruncationError before
     any term is summed.
 
-    The result is read-only and memoized on ctx (see EllipticContext): a
-    repeated request returns the same array.  A failed request is not memoized.
+    The result is read-only and memoized on ctx (see EllipticContext), by
+    (z, dtau), longest stack kept: a request of the memo's length returns
+    the same array, a shorter one a read-only view of its prefix, and only
+    a longer one sums again.  A dtau = 1 request sums modulus orders 0 and
+    1 in one pass, from the same exponentials, and memoizes both, so a
+    caller that needs both asks for order 1 first.  A failed request is not
+    memoized.
     """
     if max_dz < 0 or dtau < 0:
         raise ValueError("derivative orders must be non-negative")
     z = complex(z)
-    key = (z, max_dz, dtau)
     memo = ctx._stacks
-    stack = memo.get(key)
-    if stack is not None:
-        return stack
+    stack = memo.get((z, dtau))
+    if stack is not None and len(stack) > max_dz:
+        return stack if len(stack) == max_dz + 1 else stack[: max_dz + 1]
     tau = ctx.tau
-    pairs = pair_count(z, tau)
+    pairs = _counted(z, ctx)
     # plain Python numbers: no per-element numpy boxing
     totals = [0j] * (max_dz + 1)
     shift = 2.0 * (z + 0.5)
-    for p in range(pairs):
-        n = p + 0.5
-        for f in (n, -n):
-            base = cmath.exp(_PI_I * (tau * f * f + shift * f))
-            if dtau:
-                base *= (_PI_I * f * f) ** dtau
-            step = _TWO_PI_I * f
-            fac = 1.0 + 0j
-            for d in range(max_dz + 1):
-                totals[d] += base * fac
-                fac *= step
-    stack = np.array(totals, dtype=np.complex128)
-    stack.flags.writeable = False
-    if len(memo) >= _MEMO_LIMIT:
-        memo.clear()
-    memo[key] = stack
-    return stack
+    if dtau == 1:
+        dots = [0j] * (max_dz + 1)
+        for p in range(pairs):
+            n = p + 0.5
+            for f in (n, -n):
+                base = cmath.exp(_PI_I * (tau * f * f + shift * f))
+                dbase = base * (_PI_I * f * f)
+                step = _TWO_PI_I * f
+                fac = 1.0 + 0j
+                for d in range(max_dz + 1):
+                    totals[d] += base * fac
+                    dots[d] += dbase * fac
+                    fac *= step
+        plain = memo.get((z, 0))
+        if plain is None or len(plain) <= max_dz:
+            _remember(memo, (z, 0), _frozen(totals))
+        totals = dots
+    else:
+        for p in range(pairs):
+            n = p + 0.5
+            for f in (n, -n):
+                base = cmath.exp(_PI_I * (tau * f * f + shift * f))
+                if dtau:
+                    base *= (_PI_I * f * f) ** dtau
+                step = _TWO_PI_I * f
+                fac = 1.0 + 0j
+                for d in range(max_dz + 1):
+                    totals[d] += base * fac
+                    fac *= step
+    return _remember(memo, (z, dtau), _frozen(totals))
 
 
 def theta(z: complex, ctx: EllipticContext, dz: int = 0, dtau: int = 0) -> complex:
@@ -211,7 +259,8 @@ def theta(z: complex, ctx: EllipticContext, dz: int = 0, dtau: int = 0) -> compl
 @lru_cache(maxsize=64)
 def _origin_data(ctx: EllipticContext) -> tuple[complex, complex]:
     """(first z-derivative at 0, its modulus derivative), cached per context."""
-    return theta(0.0, ctx, dz=1), theta(0.0, ctx, dz=1, dtau=1)
+    dot = theta(0.0, ctx, dz=1, dtau=1)
+    return theta(0.0, ctx, dz=1), dot
 
 
 # -- lattice geometry -------------------------------------------------------
@@ -263,13 +312,19 @@ def lattice_distance(w: complex, tau: complex) -> float:
 
 
 def _require_regular(w: complex, ctx: EllipticContext, label: str) -> None:
-    """PoleProximityError naming label unless w lies at least ctx.pole_radius off the lattice."""
+    """PoleProximityError naming label unless w lies at least ctx.pole_radius off the lattice.
+
+    A point that passes is memoized on ctx and not checked again.
+    """
+    if w in ctx._regular:
+        return
     d = lattice_distance(w, ctx.tau)
     if d < ctx.pole_radius:
         raise PoleProximityError(
             f"{label}={complex(w)} is {d:.3e} away from the lattice "
             f"(minimum allowed {ctx.pole_radius:.3e})"
         )
+    _remember(ctx._regular, w, d)
 
 
 # -- kernel and derivative tables -------------------------------------------
@@ -283,7 +338,7 @@ def _check_request(hbar: complex, z: complex, series: tuple, ctx: EllipticContex
     pair_count; then the poles of z, hbar and hbar+z.
     """
     for w in series:
-        pair_count(w, ctx.tau)
+        _counted(w, ctx)
     _require_regular(z, ctx, "z")
     _require_regular(hbar, ctx, "hbar")
     _require_regular(hbar + z, ctx, "hbar+z")
@@ -419,12 +474,15 @@ def phi_tau_derivs(
     z = complex(z)
     _check_request(hbar, z, (z, hbar, hbar + z), ctx)
     top = max_j + max_k
-    a = theta_stack(hbar + z, ctx, top)
+    # modulus order 1 first at each argument: its pass memoizes order 0 too
     a_dot = theta_stack(hbar + z, ctx, top, dtau=1)
+    a = theta_stack(hbar + z, ctx, top)
+    h_dot = theta_stack(hbar, ctx, max_j, dtau=1)
     u = _reciprocal_derivs(theta_stack(hbar, ctx, max_j))
-    u_dot = _reciprocal_dot(theta_stack(hbar, ctx, max_j, dtau=1), u)
+    u_dot = _reciprocal_dot(h_dot, u)
+    z_dot = theta_stack(z, ctx, max_k, dtau=1)
     v = _reciprocal_derivs(theta_stack(z, ctx, max_k))
-    v_dot = _reciprocal_dot(theta_stack(z, ctx, max_k, dtau=1), v)
+    v_dot = _reciprocal_dot(z_dot, v)
     prime0, prime0_dot = _origin_data(ctx)
     out = np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
     for j in range(max_j + 1):

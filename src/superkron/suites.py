@@ -21,7 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import KINDS, EllipticContext, PoleProximityError, kernel_derivs, phi_derivs, phi_tau_derivs, theta
+from .elliptic import (
+    KINDS,
+    EllipticContext,
+    PoleProximityError,
+    kernel_derivs,
+    phi_derivs,
+    phi_tau_derivs,
+    theta,
+    theta_stack,
+)
 from .grassmann import GrassmannElement, default_generators
 from .rmatrix import (
     HeisenbergBasis,
@@ -189,9 +198,9 @@ def _compute_theta(inputs, cfg) -> float:
     ctx = cfg.context()
     tau = cfg.tau
     z = _unpair(inputs["z"])
+    dt = complex(theta_stack(z, ctx, 2, dtau=1)[0])
     th = theta(z, ctx)
     d2 = theta(z, ctx, dz=2)
-    dt = theta(z, ctx, dtau=1)
     lhs = 4j * math.pi * dt
     rel = _rel(abs(lhs - d2), max(abs(lhs), abs(d2)))
     shifted1 = theta(z + 1.0, ctx)

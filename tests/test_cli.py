@@ -280,6 +280,7 @@ def test_main_invalid_config_exit_code(capsys):
         ["theta", "--tau-im", "nan"],
         ["theta", "--tau-im", "inf"],
         ["theta", "--pole-radius", "nan"],
+        ["theta", "--pole-radius", "inf", "--samples", "1"],
         ["heat", "--pole-radius", "0.6"],
         ["theta", "--seed", "-1"],
         ["theta", "--tau-im", "1000"],

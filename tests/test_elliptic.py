@@ -237,6 +237,22 @@ def test_stack_entries_do_not_depend_on_the_stack_length():
                     assert got.tobytes() == np.ascontiguousarray(want[: mj + 1, : mk + 1]).tobytes()
 
 
+@pytest.mark.parametrize("tau", SWEEP_MODULI)
+def test_batched_theta_sums_equal_theta_stack_bitwise(tau):
+    # the series layers of the two routes are the same bits: numpy's exp
+    # and products of the batch, cmath and Python's of the scalar loop
+    rng = np.random.default_rng(41)
+    reduced = [lattice_reduce(w, tau)[0] for w in cell_points(rng, 8, tau)] + [0j]
+    shifted = [w + int(rng.integers(-2, 3)) + int(rng.integers(-2, 3)) * tau for w in reduced]
+    zs = reduced + shifted
+    pairs = np.array([pair_count(z, tau) for z in zs])
+    for top in range(6):
+        rows = batch._theta_sums(np.array(zs), pairs, tau, top, True)
+        for dtau in (0, 1):
+            for z, row in zip(zs, rows[dtau]):
+                assert row.tobytes() == theta_stack(z, EllipticContext(tau), top, dtau).tobytes(), (z, top, dtau)
+
+
 def test_batched_stack_does_not_depend_on_its_neighbours():
     # unreduced, the far parameter turns around after 60 pairs, the cell
     # points within one: each point still gets the bytes it gets alone
@@ -305,6 +321,89 @@ def test_theta_stack_memo_is_cleared_at_its_bound():
     theta_stack(0.5 + 0.2j, ctx)
     assert len(ctx._stacks) == 1
     assert theta_stack(zs[0], ctx) is not kept
+
+
+def test_theta_stack_memo_keeps_the_longest_stack_per_point_and_modulus_order():
+    rng = np.random.default_rng(23)
+    for tau in (TAU1, 3.3 + 0.4j):
+        ctx = EllipticContext(tau)
+        for z in cell_points(rng, 3, tau):
+            longest = theta_stack(z, ctx, 5, dtau=1)
+            # the pass leaves the modulus-order-0 stack of its length
+            plain = ctx._stacks[(z, 0)]
+            assert len(plain) == 6 and not plain.flags.writeable
+            assert theta_stack(z, ctx, 5) is plain
+            assert plain.tobytes() == theta_stack_reference(z, ctx, 5).tobytes()
+            assert theta_stack(z, ctx, 5, dtau=1) is longest
+            for dtau, stack in ((0, plain), (1, longest)):
+                for d in range(5):
+                    prefix = theta_stack(z, ctx, d, dtau)
+                    assert prefix.base is stack and not prefix.flags.writeable
+                    assert prefix.tobytes() == theta_stack(z, EllipticContext(tau), d, dtau).tobytes()
+            # a shorter order-1 pass leaves the longer order-0 stack alone
+            w = z + 0.1
+            first = theta_stack(w, ctx, 4)
+            theta_stack(w, ctx, 2, dtau=1)
+            assert ctx._stacks[(w, 0)] is first
+            # a longer request sums again and replaces the shorter stack
+            again = theta_stack(w, ctx, 5)
+            assert again.tobytes()[: first.nbytes] == first.tobytes() and ctx._stacks[(w, 0)] is again
+
+
+def test_theta_stack_sums_higher_modulus_orders_alone():
+    # dtau >= 2 keeps the single-order loop: the reference bits, and no
+    # stack of another modulus order is memoized
+    ctx = EllipticContext(TAU1)
+    for z in (0.31 + 0.17j, -0.2 + 0.4j, 0j):
+        for dtau in (2, 3):
+            assert theta_stack(z, ctx, 4, dtau).tobytes() == theta_stack_reference(z, ctx, 4, dtau).tobytes()
+    assert sorted({order for _, order in ctx._stacks}) == [2, 3]
+
+
+def test_failed_checks_are_not_memoized():
+    tau = 0.3 + 0.005j
+    ctx = EllipticContext(tau)
+    good, z = 0.4 + 0.0005j, 0.2 + 0.0007j
+    far = 0.1 + 0.95j
+    with pytest.raises(SeriesTruncationError):
+        phi_tau_derivs(far, z, ctx)
+    # the series of z passed and is counted; that of hbar failed, and nothing after it ran
+    assert list(ctx._pairs) == [z] and not ctx._regular
+    with pytest.raises(PoleProximityError, match="hbar="):
+        phi_tau_derivs(tau, z, ctx)
+    # every series passed; z passed its pole check, the lattice point tau did not
+    assert set(ctx._pairs) == {z, tau, tau + z}
+    assert list(ctx._regular) == [z]
+    for _ in range(2):
+        with pytest.raises(PoleProximityError, match="hbar="):
+            elliptic_tables([good, tau], z, ctx, 0, 0, 1, True)
+    assert set(ctx._regular) == {z, good, good + z}
+    assert not ctx._stacks
+    phi_tau_derivs(good, z, ctx)
+    assert set(ctx._regular) == {z, good, good + z}
+
+
+def test_point_memos_are_cleared_at_their_bound(monkeypatch):
+    from superkron import elliptic
+    from superkron.elliptic import _MEMO_LIMIT, _counted, _require_regular
+
+    ctx = EllipticContext(0.1 + 2.5j)
+    zs = [complex(0.3 + 0.0001 * i, 0.1) for i in range(_MEMO_LIMIT)]
+    for z in zs:
+        _counted(z, ctx)
+        _require_regular(z, ctx, "z")
+    assert len(ctx._pairs) == len(ctx._regular) == _MEMO_LIMIT
+    # a repeat reads the memos: it counts and measures nothing, and adds nothing
+    want = pair_count(zs[0], ctx.tau)
+    with monkeypatch.context() as m:
+        m.setattr(elliptic, "pair_count", None)
+        m.setattr(elliptic, "lattice_distance", None)
+        assert _counted(zs[0], ctx) == want
+        _require_regular(zs[0], ctx, "z")
+    assert len(ctx._pairs) == len(ctx._regular) == _MEMO_LIMIT
+    _counted(0.45 + 0.2j, ctx)
+    _require_regular(0.45 + 0.2j, ctx, "z")
+    assert list(ctx._pairs) == list(ctx._regular) == [0.45 + 0.2j]
 
 
 def test_series_truncation_is_not_memoized():

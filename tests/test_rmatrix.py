@@ -408,20 +408,33 @@ def test_embed_identity_is_identity():
 
 # the placements aybe (12 23, 31 12, 23 31) and cybe (12 13, 12 23, 13 23)
 # multiply, which share one site, a 1-site factor with a 3-site one, which
-# share one, and a 3-site factor with a 2-site one, which share two; the test
-# adds their reverses and, appended after, two that share all three sites
-PLACEMENTS = [
-    ((1, 2), (2, 3)), ((3, 1), (1, 2)), ((2, 3), (3, 1)),
-    ((1, 2), (1, 3)), ((1, 3), (2, 3)),
-    ((2,), (3, 1, 2)), ((3, 1, 2), (2, 3)),
-]
+# share one, and a 3-site factor with a 2-site one, which share two; their
+# reverses; and two that share all three sites.  Each case has its own id,
+# so adding or removing one renames no other; the ids of the first sixteen
+# are the names they were first collected under, and a new case is named
+# by its placement, e.g. "12@23".
+PLACED_PRODUCTS = {
+    "sites0": ((1, 2), (2, 3)),
+    "sites1": ((3, 1), (1, 2)),
+    "sites2": ((2, 3), (3, 1)),
+    "sites3": ((1, 2), (1, 3)),
+    "sites4": ((1, 3), (2, 3)),
+    "sites5": ((2,), (3, 1, 2)),
+    "sites6": ((3, 1, 2), (2, 3)),
+    "sites7": ((2, 3), (1, 2)),
+    "sites8": ((1, 2), (3, 1)),
+    "sites9": ((3, 1), (2, 3)),
+    "sites10": ((1, 3), (1, 2)),
+    "sites11": ((2, 3), (1, 3)),
+    "sites12": ((3, 1, 2), (2,)),
+    "sites13": ((2, 3), (3, 1, 2)),
+    "sites14": ((1, 2, 3), (3, 1, 2)),
+    "sites15": ((2, 1, 3), (2, 3, 1)),
+}
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-@pytest.mark.parametrize(
-    "sites",
-    PLACEMENTS + [(sb, sa) for sa, sb in PLACEMENTS] + [((1, 2, 3), (3, 1, 2)), ((2, 1, 3), (2, 3, 1))],
-)
+@pytest.mark.parametrize("sites", list(PLACED_PRODUCTS.values()), ids=list(PLACED_PRODUCTS))
 def test_placed_product_matches_dense_embedding(rng, d, sites):
     sa, sb = sites
     a = random_super_matrix(rng, len(sa), d, masks=(0, 1, 2, 3, 6)).placed(sa)
