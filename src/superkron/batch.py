@@ -1,7 +1,8 @@
 """Elliptic kernel tables at many points at once, in numpy.
 
 elliptic_tables builds the phi_derivs or phi_tau_derivs tables of a list of
-(parameter, argument) points.  It sums the theta series of every distinct
+(parameter, argument) points; its one caller is rmatrix.channel_sums, which
+imports this module on first use.  It sums the theta series of every distinct
 argument together over the frequency axis, then runs the reciprocal
 recursions (elliptic's own, on columns of points), the Leibniz cell sums
 and the lattice multipliers over the point axis, in numpy's own complex
@@ -11,8 +12,7 @@ operation is elementwise, so a point's table is bit for bit the same
 whatever else the list holds.  Its theta sums are bit for bit those of
 elliptic.theta_stack; its tables agree with the scalar routes to rounding,
 not bit for bit.  The truncation rule (pair_count), the lattice geometry,
-the error messages and the context's pair-count and pole-check memos are
-elliptic's own.
+the error messages and the context's pole-check memo are elliptic's own.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from .elliptic import (
     _PI_I,
     _TWO_PI_I,
     EllipticContext,
-    _counted,
     _envelope,
     _reciprocal_derivs,
     _reciprocal_dot,
     _require_regular,
     lattice_reduce,
+    pair_count,
 )
 
 __all__ = ["elliptic_tables"]
@@ -127,11 +127,13 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     Returns shape (len(hbars), max_j + 1, max_k + 1): phi_derivs (dtau = 0,
     reduced or not) or phi_tau_derivs (dtau = 1) at each point, to rounding.
     Each distinct point is tabulated once and each distinct theta argument
-    summed once.  The error contract is elliptic's (see kernel_derivs):
-    first pair_count decides the series errors of every point's theta
-    arguments, z, hbar and hbar+z, point after point; then the poles of z,
-    hbar and hbar+z are checked point after point; only then is anything
-    summed.  Last, the lattice multipliers of reduced points are
+    summed once.  The error contract is elliptic's single-point one (see
+    elliptic._check_request) over the whole list: first pair_count decides
+    the series errors of every point's theta arguments, z, hbar and hbar+z,
+    point after point; then the poles of z, hbar and hbar+z are checked
+    point after point; only then is anything summed.  So a list with a
+    series error anywhere raises that error even if an earlier point sits
+    on a pole.  Last, the lattice multipliers of reduced points are
     exponentiated point by point, and one beyond the floating-point range
     raises OverflowError.
     """
@@ -154,7 +156,7 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     # theta arguments point by point, then the origin, whose stack normalises the kernel
     args = np.append(args.reshape(-1), 0j)
     arg_first, arg_which = _distinct(args)
-    pairs = np.array([_counted(w, ctx) for w in args[arg_first].tolist()])
+    pairs = np.array([pair_count(w, tau) for w in args[arg_first].tolist()])
     for h, w in zip(hs.tolist(), ws.tolist()):
         _require_regular(w, ctx, "z")
         _require_regular(h, ctx, "hbar")

@@ -77,13 +77,11 @@ class EllipticContext:
     _SERIES_TOL (1e-14) and _K_MAX (200), and pair_count fixes the length of
     every series from them.
 
-    Each context also keeps three memos, so that no theta argument is
-    summed, counted or pole-checked twice under it:
+    Each context also keeps two memos, so that no theta argument is
+    summed or pole-checked twice under it:
     - _stacks: the longest theta stack theta_stack has summed at each
       (z, dtau); a shorter request reads its prefix.  Only theta_stack
       fills it, so the batch route (batch.elliptic_tables) sums its own.
-    - _pairs: pair_count at each theta argument counted under it, on
-      either route.
     - _regular: the lattice distance of each point that passed the pole
       check of _require_regular, on either route.
     A check that fails raises and leaves no entry.  Each memo is cleared
@@ -96,7 +94,6 @@ class EllipticContext:
     tau: complex
     pole_radius: float = 1e-3
     _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _regular: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -165,14 +162,6 @@ def pair_count(z: complex, tau: complex) -> int:
     return math.ceil(count)
 
 
-def _counted(w: complex, ctx: EllipticContext) -> int:
-    """pair_count(w, ctx.tau), memoized on ctx."""
-    pairs = ctx._pairs.get(w)
-    if pairs is None:
-        pairs = _remember(ctx._pairs, w, pair_count(w, ctx.tau))
-    return pairs
-
-
 def _frozen(totals: list) -> np.ndarray:
     """totals as a read-only complex array."""
     stack = np.array(totals, dtype=np.complex128)
@@ -188,12 +177,13 @@ def theta_stack(
 ) -> np.ndarray:
     """Argument-derivative stack [f, f', ..., f^(max_dz)] at z.
 
-    With dtau > 0 every entry additionally carries that many derivatives in
-    the modulus.  All orders share one exponential per frequency.  The sum
-    runs over pair_count(z, tau) symmetric pairs of increasing frequency,
-    + before -, for every order alike, so an entry of order d is the same
-    whatever max_dz >= d.  pair_count raises SeriesTruncationError before
-    any term is summed.
+    With dtau = 1 every entry additionally carries one derivative in the
+    modulus; any other modulus order than 0 or 1 raises ValueError.  All
+    orders share one exponential per frequency.  The sum runs over
+    pair_count(z, tau) symmetric pairs of increasing frequency, + before -,
+    for every order alike, so an entry of order d is the same whatever
+    max_dz >= d.  pair_count raises SeriesTruncationError before any term
+    is summed.
 
     The result is read-only and memoized on ctx (see EllipticContext), by
     (z, dtau), longest stack kept: a request of the memo's length returns
@@ -203,15 +193,17 @@ def theta_stack(
     caller that needs both asks for order 1 first.  A failed request is not
     memoized.
     """
-    if max_dz < 0 or dtau < 0:
+    if max_dz < 0:
         raise ValueError("derivative orders must be non-negative")
+    if dtau not in (0, 1):
+        raise ValueError("modulus-derivative order limited to 1")
     z = complex(z)
     memo = ctx._stacks
     stack = memo.get((z, dtau))
     if stack is not None and len(stack) > max_dz:
         return stack if len(stack) == max_dz + 1 else stack[: max_dz + 1]
     tau = ctx.tau
-    pairs = _counted(z, ctx)
+    pairs = pair_count(z, tau)
     # plain Python numbers: no per-element numpy boxing
     totals = [0j] * (max_dz + 1)
     shift = 2.0 * (z + 0.5)
@@ -237,8 +229,6 @@ def theta_stack(
             n = p + 0.5
             for f in (n, -n):
                 base = cmath.exp(_PI_I * (tau * f * f + shift * f))
-                if dtau:
-                    base *= (_PI_I * f * f) ** dtau
                 step = _TWO_PI_I * f
                 fac = 1.0 + 0j
                 for d in range(max_dz + 1):
@@ -251,8 +241,6 @@ def theta(z: complex, ctx: EllipticContext, dz: int = 0, dtau: int = 0) -> compl
     """Odd lattice function (or a z/modulus derivative of it) at z."""
     if not 0 <= dz <= 5:
         raise ValueError("argument-derivative order limited to 5")
-    if dtau not in (0, 1):
-        raise ValueError("modulus-derivative order limited to 1")
     return complex(theta_stack(z, ctx, dz, dtau)[dz])
 
 
@@ -338,7 +326,7 @@ def _check_request(hbar: complex, z: complex, series: tuple, ctx: EllipticContex
     pair_count; then the poles of z, hbar and hbar+z.
     """
     for w in series:
-        _counted(w, ctx)
+        pair_count(w, ctx.tau)
     _require_regular(z, ctx, "z")
     _require_regular(hbar, ctx, "hbar")
     _require_regular(hbar + z, ctx, "hbar+z")
@@ -578,41 +566,20 @@ def kernel_derivs(
     dtau: int = 0,
     reduce: bool = True,
 ) -> np.ndarray:
-    """Table [j, k] of mixed derivatives of the kernel family kind (see KINDS).
+    """Table [j, k] of mixed derivatives of the kernel family kind (see KINDS) at one point (hbar, z).
 
     Any other kind raises ValueError.  dtau = 1 tabulates their modulus
     derivatives instead: for the elliptic kernel through the direct modulus
     series (phi_tau_derivs, unreduced); for the degenerate kinds as zeros,
     with no pole check, because the modulus derivative equals a mixed
     derivative by the flow identity.  reduce applies to the elliptic table
-    with dtau = 0 only.
-
-    hbar may also be a list, tuple or array of parameters, with one z or a
-    list of as many: the tables at each (parameter, z) come back stacked,
-    shape (len(hbar), max_j + 1, max_k + 1) even for an empty list.  Any
-    elliptic list, the empty one included, goes to batch.elliptic_tables,
-    which sums all its theta series at once in numpy: each point's table is
-    bit for bit the same whatever else the list holds, and agrees with its
-    single-point table to rounding.  A list of another kind is tabulated
-    point by point.  An elliptic request, single point or list, first
-    decides the series errors of every point in order (pair_count), then
-    checks poles, z, hbar and hbar+z, point after point, and only then
-    sums; so a list with a series error anywhere raises that error even if
-    an earlier point sits on a pole.
+    with dtau = 0 only.  batch.elliptic_tables tabulates many elliptic points
+    at once.
     """
     if dtau not in (0, 1):
         raise ValueError("modulus-derivative order limited to 1")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    if isinstance(hbar, (list, tuple, np.ndarray)):
-        zs = z if isinstance(z, (list, tuple, np.ndarray)) else [z] * len(hbar)
-        if kind == "elliptic":
-            # loaded on first use, so single-point callers never compile it
-            from .batch import elliptic_tables
-
-            return elliptic_tables(hbar, zs, ctx, max_j, max_k, dtau, reduce)
-        tables = [kernel_derivs(kind, h, w, ctx, max_j, max_k, dtau, reduce) for h, w in zip(hbar, zs, strict=True)]
-        return np.array(tables, dtype=np.complex128).reshape(len(tables), max_j + 1, max_k + 1)
     if kind == "elliptic":
         if dtau:
             return phi_tau_derivs(hbar, z, ctx, max_j, max_k)

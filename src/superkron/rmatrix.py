@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .elliptic import EllipticContext, kernel_derivs, phi_derivs
+from .elliptic import EllipticContext, phi_derivs
 from .grassmann import default_generators
 from .superfunc import (SuperFunction, SuperPoint, _dressing, _memo_key, _odd_element, _remember, super_phi, three_term,
                         three_term_specs)
@@ -110,22 +110,10 @@ class HeisenbergBasis:
         phase = cmath.exp(1j * math.pi * a1 * a2 / self.N)
         return phase * (self.q_power(a1) @ self.lam_power(a2))
 
-    @functools.cached_property
-    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """(a2, gather): gather[a1, r, c] is the stored entry (r, c) of T_a (x) T_-a for the only
-        a2 whose entry there is nonzero, a2[r, c] = c - (first output index of r) mod N."""
-        N = self.N
-        a2 = (np.arange(N)[None, :] - np.arange(N * N)[:, None] // N) % N
-        # conserve the charge by construction: gathered without the check
-        pairs = [[_stored(np.kron(self.t((a1, b)), self.t((-a1, -b))), 2, N) for b in range(N)] for a1 in range(N)]
-        gather = np.take_along_axis(np.array(pairs), a2[None, None], 1)[:, 0]
-        a2.flags.writeable = gather.flags.writeable = False
-        return a2, gather
-
     def channel_blocks(self, coeffs: np.ndarray) -> np.ndarray:
         """Stored entries of sum over a of coeffs[m, a1, a2] T_a (x) T_-a, shape (monomials, N**2, N),
         summed over a1 in order as adding channel by channel sums them (other channels add zeros)."""
-        a2, gather = self._gather
+        a2, gather = _gather(self.N)
         return np.ascontiguousarray(np.add.accumulate(coeffs[:, :, a2] * gather, axis=1)[:, -1])
 
     def canonical_indices(self) -> list[MultiIndex]:
@@ -133,6 +121,20 @@ class HeisenbergBasis:
 
     def nonzero_indices(self) -> list[MultiIndex]:
         return [a for a in self.canonical_indices() if not a.is_zero()]
+
+
+@functools.lru_cache(maxsize=8)
+def _gather(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a2, gather) of HeisenbergBasis(N).channel_blocks, read-only and cached per N: gather[a1, r, c] is the
+    stored entry (r, c) of T_a (x) T_-a for the only a2 whose entry there is nonzero,
+    a2[r, c] = c - (first output index of r) mod N."""
+    t = HeisenbergBasis(N).t
+    a2 = (np.arange(N)[None, :] - np.arange(N * N)[:, None] // N) % N
+    # conserve the charge by construction: gathered without the check
+    pairs = [[_stored(np.kron(t((a1, b)), t((-a1, -b))), 2, N) for b in range(N)] for a1 in range(N)]
+    gather = np.take_along_axis(np.array(pairs), a2[None, None], 1)[:, 0]
+    a2.flags.writeable = gather.flags.writeable = False
+    return a2, gather
 
 
 def channel_shift(alpha, N: int, tau: complex) -> complex:
@@ -461,10 +463,10 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> li
     op (indices, hbar, mu, p1, p2, form, odd) sums T_a (x) T_-a times super_basis_phi (odd) or the
     dressed kernel over the distinct a in indices, 0 <= a1, a2 < N, at hbar + (a1 + a2 tau)/N and
     z12 = p1.z - p2.z.  Every channel function is a _Template: an odd one compiled once (_template), an
-    ordinary one the one-cell _ordinary.  One kernel_derivs request per (modulus order, table size)
-    serves all channels, order 0 first, else in the order the channels first need them; an ordinary
-    channel at the bits of an odd one reads cell (0, 0) of that channel's order-0 table instead (no cell
-    depends on the table size).  A pass raises the error of its first failing request, else of its
+    ordinary one the one-cell _ordinary.  One batch.elliptic_tables request per (modulus order, table
+    size), reduced, serves all channels, order 0 first, else in the order the channels first need them;
+    an ordinary channel at the bits of an odd one reads cell (0, 0) of that channel's order-0 table
+    instead (no cell depends on the table size).  A pass raises the error of its first failing request, else of its
     first dressing.  The channels of one template contract its matrix with their table cells in one
     in-order sum over the cells, in numpy's complex arithmetic, so they agree with evaluate to rounding;
     an operator's blocks, in ascending monomial order, come from HeisenbergBasis.channel_blocks.
@@ -492,7 +494,11 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> li
             for dtau, size in t.sizes.items():
                 requests.setdefault((dtau, size), []).append(i)
     requests = dict(sorted(requests.items(), key=lambda r: r[0][0]))
-    tables = [kernel_derivs("elliptic", [hbars[i] for i in m], [z12s[i] for i in m], ctx, *size, dtau)
+    # loaded on first use, so the scalar suites never load it; looked up at call time, so wrappers
+    # installed on the module are seen
+    from . import batch
+
+    tables = [batch.elliptic_tables([hbars[i] for i in m], [z12s[i] for i in m], ctx, *size, dtau, True)
               for (dtau, size), m in requests.items()]
     envelope = np.array([_dressing(t.exp_coeff, z) if t.exp_coeff != 0 else 1.0 for t, z in zip(templates, z12s)],
                         dtype=complex)
@@ -579,12 +585,14 @@ def aybe_residual(
 
     Factors are operators placed at sites (1,2), (2,3) and (3,1); the odd
     version carries the odd parameters, and an exact solution makes the
-    block sum vanish.  factors: the channel sums of aybe_ops of these arguments, if built already.
+    block sum vanish.  factors: the channel sums of aybe_ops of these arguments, if built already;
+    hbars and mus are then not read.
     """
-    ops = aybe_ops(hbars, mus, points, basis, super)
-    built = iter(channel_sums(ops, omega, basis, ctx) if factors is None else factors)
-    # the first two factors are f(x1)_12 and f(x2)_23
-    return three_term(lambda x, a, b: next(built).placed((a + 1, b + 1)), ops[0][1:3], ops[1][1:3],
+    if factors is None:
+        factors = channel_sums(aybe_ops(hbars, mus, points, basis, super), omega, basis, ctx)
+    built = iter(factors)
+    # the factors come in three_term_specs order, so the parameter tuples are not needed
+    return three_term(lambda _, a, b: next(built).placed((a + 1, b + 1)), (), (),
                       mul=operator.matmul, size=SuperMatrix.max_abs)
 
 

@@ -12,7 +12,6 @@ not finite counts as infinite, so its sample fails the suite.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -342,15 +341,9 @@ def _compute_basis(inputs, cfg) -> float:
 # -- suites: cybe / aybe -------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _basis(n: int) -> HeisenbergBasis:
-    """One basis per N, so that its cached channel blocks outlive a sample."""
-    return HeisenbergBasis(n)
-
-
 def _compute_cybe(inputs, cfg) -> float:
     ctx = cfg.context()
-    basis = _basis(cfg.n)
+    basis = HeisenbergBasis(cfg.n)
     pts = _points(inputs)
     built = channel_sums(cybe_ops(pts, basis) + cybe_ops(pts, basis, super=True), "ω", basis, ctx)
     res, scale = cybe_residual(pts, "ω", basis, ctx, factors=built[:3])
@@ -361,7 +354,7 @@ def _compute_cybe(inputs, cfg) -> float:
 
 def _compute_aybe(inputs, cfg) -> float:
     ctx = cfg.context()
-    basis = _basis(cfg.n)
+    basis = HeisenbergBasis(cfg.n)
     pts = _points(inputs)
     h1 = _unpair(inputs["hbar1"])
     h2 = _unpair(inputs["hbar2"])

@@ -396,25 +396,26 @@ def super_phi(
     Two slots that each hold one plain generator (a single generator with
     coefficient one) must hold different ones, else ValueError.  Slots that
     hold a combination, such as a shifted odd coordinate, are not checked.
-    The terms are memoized by all but hbar, ctx and even coordinates; slots are checked on every call.
+    The terms are memoized by all but hbar, ctx and even coordinates.  The
+    slots and tau_term are checked on a memo miss only: the key holds every
+    input the checks read, and a failing check stores nothing.
     """
-    if tau_term not in ("dtau", "heat"):
-        raise ValueError("tau_term must be 'dtau' or 'heat'")
-    zeta1 = p1.resolve()
-    zeta2 = p2.resolve()
-    omega_e = _odd_element(omega, "omega")
-    mu_e = None if mu is None else _odd_element(mu, "mu")
-    combined = 0
-    for label, elem in (("zeta1", zeta1), ("zeta2", zeta2), ("omega", omega_e), ("mu", mu_e)):
-        m = 0 if elem is None else _plain_mask(elem)
-        if m & combined:
-            raise ValueError(f"generator collision: {label} reuses another slot's generator")
-        combined |= m
-
     f = SuperFunction(ctx, hbar, kind=kind, exp_coeff=exp_coeff)
     key = tuple(map(_memo_key, (kind, exp_coeff, hbar_tau_rate, tau_term, p1.zeta, p2.zeta, omega, mu)))
     terms = _PHI_TERMS.get(key)
     if terms is None:
+        if tau_term not in ("dtau", "heat"):
+            raise ValueError("tau_term must be 'dtau' or 'heat'")
+        zeta1 = p1.resolve()
+        zeta2 = p2.resolve()
+        omega_e = _odd_element(omega, "omega")
+        mu_e = None if mu is None else _odd_element(mu, "mu")
+        combined = 0
+        for label, elem in (("zeta1", zeta1), ("zeta2", zeta2), ("omega", omega_e), ("mu", mu_e)):
+            m = 0 if elem is None else _plain_mask(elem)
+            if m & combined:
+                raise ValueError(f"generator collision: {label} reuses another slot's generator")
+            combined |= m
         zz = zeta1 * zeta2
         f.add_element_term(zeta1 - zeta2, 0, 0, 0)
         f.add_element_term(omega_e, 0, 1, 0)

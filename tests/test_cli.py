@@ -360,6 +360,26 @@ def test_closed_stdout_keeps_exit_code(argv, code, tmp_path):
     assert err == ""
 
 
+def test_batch_loads_with_the_first_channel_sum(tmp_path):
+    # the scalar suites tabulate point by point and never load the batch
+    # module, so the benchmark's kernel and graded workloads set up without it
+    script = (
+        "import sys\n"
+        "from superkron import cli\n"
+        "for suite in ('kronecker', 'theta', 'fay', 'basis'):\n"
+        "    assert cli.main([suite, '--samples', '2']) == 0\n"
+        "print('superkron.batch' in sys.modules, file=sys.stderr)\n"
+        "assert cli.main(['cybe', '--n', '2', '--samples', '1']) == 0\n"
+        "print('superkron.batch' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["False", "True"]
+
+
 def test_every_export_resolves():
     modules = [superkron] + [
         importlib.import_module(f"superkron.{info.name}") for info in pkgutil.iter_modules(superkron.__path__)

@@ -350,14 +350,14 @@ def test_theta_stack_memo_keeps_the_longest_stack_per_point_and_modulus_order():
             assert again.tobytes()[: first.nbytes] == first.tobytes() and ctx._stacks[(w, 0)] is again
 
 
-def test_theta_stack_sums_higher_modulus_orders_alone():
-    # dtau >= 2 keeps the single-order loop: the reference bits, and no
-    # stack of another modulus order is memoized
+def test_theta_stack_rejects_higher_modulus_orders():
+    # modulus orders 0 and 1 only, as theta and kernel_derivs; nothing is summed or memoized
     ctx = EllipticContext(TAU1)
     for z in (0.31 + 0.17j, -0.2 + 0.4j, 0j):
         for dtau in (2, 3):
-            assert theta_stack(z, ctx, 4, dtau).tobytes() == theta_stack_reference(z, ctx, 4, dtau).tobytes()
-    assert sorted({order for _, order in ctx._stacks}) == [2, 3]
+            with pytest.raises(ValueError, match="modulus-derivative order limited to 1"):
+                theta_stack(z, ctx, 4, dtau)
+    assert not ctx._stacks
 
 
 def test_failed_checks_are_not_memoized():
@@ -367,12 +367,11 @@ def test_failed_checks_are_not_memoized():
     far = 0.1 + 0.95j
     with pytest.raises(SeriesTruncationError):
         phi_tau_derivs(far, z, ctx)
-    # the series of z passed and is counted; that of hbar failed, and nothing after it ran
-    assert list(ctx._pairs) == [z] and not ctx._regular
+    # the series of hbar failed, and no pole check ran
+    assert not ctx._regular
     with pytest.raises(PoleProximityError, match="hbar="):
         phi_tau_derivs(tau, z, ctx)
-    # every series passed; z passed its pole check, the lattice point tau did not
-    assert set(ctx._pairs) == {z, tau, tau + z}
+    # z passed its pole check, the lattice point tau did not
     assert list(ctx._regular) == [z]
     for _ in range(2):
         with pytest.raises(PoleProximityError, match="hbar="):
@@ -385,25 +384,20 @@ def test_failed_checks_are_not_memoized():
 
 def test_point_memos_are_cleared_at_their_bound(monkeypatch):
     from superkron import elliptic
-    from superkron.elliptic import _MEMO_LIMIT, _counted, _require_regular
+    from superkron.elliptic import _MEMO_LIMIT, _require_regular
 
     ctx = EllipticContext(0.1 + 2.5j)
     zs = [complex(0.3 + 0.0001 * i, 0.1) for i in range(_MEMO_LIMIT)]
     for z in zs:
-        _counted(z, ctx)
         _require_regular(z, ctx, "z")
-    assert len(ctx._pairs) == len(ctx._regular) == _MEMO_LIMIT
-    # a repeat reads the memos: it counts and measures nothing, and adds nothing
-    want = pair_count(zs[0], ctx.tau)
+    assert len(ctx._regular) == _MEMO_LIMIT
+    # a repeat reads the memo: it measures nothing, and adds nothing
     with monkeypatch.context() as m:
-        m.setattr(elliptic, "pair_count", None)
         m.setattr(elliptic, "lattice_distance", None)
-        assert _counted(zs[0], ctx) == want
         _require_regular(zs[0], ctx, "z")
-    assert len(ctx._pairs) == len(ctx._regular) == _MEMO_LIMIT
-    _counted(0.45 + 0.2j, ctx)
+    assert len(ctx._regular) == _MEMO_LIMIT
     _require_regular(0.45 + 0.2j, ctx, "z")
-    assert list(ctx._pairs) == list(ctx._regular) == [0.45 + 0.2j]
+    assert list(ctx._regular) == [0.45 + 0.2j]
 
 
 def test_series_truncation_is_not_memoized():
@@ -449,8 +443,6 @@ def test_batch_raises_series_errors_before_poles():
     with pytest.raises(PoleProximityError):
         kernel_derivs("elliptic", tau, z, EllipticContext(tau), dtau=1)
     for hbars in ([first, tau], [tau, first]):
-        with pytest.raises(SeriesTruncationError):
-            kernel_derivs("elliptic", hbars, z, EllipticContext(tau), dtau=1)
         with pytest.raises(SeriesTruncationError):
             elliptic_tables(hbars, z, EllipticContext(tau), 0, 0, 1, True)
 
@@ -644,31 +636,6 @@ def test_batched_tables_equal_per_point_tables(N):
             for hbar, table in zip(hbars, got):
                 want = kernel_derivs("elliptic", hbar, z1 - z2, EllipticContext(tau), max_j, max_k, dtau, reduce)
                 assert route_gap(table, want) <= ROUTE_TOL, (tau, hbar, max_j, max_k, dtau, reduce)
-        got = kernel_derivs("trig", hbars, z1 - z2, CTX1, 1, 1)
-        assert all(np.array_equal(t, phi_trig(hb, z1 - z2, CTX1, 1, 1)) for hb, t in zip(hbars, got))
-
-
-def test_kernel_derivs_batches_every_elliptic_list(monkeypatch):
-    # a scalar parameter takes the scalar route, any elliptic list the
-    # batch, the empty one included; other kinds go point by point
-    calls = []
-
-    def counting(hbars, *args):
-        calls.append(len(hbars))
-        return elliptic_tables(hbars, *args)
-
-    monkeypatch.setattr(batch, "elliptic_tables", counting)
-    h, z = cell_points(np.random.default_rng(12), 2, TAU1)
-    hbars = [h + (a1 + a2 * TAU1) / 4 for a1 in range(4) for a2 in range(3)]
-    kernel_derivs("elliptic", hbars[0], z, EllipticContext(TAU1), 2, 1)
-    kernel_derivs("trig", hbars, z, CTX1, 1, 1)
-    assert calls == []
-    for n in (0, 1, 11, 12):
-        for dtau in (0, 1):
-            got = kernel_derivs("elliptic", hbars[:n], z, EllipticContext(TAU1), 2, 1, dtau)
-            want = elliptic_tables(hbars[:n], z, EllipticContext(TAU1), 2, 1, dtau, True)
-            assert got.shape == (n, 3, 2) and got.tobytes() == want.tobytes()
-    assert calls == [0, 0, 1, 1, 11, 11, 12, 12]
 
 
 def test_kernel_derivs_takes_one_z_per_parameter():
@@ -683,26 +650,21 @@ def test_kernel_derivs_takes_one_z_per_parameter():
         zs = [zs[i % len(zs)] for i in range(len(hs))]
         for n in (11, 14):
             for max_j, max_k, dtau, reduce in ((2, 1, 0, True), (1, 2, 0, False), (1, 0, 1, True)):
-                got = kernel_derivs("elliptic", hs[:n], zs[:n], ctx, max_j, max_k, dtau, reduce)
+                got = elliptic_tables(hs[:n], zs[:n], ctx, max_j, max_k, dtau, reduce)
                 for h, z, table in zip(hs, zs, got):
-                    alone = kernel_derivs("elliptic", [h], [z], ctx, max_j, max_k, dtau, reduce)[0]
+                    alone = elliptic_tables([h], [z], ctx, max_j, max_k, dtau, reduce)[0]
                     assert table.tobytes() == alone.tobytes(), (tau, n, h, z, max_j, max_k, dtau, reduce)
                     want = kernel_derivs("elliptic", h, z, ctx, max_j, max_k, dtau, reduce)
                     assert route_gap(table, want) <= ROUTE_TOL
-    for kind in ("trig", "rational"):
-        got = kernel_derivs(kind, hs, zs, CTX1, 2, 1)
-        assert all(t.tobytes() == kernel_derivs(kind, h, z, CTX1, 2, 1).tobytes() for h, z, t in zip(hs, zs, got))
-    for kind in ("elliptic", "trig", "rational"):
-        assert kernel_derivs(kind, [], [], CTX1, 2, 1).shape == (0, 3, 2)
+    assert elliptic_tables([], [], CTX1, 2, 1, 0, True).shape == (0, 3, 2)
     with pytest.raises(ValueError):
-        kernel_derivs("elliptic", hs[:3], zs[:2], CTX1)
+        elliptic_tables(hs[:3], zs[:2], CTX1, 0, 0, 0, True)
 
 
 def test_kernel_derivs_empty_list():
-    for kind in ("elliptic", "trig", "rational"):
-        assert kernel_derivs(kind, [], 0.4, CTX1, 2, 1).shape == (0, 3, 2)
+    assert elliptic_tables([], 0.4, CTX1, 2, 1, 0, True).shape == (0, 3, 2)
     with pytest.raises(ValueError, match="kind must be one of"):
-        kernel_derivs("bogus", [], 0.4, CTX1)
+        kernel_derivs("bogus", 0.3, 0.4, CTX1)
 
 
 def test_scalar_three_term_identity(rng):

@@ -474,6 +474,23 @@ def test_slot_checks_run_on_every_call(cold_memos):
             super_phi(H1, "μ1", P1, P2, "ω", CTX).plan(Z1E)
 
 
+def test_warm_call_checks_no_slot(cold_memos, monkeypatch):
+    # a memo hit repeats inputs that already passed the checks: counted, not timed
+    labels = []
+    odd_element = superfunc._odd_element
+
+    def counting(spec, label):
+        labels.append(label)
+        return odd_element(spec, label)
+
+    monkeypatch.setattr(superfunc, "_odd_element", counting)
+    cold = super_phi(H1, "μ1", P1, P2, "ω", CTX)
+    assert labels == ["zeta", "zeta", "omega", "mu"]
+    labels.clear()
+    warm = super_phi(H2, "μ1", P1, P2, "ω", CTX)
+    assert labels == [] and _row_bits(warm) == _row_bits(cold)
+
+
 def test_memos_are_cleared_at_their_bound(cold_memos):
     for i in range(superfunc._MEMO_LIMIT):
         super_phi(H1, "μ1", P1, P2, "ω", CTX, exp_coeff=complex(i)).plan()
