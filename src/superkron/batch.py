@@ -11,23 +11,30 @@ along its axis (cumsum, no pairwise or BLAS reduction) and every other
 operation is elementwise, so a point's table is bit for bit the same
 whatever else the list holds.  Its theta sums are bit for bit those of
 elliptic.theta_stack; its tables agree with the scalar routes to rounding,
-not bit for bit.  The truncation rule (pair_count), the lattice geometry,
-the error messages and the context's pole-check memo are elliptic's own.
+not bit for bit.  The truncation rule (pair_count), the lattice geometry
+(lattice_reduce, lattice_distance), the error messages and the context's
+pole-check memo are elliptic's own: the batch runs them as array forms over
+the point axis, bit for bit the scalar functions, and re-raises a failing
+point by calling the scalar function at the first failure in list order.
+The scalar route keeps its loops, which are faster for one point.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .elliptic import (
     _K_MAX,
+    _LOG_MAX,
+    _MEMO_LIMIT,
     _PI_I,
     _TWO_PI_I,
     EllipticContext,
     _envelope,
+    _reach,
     _reciprocal_derivs,
     _reciprocal_dot,
     _require_regular,
@@ -41,10 +48,80 @@ __all__ = ["elliptic_tables"]
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, which): the first index of each distinct row of values by its bits (0.0 and -0.0
     stay apart), in order of first appearance, and each row's position among them."""
-    slot: dict = {}
-    bits = np.ascontiguousarray(values).view(np.int64).reshape(len(values), -1)
-    which = np.array([slot.setdefault(key, len(slot)) for key in map(tuple, bits.tolist())], dtype=int)
-    return np.unique(which, return_index=True)[1], which
+    values = np.ascontiguousarray(values)
+    keys = values.view(np.dtype((np.void, values.itemsize * prod(values.shape[1:])))).reshape(-1)
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[which.reshape(-1)]
+
+
+def _raise_first(failed: np.ndarray, scalar, values: np.ndarray, *args) -> None:
+    """scalar(values[i], *args) at the first failed point i, if any: elliptic's own check, which
+    raises there with elliptic's message."""
+    if failed.any():
+        i = int(np.argmax(failed))
+        scalar(complex(values[i]), *args)
+
+
+def _lattice_reduce(ws: np.ndarray, tau: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """elliptic.lattice_reduce at every point of ws, bit for bit: (reduced, m, n), m and n as floats."""
+    with np.errstate(all="ignore"):
+        y = ws.imag / tau.imag
+        x = ws.real - y * tau.real
+        # round() of a coordinate that is not finite raises
+        _raise_first(~(np.isfinite(x) & np.isfinite(y)), lattice_reduce, ws, tau)
+        # + 0.0: the integer round() gives has no negative zero
+        m, n = np.rint(x) + 0.0, np.rint(y) + 0.0
+        return ws - m - n * tau, m, n
+
+
+def _pair_counts(ws: np.ndarray, tau: complex) -> np.ndarray:
+    """elliptic.pair_count at every point of ws; the first point that fails raises its error."""
+    t = tau.imag
+    with np.errstate(all="ignore"):
+        count = np.abs(ws.imag) / t + _reach(t)
+        peak = np.floor(-ws.imag / t) + 0.5
+        failed = ~(count <= _K_MAX) | (-np.pi * (t * peak * peak + 2.0 * ws.imag * peak) > _LOG_MAX)
+    _raise_first(failed, pair_count, ws, tau)
+    return np.ceil(count).astype(int)
+
+
+def _lattice_distances(ws: np.ndarray, tau: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(distance, failed): elliptic.lattice_distance at every point of ws, bit for bit, each point
+    scanning its own rows, and where the scalar function's round() would raise."""
+    y, row = ws.imag, tau.imag
+    with np.errstate(all="ignore"):
+        n = np.rint(y / row) + 0.0
+        d = ws - n * tau
+        failed = ~np.isfinite(y / row) | ~np.isfinite(d.real)
+        best = np.hypot(d.real - (np.rint(d.real) + 0.0), d.imag)
+        for step in (1, -1):
+            at = np.arange(len(ws))
+            scan = n + step
+            while len(at := at[np.abs(y[at] - scan[at] * row) < best[at]]):
+                d = ws[at] - scan[at] * tau
+                failed[at] |= ~np.isfinite(d.real)
+                best[at] = np.fmin(best[at], np.hypot(d.real - (np.rint(d.real) + 0.0), d.imag))
+                scan[at] += step
+    return best, failed
+
+
+def _require_regular_all(checks: np.ndarray, ctx: EllipticContext) -> None:
+    """elliptic._require_regular at every point of checks, the triples (z, hbar, hbar+z) of each
+    point in order, labelled so: the points before the first that fails are recorded on ctx._regular
+    (cleared first if they would fill it), and that one raises elliptic's error."""
+    dist, failed = _lattice_distances(checks, ctx.tau)
+    failed |= ~(dist >= ctx.pole_radius)
+    stop = int(np.argmax(failed)) if failed.any() else len(checks)
+    start = max(stop - _MEMO_LIMIT, 0)
+    memo = ctx._regular
+    if len(memo) + stop - start > _MEMO_LIMIT:
+        memo.clear()
+    memo.update(zip(checks[start:stop].tolist(), dist[start:stop].tolist()))
+    if stop < len(checks):
+        _require_regular(complex(checks[stop]), ctx, ("z", "hbar", "hbar+z")[stop % 3])
 
 
 def _powers(c: np.ndarray, top: int) -> np.ndarray:
@@ -133,7 +210,11 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     point after point; then the poles of z, hbar and hbar+z are checked
     point after point; only then is anything summed.  So a list with a
     series error anywhere raises that error even if an earlier point sits
-    on a pole.  Last, the lattice multipliers of reduced points are
+    on a pole.  Reduction, pair counts and pole checks run as array forms
+    over the list (_lattice_reduce, _pair_counts, _lattice_distances), and
+    the first point that fails raises through the scalar function, with its
+    message; the points checked before it are recorded as passed on
+    ctx._regular.  Last, the lattice multipliers of reduced points are
     exponentiated point by point, and one beyond the floating-point range
     raises OverflowError.
     """
@@ -147,20 +228,16 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     hs, ws = hbars[first], zs[first]
     reduced = reduce and not dtau
     if reduced:
-        z_first, z_which = _distinct(ws)
-        z_red, _, n_z = (np.array(x)[z_which] for x in zip(*(lattice_reduce(w, tau) for w in ws[z_first].tolist())))
-        h_red, _, n_h = (np.array(x) for x in zip(*(lattice_reduce(h, tau) for h in hs.tolist())))
+        z_red, _, n_z = _lattice_reduce(ws, tau)
+        h_red, _, n_h = _lattice_reduce(hs, tau)
         args = np.stack([z_red, h_red, h_red + z_red], axis=1)
     else:
         args = np.stack([ws, hs, hs + ws], axis=1)
     # theta arguments point by point, then the origin, whose stack normalises the kernel
     args = np.append(args.reshape(-1), 0j)
     arg_first, arg_which = _distinct(args)
-    pairs = np.array([pair_count(w, tau) for w in args[arg_first].tolist()])
-    for h, w in zip(hs.tolist(), ws.tolist()):
-        _require_regular(w, ctx, "z")
-        _require_regular(h, ctx, "hbar")
-        _require_regular(h + w, ctx, "hbar+z")
+    pairs = _pair_counts(args[arg_first], tau)
+    _require_regular_all(np.stack([ws, hs, hs + ws], axis=1).reshape(-1), ctx)
 
     j, k, p, q, coeff, last = _cells(max_j, max_k)
     with np.errstate(all="ignore"):

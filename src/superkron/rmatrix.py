@@ -230,6 +230,8 @@ def _product_plan(left_sites: tuple, right_sites: tuple, d: int):
     others; factors sharing one site, as every Yang-Baxter product does,
     have one.  The right factor then conserves the charge too, so every
     position read is stored.  Factors that share no site raise ValueError.
+    The two arrays have one shape, so SuperMatrix.__matmul__ gathers every
+    factor block by them into equal slots of its workspace.
     """
     shared = [u for u in left_sites if u in right_sites]
     if not shared:
@@ -262,6 +264,17 @@ def _product_plan(left_sites: tuple, right_sites: tuple, d: int):
     return union, left, right
 
 
+_WORKSPACE = [np.empty(0, dtype=complex)]
+
+
+def _workspace(size: int) -> np.ndarray:
+    """size complex entries of the buffer SuperMatrix.__matmul__ reuses across products: grown to the
+    largest request so far, never shrunk, so a product allocates only its output stack."""
+    if _WORKSPACE[0].size < size:
+        _WORKSPACE[0] = np.empty(size, dtype=complex)
+    return _WORKSPACE[0][:size]
+
+
 class SuperMatrix:
     """Square matrix over the Grassmann algebra that conserves the Z_d charge.
 
@@ -292,7 +305,7 @@ class SuperMatrix:
     no extra grading sign arises.  placed() shares the blocks, like a numpy
     view, since the layout depends only on factor order; += / -= update a
     matrix's blocks in place, so they also change every matrix that shares
-    them; + and - copy.
+    them; + and - copy.  A product's blocks are new and its own.
     """
 
     __slots__ = ("n_sites", "site_dim", "dim", "blocks", "sites")
@@ -369,24 +382,44 @@ class SuperMatrix:
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         """Graded product over the stored entries, through a cached index plan.
 
-        Each product of blocks gathers its factors' stored entries by the
-        plan of the two site tuples (see _product_plan), multiplies them in
-        numpy's complex arithmetic and sums the contraction terms.  Block
-        products accumulate in place in the order and with the signs of
-        GeneratorSet.products.
+        Each factor block is gathered once, by the plan of the two site
+        tuples (see _product_plan), into a workspace kept across products
+        (_workspace), and each pair of blocks is multiplied with out= in
+        numpy's complex arithmetic, summing the contraction terms.  The
+        output blocks are the rows of one new stack, so they share no memory
+        with the workspace, the factors or another product.  Block products
+        accumulate in the order and with the signs of GeneratorSet.products:
+        the first product of a monomial is written into its row and negated
+        in place if its sign is -1; each later one is written into the
+        workspace and added or subtracted in place.
         """
         self._check_shape(other, same_sites=False)
         union, left, right = _product_plan(self.sites, other.sites, self.site_dim)
+        block_shape = left.shape[1:]
+        n_left = len(self.blocks)
+        work = _workspace((n_left + len(other.blocks)) * left.size + left[0].size)
+        gathered = work[: -left[0].size].reshape(-1, *left.shape)
+        plans = [left] * n_left + [right] * len(other.blocks)
+        for g, arr, plan in zip(gathered, [*self.blocks.values(), *other.blocks.values()], plans):
+            # indices are in range by construction; mode="raise" would buffer the output
+            np.take(arr, plan, out=g, mode="clip")
+        scratch = work[-left[0].size:].reshape(block_shape)
+        pairs = list(default_generators().products(dict(zip(self.blocks, gathered[:n_left])),
+                                                   dict(zip(other.blocks, gathered[n_left:]))))
+        masks = list(dict.fromkeys(u for u, _, _, _ in pairs))
         out = SuperMatrix(len(union), self.site_dim, sites=union)
-        pairs = default_generators().products({mask: arr.take(left) for mask, arr in self.blocks.items()},
-                                              {mask: arr.take(right) for mask, arr in other.blocks.items()})
+        out.blocks = dict(zip(masks, np.empty((len(masks), *block_shape), dtype=complex)))
+        written = set()
         for u, sign, a, b in pairs:
-            block = a[0] * b[0]
+            acc = out.blocks[u]
+            block = scratch if u in written else acc
+            np.multiply(a[0], b[0], out=block)
             for x, y in zip(a[1:], b[1:]):
                 block += x * y
-            acc = out.blocks.get(u)
-            if acc is None:
-                out.blocks[u] = block if sign > 0 else -block
+            if block is acc:
+                written.add(u)
+                if sign < 0:
+                    np.negative(acc, out=acc)
             else:
                 (np.add if sign > 0 else np.subtract)(acc, block, out=acc)
         return out
@@ -458,72 +491,97 @@ def _ordinary(a2: int, N: int) -> _Template:
     return _Template(((0, 0, 0, 0, 1.0),), {0: (0, 0)}, _TWO_PI_I * a2 / N)
 
 
+@functools.lru_cache(maxsize=64)
+def _channels(indices: tuple, N: int, tau: complex) -> tuple:
+    """(shifts, grid, rank, firsts) of a channel list, read-only and cached per (indices, N, tau): each
+    channel's channel_shift, its position a1 N + a2 in the N x N grid, and the position of its a2 among
+    the distinct a2 in order of first appearance; firsts holds the first channel of each distinct a2."""
+    firsts: dict = {}
+    for alpha in indices:
+        firsts.setdefault(alpha[1], alpha)
+    position = {a2: i for i, a2 in enumerate(firsts)}
+    shifts = np.array([channel_shift(alpha, N, tau) for alpha in indices], dtype=complex)
+    grid = np.array([alpha[0] * N + alpha[1] for alpha in indices], dtype=int)
+    rank = np.array([position[alpha[1]] for alpha in indices], dtype=int)
+    for arr in (shifts, grid, rank):
+        arr.flags.writeable = False
+    return shifts, grid, rank, tuple(firsts.values())
+
+
 def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> list[SuperMatrix]:
     """The channel sums of several operators in one pass, each bit for bit the sum built alone: each
     op (indices, hbar, mu, p1, p2, form, odd) sums T_a (x) T_-a times super_basis_phi (odd) or the
     dressed kernel over the distinct a in indices, 0 <= a1, a2 < N, at hbar + (a1 + a2 tau)/N and
-    z12 = p1.z - p2.z.  Every channel function is a _Template: an odd one compiled once (_template), an
-    ordinary one the one-cell _ordinary.  One batch.elliptic_tables request per (modulus order, table
-    size), reduced, serves all channels, order 0 first, else in the order the channels first need them;
-    an ordinary channel at the bits of an odd one reads cell (0, 0) of that channel's order-0 table
-    instead (no cell depends on the table size).  A pass raises the error of its first failing request, else of its
-    first dressing.  The channels of one template contract its matrix with their table cells in one
-    in-order sum over the cells, in numpy's complex arithmetic, so they agree with evaluate to rounding;
-    an operator's blocks, in ascending monomial order, come from HeisenbergBasis.channel_blocks.
+    z12 = p1.z - p2.z, the parameters complex(hbar) plus the channel shifts (_channels).  Every channel
+    function is a _Template: an odd one compiled once per a2 of an op (_template), an ordinary one the
+    one-cell _ordinary.  One batch.elliptic_tables request per (modulus order, table size), reduced,
+    serves all channels, order 0 first, else in the order the channels first need them; an ordinary
+    channel at the bits of an odd one reads cell (0, 0) of that channel's order-0 table instead (no cell
+    depends on the table size).  Each distinct (exp_coeff, z12) dressing is exponentiated once, after
+    the requests, in the order the channels first need it.  A pass raises the error of its first
+    failing request, else of its first dressing.  The channels of one template contract its matrix
+    with their table cells in one in-order sum over the cells, in numpy's complex arithmetic, so they
+    agree with evaluate to rounding; an operator's blocks, in ascending monomial order, come from
+    HeisenbergBasis.channel_blocks.
     """
     N = basis.N
-    flat, hbars, z12s, templates, odds = [], [], [], [], []
-    for indices, hbar, mu, p1, p2, form, odd in ops:
-        built: dict[int, _Template] = {}
-        for alpha in indices:
-            flat.append(alpha[0] * N + alpha[1])
-            hbars.append(_channel_hbar(alpha, hbar, N, ctx.tau))
-            z12s.append(complex(p1.z) - complex(p2.z))
-            if alpha[1] not in built:
-                built[alpha[1]] = (_template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) if odd
-                                   else _ordinary(alpha[1], N))
-            templates.append(built[alpha[1]])
-            odds.append(odd)
-    # an ordinary channel reads the order-0 table of an odd channel at its (hbar, z12) bits, else its own
-    bits = list(map(tuple, np.array([hbars, z12s], dtype=complex).T.copy().view(np.int64).tolist()))
-    odd_at = {b: i for i, b in enumerate(bits) if odds[i]}
-    reads = [i if odds[i] else odd_at.get(b, i) for i, b in enumerate(bits)]
-    requests: dict[tuple, list[int]] = {}
-    for i, t in enumerate(templates):
-        if reads[i] == i:
-            for dtau, size in t.sizes.items():
-                requests.setdefault((dtau, size), []).append(i)
-    requests = dict(sorted(requests.items(), key=lambda r: r[0][0]))
     # loaded on first use, so the scalar suites never load it; looked up at call time, so wrappers
     # installed on the module are seen
     from . import batch
 
-    tables = [batch.elliptic_tables([hbars[i] for i in m], [z12s[i] for i in m], ctx, *size, dtau, True)
-              for (dtau, size), m in requests.items()]
-    envelope = np.array([_dressing(t.exp_coeff, z) if t.exp_coeff != 0 else 1.0 for t, z in zip(templates, z12s)],
-                        dtype=complex)
+    hbars, z12s, grids, ids, odds = [], [], [], [], []
+    templates: dict[_Template, int] = {}
+    for indices, hbar, mu, p1, p2, form, odd in ops:
+        shifts, grid, rank, firsts = _channels(tuple(map(tuple, indices)), N, ctx.tau)
+        built = [templates.setdefault(_template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) if odd
+                                      else _ordinary(alpha[1], N), len(templates)) for alpha in firsts]
+        hbars.append(complex(hbar) + shifts)
+        z12s.append(np.full(len(grid), complex(p1.z) - complex(p2.z)))
+        grids.append(grid)
+        ids.append(np.array(built, dtype=int)[rank])
+        odds.append(np.full(len(grid), bool(odd)))
+    hbars, z12s, ids, odds = (np.concatenate([np.zeros(0, dtype=kind), *x])
+                              for x, kind in ((hbars, complex), (z12s, complex), (ids, int), (odds, bool)))
+    templates = list(templates)
+    channels = np.arange(len(hbars))
+    # an ordinary channel reads the order-0 table of the last odd channel at its (hbar, z12) bits, else its own
+    _, point = batch._distinct(np.stack([hbars, z12s], axis=1))
+    odd_at = np.full(len(hbars), -1)
+    np.maximum.at(odd_at, point[odds], channels[odds])
+    reads = np.where(odds | (odd_at[point] < 0), channels, odd_at[point])
+    own = reads == channels
+    # templates in the order their own-reading channels first need them
+    need, need_at = np.unique(ids[own], return_index=True)
+    requests: dict[tuple, list[int]] = {}
+    for t in need[np.argsort(need_at)].tolist():
+        for key in templates[t].sizes.items():
+            requests.setdefault(key, []).append(t)
+    requests = {key: np.flatnonzero(own & np.isin(ids, at))
+                for key, at in sorted(requests.items(), key=lambda r: r[0][0])}
+    tables = [batch.elliptic_tables(hbars[m], z12s[m], ctx, *size, dtau, True) for (dtau, size), m in requests.items()]
+    coeff = np.array([t.exp_coeff for t in templates], dtype=complex)[ids]
+    first, which = batch._distinct(np.stack([coeff, z12s], axis=1))
+    envelope = np.array([_dressing(c, z) if c != 0 else 1.0 for c, z in zip(coeff[first].tolist(),
+                                                                            z12s[first].tolist())], dtype=complex)[which]
     # every table in one buffer; a channel's table of modulus order d starts at offset[channel, d]
     offset = np.zeros((len(hbars), 2), dtype=int)
     for start, t, ((dtau, _), m) in zip(np.cumsum([0] + [t.size for t in tables]), tables, requests.items()):
         offset[m, dtau] = start + np.arange(len(m)) * t[0].size
     offset = offset[reads]
     buf = np.concatenate([np.zeros(0, dtype=complex)] + [t.reshape(-1) for t in tables])
-    members: dict[_Template, list[int]] = {}
-    for i, t in enumerate(templates):
-        members.setdefault(t, []).append(i)
     coeffs = np.zeros((len(hbars), 1 << default_generators().n_generators), dtype=complex)
-    for t, at in members.items():
-        at = np.array(at)
+    for i, t in enumerate(templates):
+        at = np.flatnonzero(ids == i)
         terms = t.matrix * buf[offset[at[:, None], t.dtau] + t.cell][:, None]
         # summed in cell order, no BLAS: a channel's bits do not depend on the rest of the pass
         coeffs[at[:, None], t.masks] = np.add.accumulate(terms, axis=2)[..., -1] * envelope[at, None]
     out = [SuperMatrix(2, N) for _ in ops]
-    bounds = np.cumsum([0] + [len(op[0]) for op in ops])
-    for m, lo, hi in zip(out, bounds[:-1], bounds[1:]):
+    bounds = np.cumsum([0] + [len(grid) for grid in grids])
+    for m, grid, lo, hi in zip(out, grids, bounds[:-1], bounds[1:]):
         masks = np.flatnonzero(coeffs[lo:hi].any(axis=0))
-        grid = np.zeros((len(masks), N * N), dtype=complex)
-        grid[:, flat[lo:hi]] = coeffs[lo:hi, masks].T
-        m.blocks = dict(zip(masks.tolist(), basis.channel_blocks(grid.reshape(-1, N, N))))
+        cells = np.zeros((len(masks), N * N), dtype=complex)
+        cells[:, grid] = coeffs[lo:hi, masks].T
+        m.blocks = dict(zip(masks.tolist(), basis.channel_blocks(cells.reshape(-1, N, N))))
     return out
 
 

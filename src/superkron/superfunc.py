@@ -508,14 +508,16 @@ def three_term(factor, x1, x2, mul=operator.mul, size=abs):
     three_term_specs, in its order.  Products are taken left to right with mul.
     Returns the sum and the largest size of the three products, the scale
     the residual is measured against; the exact relation makes the sum vanish.
-    The third product is added in place, where the type allows, into the
-    fresh sum of the first two; the products themselves are left unchanged.
+    The sizes are read first; then the second and third products are added
+    into the first, in place where the type allows, so the first product
+    becomes the sum.
     """
     f = [factor(*spec) for spec in three_term_specs(x1, x2)]
     p1, p2, p3 = mul(f[0], f[1]), mul(f[2], f[3]), mul(f[4], f[5])
-    total = p1 + p2
-    total += p3
-    return total, max(size(p1), size(p2), size(p3))
+    scale = max(size(p1), size(p2), size(p3))
+    p1 += p2
+    p1 += p3
+    return p1, scale
 
 
 def fay_residual(

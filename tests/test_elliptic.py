@@ -7,6 +7,7 @@ and are trusted to all printed digits.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,28 @@ def test_theta_stack_consistent():
 
 # the six moduli of the benchmark's kernel sweep, reduced and not
 SWEEP_MODULI = (0.3 + 1.1j, 0.3 + 0.25j, -0.45 + 0.6j, 0.1 + 2.5j, 3.3 + 0.4j, 5 + 0.05j)
+# and the modulus whose channel parameters lie far from the real axis (ROADMAP item 1)
+GEOMETRY_MODULI = SWEEP_MODULI + (0.3 + 60j,)
+
+
+def geometry_points(tau):
+    """Points for the batch's lattice geometry: reduced ones, the same shifted by up to two periods,
+    zeros of either sign, and points whose lattice coordinates or distances meet half-integer ties."""
+    rng = np.random.default_rng(41)
+    reduced = [lattice_reduce(w, tau)[0] for w in cell_points(rng, 8, tau)] + [0j]
+    shifted = [w + int(rng.integers(-2, 3)) + int(rng.integers(-2, 3)) * tau for w in reduced]
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    ties = [complex(x, 0.0) for x in (0.5, -0.5, 1.5, 2.5)]
+    ties += [complex(x + y * tau.real, y * tau.imag) for x, y in ((0.5, 0.5), (-1.5, 0.5), (2.5, -0.5), (0.5, 1.5))]
+    return reduced + shifted + zeros + ties
+
+
+def summable(z, tau):
+    try:
+        pair_count(z, tau)
+    except SeriesTruncationError:
+        return False
+    return True
 
 
 def theta_stack_reference(z, ctx, max_dz=0, dtau=0):
@@ -203,6 +226,18 @@ def test_pair_count_bounds_the_first_omitted_terms():
                         assert omitted <= math.log(1e-14) + peak, (tau, u, sign, d, dtau)
     assert pair_count(0j, 0.1 + 2.5j) < pair_count(0j, 0.3 + 1.1j) < pair_count(0j, 0.3 + 0.25j)
     assert pair_count(0j, 0.3 + 0.25j) < pair_count(0j, 5 + 0.05j) <= 25
+    # the batch's array form gives the same counts, and at the first point that fails raises
+    # pair_count's own error there, whatever fails after it
+    for tau in GEOMETRY_MODULI:
+        points = geometry_points(tau)
+        good = [w for w in points if summable(w, tau)]
+        assert np.array_equal(batch._pair_counts(np.array(good), tau), [pair_count(w, tau) for w in good])
+        for bad in [w for w in points if w not in good] + [complex(0.1, -150.0 * tau.imag), complex(0.2, -1e300)]:
+            with pytest.raises(SeriesTruncationError) as want:
+                pair_count(bad, tau)
+            with pytest.raises(SeriesTruncationError) as got:
+                batch._pair_counts(np.array(good[:3] + [bad, complex(0.3, -1e300)] + good), tau)
+            assert str(got.value) == str(want.value)
 
 
 def test_stack_entries_do_not_depend_on_the_stack_length():
@@ -490,6 +525,22 @@ def test_lattice_reduce_properties(rng):
         x, y = lattice_coords(red, TAU1)
         assert -0.5 - 1e-9 <= x <= 0.5 + 1e-9
         assert -0.5 - 1e-9 <= y <= 0.5 + 1e-9
+    # the batch's array form is bit for bit the scalar function, half-integer ties and zero signs
+    # included, and a point whose coordinates leave the floating-point range raises its error
+    for tau in GEOMETRY_MODULI:
+        points = geometry_points(tau)
+        ties = [w for w in points if 0.5 in map(abs, lattice_coords(w, tau))]
+        assert ties, tau
+        got = batch._lattice_reduce(np.array(points), tau)
+        for i, w in enumerate(points):
+            red, m, n = lattice_reduce(w, tau)
+            assert np.complex128(red).tobytes() == got[0][i].tobytes() and (m, n) == (got[1][i], got[2][i]), (tau, w)
+        bad = (complex(math.inf, 0.2), complex(math.nan, 0.2))
+        for first, then in (bad, bad[::-1]):
+            with pytest.raises((OverflowError, ValueError)) as want:
+                lattice_reduce(first, tau)
+            with pytest.raises(want.type, match=re.escape(str(want.value))):
+                batch._lattice_reduce(np.array(points[:2] + [first, then] + points), tau)
 
 
 def test_lattice_distance_vanishes_on_lattice():
@@ -498,18 +549,29 @@ def test_lattice_distance_vanishes_on_lattice():
     assert lattice_distance(0.5, TAU1) > 0.3
 
 
-@pytest.mark.parametrize("tau", [5 + 0.05j, 3.3 + 0.4j, -0.45 + 0.6j, 0.3 + 1.1j])
+@pytest.mark.parametrize("tau", [5 + 0.05j, 3.3 + 0.4j, -0.45 + 0.6j, 0.3 + 1.1j, 0.3 + 0.25j, 0.1 + 2.5j, 0.3 + 60j])
 def test_lattice_distance_matches_brute_force(tau):
     # unreduced moduli included: the nearest lattice point may lie far from
-    # the neighbours of the reduced representative
+    # the neighbours of the reduced representative.  The batch's array form
+    # is bit for bit the scalar function
     m, n = np.meshgrid(np.arange(-250, 251), np.arange(-80, 81))
     lattice = (m + n * tau).ravel()
     rng = np.random.default_rng(17)
     points = [complex(x, y) for x, y in rng.uniform(-1.5, 1.5, size=(40, 2))]
     points += [3 - 2 * tau + 0.01 * cmath.exp(1j * t) for t in rng.uniform(0, 2 * math.pi, 5)]
-    for w in points:
+    points += geometry_points(tau)
+    got, failed = batch._lattice_distances(np.array(points), tau)
+    assert not failed.any()
+    for w, dist in zip(points, got):
         want = np.abs(lattice - w).min()
         assert lattice_distance(w, tau) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert np.float64(lattice_distance(w, tau)).tobytes() == dist.tobytes(), w
+    # where the scalar function's round() raises, the array form marks the point
+    bad = [complex(math.nan, 0.1), complex(0.1, math.inf), complex(math.inf, 0.1)]
+    for w in bad:
+        with pytest.raises((OverflowError, ValueError)):
+            lattice_distance(w, tau)
+    assert batch._lattice_distances(np.array(points[:3] + bad), tau)[1].tolist() == [False] * 3 + [True] * 3
 
 
 # -- two-variable kernel -----------------------------------------------------
@@ -589,12 +651,14 @@ def test_phi_pole_guards():
     with pytest.raises(PoleProximityError):
         phi(0.3, 1.0 + 1e-9, CTX1)  # reduction maps near a lattice point
     # a batch fails if any of its parameters does, naming the point that its
-    # scalar table names: a non-first hbar, an hbar+z, and z
-    for hbars, z in (([0.3, 1.0 + TAU1], 0.4), ([0.3, 0.2], -0.2 + 1e-9), ([0.3], TAU1)):
+    # scalar table names: a non-first hbar, an hbar+z, and z; with two
+    # failing parameters, the first one's
+    for hbars, z in (([0.3, 1.0 + TAU1], 0.4), ([0.3, 0.2], -0.2 + 1e-9), ([0.3], TAU1),
+                     ([0.3, 1.0 + TAU1, 2.0 - TAU1], 0.4), ([0.3, 2.0 - TAU1, 1.0 + TAU1], 0.4)):
         with pytest.raises(PoleProximityError) as batched:
             elliptic_tables(hbars, z, CTX1, 0, 0, 0, True)
         with pytest.raises(PoleProximityError) as scalar:
-            phi_derivs(hbars[-1], z, CTX1)
+            phi_derivs(hbars[min(len(hbars) - 1, 1)], z, CTX1)
         assert str(batched.value) == str(scalar.value)
 
 

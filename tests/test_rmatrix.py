@@ -485,6 +485,27 @@ def test_sums_are_blockwise_and_leave_operands_unchanged(rng):
         acc += a.placed((2, 3))
 
 
+def test_products_own_their_blocks(rng):
+    # a product's blocks are its own: the next product, which gathers its
+    # factors into the same workspace, changes none of them, and adding one
+    # product into another changes only the sum.  placed() shares blocks
+    a, c = (random_super_matrix(rng, masks=masks).placed((1, 2)) for masks in ((0, 1, 6), (0, 2, 5)))
+    b, d = (random_super_matrix(rng, masks=masks).placed((2, 3)) for masks in ((0, 3, 4), (0, 1, 8)))
+    p = a @ b
+    saved = {mask: arr.copy() for mask, arr in p.blocks.items()}
+    q = c @ d
+    q_saved = {mask: arr.copy() for mask, arr in q.blocks.items()}
+    assert all(np.array_equal(p.blocks[mask], arr) for mask, arr in saved.items())
+    assert not any(np.shares_memory(x, y) for x in p.blocks.values() for y in q.blocks.values())
+    shared = p.placed((1, 2, 3))
+    p += q
+    assert all(np.array_equal(q.blocks[mask], arr) for mask, arr in q_saved.items())
+    zero = np.zeros_like(saved[0])
+    for mask in set(saved) | set(q_saved):
+        assert np.array_equal(p.blocks[mask], saved.get(mask, zero) + q_saved.get(mask, zero))
+    assert all(shared.blocks[mask] is p.blocks[mask] for mask in saved)
+
+
 def _per_channel_sum(b, indices, hbar, mu, form):
     """The parent's sum: a fresh channel function per channel, added block by block."""
     N = b.N
