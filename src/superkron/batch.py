@@ -4,7 +4,7 @@ elliptic_tables builds the phi_derivs or phi_tau_derivs tables of a list of
 (parameter, argument) points; its one caller is rmatrix.channel_sums, which
 imports this module on first use.  It sums the theta series of every distinct
 argument together over the frequency axis, then runs the reciprocal
-recursions (elliptic's own, on columns of points), the Leibniz cell sums
+recursions (elliptic's own, on rows over points), the Leibniz cell sums
 and the lattice multipliers over the point axis, in numpy's own complex
 arithmetic.  Every sum runs in order
 along its axis (cumsum, no pairwise or BLAS reduction) and every other
@@ -16,7 +16,7 @@ not bit for bit.  The truncation rule (pair_count), the lattice geometry
 pole-check memo are elliptic's own: the batch runs them as array forms over
 the point axis, bit for bit the scalar functions, and re-raises a failing
 point by calling the scalar function at the first failure in list order.
-The scalar route keeps its loops, which are faster for one point.
+The scalar route, on plain Python numbers, is faster for one point.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from math import comb, prod
 import numpy as np
 
 from .elliptic import (
+    _HEADROOM,
     _K_MAX,
-    _LOG_MAX,
     _MEMO_LIMIT,
     _PI_I,
     _TWO_PI_I,
@@ -43,6 +43,8 @@ from .elliptic import (
 )
 
 __all__ = ["elliptic_tables"]
+
+_HEADROOM = np.array(_HEADROOM)  # elliptic's range table, indexed by pair counts
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,10 +84,11 @@ def _pair_counts(ws: np.ndarray, tau: complex) -> np.ndarray:
     t = tau.imag
     with np.errstate(all="ignore"):
         count = np.abs(ws.imag) / t + _reach(t)
+        pairs = np.ceil(np.where(count <= _K_MAX, count, 1.0)).astype(int)
         peak = np.floor(-ws.imag / t) + 0.5
-        failed = ~(count <= _K_MAX) | (-np.pi * (t * peak * peak + 2.0 * ws.imag * peak) > _LOG_MAX)
+        failed = ~(count <= _K_MAX) | (-np.pi * (t * peak * peak + 2.0 * ws.imag * peak) > _HEADROOM[pairs])
     _raise_first(failed, pair_count, ws, tau)
-    return np.ceil(count).astype(int)
+    return pairs
 
 
 def _lattice_distances(ws: np.ndarray, tau: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -246,13 +249,13 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
         s_z, s_h, s_a = (stacks[0][i:-1:3] for i in range(3))
         # the order recursions of the scalar route, on columns of points
         r_h, r_z = _reciprocal_derivs(s_h[:, : max_j + 1].T), _reciprocal_derivs(s_z[:, : max_k + 1].T)
-        a, u, v = s_a[:, p + q], r_h.T[:, j - p], r_z.T[:, k - q]
+        a, u, v = s_a[:, p + q], np.array(r_h).T[:, j - p], np.array(r_z).T[:, k - q]
         inner = _cell_sums(coeff * a * u * v, last)
         prime0 = stacks[0][-1, 1]
         if dtau:
             d_z, d_h, d_a = (stacks[1][i:-1:3] for i in range(3))
-            u_dot = _reciprocal_dot(d_h[:, : max_j + 1].T, r_h).T[:, j - p]
-            v_dot = _reciprocal_dot(d_z[:, : max_k + 1].T, r_z).T[:, k - q]
+            u_dot = np.array(_reciprocal_dot(d_h[:, : max_j + 1].T, r_h)).T[:, j - p]
+            v_dot = np.array(_reciprocal_dot(d_z[:, : max_k + 1].T, r_z)).T[:, k - q]
             dots = _cell_sums(coeff * (d_a[:, p + q] * u * v + a * u_dot * v + a * u * v_dot), last)
             tables = stacks[1][-1, 1] * inner + prime0 * dots
         else:

@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -53,6 +54,9 @@ _K_MAX = 200
 _TOP_ORDER = 7
 # largest real part whose exponential is a finite double
 _LOG_MAX = math.log(sys.float_info.max)
+# per pair count n >= 1, the largest term exponent that the argument factors of order _TOP_ORDER,
+# at most (2 pi (n - 1/2))^_TOP_ORDER at the summed frequencies, leave finite
+_HEADROOM = (_LOG_MAX,) + tuple(_LOG_MAX - _TOP_ORDER * math.log(2 * math.pi * (n - 0.5)) for n in range(1, _K_MAX + 1))
 
 
 class PoleProximityError(ValueError):
@@ -61,9 +65,9 @@ class PoleProximityError(ValueError):
 
 class SeriesTruncationError(RuntimeError):
     """A theta series cannot be summed in double precision: it needs more
-    than _K_MAX frequency pairs, or its largest term exceeds the
-    floating-point range.  Both are decided from the point and the modulus
-    alone (pair_count), before any term is summed."""
+    than _K_MAX frequency pairs, or its largest term times its largest
+    order-_TOP_ORDER factor could exceed the floating-point range.  Both are
+    decided from the point and the modulus alone (pair_count), before any term is summed."""
 
 
 @dataclass(frozen=True)
@@ -149,17 +153,19 @@ def pair_count(z: complex, tau: complex) -> int:
 
     Raises SeriesTruncationError when u + s exceeds _K_MAX (compared before
     rounding up, so an infinite or undefined count raises too), or when the
-    largest term, at the summed frequency nearest the turnaround, has an
-    exponent beyond the floating-point range.
+    largest term, at the summed frequency nearest the turnaround, times the
+    largest factor (2 pi f)^_TOP_ORDER of the summed frequencies could
+    exceed the floating-point range (_HEADROOM), whatever orders are asked.
     """
     t = tau.imag
     count = abs(z.imag) / t + _reach(t)
     if not count <= _K_MAX:
         raise SeriesTruncationError(f"series needs more than {_K_MAX} frequency pairs (z={z}, tau={tau})")
+    pairs = math.ceil(count)
     peak = math.floor(-z.imag / t) + 0.5
-    if -math.pi * (t * peak * peak + 2.0 * z.imag * peak) > _LOG_MAX:
+    if -math.pi * (t * peak * peak + 2.0 * z.imag * peak) > _HEADROOM[pairs]:
         raise SeriesTruncationError(f"series term exceeds the floating-point range (z={z}, tau={tau})")
-    return math.ceil(count)
+    return pairs
 
 
 def _frozen(totals: list) -> np.ndarray:
@@ -167,6 +173,35 @@ def _frozen(totals: list) -> np.ndarray:
     stack = np.array(totals, dtype=np.complex128)
     stack.flags.writeable = False
     return stack
+
+
+# the frequencies +1/2, -1/2, +3/2, -3/2, ... of _K_MAX pairs, in summing order, their modulus
+# factors pi i f^2, and the memo of _squares
+_FREQS = tuple(f for p in range(_K_MAX) for f in (p + 0.5, -(p + 0.5)))
+_MODULUS = tuple(_PI_I * f * f for f in _FREQS)
+_SQUARES: dict = {}
+
+
+@lru_cache(maxsize=8)
+def _columns(top: int) -> tuple:
+    """The argument factors (2 pi i f)^d at _FREQS, one tuple per order d = 0..top, each the one
+    before times 2 pi i f from 1.0 + 0j, so a column does not depend on top."""
+    steps = [_TWO_PI_I * f for f in _FREQS]
+    columns = [(1.0 + 0j,) * len(steps)]
+    for _ in range(top):
+        columns.append(tuple(map(mul, columns[-1], steps)))
+    return tuple(columns)
+
+
+def _squares(tau: complex, pairs: int) -> tuple:
+    """tau f f at the first 2 pairs frequencies of _FREQS, memoized by tau's bits and pairs: the two
+    zeros of tau.real compare and hash equal, so its sign is part of the key.  The memo is cleared
+    like the context memos (_remember)."""
+    key = (tau, math.copysign(1.0, tau.real), pairs)
+    squares = _SQUARES.get(key)
+    if squares is None:
+        squares = _remember(_SQUARES, key, tuple(tau * f * f for f in _FREQS[: 2 * pairs]))
+    return squares
 
 
 def theta_stack(
@@ -183,15 +218,17 @@ def theta_stack(
     pair_count(z, tau) symmetric pairs of increasing frequency, + before -,
     for every order alike, so an entry of order d is the same whatever
     max_dz >= d.  pair_count raises SeriesTruncationError before any term
-    is summed.
+    is summed.  The per-frequency constants are cached (_squares per tau
+    and pair count, _MODULUS and _columns per process): an order's terms are
+    the exponentials times its column of argument factors, added in
+    frequency order from 0j by sum().
 
     The result is read-only and memoized on ctx (see EllipticContext), by
     (z, dtau), longest stack kept: a request of the memo's length returns
     the same array, a shorter one a read-only view of its prefix, and only
     a longer one sums again.  A dtau = 1 request sums modulus orders 0 and
-    1 in one pass, from the same exponentials, and memoizes both, so a
-    caller that needs both asks for order 1 first.  A failed request is not
-    memoized.
+    1 from the same exponentials, and memoizes both, so a caller that needs
+    both asks for order 1 first.  A failed request is not memoized.
     """
     if max_dz < 0:
         raise ValueError("derivative orders must be non-negative")
@@ -203,38 +240,16 @@ def theta_stack(
     if stack is not None and len(stack) > max_dz:
         return stack if len(stack) == max_dz + 1 else stack[: max_dz + 1]
     tau = ctx.tau
-    pairs = pair_count(z, tau)
-    # plain Python numbers: no per-element numpy boxing
-    totals = [0j] * (max_dz + 1)
     shift = 2.0 * (z + 0.5)
+    bases = [cmath.exp(_PI_I * (q + shift * f)) for q, f in zip(_squares(tau, pair_count(z, tau)), _FREQS)]
+    # one cached entry serves every order theta allows
+    columns = _columns(max(max_dz, 5))[: max_dz + 1]
     if dtau == 1:
-        dots = [0j] * (max_dz + 1)
-        for p in range(pairs):
-            n = p + 0.5
-            for f in (n, -n):
-                base = cmath.exp(_PI_I * (tau * f * f + shift * f))
-                dbase = base * (_PI_I * f * f)
-                step = _TWO_PI_I * f
-                fac = 1.0 + 0j
-                for d in range(max_dz + 1):
-                    totals[d] += base * fac
-                    dots[d] += dbase * fac
-                    fac *= step
         plain = memo.get((z, 0))
         if plain is None or len(plain) <= max_dz:
-            _remember(memo, (z, 0), _frozen(totals))
-        totals = dots
-    else:
-        for p in range(pairs):
-            n = p + 0.5
-            for f in (n, -n):
-                base = cmath.exp(_PI_I * (tau * f * f + shift * f))
-                step = _TWO_PI_I * f
-                fac = 1.0 + 0j
-                for d in range(max_dz + 1):
-                    totals[d] += base * fac
-                    fac *= step
-    return _remember(memo, (z, dtau), _frozen(totals))
+            _remember(memo, (z, 0), _frozen([sum(map(mul, bases, c), 0j) for c in columns]))
+        bases = list(map(mul, bases, _MODULUS))
+    return _remember(memo, (z, dtau), _frozen([sum(map(mul, bases, c), 0j) for c in columns]))
 
 
 def theta(z: complex, ctx: EllipticContext, dz: int = 0, dtau: int = 0) -> complex:
@@ -332,31 +347,33 @@ def _check_request(hbar: complex, z: complex, series: tuple, ctx: EllipticContex
     _require_regular(hbar + z, ctx, "hbar+z")
 
 
-def _reciprocal_derivs(f: np.ndarray) -> np.ndarray:
-    """Derivatives of 1/f from derivatives of f (Leibniz recursion).
+def _reciprocal_derivs(f: np.ndarray) -> list:
+    """Derivatives of 1/f from derivatives of f (Leibniz recursion), by order.
 
-    f[d] is the d-th derivative, a number or, in the batch, an array over
-    points; so for this helper and the two below it.
+    f[d] is the d-th derivative: one point's stack, summed on plain Python
+    numbers, or in the batch an (order, point) array, summed on rows over
+    points; so for the two helpers below.  1/f[0] is numpy's division,
+    which Python's complex division does not match bit for bit.
     """
-    n = len(f)
-    r = np.zeros(f.shape, dtype=np.complex128)
-    r[0] = 1.0 / f[0]
-    for m in range(1, n):
+    r = [1.0 / f[0]]
+    if f.ndim == 1:
+        r, f = [complex(r[0])], f.tolist()
+    for m in range(1, len(f)):
         acc = 0j
         for k in range(1, m + 1):
             acc += comb(m, k) * f[k] * r[m - k]
-        r[m] = -r[0] * acc
+        r.append(-r[0] * acc)
     return r
 
 
-def _inner_table(hbar: complex, z: complex, ctx: EllipticContext, max_j: int, max_k: int) -> np.ndarray:
-    """Mixed derivative table of the kernel with no lattice reduction."""
+def _inner_table(hbar: complex, z: complex, ctx: EllipticContext, max_j: int, max_k: int) -> list:
+    """Mixed derivative table of the kernel with no lattice reduction, as rows of Python numbers."""
     top = max_j + max_k
-    a = theta_stack(hbar + z, ctx, top)
+    a = theta_stack(hbar + z, ctx, top).tolist()
     u = _reciprocal_derivs(theta_stack(hbar, ctx, max_j))
     v = _reciprocal_derivs(theta_stack(z, ctx, max_k))
     prime0, _ = _origin_data(ctx)
-    out = np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
+    out = [[0j] * (max_k + 1) for _ in range(max_j + 1)]
     for j in range(max_j + 1):
         for k in range(max_k + 1):
             acc = 0j
@@ -364,7 +381,7 @@ def _inner_table(hbar: complex, z: complex, ctx: EllipticContext, max_j: int, ma
                 cjp = comb(j, p)
                 for q in range(k + 1):
                     acc += cjp * comb(k, q) * a[p + q] * u[j - p] * v[k - q]
-            out[j, k] = prime0 * acc
+            out[j][k] = prime0 * acc
     return out
 
 
@@ -399,48 +416,41 @@ def phi_derivs(
     z = complex(z)
     if not reduce:
         _check_request(hbar, z, (z, hbar, hbar + z), ctx)
-        return _inner_table(hbar, z, ctx, max_j, max_k)
+        return np.array(_inner_table(hbar, z, ctx, max_j, max_k))
 
     z_red, _, n_z = lattice_reduce(z, ctx.tau)
     h_red, _, n_h = lattice_reduce(hbar, ctx.tau)
     _check_request(hbar, z, (z_red, h_red, h_red + z_red), ctx)
     inner = _inner_table(h_red, z_red, ctx, max_j, max_k)
     if n_z == 0 and n_h == 0:
-        return inner
+        return np.array(inner)
     # shift in z contributes a multiplier exponential in the parameter and
     # vice versa; differentiation therefore mixes orders downward
     envelope = _envelope(hbar, z, z_red, n_z, n_h)
     c_z = -_TWO_PI_I * n_z
     c_h = -_TWO_PI_I * n_h
-    out = np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
+    out = [[0j] * (max_k + 1) for _ in range(max_j + 1)]
     for j in range(max_j + 1):
         for k in range(max_k + 1):
             acc = 0j
             for i in range(j + 1):
                 w_ji = comb(j, i) * c_z ** (j - i)
                 for l in range(k + 1):
-                    acc += w_ji * comb(k, l) * c_h ** (k - l) * inner[i, l]
-            out[j, k] = envelope * acc
-    return out
+                    acc += w_ji * comb(k, l) * c_h ** (k - l) * inner[i][l]
+            out[j][k] = envelope * acc
+    return np.array(out)
 
 
-def _derivs_of_square(f: np.ndarray) -> np.ndarray:
-    """Derivatives of f^2 from derivatives of f."""
-    n = len(f)
-    out = np.zeros(f.shape, dtype=np.complex128)
-    for s in range(n):
-        out[s] = sum(comb(s, i) * f[i] * f[s - i] for i in range(s + 1))
-    return out
+def _derivs_of_square(f: list) -> list:
+    """Derivatives of f^2 from derivatives of f, by order."""
+    return [sum(comb(s, i) * f[i] * f[s - i] for i in range(s + 1)) for s in range(len(f))]
 
 
-def _reciprocal_dot(f_dot: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Modulus-derivative stack of 1/f from those of f and of 1/f itself."""
-    n = len(r)
+def _reciprocal_dot(f_dot: np.ndarray, r: list) -> list:
+    """Modulus-derivative stack of 1/f, by order, from that of f and the derivatives r of 1/f."""
+    f_dot = f_dot.tolist() if f_dot.ndim == 1 else f_dot
     r2 = _derivs_of_square(r)
-    out = np.zeros(r.shape, dtype=np.complex128)
-    for p in range(n):
-        out[p] = -sum(comb(p, s) * f_dot[s] * r2[p - s] for s in range(p + 1))
-    return out
+    return [-sum(comb(p, s) * f_dot[s] * r2[p - s] for s in range(p + 1)) for p in range(len(r))]
 
 
 def phi_tau_derivs(
@@ -463,8 +473,8 @@ def phi_tau_derivs(
     _check_request(hbar, z, (z, hbar, hbar + z), ctx)
     top = max_j + max_k
     # modulus order 1 first at each argument: its pass memoizes order 0 too
-    a_dot = theta_stack(hbar + z, ctx, top, dtau=1)
-    a = theta_stack(hbar + z, ctx, top)
+    a_dot = theta_stack(hbar + z, ctx, top, dtau=1).tolist()
+    a = theta_stack(hbar + z, ctx, top).tolist()
     h_dot = theta_stack(hbar, ctx, max_j, dtau=1)
     u = _reciprocal_derivs(theta_stack(hbar, ctx, max_j))
     u_dot = _reciprocal_dot(h_dot, u)
@@ -472,7 +482,7 @@ def phi_tau_derivs(
     v = _reciprocal_derivs(theta_stack(z, ctx, max_k))
     v_dot = _reciprocal_dot(z_dot, v)
     prime0, prime0_dot = _origin_data(ctx)
-    out = np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
+    out = [[0j] * (max_k + 1) for _ in range(max_j + 1)]
     for j in range(max_j + 1):
         for k in range(max_k + 1):
             inner = 0j
@@ -487,32 +497,35 @@ def phi_tau_derivs(
                         + a[p + q] * u_dot[j - p] * v[k - q]
                         + a[p + q] * u[j - p] * v_dot[k - q]
                     )
-            out[j, k] = prime0_dot * inner + prime0 * dot
-    return out
+            out[j][k] = prime0_dot * inner + prime0 * dot
+    return np.array(out)
 
 
 # -- degenerations ----------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _coth_poly(n: int) -> tuple:
+    """Coefficients in c = coth(x) of p_n(c) = d^n/dx^n coth(x), p_0 = c and p_{n+1} = p_n'(c) (1 - c^2):
+    exact small integers, as floats."""
+    if n == 0:
+        return (0.0, 1.0)
+    deriv = [a * i for i, a in enumerate(_coth_poly(n - 1))][1:]
+    return tuple(a - b for a, b in zip(deriv + [0.0, 0.0], [0.0, 0.0] + deriv))
+
+
 def _coth_derivs(x: complex, n_max: int, pole_radius: float) -> np.ndarray:
-    """[d^n/dx^n coth(x)] for n = 0..n_max via the square polynomial chain."""
+    """[d^n/dx^n coth(x)] for n = 0..n_max via the square polynomial chain (_coth_poly)."""
     x = complex(x)
     nearest = round(x.imag / math.pi)
     if abs(x - 1j * math.pi * nearest) < pole_radius:
         raise PoleProximityError(f"argument {x} too close to a hyperbolic pole")
     c = 1.0 / cmath.tanh(x)
-    # p_0 = c, p_{n+1} = p_n' * (1 - c^2); store polynomial coefficients in c
-    coeffs = [0.0, 1.0]
-    out = np.zeros(n_max + 1, dtype=np.complex128)
-    out[0] = c
+    out = [c]
     for n in range(1, n_max + 1):
-        deriv = [coeffs[i] * i for i in range(1, len(coeffs))]
-        nxt = list(deriv) + [0.0, 0.0]
-        for i, d in enumerate(deriv):
-            nxt[i + 2] -= d
-        coeffs = nxt
-        out[n] = sum(coeffs[i] * c**i for i in range(len(coeffs)))
-    return out
+        coeffs = _coth_poly(n)
+        out.append(sum(coeffs[i] * c**i for i in range(len(coeffs))))
+    return np.array(out)
 
 
 def _pole_derivs(x: complex, n_max: int, pole_radius: float) -> np.ndarray:

@@ -116,11 +116,20 @@ class HeisenbergBasis:
         a2, gather = _gather(self.N)
         return np.ascontiguousarray(np.add.accumulate(coeffs[:, :, a2] * gather, axis=1)[:, -1])
 
-    def canonical_indices(self) -> list[MultiIndex]:
-        return [MultiIndex(a1, a2) for a1, a2 in product(range(self.N), repeat=2)]
+    def canonical_indices(self) -> tuple[MultiIndex, ...]:
+        """Every channel (a1, a2), 0 <= a1, a2 < N, a1 major: one tuple per N, cached."""
+        return _indices(self.N)[0]
 
-    def nonzero_indices(self) -> list[MultiIndex]:
-        return [a for a in self.canonical_indices() if not a.is_zero()]
+    def nonzero_indices(self) -> tuple[MultiIndex, ...]:
+        """canonical_indices without (0, 0)."""
+        return _indices(self.N)[1]
+
+
+@functools.lru_cache(maxsize=8)
+def _indices(N: int) -> tuple[tuple[MultiIndex, ...], tuple[MultiIndex, ...]]:
+    """(canonical, nonzero) channel tuples of HeisenbergBasis(N)."""
+    canonical = tuple(MultiIndex(a1, a2) for a1, a2 in product(range(N), repeat=2))
+    return canonical, tuple(a for a in canonical if not a.is_zero())
 
 
 @functools.lru_cache(maxsize=8)
@@ -512,7 +521,8 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> li
     """The channel sums of several operators in one pass, each bit for bit the sum built alone: each
     op (indices, hbar, mu, p1, p2, form, odd) sums T_a (x) T_-a times super_basis_phi (odd) or the
     dressed kernel over the distinct a in indices, 0 <= a1, a2 < N, at hbar + (a1 + a2 tau)/N and
-    z12 = p1.z - p2.z, the parameters complex(hbar) plus the channel shifts (_channels).  Every channel
+    z12 = p1.z - p2.z, the parameters complex(hbar) plus the channel shifts (_channels, keyed by indices
+    itself when it is a tuple of pairs, as HeisenbergBasis gives, else by its pairs as one).  Every channel
     function is a _Template: an odd one compiled once per a2 of an op (_template), an ordinary one the
     one-cell _ordinary.  One batch.elliptic_tables request per (modulus order, table size), reduced,
     serves all channels, order 0 first, else in the order the channels first need them; an ordinary
@@ -532,7 +542,8 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> li
     hbars, z12s, grids, ids, odds = [], [], [], [], []
     templates: dict[_Template, int] = {}
     for indices, hbar, mu, p1, p2, form, odd in ops:
-        shifts, grid, rank, firsts = _channels(tuple(map(tuple, indices)), N, ctx.tau)
+        key = indices if isinstance(indices, tuple) else tuple(map(tuple, indices))
+        shifts, grid, rank, firsts = _channels(key, N, ctx.tau)
         built = [templates.setdefault(_template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) if odd
                                       else _ordinary(alpha[1], N), len(templates)) for alpha in firsts]
         hbars.append(complex(hbar) + shifts)

@@ -8,6 +8,7 @@ and are trusted to all printed digits.
 import cmath
 import math
 import re
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import phi
 
-from superkron import batch
+from superkron import batch, elliptic
 from superkron.batch import elliptic_tables
 from superkron.elliptic import (
     EllipticContext,
@@ -185,6 +186,92 @@ def theta_stack_reference(z, ctx, max_dz=0, dtau=0):
     return totals
 
 
+def reciprocal_derivs_reference(f):
+    """The Leibniz recursion for the derivatives of 1/f, on numpy array elements."""
+    r = np.zeros(f.shape, dtype=np.complex128)
+    r[0] = 1.0 / f[0]
+    for m in range(1, len(f)):
+        acc = 0j
+        for k in range(1, m + 1):
+            acc += comb(m, k) * f[k] * r[m - k]
+        r[m] = -r[0] * acc
+    return r
+
+
+def reciprocal_dot_reference(f_dot, r):
+    """The modulus-derivative stack of 1/f, on numpy array elements."""
+    r2 = np.zeros(r.shape, dtype=np.complex128)
+    for s in range(len(r)):
+        r2[s] = sum(comb(s, i) * r[i] * r[s - i] for i in range(s + 1))
+    out = np.zeros(r.shape, dtype=np.complex128)
+    for p in range(len(r)):
+        out[p] = -sum(comb(p, s) * f_dot[s] * r2[p - s] for s in range(p + 1))
+    return out
+
+
+def inner_table_reference(hbar, z, ctx, max_j, max_k):
+    """The unreduced kernel table's Leibniz sums, on numpy array elements."""
+    a = theta_stack_reference(hbar + z, ctx, max_j + max_k)
+    u = reciprocal_derivs_reference(theta_stack_reference(hbar, ctx, max_j))
+    v = reciprocal_derivs_reference(theta_stack_reference(z, ctx, max_k))
+    prime0 = complex(theta_stack_reference(0.0, ctx, 1)[1])
+    out = np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
+    for j in range(max_j + 1):
+        for k in range(max_k + 1):
+            acc = 0j
+            for p in range(j + 1):
+                for q in range(k + 1):
+                    acc += comb(j, p) * comb(k, q) * a[p + q] * u[j - p] * v[k - q]
+            out[j, k] = prime0 * acc
+    return out
+
+
+def phi_derivs_reference(hbar, z, ctx, max_j, max_k, reduce):
+    """phi_derivs' table and lattice multiplier sums, on numpy array elements."""
+    if not reduce:
+        return inner_table_reference(hbar, z, ctx, max_j, max_k)
+    z_red, _, n_z = lattice_reduce(z, ctx.tau)
+    h_red, _, n_h = lattice_reduce(hbar, ctx.tau)
+    inner = inner_table_reference(h_red, z_red, ctx, max_j, max_k)
+    if n_z == 0 and n_h == 0:
+        return inner
+    envelope = cmath.exp(-TWO_PI_I * (n_z * hbar + n_h * z_red))
+    c_z, c_h = -TWO_PI_I * n_z, -TWO_PI_I * n_h
+    out = np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
+    for j in range(max_j + 1):
+        for k in range(max_k + 1):
+            acc = 0j
+            for i in range(j + 1):
+                for l in range(k + 1):
+                    acc += comb(j, i) * c_z ** (j - i) * comb(k, l) * c_h ** (k - l) * inner[i, l]
+            out[j, k] = envelope * acc
+    return out
+
+
+def phi_tau_derivs_reference(hbar, z, ctx, max_j, max_k):
+    """phi_tau_derivs' Leibniz sums, on numpy array elements."""
+    top = max_j + max_k
+    a, a_dot = (theta_stack_reference(hbar + z, ctx, top, dtau) for dtau in (0, 1))
+    u = reciprocal_derivs_reference(theta_stack_reference(hbar, ctx, max_j))
+    u_dot = reciprocal_dot_reference(theta_stack_reference(hbar, ctx, max_j, 1), u)
+    v = reciprocal_derivs_reference(theta_stack_reference(z, ctx, max_k))
+    v_dot = reciprocal_dot_reference(theta_stack_reference(z, ctx, max_k, 1), v)
+    prime0, prime0_dot = (complex(theta_stack_reference(0.0, ctx, 1, dtau)[1]) for dtau in (0, 1))
+    out = np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
+    for j in range(max_j + 1):
+        for k in range(max_k + 1):
+            inner = 0j
+            dot = 0j
+            for p in range(j + 1):
+                for q in range(k + 1):
+                    c = comb(j, p) * comb(k, q)
+                    inner += c * a[p + q] * u[j - p] * v[k - q]
+                    dot += c * (a_dot[p + q] * u[j - p] * v[k - q] + a[p + q] * u_dot[j - p] * v[k - q]
+                                + a[p + q] * u[j - p] * v_dot[k - q])
+            out[j, k] = prime0_dot * inner + prime0 * dot
+    return out
+
+
 @pytest.mark.parametrize("tau", SWEEP_MODULI)
 def test_theta_stack_bitwise_equals_reference_loop(tau):
     rng = np.random.default_rng(SWEEP_MODULI.index(tau))
@@ -199,6 +286,48 @@ def test_theta_stack_bitwise_equals_reference_loop(tau):
         # a fresh context sums, the shared one may answer from its memo
         assert theta_stack(z, EllipticContext(tau), max_dz, dtau).tobytes() == want
         assert theta_stack(z, ctx, max_dz, dtau).tobytes() == want
+
+
+def table_points(tau):
+    """(hbar, z) pairs for the kernel tables: reduced points, the same shifted by up to two periods,
+    and points with a zero of either sign in one coordinate."""
+    rng = np.random.default_rng(43)
+    reduced = [lattice_reduce(w, tau)[0] for w in cell_points(rng, 8, tau)]
+    shifted = [w + int(rng.integers(-2, 3)) + int(rng.integers(-2, 3)) * tau for w in reduced]
+    zeros = [complex(x, y) for zero in (0.0, -0.0) for x, y in ((zero, 0.4 * tau.imag), (0.3, zero))]
+    points = reduced + shifted + zeros
+    return list(zip(points, points[3:] + points[:3]))
+
+
+@pytest.mark.parametrize("tau", GEOMETRY_MODULI + (complex(0.0, 1.1), complex(-0.0, 1.1)))
+def test_tables_bitwise_equal_reference_loops(tau):
+    # the kernel tables sum on Python numbers what the reference loops sum
+    # on numpy array elements, to the bit; the two signed-zero moduli run one
+    # after the other, so a constant cached for one cannot serve the other
+    ctx = EllipticContext(tau)
+    compared = 0
+    for h, z in table_points(tau):
+        for max_j, max_k in ((0, 0), (1, 1), (2, 1), (3, 3)):
+            for reduce in (True, False):
+                try:
+                    got = phi_derivs(h, z, ctx, max_j, max_k, reduce=reduce)
+                except (SeriesTruncationError, PoleProximityError, OverflowError):
+                    continue
+                assert got.tobytes() == phi_derivs_reference(h, z, ctx, max_j, max_k, reduce).tobytes()
+                compared += 1
+        for max_j, max_k in ((0, 0), (1, 0), (1, 1)):
+            try:
+                got = phi_tau_derivs(h, z, ctx, max_j, max_k)
+            except (SeriesTruncationError, PoleProximityError):
+                continue
+            assert got.tobytes() == phi_tau_derivs_reference(h, z, ctx, max_j, max_k).tobytes()
+            compared += 1
+    assert compared >= 100
+    # the per-frequency constants are cached by tau's bits: this modulus's own, not the other zero's
+    theta_stack(0.1 + 0.2j, ctx)
+    n = pair_count(0.1 + 0.2j, tau)
+    want = [tau * f * f for p in range(n) for f in (p + 0.5, -(p + 0.5))]
+    assert np.array(elliptic._squares(tau, n)).tobytes() == np.array(want).tobytes()
 
 
 def test_pair_count_bounds_the_first_omitted_terms():
@@ -238,6 +367,18 @@ def test_pair_count_bounds_the_first_omitted_terms():
             with pytest.raises(SeriesTruncationError) as got:
                 batch._pair_counts(np.array(good[:3] + [bad, complex(0.3, -1e300)] + good), tau)
             assert str(got.value) == str(want.value)
+        # every stack that passes is finite up to the top order, modulus derivative included
+        for w in good:
+            for dtau in (0, 1):
+                assert np.isfinite(theta_stack(w, EllipticContext(tau), 7 - 2 * dtau, dtau)).all(), (tau, w, dtau)
+    # a largest term within the range whose derivative factors are not: refused on both routes,
+    # naming z, before anything is summed
+    tau, z = 0.3 + 60j, -1.4 + 120j
+    for call in (lambda: pair_count(z, tau), lambda: theta_stack(z, EllipticContext(tau)),
+                 lambda: batch._pair_counts(np.array([0.1 + 0.2j, z]), tau),
+                 lambda: elliptic_tables([z], 0.1, EllipticContext(tau), 0, 0, 1, True)):
+        with pytest.raises(SeriesTruncationError, match=re.escape(f"floating-point range (z={z}, tau={tau})")):
+            call()
 
 
 def test_stack_entries_do_not_depend_on_the_stack_length():
@@ -795,6 +936,30 @@ def test_trig_kernel_closed_form():
     assert tab[1, 0] == pytest.approx(d_h, rel=1e-13)
     d_z2 = 2 * cmath.cosh(z) / cmath.sinh(z) ** 3
     assert tab[0, 2] == pytest.approx(d_z2, rel=1e-13)
+
+
+def coth_derivs_reference(x, n_max):
+    """The square polynomial chain of coth's derivatives, its coefficients rebuilt on every call."""
+    c = 1.0 / cmath.tanh(x)
+    coeffs = [0.0, 1.0]
+    out = np.zeros(n_max + 1, dtype=np.complex128)
+    out[0] = c
+    for n in range(1, n_max + 1):
+        deriv = [coeffs[i] * i for i in range(1, len(coeffs))]
+        coeffs = deriv + [0.0, 0.0]
+        for i, d in enumerate(deriv):
+            coeffs[i + 2] -= d
+        out[n] = sum(coeffs[i] * c**i for i in range(len(coeffs)))
+    return out
+
+
+def test_coth_chain_is_built_once_per_order(rng):
+    from superkron.elliptic import _coth_derivs, _coth_poly
+
+    assert _coth_poly(4) is _coth_poly(4) and _coth_poly(2) == (0.0, -2.0, 0.0, 2.0)
+    for x in [complex(*rng.uniform(-3, 3, size=2)) for _ in range(40)] + [0.3, complex(-0.0, 0.4), 2.5 - 0.0j]:
+        for n_max in range(7):
+            assert _coth_derivs(x, n_max, 1e-3).tobytes() == coth_derivs_reference(x, n_max).tobytes()
 
 
 def test_rational_kernel_closed_form():

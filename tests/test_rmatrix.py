@@ -147,6 +147,29 @@ def test_index_lists():
     assert all(not a.is_zero() for a in b.nonzero_indices())
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 6])
+def test_index_tuples_are_built_once_per_N(N):
+    # one tuple per N, shared by every basis of that N and every call
+    b = HeisenbergBasis(N)
+    canonical, nonzero = b.canonical_indices(), b.nonzero_indices()
+    assert canonical is HeisenbergBasis(N).canonical_indices() and nonzero is b.nonzero_indices()
+    assert canonical == tuple(MultiIndex(a1, a2) for a1, a2 in product(range(N), repeat=2))
+    assert nonzero == canonical[1:] and all(type(a) is MultiIndex for a in canonical)
+
+
+def test_channel_sums_take_index_lists():
+    # a list of pairs, of MultiIndex or plain lists, sums as the cached tuple does
+    b, ctx = HeisenbergBasis(3), EllipticContext(0.3 + 1.1j)
+    p, q = SuperPoint(0.31 + 0.17j, "ζ1"), SuperPoint(-0.12 + 0.4j, "ζ2")
+    for indices in (b.canonical_indices(), b.nonzero_indices()):
+        for odd in (False, True):
+            want = channel_sums([(indices, 0.21 - 0.1j, "μ1", p, q, "shift", odd)], "ω", b, ctx)[0]
+            for given in (list(indices), [list(a) for a in indices]):
+                got = channel_sums([(given, 0.21 - 0.1j, "μ1", p, q, "shift", odd)], "ω", b, ctx)[0]
+                assert list(got.blocks) == list(want.blocks)
+                assert all(got.blocks[m].tobytes() == a.tobytes() for m, a in want.blocks.items())
+
+
 # -- channel functions -----------------------------------------------------------
 
 
