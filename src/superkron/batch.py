@@ -201,11 +201,11 @@ def _multiplied(tables: np.ndarray, hs, ws, z_red, n_z, n_h, max_j: int, max_k: 
     return out
 
 
-def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau: int, reduce: bool) -> np.ndarray:
+def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau: int) -> np.ndarray:
     """The elliptic kernel_derivs tables at every parameter in hbars, with one z or one z per parameter.
 
     Returns shape (len(hbars), max_j + 1, max_k + 1): phi_derivs (dtau = 0,
-    reduced or not) or phi_tau_derivs (dtau = 1) at each point, to rounding.
+    reduced) or phi_tau_derivs (dtau = 1, unreduced) at each point, to rounding.
     Each distinct point is tabulated once and each distinct theta argument
     summed once.  The error contract is elliptic's single-point one (see
     elliptic._check_request) over the whole list: first pair_count decides
@@ -229,7 +229,7 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     tau = ctx.tau
     first, which = _distinct(np.stack([hbars, zs], axis=1))
     hs, ws = hbars[first], zs[first]
-    reduced = reduce and not dtau
+    reduced = not dtau
     if reduced:
         z_red, _, n_z = _lattice_reduce(ws, tau)
         h_red, _, n_h = _lattice_reduce(hs, tau)

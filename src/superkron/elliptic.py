@@ -83,9 +83,10 @@ class EllipticContext:
 
     Each context also keeps two memos, so that no theta argument is
     summed or pole-checked twice under it:
-    - _stacks: the longest theta stack theta_stack has summed at each
-      (z, dtau); a shorter request reads its prefix.  Only theta_stack
-      fills it, so the batch route (batch.elliptic_tables) sums its own.
+    - _stacks: the longest theta stack, a tuple, that theta_stack has
+      summed at each (z, dtau); a shorter request reads a slice of it.
+      Only theta_stack fills it, so the batch route
+      (batch.elliptic_tables) sums its own.
     - _regular: the lattice distance of each point that passed the pole
       check of _require_regular, on either route.
     A check that fails raises and leaves no entry.  Each memo is cleared
@@ -112,9 +113,9 @@ class EllipticContext:
             raise ValueError("pole_radius must be positive and finite")
 
 
-def _remember(memo: dict, key, value):
-    """value, stored in memo under key; a memo that holds _MEMO_LIMIT entries is cleared first."""
-    if len(memo) >= _MEMO_LIMIT:
+def _remember(memo: dict, key, value, limit: int = _MEMO_LIMIT):
+    """value, stored in memo under key; a memo that holds limit entries is cleared first."""
+    if len(memo) >= limit:
         memo.clear()
     memo[key] = value
     return value
@@ -168,13 +169,6 @@ def pair_count(z: complex, tau: complex) -> int:
     return pairs
 
 
-def _frozen(totals: list) -> np.ndarray:
-    """totals as a read-only complex array."""
-    stack = np.array(totals, dtype=np.complex128)
-    stack.flags.writeable = False
-    return stack
-
-
 # the frequencies +1/2, -1/2, +3/2, -3/2, ... of _K_MAX pairs, in summing order, their modulus
 # factors pi i f^2, and the memo of _squares
 _FREQS = tuple(f for p in range(_K_MAX) for f in (p + 0.5, -(p + 0.5)))
@@ -209,8 +203,8 @@ def theta_stack(
     ctx: EllipticContext,
     max_dz: int = 0,
     dtau: int = 0,
-) -> np.ndarray:
-    """Argument-derivative stack [f, f', ..., f^(max_dz)] at z.
+) -> tuple:
+    """Argument-derivative stack (f, f', ..., f^(max_dz)) at z, a tuple of Python complex numbers.
 
     With dtau = 1 every entry additionally carries one derivative in the
     modulus; any other modulus order than 0 or 1 raises ValueError.  All
@@ -223,12 +217,12 @@ def theta_stack(
     the exponentials times its column of argument factors, added in
     frequency order from 0j by sum().
 
-    The result is read-only and memoized on ctx (see EllipticContext), by
-    (z, dtau), longest stack kept: a request of the memo's length returns
-    the same array, a shorter one a read-only view of its prefix, and only
-    a longer one sums again.  A dtau = 1 request sums modulus orders 0 and
-    1 from the same exponentials, and memoizes both, so a caller that needs
-    both asks for order 1 first.  A failed request is not memoized.
+    The result is memoized on ctx (see EllipticContext), by (z, dtau),
+    longest stack kept: a request of the memo's length returns the same
+    tuple, a shorter one a slice of it, and only a longer one sums again.
+    A dtau = 1 request sums modulus orders 0 and 1 from the same
+    exponentials, and memoizes both, so a caller that needs both asks for
+    order 1 first.  A failed request is not memoized.
     """
     if max_dz < 0:
         raise ValueError("derivative orders must be non-negative")
@@ -238,7 +232,7 @@ def theta_stack(
     memo = ctx._stacks
     stack = memo.get((z, dtau))
     if stack is not None and len(stack) > max_dz:
-        return stack if len(stack) == max_dz + 1 else stack[: max_dz + 1]
+        return stack[: max_dz + 1]
     tau = ctx.tau
     shift = 2.0 * (z + 0.5)
     bases = [cmath.exp(_PI_I * (q + shift * f)) for q, f in zip(_squares(tau, pair_count(z, tau)), _FREQS)]
@@ -247,16 +241,16 @@ def theta_stack(
     if dtau == 1:
         plain = memo.get((z, 0))
         if plain is None or len(plain) <= max_dz:
-            _remember(memo, (z, 0), _frozen([sum(map(mul, bases, c), 0j) for c in columns]))
+            _remember(memo, (z, 0), tuple([sum(map(mul, bases, c), 0j) for c in columns]))
         bases = list(map(mul, bases, _MODULUS))
-    return _remember(memo, (z, dtau), _frozen([sum(map(mul, bases, c), 0j) for c in columns]))
+    return _remember(memo, (z, dtau), tuple([sum(map(mul, bases, c), 0j) for c in columns]))
 
 
 def theta(z: complex, ctx: EllipticContext, dz: int = 0, dtau: int = 0) -> complex:
     """Odd lattice function (or a z/modulus derivative of it) at z."""
     if not 0 <= dz <= 5:
         raise ValueError("argument-derivative order limited to 5")
-    return complex(theta_stack(z, ctx, dz, dtau)[dz])
+    return theta_stack(z, ctx, dz, dtau)[dz]
 
 
 @lru_cache(maxsize=64)
@@ -347,17 +341,17 @@ def _check_request(hbar: complex, z: complex, series: tuple, ctx: EllipticContex
     _require_regular(hbar + z, ctx, "hbar+z")
 
 
-def _reciprocal_derivs(f: np.ndarray) -> list:
+def _reciprocal_derivs(f) -> list:
     """Derivatives of 1/f from derivatives of f (Leibniz recursion), by order.
 
-    f[d] is the d-th derivative: one point's stack, summed on plain Python
-    numbers, or in the batch an (order, point) array, summed on rows over
-    points; so for the two helpers below.  1/f[0] is numpy's division,
+    f[d] is the d-th derivative: one point's stack, a tuple summed on plain
+    Python numbers, or in the batch an (order, point) array, summed on rows
+    over points; so for the two helpers below.  1/f[0] is numpy's division,
     which Python's complex division does not match bit for bit.
     """
-    r = [1.0 / f[0]]
-    if f.ndim == 1:
-        r, f = [complex(r[0])], f.tolist()
+    r = [np.divide(1.0, f[0])]
+    if isinstance(f, tuple):
+        r = [complex(r[0])]
     for m in range(1, len(f)):
         acc = 0j
         for k in range(1, m + 1):
@@ -369,7 +363,7 @@ def _reciprocal_derivs(f: np.ndarray) -> list:
 def _inner_table(hbar: complex, z: complex, ctx: EllipticContext, max_j: int, max_k: int) -> list:
     """Mixed derivative table of the kernel with no lattice reduction, as rows of Python numbers."""
     top = max_j + max_k
-    a = theta_stack(hbar + z, ctx, top).tolist()
+    a = theta_stack(hbar + z, ctx, top)
     u = _reciprocal_derivs(theta_stack(hbar, ctx, max_j))
     v = _reciprocal_derivs(theta_stack(z, ctx, max_k))
     prime0, _ = _origin_data(ctx)
@@ -446,9 +440,8 @@ def _derivs_of_square(f: list) -> list:
     return [sum(comb(s, i) * f[i] * f[s - i] for i in range(s + 1)) for s in range(len(f))]
 
 
-def _reciprocal_dot(f_dot: np.ndarray, r: list) -> list:
+def _reciprocal_dot(f_dot, r: list) -> list:
     """Modulus-derivative stack of 1/f, by order, from that of f and the derivatives r of 1/f."""
-    f_dot = f_dot.tolist() if f_dot.ndim == 1 else f_dot
     r2 = _derivs_of_square(r)
     return [-sum(comb(p, s) * f_dot[s] * r2[p - s] for s in range(p + 1)) for p in range(len(r))]
 
@@ -473,8 +466,8 @@ def phi_tau_derivs(
     _check_request(hbar, z, (z, hbar, hbar + z), ctx)
     top = max_j + max_k
     # modulus order 1 first at each argument: its pass memoizes order 0 too
-    a_dot = theta_stack(hbar + z, ctx, top, dtau=1).tolist()
-    a = theta_stack(hbar + z, ctx, top).tolist()
+    a_dot = theta_stack(hbar + z, ctx, top, dtau=1)
+    a = theta_stack(hbar + z, ctx, top)
     h_dot = theta_stack(hbar, ctx, max_j, dtau=1)
     u = _reciprocal_derivs(theta_stack(hbar, ctx, max_j))
     u_dot = _reciprocal_dot(h_dot, u)

@@ -25,10 +25,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .elliptic import EllipticContext, phi_derivs
+from .elliptic import EllipticContext, _remember, phi_derivs
 from .grassmann import default_generators
-from .superfunc import (SuperFunction, SuperPoint, _dressing, _memo_key, _odd_element, _remember, super_phi, three_term,
-                        three_term_specs)
+from .superfunc import (_MEMO_LIMIT, SuperFunction, SuperPoint, _dressing, _memo_key, _odd_element, super_phi,
+                        three_term, three_term_specs)
 
 __all__ = [
     "MultiIndex",
@@ -463,24 +463,25 @@ def anticommutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return out
 
 
-# compiled odd channel functions by (form, a2, N, slots), cleared when it holds 1024 (superfunc._remember)
+# compiled odd channel functions by (form, a2, N, slots), cleared at superfunc's bound of 1024 (elliptic._remember)
 _TEMPLATES: dict = {}
 
 
 class _Template:
-    """A channel function compiled to a dense matrix: matrix[m, c] is what table cell c (modulus order
-    dtau[c], flat position cell[c] in the table of size sizes[dtau]) contributes to monomial masks[m],
-    masks ascending; the function is exp(exp_coeff z12) times matrix @ cells."""
+    """A channel function compiled to a dense matrix: matrix[m, c] is what table cell c, at modulus order
+    dtau[c] and position (j[c], k[c]), contributes to monomial masks[m], masks and cells (dtau, j, k)
+    ascending; the function is exp(exp_coeff z12) times matrix @ cells.  sizes maps each modulus order it
+    reads to the largest (j, k) read there; a cell is read from any table at least that large."""
 
     def __init__(self, rows, sizes: dict, exp_coeff: complex) -> None:
         self.sizes, self.exp_coeff = sizes, exp_coeff
         masks = sorted({r[0] for r in rows})
-        cells = sorted({(d, j * (sizes[d][1] + 1) + k) for _, d, j, k, _ in rows})
+        cells = sorted({r[1:4] for r in rows})
         self.masks = np.array(masks, dtype=int)
-        self.dtau, self.cell = np.array(cells, dtype=int).reshape(-1, 2).T
+        self.dtau, self.j, self.k = np.array(cells, dtype=int).reshape(-1, 3).T
         self.matrix = np.zeros((len(masks), len(cells)), dtype=complex)
         for mask, d, j, k, scalar in rows:
-            self.matrix[masks.index(mask), cells.index((d, j * (sizes[d][1] + 1) + k))] += scalar
+            self.matrix[masks.index(mask), cells.index((d, j, k))] += scalar
 
 
 def _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) -> _Template:
@@ -490,7 +491,7 @@ def _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) -> _Template:
     hit = _TEMPLATES.get(key)
     if hit is None:
         f = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form)
-        hit = _remember(_TEMPLATES, key, _Template(*f.plan(), f.exp_coeff))
+        hit = _remember(_TEMPLATES, key, _Template(*f.plan(), f.exp_coeff), _MEMO_LIMIT)
     return hit
 
 
@@ -501,20 +502,13 @@ def _ordinary(a2: int, N: int) -> _Template:
 
 
 @functools.lru_cache(maxsize=64)
-def _channels(indices: tuple, N: int, tau: complex) -> tuple:
-    """(shifts, grid, rank, firsts) of a channel list, read-only and cached per (indices, N, tau): each
-    channel's channel_shift, its position a1 N + a2 in the N x N grid, and the position of its a2 among
-    the distinct a2 in order of first appearance; firsts holds the first channel of each distinct a2."""
-    firsts: dict = {}
-    for alpha in indices:
-        firsts.setdefault(alpha[1], alpha)
-    position = {a2: i for i, a2 in enumerate(firsts)}
+def _channels(indices: tuple, N: int, tau: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(shifts, grid) of a channel list, read-only and cached per (indices, N, tau): each channel's
+    channel_shift and its position a1 N + a2 in the N x N grid."""
     shifts = np.array([channel_shift(alpha, N, tau) for alpha in indices], dtype=complex)
     grid = np.array([alpha[0] * N + alpha[1] for alpha in indices], dtype=int)
-    rank = np.array([position[alpha[1]] for alpha in indices], dtype=int)
-    for arr in (shifts, grid, rank):
-        arr.flags.writeable = False
-    return shifts, grid, rank, tuple(firsts.values())
+    shifts.flags.writeable = grid.flags.writeable = False
+    return shifts, grid
 
 
 def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> list[SuperMatrix]:
@@ -523,67 +517,55 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> li
     dressed kernel over the distinct a in indices, 0 <= a1, a2 < N, at hbar + (a1 + a2 tau)/N and
     z12 = p1.z - p2.z, the parameters complex(hbar) plus the channel shifts (_channels, keyed by indices
     itself when it is a tuple of pairs, as HeisenbergBasis gives, else by its pairs as one).  Every channel
-    function is a _Template: an odd one compiled once per a2 of an op (_template), an ordinary one the
-    one-cell _ordinary.  One batch.elliptic_tables request per (modulus order, table size), reduced,
-    serves all channels, order 0 first, else in the order the channels first need them; an ordinary
-    channel at the bits of an odd one reads cell (0, 0) of that channel's order-0 table instead (no cell
-    depends on the table size).  Each distinct (exp_coeff, z12) dressing is exponentiated once, after
-    the requests, in the order the channels first need it.  A pass raises the error of its first
-    failing request, else of its first dressing.  The channels of one template contract its matrix
-    with their table cells in one in-order sum over the cells, in numpy's complex arithmetic, so they
-    agree with evaluate to rounding; an operator's blocks, in ascending monomial order, come from
-    HeisenbergBasis.channel_blocks.
+    function is a _Template, one per distinct a2 of an op: an odd one compiled by _template at (0, a2), an
+    ordinary one the one-cell _ordinary.  One batch.elliptic_tables request per modulus order, order 0
+    first, covers every channel whose template reads that order, at the largest (max_j, max_k) any
+    template of the pass reads there; the batch tabulates each distinct (hbar, z12) point once, and no
+    cell depends on the table size.  Each distinct (exp_coeff, z12) dressing is exponentiated once, after
+    the requests, in the order the channels first need it.  So a pass raises what its order-0 request
+    raises over all its channels, else what its order-1 request raises, else the error of its first
+    dressing.  The channels of one template contract its matrix with their table cells in one in-order
+    sum over the cells, in numpy's complex arithmetic, so they agree with evaluate to rounding; an
+    operator's blocks, in ascending monomial order, come from HeisenbergBasis.channel_blocks.
     """
     N = basis.N
     # loaded on first use, so the scalar suites never load it; looked up at call time, so wrappers
     # installed on the module are seen
     from . import batch
 
-    hbars, z12s, grids, ids, odds = [], [], [], [], []
+    hbars, z12s, grids, ids = [], [], [], []
     templates: dict[_Template, int] = {}
     for indices, hbar, mu, p1, p2, form, odd in ops:
         key = indices if isinstance(indices, tuple) else tuple(map(tuple, indices))
-        shifts, grid, rank, firsts = _channels(key, N, ctx.tau)
-        built = [templates.setdefault(_template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) if odd
-                                      else _ordinary(alpha[1], N), len(templates)) for alpha in firsts]
+        shifts, grid = _channels(key, N, ctx.tau)
+        a2s, rank = np.unique(grid % N, return_inverse=True)
+        built = [templates.setdefault(_template((0, a2), hbar, mu, p1, p2, omega, ctx, N, form) if odd
+                                      else _ordinary(a2, N), len(templates)) for a2 in a2s.tolist()]
         hbars.append(complex(hbar) + shifts)
         z12s.append(np.full(len(grid), complex(p1.z) - complex(p2.z)))
         grids.append(grid)
         ids.append(np.array(built, dtype=int)[rank])
-        odds.append(np.full(len(grid), bool(odd)))
-    hbars, z12s, ids, odds = (np.concatenate([np.zeros(0, dtype=kind), *x])
-                              for x, kind in ((hbars, complex), (z12s, complex), (ids, int), (odds, bool)))
+    hbars, z12s, ids = (np.concatenate([np.zeros(0, dtype=kind), *x])
+                        for x, kind in ((hbars, complex), (z12s, complex), (ids, int)))
     templates = list(templates)
-    channels = np.arange(len(hbars))
-    # an ordinary channel reads the order-0 table of the last odd channel at its (hbar, z12) bits, else its own
-    _, point = batch._distinct(np.stack([hbars, z12s], axis=1))
-    odd_at = np.full(len(hbars), -1)
-    np.maximum.at(odd_at, point[odds], channels[odds])
-    reads = np.where(odds | (odd_at[point] < 0), channels, odd_at[point])
-    own = reads == channels
-    # templates in the order their own-reading channels first need them
-    need, need_at = np.unique(ids[own], return_index=True)
-    requests: dict[tuple, list[int]] = {}
-    for t in need[np.argsort(need_at)].tolist():
-        for key in templates[t].sizes.items():
-            requests.setdefault(key, []).append(t)
-    requests = {key: np.flatnonzero(own & np.isin(ids, at))
-                for key, at in sorted(requests.items(), key=lambda r: r[0][0])}
-    tables = [batch.elliptic_tables(hbars[m], z12s[m], ctx, *size, dtau, True) for (dtau, size), m in requests.items()]
+    # one request per modulus order over the channels whose template reads it, at the largest size read there,
+    # into one array indexed by (modulus order, channel, j, k)
+    sizes = [[t.sizes[dtau] for t in templates if dtau in t.sizes] for dtau in (0, 1)]
+    table = np.zeros((2, len(hbars), *np.max([(0, 0), *sizes[0], *sizes[1]], axis=0) + 1), dtype=complex)
+    for dtau, read in enumerate(sizes):
+        at = np.flatnonzero(np.isin(ids, [i for i, t in enumerate(templates) if dtau in t.sizes]))
+        if len(at):
+            max_j, max_k = np.max(read, axis=0).tolist()
+            table[dtau, at, : max_j + 1, : max_k + 1] = batch.elliptic_tables(hbars[at], z12s[at], ctx,
+                                                                              max_j, max_k, dtau)
     coeff = np.array([t.exp_coeff for t in templates], dtype=complex)[ids]
     first, which = batch._distinct(np.stack([coeff, z12s], axis=1))
     envelope = np.array([_dressing(c, z) if c != 0 else 1.0 for c, z in zip(coeff[first].tolist(),
                                                                             z12s[first].tolist())], dtype=complex)[which]
-    # every table in one buffer; a channel's table of modulus order d starts at offset[channel, d]
-    offset = np.zeros((len(hbars), 2), dtype=int)
-    for start, t, ((dtau, _), m) in zip(np.cumsum([0] + [t.size for t in tables]), tables, requests.items()):
-        offset[m, dtau] = start + np.arange(len(m)) * t[0].size
-    offset = offset[reads]
-    buf = np.concatenate([np.zeros(0, dtype=complex)] + [t.reshape(-1) for t in tables])
     coeffs = np.zeros((len(hbars), 1 << default_generators().n_generators), dtype=complex)
     for i, t in enumerate(templates):
         at = np.flatnonzero(ids == i)
-        terms = t.matrix * buf[offset[at[:, None], t.dtau] + t.cell][:, None]
+        terms = t.matrix * table[t.dtau, at[:, None], t.j, t.k][:, None]
         # summed in cell order, no BLAS: a channel's bits do not depend on the rest of the pass
         coeffs[at[:, None], t.masks] = np.add.accumulate(terms, axis=2)[..., -1] * envelope[at, None]
     out = [SuperMatrix(2, N) for _ in ops]

@@ -25,7 +25,7 @@ from itertools import chain
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .elliptic import KINDS, EllipticContext, kernel_derivs
+from .elliptic import KINDS, EllipticContext, _remember, kernel_derivs
 from .grassmann import GrassmannElement, default_generators, grassmann_exp, nilpotent_powers
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
 
 _TWO_PI_I = 2j * math.pi
 
-# super_phi's terms and SuperFunction.plan's rows by structure (_memo_key, _remember)
+# super_phi's terms and SuperFunction.plan's rows by structure (_memo_key, elliptic._remember at this bound)
 _MEMO_LIMIT = 1024
 _PHI_TERMS: dict = {}
 _PLANS: dict = {}
@@ -55,14 +55,6 @@ _PLANS: dict = {}
 def _memo_key(x):
     """x as part of a memo key: an element by its exact terms in order, else by its repr (both keep a zero's sign)."""
     return tuple(map(repr, x.items())) if isinstance(x, GrassmannElement) else repr(x)
-
-
-def _remember(memo: dict, key, value):
-    """value, stored in memo under key; a memo that holds _MEMO_LIMIT entries is cleared first."""
-    if len(memo) >= _MEMO_LIMIT:
-        memo.clear()
-    memo[key] = value
-    return value
 
 
 def _dressing(c: complex, z12: complex) -> complex:
@@ -312,7 +304,7 @@ class SuperFunction:
         are a shared tuple, the sizes a fresh dict.
         """
         key = (_memo_key(self.exp_coeff), tuple((m, d, repr(c)) for m, d, c in self._rows()), _memo_key(soul))
-        planned = _PLANS.get(key) or _remember(_PLANS, key, self._plan_rows(soul))
+        planned = _PLANS.get(key) or _remember(_PLANS, key, self._plan_rows(soul), _MEMO_LIMIT)
         return planned[0], dict(planned[1])
 
     def _plan_rows(self, soul: GrassmannElement | None):
@@ -431,7 +423,8 @@ def super_phi(
         if mu_e is not None:
             f.add_element_term(zz * mu_e, 0, 1, 0)
             f.add_element_term((zeta1 + zeta2) * mu_e * omega_e, 0, 2, 0, 0.5)
-        terms = _remember(_PHI_TERMS, key, tuple((m, tuple(row.items())) for m, row in f.terms.items()))
+        terms = _remember(_PHI_TERMS, key, tuple((m, tuple(row.items())) for m, row in f.terms.items()),
+                          _MEMO_LIMIT)
     # fresh rows, so that add_term on f cannot reach the memo
     f.terms = {m: dict(row) for m, row in terms}
     return f

@@ -3,10 +3,11 @@
 For every run in RUNS, each suite's max_residual is kept as float hex,
 together with its worst_inputs and redraws, so a refactor that claims to
 keep every residual bit can be checked against the record.  Each run is
-computed twice in one process: first with the memos of symbolic work
-(superfunc's function terms and plans, rmatrix's channel templates) empty,
-then again with the memos the first computation filled; both must give the
-same record.  Rounding depends
+computed twice in one process: first with every process-wide cache of the
+package empty (superfunc's function terms and plans, rmatrix's channel
+templates, elliptic's cached theta constants, and every functools cache of
+elliptic, batch, grassmann, superfunc and rmatrix), then again with the
+caches the first computation filled; both must give the same record.  Rounding depends
 on the interpreter, numpy and the machine, so the record names all three and
 test_residual_bits skips when they differ.  Regenerate the record with
 
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from superkron import rmatrix, superfunc
+from superkron import batch, elliptic, grassmann, rmatrix, superfunc
 from superkron.suites import VerifyConfig, run_suites
 
 RECORD = Path(__file__).with_name("residual_bits.json")
@@ -70,13 +71,23 @@ def environment() -> dict:
     }
 
 
+def empty_caches() -> None:
+    """Empty the memo dicts of superfunc, rmatrix and elliptic and call cache_clear() on every functools
+    cache in the namespaces of the package's computing modules."""
+    for memo in (superfunc._PHI_TERMS, superfunc._PLANS, rmatrix._TEMPLATES, elliptic._SQUARES):
+        memo.clear()
+    for module in (elliptic, batch, grassmann, superfunc, rmatrix):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
 def compute() -> tuple[dict, dict]:
     """Two records {run name: [{suite, max_residual (float hex), worst_inputs, redraws}]}, cold and warm:
-    each run computed with the memos of symbolic work emptied first, then once more right after."""
+    each run computed with every cache emptied first (empty_caches), then once more right after."""
     cold, warm = {}, {}
     for name, fields in RUNS:
-        for memo in (superfunc._PHI_TERMS, superfunc._PLANS, rmatrix._TEMPLATES):
-            memo.clear()
+        empty_caches()
         for out in (cold, warm):
             out[name] = [
                 {

@@ -167,6 +167,11 @@ def summable(z, tau):
     return True
 
 
+def bits(stack) -> bytes:
+    """The bytes of a theta stack, a tuple of Python complex numbers, as a complex array."""
+    return np.array(stack, dtype=np.complex128).tobytes()
+
+
 def theta_stack_reference(z, ctx, max_dz=0, dtau=0):
     """The series loop of theta_stack, on numpy array elements, over pair_count pairs."""
     z = complex(z)
@@ -284,8 +289,8 @@ def test_theta_stack_bitwise_equals_reference_loop(tau):
     for z, max_dz, dtau in keys:
         want = theta_stack_reference(z, ctx, max_dz, dtau).tobytes()
         # a fresh context sums, the shared one may answer from its memo
-        assert theta_stack(z, EllipticContext(tau), max_dz, dtau).tobytes() == want
-        assert theta_stack(z, ctx, max_dz, dtau).tobytes() == want
+        assert bits(theta_stack(z, EllipticContext(tau), max_dz, dtau)) == want
+        assert bits(theta_stack(z, ctx, max_dz, dtau)) == want
 
 
 def table_points(tau):
@@ -376,7 +381,7 @@ def test_pair_count_bounds_the_first_omitted_terms():
     tau, z = 0.3 + 60j, -1.4 + 120j
     for call in (lambda: pair_count(z, tau), lambda: theta_stack(z, EllipticContext(tau)),
                  lambda: batch._pair_counts(np.array([0.1 + 0.2j, z]), tau),
-                 lambda: elliptic_tables([z], 0.1, EllipticContext(tau), 0, 0, 1, True)):
+                 lambda: elliptic_tables([z], 0.1, EllipticContext(tau), 0, 0, 1)):
         with pytest.raises(SeriesTruncationError, match=re.escape(f"floating-point range (z={z}, tau={tau})")):
             call()
 
@@ -396,17 +401,18 @@ def test_stack_entries_do_not_depend_on_the_stack_length():
                 for d in range(6):
                     alone = batch._theta_sums(np.array([z]), np.array([n]), tau, d, bool(dtau))[dtau][0]
                     assert alone.tobytes() == row[: d + 1].tobytes()
-                    assert theta_stack(z, EllipticContext(tau), d, dtau).tobytes() == longest[: d + 1].tobytes()
+                    assert bits(theta_stack(z, EllipticContext(tau), d, dtau)) == bits(longest[: d + 1])
         ctx = EllipticContext(tau)
         h, z = cell_points(rng, 2, tau)
         hs = [h + (a + b * tau) / 3 for a in range(3) for b in range(3)]
+        # reduce applies to the scalar route; the batch reduces at modulus order 0 always
         for dtau, reduce, sizes in ((0, True, ((0, 0), (1, 1), (2, 1), (3, 3))), (0, False, ((0, 0), (2, 2))),
                                     (1, True, ((0, 0), (1, 0), (1, 1)))):
             big = sizes[-1]
-            full_batch = elliptic_tables(hs, z, ctx, *big, dtau, reduce)
+            full_batch = elliptic_tables(hs, z, ctx, *big, dtau)
             full_scalar = [kernel_derivs("elliptic", x, z, ctx, *big, dtau, reduce) for x in hs]
             for mj, mk in sizes:
-                small = elliptic_tables(hs, z, ctx, mj, mk, dtau, reduce)
+                small = elliptic_tables(hs, z, ctx, mj, mk, dtau)
                 assert small.tobytes() == np.ascontiguousarray(full_batch[:, : mj + 1, : mk + 1]).tobytes()
                 for x, want in zip(hs, full_scalar):
                     got = kernel_derivs("elliptic", x, z, ctx, mj, mk, dtau, reduce)
@@ -426,7 +432,7 @@ def test_batched_theta_sums_equal_theta_stack_bitwise(tau):
         rows = batch._theta_sums(np.array(zs), pairs, tau, top, True)
         for dtau in (0, 1):
             for z, row in zip(zs, rows[dtau]):
-                assert row.tobytes() == theta_stack(z, EllipticContext(tau), top, dtau).tobytes(), (z, top, dtau)
+                assert row.tobytes() == bits(theta_stack(z, EllipticContext(tau), top, dtau)), (z, top, dtau)
 
 
 def test_batched_stack_does_not_depend_on_its_neighbours():
@@ -435,9 +441,9 @@ def test_batched_stack_does_not_depend_on_its_neighbours():
     tau = 0.3 + 0.05j
     hbars = cell_points(np.random.default_rng(7), 4, tau) + [0.2 + 3.0j]
     z = 0.41 + 0.02j
-    got = elliptic_tables(hbars, z, EllipticContext(tau), 2, 1, 1, False)
+    got = elliptic_tables(hbars, z, EllipticContext(tau), 2, 1, 1)
     for h, table in zip(hbars, got):
-        assert table.tobytes() == elliptic_tables([h], z, EllipticContext(tau), 2, 1, 1, False)[0].tobytes()
+        assert table.tobytes() == elliptic_tables([h], z, EllipticContext(tau), 2, 1, 1)[0].tobytes()
 
 
 @pytest.mark.parametrize("tau", [TAU1, 3.3 + 0.4j, 5 + 0.05j])
@@ -451,24 +457,24 @@ def test_batch_table_does_not_depend_on_the_list(tau):
     points = [(h, zs[i % len(zs)]) for i, h in enumerate(hs)]
     points += [points[0], points[5], points[-1], (points[3][0] + 2 - tau, points[3][1])]
     assert len(points) == 37
-    for max_j, max_k, dtau, reduce in ((2, 1, 0, True), (1, 2, 0, False), (1, 1, 1, True), (0, 0, 0, True)):
-        alone = [elliptic_tables([h], [z], ctx, max_j, max_k, dtau, reduce)[0].tobytes() for h, z in points]
+    for max_j, max_k, dtau in ((2, 1, 0), (1, 2, 0), (1, 1, 1), (0, 0, 0)):
+        alone = [elliptic_tables([h], [z], ctx, max_j, max_k, dtau)[0].tobytes() for h, z in points]
         for n in (1, 12, 37):
             for _ in range(3):
                 order = rng.permutation(len(points))[:n]
                 got = elliptic_tables([points[i][0] for i in order], [points[i][1] for i in order], ctx,
-                                      max_j, max_k, dtau, reduce)
+                                      max_j, max_k, dtau)
                 for i, table in zip(order, got):
-                    assert table.tobytes() == alone[i], (n, points[i], max_j, max_k, dtau, reduce)
+                    assert table.tobytes() == alone[i], (n, points[i], max_j, max_k, dtau)
 
 
-def test_theta_stack_memo_returns_the_same_read_only_array():
+def test_theta_stack_memo_returns_the_same_tuple():
     ctx = EllipticContext(TAU1)
     first = theta_stack(0.31 + 0.17j, ctx, max_dz=2)
     assert theta_stack(0.31 + 0.17j, ctx, max_dz=2) is first
     assert theta_stack(0.31 + 0.17j, ctx, max_dz=2, dtau=1) is not first
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
+    assert isinstance(first, tuple) and all(type(x) is complex for x in first)
+    with pytest.raises(TypeError):
         first[0] = 0.0
 
 
@@ -507,15 +513,16 @@ def test_theta_stack_memo_keeps_the_longest_stack_per_point_and_modulus_order():
             longest = theta_stack(z, ctx, 5, dtau=1)
             # the pass leaves the modulus-order-0 stack of its length
             plain = ctx._stacks[(z, 0)]
-            assert len(plain) == 6 and not plain.flags.writeable
+            assert len(plain) == 6 and isinstance(plain, tuple)
             assert theta_stack(z, ctx, 5) is plain
-            assert plain.tobytes() == theta_stack_reference(z, ctx, 5).tobytes()
+            assert bits(plain) == theta_stack_reference(z, ctx, 5).tobytes()
             assert theta_stack(z, ctx, 5, dtau=1) is longest
             for dtau, stack in ((0, plain), (1, longest)):
                 for d in range(5):
+                    # a slice of the memoized stack, which stays in place
                     prefix = theta_stack(z, ctx, d, dtau)
-                    assert prefix.base is stack and not prefix.flags.writeable
-                    assert prefix.tobytes() == theta_stack(z, EllipticContext(tau), d, dtau).tobytes()
+                    assert bits(prefix) == bits(stack[: d + 1]) and ctx._stacks[(z, dtau)] is stack
+                    assert bits(prefix) == bits(theta_stack(z, EllipticContext(tau), d, dtau))
             # a shorter order-1 pass leaves the longer order-0 stack alone
             w = z + 0.1
             first = theta_stack(w, ctx, 4)
@@ -523,7 +530,7 @@ def test_theta_stack_memo_keeps_the_longest_stack_per_point_and_modulus_order():
             assert ctx._stacks[(w, 0)] is first
             # a longer request sums again and replaces the shorter stack
             again = theta_stack(w, ctx, 5)
-            assert again.tobytes()[: first.nbytes] == first.tobytes() and ctx._stacks[(w, 0)] is again
+            assert bits(again[: len(first)]) == bits(first) and ctx._stacks[(w, 0)] is again
 
 
 def test_theta_stack_rejects_higher_modulus_orders():
@@ -551,7 +558,7 @@ def test_failed_checks_are_not_memoized():
     assert list(ctx._regular) == [z]
     for _ in range(2):
         with pytest.raises(PoleProximityError, match="hbar="):
-            elliptic_tables([good, tau], z, ctx, 0, 0, 1, True)
+            elliptic_tables([good, tau], z, ctx, 0, 0, 1)
     assert set(ctx._regular) == {z, good, good + z}
     assert not ctx._stacks
     phi_tau_derivs(good, z, ctx)
@@ -583,7 +590,7 @@ def test_series_truncation_is_not_memoized():
         with pytest.raises(SeriesTruncationError):
             theta_stack(0.1, tight)
         with pytest.raises(SeriesTruncationError):
-            elliptic_tables([0.1, 0.2], 0.3, tight, 1, 0, 0, True)
+            elliptic_tables([0.1, 0.2], 0.3, tight, 1, 0, 0)
     assert not tight._stacks
 
 
@@ -601,8 +608,9 @@ def test_batched_series_errors_name_the_failing_point(tau, bad, message):
     good, z = 0.4 + 0.1 * tau.imag * 1j, 0.2 + 0.1 * tau.imag * 1j
     with pytest.raises(SeriesTruncationError, match=message) as err:
         theta_stack(bad, EllipticContext(tau))
+    # modulus order 1, whose tables are unreduced, sums the series at bad itself
     with pytest.raises(SeriesTruncationError, match=message) as batch_err:
-        elliptic_tables([good, bad], z, ctx, 1, 0, 0, False)
+        elliptic_tables([good, bad], z, ctx, 1, 0, 1)
     assert str(batch_err.value) == str(err.value)
     # decided before any sum: nothing is summed or memoized
     assert not ctx._stacks
@@ -620,7 +628,7 @@ def test_batch_raises_series_errors_before_poles():
         kernel_derivs("elliptic", tau, z, EllipticContext(tau), dtau=1)
     for hbars in ([first, tau], [tau, first]):
         with pytest.raises(SeriesTruncationError):
-            elliptic_tables(hbars, z, EllipticContext(tau), 0, 0, 1, True)
+            elliptic_tables(hbars, z, EllipticContext(tau), 0, 0, 1)
 
 
 def test_context_validation():
@@ -649,7 +657,7 @@ def test_series_truncation_guard():
         with pytest.raises(SeriesTruncationError, match="needs more than 200 frequency pairs"):
             phi_derivs(0.21 + 0.5 * im * 1j, 0.4 + 0.3 * im * 1j, ctx)
         with pytest.raises(SeriesTruncationError, match="needs more than 200 frequency pairs"):
-            elliptic_tables([0.21, 0.4], 0.3, ctx, 1, 1, 1, True)
+            elliptic_tables([0.21, 0.4], 0.3, ctx, 1, 1, 1)
 
 
 # -- lattice helpers ---------------------------------------------------------
@@ -797,7 +805,7 @@ def test_phi_pole_guards():
     for hbars, z in (([0.3, 1.0 + TAU1], 0.4), ([0.3, 0.2], -0.2 + 1e-9), ([0.3], TAU1),
                      ([0.3, 1.0 + TAU1, 2.0 - TAU1], 0.4), ([0.3, 2.0 - TAU1, 1.0 + TAU1], 0.4)):
         with pytest.raises(PoleProximityError) as batched:
-            elliptic_tables(hbars, z, CTX1, 0, 0, 0, True)
+            elliptic_tables(hbars, z, CTX1, 0, 0, 0)
         with pytest.raises(PoleProximityError) as scalar:
             phi_derivs(hbars[min(len(hbars) - 1, 1)], z, CTX1)
         assert str(batched.value) == str(scalar.value)
@@ -812,7 +820,7 @@ def test_multiplier_overflow_raises():
     with pytest.raises(OverflowError):
         kernel_derivs("elliptic", hbar, z, ctx)
     with pytest.raises(OverflowError):
-        elliptic_tables([0.1 + 0.2 * tau, hbar], z, ctx, 0, 0, 0, True)
+        elliptic_tables([0.1 + 0.2 * tau, hbar], z, ctx, 0, 0, 0)
 
 
 # the batch and the scalar routes round differently; over the points of
@@ -834,13 +842,12 @@ def test_batched_tables_equal_per_point_tables(N):
     for tau in (TAU1, 3.3 + 0.4j):
         h, z1, z2 = cell_points(rng, 3, tau)
         hbars = [h + (a1 + a2 * tau) / N for a1 in range(N) for a2 in range(N)]
-        sizes = ((0, 0, 0, True), (2, 1, 0, True), (4, 0, 0, True), (2, 2, 0, False), (1, 0, 1, True), (1, 1, 1, True))
-        for max_j, max_k, dtau, reduce in sizes:
-            got = elliptic_tables(hbars, z1 - z2, EllipticContext(tau), max_j, max_k, dtau, reduce)
+        for max_j, max_k, dtau in ((0, 0, 0), (2, 1, 0), (4, 0, 0), (2, 2, 0), (1, 0, 1), (1, 1, 1)):
+            got = elliptic_tables(hbars, z1 - z2, EllipticContext(tau), max_j, max_k, dtau)
             assert got.shape == (N * N, max_j + 1, max_k + 1)
             for hbar, table in zip(hbars, got):
-                want = kernel_derivs("elliptic", hbar, z1 - z2, EllipticContext(tau), max_j, max_k, dtau, reduce)
-                assert route_gap(table, want) <= ROUTE_TOL, (tau, hbar, max_j, max_k, dtau, reduce)
+                want = kernel_derivs("elliptic", hbar, z1 - z2, EllipticContext(tau), max_j, max_k, dtau)
+                assert route_gap(table, want) <= ROUTE_TOL, (tau, hbar, max_j, max_k, dtau)
 
 
 def test_kernel_derivs_takes_one_z_per_parameter():
@@ -854,20 +861,20 @@ def test_kernel_derivs_takes_one_z_per_parameter():
         zs = list(cell_points(rng, 4, tau)) + [0.3 + 0j, complex(0.3, -0.0)]
         zs = [zs[i % len(zs)] for i in range(len(hs))]
         for n in (11, 14):
-            for max_j, max_k, dtau, reduce in ((2, 1, 0, True), (1, 2, 0, False), (1, 0, 1, True)):
-                got = elliptic_tables(hs[:n], zs[:n], ctx, max_j, max_k, dtau, reduce)
+            for max_j, max_k, dtau in ((2, 1, 0), (1, 2, 0), (1, 0, 1)):
+                got = elliptic_tables(hs[:n], zs[:n], ctx, max_j, max_k, dtau)
                 for h, z, table in zip(hs, zs, got):
-                    alone = elliptic_tables([h], [z], ctx, max_j, max_k, dtau, reduce)[0]
-                    assert table.tobytes() == alone.tobytes(), (tau, n, h, z, max_j, max_k, dtau, reduce)
-                    want = kernel_derivs("elliptic", h, z, ctx, max_j, max_k, dtau, reduce)
+                    alone = elliptic_tables([h], [z], ctx, max_j, max_k, dtau)[0]
+                    assert table.tobytes() == alone.tobytes(), (tau, n, h, z, max_j, max_k, dtau)
+                    want = kernel_derivs("elliptic", h, z, ctx, max_j, max_k, dtau)
                     assert route_gap(table, want) <= ROUTE_TOL
-    assert elliptic_tables([], [], CTX1, 2, 1, 0, True).shape == (0, 3, 2)
+    assert elliptic_tables([], [], CTX1, 2, 1, 0).shape == (0, 3, 2)
     with pytest.raises(ValueError):
-        elliptic_tables(hs[:3], zs[:2], CTX1, 0, 0, 0, True)
+        elliptic_tables(hs[:3], zs[:2], CTX1, 0, 0, 0)
 
 
 def test_kernel_derivs_empty_list():
-    assert elliptic_tables([], 0.4, CTX1, 2, 1, 0, True).shape == (0, 3, 2)
+    assert elliptic_tables([], 0.4, CTX1, 2, 1, 0).shape == (0, 3, 2)
     with pytest.raises(ValueError, match="kind must be one of"):
         kernel_derivs("bogus", 0.3, 0.4, CTX1)
 

@@ -587,12 +587,15 @@ def test_channel_functions_are_built_once_per_a2(monkeypatch):
 
     monkeypatch.setattr(rmatrix, "super_basis_phi", counting)
     monkeypatch.setattr(rmatrix, "_TEMPLATES", {})
+    # each from the representative (0, a2), in ascending a2, whatever
+    # channel of the list has that a2 first
     b = HeisenbergBasis(3)
+    representatives = [(0, 0), (0, 1), (0, 2)]
     build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True)
-    assert built == [MultiIndex(0, 0), MultiIndex(0, 1), MultiIndex(0, 2)]
+    assert built == representatives
     built.clear()
     build_r_classical(P1, P2, "ω", b, CTX, super=True)
-    assert built == [MultiIndex(0, 1), MultiIndex(0, 2), MultiIndex(1, 0)]
+    assert built == representatives
     built.clear()
     build_R(H1, None, P1, P2, "ω", b, CTX)
     assert built == []
@@ -600,15 +603,15 @@ def test_channel_functions_are_built_once_per_a2(monkeypatch):
     # slots builds nothing; other slots build their own
     build_R(H2, "μ1", SuperPoint(0.1, "ζ1"), SuperPoint(0.3j, "ζ2"), "ω", b, EllipticContext(3.3 + 0.4j), super=True)
     cybe_residual([P1, P2, P3], "ω", b, CTX, super=True)
-    assert built == [MultiIndex(0, 1), MultiIndex(0, 2), MultiIndex(1, 0)] * 2
+    assert built == representatives * 2
     # N per slot set: the odd quantum one and the classical ones of three point pairs
     assert len(rmatrix._TEMPLATES) == 3 + 3 * 3
 
 
 def test_channel_sums_make_one_request_per_table(monkeypatch):
     # every channel list goes to the batch, whatever its length; a pass
-    # makes one request per table size and modulus order for all its
-    # operators, and an operator without channels makes none
+    # makes one request per modulus order its templates read, each over all
+    # the channels that read it, and an operator without channels makes none
     from superkron import batch
 
     elliptic_tables = batch.elliptic_tables
@@ -656,8 +659,9 @@ def test_channel_sums_equal_one_by_one_builds(N, tau):
     # alone gives, blocks and monomial order: all ordinary, all odd, and
     # mixed, where an ordinary operator at the points of an odd one (every
     # quantum one, each next to its odd twin, reference forms included, and
-    # the first classical one) reads the odd tables and the others request
-    # their own; at N = 1 the classical operator has no channel and is empty
+    # the first classical one) shares the odd one's requests, whose batch
+    # tabulates each shared point once; at N = 1 the classical operator has
+    # no channel and is empty
     b, ctx = HeisenbergBasis(N), EllipticContext(tau)
     quantum, classical = _pass_ops(b)
     ops, want = [], []
@@ -683,11 +687,12 @@ def test_channel_sums_equal_one_by_one_builds(N, tau):
 
 def test_one_channel_sum_pass_per_yang_baxter_sample(monkeypatch):
     # at N = 6 an aybe sample builds its ordinary and odd factors and the
-    # basis and heat forms in one pass, with one request per table: the
-    # kernel tables of the odd factors and the basis form, the heat form's
-    # (one more argument derivative), and the modulus-derivative tables.
-    # The ordinary factors read the odd ones' tables and the first odd factor
-    # is the shift-form reference.  A cybe sample makes one pass, two requests
+    # basis and heat forms in one pass, with one request per modulus order:
+    # every channel at order 0, at the heat form's size (one more argument
+    # derivative than the others read), and the odd factors and the basis
+    # form at order 1.  The batch tabulates the ordinary factors' points,
+    # which are the odd ones', once.  A cybe sample makes one pass, two
+    # requests: the ordinary and odd operators at order 0, the odd at order 1
     from superkron import batch, rmatrix, suites
 
     elliptic_tables, one_pass = batch.elliptic_tables, rmatrix.channel_sums
@@ -697,9 +702,9 @@ def test_one_channel_sum_pass_per_yang_baxter_sample(monkeypatch):
         passes.append(len(ops))
         return one_pass(ops, *args)
 
-    def counting_tables(hbars, z, ctx, max_j, max_k, dtau, reduce):
+    def counting_tables(hbars, z, ctx, max_j, max_k, dtau):
         requests.append((len(hbars), dtau, max_j, max_k))
-        return elliptic_tables(hbars, z, ctx, max_j, max_k, dtau, reduce)
+        return elliptic_tables(hbars, z, ctx, max_j, max_k, dtau)
 
     monkeypatch.setattr(batch, "elliptic_tables", counting_tables)
     monkeypatch.setattr(rmatrix, "channel_sums", counting_pass)
@@ -708,12 +713,34 @@ def test_one_channel_sum_pass_per_yang_baxter_sample(monkeypatch):
     inputs = suites._sample_three_points(np.random.default_rng(7), cfg)
     suites.replay_sample("aybe", inputs, cfg)
     assert passes == [6 + 6 + 2]
-    assert requests == [(7 * 36, 0, 2, 0), (36, 0, 2, 1), (7 * 36, 1, 0, 0)]
+    assert requests == [(14 * 36, 0, 2, 1), (7 * 36, 1, 0, 0)]
     passes.clear()
     requests.clear()
     suites.replay_sample("cybe", inputs, cfg)
     assert passes == [3 + 3]
-    assert requests == [(3 * 35, 0, 1, 0), (3 * 35, 1, 0, 0)]
+    assert requests == [(6 * 35, 0, 1, 0), (3 * 35, 1, 0, 0)]
+
+
+def test_channel_sums_request_only_the_modulus_orders_a_channel_reads():
+    # at parameter h the unreduced modulus-derivative series overflows, so
+    # an odd operator there raises; an ordinary one reads modulus order 0
+    # only, reduced, and in one pass with an odd operator at cell points
+    # each comes out bit for bit as built alone, in either order
+    from superkron.elliptic import SeriesTruncationError
+
+    h = 0.3 + 30j
+    for N in (2, 6):
+        b = HeisenbergBasis(N)
+        with pytest.raises(SeriesTruncationError, match="exceeds the floating-point range"):
+            build_R(h, "μ1", P1, P2, "ω", b, CTX, super=True)
+        ops = [(b.canonical_indices(), H1, "μ1", P1, P2, "shift", True),
+               (b.canonical_indices(), h, None, P1, P2, "shift", False)]
+        want = [build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True), build_R(h, None, P1, P2, "ω", b, CTX)]
+        for order in ((0, 1), (1, 0)):
+            got = channel_sums([ops[i] for i in order], "ω", b, CTX)
+            for i, g in zip(order, got):
+                assert list(g.blocks) == list(want[i].blocks), (N, i)
+                assert all(g.blocks[m].tobytes() == a.tobytes() for m, a in want[i].blocks.items()), (N, i)
 
 
 def test_template_keys_tell_slots_apart(monkeypatch):
