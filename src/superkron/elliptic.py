@@ -81,14 +81,16 @@ class EllipticContext:
     _SERIES_TOL (1e-14) and _K_MAX (200), and pair_count fixes the length of
     every series from them.
 
-    Each context also keeps two memos, so that no theta argument is
-    summed or pole-checked twice under it:
+    Each context also keeps three memos, so that no theta argument is
+    summed or pole-checked twice under it, and no kernel table made twice:
     - _stacks: the longest theta stack, a tuple, that theta_stack has
       summed at each (z, dtau); a shorter request reads a slice of it.
       Only theta_stack fills it, so the batch route
       (batch.elliptic_tables) sums its own.
     - _regular: the lattice distance of each point that passed the pole
       check of _require_regular, on either route.
+    - _tables: the largest read-only table kernel_derivs has made at each
+      point and request (see there).
     A check that fails raises and leaves no entry.  Each memo is cleared
     whenever it holds _MEMO_LIMIT (4096) entries, so a long-lived context
     cannot grow it without limit.  The memos are not constructor
@@ -100,6 +102,7 @@ class EllipticContext:
     pole_radius: float = 1e-3
     _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _regular: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tau = complex(self.tau)
@@ -572,25 +575,47 @@ def kernel_derivs(
     dtau: int = 0,
     reduce: bool = True,
 ) -> np.ndarray:
-    """Table [j, k] of mixed derivatives of the kernel family kind (see KINDS) at one point (hbar, z).
+    """Read-only table [j, k] of mixed derivatives of the kernel family kind (see KINDS) at one point (hbar, z).
 
-    Any other kind raises ValueError.  dtau = 1 tabulates their modulus
+    A negative order, a modulus order other than 0 or 1, or a kind outside
+    KINDS raises ValueError.  dtau = 1 tabulates their modulus
     derivatives instead: for the elliptic kernel through the direct modulus
     series (phi_tau_derivs, unreduced); for the degenerate kinds as zeros,
     with no pole check, because the modulus derivative equals a mixed
     derivative by the flow identity.  reduce applies to the elliptic table
     with dtau = 0 only.  batch.elliptic_tables tabulates many elliptic points
     at once.
+
+    Tables are memoized on ctx by (kind, hbar, z, dtau, reduce where it
+    applies), the two zeros told apart, largest table kept: no cell depends
+    on the table size, so a request no larger in either order reads the
+    leading cells of the stored table, and any other tabulates the larger
+    of both sizes in each order and replaces it.  A failed request stores
+    nothing.
     """
+    if max_j < 0 or max_k < 0:
+        raise ValueError("derivative orders must be non-negative")
     if dtau not in (0, 1):
         raise ValueError("modulus-derivative order limited to 1")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    if kind == "elliptic":
-        if dtau:
-            return phi_tau_derivs(hbar, z, ctx, max_j, max_k)
-        return phi_derivs(hbar, z, ctx, max_j, max_k, reduce=reduce)
-    if dtau:
-        return np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
-    # looked up at call time, so wrappers installed on the module are seen
-    return (phi_trig if kind == "trig" else phi_rat)(hbar, z, ctx, max_j, max_k)
+    hbar = complex(hbar)
+    z = complex(z)
+    key = (kind, hbar, z, dtau, bool(reduce) or dtau == 1 or kind != "elliptic")
+    if not (hbar.real and hbar.imag and z.real and z.imag):
+        # complex equality does not tell the two zeros apart
+        key += (repr(hbar), repr(z))
+    table = ctx._tables.get(key)
+    if table is None or table.shape[0] <= max_j or table.shape[1] <= max_k:
+        rows, cols = (1, 1) if table is None else table.shape
+        mj, mk = max(max_j, rows - 1), max(max_k, cols - 1)
+        if kind == "elliptic":
+            table = phi_tau_derivs(hbar, z, ctx, mj, mk) if dtau else phi_derivs(hbar, z, ctx, mj, mk, reduce)
+        elif dtau:
+            table = np.zeros((mj + 1, mk + 1), dtype=np.complex128)
+        else:
+            # looked up at call time, so wrappers installed on the module are seen
+            table = (phi_trig if kind == "trig" else phi_rat)(hbar, z, ctx, mj, mk)
+        table.flags.writeable = False
+        _remember(ctx._tables, key, table)
+    return table if table.shape == (max_j + 1, max_k + 1) else table[: max_j + 1, : max_k + 1]

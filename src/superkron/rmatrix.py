@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .elliptic import EllipticContext, _remember, phi_derivs
+from .elliptic import EllipticContext, _remember, kernel_derivs
 from .grassmann import default_generators
 from .superfunc import (_MEMO_LIMIT, SuperFunction, SuperPoint, _dressing, _memo_key, _odd_element, super_phi,
                         three_term, three_term_specs)
@@ -158,7 +158,8 @@ def _channel_hbar(alpha, hbar: complex, N: int, tau: complex) -> complex:
 
 def basis_phi(alpha, hbar: complex, z: complex, ctx: EllipticContext, N: int) -> complex:
     """The dressed channel function exp(c z) kernel(h + shift, z), c = 2 pi i a2 / N."""
-    return _dressing(_TWO_PI_I * alpha[1] / N, z) * phi_derivs(_channel_hbar(alpha, hbar, N, ctx.tau), z, ctx)[0, 0]
+    return (_dressing(_TWO_PI_I * alpha[1] / N, z)
+            * kernel_derivs("elliptic", _channel_hbar(alpha, hbar, N, ctx.tau), z, ctx)[0, 0])
 
 
 def super_basis_phi(
@@ -502,13 +503,15 @@ def _ordinary(a2: int, N: int) -> _Template:
 
 
 @functools.lru_cache(maxsize=64)
-def _channels(indices: tuple, N: int, tau: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(shifts, grid) of a channel list, read-only and cached per (indices, N, tau): each channel's
-    channel_shift and its position a1 N + a2 in the N x N grid."""
+def _channels(indices: tuple, N: int, tau: complex) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
+    """(shifts, grid, a2s, rank) of a channel list, read-only and cached per (indices, N, tau): each
+    channel's channel_shift and its position a1 N + a2 in the N x N grid, the distinct a2 mod N ascending,
+    and each channel's position in a2s."""
     shifts = np.array([channel_shift(alpha, N, tau) for alpha in indices], dtype=complex)
     grid = np.array([alpha[0] * N + alpha[1] for alpha in indices], dtype=int)
-    shifts.flags.writeable = grid.flags.writeable = False
-    return shifts, grid
+    a2s, rank = np.unique(grid % N, return_inverse=True)
+    shifts.flags.writeable = grid.flags.writeable = rank.flags.writeable = False
+    return shifts, grid, tuple(a2s.tolist()), rank
 
 
 def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> list[SuperMatrix]:
@@ -537,10 +540,9 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> li
     templates: dict[_Template, int] = {}
     for indices, hbar, mu, p1, p2, form, odd in ops:
         key = indices if isinstance(indices, tuple) else tuple(map(tuple, indices))
-        shifts, grid = _channels(key, N, ctx.tau)
-        a2s, rank = np.unique(grid % N, return_inverse=True)
+        shifts, grid, a2s, rank = _channels(key, N, ctx.tau)
         built = [templates.setdefault(_template((0, a2), hbar, mu, p1, p2, omega, ctx, N, form) if odd
-                                      else _ordinary(a2, N), len(templates)) for a2 in a2s.tolist()]
+                                      else _ordinary(a2, N), len(templates)) for a2 in a2s]
         hbars.append(complex(hbar) + shifts)
         z12s.append(np.full(len(grid), complex(p1.z) - complex(p2.z)))
         grids.append(grid)

@@ -146,12 +146,13 @@ class SuperFunction:
     exp(exp_coeff * z12) * d^{j,k,dtau} kernel(hbar, z12), z12 = z1 - z2,
     and the monomials are those of default_generators().  No term depends
     on hbar, so a plan combines with tables at any parameter.  Change
-    terms only through add_term.
+    terms only through add_term.  A function fresh from super_phi carries
+    the plans of its memo entry (_plans); add_term drops them.
     Every operator maps the stored rows into a new function with the same
     analytic metadata.
     """
 
-    __slots__ = ("ctx", "hbar", "kind", "exp_coeff", "terms")
+    __slots__ = ("ctx", "hbar", "kind", "exp_coeff", "terms", "_plans")
 
     def __init__(
         self,
@@ -167,10 +168,12 @@ class SuperFunction:
         self.kind = kind
         self.exp_coeff = complex(exp_coeff)
         self.terms: dict[int, dict[Descriptor, complex]] = {}
+        self._plans: dict | None = None
 
     # -- construction helpers ----------------------------------------------
 
     def add_term(self, mask: int, dtau: int, j: int, k: int, coeff: complex) -> None:
+        self._plans = None
         desc, coeff = _canonical(dtau, j, k, complex(coeff))
         if coeff == 0:
             return
@@ -300,11 +303,18 @@ class SuperFunction:
         """Rows (monomial, dtau, j, k, scalar) as a tuple and the table sizes {dtau: (max j, max k)} they read.
 
         Memoized by content, the same for any hbar, ctx and kind: exp_coeff,
-        the stored rows in order and the soul's terms in order.  The rows
-        are a shared tuple, the sizes a fresh dict.
+        the stored rows in order and the soul's terms in order.  A function
+        fresh from super_phi reads and fills the plans its memo entry carries
+        by soul, without keying its rows.  The rows are a shared tuple, the
+        sizes a fresh dict.
         """
-        key = (_memo_key(self.exp_coeff), tuple((m, d, repr(c)) for m, d, c in self._rows()), _memo_key(soul))
-        planned = _PLANS.get(key) or _remember(_PLANS, key, self._plan_rows(soul), _MEMO_LIMIT)
+        soul_key = _memo_key(soul)
+        planned = None if self._plans is None else self._plans.get(soul_key)
+        if planned is None:
+            key = (_memo_key(self.exp_coeff), tuple((m, d, repr(c)) for m, d, c in self._rows()), soul_key)
+            planned = _PLANS.get(key) or _remember(_PLANS, key, self._plan_rows(soul), _MEMO_LIMIT)
+            if self._plans is not None:
+                _remember(self._plans, soul_key, planned, _MEMO_LIMIT)
         return planned[0], dict(planned[1])
 
     def _plan_rows(self, soul: GrassmannElement | None):
@@ -340,10 +350,11 @@ class SuperFunction:
         return tuple(rows), tuple(sizes.items())
 
     def combine(self, rows, tables: dict, z12: complex) -> GrassmannElement:
-        """The value from a plan's rows and the tables {dtau: table} they read, at z12."""
+        """The value from a plan's rows and the tables {dtau: table} they read, at z12, on Python numbers."""
+        cells = {dtau: table.tolist() for dtau, table in tables.items()}
         acc: dict[int, complex] = {}
         for mask, dtau, j, k, scalar in rows:
-            value = tables[dtau][j, k]
+            value = cells[dtau][j][k]
             if value == 0:
                 continue
             acc[mask] = acc.get(mask, 0j) + scalar * value
@@ -388,14 +399,16 @@ def super_phi(
     Two slots that each hold one plain generator (a single generator with
     coefficient one) must hold different ones, else ValueError.  Slots that
     hold a combination, such as a shifted odd coordinate, are not checked.
-    The terms are memoized by all but hbar, ctx and even coordinates.  The
+    The terms are memoized by all but hbar, ctx and even coordinates, each
+    entry with the plans of its functions by soul (SuperFunction.plan), so
+    emptying _PHI_TERMS empties those too.  The
     slots and tau_term are checked on a memo miss only: the key holds every
     input the checks read, and a failing check stores nothing.
     """
     f = SuperFunction(ctx, hbar, kind=kind, exp_coeff=exp_coeff)
     key = tuple(map(_memo_key, (kind, exp_coeff, hbar_tau_rate, tau_term, p1.zeta, p2.zeta, omega, mu)))
-    terms = _PHI_TERMS.get(key)
-    if terms is None:
+    entry = _PHI_TERMS.get(key)
+    if entry is None:
         if tau_term not in ("dtau", "heat"):
             raise ValueError("tau_term must be 'dtau' or 'heat'")
         zeta1 = p1.resolve()
@@ -423,8 +436,9 @@ def super_phi(
         if mu_e is not None:
             f.add_element_term(zz * mu_e, 0, 1, 0)
             f.add_element_term((zeta1 + zeta2) * mu_e * omega_e, 0, 2, 0, 0.5)
-        terms = _remember(_PHI_TERMS, key, tuple((m, tuple(row.items())) for m, row in f.terms.items()),
+        entry = _remember(_PHI_TERMS, key, (tuple((m, tuple(row.items())) for m, row in f.terms.items()), {}),
                           _MEMO_LIMIT)
+    terms, f._plans = entry
     # fresh rows, so that add_term on f cannot reach the memo
     f.terms = {m: dict(row) for m, row in terms}
     return f
@@ -555,7 +569,8 @@ def heat_residual(
     for the truncated variant (mu = None).  Modulus descriptors evaluate via
     the direct modulus series while the right side uses only
     parameter/argument derivatives, so the residual genuinely tests the
-    relation.  zeta1 and omega must each be one plain generator.
+    relation.  zeta1 and omega must each be one plain generator.  The right
+    side is evaluated first: it reads the larger tables at the same point.
     """
     f = super_phi(hbar, mu, p1, p2, omega, ctx)
     zeta1 = p1.resolve()
@@ -566,8 +581,8 @@ def heat_residual(
     rhs = dh.d_generator(_generator_index(zeta1, "zeta1")) + dh.d_z1().lmul(zeta1)
     if mu is not None:
         rhs = rhs - dh.d_hbar().lmul(_as_element(mu)).scale(0.5)
-    lval = lhs.evaluate(p1.z, p2.z)
     rval = rhs.evaluate(p1.z, p2.z)
+    lval = lhs.evaluate(p1.z, p2.z)
     return lval - rval, max(lval.max_abs(), rval.max_abs(), 1e-300)
 
 

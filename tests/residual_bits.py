@@ -7,7 +7,11 @@ computed twice in one process: first with every process-wide cache of the
 package empty (superfunc's function terms and plans, rmatrix's channel
 templates, elliptic's cached theta constants, and every functools cache of
 elliptic, batch, grassmann, superfunc and rmatrix), then again with the
-caches the first computation filled; both must give the same record.  Rounding depends
+caches the first computation filled; both must give the same record.  The
+plans that functions fresh from super_phi carry live in the entries of
+superfunc._PHI_TERMS, so emptying it empties them too.  The per-context
+memos (theta stacks, pole checks, kernel tables) start empty in every
+sample, whose suite builds its own EllipticContext.  Rounding depends
 on the interpreter, numpy and the machine, so the record names all three and
 test_residual_bits skips when they differ.  Regenerate the record with
 
@@ -59,6 +63,10 @@ RUNS = (
     ("aybe-cybe-n6-tau-3.3+0.4i", {"suites": ("aybe", "cybe"), "n": 6, "tau": 3.3 + 0.4j, "samples": 2}),
     ("aybe-cybe-n2-tau-3.3+0.4i", {"suites": ("aybe", "cybe"), "n": 2, "tau": 3.3 + 0.4j, "samples": 2}),
     ("kronecker-tau-5+0.05i", {"suites": ("kronecker",), "tau": 5 + 0.05j, "samples": 40}),
+    # the graded suites of the benchmark's graded-n2 jobs, at more samples: memo hits within and across samples
+    ("graded-n2", {"suites": ("fay", "heat", "periodicity", "basis", "degenerations"), "samples": 16}),
+    ("graded-n2-truncated", {"suites": ("fay", "heat", "periodicity", "basis", "degenerations"), "samples": 16,
+                             "truncated": True}),
 )
 
 

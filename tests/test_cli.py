@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import superkron
-from superkron import cli
+from superkron import cli, suites
 from superkron.suites import (
     SUITE_NAMES,
     SuiteReport,
@@ -97,6 +97,41 @@ def test_replay_reproduces_worst_sample(name):
     report = run_suites(cfg)[0]
     again = replay_sample(name, report.worst_inputs, cfg)
     assert again == report.max_residual
+
+
+def _per_draw_cells(rng, tau, names):
+    """The cell sampler drawn one coordinate at a time, x then y per name: the reference for suites._cells."""
+    out = {}
+    for name in names:
+        x = rng.uniform(0.1, 0.9)
+        y = rng.uniform(0.1, 0.9)
+        out[name] = suites._pair(x + y * tau)
+    return out
+
+
+@pytest.mark.parametrize("names", [("z",), ("hbar", "z"), ("hbar", "z1", "z2"), ("hbar1", "hbar2", "z1", "z2", "z3")])
+def test_cell_sampler_draws_as_one_coordinate_at_a_time(names):
+    # one draw of every coordinate gives the same doubles in the same order,
+    # so a redraw (the next sample from the stream) and the basis index
+    # draws that follow the cells are unchanged too
+    cfg = VerifyConfig(tau=3.3 + 0.4j, n=3)
+    for seed in range(40):
+        a, b = suites._suite_rng(seed, "basis"), suites._suite_rng(seed, "basis")
+        for _ in range(3):
+            assert suites._cells(*names)(a, cfg) == _per_draw_cells(b, cfg.tau, names)
+        assert a.integers(0, cfg.n, size=2).tolist() == b.integers(0, cfg.n, size=2).tolist()
+
+
+def test_redrawn_samples_follow_the_per_draw_stream():
+    # kronecker draws (hbar, z); with a wide pole radius some draws are
+    # redrawn, and the worst sample is one of the reference stream's draws
+    cfg = VerifyConfig(samples=10, suites=("kronecker",), pole_radius=0.2)
+    report = run_suites(cfg)[0]
+    assert report.redraws > 0
+    rng = suites._suite_rng(cfg.seed, "kronecker")
+    draws = [_per_draw_cells(rng, cfg.tau, ("hbar", "z")) for _ in range(cfg.samples + report.redraws)]
+    assert report.worst_inputs in draws
+    assert replay_sample("kronecker", report.worst_inputs, cfg) == report.max_residual
 
 
 def test_report_dict_schema():
@@ -185,8 +220,6 @@ def test_main_failure_exit_code(capsys):
 
 
 def test_non_finite_residual_fails(monkeypatch, capsys):
-    from superkron import suites
-
     assert suites._rel(math.nan, 1.0) == math.inf
     assert suites._rel(1e-20, math.nan) == math.inf
     assert suites._rel(math.inf, 1.0) == math.inf
@@ -215,8 +248,6 @@ def _reject_constant(token):
 
 
 def test_non_finite_residual_writes_strict_json(monkeypatch, capsys):
-    from superkron import suites
-
     sample, compute = suites._SUITES["theta"]
     # finite residuals are written exactly as before: plain numbers
     cfg = VerifyConfig(suites=("theta",), samples=2, output="structured")
@@ -250,8 +281,6 @@ def test_pole_redraws_are_counted_and_repeat():
 
 
 def test_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
-    from superkron import suites
-
     sample, _ = suites._SUITES["cybe"]
 
     def compute(inputs, cfg):

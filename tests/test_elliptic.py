@@ -19,6 +19,7 @@ from helpers import phi
 from superkron import batch, elliptic
 from superkron.batch import elliptic_tables
 from superkron.elliptic import (
+    KINDS,
     EllipticContext,
     PoleProximityError,
     SeriesTruncationError,
@@ -877,6 +878,122 @@ def test_kernel_derivs_empty_list():
     assert elliptic_tables([], 0.4, CTX1, 2, 1, 0).shape == (0, 3, 2)
     with pytest.raises(ValueError, match="kind must be one of"):
         kernel_derivs("bogus", 0.3, 0.4, CTX1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dtau", [0, 1])
+@pytest.mark.parametrize("max_j, max_k", [(-1, 0), (0, -1), (-1, 1), (2, -3)])
+def test_kernel_derivs_rejects_negative_orders(kind, dtau, max_j, max_k):
+    # for every kind and modulus order, the degenerate kinds' zero modulus
+    # tables included; nothing is summed, checked or stored
+    ctx = EllipticContext(0.3 + 1.1j)
+    with pytest.raises(ValueError, match="derivative orders must be non-negative"):
+        kernel_derivs(kind, 0.31 + 0.2j, 0.44 + 0.1j, ctx, max_j, max_k, dtau)
+    assert not (ctx._tables or ctx._stacks or ctx._regular)
+
+
+# -- the per-context kernel-table memo ----------------------------------------
+
+
+def _forbid_tabulation(monkeypatch):
+    """Make theta_stack and every table function of elliptic raise when called."""
+
+    def tabulated(*args, **kwargs):
+        raise AssertionError("a memoized table was made again")
+
+    for name in ("theta_stack", "phi_derivs", "phi_tau_derivs", "phi_trig", "phi_rat"):
+        monkeypatch.setattr(elliptic, name, tabulated)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dtau, reduce", [(0, True), (0, False), (1, True)])
+def test_kernel_table_memo_serves_repeated_and_smaller_requests(kind, dtau, reduce, monkeypatch):
+    # a repeat returns the stored table, a request no larger in either order
+    # its leading cells: nothing is summed, and every cell is the one a
+    # fresh context gives.  The parameter lies a period outside the cell
+    sizes = ((0, 0), (1, 2), (2, 0), (2, 1), (2, 2))
+    rng = np.random.default_rng(29)
+    for tau in (TAU1, 3.3 + 0.4j):
+        h, z = cell_points(rng, 2, tau)
+        h += 1.0 - tau
+        ctx = EllipticContext(tau)
+        fresh = {size: kernel_derivs(kind, h, z, EllipticContext(tau), *size, dtau, reduce) for size in sizes}
+        stored = kernel_derivs(kind, h, z, ctx, 2, 2, dtau, reduce)
+        with monkeypatch.context() as m:
+            _forbid_tabulation(m)
+            assert kernel_derivs(kind, h, z, ctx, 2, 2, dtau, reduce) is stored
+            for size in sizes:
+                got = kernel_derivs(kind, h, z, ctx, *size, dtau, reduce)
+                assert got.shape == (size[0] + 1, size[1] + 1)
+                assert got.tobytes() == fresh[size].tobytes(), size
+        assert list(ctx._tables.values()) == [stored]
+
+
+def test_kernel_table_memo_replaces_a_smaller_table():
+    # a request larger in either order tabulates the larger size of both in
+    # each order and replaces the stored table, whose cells stay the same
+    ctx = EllipticContext(TAU1)
+    h, z = 0.31 + 0.17j, 1.2 + 0.4j
+    first = kernel_derivs("elliptic", h, z, ctx, 2, 0)
+    wider = kernel_derivs("elliptic", h, z, ctx, 0, 1)
+    (stored,) = ctx._tables.values()
+    assert stored.shape == (3, 2) and wider.base is stored
+    assert stored.tobytes() == kernel_derivs("elliptic", h, z, EllipticContext(TAU1), 2, 1).tobytes()
+    assert np.ascontiguousarray(stored[:, :1]).tobytes() == first.tobytes()
+    assert kernel_derivs("elliptic", h, z, ctx, 1, 1).base is stored
+
+
+def test_kernel_tables_are_read_only_and_kept_per_context():
+    a, b = EllipticContext(TAU1), EllipticContext(TAU1)
+    h, z = 0.31 + 0.17j, 0.2 + 0.4j
+    for kind in KINDS:
+        for dtau in (0, 1):
+            for size in ((1, 1), (0, 0)):
+                table = kernel_derivs(kind, h, z, a, *size, dtau)
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0, 0] = 1.0
+    # per kind and modulus order; a second, equal context keeps its own
+    assert len(a._tables) == 6 and not b._tables
+    assert kernel_derivs("elliptic", h, z, b, 1, 1) is not kernel_derivs("elliptic", h, z, a, 1, 1)
+    assert a == b and hash(a) == hash(b) and "_tables" not in repr(a)
+
+
+def test_failed_kernel_requests_store_nothing():
+    # each request raises what _check_request raises, series before poles,
+    # whatever was asked before, and stores no table
+    tau = 0.3 + 0.005j
+    ctx = EllipticContext(tau)
+    z = 0.4 + 0.0005j
+    # unreduced, the lattice point 190 tau needs more than 200 pairs; reduced, it is a pole
+    for _ in range(2):
+        with pytest.raises(SeriesTruncationError):
+            kernel_derivs("elliptic", 190 * tau, z, ctx, dtau=1)
+        with pytest.raises(SeriesTruncationError):
+            kernel_derivs("elliptic", 190 * tau, z, ctx, reduce=False)
+        with pytest.raises(PoleProximityError, match="hbar="):
+            kernel_derivs("elliptic", 190 * tau, z, ctx)
+        with pytest.raises(PoleProximityError):
+            kernel_derivs("trig", 1e-5j, z, ctx)
+        with pytest.raises(PoleProximityError):
+            kernel_derivs("rational", 0.3, 1e-5, ctx, 1, 1)
+    assert not ctx._tables
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_table_memo_tells_signed_zeros_apart(kind):
+    # points that differ only in the sign of a zero part, requested in turn
+    # under one context, get the bits fresh contexts give them
+    ctx = EllipticContext(TAU1)
+    for dtau, reduce in ((0, True), (0, False), (1, True)):
+        for h0, z0 in ((0.3, 0.45j), (1.3 + 0.37j, -0.7), (0.45j, 0.2 + 0.21j)):
+            for sh in (1.0, -1.0):
+                for sz in (1.0, -1.0):
+                    h = complex(h0.real or sh * 0.0, h0.imag or sh * 0.0)
+                    z = complex(z0.real or sz * 0.0, z0.imag or sz * 0.0)
+                    got = kernel_derivs(kind, h, z, ctx, 2, 1, dtau, reduce)
+                    want = kernel_derivs(kind, h, z, EllipticContext(TAU1), 2, 1, dtau, reduce)
+                    assert got.tobytes() == want.tobytes(), (dtau, reduce, h, z)
 
 
 def test_scalar_three_term_identity(rng):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import isclose, phi
-from superkron import rmatrix, suites, superfunc
-from superkron.elliptic import EllipticContext, PoleProximityError, kernel_derivs, phi_derivs, phi_rat, phi_trig
+from superkron import elliptic, rmatrix, suites, superfunc
+from superkron.elliptic import KINDS, EllipticContext, PoleProximityError, kernel_derivs, phi_derivs, phi_rat, phi_trig
 from superkron.grassmann import GrassmannElement, default_generators, grassmann_exp, parity
 from superkron.superfunc import (
     CatalogOverflowError,
@@ -541,6 +541,56 @@ def test_second_graded_sample_builds_no_function(cold_memos, monkeypatch):
             plans.clear()
             suites.replay_sample(suite, second, cfg)
             assert (muls, plans) == ([], []), (suite, truncated)
+
+
+def test_fresh_functions_carry_their_entry_plans(cold_memos):
+    # functions fresh from one super_phi key read one plan per soul from
+    # their shared entry, without keying their rows: once made, the plan
+    # comes back with _PLANS emptied, and _PLANS stays empty
+    soul = (Z1E * OME) * TPI
+    f = super_phi(H1, "μ1", P1, P2, "ω", CTX)
+    rows, sizes = f.plan()
+    souled = f.plan(soul)[0]
+    superfunc._PLANS.clear()
+    g = super_phi(H2, "μ1", P1, P2, "ω", CTX)
+    assert g.plan()[0] is rows and g.plan()[1] == sizes and g.plan(soul)[0] is souled is not rows
+    assert not superfunc._PLANS
+    # derived functions key their rows
+    assert g.scale(1.0).plan()[0] == rows and len(superfunc._PLANS) == 1
+    # add_term and add_element_term drop the carried plans
+    g.add_term(GENS.mask_of("ζ1ζ2"), 0, 2, 1, 0.75)
+    assert g._plans is None and g.plan()[0] != rows
+    h = super_phi(H2, "μ1", P1, P2, "ω", CTX)
+    h.add_element_term(Z1E * OME, 0, 1, 0, 0.0)
+    assert h._plans is None and h.plan()[0] == rows
+    # emptying _PHI_TERMS empties the carried plans with it
+    superfunc._PHI_TERMS.clear()
+    assert super_phi(H1, "μ1", P1, P2, "ω", CTX)._plans == {}
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+@pytest.mark.parametrize("suite, kind", [("heat", "elliptic"), ("fay", "elliptic"), ("fay", "trig"),
+                                         ("fay", "rational"), ("periodicity", "elliptic"),
+                                         ("degenerations", "elliptic"), ("basis", "elliptic")])
+def test_graded_sample_makes_each_kernel_table_once(suite, kind, truncated, monkeypatch):
+    # a sample stores each (kind, hbar, z, modulus order, reduce) table once:
+    # no table is made again or grown, since the larger requests at a point
+    # come first.  Each seed is one sample in its own context; basis covers
+    # both of its index branches
+    stored = []
+    remember = elliptic._remember
+
+    def counting(memo, key, value, *limit):
+        if isinstance(key, tuple) and key[0] in KINDS:
+            stored.append(key)
+        return remember(memo, key, value, *limit)
+
+    monkeypatch.setattr(elliptic, "_remember", counting)
+    for seed in range(6):
+        stored.clear()
+        cfg = suites.VerifyConfig(suites=(suite,), samples=1, seed=seed, kind=kind, truncated=truncated)
+        assert suites.run_suites(cfg)[0].redraws == 0
+        assert stored and len(set(stored)) == len(stored), (seed, stored)
 
 
 # -- transition factors -----------------------------------------------------------
