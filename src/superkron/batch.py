@@ -12,10 +12,11 @@ operation is elementwise, so a point's table is bit for bit the same
 whatever else the list holds.  Its theta sums are bit for bit those of
 elliptic.theta_stack; its tables agree with the scalar routes to rounding,
 not bit for bit.  The truncation rule (pair_count), the lattice geometry
-(lattice_reduce, lattice_distance), the error messages and the context's
-pole-check memo are elliptic's own: the batch runs them as array forms over
-the point axis, bit for bit the scalar functions, and re-raises a failing
-point by calling the scalar function at the first failure in list order.
+(lattice_reduce, lattice_distance), the pole check and the error messages
+are elliptic's own: the batch runs them as array forms over the point axis,
+bit for bit the scalar functions, records nothing on the context, and
+re-raises a failing point by calling the scalar function at the first
+failure in list order.
 The scalar route, on plain Python numbers, is faster for one point.
 """
 
@@ -29,7 +30,6 @@ import numpy as np
 from .elliptic import (
     _HEADROOM,
     _K_MAX,
-    _MEMO_LIMIT,
     _PI_I,
     _TWO_PI_I,
     EllipticContext,
@@ -113,17 +113,11 @@ def _lattice_distances(ws: np.ndarray, tau: complex) -> tuple[np.ndarray, np.nda
 
 def _require_regular_all(checks: np.ndarray, ctx: EllipticContext) -> None:
     """elliptic._require_regular at every point of checks, the triples (z, hbar, hbar+z) of each
-    point in order, labelled so: the points before the first that fails are recorded on ctx._regular
-    (cleared first if they would fill it), and that one raises elliptic's error."""
+    point in order, labelled so: the first that fails raises elliptic's error."""
     dist, failed = _lattice_distances(checks, ctx.tau)
     failed |= ~(dist >= ctx.pole_radius)
-    stop = int(np.argmax(failed)) if failed.any() else len(checks)
-    start = max(stop - _MEMO_LIMIT, 0)
-    memo = ctx._regular
-    if len(memo) + stop - start > _MEMO_LIMIT:
-        memo.clear()
-    memo.update(zip(checks[start:stop].tolist(), dist[start:stop].tolist()))
-    if stop < len(checks):
+    if failed.any():
+        stop = int(np.argmax(failed))
         _require_regular(complex(checks[stop]), ctx, ("z", "hbar", "hbar+z")[stop % 3])
 
 
@@ -208,7 +202,7 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     reduced) or phi_tau_derivs (dtau = 1, unreduced) at each point, to rounding.
     Each distinct point is tabulated once and each distinct theta argument
     summed once.  The error contract is elliptic's single-point one (see
-    elliptic._check_request) over the whole list: first pair_count decides
+    elliptic.kernel_derivs) over the whole list: first pair_count decides
     the series errors of every point's theta arguments, z, hbar and hbar+z,
     point after point; then the poles of z, hbar and hbar+z are checked
     point after point; only then is anything summed.  So a list with a
@@ -216,10 +210,9 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     on a pole.  Reduction, pair counts and pole checks run as array forms
     over the list (_lattice_reduce, _pair_counts, _lattice_distances), and
     the first point that fails raises through the scalar function, with its
-    message; the points checked before it are recorded as passed on
-    ctx._regular.  Last, the lattice multipliers of reduced points are
-    exponentiated point by point, and one beyond the floating-point range
-    raises OverflowError.
+    message; nothing is recorded on ctx.  Last, the lattice multipliers of
+    reduced points are exponentiated point by point, and one beyond the
+    floating-point range raises OverflowError.
     """
     hbars = np.array(hbars, dtype=np.complex128).reshape(-1)
     zs = np.broadcast_to(np.array(z, dtype=np.complex128), hbars.shape)

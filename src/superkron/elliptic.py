@@ -81,17 +81,16 @@ class EllipticContext:
     _SERIES_TOL (1e-14) and _K_MAX (200), and pair_count fixes the length of
     every series from them.
 
-    Each context also keeps three memos, so that no theta argument is
-    summed or pole-checked twice under it, and no kernel table made twice:
+    Each context also keeps two memos, so that no theta argument is
+    summed twice under it, and no kernel table made twice:
     - _stacks: the longest theta stack, a tuple, that theta_stack has
       summed at each (z, dtau); a shorter request reads a slice of it.
       Only theta_stack fills it, so the batch route
       (batch.elliptic_tables) sums its own.
-    - _regular: the lattice distance of each point that passed the pole
-      check of _require_regular, on either route.
     - _tables: the largest read-only table kernel_derivs has made at each
       point and request (see there).
-    A check that fails raises and leaves no entry.  Each memo is cleared
+    A series that fails leaves no stack and a request that fails no table;
+    pole checks are not memoized.  Each memo is cleared
     whenever it holds _MEMO_LIMIT (4096) entries, so a long-lived context
     cannot grow it without limit.  The memos are not constructor
     parameters and take no part in equality or hashing: two equal
@@ -101,7 +100,6 @@ class EllipticContext:
     tau: complex
     pole_radius: float = 1e-3
     _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _regular: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -215,10 +213,12 @@ def theta_stack(
     pair_count(z, tau) symmetric pairs of increasing frequency, + before -,
     for every order alike, so an entry of order d is the same whatever
     max_dz >= d.  pair_count raises SeriesTruncationError before any term
-    is summed.  The per-frequency constants are cached (_squares per tau
-    and pair count, _MODULUS and _columns per process): an order's terms are
-    the exponentials times its column of argument factors, added in
-    frequency order from 0j by sum().
+    is summed, so a table request, which sums its stacks before it checks
+    its poles (_check_poles), raises a series error before any pole error.
+    The per-frequency constants are cached (_squares per tau and pair
+    count, _MODULUS and _columns per process): an order's terms are the
+    exponentials times its column of argument factors, added in frequency
+    order from 0j by sum().
 
     The result is memoized on ctx (see EllipticContext), by (z, dtau),
     longest stack kept: a request of the memo's length returns the same
@@ -312,33 +312,26 @@ def lattice_distance(w: complex, tau: complex) -> float:
 
 
 def _require_regular(w: complex, ctx: EllipticContext, label: str) -> None:
-    """PoleProximityError naming label unless w lies at least ctx.pole_radius off the lattice.
-
-    A point that passes is memoized on ctx and not checked again.
-    """
-    if w in ctx._regular:
-        return
+    """PoleProximityError naming label unless w lies at least ctx.pole_radius off the lattice."""
     d = lattice_distance(w, ctx.tau)
     if d < ctx.pole_radius:
         raise PoleProximityError(
             f"{label}={complex(w)} is {d:.3e} away from the lattice "
             f"(minimum allowed {ctx.pole_radius:.3e})"
         )
-    _remember(ctx._regular, w, d)
 
 
 # -- kernel and derivative tables -------------------------------------------
 
 
-def _check_request(hbar: complex, z: complex, series: tuple, ctx: EllipticContext) -> None:
-    """The error contract of one table request, before anything is summed.
+def _check_poles(hbar: complex, z: complex, ctx: EllipticContext) -> None:
+    """The poles of one table request, at z, hbar and hbar+z as given, in that order.
 
-    First the series errors of its theta arguments (series, in the order
-    z, hbar, hbar+z), decided from tau and their imaginary parts alone by
-    pair_count; then the poles of z, hbar and hbar+z.
+    A request sums its theta stacks at z, hbar and hbar+z first, in that
+    order, each raising its series error before it sums a term, so its
+    series errors come before its pole errors; it calls this before it
+    takes a reciprocal, whose division by zero would warn.
     """
-    for w in series:
-        pair_count(w, ctx.tau)
     _require_regular(z, ctx, "z")
     _require_regular(hbar, ctx, "hbar")
     _require_regular(hbar + z, ctx, "hbar+z")
@@ -361,25 +354,6 @@ def _reciprocal_derivs(f) -> list:
             acc += comb(m, k) * f[k] * r[m - k]
         r.append(-r[0] * acc)
     return r
-
-
-def _inner_table(hbar: complex, z: complex, ctx: EllipticContext, max_j: int, max_k: int) -> list:
-    """Mixed derivative table of the kernel with no lattice reduction, as rows of Python numbers."""
-    top = max_j + max_k
-    a = theta_stack(hbar + z, ctx, top)
-    u = _reciprocal_derivs(theta_stack(hbar, ctx, max_j))
-    v = _reciprocal_derivs(theta_stack(z, ctx, max_k))
-    prime0, _ = _origin_data(ctx)
-    out = [[0j] * (max_k + 1) for _ in range(max_j + 1)]
-    for j in range(max_j + 1):
-        for k in range(max_k + 1):
-            acc = 0j
-            for p in range(j + 1):
-                cjp = comb(j, p)
-                for q in range(k + 1):
-                    acc += cjp * comb(k, q) * a[p + q] * u[j - p] * v[k - q]
-            out[j][k] = prime0 * acc
-    return out
 
 
 def _envelope(hbar: complex, z: complex, z_red: complex, n_z: int, n_h: int) -> complex:
@@ -411,14 +385,26 @@ def phi_derivs(
     """
     hbar = complex(hbar)
     z = complex(z)
-    if not reduce:
-        _check_request(hbar, z, (z, hbar, hbar + z), ctx)
-        return np.array(_inner_table(hbar, z, ctx, max_j, max_k))
-
-    z_red, _, n_z = lattice_reduce(z, ctx.tau)
-    h_red, _, n_h = lattice_reduce(hbar, ctx.tau)
-    _check_request(hbar, z, (z_red, h_red, h_red + z_red), ctx)
-    inner = _inner_table(h_red, z_red, ctx, max_j, max_k)
+    z_red, h_red, n_z, n_h = z, hbar, 0, 0
+    if reduce:
+        z_red, _, n_z = lattice_reduce(z, ctx.tau)
+        h_red, _, n_h = lattice_reduce(hbar, ctx.tau)
+    s_z = theta_stack(z_red, ctx, max_k)
+    s_h = theta_stack(h_red, ctx, max_j)
+    a = theta_stack(h_red + z_red, ctx, max_j + max_k)
+    _check_poles(hbar, z, ctx)
+    u, v = _reciprocal_derivs(s_h), _reciprocal_derivs(s_z)
+    prime0, _ = _origin_data(ctx)
+    # the table at the reduced points, with no lattice multipliers
+    inner = [[0j] * (max_k + 1) for _ in range(max_j + 1)]
+    for j in range(max_j + 1):
+        for k in range(max_k + 1):
+            acc = 0j
+            for p in range(j + 1):
+                cjp = comb(j, p)
+                for q in range(k + 1):
+                    acc += cjp * comb(k, q) * a[p + q] * u[j - p] * v[k - q]
+            inner[j][k] = prime0 * acc
     if n_z == 0 and n_h == 0:
         return np.array(inner)
     # shift in z contributes a multiplier exponential in the parameter and
@@ -466,17 +452,16 @@ def phi_tau_derivs(
     """
     hbar = complex(hbar)
     z = complex(z)
-    _check_request(hbar, z, (z, hbar, hbar + z), ctx)
-    top = max_j + max_k
     # modulus order 1 first at each argument: its pass memoizes order 0 too
-    a_dot = theta_stack(hbar + z, ctx, top, dtau=1)
-    a = theta_stack(hbar + z, ctx, top)
-    h_dot = theta_stack(hbar, ctx, max_j, dtau=1)
-    u = _reciprocal_derivs(theta_stack(hbar, ctx, max_j))
-    u_dot = _reciprocal_dot(h_dot, u)
     z_dot = theta_stack(z, ctx, max_k, dtau=1)
-    v = _reciprocal_derivs(theta_stack(z, ctx, max_k))
-    v_dot = _reciprocal_dot(z_dot, v)
+    s_z = theta_stack(z, ctx, max_k)
+    h_dot = theta_stack(hbar, ctx, max_j, dtau=1)
+    s_h = theta_stack(hbar, ctx, max_j)
+    a_dot = theta_stack(hbar + z, ctx, max_j + max_k, dtau=1)
+    a = theta_stack(hbar + z, ctx, max_j + max_k)
+    _check_poles(hbar, z, ctx)
+    u, v = _reciprocal_derivs(s_h), _reciprocal_derivs(s_z)
+    u_dot, v_dot = _reciprocal_dot(h_dot, u), _reciprocal_dot(z_dot, v)
     prime0, prime0_dot = _origin_data(ctx)
     out = [[0j] * (max_k + 1) for _ in range(max_j + 1)]
     for j in range(max_j + 1):
@@ -591,7 +576,10 @@ def kernel_derivs(
     on the table size, so a request no larger in either order reads the
     leading cells of the stored table, and any other tabulates the larger
     of both sizes in each order and replaces it.  A failed request stores
-    nothing.
+    nothing.  An elliptic request raises the series errors of its theta
+    arguments z, hbar and hbar+z (reduced where the table is), in that
+    order, before the pole errors of z, hbar and hbar+z as given
+    (_check_poles).
     """
     if max_j < 0 or max_k < 0:
         raise ValueError("derivative orders must be non-negative")

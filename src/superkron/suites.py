@@ -279,12 +279,7 @@ def _compute_periodicity(inputs, cfg) -> float:
     p1 = SuperPoint(_unpair(inputs["z1"]), "ζ1")
     p2 = SuperPoint(_unpair(inputs["z2"]), "ζ2")
     mu = None if cfg.truncated else "μ1"
-    rel = 0.0
-    for direction in (1, "tau"):
-        for slot in (1, 2):
-            res, scale = periodicity_residual(direction, slot, h, mu, p1, p2, "ω", ctx)
-            rel = max(rel, _rel(res.max_abs(), scale))
-    return rel
+    return max(_rel(res.max_abs(), scale) for res, scale in periodicity_residual(h, mu, p1, p2, "ω", ctx))
 
 
 # -- suite: basis --------------------------------------------------------------

@@ -606,46 +606,43 @@ def transition_factor(hbar: complex, mu, zeta, omega, slot: int) -> GrassmannEle
 
 
 def periodicity_residual(
-    direction,
-    slot: int,
     hbar: complex,
     mu,
     p1: SuperPoint,
     p2: SuperPoint,
     omega,
     ctx: EllipticContext,
-):
-    """(residual, scale): shifted value minus multiplier times value.
+) -> list:
+    """(residual, scale) of shifted value minus multiplier times value, for
+    (direction, slot) = (1, 1), (1, 2), ("tau", 1) and ("tau", 2), in that order.
 
     direction 1 shifts the chosen even coordinate by one (multiplier one);
     direction "tau" applies the full supertranslation: even coordinate
     gains the modulus plus 2 pi i zeta omega, the odd partner gains
     2 pi i omega, and the reference side is scaled by the transition
-    factor.  Both sides evaluate without lattice reduction, otherwise the
-    check would assume what it verifies.  mu = None checks the truncated
-    function.
+    factor.  The unshifted function is built and evaluated once.  Both
+    sides evaluate without lattice reduction, otherwise the check would
+    assume what it verifies.  mu = None checks the truncated function.
     """
-    if slot not in (1, 2):
-        raise ValueError("slot must be 1 or 2")
-
     base = super_phi(hbar, mu, p1, p2, omega, ctx)
     base_val = base.evaluate(p1.z, p2.z, reduce=False)
-    zs = [p1.z, p2.z]
-    if direction in (1, "1"):
-        zs[slot - 1] += 1.0
-        shifted = base.evaluate(*zs, reduce=False)
-        reference = base_val
-    elif direction == "tau":
-        omega_e = _odd_element(omega, "omega")
-        points = [p1, p2]
-        zeta_old = points[slot - 1].resolve()
-        points[slot - 1] = SuperPoint(zs[slot - 1], zeta_old + omega_e * _TWO_PI_I)
-        shifted_fn = super_phi(hbar, mu, *points, omega, ctx)
-        # a soul on z2 enters z12 = z1 - z2 with a minus sign
-        soul = (zeta_old * omega_e) * (_TWO_PI_I if slot == 1 else -_TWO_PI_I)
-        zs[slot - 1] += ctx.tau
-        shifted = shifted_fn.evaluate(*zs, soul=soul, reduce=False)
-        reference = transition_factor(hbar, mu, zeta_old, omega_e, slot) * base_val
-    else:
-        raise ValueError("direction must be 1 or 'tau'")
-    return shifted - reference, max(shifted.max_abs(), reference.max_abs(), 1e-300)
+    out = []
+    for direction, slot in ((1, 1), (1, 2), ("tau", 1), ("tau", 2)):
+        zs = [p1.z, p2.z]
+        if direction == 1:
+            zs[slot - 1] += 1.0
+            shifted = base.evaluate(*zs, reduce=False)
+            reference = base_val
+        else:
+            omega_e = _odd_element(omega, "omega")
+            points = [p1, p2]
+            zeta_old = points[slot - 1].resolve()
+            points[slot - 1] = SuperPoint(zs[slot - 1], zeta_old + omega_e * _TWO_PI_I)
+            shifted_fn = super_phi(hbar, mu, *points, omega, ctx)
+            # a soul on z2 enters z12 = z1 - z2 with a minus sign
+            soul = (zeta_old * omega_e) * (_TWO_PI_I if slot == 1 else -_TWO_PI_I)
+            zs[slot - 1] += ctx.tau
+            shifted = shifted_fn.evaluate(*zs, soul=soul, reduce=False)
+            reference = transition_factor(hbar, mu, zeta_old, omega_e, slot) * base_val
+        out.append((shifted - reference, max(shifted.max_abs(), reference.max_abs(), 1e-300)))
+    return out

@@ -10,7 +10,7 @@ elliptic, batch, grassmann, superfunc and rmatrix), then again with the
 caches the first computation filled; both must give the same record.  The
 plans that functions fresh from super_phi carry live in the entries of
 superfunc._PHI_TERMS, so emptying it empties them too.  The per-context
-memos (theta stacks, pole checks, kernel tables) start empty in every
+memos (theta stacks, kernel tables) start empty in every
 sample, whose suite builds its own EllipticContext.  Rounding depends
 on the interpreter, numpy and the machine, so the record names all three and
 test_residual_bits skips when they differ.  Regenerate the record with

@@ -549,39 +549,39 @@ def test_failed_checks_are_not_memoized():
     ctx = EllipticContext(tau)
     good, z = 0.4 + 0.0005j, 0.2 + 0.0007j
     far = 0.1 + 0.95j
-    with pytest.raises(SeriesTruncationError):
-        phi_tau_derivs(far, z, ctx)
-    # the series of hbar failed, and no pole check ran
-    assert not ctx._regular
-    with pytest.raises(PoleProximityError, match="hbar="):
-        phi_tau_derivs(tau, z, ctx)
-    # z passed its pole check, the lattice point tau did not
-    assert list(ctx._regular) == [z]
     for _ in range(2):
+        with pytest.raises(SeriesTruncationError):
+            kernel_derivs("elliptic", far, z, ctx, dtau=1)
+        # the series of hbar failed: no stack of it
+        assert (far, 0) not in ctx._stacks and (far, 1) not in ctx._stacks
+        with pytest.raises(PoleProximityError, match="hbar="):
+            kernel_derivs("elliptic", tau, z, ctx, dtau=1)
         with pytest.raises(PoleProximityError, match="hbar="):
             elliptic_tables([good, tau], z, ctx, 0, 0, 1)
-    assert set(ctx._regular) == {z, good, good + z}
-    assert not ctx._stacks
-    phi_tau_derivs(good, z, ctx)
-    assert set(ctx._regular) == {z, good, good + z}
+    assert not ctx._tables
+    kernel_derivs("elliptic", good, z, ctx, dtau=1)
+    assert len(ctx._tables) == 1
 
 
-def test_point_memos_are_cleared_at_their_bound(monkeypatch):
-    from superkron import elliptic
-    from superkron.elliptic import _MEMO_LIMIT, _require_regular
-
-    ctx = EllipticContext(0.1 + 2.5j)
-    zs = [complex(0.3 + 0.0001 * i, 0.1) for i in range(_MEMO_LIMIT)]
-    for z in zs:
-        _require_regular(z, ctx, "z")
-    assert len(ctx._regular) == _MEMO_LIMIT
-    # a repeat reads the memo: it measures nothing, and adds nothing
-    with monkeypatch.context() as m:
-        m.setattr(elliptic, "lattice_distance", None)
-        _require_regular(zs[0], ctx, "z")
-    assert len(ctx._regular) == _MEMO_LIMIT
-    _require_regular(0.45 + 0.2j, ctx, "z")
-    assert list(ctx._regular) == [0.45 + 0.2j]
+def test_table_requests_raise_series_errors_before_pole_errors():
+    # each scalar request sums its stacks at z, hbar and hbar+z before it
+    # checks their poles, and checks the poles before any reciprocal
+    tau = 0.3 + 0.005j
+    far, z = 0.1 + 0.95j, 0.2 + 0.0007j
+    requests = (
+        lambda h, w, ctx: phi_derivs(h, w, ctx, 1, 1, reduce=False),
+        lambda h, w, ctx: phi_tau_derivs(h, w, ctx, 1, 1),
+        lambda h, w, ctx: kernel_derivs("elliptic", h, w, ctx, 1, 1, dtau=1),
+    )
+    for request in requests:
+        # z on a lattice point, hbar's unreduced series too long
+        for pole in (0j, tau, 1.0 - tau):
+            with pytest.raises(SeriesTruncationError):
+                request(far, pole, EllipticContext(tau))
+        # hbar on a lattice point, z and hbar+z off it
+        for pole in (0j, tau, 1.0 - tau):
+            with pytest.raises(PoleProximityError, match="hbar="):
+                request(pole, z, EllipticContext(tau))
 
 
 def test_series_truncation_is_not_memoized():
@@ -889,7 +889,7 @@ def test_kernel_derivs_rejects_negative_orders(kind, dtau, max_j, max_k):
     ctx = EllipticContext(0.3 + 1.1j)
     with pytest.raises(ValueError, match="derivative orders must be non-negative"):
         kernel_derivs(kind, 0.31 + 0.2j, 0.44 + 0.1j, ctx, max_j, max_k, dtau)
-    assert not (ctx._tables or ctx._stacks or ctx._regular)
+    assert not (ctx._tables or ctx._stacks)
 
 
 # -- the per-context kernel-table memo ----------------------------------------
@@ -960,7 +960,7 @@ def test_kernel_tables_are_read_only_and_kept_per_context():
 
 
 def test_failed_kernel_requests_store_nothing():
-    # each request raises what _check_request raises, series before poles,
+    # each request raises its series errors before its pole errors,
     # whatever was asked before, and stores no table
     tau = 0.3 + 0.005j
     ctx = EllipticContext(tau)
@@ -1129,7 +1129,7 @@ def mp_theta(mp, z, tau, dz=0):
     return norm * mp.pi**dz * mp.jtheta(1, mp.pi * z, q, dz)
 
 
-# at 5+0.05i the series cancels: about four digits are lost (ROADMAP item 1, open)
+# at 5+0.05i the series cancels: about four digits are lost (ROADMAP item 2, open)
 MPMATH_MODULI = [tau for tau in SWEEP_MODULI if tau != 5 + 0.05j] + [
     pytest.param(5 + 0.05j, marks=pytest.mark.xfail(strict=True, reason="series cancellation")),
 ]

@@ -319,17 +319,34 @@ def test_heat_identity_truncated():
     assert rel(res.max_abs(), scale) < 1e-12
 
 
+# periodicity_residual's pairs run (1, slot 1), (1, slot 2), ("tau", slot 1), ("tau", slot 2)
 @pytest.mark.parametrize("direction", [1, "tau"])
 @pytest.mark.parametrize("slot", [1, 2])
 def test_translation_covariance(direction, slot):
-    res, scale = periodicity_residual(direction, slot, H1, "μ1", P1, P2, "ω", CTX)
+    res, scale = periodicity_residual(H1, "μ1", P1, P2, "ω", CTX)[(direction == "tau") * 2 + slot - 1]
     assert rel(res.max_abs(), scale) < 1e-12
 
 
 @pytest.mark.parametrize("slot", [1, 2])
 def test_translation_covariance_truncated(slot):
-    res, scale = periodicity_residual("tau", slot, H1, None, P1, P2, "ω", CTX)
+    res, scale = periodicity_residual(H1, None, P1, P2, "ω", CTX)[slot + 1]
     assert rel(res.max_abs(), scale) < 1e-12
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_periodicity_sample_evaluates_the_unshifted_function_once(truncated, monkeypatch):
+    # one evaluation of the unshifted function and one per shift: 5, not 8
+    calls = []
+    evaluate = SuperFunction.evaluate
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(SuperFunction, "evaluate", counted)
+    inputs = {"hbar": suites._pair(H1), "z1": suites._pair(P1.z), "z2": suites._pair(P2.z)}
+    assert suites.replay_sample("periodicity", inputs, suites.VerifyConfig(truncated=truncated)) < 1e-12
+    assert len(calls) == 5
 
 
 def _bits(elem):
