@@ -111,10 +111,9 @@ class HeisenbergBasis:
         return phase * (self.q_power(a1) @ self.lam_power(a2))
 
     def channel_blocks(self, coeffs: np.ndarray) -> np.ndarray:
-        """Stored entries of sum over a of coeffs[m, a1, a2] T_a (x) T_-a, shape (monomials, N**2, N),
+        """Stored entries of sum over a of coeffs[m, a1, a2] T_a (x) T_-a, shape (monomials, N, N),
         summed over a1 in order as adding channel by channel sums them (other channels add zeros)."""
-        a2, gather = _gather(self.N)
-        return np.ascontiguousarray(np.add.accumulate(coeffs[:, :, a2] * gather, axis=1)[:, -1])
+        return np.ascontiguousarray(np.add.accumulate(coeffs[:, :, None, :] * _gather(self.N), axis=1)[:, -1])
 
     def canonical_indices(self) -> tuple[MultiIndex, ...]:
         """Every channel (a1, a2), 0 <= a1, a2 < N, a1 major: one tuple per N, cached."""
@@ -133,17 +132,17 @@ def _indices(N: int) -> tuple[tuple[MultiIndex, ...], tuple[MultiIndex, ...]]:
 
 
 @functools.lru_cache(maxsize=8)
-def _gather(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a2, gather) of HeisenbergBasis(N).channel_blocks, read-only and cached per N: gather[a1, r, c] is the
-    stored entry (r, c) of T_a (x) T_-a for the only a2 whose entry there is nonzero,
-    a2[r, c] = c - (first output index of r) mod N."""
+def _gather(N: int) -> np.ndarray:
+    """The (N, N, N) gather of HeisenbergBasis(N).channel_blocks, read-only and cached per N: gather[a1, r, c]
+    is the stored entry (r, c) of T_a (x) T_-a for the only a2 whose entry there is nonzero, a2 = c, the
+    first input, since the first output is 0."""
     t = HeisenbergBasis(N).t
-    a2 = (np.arange(N)[None, :] - np.arange(N * N)[:, None] // N) % N
-    # conserve the charge by construction: gathered without the check
-    pairs = [[_stored(np.kron(t((a1, b)), t((-a1, -b))), 2, N) for b in range(N)] for a1 in range(N)]
-    gather = np.take_along_axis(np.array(pairs), a2[None, None], 1)[:, 0]
-    a2.flags.writeable = gather.flags.writeable = False
-    return a2, gather
+    reps = _layout(2, N)[0][:N]
+    # conserve the charge and the shift by construction: gathered without the checks
+    gather = np.array([[np.take(np.kron(t((a1, a2)), t((-a1, -a2))), reps[:, a2]) for a2 in range(N)]
+                       for a1 in range(N)]).transpose(0, 2, 1).copy()
+    gather.flags.writeable = False
+    return gather
 
 
 def channel_shift(alpha, N: int, tau: complex) -> complex:
@@ -202,29 +201,43 @@ def super_basis_phi(
     return f.lmul(default_generators().one() + (p1.resolve() * p2.resolve()) * c)
 
 
+def _digits(flat, m: int, d: int) -> list:
+    """The m base-d digits of flat, most significant first."""
+    return [(flat // d ** (m - 1 - k)) % d for k in range(m)]
+
+
+def _flat(digits, d: int):
+    """The flat base-d index of digits, most significant first; 0 for none."""
+    out = 0
+    for x in digits:
+        out = out * d + x
+    return out
+
+
+def _representative(outs, ins, d: int):
+    """Flat stored position of the representative of the entry with output digits outs and input digits ins,
+    both in factor order and ins with its last, implied digit: every digit shifted by minus outs[0]."""
+    return _flat([(x - outs[0]) % d for x in (*outs[1:], *ins[:-1])], d)
+
+
 @functools.lru_cache(maxsize=16)
 def _layout(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Index plan of the stored layout of an n-site block (see SuperMatrix).
 
-    Returns two read-only integer arrays of shape (d**n, d**(n-1)): the
-    implied last input of every stored entry, and its flat position in the
-    full (d**n, d**n) block.
+    Returns two read-only integer arrays of shape (d**n, d**(n-1)), one
+    entry per position on the charge pattern (rows the outputs, columns the
+    inputs of every factor but the last, flattened in factor order): its
+    flat position in the full (d**n, d**n) block, and the flat position of
+    its orbit's representative in the stored (d**(n-1), d**(n-1)) block.
+    The first d**(n-1) rows, first output digit 0, are the representatives.
     """
-
-    def digit_sums(m):
-        flat = np.arange(d**m)
-        return sum(((flat // d**k) % d for k in range(m)), np.zeros_like(flat))
-
-    dim = d**n
-    last = (digit_sums(n)[:, None] - digit_sums(n - 1)[None, :]) % d
-    full = np.arange(dim)[:, None] * dim + np.arange(dim // d)[None, :] * d + last
-    last.flags.writeable = full.flags.writeable = False
-    return last, full
-
-
-def _stored(arr: np.ndarray, n: int, d: int) -> np.ndarray:
-    """The entries of a full (d**n, d**n) block that the stored layout keeps."""
-    return np.take(arr, _layout(n, d)[1])
+    outs = _digits(np.arange(d**n)[:, None], n, d)
+    ins = _digits(np.arange(d ** (n - 1))[None, :], n - 1, d)
+    ins.append((sum(outs) - sum(ins)) % d)
+    full = _flat(outs, d) * d**n + _flat(ins, d)
+    rep = np.broadcast_to(_representative(outs, ins, d), full.shape)
+    full.flags.writeable = False
+    return full, rep
 
 
 @functools.lru_cache(maxsize=64)
@@ -232,61 +245,46 @@ def _product_plan(left_sites: tuple, right_sites: tuple, d: int):
     """Where each stored entry of a product of placed blocks reads its factors.
 
     Returns the sites of the product and two read-only integer arrays of
-    shape (terms, d**n, d**(n-1)), n the number of sites: for every stored
-    output entry, the flat positions of the left and right stored entries
-    of each contraction term.  Charge conservation of the left factor fixes
+    shape (terms, d**(n-1), d**(n-1)), n the number of sites: for every
+    stored output entry, the flat positions of the left and right stored
+    entries of each contraction term, each the representative of the factor
+    entry the term reads.  Charge conservation of the left factor fixes
     the sum of the middle indices at the shared sites, so factors sharing
     s sites have d**(s-1) terms, the last middle index implied by the
     others; factors sharing one site, as every Yang-Baxter product does,
     have one.  The right factor then conserves the charge too, so every
-    position read is stored.  Factors that share no site raise ValueError.
-    The two arrays have one shape, so SuperMatrix.__matmul__ gathers every
-    factor block by them into equal slots of its workspace.
+    entry read has a representative.  Factors that share no site raise
+    ValueError.
     """
     shared = [u for u in left_sites if u in right_sites]
     if not shared:
         raise ValueError(f"placed factors at {left_sites} and {right_sites} share no site")
     union = tuple(sorted(set(left_sites) | set(right_sites)))
     n = len(union)
-    rows = np.arange(d**n)[:, None]
-    cols = np.arange(d ** (n - 1))[None, :]
-    out = {u: (rows // d ** (n - 1 - k)) % d for k, u in enumerate(union)}
-    ins = {u: (cols // d ** (n - 2 - k)) % d for k, u in enumerate(union[:-1])}
-    ins[union[-1]] = _layout(n, d)[0]
+    side = d ** (n - 1)
+    out = dict(zip(union, [0, *_digits(np.arange(side)[:, None], n - 1, d)]))
+    ins = dict(zip(union, _digits(np.arange(side)[None, :], n - 1, d)))
+    ins[union[-1]] = (sum(out.values()) - sum(ins.values())) % d
     target = sum(out[u] for u in left_sites) - sum(ins[u] for u in left_sites if u not in shared)
-
-    def position(outs, inputs):
-        row = col = 0
-        for x in outs:
-            row = row * d + x
-        for x in inputs[:-1]:
-            col = col * d + x
-        return np.broadcast_to(row * d ** (len(inputs) - 1) + col, (d**n, d ** (n - 1)))
-
     left, right = [], []
     for free in product(range(d), repeat=len(shared) - 1):
         mid = dict(zip(shared, free))
         mid[shared[-1]] = (target - sum(free)) % d
-        left.append(position([out[u] for u in left_sites], [mid.get(u, ins[u]) for u in left_sites]))
-        right.append(position([mid.get(u, out[u]) for u in right_sites], [ins[u] for u in right_sites]))
+        left.append(np.broadcast_to(_representative([out[u] for u in left_sites],
+                                                    [mid.get(u, ins[u]) for u in left_sites], d), (side, side)))
+        right.append(np.broadcast_to(_representative([mid.get(u, out[u]) for u in right_sites],
+                                                     [ins[u] for u in right_sites], d), (side, side)))
     left, right = np.array(left), np.array(right)
     left.flags.writeable = right.flags.writeable = False
     return union, left, right
 
 
-_WORKSPACE = [np.empty(0, dtype=complex)]
-
-
-def _workspace(size: int) -> np.ndarray:
-    """size complex entries of the buffer SuperMatrix.__matmul__ reuses across products: grown to the
-    largest request so far, never shrunk, so a product allocates only its output stack."""
-    if _WORKSPACE[0].size < size:
-        _WORKSPACE[0] = np.empty(size, dtype=complex)
-    return _WORKSPACE[0][:size]
+# how far entries of one joint-shift orbit may differ, relative to the block's largest finite entry
+_ORBIT_TOL = 1e-12
 
 
 class SuperMatrix:
-    """Square matrix over the Grassmann algebra that conserves the Z_d charge.
+    """Square matrix over the Grassmann algebra that commutes with Q and Lambda on every site at once.
 
     The matrix is an operator on a chain of sites, each of dimension d
     (site_dim): sites lists, in the order of its tensor factors, the
@@ -294,18 +292,27 @@ class SuperMatrix:
     Its entries are indexed by output and input multi-indices in factor
     order.  Charge conservation means every entry whose output and input
     digit sums differ mod d is zero: the operator commutes with Q (x) ... (x) Q.
-    The R-matrices do, being channel sums of T_a (x) T_-a, and so do their
-    products and sums; only one entry in d can be nonzero.
+    Shift invariance means an entry equals the one whose digits, outputs
+    and inputs alike, are all one higher mod d: the operator commutes with
+    Lambda (x) ... (x) Lambda.  The R-matrices do both, being channel sums of
+    T_a (x) T_-a, and so do their products and sums; so only one entry in d
+    can be nonzero, and each orbit of the joint shift holds d equal entries.
 
     blocks maps a monomial bitmask of default_generators(), the one
-    generator set of the algebra, to the coefficients of just those entries,
-    a complex array of shape (d**n, d**(n-1)): rows are the output
-    multi-index, columns the inputs of every factor but the last, both
-    flattened in factor order, first factor most significant.  The last
-    input is implied: i_last = (sum of outputs - sum of other inputs) mod d.
-    The constructor and add_block take full (dim, dim) arrays, raise
-    ValueError if an entry off the charge pattern is nonzero, and keep the
-    rest.  Sums and max_abs work on the stored entries.
+    generator set of the algebra, to one coefficient per orbit, that of its
+    representative, the entry whose first output digit, in factor order,
+    is 0: a complex array of shape (d**(n-1), d**(n-1)) whose rows are the
+    outputs of every factor but the first, columns the inputs of every
+    factor but the last, both flattened in factor order, first factor most
+    significant.  The last input is implied: i_last = (sum of outputs - sum
+    of other inputs) mod d.  A 1-site block is one number, c times the
+    identity.  The constructor and add_block take full (dim, dim) arrays,
+    raise ValueError if an entry off the charge pattern is nonzero or an
+    entry differs from its representative by more than _ORBIT_TOL = 1e-12
+    of the array's largest finite entry (the rounding of np.kron products
+    of HeisenbergBasis.t stays near 1e-14 up to N = 9) or is NaN where its
+    representative is not, and keep the representatives.  Sums work on the representatives, and max_abs is
+    taken over them.
 
     The product multiplies basis monomials in the algebra, keeping the left
     factor's monomial on the left, and contracts the coefficient blocks over
@@ -340,9 +347,15 @@ class SuperMatrix:
         arr = np.asarray(arr, dtype=complex)
         if arr.shape != (self.dim, self.dim):
             raise ValueError(f"block shape {arr.shape} does not match dim {self.dim}")
-        stored = _stored(arr, self.n_sites, self.site_dim)
-        if np.count_nonzero(stored) != np.count_nonzero(arr):
+        full, rep = _layout(self.n_sites, self.site_dim)
+        pattern = np.take(arr, full)
+        if np.count_nonzero(pattern) != np.count_nonzero(arr):
             raise ValueError(f"block {mask} has nonzero entries off the Z_{self.site_dim} charge pattern")
+        stored = pattern[: rep.shape[1]].copy()
+        # a NaN matches only a NaN representative, so none is dropped with its orbit
+        bound = _ORBIT_TOL * np.abs(pattern[np.isfinite(pattern)]).max(initial=0.0)
+        if not np.isclose(pattern, np.take(stored, rep), rtol=0.0, atol=bound, equal_nan=True).all():
+            raise ValueError(f"block {mask} is not invariant under the joint cyclic shift of every site")
         if mask in self.blocks:
             self.blocks[mask] = self.blocks[mask] + stored
         else:
@@ -390,32 +403,24 @@ class SuperMatrix:
         return self._accumulate(other, -1)
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
-        """Graded product over the stored entries, through a cached index plan.
+        """Graded product over the representatives, through a cached index plan.
 
         Each factor block is gathered once, by the plan of the two site
-        tuples (see _product_plan), into a workspace kept across products
-        (_workspace), and each pair of blocks is multiplied with out= in
-        numpy's complex arithmetic, summing the contraction terms.  The
-        output blocks are the rows of one new stack, so they share no memory
-        with the workspace, the factors or another product.  Block products
-        accumulate in the order and with the signs of GeneratorSet.products:
-        the first product of a monomial is written into its row and negated
-        in place if its sign is -1; each later one is written into the
-        workspace and added or subtracted in place.
+        tuples (see _product_plan), into a fresh array, and each pair of
+        blocks is multiplied with out= in numpy's complex arithmetic, summing
+        the contraction terms.  The output blocks are the rows of one new
+        stack, so they share no memory with the factors or another product.
+        Block products accumulate in the order and with the signs of
+        GeneratorSet.products: the first product of a monomial is written
+        into its row and negated in place if its sign is -1; each later one
+        is written into a scratch block and added or subtracted in place.
         """
         self._check_shape(other, same_sites=False)
         union, left, right = _product_plan(self.sites, other.sites, self.site_dim)
         block_shape = left.shape[1:]
-        n_left = len(self.blocks)
-        work = _workspace((n_left + len(other.blocks)) * left.size + left[0].size)
-        gathered = work[: -left[0].size].reshape(-1, *left.shape)
-        plans = [left] * n_left + [right] * len(other.blocks)
-        for g, arr, plan in zip(gathered, [*self.blocks.values(), *other.blocks.values()], plans):
-            # indices are in range by construction; mode="raise" would buffer the output
-            np.take(arr, plan, out=g, mode="clip")
-        scratch = work[-left[0].size:].reshape(block_shape)
-        pairs = list(default_generators().products(dict(zip(self.blocks, gathered[:n_left])),
-                                                   dict(zip(other.blocks, gathered[n_left:]))))
+        pairs = list(default_generators().products({mask: arr.take(left) for mask, arr in self.blocks.items()},
+                                                   {mask: arr.take(right) for mask, arr in other.blocks.items()}))
+        scratch = np.empty(block_shape, dtype=complex)
         masks = list(dict.fromkeys(u for u, _, _, _ in pairs))
         out = SuperMatrix(len(union), self.site_dim, sites=union)
         out.blocks = dict(zip(masks, np.empty((len(masks), *block_shape), dtype=complex)))

@@ -18,7 +18,8 @@ def isclose(a: GrassmannElement, b: GrassmannElement, tol: float = 1e-12) -> boo
 
 @functools.cache
 def _charge_pattern(n: int, d: int):
-    """Full (row, column) of each stored entry of an n-site block, by explicit multi-indices."""
+    """For each entry on the charge pattern, by explicit multi-indices: its full (row, column), and the stored
+    (row, column) of its orbit's representative, the entry with every digit shifted by minus the first output."""
 
     def flat(digits):
         out = 0
@@ -26,21 +27,23 @@ def _charge_pattern(n: int, d: int):
             out = out * d + x
         return out
 
-    rows = np.zeros((d**n, d ** (n - 1)), dtype=int)
-    cols = np.zeros_like(rows)
+    rows, cols, rep_rows, rep_cols = [], [], [], []
     for outs in product(range(d), repeat=n):
         for ins in product(range(d), repeat=n - 1):
-            last = (sum(outs) - sum(ins)) % d
-            rows[flat(outs), flat(ins)] = flat(outs)
-            cols[flat(outs), flat(ins)] = flat(ins + (last,))
-    return rows, cols
+            ins += ((sum(outs) - sum(ins)) % d,)
+            rows.append(flat(outs))
+            cols.append(flat(ins))
+            rep_rows.append(flat((x - outs[0]) % d for x in outs[1:]))
+            rep_cols.append(flat((x - outs[0]) % d for x in ins[:-1]))
+    return tuple(np.array(x) for x in (rows, cols, rep_rows, rep_cols))
 
 
 def dense(m: SuperMatrix, mask: int) -> np.ndarray:
-    """The full (dim, dim) array of m's block at mask: stored entries on the charge pattern, zeros elsewhere."""
-    rows, cols = _charge_pattern(m.n_sites, m.site_dim)
+    """The full (dim, dim) array of m's block at mask: each orbit's entries, on the charge pattern, equal to
+    its stored representative, and zeros elsewhere."""
+    rows, cols, rep_rows, rep_cols = _charge_pattern(m.n_sites, m.site_dim)
     full = np.zeros((m.dim, m.dim), dtype=complex)
-    full[rows, cols] = m.blocks[mask]
+    full[rows, cols] = m.blocks[mask][rep_rows, rep_cols]
     return full
 
 

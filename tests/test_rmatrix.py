@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -29,7 +31,7 @@ from superkron.rmatrix import (
     kappa,
     super_basis_phi,
 )
-from superkron.suites import VerifyConfig, replay_sample
+from superkron.suites import VerifyConfig, replay_sample, run_suites
 from superkron.superfunc import SuperPoint, fay_residual, super_phi, three_term
 
 GENS = default_generators()
@@ -297,28 +299,27 @@ def test_super_channel_three_term_identity_shift_only():
 
 def brute_matmul(a, b):
     """Entry-by-entry reference product using scalar Grassmann arithmetic."""
-    out = SuperMatrix(a.n_sites, a.site_dim)
     dim = a.dim
+    full: dict[int, np.ndarray] = {}
     for i in range(dim):
         for j in range(dim):
             acc = GENS.zero()
             for k in range(dim):
                 acc = acc + entry(a, i, k) * entry(b, k, j)
             for mask, coeff in acc.items():
-                hole = np.zeros((dim, dim), dtype=complex)
-                hole[i, j] = coeff
-                out.add_block(mask, hole)
-    return out
+                full.setdefault(mask, np.zeros((dim, dim), dtype=complex))[i, j] = coeff
+    return SuperMatrix(a.n_sites, a.site_dim, full)
 
 
 def random_super_matrix(rng, n_sites=2, site_dim=2, masks=(0, 1, 2, 3, 6)):
-    """Random values on the charge pattern.
+    """Random values on the representatives of the joint-shift orbits.
 
-    Two sites by default: a charge-conserving 1-site matrix is diagonal, so
-    1-site operands commute and cannot show an ordering mistake.
+    Two sites by default: a 1-site matrix that conserves the charge and is
+    shift-invariant is c times the identity, so 1-site operands commute and
+    cannot show an ordering mistake.
     """
     m = SuperMatrix(n_sites, site_dim)
-    shape = (site_dim**n_sites, site_dim ** (n_sites - 1))
+    shape = (site_dim ** (n_sites - 1),) * 2
     for mask in masks:
         m.blocks[mask] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return m
@@ -334,10 +335,11 @@ def test_matmul_matches_entrywise_products(rng):
 
 
 def test_matmul_grading_signs(rng):
-    # (zeta1 A)(zeta2 B) = -zeta1 zeta2 (A @ B) requires the crossing sign
-    d = 2
-    A = dense(random_super_matrix(rng, masks=(0,)), 0)
-    B = dense(random_super_matrix(rng, masks=(0,)), 0)
+    # (zeta1 A)(zeta2 B) = -zeta1 zeta2 (A @ B) requires the crossing sign;
+    # at d = 2 shift-invariant 2-site blocks commute, at d = 3 they need not
+    d = 3
+    A = dense(random_super_matrix(rng, site_dim=d, masks=(0,)), 0)
+    B = dense(random_super_matrix(rng, site_dim=d, masks=(0,)), 0)
     assert np.abs(A @ B - B @ A).max() > 0.1
     ma = SuperMatrix(2, d, {GENS.mask_of("ζ1"): A})
     mb = SuperMatrix(2, d, {GENS.mask_of("ζ2"): B})
@@ -377,10 +379,11 @@ def test_entry_and_coefficient_matrix(rng):
 def test_off_pattern_block_is_rejected():
     d = 3
     full = np.zeros((d * d, d * d), dtype=complex)
-    full[0, 0] = 1.0  # outputs (0, 0), inputs (0, 0): conserves
+    # the orbit of outputs (0, 0), inputs (0, 0): conserves, and is shift-invariant
+    full[np.arange(d) * (d + 1), np.arange(d) * (d + 1)] = 1.0
     m = SuperMatrix(2, d, {0: full})
-    assert m.blocks[0].shape == (d * d, d)
-    full[0, 1] = 1e-300  # outputs (0, 0), inputs (0, 1): does not
+    assert m.blocks[0].shape == (d, d)
+    full[0, 1] = 1e-300  # outputs (0, 0), inputs (0, 1): does not conserve
     with pytest.raises(ValueError):
         SuperMatrix(2, d, {0: full})
     with pytest.raises(ValueError):
@@ -388,7 +391,19 @@ def test_off_pattern_block_is_rejected():
     full[0, 1] = np.nan  # a NaN off the pattern is not zero either
     with pytest.raises(ValueError):
         m.add_block(0, full)
-    assert list(m.blocks) == [0] and entry(m, 0, 1).max_abs() == 0.0
+    full[0, 1] = 0.0
+    # outputs (1, 1), inputs (1, 1) conserves, but leaves its orbit by more than rounding
+    full[d + 1, d + 1] = 1.0 + 1e-11
+    with pytest.raises(ValueError, match="shift"):
+        SuperMatrix(2, d, {0: full})
+    with pytest.raises(ValueError, match="shift"):
+        m.add_block(0, full)
+    assert list(m.blocks) == [0] and entry(m, 0, 1).max_abs() == 0.0 and entry(m, d + 1, d + 1).coefficient(0) == 1.0
+    full[d + 1, d + 1] = np.nan  # nor is a NaN that its representative lacks
+    with pytest.raises(ValueError, match="shift"):
+        m.add_block(0, full)
+    full[d + 1, d + 1] = 1.0 + 1e-13  # within rounding: the representative is kept
+    assert SuperMatrix(2, d, {0: full}).blocks[0][0, 0] == 1.0
 
 
 def block_parity(m):
@@ -431,12 +446,12 @@ def test_embed_identity_is_identity():
 
 
 # the placements aybe (12 23, 31 12, 23 31) and cybe (12 13, 12 23, 13 23)
-# multiply, which share one site, a 1-site factor with a 3-site one, which
-# share one, and a 3-site factor with a 2-site one, which share two; their
-# reverses; and two that share all three sites.  Each case has its own id,
-# so adding or removing one renames no other; the ids of the first sixteen
-# are the names they were first collected under, and a new case is named
-# by its placement, e.g. "12@23".
+# multiply, which share one site, a 1-site factor (c times the identity)
+# with a 3-site one, which share one, and a 3-site factor with a 2-site
+# one, which share two; their reverses; and two that share all three
+# sites.  Each case has its own id, so adding or removing one renames no
+# other; the ids of the first sixteen are the names they were first
+# collected under, and a new case is named by its placement, e.g. "12@23".
 PLACED_PRODUCTS = {
     "sites0": ((1, 2), (2, 3)),
     "sites1": ((3, 1), (1, 2)),
@@ -509,9 +524,9 @@ def test_sums_are_blockwise_and_leave_operands_unchanged(rng):
 
 
 def test_products_own_their_blocks(rng):
-    # a product's blocks are its own: the next product, which gathers its
-    # factors into the same workspace, changes none of them, and adding one
-    # product into another changes only the sum.  placed() shares blocks
+    # a product's blocks are its own: the next product changes none of
+    # them, and adding one product into another changes only the sum.
+    # placed() shares blocks
     a, c = (random_super_matrix(rng, masks=masks).placed((1, 2)) for masks in ((0, 1, 6), (0, 2, 5)))
     b, d = (random_super_matrix(rng, masks=masks).placed((2, 3)) for masks in ((0, 3, 4), (0, 1, 8)))
     p = a @ b
@@ -573,7 +588,10 @@ def test_channel_sum_matches_per_term_reference():
     one[0, alpha.a1, alpha.a2] = 1.0
     pair = SuperMatrix(2, b.N)
     pair.blocks[0] = b.channel_blocks(one)[0]
-    assert np.array_equal(dense(pair, 0), np.kron(b.t(alpha), b.t(-alpha)))
+    want = np.kron(b.t(alpha), b.t(-alpha))
+    # the representatives, first output digit 0, are entries of the product itself; the rest match to rounding
+    assert np.array_equal(dense(pair, 0)[: b.N], want[: b.N])
+    assert np.abs(dense(pair, 0) - want).max() <= 1e-14
 
 
 def test_channel_functions_are_built_once_per_a2(monkeypatch):
@@ -856,6 +874,35 @@ def test_ordinary_R_matches_independent_channel_sum():
     assert np.abs(got - acc).max() <= 1e-12 * np.abs(acc).max()
 
 
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, 3.3 + 0.4j])
+@pytest.mark.parametrize("N", [2, 3, 6])
+def test_R_commutes_with_joint_clock_and_shift(N, tau):
+    # the premise of the stored layout, checked apart from it: R summed
+    # densely from np.kron(T_a, T_-a), ordinary and odd, commutes with
+    # Q (x) Q and Lambda (x) Lambda, and build_R's representatives, expanded
+    # over their orbits, reproduce it
+    b, ctx = HeisenbergBasis(N), EllipticContext(tau)
+    clock, shift = (np.kron(g, g) for g in (b.q_power(1), b.lam_power(1)))
+    for odd in (False, True):
+        want: dict[int, np.ndarray] = {}
+        for alpha in b.canonical_indices():
+            if odd:
+                value = super_basis_phi(alpha, H1, "μ1", P1, P2, "ω", ctx, N).evaluate(P1.z, P2.z).items()
+            else:
+                value = ((0, basis_phi(alpha, H1, Z12, ctx, N)),)
+            for mask, coeff in value:
+                want[mask] = want.get(mask, 0.0) + coeff * np.kron(b.t(alpha), b.t(-alpha))
+        scale = max(np.abs(x).max() for x in want.values())
+        for x in want.values():
+            for g in (clock, shift):
+                assert np.abs(g @ x - x @ g).max() <= 1e-13 * scale, (odd, g is shift)
+        got = build_R(H1, "μ1" if odd else None, P1, P2, "ω", b, ctx, super=odd)
+        zero = np.zeros((b.N**2, b.N**2))
+        for mask in set(want) | set(got.blocks):
+            full = dense(got, mask) if mask in got.blocks else zero
+            assert np.abs(full - want.get(mask, zero)).max() <= 1e-13 * scale, (odd, mask)
+
+
 def test_ordinary_R_skew_symmetry():
     b = HeisenbergBasis(2)
     R = build_R(H1, None, P1, P2, "ω", b, CTX)
@@ -918,6 +965,25 @@ def test_super_classical_yang_baxter_residual():
     b = HeisenbergBasis(2)
     res, scale = cybe_residual((P1, P2, P3), "ω", b, CTX, super=True)
     assert rel(res.max_abs(), scale) < 1e-11
+
+
+def test_yang_baxter_samples_at_n12_stay_small():
+    # one aybe and one cybe sample at N = 12 pass at the default tolerance
+    # within 64 MiB of traced allocations: a 3-site block holds 144 x 144
+    # representatives, where one entry per charge-allowed position would be
+    # 1728 x 144
+    cfg = VerifyConfig(n=12, samples=1, suites=("aybe", "cybe"))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        reports = run_suites(cfg)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.suite for r in reports if r.passed] == ["cybe", "aybe"]
+    assert peak < 64 * 2**20, peak
+    assert seconds < 2.0, seconds
 
 
 @pytest.mark.parametrize("N", [2, 3])
