@@ -12,7 +12,7 @@ invalid configuration, including a pole radius that leaves no pole-free
 sample, a modulus at which the series cannot be summed or whose real part
 is so large that tau + 1 rounds to tau, a value that
 overflows the floating-point range, an --out path that cannot be written,
-and a run that runs out of memory (a 3-site operator holds n**5 entries per
+and a run that runs out of memory (a 3-site operator holds n**4 entries per
 Grassmann monomial).  A reader that closes stdout early (verify ... | head)
 does not change the exit code.  A process that the operating system's
 out-of-memory killer ends cannot be caught, and exits with no code of its

@@ -86,7 +86,7 @@ class EllipticContext:
     - _stacks: the longest theta stack, a tuple, that theta_stack has
       summed at each (z, dtau); a shorter request reads a slice of it.
       Only theta_stack fills it, so the batch route
-      (batch.elliptic_tables) sums its own.
+      (batch.elliptic_tables) sums its own, all but the origin's.
     - _tables: the largest read-only table kernel_derivs has made at each
       point and request (see there).
     A series that fails leaves no stack and a request that fails no table;
@@ -356,12 +356,76 @@ def _reciprocal_derivs(f) -> list:
     return r
 
 
+@lru_cache(maxsize=32)
+def _leibniz_terms(max_j: int, max_k: int) -> tuple:
+    """The Leibniz terms of a (max_j + 1, max_k + 1) table, by row and cell: cell (j, k) holds
+    (comb(j, p) comb(k, q), p + q, j - p, k - q) for p <= j (outer) and q <= k (inner)."""
+    return tuple(
+        tuple(tuple((comb(j, p) * comb(k, q), p + q, j - p, k - q) for p in range(j + 1) for q in range(k + 1))
+              for k in range(max_k + 1))
+        for j in range(max_j + 1)
+    )
+
+
+def _leibniz(a, u, v, max_j: int, max_k: int, dots=None):
+    """Cells [j][k] of the mixed derivatives of a(hbar + z) u(hbar) v(z), as rows of cells.
+
+    a, u and v hold derivatives by order, as in _reciprocal_derivs: Python
+    numbers on the scalar route, rows over points in the batch.  With dots,
+    the modulus-derivative stacks (a_dot, u_dot, v_dot) of the factors, it
+    also returns their modulus-derivative cells, summed in the same pass.
+    Each cell adds its terms (_leibniz_terms, cached per size) in order from
+    0j.  The routes share this code but not its bits: numpy's complex products
+    over arrays round differently from Python's, though alike at every array
+    length, so a batch of one equals a row of a longer batch.
+    """
+    a_dot, u_dot, v_dot = dots or (None, None, None)
+    cells, dot_cells = [], []
+    for row in _leibniz_terms(max_j, max_k):
+        cells.append([])
+        dot_cells.append([])
+        for cell in row:
+            acc = dot = 0j
+            for c, s, m, n in cell:
+                acc += c * a[s] * u[m] * v[n]
+                if dots:
+                    dot += c * (a_dot[s] * u[m] * v[n] + a[s] * u_dot[m] * v[n] + a[s] * u[m] * v_dot[n])
+            cells[-1].append(acc)
+            dot_cells[-1].append(dot)
+    return (cells, dot_cells) if dots else cells
+
+
 def _envelope(hbar: complex, z: complex, z_red: complex, n_z: int, n_h: int) -> complex:
     """exp(-2 pi i (n_z hbar + n_h z_red)), phi_derivs' lattice multiplier; its OverflowError names the point."""
     try:
         return cmath.exp(-_TWO_PI_I * (n_z * hbar + n_h * z_red))
     except OverflowError:
         raise OverflowError(f"lattice multiplier exceeds the floating-point range (hbar={hbar}, z={z})") from None
+
+
+def _restored(inner, c_z, c_h, envelope) -> list:
+    """phi_derivs' lattice multipliers restored on inner, the rows of cells at the reduced points, from
+    c_z = -2 pi i n_z, c_h = -2 pi i n_h and _envelope: Python numbers, or rows over points in the batch.
+
+    A shift of z contributes a multiplier exponential in the parameter and
+    vice versa, so differentiation mixes orders downward: cell [j][k] is the
+    envelope times the sum over i <= j and l <= k of
+    comb(j, i) c_z^(j-i) comb(k, l) c_h^(k-l) inner[i][l], the powers taken
+    by ** (which for complex numbers does not round like repeated products).
+    """
+    rows, cols = len(inner), len(inner[0])
+    p_h = [c_h**e for e in range(cols)]
+    out = []
+    for j in range(rows):
+        w_z = [comb(j, i) * c_z ** (j - i) for i in range(j + 1)]
+        out.append([])
+        for k in range(cols):
+            acc = 0j
+            for i, w in enumerate(w_z):
+                for l in range(k + 1):
+                    acc += w * comb(k, l) * p_h[k - l] * inner[i][l]
+            out[-1].append(envelope * acc)
+    return out
 
 
 def phi_derivs(
@@ -396,32 +460,10 @@ def phi_derivs(
     u, v = _reciprocal_derivs(s_h), _reciprocal_derivs(s_z)
     prime0, _ = _origin_data(ctx)
     # the table at the reduced points, with no lattice multipliers
-    inner = [[0j] * (max_k + 1) for _ in range(max_j + 1)]
-    for j in range(max_j + 1):
-        for k in range(max_k + 1):
-            acc = 0j
-            for p in range(j + 1):
-                cjp = comb(j, p)
-                for q in range(k + 1):
-                    acc += cjp * comb(k, q) * a[p + q] * u[j - p] * v[k - q]
-            inner[j][k] = prime0 * acc
+    inner = [[prime0 * cell for cell in row] for row in _leibniz(a, u, v, max_j, max_k)]
     if n_z == 0 and n_h == 0:
         return np.array(inner)
-    # shift in z contributes a multiplier exponential in the parameter and
-    # vice versa; differentiation therefore mixes orders downward
-    envelope = _envelope(hbar, z, z_red, n_z, n_h)
-    c_z = -_TWO_PI_I * n_z
-    c_h = -_TWO_PI_I * n_h
-    out = [[0j] * (max_k + 1) for _ in range(max_j + 1)]
-    for j in range(max_j + 1):
-        for k in range(max_k + 1):
-            acc = 0j
-            for i in range(j + 1):
-                w_ji = comb(j, i) * c_z ** (j - i)
-                for l in range(k + 1):
-                    acc += w_ji * comb(k, l) * c_h ** (k - l) * inner[i][l]
-            out[j][k] = envelope * acc
-    return np.array(out)
+    return np.array(_restored(inner, -_TWO_PI_I * n_z, -_TWO_PI_I * n_h, _envelope(hbar, z, z_red, n_z, n_h)))
 
 
 def _derivs_of_square(f: list) -> list:
@@ -463,23 +505,8 @@ def phi_tau_derivs(
     u, v = _reciprocal_derivs(s_h), _reciprocal_derivs(s_z)
     u_dot, v_dot = _reciprocal_dot(h_dot, u), _reciprocal_dot(z_dot, v)
     prime0, prime0_dot = _origin_data(ctx)
-    out = [[0j] * (max_k + 1) for _ in range(max_j + 1)]
-    for j in range(max_j + 1):
-        for k in range(max_k + 1):
-            inner = 0j
-            dot = 0j
-            for p in range(j + 1):
-                cjp = comb(j, p)
-                for q in range(k + 1):
-                    c = cjp * comb(k, q)
-                    inner += c * a[p + q] * u[j - p] * v[k - q]
-                    dot += c * (
-                        a_dot[p + q] * u[j - p] * v[k - q]
-                        + a[p + q] * u_dot[j - p] * v[k - q]
-                        + a[p + q] * u[j - p] * v_dot[k - q]
-                    )
-            out[j][k] = prime0_dot * inner + prime0 * dot
-    return np.array(out)
+    cells, dots = _leibniz(a, u, v, max_j, max_k, (a_dot, u_dot, v_dot))
+    return np.array([[prime0_dot * c + prime0 * d for c, d in zip(*rows)] for rows in zip(cells, dots)])
 
 
 # -- degenerations ----------------------------------------------------------

@@ -362,7 +362,7 @@ class SuperMatrix:
             self.blocks[mask] = stored
 
     def max_abs(self) -> float:
-        return float(np.max([np.abs(arr).max() for arr in self.blocks.values()], initial=0.0))
+        return float(np.abs(np.array(list(self.blocks.values()))).max(initial=0.0))
 
     def placed(self, sites: Sequence[int]) -> "SuperMatrix":
         """The same blocks as an operator on the given chain sites, in factor order."""
