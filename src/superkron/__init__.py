@@ -33,17 +33,16 @@ from .rmatrix import (
     HeisenbergBasis,
     MultiIndex,
     SuperMatrix,
-    anticommutator,
     aybe_residual,
     basis_phi,
     build_R,
     build_r_classical,
     channel_shift,
-    commutator,
     cybe_residual,
     embed,
     kappa,
     super_basis_phi,
+    supercommutator,
 )
 from .suites import SUITE_NAMES, SamplingError, SuiteReport, VerifyConfig, replay_sample, run_suites
 from .superfunc import (
@@ -105,8 +104,7 @@ __all__ = [
     "build_R",
     "build_r_classical",
     "embed",
-    "commutator",
-    "anticommutator",
+    "supercommutator",
     "aybe_residual",
     "cybe_residual",
     # suites / cli

@@ -36,6 +36,7 @@ from .elliptic import (
     _PI_I,
     _TWO_PI_I,
     EllipticContext,
+    _check_orders,
     _columns,
     _envelope,
     _leibniz,
@@ -151,7 +152,7 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     reduced) or phi_tau_derivs (dtau = 1, unreduced) at each point, to rounding.
     Each distinct point is tabulated once and each distinct theta argument
     summed once.  The error contract is elliptic's single-point one (see
-    elliptic.kernel_derivs) over the whole list: first pair_count decides
+    elliptic.kernel_derivs) over the whole list: after the orders (_check_orders), pair_count decides
     the series errors of every point's theta arguments, z, hbar and hbar+z,
     point after point; then the poles of z, hbar and hbar+z are checked
     point after point; only then is anything summed.  So a list with a
@@ -165,6 +166,7 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau
     the lattice multipliers of reduced points are exponentiated point by
     point, and one beyond the floating-point range raises OverflowError.
     """
+    _check_orders(max_j, max_k, dtau)
     hbars = np.array(hbars, dtype=np.complex128).reshape(-1)
     zs = np.broadcast_to(np.array(z, dtype=np.complex128), hbars.shape)
     shape = (len(hbars), max_j + 1, max_k + 1)

@@ -44,13 +44,13 @@ KINDS = ("elliptic", "trig", "rational")
 
 _TWO_PI_I = 2j * math.pi
 _PI_I = 1j * math.pi
-# theta stacks one context memoizes before it starts again from empty
+# entries a memo holds before it starts again from empty: a context's theta stacks and tables, and _SQUARES
 _MEMO_LIMIT = 4096
 # relative series tolerance and the hard cap on frequency pairs summed
 _SERIES_TOL = 1e-14
 _K_MAX = 200
-# derivative order the truncation rule covers: theta's argument order 5
-# plus one modulus derivative, whose factor pi i f^2 counts as two more
+# derivative order the truncation rule covers: the argument order plus two
+# per modulus derivative, whose factor pi i f^2 counts as two (_check_orders)
 _TOP_ORDER = 7
 # largest real part whose exponential is a finite double
 _LOG_MAX = math.log(sys.float_info.max)
@@ -148,10 +148,10 @@ def pair_count(z: complex, tau: complex) -> int:
     derivative order d is at most exp(-pi t s^2) (2s + 5)^d times the summed
     term of order d there, and later ones fall off as the Gaussian does.
     The reach s = _reach(t) makes that bound _SERIES_TOL at d = _TOP_ORDER
-    (7: theta's argument order 5 plus one modulus derivative, whose factor
-    f^2 counts as two).  The count depends on z and tau only, not on the
-    orders summed, so both evaluators (theta_stack and batch) sum exactly
-    this many pairs and a stack's entries do not depend on its length.
+    (7, a modulus derivative, whose factor is f^2, counting as two).  The
+    count depends on z and tau only, not on the orders summed, so both
+    evaluators (theta_stack and batch) sum exactly this many pairs and a
+    stack's entries do not depend on its length.
 
     Raises SeriesTruncationError when u + s exceeds _K_MAX (compared before
     rounding up, so an infinite or undefined count raises too), or when the
@@ -199,6 +199,17 @@ def _squares(tau: complex, pairs: int) -> tuple:
     return squares
 
 
+def _check_orders(max_j: int, max_k: int, dtau: int) -> None:
+    """Raise ValueError for a request the truncation rule does not cover: a negative order, a modulus
+    order other than 0 or 1, or a highest theta order max_j + max_k + 2 dtau above _TOP_ORDER."""
+    if max_j < 0 or max_k < 0:
+        raise ValueError("derivative orders must be non-negative")
+    if dtau not in (0, 1):
+        raise ValueError("modulus-derivative order limited to 1")
+    if max_j + max_k + 2 * dtau > _TOP_ORDER:
+        raise ValueError(f"derivative orders limited to {_TOP_ORDER}, counting a modulus derivative as two")
+
+
 def theta_stack(
     z: complex,
     ctx: EllipticContext,
@@ -208,7 +219,7 @@ def theta_stack(
     """Argument-derivative stack (f, f', ..., f^(max_dz)) at z, a tuple of Python complex numbers.
 
     With dtau = 1 every entry additionally carries one derivative in the
-    modulus; any other modulus order than 0 or 1 raises ValueError.  All
+    modulus; a request _check_orders refuses raises ValueError.  All
     orders share one exponential per frequency.  The sum runs over
     pair_count(z, tau) symmetric pairs of increasing frequency, + before -,
     for every order alike, so an entry of order d is the same whatever
@@ -227,10 +238,7 @@ def theta_stack(
     exponentials, and memoizes both, so a caller that needs both asks for
     order 1 first.  A failed request is not memoized.
     """
-    if max_dz < 0:
-        raise ValueError("derivative orders must be non-negative")
-    if dtau not in (0, 1):
-        raise ValueError("modulus-derivative order limited to 1")
+    _check_orders(max_dz, 0, dtau)
     z = complex(z)
     memo = ctx._stacks
     stack = memo.get((z, dtau))
@@ -239,8 +247,8 @@ def theta_stack(
     tau = ctx.tau
     shift = 2.0 * (z + 0.5)
     bases = [cmath.exp(_PI_I * (q + shift * f)) for q, f in zip(_squares(tau, pair_count(z, tau)), _FREQS)]
-    # one cached entry serves every order theta allows
-    columns = _columns(max(max_dz, 5))[: max_dz + 1]
+    # one cached entry serves every order the truncation rule covers
+    columns = _columns(_TOP_ORDER)[: max_dz + 1]
     if dtau == 1:
         plain = memo.get((z, 0))
         if plain is None or len(plain) <= max_dz:
@@ -250,9 +258,7 @@ def theta_stack(
 
 
 def theta(z: complex, ctx: EllipticContext, dz: int = 0, dtau: int = 0) -> complex:
-    """Odd lattice function (or a z/modulus derivative of it) at z."""
-    if not 0 <= dz <= 5:
-        raise ValueError("argument-derivative order limited to 5")
+    """Odd lattice function (or a z/modulus derivative of it) at z; the orders are theta_stack's."""
     return theta_stack(z, ctx, dz, dtau)[dz]
 
 
@@ -589,7 +595,7 @@ def kernel_derivs(
 ) -> np.ndarray:
     """Read-only table [j, k] of mixed derivatives of the kernel family kind (see KINDS) at one point (hbar, z).
 
-    A negative order, a modulus order other than 0 or 1, or a kind outside
+    A request _check_orders refuses, for every kind, or a kind outside
     KINDS raises ValueError.  dtau = 1 tabulates their modulus
     derivatives instead: for the elliptic kernel through the direct modulus
     series (phi_tau_derivs, unreduced); for the degenerate kinds as zeros,
@@ -608,10 +614,7 @@ def kernel_derivs(
     order, before the pole errors of z, hbar and hbar+z as given
     (_check_poles).
     """
-    if max_j < 0 or max_k < 0:
-        raise ValueError("derivative orders must be non-negative")
-    if dtau not in (0, 1):
-        raise ValueError("modulus-derivative order limited to 1")
+    _check_orders(max_j, max_k, dtau)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     hbar = complex(hbar)

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .elliptic import EllipticContext, _remember, kernel_derivs
-from .grassmann import default_generators
+from .grassmann import default_generators, parity
 from .superfunc import (_MEMO_LIMIT, SuperFunction, SuperPoint, _dressing, _memo_key, _odd_element, super_phi,
                         three_term, three_term_specs)
 
@@ -42,8 +42,7 @@ __all__ = [
     "build_r_classical",
     "channel_sums",
     "embed",
-    "commutator",
-    "anticommutator",
+    "supercommutator",
     "aybe_ops",
     "aybe_residual",
     "cybe_ops",
@@ -457,16 +456,13 @@ def embed(m: SuperMatrix, sites: Sequence[int], n_total: int = 3) -> SuperMatrix
     return m.placed(sites) @ identity
 
 
-def commutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
-    out = a @ b
-    out -= b @ a
-    return out
-
-
-def anticommutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
-    out = a @ b
-    out += b @ a
-    return out
+def supercommutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
+    """The graded bracket a b - (-1)^(|a| |b|) b a, |.| the parity of an operator's monomials (grassmann.parity,
+    an empty operator even); an operator of mixed parity raises ValueError."""
+    kinds = {parity(a.blocks), parity(b.blocks)}
+    if "mixed" in kinds:
+        raise ValueError("a supercommutator needs operators of one parity each")
+    return (a @ b)._accumulate(b @ a, 1 if kinds == {"odd"} else -1)
 
 
 # compiled odd channel functions by (form, a2, N, slots), cleared at superfunc's bound of 1024 (elliptic._remember)
@@ -523,8 +519,8 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> li
     """The channel sums of several operators in one pass, each bit for bit the sum built alone: each
     op (indices, hbar, mu, p1, p2, form, odd) sums T_a (x) T_-a times super_basis_phi (odd) or the
     dressed kernel over the distinct a in indices, 0 <= a1, a2 < N, at hbar + (a1 + a2 tau)/N and
-    z12 = p1.z - p2.z, the parameters complex(hbar) plus the channel shifts (_channels, keyed by indices
-    itself when it is a tuple of pairs, as HeisenbergBasis gives, else by its pairs as one).  Every channel
+    z12 = p1.z - p2.z, the parameters complex(hbar) plus the channel shifts (_channels, keyed by indices,
+    a tuple of pairs as HeisenbergBasis gives).  Every channel
     function is a _Template, one per distinct a2 of an op: an odd one compiled by _template at (0, a2), an
     ordinary one the one-cell _ordinary.  One batch.elliptic_tables request per modulus order, order 0
     first, covers every channel whose template reads that order, at the largest (max_j, max_k) any
@@ -544,8 +540,7 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> li
     hbars, z12s, grids, ids = [], [], [], []
     templates: dict[_Template, int] = {}
     for indices, hbar, mu, p1, p2, form, odd in ops:
-        key = indices if isinstance(indices, tuple) else tuple(map(tuple, indices))
-        shifts, grid, a2s, rank = _channels(key, N, ctx.tau)
+        shifts, grid, a2s, rank = _channels(indices, N, ctx.tau)
         built = [templates.setdefault(_template((0, a2), hbar, mu, p1, p2, omega, ctx, N, form) if odd
                                       else _ordinary(a2, N), len(templates)) for a2 in a2s]
         hbars.append(complex(hbar) + shifts)
@@ -629,25 +624,13 @@ def aybe_ops(hbars, mus, points: Sequence[SuperPoint], basis: HeisenbergBasis, s
             for x, a, b in three_term_specs(x1, x2)]
 
 
-def aybe_residual(
-    hbars: Sequence[complex],
-    mus,
-    points: Sequence[SuperPoint],
-    omega,
-    basis: HeisenbergBasis,
-    ctx: EllipticContext,
-    super: bool = False,
-    factors: Sequence[SuperMatrix] | None = None,
-):
+def aybe_residual(factors: Sequence[SuperMatrix]):
     """(residual, scale) of the associative identity on 3 sites, see three_term.
 
-    Factors are operators placed at sites (1,2), (2,3) and (3,1); the odd
-    version carries the odd parameters, and an exact solution makes the
-    block sum vanish.  factors: the channel sums of aybe_ops of these arguments, if built already;
-    hbars and mus are then not read.
+    factors are the channel sums of aybe_ops, in three_term_specs order,
+    placed at sites (1,2), (2,3) and (3,1); an exact solution makes the
+    block sum vanish.
     """
-    if factors is None:
-        factors = channel_sums(aybe_ops(hbars, mus, points, basis, super), omega, basis, ctx)
     built = iter(factors)
     # the factors come in three_term_specs order, so the parameter tuples are not needed
     return three_term(lambda _, a, b: next(built).placed((a + 1, b + 1)), (), (),
@@ -662,27 +645,18 @@ def cybe_ops(points: Sequence[SuperPoint], basis: HeisenbergBasis, super: bool =
     return [(basis.nonzero_indices(), 0.0, None, points[a - 1], points[b - 1], "shift", super) for a, b in _CYBE_SITES]
 
 
-def cybe_residual(
-    points: Sequence[SuperPoint],
-    omega,
-    basis: HeisenbergBasis,
-    ctx: EllipticContext,
-    super: bool = False,
-    factors: Sequence[SuperMatrix] | None = None,
-):
+def cybe_residual(factors: Sequence[SuperMatrix]):
     """(residual, scale) of the classical bracket identity on 3 sites.
 
-    Ordinary: commutators of the scalar-channel classical operators over the
-    pairs (12,13), (12,23), (13,23).  Odd: the same sum with anticommutators,
-    since the odd classical operators have parity-odd entries.  The scale is
-    the largest bracket.  factors: the channel sums of cybe_ops of these arguments, if built already.
+    factors are the channel sums of cybe_ops, placed at sites (1,2), (1,3)
+    and (2,3); the residual sums their supercommutators over the pairs
+    (12,13), (12,23), (13,23): commutators of ordinary operators,
+    anticommutators of odd ones.  The scale is the largest bracket.
     """
-    built = channel_sums(cybe_ops(points, basis, super), omega, basis, ctx) if factors is None else factors
-    r12, r13, r23 = (r.placed(s) for r, s in zip(built, _CYBE_SITES))
-    bracket = anticommutator if super else commutator
-    b1 = bracket(r12, r13)
-    b2 = bracket(r12, r23)
-    b3 = bracket(r13, r23)
+    r12, r13, r23 = (r.placed(s) for r, s in zip(factors, _CYBE_SITES))
+    b1 = supercommutator(r12, r13)
+    b2 = supercommutator(r12, r23)
+    b3 = supercommutator(r13, r23)
     scale = max(b1.max_abs(), b2.max_abs(), b3.max_abs())
     b1 += b2
     b1 += b3

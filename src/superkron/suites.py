@@ -203,8 +203,9 @@ def _compute_theta(inputs, cfg) -> float:
     rel = _rel(abs(lhs - d2), max(abs(lhs), abs(d2)))
     shifted1 = theta(z + 1.0, ctx)
     rel = max(rel, _rel(abs(shifted1 + th), max(abs(shifted1), abs(th))))
-    fac = -cmath.exp(-1j * math.pi * tau - _TWO_PI_I * z)
+    # the series first, so a point too far out raises the series error that names it
     shiftedt = theta(z + tau, ctx)
+    fac = -cmath.exp(-1j * math.pi * tau - _TWO_PI_I * z)
     rel = max(rel, _rel(abs(shiftedt - fac * th), max(abs(shiftedt), abs(fac * th))))
     return rel
 
@@ -340,9 +341,9 @@ def _compute_cybe(inputs, cfg) -> float:
     basis = HeisenbergBasis(cfg.n)
     pts = _points(inputs)
     built = channel_sums(cybe_ops(pts, basis) + cybe_ops(pts, basis, super=True), "ω", basis, ctx)
-    res, scale = cybe_residual(pts, "ω", basis, ctx, factors=built[:3])
+    res, scale = cybe_residual(built[:3])
     rel = _rel(res.max_abs(), scale)
-    res, scale = cybe_residual(pts, "ω", basis, ctx, super=True, factors=built[3:])
+    res, scale = cybe_residual(built[3:])
     return max(rel, _rel(res.max_abs(), scale))
 
 
@@ -356,9 +357,9 @@ def _compute_aybe(inputs, cfg) -> float:
     ops = aybe_ops((h1, h2), None, pts, basis) + aybe_ops((h1, h2), ("μ1", "μ2"), pts, basis, super=True)
     ops += [(basis.canonical_indices(), h1, "μ1", pts[0], pts[1], form, True) for form in ("basis", "heat")]
     built = channel_sums(ops, "ω", basis, ctx)
-    res, scale = aybe_residual((h1, h2), None, pts, "ω", basis, ctx, factors=built[:6])
+    res, scale = aybe_residual(built[:6])
     rel = _rel(res.max_abs(), scale)
-    res, scale = aybe_residual((h1, h2), ("μ1", "μ2"), pts, "ω", basis, ctx, super=True, factors=built[6:12])
+    res, scale = aybe_residual(built[6:12])
     rel = max(rel, _rel(res.max_abs(), scale))
     # operator assemblies of the odd quantum matrix agree
     for other in built[12:]:

@@ -7,7 +7,7 @@ import numpy as np
 
 from superkron.elliptic import phi_derivs
 from superkron.grassmann import GrassmannElement, default_generators
-from superkron.rmatrix import SuperMatrix
+from superkron.rmatrix import SuperMatrix, aybe_ops, channel_sums, cybe_ops
 
 
 def isclose(a: GrassmannElement, b: GrassmannElement, tol: float = 1e-12) -> bool:
@@ -89,3 +89,13 @@ def dense_matmul(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
 def phi(hbar: complex, z: complex, ctx, j: int = 0, k: int = 0, reduce: bool = True) -> complex:
     """Cell [j, k] of the elliptic kernel's derivative table."""
     return complex(phi_derivs(hbar, z, ctx, j, k, reduce=reduce)[j, k])
+
+
+def aybe_factors(hbars, mus, points, basis, ctx, odd=False):
+    """The six factors aybe_residual takes, built in one channel_sums pass."""
+    return channel_sums(aybe_ops(hbars, mus, points, basis, odd), "ω", basis, ctx)
+
+
+def cybe_factors(points, basis, ctx, odd=False):
+    """The three classical operators cybe_residual takes, built in one channel_sums pass."""
+    return channel_sums(cybe_ops(points, basis, odd), "ω", basis, ctx)

@@ -11,6 +11,7 @@ import time
 from itertools import product
 
 import numpy as np
+from helpers import aybe_factors, cybe_factors
 
 from superkron.elliptic import (
     EllipticContext,
@@ -208,9 +209,9 @@ def test_criterion_07_ordinary_yang_baxter_equations(capsys):
 
         def one_sample(r):
             hbars, pts = _three_point_sample(r)
-            res, scale = aybe_residual(hbars, None, pts, "ω", b, CTX)
+            res, scale = aybe_residual(aybe_factors(hbars, None, pts, b, CTX))
             out = res.max_abs() / max(scale, 1.0)
-            res2, scale2 = cybe_residual(pts, "ω", b, CTX)
+            res2, scale2 = cybe_residual(cybe_factors(pts, b, CTX))
             return max(out, res2.max_abs() / max(scale2, 1.0))
 
         for _ in range(100):
@@ -229,9 +230,9 @@ def test_criterion_08_super_yang_baxter_equations(capsys):
 
         def one_sample(r):
             hbars, pts = _three_point_sample(r)
-            res, scale = aybe_residual(hbars, ("μ1", "μ2"), pts, "ω", b, CTX, super=True)
+            res, scale = aybe_residual(aybe_factors(hbars, ("μ1", "μ2"), pts, b, CTX, odd=True))
             out = res.max_abs() / max(scale, 1.0)
-            res2, scale2 = cybe_residual(pts, "ω", b, CTX, super=True)
+            res2, scale2 = cybe_residual(cybe_factors(pts, b, CTX, odd=True))
             return max(out, res2.max_abs() / max(scale2, 1.0))
 
         for _ in range(count):

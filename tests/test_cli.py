@@ -357,6 +357,16 @@ def test_invalid_input_exits_2_without_traceback(argv, tmp_path):
         assert "exponential dressing" in proc.stderr and "z12=" in proc.stderr
 
 
+def test_theta_overflow_names_its_point(capsys):
+    # far out in the modulus the series of z + tau is refused before the
+    # quasi-periodicity factor exp(-i pi tau - 2 pi i z) can overflow, so
+    # the message names the point
+    assert cli.main(["theta", "--tau-im", "150", "--samples", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: series term exceeds the floating-point range (z=")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("n", ["3", "4", "6"])
 def test_series_error_comes_before_pole_redraws(n, capsys):
     # at Im tau = 1e-4 the lattice is so dense that most draws land near a

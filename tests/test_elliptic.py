@@ -544,6 +544,48 @@ def test_theta_stack_rejects_higher_modulus_orders():
     assert not ctx._stacks
 
 
+def test_theta_stack_refuses_orders_beyond_the_truncation_rule():
+    # the rule covers argument order + 2 modulus order <= 7.  Here pair_count
+    # accepts the point, every covered order is finite, and order 8, summed
+    # past the check, is not; theta_stack and theta refuse it before they sum
+    tau, z = 0.3 + 20j, -0.5 + 66.2j
+    ctx = EllipticContext(tau)
+    n = pair_count(z, tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        beyond = batch._theta_sums(np.array([z]), np.array([n]), tau, 8, False)[0][0]
+    assert np.isfinite(beyond[:8]).all() and not np.isfinite(beyond[8])
+    for dtau in (0, 1):
+        for call in (theta_stack, theta):
+            with pytest.raises(ValueError, match="derivative orders limited to 7"):
+                call(z, ctx, 8 - 2 * dtau, dtau)
+    assert not ctx._stacks
+    assert np.isfinite(theta_stack(z, ctx, 7)).all() and np.isfinite(theta_stack(z, ctx, 5, 1)).all()
+    assert theta(z, ctx, 7) == theta_stack(z, ctx, 7)[7]
+
+
+@pytest.mark.parametrize("max_j, max_k, dtau, message", [
+    (-1, 0, 0, "derivative orders must be non-negative"),
+    (0, -2, 1, "derivative orders must be non-negative"),
+    (0, 0, 2, "modulus-derivative order limited to 1"),
+    (0, 0, -1, "modulus-derivative order limited to 1"),
+    (4, 4, 0, "derivative orders limited to 7"),
+    (3, 3, 1, "derivative orders limited to 7"),
+])
+def test_table_requests_are_checked_before_anything_runs(max_j, max_k, dtau, message):
+    # the batch checks its request as kernel_derivs does, with the same
+    # message, before any pair count, pole check or sum: also with no point,
+    # and where a point needs more than 200 pairs or sits on a pole
+    tau = 0.3 + 1.1j
+    ctx = EllipticContext(tau)
+    for hbars in ([], [0.31 + 0.2j], [0.31 + 0.2j, 0.1 + 300j], [tau, 0.31 + 0.2j]):
+        with pytest.raises(ValueError, match=message):
+            elliptic_tables(hbars, 0.44 + 0.1j, ctx, max_j, max_k, dtau)
+    for kind in KINDS:
+        with pytest.raises(ValueError, match=message):
+            kernel_derivs(kind, 0.31 + 0.2j, 0.44 + 0.1j, ctx, max_j, max_k, dtau)
+    assert not (ctx._tables or ctx._stacks)
+
+
 def test_failed_checks_are_not_memoized():
     tau = 0.3 + 0.005j
     ctx = EllipticContext(tau)

@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from helpers import dense, dense_matmul, entry, phi
+from helpers import aybe_factors, cybe_factors, dense, dense_matmul, entry, phi
 
 from superkron.elliptic import EllipticContext, PoleProximityError
 from superkron.grassmann import default_generators, parity
@@ -18,18 +18,17 @@ from superkron.rmatrix import (
     MultiIndex,
     SuperMatrix,
     _gather,
-    anticommutator,
     aybe_residual,
     basis_phi,
     build_R,
     build_r_classical,
     channel_shift,
     channel_sums,
-    commutator,
     cybe_residual,
     embed,
     kappa,
     super_basis_phi,
+    supercommutator,
 )
 from superkron.suites import VerifyConfig, replay_sample, run_suites
 from superkron.superfunc import SuperPoint, fay_residual, super_phi, three_term
@@ -157,19 +156,6 @@ def test_index_tuples_are_built_once_per_N(N):
     assert canonical is HeisenbergBasis(N).canonical_indices() and nonzero is b.nonzero_indices()
     assert canonical == tuple(MultiIndex(a1, a2) for a1, a2 in product(range(N), repeat=2))
     assert nonzero == canonical[1:] and all(type(a) is MultiIndex for a in canonical)
-
-
-def test_channel_sums_take_index_lists():
-    # a list of pairs, of MultiIndex or plain lists, sums as the cached tuple does
-    b, ctx = HeisenbergBasis(3), EllipticContext(0.3 + 1.1j)
-    p, q = SuperPoint(0.31 + 0.17j, "ζ1"), SuperPoint(-0.12 + 0.4j, "ζ2")
-    for indices in (b.canonical_indices(), b.nonzero_indices()):
-        for odd in (False, True):
-            want = channel_sums([(indices, 0.21 - 0.1j, "μ1", p, q, "shift", odd)], "ω", b, ctx)[0]
-            for given in (list(indices), [list(a) for a in indices]):
-                got = channel_sums([(given, 0.21 - 0.1j, "μ1", p, q, "shift", odd)], "ω", b, ctx)[0]
-                assert list(got.blocks) == list(want.blocks)
-                assert all(got.blocks[m].tobytes() == a.tobytes() for m, a in want.blocks.items())
 
 
 # -- channel functions -----------------------------------------------------------
@@ -620,7 +606,7 @@ def test_channel_functions_are_built_once_per_a2(monkeypatch):
     # compiled once: another parameter, points or modulus with the same
     # slots builds nothing; other slots build their own
     build_R(H2, "μ1", SuperPoint(0.1, "ζ1"), SuperPoint(0.3j, "ζ2"), "ω", b, EllipticContext(3.3 + 0.4j), super=True)
-    cybe_residual([P1, P2, P3], "ω", b, CTX, super=True)
+    cybe_residual(cybe_factors([P1, P2, P3], b, CTX, odd=True))
     assert built == representatives * 2
     # N per slot set: the odd quantum one and the classical ones of three point pairs
     assert len(rmatrix._TEMPLATES) == 3 + 3 * 3
@@ -649,10 +635,10 @@ def test_channel_sums_make_one_request_per_table(monkeypatch):
         calls.clear()
     for N, want in ((1, [6, 6, 6]), (2, [24, 24, 24, 9, 9, 9]), (4, [96, 96, 96, 45, 45, 45])):
         b = HeisenbergBasis(N)
-        aybe_residual((H1, H2), ("μ1", "μ2"), [P1, P2, P3], "ω", b, CTX, super=True)
-        aybe_residual((H1, H2), None, [P1, P2, P3], "ω", b, CTX)
-        cybe_residual([P1, P2, P3], "ω", b, CTX, super=True)
-        cybe_residual([P1, P2, P3], "ω", b, CTX)
+        aybe_residual(aybe_factors((H1, H2), ("μ1", "μ2"), [P1, P2, P3], b, CTX, odd=True))
+        aybe_residual(aybe_factors((H1, H2), None, [P1, P2, P3], b, CTX))
+        cybe_residual(cybe_factors([P1, P2, P3], b, CTX, odd=True))
+        cybe_residual(cybe_factors([P1, P2, P3], b, CTX))
         assert calls == want, N
         calls.clear()
 
@@ -818,12 +804,12 @@ def test_residual_raises_its_first_failing_request():
         with pytest.raises(PoleProximityError) as alone:
             build_R(0.0, mu12, P1, P2, "ω", b, CTX, super=True)
         with pytest.raises(PoleProximityError) as got:
-            aybe_residual((h, h), ("μ1", "μ2"), [P1, P2, P3], "ω", b, CTX, super=True)
+            aybe_residual(aybe_factors((h, h), ("μ1", "μ2"), [P1, P2, P3], b, CTX, odd=True))
         assert str(got.value) == str(alone.value)
         # an aybe sample's one pass, whose first request holds both residuals'
         # kernel tables, raises what its first residual, the ordinary one, does
         with pytest.raises(PoleProximityError) as first:
-            aybe_residual((h, h), None, [P1, P2, P3], "ω", b, CTX)
+            aybe_residual(aybe_factors((h, h), None, [P1, P2, P3], b, CTX))
         inputs = {"hbar1": [h.real, h.imag], "hbar2": [h.real, h.imag]}
         inputs.update({f"z{i}": [p.z.real, p.z.imag] for i, p in enumerate((P1, P2, P3), 1)})
         with pytest.raises(PoleProximityError) as merged:
@@ -839,15 +825,24 @@ def test_max_abs_keeps_nan():
     assert SuperMatrix(1, 1).max_abs() == 0.0
 
 
-def test_commutator_and_anticommutator(rng):
-    a = random_super_matrix(rng, masks=(0, 3))
-    b = random_super_matrix(rng, masks=(0, 5))
-    c = commutator(a, b)
-    want = a @ b - b @ a
-    assert (c - want).max_abs() < 1e-12
-    ac = anticommutator(a, b)
-    want2 = a @ b + b @ a
-    assert (ac - want2).max_abs() < 1e-12
+def test_supercommutator_follows_the_operators_parity(rng):
+    # a b - b a unless both are odd, then a b + b a, each summed in place
+    # from a b as the plain brackets are; an empty operator counts as even
+    even, odd = (0, 3), (1, 2, 7)
+    for left, right in ((even, even), (even, odd), (odd, even), (odd, odd), (even, ()), ((), odd)):
+        a, b = random_super_matrix(rng, masks=left), random_super_matrix(rng, masks=right)
+        want = a @ b
+        if left == right == odd:
+            want += b @ a
+        else:
+            want -= b @ a
+        got = supercommutator(a, b)
+        assert list(got.blocks) == list(want.blocks), (left, right)
+        assert all(got.blocks[m].tobytes() == x.tobytes() for m, x in want.blocks.items()), (left, right)
+    mixed = random_super_matrix(rng, masks=(0, 1))
+    for a, b in ((mixed, random_super_matrix(rng, masks=odd)), (random_super_matrix(rng, masks=even), mixed)):
+        with pytest.raises(ValueError, match="one parity"):
+            supercommutator(a, b)
 
 
 # -- assembled operators ----------------------------------------------------------
@@ -944,26 +939,26 @@ def test_classical_limit_operator_structure():
 def test_associative_yang_baxter_residual():
     for N in (2, 3):
         b = HeisenbergBasis(N)
-        res, scale = aybe_residual((H1, H2), None, (P1, P2, P3), "ω", b, CTX)
+        res, scale = aybe_residual(aybe_factors((H1, H2), None, (P1, P2, P3), b, CTX))
         assert rel(res.max_abs(), scale) < 1e-11
 
 
 def test_classical_yang_baxter_residual():
     for N in (2, 3):
         b = HeisenbergBasis(N)
-        res, scale = cybe_residual((P1, P2, P3), "ω", b, CTX)
+        res, scale = cybe_residual(cybe_factors((P1, P2, P3), b, CTX))
         assert rel(res.max_abs(), scale) < 1e-11
 
 
 def test_super_associative_yang_baxter_residual():
     b = HeisenbergBasis(2)
-    res, scale = aybe_residual((H1, H2), ("μ1", "μ2"), (P1, P2, P3), "ω", b, CTX, super=True)
+    res, scale = aybe_residual(aybe_factors((H1, H2), ("μ1", "μ2"), (P1, P2, P3), b, CTX, odd=True))
     assert rel(res.max_abs(), scale) < 1e-11
 
 
 def test_super_classical_yang_baxter_residual():
     b = HeisenbergBasis(2)
-    res, scale = cybe_residual((P1, P2, P3), "ω", b, CTX, super=True)
+    res, scale = cybe_residual(cybe_factors((P1, P2, P3), b, CTX, odd=True))
     assert rel(res.max_abs(), scale) < 1e-11
 
 
@@ -1019,7 +1014,7 @@ def test_placed_aybe_products_match_dense_route(N, super_):
 
 def test_single_site_super_aybe_equals_scalar_identity():
     b1 = HeisenbergBasis(1)
-    res, _ = aybe_residual((H1, H2), ("μ1", "μ2"), (P1, P2, P3), "ω", b1, CTX, super=True)
+    res, _ = aybe_residual(aybe_factors((H1, H2), ("μ1", "μ2"), (P1, P2, P3), b1, CTX, odd=True))
     fres, scale = fay_residual((H1, H2), ("μ1", "μ2"), (P1, P2, P3), "ω", CTX)
     # both residuals are rounding noise of products of size scale
     assert rel((entry(res, 0, 0) - fres).max_abs(), scale) <= ROUTE_TOL
@@ -1048,4 +1043,4 @@ def test_first_product_expands_over_channel_pairs():
 def test_coincident_points_hit_pole():
     b = HeisenbergBasis(2)
     with pytest.raises(PoleProximityError):
-        cybe_residual((P1, SuperPoint(P1.z, "ζ2"), P3), "ω", b, CTX)
+        cybe_residual(cybe_factors((P1, SuperPoint(P1.z, "ζ2"), P3), b, CTX))
