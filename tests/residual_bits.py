@@ -1,8 +1,10 @@
 """Record of the exact residuals that a fixed list of verify runs reports.
 
 For every run in RUNS, each suite's max_residual is kept as float hex,
-together with its worst_inputs and redraws, so a refactor that claims to
-keep every residual bit can be checked against the record.  Each run is
+together with its worst_inputs, its redraws and the SHA-256 of the float
+hex of every relative residual its compute function returned, in sample
+order (samples), so a refactor that claims to keep every residual bit can
+be checked against the record, sample by sample.  Each run is
 computed twice in one process: first with every process-wide cache of the
 package empty (superfunc's function terms and plans, rmatrix's channel
 templates, elliptic's cached theta constants, and every functools cache of
@@ -22,7 +24,8 @@ and fresh max_residual side by side with
 
     PYTHONPATH=src python tests/residual_bits.py --diff
 
-which marks a suite "moved" where any field of its record differs, and
+which marks a suite "moved" where any field of its record differs (a
+changed samples digest included), and
 exits 1 if one did or the warm computation differs from the cold one (0 if
 the record holds), so it can gate a change that claims to keep every bit.
 Regeneration refuses to write a record that the warm computation does not
@@ -31,14 +34,16 @@ repeat.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from superkron import batch, elliptic, grassmann, rmatrix, superfunc
+from superkron import batch, elliptic, grassmann, rmatrix, suites, superfunc
 from superkron.suites import VerifyConfig, run_suites
 
 RECORD = Path(__file__).with_name("residual_bits.json")
@@ -90,21 +95,47 @@ def empty_caches() -> None:
                 value.cache_clear()
 
 
+@contextmanager
+def returned_residuals():
+    """Inside the block every suites._SUITES compute function is wrapped, so that each relative
+    residual it returns is appended as float hex to the yielded {suite: [hex, ...]}."""
+    returned: dict[str, list[str]] = {}
+    saved = dict(suites._SUITES)
+
+    def recording(name, compute):
+        def wrapped(inputs, cfg):
+            rel = compute(inputs, cfg)
+            returned.setdefault(name, []).append(float(rel).hex())
+            return rel
+
+        return wrapped
+
+    suites._SUITES.update({name: (sample, recording(name, compute)) for name, (sample, compute) in saved.items()})
+    try:
+        yield returned
+    finally:
+        suites._SUITES.update(saved)
+
+
 def compute() -> tuple[dict, dict]:
-    """Two records {run name: [{suite, max_residual (float hex), worst_inputs, redraws}]}, cold and warm:
-    each run computed with every cache emptied first (empty_caches), then once more right after."""
+    """Two records {run name: [{suite, max_residual (float hex), worst_inputs, redraws, samples}]}, cold
+    and warm: each run computed with every cache emptied first (empty_caches), then once more right after.
+    samples is the SHA-256 of the suite's returned residuals (returned_residuals), one per line."""
     cold, warm = {}, {}
     for name, fields in RUNS:
         empty_caches()
         for out in (cold, warm):
+            with returned_residuals() as returned:
+                reports = run_suites(VerifyConfig(seed=42, **fields))
             out[name] = [
                 {
                     "suite": r.suite,
                     "max_residual": float(r.max_residual).hex(),
                     "worst_inputs": r.worst_inputs,
                     "redraws": r.redraws,
+                    "samples": hashlib.sha256("\n".join(returned[r.suite]).encode()).hexdigest(),
                 }
-                for r in run_suites(VerifyConfig(seed=42, **fields))
+                for r in reports
             ]
     # through JSON, so a fresh computation compares equal to the loaded record
     return json.loads(json.dumps(cold)), json.loads(json.dumps(warm))
