@@ -32,6 +32,7 @@ from .elliptic import (
     _FREQS,
     _HEADROOM,
     _K_MAX,
+    _LOG_MIN,
     _MODULUS,
     _PI_I,
     _TWO_PI_I,
@@ -94,7 +95,8 @@ def _pair_counts(ws: np.ndarray, tau: complex) -> np.ndarray:
         count = np.abs(ws.imag) / t + _reach(t)
         pairs = np.ceil(np.where(count <= _K_MAX, count, 1.0)).astype(int)
         peak = np.floor(-ws.imag / t) + 0.5
-        failed = ~(count <= _K_MAX) | (-np.pi * (t * peak * peak + 2.0 * ws.imag * peak) > _HEADROOM[pairs])
+        exponent = -np.pi * (t * peak * peak + 2.0 * ws.imag * peak)
+        failed = ~(count <= _K_MAX) | (exponent > _HEADROOM[pairs]) | (exponent < _LOG_MIN)
     _raise_first(failed, pair_count, ws, tau)
     return pairs
 

@@ -52,8 +52,8 @@ _K_MAX = 200
 # derivative order the truncation rule covers: the argument order plus two
 # per modulus derivative, whose factor pi i f^2 counts as two (_check_orders)
 _TOP_ORDER = 7
-# largest real part whose exponential is a finite double
-_LOG_MAX = math.log(sys.float_info.max)
+# largest real part whose exponential is a finite double, and smallest whose exponential is a normal one
+_LOG_MAX, _LOG_MIN = math.log(sys.float_info.max), math.log(sys.float_info.min)
 # per pair count n >= 1, the largest term exponent that the argument factors of order _TOP_ORDER,
 # at most (2 pi (n - 1/2))^_TOP_ORDER at the summed frequencies, leave finite
 _HEADROOM = (_LOG_MAX,) + tuple(_LOG_MAX - _TOP_ORDER * math.log(2 * math.pi * (n - 0.5)) for n in range(1, _K_MAX + 1))
@@ -65,9 +65,10 @@ class PoleProximityError(ValueError):
 
 class SeriesTruncationError(RuntimeError):
     """A theta series cannot be summed in double precision: it needs more
-    than _K_MAX frequency pairs, or its largest term times its largest
-    order-_TOP_ORDER factor could exceed the floating-point range.  Both are
-    decided from the point and the modulus alone (pair_count), before any term is summed."""
+    than _K_MAX frequency pairs, its largest term times its largest
+    order-_TOP_ORDER factor could exceed the floating-point range, or its
+    largest term falls below it.  All three are decided from the point and
+    the modulus alone (pair_count), before any term is summed."""
 
 
 @dataclass(frozen=True)
@@ -154,10 +155,12 @@ def pair_count(z: complex, tau: complex) -> int:
     stack's entries do not depend on its length.
 
     Raises SeriesTruncationError when u + s exceeds _K_MAX (compared before
-    rounding up, so an infinite or undefined count raises too), or when the
+    rounding up, so an infinite or undefined count raises too), when the
     largest term, at the summed frequency nearest the turnaround, times the
     largest factor (2 pi f)^_TOP_ORDER of the summed frequencies could
-    exceed the floating-point range (_HEADROOM), whatever orders are asked.
+    exceed the floating-point range (_HEADROOM), whatever orders are asked,
+    or when the exponent of that largest term is below _LOG_MIN, so that
+    every term is subnormal or zero (at Im tau above about 902 for real z).
     """
     t = tau.imag
     count = abs(z.imag) / t + _reach(t)
@@ -165,8 +168,11 @@ def pair_count(z: complex, tau: complex) -> int:
         raise SeriesTruncationError(f"series needs more than {_K_MAX} frequency pairs (z={z}, tau={tau})")
     pairs = math.ceil(count)
     peak = math.floor(-z.imag / t) + 0.5
-    if -math.pi * (t * peak * peak + 2.0 * z.imag * peak) > _HEADROOM[pairs]:
+    exponent = -math.pi * (t * peak * peak + 2.0 * z.imag * peak)
+    if exponent > _HEADROOM[pairs]:
         raise SeriesTruncationError(f"series term exceeds the floating-point range (z={z}, tau={tau})")
+    if exponent < _LOG_MIN:
+        raise SeriesTruncationError(f"series terms fall below the floating-point range (z={z}, tau={tau})")
     return pairs
 
 

@@ -46,10 +46,9 @@ __all__ = [
 
 _TWO_PI_I = 2j * math.pi
 
-# super_phi's terms and SuperFunction.plan's rows by structure (_memo_key, elliptic._remember at this bound)
+# super_phi's terms by structure (_memo_key), and each entry's plans by soul, elliptic._remember at this bound
 _MEMO_LIMIT = 1024
 _PHI_TERMS: dict = {}
-_PLANS: dict = {}
 
 
 def _memo_key(x):
@@ -146,8 +145,8 @@ class SuperFunction:
     exp(exp_coeff * z12) * d^{j,k,dtau} kernel(hbar, z12), z12 = z1 - z2,
     and the monomials are those of default_generators().  No term depends
     on hbar, so a plan combines with tables at any parameter.  Change
-    terms only through add_term.  A function fresh from super_phi carries
-    the plans of its memo entry (_plans); add_term drops them.
+    terms only through add_term, which drops the plans (_plans) a function
+    fresh from super_phi carries; other functions plan from their terms.
     Every operator maps the stored rows into a new function with the same
     analytic metadata.
     """
@@ -285,8 +284,8 @@ class SuperFunction:
         soul, if given, is an even nilpotent element added to z12; the
         coefficient functions are extended to it by their finite Taylor
         expansion, with derivatives skipped whenever the accompanying
-        Grassmann product already vanished.  Evaluation is plan (memoized),
-        one kernel_derivs table per modulus order, then combine; the R-matrix
+        Grassmann product already vanished.  Evaluation is plan, one
+        kernel_derivs table per modulus order, then combine; the R-matrix
         channel sums compile plan's rows once into a dense matrix and
         contract it with the tables of many channels at once
         (rmatrix.channel_sums).
@@ -302,51 +301,43 @@ class SuperFunction:
     def plan(self, soul: GrassmannElement | None = None):
         """Rows (monomial, dtau, j, k, scalar) as a tuple and the table sizes {dtau: (max j, max k)} they read.
 
-        Memoized by content, the same for any hbar, ctx and kind: exp_coeff,
-        the stored rows in order and the soul's terms in order.  A function
-        fresh from super_phi reads and fills the plans its memo entry carries
-        by soul, without keying its rows.  The rows are a shared tuple, the
-        sizes a fresh dict.
+        The same for any hbar, ctx and kind.  A function fresh from
+        super_phi reads and fills the plans its memo entry carries, by the
+        soul's terms (_memo_key); any other function plans from its terms
+        on each call and stores nothing.  The sizes are a fresh dict.
         """
-        soul_key = _memo_key(soul)
-        planned = None if self._plans is None else self._plans.get(soul_key)
-        if planned is None:
-            key = (_memo_key(self.exp_coeff), tuple((m, d, repr(c)) for m, d, c in self._rows()), soul_key)
-            planned = _PLANS.get(key) or _remember(_PLANS, key, self._plan_rows(soul), _MEMO_LIMIT)
-            if self._plans is not None:
-                _remember(self._plans, soul_key, planned, _MEMO_LIMIT)
-        return planned[0], dict(planned[1])
+        if self._plans is None:
+            rows, sizes = self._plan_rows(soul)
+        else:
+            key = _memo_key(soul)
+            rows, sizes = self._plans.get(key) or _remember(self._plans, key, self._plan_rows(soul), _MEMO_LIMIT)
+        return rows, dict(sizes)
 
     def _plan_rows(self, soul: GrassmannElement | None):
-        """plan's rows and sizes as tuples, built from the current terms."""
-        if soul is None:
-            powers = [default_generators().one()]
-        elif soul.parity() != "even":
+        """plan's rows and sizes as tuples, from the current terms: per monomial, its terms as stored, then
+        their Taylor rows from the soul's first power on."""
+        if soul is not None and soul.parity() != "even":
             raise ValueError("soul must be an even element")
-        else:
-            powers = nilpotent_powers(soul)
+        powers = () if soul is None else nilpotent_powers(soul)[1:]
         rows: list[tuple[int, int, int, int, complex]] = []
-        sizes: dict[int, tuple[int, int]] = {}
         for mask, row in self.terms.items():
-            base = GrassmannElement({mask: 1.0})
+            rows += [(mask, *desc, coeff) for desc, coeff in row.items()]
             factorial = 1.0
-            for m, power in enumerate(powers):
-                if m:
-                    factorial *= m
-                pre = base * power if m else base
+            for m, power in enumerate(powers, 1):
+                factorial *= m
+                pre = GrassmannElement({mask: 1.0}) * power
                 if pre.is_zero():
                     break
-                for desc, coeff in row.items():
+                for (dtau, j, k), coeff in row.items():
                     for i in range(m + 1):
                         weight = self.exp_coeff ** (m - i)
-                        if weight == 0:
-                            continue
-                        scalar = coeff * comb(m, i) * weight / factorial
-                        k = desc.k + i
-                        for pmask, pcoeff in pre.items():
-                            rows.append((pmask, desc.dtau, desc.j, k, pcoeff * scalar))
-                        mj, mk = sizes.get(desc.dtau, (0, 0))
-                        sizes[desc.dtau] = (max(mj, desc.j), max(mk, k))
+                        if weight != 0:
+                            scalar = coeff * comb(m, i) * weight / factorial
+                            rows += [(pmask, dtau, j, k + i, pcoeff * scalar) for pmask, pcoeff in pre.items()]
+        sizes: dict[int, tuple[int, int]] = {}
+        for _, dtau, j, k, _ in rows:
+            mj, mk = sizes.get(dtau, (0, 0))
+            sizes[dtau] = (max(mj, j), max(mk, k))
         return tuple(rows), tuple(sizes.items())
 
     def combine(self, rows, tables: dict, z12: complex) -> GrassmannElement:
@@ -400,10 +391,10 @@ def super_phi(
     coefficient one) must hold different ones, else ValueError.  Slots that
     hold a combination, such as a shifted odd coordinate, are not checked.
     The terms are memoized by all but hbar, ctx and even coordinates, each
-    entry with the plans of its functions by soul (SuperFunction.plan), so
-    emptying _PHI_TERMS empties those too.  The
-    slots and tau_term are checked on a memo miss only: the key holds every
-    input the checks read, and a failing check stores nothing.
+    entry with the plans of its fresh functions by soul (SuperFunction.plan;
+    derived functions carry none), so emptying _PHI_TERMS empties those too.
+    The slots and tau_term are checked on a memo miss only: the key holds
+    every input the checks read, and a failing check stores nothing.
     """
     f = SuperFunction(ctx, hbar, kind=kind, exp_coeff=exp_coeff)
     key = tuple(map(_memo_key, (kind, exp_coeff, hbar_tau_rate, tau_term, p1.zeta, p2.zeta, omega, mu)))

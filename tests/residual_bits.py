@@ -87,7 +87,7 @@ def environment() -> dict:
 def empty_caches() -> None:
     """Empty the memo dicts of superfunc, rmatrix and elliptic and call cache_clear() on every functools
     cache in the namespaces of the package's computing modules."""
-    for memo in (superfunc._PHI_TERMS, superfunc._PLANS, rmatrix._TEMPLATES, elliptic._SQUARES):
+    for memo in (superfunc._PHI_TERMS, rmatrix._TEMPLATES, elliptic._SQUARES):
         memo.clear()
     for module in (elliptic, batch, grassmann, superfunc, rmatrix):
         for value in vars(module).values():

@@ -335,6 +335,10 @@ def test_main_invalid_config_exit_code(capsys):
             for im in ("1e-300", "5e-324")
             for suite in (["kronecker"], ["fay"], ["aybe", "--n", "2"], ["cybe", "--n", "4"])
         ),
+        # every term of a series falls below the floating-point range: refused before a table divides
+        # by a theta value of zero, the origin's for fay
+        ["fay", "--tau-im", "1000", "--samples", "3"],
+        ["aybe", "--tau-im", "947", "--n", "2", "--samples", "3"],
     ],
 )
 def test_invalid_input_exits_2_without_traceback(argv, tmp_path):
@@ -349,12 +353,17 @@ def test_invalid_input_exits_2_without_traceback(argv, tmp_path):
     assert proc.returncode == 2
     assert "invalid configuration" in proc.stderr
     assert "Traceback" not in proc.stderr
+    # the message is the whole of stderr: no numpy RuntimeWarning precedes it
+    assert len(proc.stderr.strip().splitlines()) == 1
     if "--tau-im" in argv and float(argv[argv.index("--tau-im") + 1]) < 1e-3:
         assert "series needs more than 200 frequency pairs" in proc.stderr
     if "--tau-im" in argv and float(argv[argv.index("--tau-im") + 1]) == 260:
         assert "z=" in proc.stderr
     if "--tau-im" in argv and float(argv[argv.index("--tau-im") + 1]) == 300:
         assert "exponential dressing" in proc.stderr and "z12=" in proc.stderr
+    if argv[0] in ("fay", "aybe") and "--tau-im" in argv and float(argv[argv.index("--tau-im") + 1]) >= 947:
+        assert "series terms fall below the floating-point range (z=" in proc.stderr
+        assert argv[0] != "fay" or "(z=0j, tau=(0.3+1000j))" in proc.stderr
 
 
 def test_theta_overflow_names_its_point(capsys):

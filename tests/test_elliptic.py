@@ -644,6 +644,8 @@ def test_series_truncation_is_not_memoized():
         (0.3 + 0.005j, 0.1 + 0.95j, "needs more than 200 frequency pairs"),
         # the largest term is about exp(1142)
         (0.3 + 1.1j, 0.3 - 20j, "exceeds the floating-point range"),
+        # the largest term is about exp(-785): every term underflowed, and the stack was (0j, 0j)
+        (0.3 + 1000j, 0.3 + 0j, "terms fall below the floating-point range"),
     ],
 )
 def test_batched_series_errors_name_the_failing_point(tau, bad, message):

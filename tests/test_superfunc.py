@@ -407,7 +407,6 @@ def test_dressing_overflow_names_its_point():
 @pytest.fixture
 def cold_memos(monkeypatch):
     monkeypatch.setattr(superfunc, "_PHI_TERMS", {})
-    monkeypatch.setattr(superfunc, "_PLANS", {})
 
 
 def _row_bits(f):
@@ -441,7 +440,7 @@ def _memo_cases():
 
 def test_memo_hits_equal_fresh_builds(cold_memos):
     # every case gets its own entry, and a hit gives the rows, plans and
-    # evaluation bits of a build with both memos cleared
+    # evaluation bits of a build with the memo cleared
     souls = (None, (Z1E * OME) * TPI)
     cases = _memo_cases()
 
@@ -453,12 +452,10 @@ def test_memo_hits_equal_fresh_builds(cold_memos):
     for case in cases:
         built(case)
     assert len(superfunc._PHI_TERMS) == len(cases)
-    n_plans = len(superfunc._PLANS)
     hits = [built(case) for case in cases]
-    assert len(superfunc._PHI_TERMS) == len(cases) and len(superfunc._PLANS) == n_plans
+    assert len(superfunc._PHI_TERMS) == len(cases)
     for case, hit in zip(cases, hits):
         superfunc._PHI_TERMS.clear()
-        superfunc._PLANS.clear()
         assert hit == built(case), case
     # mu as mu1 + mu2 and as mu2 + mu1 (the first case of each): the sum's
     # terms follow the slot's order
@@ -511,15 +508,16 @@ def test_warm_call_checks_no_slot(cold_memos, monkeypatch):
 def test_memos_are_cleared_at_their_bound(cold_memos):
     for i in range(superfunc._MEMO_LIMIT):
         super_phi(H1, "μ1", P1, P2, "ω", CTX, exp_coeff=complex(i)).plan()
-    assert len(superfunc._PHI_TERMS) == len(superfunc._PLANS) == superfunc._MEMO_LIMIT == 1024
+    assert len(superfunc._PHI_TERMS) == superfunc._MEMO_LIMIT == 1024
     super_phi(H1, "μ1", P1, P2, "ω", CTX, exp_coeff=-1.0).plan()
-    assert len(superfunc._PHI_TERMS) == len(superfunc._PLANS) == 1
+    assert len(superfunc._PHI_TERMS) == 1
 
 
 def test_second_graded_sample_builds_no_function(cold_memos, monkeypatch):
     # the terms and plans depend on the slots and dressings only, so a
     # second sample of each graded suite (basis: at the same channels)
-    # builds neither; counted, not timed
+    # builds no terms and plans no function fresh from super_phi; derived
+    # functions plan from their terms on every call; counted, not timed
     phi_, mul, plan_rows = superfunc.super_phi, GrassmannElement.__mul__, SuperFunction._plan_rows
     inside, muls, plans = [False], [], []
 
@@ -536,7 +534,8 @@ def test_second_graded_sample_builds_no_function(cold_memos, monkeypatch):
         return mul(self, other)
 
     def counting_plan_rows(self, soul):
-        plans.append(soul)
+        if self._plans is not None:
+            plans.append(soul)
         return plan_rows(self, soul)
 
     for module in (superfunc, rmatrix, suites):
@@ -562,18 +561,15 @@ def test_second_graded_sample_builds_no_function(cold_memos, monkeypatch):
 
 def test_fresh_functions_carry_their_entry_plans(cold_memos):
     # functions fresh from one super_phi key read one plan per soul from
-    # their shared entry, without keying their rows: once made, the plan
-    # comes back with _PLANS emptied, and _PLANS stays empty
+    # their shared entry
     soul = (Z1E * OME) * TPI
     f = super_phi(H1, "μ1", P1, P2, "ω", CTX)
     rows, sizes = f.plan()
     souled = f.plan(soul)[0]
-    superfunc._PLANS.clear()
     g = super_phi(H2, "μ1", P1, P2, "ω", CTX)
     assert g.plan()[0] is rows and g.plan()[1] == sizes and g.plan(soul)[0] is souled is not rows
-    assert not superfunc._PLANS
-    # derived functions key their rows
-    assert g.scale(1.0).plan()[0] == rows and len(superfunc._PLANS) == 1
+    # derived functions plan from their terms
+    assert g.scale(1.0).plan()[0] == rows
     # add_term and add_element_term drop the carried plans
     g.add_term(GENS.mask_of("ζ1ζ2"), 0, 2, 1, 0.75)
     assert g._plans is None and g.plan()[0] != rows
@@ -583,6 +579,27 @@ def test_fresh_functions_carry_their_entry_plans(cold_memos):
     # emptying _PHI_TERMS empties the carried plans with it
     superfunc._PHI_TERMS.clear()
     assert super_phi(H1, "μ1", P1, P2, "ω", CTX)._plans == {}
+
+
+def test_derived_functions_plan_from_their_terms(cold_memos):
+    # heat's operator-built right side with a dressing: its soul-free plan
+    # rows are its stored terms, bit for bit, and planning it, with or
+    # without a soul, stores nothing in any module-level dict
+    f = super_phi(H1, "μ1", P1, P2, "ω", CTX, exp_coeff=-TPI / 3)
+    dh = f.d_hbar()
+    g = dh.d_generator(GENS.index["ζ1"]) + dh.d_z1().lmul(Z1E) - dh.d_hbar().lmul(MUE).scale(0.5)
+    want = tuple((m, *d, c) for m, d, c in g._rows())
+
+    def memos():
+        # superfunc._PHI_TERMS, rmatrix._TEMPLATES and elliptic._SQUARES among them
+        modules = (superfunc, rmatrix, elliptic)
+        return [dict(v) for m in modules for name, v in vars(m).items() if isinstance(v, dict) and name[:2] != "__"]
+
+    before = memos()
+    for _ in range(2):
+        assert _plan_bits(g.plan())[0] == _plan_bits((want, None))[0]
+        g.plan((Z1E * OME) * TPI)
+    assert g._plans is None and memos() == before
 
 
 @pytest.mark.parametrize("truncated", [False, True])
