@@ -33,11 +33,14 @@ from .rmatrix import (
     HeisenbergBasis,
     MultiIndex,
     SuperMatrix,
+    aybe_ops,
     aybe_residual,
     basis_phi,
     build_R,
     build_r_classical,
     channel_shift,
+    channel_sums,
+    cybe_ops,
     cybe_residual,
     embed,
     kappa,
@@ -105,7 +108,10 @@ __all__ = [
     "build_r_classical",
     "embed",
     "supercommutator",
+    "channel_sums",
+    "aybe_ops",
     "aybe_residual",
+    "cybe_ops",
     "cybe_residual",
     # suites / cli
     "SUITE_NAMES",

@@ -1,30 +1,30 @@
 """Elliptic kernel tables at many points at once, in numpy.
 
-elliptic_tables builds the phi_derivs or phi_tau_derivs tables of a list of
-(parameter, argument) points; its one caller is rmatrix.channel_sums, which
-imports this module on first use.  It sums the theta series of every distinct
-argument together over the frequency axis, then runs the scalar route's own
-table arithmetic on rows over points: elliptic's reciprocal recursions,
-Leibniz cells (_leibniz) and lattice multipliers (_restored), with theta'(0)
-from elliptic._origin_data.  Every sum runs in order, the theta sums by
-cumsum along the frequency axis and the table cells term by term, with no
-pairwise or BLAS reduction, and every other operation is elementwise; numpy's
-complex products round the same at every array length, so a point's
-table is bit for bit the same whatever else the list holds.  Its theta sums
-are bit for bit those of elliptic.theta_stack; its tables agree with the
-scalar routes to rounding, not bit for bit, because numpy's complex products
-over arrays round differently from Python's.  The truncation rule
-(pair_count), the lattice geometry (lattice_reduce, lattice_distance), the
-pole check and the error messages are elliptic's own: the batch runs them as
-array forms over the point axis, bit for bit the scalar functions, and
-re-raises a failing point by calling the scalar function at the first
-failure in list order.
+elliptic_tables builds phi_derivs and phi_tau_derivs tables over one list
+of (parameter, argument) points, one request per modulus order; its one
+caller is rmatrix.channel_sums, which imports this module on first use and
+sends one call per channel-sum pass.  Each request sums the theta series
+of its distinct arguments together over the frequency axis, then runs the
+scalar route's own table arithmetic on rows over points: elliptic's
+reciprocal recursions, Leibniz cells (_leibniz) and lattice multipliers
+(_restored), with theta'(0) from elliptic._origin_data.  Every sum runs in
+order, the theta sums by cumsum along the frequency axis and the table
+cells term by term, with no pairwise or BLAS reduction, and every other
+operation is elementwise; numpy's complex products round the same at
+every array length, so a point's table is bit for bit the same whatever
+else the list holds, and a point that repeats gets the same bits each
+time.  Its theta sums are bit for bit those of elliptic.theta_stack; its
+tables agree with the scalar routes to rounding, not bit for bit, because
+numpy's complex products over arrays round differently from Python's.
+The truncation rule (pair_count), the lattice geometry (lattice_reduce,
+lattice_distance), the pole check and the error messages are elliptic's
+own: the batch runs them as array forms over the point axis, bit for bit
+the scalar functions, and re-raises a failing point by calling the scalar
+function at the first failure in list order.
 The scalar route, on plain Python numbers, is faster for one point.
 """
 
 from __future__ import annotations
-
-from math import prod
 
 import numpy as np
 
@@ -57,15 +57,14 @@ _HEADROOM = np.array(_HEADROOM)  # elliptic's range table, indexed by pair count
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, which): the first index of each distinct row of values by its bits (0.0 and -0.0
-    stay apart), in order of first appearance, and each row's position among them."""
-    values = np.ascontiguousarray(values)
-    keys = values.view(np.dtype((np.void, values.itemsize * prod(values.shape[1:])))).reshape(-1)
+    """(first, which): the first index of each distinct value of values by its bits (0.0 and -0.0
+    stay apart), in order of first appearance, and each value's position among them."""
+    keys = np.ascontiguousarray(values).view(np.dtype((np.void, values.itemsize)))
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return first[order], rank[which.reshape(-1)]
+    return first[order], rank[which]
 
 
 def _raise_first(failed: np.ndarray, scalar, values: np.ndarray, *args) -> None:
@@ -121,9 +120,12 @@ def _lattice_distances(ws: np.ndarray, tau: complex) -> tuple[np.ndarray, np.nda
     return best, failed
 
 
-def _require_regular_all(checks: np.ndarray, ctx: EllipticContext) -> None:
-    """elliptic._require_regular at every point of checks, the triples (z, hbar, hbar+z) of each
-    point in order, labelled so: the first that fails raises elliptic's error."""
+def _require_regular_all(zs: np.ndarray, hbars: np.ndarray, ctx: EllipticContext) -> None:
+    """elliptic._require_regular at z, hbar and hbar+z of every point in order, labelled so: the first
+    that fails raises elliptic's error."""
+    if not len(zs):
+        return
+    checks = np.stack([zs, hbars, hbars + zs], axis=1).reshape(-1)
     dist, failed = _lattice_distances(checks, ctx.tau)
     failed |= ~(dist >= ctx.pole_radius)
     if failed.any():
@@ -147,65 +149,74 @@ def _theta_sums(ws: np.ndarray, pairs: np.ndarray, tau: complex, top: int, dot: 
     return out
 
 
-def elliptic_tables(hbars, z, ctx: EllipticContext, max_j: int, max_k: int, dtau: int) -> np.ndarray:
-    """The elliptic kernel_derivs tables at every parameter in hbars, with one z or one z per parameter.
+def elliptic_tables(hbars, z, ctx: EllipticContext, requests) -> list[np.ndarray]:
+    """The elliptic kernel_derivs tables of several requests over one list of points, one array per request.
 
-    Returns shape (len(hbars), max_j + 1, max_k + 1): phi_derivs (dtau = 0,
-    reduced) or phi_tau_derivs (dtau = 1, unreduced) at each point, to rounding.
-    Each distinct point is tabulated once and each distinct theta argument
-    summed once.  The error contract is elliptic's single-point one (see
-    elliptic.kernel_derivs) over the whole list: after the orders (_check_orders), pair_count decides
-    the series errors of every point's theta arguments, z, hbar and hbar+z,
-    point after point; then the poles of z, hbar and hbar+z are checked
-    point after point; only then is anything summed.  So a list with a
-    series error anywhere raises that error even if an earlier point sits
-    on a pole.  Reduction, pair counts and pole checks run as array forms
-    over the list (_lattice_reduce, _pair_counts, _lattice_distances), and
-    the first point that fails raises through the scalar function, with its
-    message, recording nothing on ctx.  After the checks theta'(0) comes
-    from elliptic._origin_data, which leaves the origin's stacks in ctx's
-    theta memo when it sums them; no other stack is recorded there.  Last,
-    the lattice multipliers of reduced points are exponentiated point by
-    point, and one beyond the floating-point range raises OverflowError.
+    The points are the parameters in hbars, with one z for all or one each.
+    A request (max_j, max_k, dtau, at) gets phi_derivs (dtau = 0, reduced)
+    or phi_tau_derivs (dtau = 1, unreduced), to rounding, at the points at
+    (an index array, mask or slice of the list): shape (len(at), max_j + 1,
+    max_k + 1).  Every point named is tabulated, a repeated one with the
+    same bits, and each distinct theta argument of a request summed once.
+    The orders of every request are checked first (_check_orders); then
+    the requests raise what they raise when made one after another, each
+    with elliptic's single-point contract (elliptic.kernel_derivs) over
+    its points: pair_count decides the series errors of every point's
+    theta arguments z, hbar and hbar+z, point after point, then the poles
+    of z, hbar and hbar+z are checked point after point, at the points no
+    earlier request has checked, before anything is summed; so a series
+    error anywhere in a request comes before a pole at an earlier point.
+    These checks run as array forms over the points (_lattice_reduce,
+    _pair_counts, _lattice_distances), and the first point that fails
+    raises through the scalar function, with its message, recording
+    nothing on ctx.  After the first pole check theta'(0) comes from
+    elliptic._origin_data, which leaves the origin's stacks in ctx's theta
+    memo; no other stack is recorded there.  Last in each request, the
+    lattice multipliers of reduced points are exponentiated point by
+    point, and the first beyond the floating-point range raises
+    OverflowError, before the next request starts.
     """
-    _check_orders(max_j, max_k, dtau)
+    for max_j, max_k, dtau, _ in requests:
+        _check_orders(max_j, max_k, dtau)
     hbars = np.array(hbars, dtype=np.complex128).reshape(-1)
     zs = np.broadcast_to(np.array(z, dtype=np.complex128), hbars.shape)
-    shape = (len(hbars), max_j + 1, max_k + 1)
-    if not len(hbars):
-        return np.zeros(shape, dtype=np.complex128)
-    tau = ctx.tau
-    first, which = _distinct(np.stack([hbars, zs], axis=1))
-    hs, ws = hbars[first], zs[first]
-    reduced = not dtau
-    if reduced:
-        z_red, _, n_z = _lattice_reduce(ws, tau)
-        h_red, _, n_h = _lattice_reduce(hs, tau)
-        args = np.stack([z_red, h_red, h_red + z_red], axis=1)
-    else:
-        args = np.stack([ws, hs, hs + ws], axis=1)
-    # theta arguments point by point: z, hbar and hbar+z
-    args = args.reshape(-1)
-    arg_first, arg_which = _distinct(args)
-    pairs = _pair_counts(args[arg_first], tau)
-    _require_regular_all(np.stack([ws, hs, hs + ws], axis=1).reshape(-1), ctx)
-    prime0, prime0_dot = _origin_data(ctx)
+    tau, checked, origin, out = ctx.tau, np.zeros(len(hbars), dtype=bool), None, []
+    for max_j, max_k, dtau, at in requests:
+        at = np.arange(len(hbars))[at]
+        if not len(at):
+            out.append(np.zeros((0, max_j + 1, max_k + 1), dtype=np.complex128))
+            continue
+        hs, ws = hbars[at], zs[at]
+        if not dtau:
+            z_red, _, n_z = _lattice_reduce(ws, tau)
+            h_red, _, n_h = _lattice_reduce(hs, tau)
+        # theta arguments point by point: z, hbar and hbar+z
+        args = np.stack([ws, hs, hs + ws] if dtau else [z_red, h_red, h_red + z_red], axis=1).reshape(-1)
+        arg_first, arg_which = _distinct(args)
+        pairs = _pair_counts(args[arg_first], tau)
+        new = at[~checked[at]]
+        _require_regular_all(zs[new], hbars[new], ctx)
+        checked[new] = True
+        prime0, prime0_dot = origin = origin or _origin_data(ctx)
 
-    with np.errstate(all="ignore"):
-        # (order, argument) arrays, then the (order, point) rows of z, hbar and hbar+z
-        stacks = [s[arg_which].T for s in _theta_sums(args[arg_first], pairs, tau, max_j + max_k, bool(dtau))]
-        s_z, s_h, a = (stacks[0][:, i::3] for i in range(3))
-        # the order recursions and Leibniz sums of the scalar route, on rows of points
-        u, v = _reciprocal_derivs(s_h[: max_j + 1]), _reciprocal_derivs(s_z[: max_k + 1])
-        if dtau:
-            d_z, d_h, a_dot = (stacks[1][:, i::3] for i in range(3))
-            dots = (a_dot, _reciprocal_dot(d_h[: max_j + 1], u), _reciprocal_dot(d_z[: max_k + 1], v))
-            cells, dot_cells = _leibniz(a, u, v, max_j, max_k, dots)
-            tables = prime0_dot * np.array(cells) + prime0 * np.array(dot_cells)
-        else:
-            tables = prime0 * np.array(_leibniz(a, u, v, max_j, max_k))
-    if reduced and len(at := np.flatnonzero((n_z != 0) | (n_h != 0))):
-        # elliptic's _envelope point by point, in order: the first beyond the range raises
-        envelope = np.array([_envelope(*point) for point in zip(*(x[at].tolist() for x in (hs, ws, z_red, n_z, n_h)))])
-        tables[..., at] = _restored(tables[..., at], -_TWO_PI_I * n_z[at], -_TWO_PI_I * n_h[at], envelope)
-    return np.moveaxis(tables, -1, 0)[which]
+        with np.errstate(all="ignore"):
+            # (order, argument) arrays, then the (order, point) rows of z, hbar and hbar+z
+            stacks = [s[arg_which].T for s in _theta_sums(args[arg_first], pairs, tau, max_j + max_k, bool(dtau))]
+            s_z, s_h, a = (stacks[0][:, i::3] for i in range(3))
+            # the order recursions and Leibniz sums of the scalar route, on rows of points
+            u, v = _reciprocal_derivs(s_h[: max_j + 1]), _reciprocal_derivs(s_z[: max_k + 1])
+            if dtau:
+                d_z, d_h, a_dot = (stacks[1][:, i::3] for i in range(3))
+                dots = (a_dot, _reciprocal_dot(d_h[: max_j + 1], u), _reciprocal_dot(d_z[: max_k + 1], v))
+                cells, dot_cells = _leibniz(a, u, v, max_j, max_k, dots)
+                tables = prime0_dot * np.array(cells) + prime0 * np.array(dot_cells)
+            else:
+                tables = prime0 * np.array(_leibniz(a, u, v, max_j, max_k))
+        if not dtau and len(shifted := np.flatnonzero((n_z != 0) | (n_h != 0))):
+            # elliptic's _envelope point by point, in order: the first beyond the range raises
+            envelope = np.array([_envelope(*point) for point in
+                                 zip(*(x[shifted].tolist() for x in (hs, ws, z_red, n_z, n_h)))])
+            tables[..., shifted] = _restored(tables[..., shifted], -_TWO_PI_I * n_z[shifted],
+                                             -_TWO_PI_I * n_h[shifted], envelope)
+        out.append(np.moveaxis(tables, -1, 0))
+    return out

@@ -20,6 +20,7 @@ import cmath
 import functools
 import math
 import operator
+import struct
 from itertools import product
 from typing import NamedTuple, Sequence
 
@@ -472,13 +473,15 @@ _TEMPLATES: dict = {}
 class _Template:
     """A channel function compiled to a dense matrix: matrix[m, c] is what table cell c, at modulus order
     dtau[c] and position (j[c], k[c]), contributes to monomial masks[m], masks and cells (dtau, j, k)
-    ascending; the function is exp(exp_coeff z12) times matrix @ cells.  sizes maps each modulus order it
-    reads to the largest (j, k) read there; a cell is read from any table at least that large."""
+    ascending; the function at channel a is exp(c z12) times matrix @ cells, c = 2 pi i a2 / N.  sizes maps
+    each modulus order it reads to the largest (j, k) read there; a cell is read from any table at least that
+    large.  shape is (masks, cells): templates of one shape differ only in their matrices."""
 
-    def __init__(self, rows, sizes: dict, exp_coeff: complex) -> None:
-        self.sizes, self.exp_coeff = sizes, exp_coeff
+    def __init__(self, rows, sizes: dict) -> None:
+        self.sizes = sizes
         masks = sorted({r[0] for r in rows})
         cells = sorted({r[1:4] for r in rows})
+        self.shape = (tuple(masks), tuple(cells))
         self.masks = np.array(masks, dtype=int)
         self.dtau, self.j, self.k = np.array(cells, dtype=int).reshape(-1, 3).T
         self.matrix = np.zeros((len(masks), len(cells)), dtype=complex)
@@ -486,33 +489,31 @@ class _Template:
             self.matrix[masks.index(mask), cells.index((d, j, k))] += scalar
 
 
-def _template(alpha, hbar, mu, p1, p2, omega, ctx, N, form) -> _Template:
-    """super_basis_phi compiled once per (form, a2, N, slots), its plan depending on neither a1, hbar nor ctx;
-    a slot is keyed by superfunc._memo_key."""
-    key = (form, alpha[1], N, *map(_memo_key, (p1.zeta, p2.zeta, omega, mu)))
-    hit = _TEMPLATES.get(key)
-    if hit is None:
-        f = super_basis_phi(alpha, hbar, mu, p1, p2, omega, ctx, N, form)
-        hit = _remember(_TEMPLATES, key, _Template(*f.plan(), f.exp_coeff), _MEMO_LIMIT)
-    return hit
+def _templates(a2s, hbar, mu, p1, p2, omega, ctx, N, form) -> list[_Template]:
+    """super_basis_phi at each (0, a2), compiled once per (form, a2, N, slots), its plan depending on neither
+    a1, hbar nor ctx; the slots are keyed once per call, by superfunc._memo_key."""
+    slots, out = tuple(map(_memo_key, (p1.zeta, p2.zeta, omega, mu))), []
+    for a2 in a2s:
+        if (hit := _TEMPLATES.get(key := (form, a2, N, *slots))) is None:
+            f = super_basis_phi((0, a2), hbar, mu, p1, p2, omega, ctx, N, form)
+            hit = _remember(_TEMPLATES, key, _Template(*f.plan()), _MEMO_LIMIT)
+        out.append(hit)
+    return out
+
+
+# the dressed kernel of every ordinary channel: cell (0, 0) into monomial 0
+_ORDINARY = _Template(((0, 0, 0, 0, 1.0),), {0: (0, 0)})
 
 
 @functools.lru_cache(maxsize=64)
-def _ordinary(a2: int, N: int) -> _Template:
-    """The dressed kernel of an ordinary channel: cell (0, 0) into monomial 0, dressing c = 2 pi i a2 / N."""
-    return _Template(((0, 0, 0, 0, 1.0),), {0: (0, 0)}, _TWO_PI_I * a2 / N)
-
-
-@functools.lru_cache(maxsize=64)
-def _channels(indices: tuple, N: int, tau: complex) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
-    """(shifts, grid, a2s, rank) of a channel list, read-only and cached per (indices, N, tau): each
-    channel's channel_shift and its position a1 N + a2 in the N x N grid, the distinct a2 mod N ascending,
-    and each channel's position in a2s."""
+def _channels(indices: tuple, N: int, tau: complex) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(shifts, grid, a2s) of a channel list, read-only and cached per (indices, N, tau): each channel's
+    channel_shift and its position a1 N + a2 in the N x N grid, and the distinct a2 mod N in the order the
+    channels first need them."""
     shifts = np.array([channel_shift(alpha, N, tau) for alpha in indices], dtype=complex)
     grid = np.array([alpha[0] * N + alpha[1] for alpha in indices], dtype=int)
-    a2s, rank = np.unique(grid % N, return_inverse=True)
-    shifts.flags.writeable = grid.flags.writeable = rank.flags.writeable = False
-    return shifts, grid, tuple(a2s.tolist()), rank
+    shifts.flags.writeable = grid.flags.writeable = False
+    return shifts, grid, tuple(dict.fromkeys((grid % N).tolist()))
 
 
 def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> list[SuperMatrix]:
@@ -520,63 +521,91 @@ def channel_sums(ops, omega, basis: HeisenbergBasis, ctx: EllipticContext) -> li
     op (indices, hbar, mu, p1, p2, form, odd) sums T_a (x) T_-a times super_basis_phi (odd) or the
     dressed kernel over the distinct a in indices, 0 <= a1, a2 < N, at hbar + (a1 + a2 tau)/N and
     z12 = p1.z - p2.z, the parameters complex(hbar) plus the channel shifts (_channels, keyed by indices,
-    a tuple of pairs as HeisenbergBasis gives).  Every channel
-    function is a _Template, one per distinct a2 of an op: an odd one compiled by _template at (0, a2), an
-    ordinary one the one-cell _ordinary.  One batch.elliptic_tables request per modulus order, order 0
-    first, covers every channel whose template reads that order, at the largest (max_j, max_k) any
-    template of the pass reads there; the batch tabulates each distinct (hbar, z12) point once, and no
-    cell depends on the table size.  Each distinct (exp_coeff, z12) dressing is exponentiated once, after
-    the requests, in the order the channels first need it.  So a pass raises what its order-0 request
-    raises over all its channels, else what its order-1 request raises, else the error of its first
-    dressing.  The channels of one template contract its matrix with their table cells in one in-order
-    sum over the cells, in numpy's complex arithmetic, so they agree with evaluate to rounding; an
-    operator's blocks, in ascending monomial order, come from HeisenbergBasis.channel_blocks.
+    a tuple of pairs as HeisenbergBasis gives).  Every channel function is a _Template, one per distinct
+    a2 of an op, ascending: an odd one compiled by _templates at (0, a2), an ordinary one _ORDINARY.
+
+    Ops of one geometry, the same indices and bits of complex(hbar) and z12, share every channel point:
+    each geometry is tabulated once, in order of first appearance, and its ops read its rows.  One
+    batch.elliptic_tables call makes one request per modulus order, order 0 first, over the geometries
+    whose templates read it, in the order their ops first do, at the largest (max_j, max_k) read there;
+    no cell depends on the table size.  Then each distinct nonzero dressing c z12, c = 2 pi i a2 / N, is
+    exponentiated once, in the order the channels first need it.  So a pass raises what its order-0
+    request raises when made alone, else what its order-1 request raises when made next, else the error
+    of its first dressing.  The channels of the templates of one shape (masks and cells) contract their
+    own template's matrix with their table cells in one in-order sum over the cells, in numpy's complex
+    arithmetic, so they agree with evaluate to rounding; every op's blocks, in ascending monomial order,
+    come from one HeisenbergBasis.channel_blocks call.
     """
+    if not ops:
+        return []
     N = basis.N
     # loaded on first use, so the scalar suites never load it; looked up at call time, so wrappers
     # installed on the module are seen
     from . import batch
 
-    hbars, z12s, grids, ids = [], [], [], []
+    geometries: dict = {}
+    points, reads = [], ({}, {})  # each geometry's (channels, hbar, z12); each modulus order's readers
     templates: dict[_Template, int] = {}
-    for indices, hbar, mu, p1, p2, form, odd in ops:
-        shifts, grid, a2s, rank = _channels(indices, N, ctx.tau)
-        built = [templates.setdefault(_template((0, a2), hbar, mu, p1, p2, omega, ctx, N, form) if odd
-                                      else _ordinary(a2, N), len(templates)) for a2 in a2s]
-        hbars.append(complex(hbar) + shifts)
-        z12s.append(np.full(len(grid), complex(p1.z) - complex(p2.z)))
-        grids.append(grid)
-        ids.append(np.array(built, dtype=int)[rank])
-    hbars, z12s, ids = (np.concatenate([np.zeros(0, dtype=kind), *x])
-                        for x, kind in ((hbars, complex), (z12s, complex), (ids, int)))
+    op_geometry, op_templates = [], np.zeros((len(ops), N), dtype=int)
+    for o, (indices, hbar, mu, p1, p2, form, odd) in enumerate(ops):
+        h, z12 = complex(hbar), complex(p1.z) - complex(p2.z)
+        g = geometries.setdefault((indices, struct.pack("4d", h.real, h.imag, z12.real, z12.imag)), len(points))
+        if g == len(points):
+            points.append((_channels(indices, N, ctx.tau), h, z12))
+        a2s = sorted(points[g][0][2])
+        built = _templates(a2s, hbar, mu, p1, p2, omega, ctx, N, form) if odd else [_ORDINARY] * len(a2s)
+        for a2, t in zip(a2s, built):
+            op_templates[o, a2] = templates.setdefault(t, len(templates))
+            for dtau in t.sizes:
+                reads[dtau].setdefault(g)
+        op_geometry.append(g)
     templates = list(templates)
-    # one request per modulus order over the channels whose template reads it, at the largest size read there,
-    # into one array indexed by (modulus order, channel, j, k)
-    sizes = [[t.sizes[dtau] for t in templates if dtau in t.sizes] for dtau in (0, 1)]
-    table = np.zeros((2, len(hbars), *np.max([(0, 0), *sizes[0], *sizes[1]], axis=0) + 1), dtype=complex)
-    for dtau, read in enumerate(sizes):
-        at = np.flatnonzero(np.isin(ids, [i for i, t in enumerate(templates) if dtau in t.sizes]))
-        if len(at):
-            max_j, max_k = np.max(read, axis=0).tolist()
-            table[dtau, at, : max_j + 1, : max_k + 1] = batch.elliptic_tables(hbars[at], z12s[at], ctx,
-                                                                              max_j, max_k, dtau)
-    coeff = np.array([t.exp_coeff for t in templates], dtype=complex)[ids]
-    first, which = batch._distinct(np.stack([coeff, z12s], axis=1))
-    envelope = np.array([_dressing(c, z) if c != 0 else 1.0 for c, z in zip(coeff[first].tolist(),
-                                                                            z12s[first].tolist())], dtype=complex)[which]
-    coeffs = np.zeros((len(hbars), 1 << default_generators().n_generators), dtype=complex)
-    for i, t in enumerate(templates):
-        at = np.flatnonzero(ids == i)
-        terms = t.matrix * table[t.dtau, at[:, None], t.j, t.k][:, None]
+    counts = np.array([len(c[1]) for c, _, _ in points])
+    spans = [np.arange(n) + start for n, start in zip(counts, np.cumsum(counts) - counts)]
+    # one request per modulus order over the points that read it, at the largest size read there, into
+    # one array indexed by (modulus order, point, j, k)
+    requests = []
+    for dtau, readers in enumerate(reads):
+        if readers and len(at := np.concatenate([spans[g] for g in readers])):
+            size = np.max([t.sizes[dtau] for t in templates if dtau in t.sizes], axis=0)
+            requests.append((*size.tolist(), dtau, at))
+    table = np.zeros((2, counts.sum(), *np.max([(0, 0), *(r[:2] for r in requests)], axis=0) + 1), dtype=complex)
+    if requests:
+        hbars = np.concatenate([h + c[0] for c, h, _ in points])
+        z12s = np.repeat([z12 for _, _, z12 in points], counts)
+        for (max_j, max_k, dtau, at), got in zip(requests, batch.elliptic_tables(hbars, z12s, ctx, requests)):
+            table[dtau, at, : max_j + 1, : max_k + 1] = got
+    # the (geometry, a2) dressings, each nonzero c z12 exponentiated once, in the order first needed
+    dressings, dressed = np.ones((len(points), N), dtype=complex), {}
+    for g, (channels, _, z12) in enumerate(points):
+        row = dressed.setdefault(struct.pack("2d", z12.real, z12.imag), {})
+        for a2 in channels[2]:
+            if a2 and a2 not in row:
+                row[a2] = _dressing(_TWO_PI_I * a2 / N, z12)
+        dressings[g, list(row)] = list(row.values())
+    # every op's channels: their table rows, grid positions, templates and dressings
+    rows = np.concatenate([spans[g] for g in op_geometry])
+    op_of = np.repeat(np.arange(len(ops)), counts[op_geometry])
+    grid = np.concatenate([c[1] for c, _, _ in points])[rows]
+    ids = op_templates[op_of, grid % N]
+    envelope = dressings[np.repeat(np.arange(len(points)), counts)[rows], grid % N]
+    coeffs = np.zeros((len(rows), 1 << default_generators().n_generators), dtype=complex)
+    shape_of: dict = {}
+    shape = np.array([shape_of.setdefault(t.shape, len(shape_of)) for t in templates], dtype=int)
+    for s in range(len(shape_of)):
+        members, at = np.flatnonzero(shape == s), np.flatnonzero(shape[ids] == s)
+        t = templates[members[0]]
+        matrices = np.stack([templates[i].matrix for i in members])[np.searchsorted(members, ids[at])]
+        terms = matrices * table[t.dtau, rows[at, None], t.j, t.k][:, None]
         # summed in cell order, no BLAS: a channel's bits do not depend on the rest of the pass
         coeffs[at[:, None], t.masks] = np.add.accumulate(terms, axis=2)[..., -1] * envelope[at, None]
-    out = [SuperMatrix(2, N) for _ in ops]
-    bounds = np.cumsum([0] + [len(grid) for grid in grids])
-    for m, grid, lo, hi in zip(out, grids, bounds[:-1], bounds[1:]):
-        masks = np.flatnonzero(coeffs[lo:hi].any(axis=0))
-        cells = np.zeros((len(masks), N * N), dtype=complex)
-        cells[:, grid] = coeffs[lo:hi, masks].T
-        m.blocks = dict(zip(masks.tolist(), basis.channel_blocks(cells.reshape(-1, N, N))))
+    used = np.flatnonzero(coeffs.any(axis=0))
+    cells = np.zeros((len(ops), len(used), N * N), dtype=complex)
+    cells[op_of, :, grid] = coeffs[:, used]
+    nonzero = cells.any(axis=2)
+    blocks, out = iter(basis.channel_blocks(cells[nonzero].reshape(-1, N, N))), [SuperMatrix(2, N) for _ in ops]
+    for m, row in zip(out, nonzero):
+        m.blocks = {mask: next(blocks) for mask in used[row].tolist()}
     return out
 
 

@@ -5,9 +5,7 @@ from itertools import product
 
 import numpy as np
 
-from superkron.elliptic import phi_derivs
-from superkron.grassmann import GrassmannElement, default_generators
-from superkron.rmatrix import SuperMatrix, aybe_ops, channel_sums, cybe_ops
+from superkron import GrassmannElement, SuperMatrix, aybe_ops, channel_sums, cybe_ops, default_generators, phi_derivs
 
 
 def isclose(a: GrassmannElement, b: GrassmannElement, tol: float = 1e-12) -> bool:

@@ -382,7 +382,7 @@ def test_pair_count_bounds_the_first_omitted_terms():
     tau, z = 0.3 + 60j, -1.4 + 120j
     for call in (lambda: pair_count(z, tau), lambda: theta_stack(z, EllipticContext(tau)),
                  lambda: batch._pair_counts(np.array([0.1 + 0.2j, z]), tau),
-                 lambda: elliptic_tables([z], 0.1, EllipticContext(tau), 0, 0, 1)):
+                 lambda: elliptic_tables([z], 0.1, EllipticContext(tau), [(0, 0, 1, slice(None))])[0]):
         with pytest.raises(SeriesTruncationError, match=re.escape(f"floating-point range (z={z}, tau={tau})")):
             call()
 
@@ -410,10 +410,10 @@ def test_stack_entries_do_not_depend_on_the_stack_length():
         for dtau, reduce, sizes in ((0, True, ((0, 0), (1, 1), (2, 1), (3, 3))), (0, False, ((0, 0), (2, 2))),
                                     (1, True, ((0, 0), (1, 0), (1, 1)))):
             big = sizes[-1]
-            full_batch = elliptic_tables(hs, z, ctx, *big, dtau)
+            full_batch = elliptic_tables(hs, z, ctx, [(*big, dtau, slice(None))])[0]
             full_scalar = [kernel_derivs("elliptic", x, z, ctx, *big, dtau, reduce) for x in hs]
             for mj, mk in sizes:
-                small = elliptic_tables(hs, z, ctx, mj, mk, dtau)
+                small = elliptic_tables(hs, z, ctx, [(mj, mk, dtau, slice(None))])[0]
                 assert small.tobytes() == np.ascontiguousarray(full_batch[:, : mj + 1, : mk + 1]).tobytes()
                 for x, want in zip(hs, full_scalar):
                     got = kernel_derivs("elliptic", x, z, ctx, mj, mk, dtau, reduce)
@@ -442,9 +442,10 @@ def test_batched_stack_does_not_depend_on_its_neighbours():
     tau = 0.3 + 0.05j
     hbars = cell_points(np.random.default_rng(7), 4, tau) + [0.2 + 3.0j]
     z = 0.41 + 0.02j
-    got = elliptic_tables(hbars, z, EllipticContext(tau), 2, 1, 1)
+    got = elliptic_tables(hbars, z, EllipticContext(tau), [(2, 1, 1, slice(None))])[0]
     for h, table in zip(hbars, got):
-        assert table.tobytes() == elliptic_tables([h], z, EllipticContext(tau), 2, 1, 1)[0].tobytes()
+        alone = elliptic_tables([h], z, EllipticContext(tau), [(2, 1, 1, slice(None))])[0][0]
+        assert table.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("tau", [TAU1, 3.3 + 0.4j, 5 + 0.05j])
@@ -459,12 +460,12 @@ def test_batch_table_does_not_depend_on_the_list(tau):
     points += [points[0], points[5], points[-1], (points[3][0] + 2 - tau, points[3][1])]
     assert len(points) == 37
     for max_j, max_k, dtau in ((2, 1, 0), (1, 2, 0), (1, 1, 1), (0, 0, 0)):
-        alone = [elliptic_tables([h], [z], ctx, max_j, max_k, dtau)[0].tobytes() for h, z in points]
+        alone = [elliptic_tables([h], [z], ctx, [(max_j, max_k, dtau, slice(None))])[0][0].tobytes() for h, z in points]
         for n in (1, 12, 37):
             for _ in range(3):
                 order = rng.permutation(len(points))[:n]
                 got = elliptic_tables([points[i][0] for i in order], [points[i][1] for i in order], ctx,
-                                      max_j, max_k, dtau)
+                                      [(max_j, max_k, dtau, slice(None))])[0]
                 for i, table in zip(order, got):
                     assert table.tobytes() == alone[i], (n, points[i], max_j, max_k, dtau)
 
@@ -579,7 +580,7 @@ def test_table_requests_are_checked_before_anything_runs(max_j, max_k, dtau, mes
     ctx = EllipticContext(tau)
     for hbars in ([], [0.31 + 0.2j], [0.31 + 0.2j, 0.1 + 300j], [tau, 0.31 + 0.2j]):
         with pytest.raises(ValueError, match=message):
-            elliptic_tables(hbars, 0.44 + 0.1j, ctx, max_j, max_k, dtau)
+            elliptic_tables(hbars, 0.44 + 0.1j, ctx, [(max_j, max_k, dtau, slice(None))])[0]
     for kind in KINDS:
         with pytest.raises(ValueError, match=message):
             kernel_derivs(kind, 0.31 + 0.2j, 0.44 + 0.1j, ctx, max_j, max_k, dtau)
@@ -599,7 +600,7 @@ def test_failed_checks_are_not_memoized():
         with pytest.raises(PoleProximityError, match="hbar="):
             kernel_derivs("elliptic", tau, z, ctx, dtau=1)
         with pytest.raises(PoleProximityError, match="hbar="):
-            elliptic_tables([good, tau], z, ctx, 0, 0, 1)
+            elliptic_tables([good, tau], z, ctx, [(0, 0, 1, slice(None))])[0]
     assert not ctx._tables
     kernel_derivs("elliptic", good, z, ctx, dtau=1)
     assert len(ctx._tables) == 1
@@ -633,7 +634,7 @@ def test_series_truncation_is_not_memoized():
         with pytest.raises(SeriesTruncationError):
             theta_stack(0.1, tight)
         with pytest.raises(SeriesTruncationError):
-            elliptic_tables([0.1, 0.2], 0.3, tight, 1, 0, 0)
+            elliptic_tables([0.1, 0.2], 0.3, tight, [(1, 0, 0, slice(None))])[0]
     assert not tight._stacks
 
 
@@ -655,7 +656,7 @@ def test_batched_series_errors_name_the_failing_point(tau, bad, message):
         theta_stack(bad, EllipticContext(tau))
     # modulus order 1, whose tables are unreduced, sums the series at bad itself
     with pytest.raises(SeriesTruncationError, match=message) as batch_err:
-        elliptic_tables([good, bad], z, ctx, 1, 0, 1)
+        elliptic_tables([good, bad], z, ctx, [(1, 0, 1, slice(None))])[0]
     assert str(batch_err.value) == str(err.value)
     # decided before any sum: nothing is summed or memoized
     assert not ctx._stacks
@@ -673,7 +674,44 @@ def test_batch_raises_series_errors_before_poles():
         kernel_derivs("elliptic", tau, z, EllipticContext(tau), dtau=1)
     for hbars in ([first, tau], [tau, first]):
         with pytest.raises(SeriesTruncationError):
-            elliptic_tables(hbars, z, EllipticContext(tau), 0, 0, 1)
+            elliptic_tables(hbars, z, EllipticContext(tau), [(0, 0, 1, slice(None))])[0]
+
+
+def _raised(call):
+    """The type and message of what call() raises."""
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("hbars, z, tau, requests, first, later", [
+    # an order-0 series error at one point against an order-1 series error at another
+    ([0.4 + 0.1j, 0.1 + 0.2j], [0.3 + 0j, 0.2 + 0j], 0.3 + 1000j, [(0, 0, 0, [0]), (0, 0, 1, [1])],
+     SeriesTruncationError, SeriesTruncationError),
+    # a pole that order 0 checks against an order-1 series error
+    ([TAU1, 0.3 - 20j], 0.2 + 0.1j, TAU1, [(0, 0, 0, slice(None)), (0, 0, 1, [1])],
+     PoleProximityError, SeriesTruncationError),
+    # an order-0 lattice multiplier beyond the range against an order-1 series error at the same point
+    ([0.1 + 1.2 * (0.3 + 260j)], 0.2 + 0.45 * (0.3 + 260j), 0.3 + 260j,
+     [(0, 0, 0, slice(None)), (0, 0, 1, slice(None))], OverflowError, SeriesTruncationError),
+    # a pole at a point that only order 1 asks for is still checked, after the order-1 series
+    ([0.4 + 0.1j, TAU1], 0.2 + 0.1j, TAU1, [(1, 0, 0, [0]), (0, 0, 1, [0, 1])],
+     PoleProximityError, PoleProximityError),
+])
+def test_one_call_raises_what_its_requests_raise_one_after_another(hbars, z, tau, requests, first, later):
+    # a call with requests at both modulus orders raises what the same
+    # requests raise when made one by one, in order, on one context; in the
+    # first three cases the order-1 request alone raises something else, so
+    # the order of the stages decides the error
+    def sequential():
+        ctx = EllipticContext(tau)
+        for r in requests:
+            elliptic_tables(hbars, z, ctx, [r])
+
+    want = _raised(sequential)
+    assert want[0] is first
+    assert _raised(lambda: elliptic_tables(hbars, z, EllipticContext(tau), requests)) == want
+    assert _raised(lambda: elliptic_tables(hbars, z, EllipticContext(tau), requests[1:]))[0] is later
 
 
 def test_context_validation():
@@ -702,7 +740,7 @@ def test_series_truncation_guard():
         with pytest.raises(SeriesTruncationError, match="needs more than 200 frequency pairs"):
             phi_derivs(0.21 + 0.5 * im * 1j, 0.4 + 0.3 * im * 1j, ctx)
         with pytest.raises(SeriesTruncationError, match="needs more than 200 frequency pairs"):
-            elliptic_tables([0.21, 0.4], 0.3, ctx, 1, 1, 1)
+            elliptic_tables([0.21, 0.4], 0.3, ctx, [(1, 1, 1, slice(None))])[0]
 
 
 # -- lattice helpers ---------------------------------------------------------
@@ -850,7 +888,7 @@ def test_phi_pole_guards():
     for hbars, z in (([0.3, 1.0 + TAU1], 0.4), ([0.3, 0.2], -0.2 + 1e-9), ([0.3], TAU1),
                      ([0.3, 1.0 + TAU1, 2.0 - TAU1], 0.4), ([0.3, 2.0 - TAU1, 1.0 + TAU1], 0.4)):
         with pytest.raises(PoleProximityError) as batched:
-            elliptic_tables(hbars, z, CTX1, 0, 0, 0)
+            elliptic_tables(hbars, z, CTX1, [(0, 0, 0, slice(None))])[0]
         with pytest.raises(PoleProximityError) as scalar:
             phi_derivs(hbars[min(len(hbars) - 1, 1)], z, CTX1)
         assert str(batched.value) == str(scalar.value)
@@ -865,7 +903,7 @@ def test_multiplier_overflow_raises():
     with pytest.raises(OverflowError):
         kernel_derivs("elliptic", hbar, z, ctx)
     with pytest.raises(OverflowError):
-        elliptic_tables([0.1 + 0.2 * tau, hbar], z, ctx, 0, 0, 0)
+        elliptic_tables([0.1 + 0.2 * tau, hbar], z, ctx, [(0, 0, 0, slice(None))])[0]
 
 
 # the batch and the scalar routes round differently; over the points of
@@ -888,7 +926,7 @@ def test_batched_tables_equal_per_point_tables(N):
         h, z1, z2 = cell_points(rng, 3, tau)
         hbars = [h + (a1 + a2 * tau) / N for a1 in range(N) for a2 in range(N)]
         for max_j, max_k, dtau in ((0, 0, 0), (2, 1, 0), (4, 0, 0), (0, 4, 0), (2, 2, 0), (1, 0, 1), (1, 1, 1)):
-            got = elliptic_tables(hbars, z1 - z2, EllipticContext(tau), max_j, max_k, dtau)
+            got = elliptic_tables(hbars, z1 - z2, EllipticContext(tau), [(max_j, max_k, dtau, slice(None))])[0]
             assert got.shape == (N * N, max_j + 1, max_k + 1)
             for hbar, table in zip(hbars, got):
                 want = kernel_derivs("elliptic", hbar, z1 - z2, EllipticContext(tau), max_j, max_k, dtau)
@@ -907,19 +945,19 @@ def test_kernel_derivs_takes_one_z_per_parameter():
         zs = [zs[i % len(zs)] for i in range(len(hs))]
         for n in (11, 14):
             for max_j, max_k, dtau in ((2, 1, 0), (1, 2, 0), (1, 0, 1)):
-                got = elliptic_tables(hs[:n], zs[:n], ctx, max_j, max_k, dtau)
+                got = elliptic_tables(hs[:n], zs[:n], ctx, [(max_j, max_k, dtau, slice(None))])[0]
                 for h, z, table in zip(hs, zs, got):
-                    alone = elliptic_tables([h], [z], ctx, max_j, max_k, dtau)[0]
+                    alone = elliptic_tables([h], [z], ctx, [(max_j, max_k, dtau, slice(None))])[0][0]
                     assert table.tobytes() == alone.tobytes(), (tau, n, h, z, max_j, max_k, dtau)
                     want = kernel_derivs("elliptic", h, z, ctx, max_j, max_k, dtau)
                     assert route_gap(table, want) <= ROUTE_TOL
-    assert elliptic_tables([], [], CTX1, 2, 1, 0).shape == (0, 3, 2)
+    assert elliptic_tables([], [], CTX1, [(2, 1, 0, slice(None))])[0].shape == (0, 3, 2)
     with pytest.raises(ValueError):
-        elliptic_tables(hs[:3], zs[:2], CTX1, 0, 0, 0)
+        elliptic_tables(hs[:3], zs[:2], CTX1, [(0, 0, 0, slice(None))])[0]
 
 
 def test_kernel_derivs_empty_list():
-    assert elliptic_tables([], 0.4, CTX1, 2, 1, 0).shape == (0, 3, 2)
+    assert elliptic_tables([], 0.4, CTX1, [(2, 1, 0, slice(None))])[0].shape == (0, 3, 2)
     with pytest.raises(ValueError, match="kind must be one of"):
         kernel_derivs("bogus", 0.3, 0.4, CTX1)
 

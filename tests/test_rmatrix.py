@@ -614,26 +614,27 @@ def test_channel_functions_are_built_once_per_a2(monkeypatch):
 
 def test_channel_sums_make_one_request_per_table(monkeypatch):
     # every channel list goes to the batch, whatever its length; a pass
-    # makes one request per modulus order its templates read, each over all
-    # the channels that read it, and an operator without channels makes none
+    # makes one batch call, with one request per modulus order its templates
+    # read, each over all the points that read it, and a pass without
+    # channels makes none
     from superkron import batch
 
     elliptic_tables = batch.elliptic_tables
     calls = []
 
-    def counting(hbars, *args):
-        calls.append(len(hbars))
-        return elliptic_tables(hbars, *args)
+    def counting(hbars, z, ctx, requests):
+        calls.append([len(np.arange(len(hbars))[at]) for _, _, _, at in requests])
+        return elliptic_tables(hbars, z, ctx, requests)
 
     monkeypatch.setattr(batch, "elliptic_tables", counting)
-    for N, want in ((1, [1, 1, 1]), (3, [9, 9, 9, 8, 8]), (4, [16, 16, 16, 15, 15])):
+    for N, want in ((1, [[1, 1], [1]]), (3, [[9, 9], [9], [8, 8]]), (4, [[16, 16], [16], [15, 15]])):
         b = HeisenbergBasis(N)
         build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True)
         build_R(H1, None, P1, P2, "ω", b, CTX)
         build_r_classical(P1, P2, "ω", b, CTX, super=True)
         assert calls == want, N
         calls.clear()
-    for N, want in ((1, [6, 6, 6]), (2, [24, 24, 24, 9, 9, 9]), (4, [96, 96, 96, 45, 45, 45])):
+    for N, want in ((1, [[6, 6], [6]]), (2, [[24, 24], [24], [9, 9], [9]]), (4, [[96, 96], [96], [45, 45], [45]])):
         b = HeisenbergBasis(N)
         aybe_residual(aybe_factors((H1, H2), ("μ1", "μ2"), [P1, P2, P3], b, CTX, odd=True))
         aybe_residual(aybe_factors((H1, H2), None, [P1, P2, P3], b, CTX))
@@ -691,24 +692,25 @@ def test_channel_sums_equal_one_by_one_builds(N, tau):
 
 def test_one_channel_sum_pass_per_yang_baxter_sample(monkeypatch):
     # at N = 6 an aybe sample builds its ordinary and odd factors and the
-    # basis and heat forms in one pass, with one request per modulus order:
-    # every channel at order 0, at the heat form's size (one more argument
-    # derivative than the others read), and the odd factors and the basis
-    # form at order 1.  The batch tabulates the ordinary factors' points,
-    # which are the odd ones', once.  A cybe sample makes one pass, two
-    # requests: the ordinary and odd operators at order 0, the odd at order 1
+    # basis and heat forms in one pass, with one batch call: the twelve
+    # factors and two forms have six geometries, so the call tabulates 6 x 36
+    # points, all at order 0, at the heat form's size (one more argument
+    # derivative than the others read), and all at order 1, which the odd
+    # factors and the basis form read.  A cybe sample makes one pass, one
+    # call: its six operators have three geometries, 3 x 35 points at both
+    # orders
     from superkron import batch, rmatrix, suites
 
     elliptic_tables, one_pass = batch.elliptic_tables, rmatrix.channel_sums
-    passes, requests = [], []
+    passes, calls = [], []
 
     def counting_pass(ops, *args):
         passes.append(len(ops))
         return one_pass(ops, *args)
 
-    def counting_tables(hbars, z, ctx, max_j, max_k, dtau):
-        requests.append((len(hbars), dtau, max_j, max_k))
-        return elliptic_tables(hbars, z, ctx, max_j, max_k, dtau)
+    def counting_tables(hbars, z, ctx, requests):
+        calls.append((len(hbars), [(len(at), dtau, max_j, max_k) for max_j, max_k, dtau, at in requests]))
+        return elliptic_tables(hbars, z, ctx, requests)
 
     monkeypatch.setattr(batch, "elliptic_tables", counting_tables)
     monkeypatch.setattr(rmatrix, "channel_sums", counting_pass)
@@ -717,12 +719,48 @@ def test_one_channel_sum_pass_per_yang_baxter_sample(monkeypatch):
     inputs = suites._sample_three_points(np.random.default_rng(7), cfg)
     suites.replay_sample("aybe", inputs, cfg)
     assert passes == [6 + 6 + 2]
-    assert requests == [(14 * 36, 0, 2, 1), (7 * 36, 1, 0, 0)]
+    assert calls == [(6 * 36, [(6 * 36, 0, 2, 1), (6 * 36, 1, 0, 0)])]
     passes.clear()
-    requests.clear()
+    calls.clear()
     suites.replay_sample("cybe", inputs, cfg)
     assert passes == [3 + 3]
-    assert requests == [(6 * 35, 0, 1, 0), (3 * 35, 1, 0, 0)]
+    assert calls == [(3 * 35, [(3 * 35, 0, 1, 0), (3 * 35, 1, 0, 0)])]
+
+
+@pytest.mark.parametrize("N", [2, 3, 6])
+def test_channel_sums_tabulate_each_geometry_once(N, monkeypatch):
+    # operators that share their channels and the bits of hbar and z12, a
+    # geometry, share every channel point: ordinary and odd twins, the basis,
+    # heat and mu-shift forms, points at the same z with other odd
+    # generators, and a classical pair given once more as a list of plain
+    # pairs; each geometry is tabulated once, and every operator comes out
+    # bit for bit as built alone.  hbar -0.0 is a geometry of its own
+    from superkron import batch
+
+    elliptic_tables, calls = batch.elliptic_tables, []
+
+    def counting(hbars, z, ctx, requests):
+        calls.append((len(hbars), [len(np.arange(len(hbars))[at]) for _, _, _, at in requests]))
+        return elliptic_tables(hbars, z, ctx, requests)
+
+    monkeypatch.setattr(batch, "elliptic_tables", counting)
+    b = HeisenbergBasis(N)
+    relabelled = SuperPoint(P1.z, "ζ2"), SuperPoint(P2.z, "ζ3")
+    quantum = [(H1, P1, P2), (H2, P1, P2), (H1, P1, P2), (H1, *relabelled)]
+    ops = [(b.canonical_indices(), h, mu, p, q, form, odd)
+           for h, p, q in quantum for mu, form, odd in ((None, "shift", False), ("μ1", "shift", True))]
+    ops += [(b.canonical_indices(), H1, "μ1", P1, P2, form, True) for form in ("basis", "heat", "mu-shift")]
+    ops += [(b.nonzero_indices(), h, None, P1, P3, "shift", odd) for h in (0.0, complex(-0.0, 0.0), 0.0)
+            for odd in (False, True)]
+    ops += [(tuple(map(tuple, b.nonzero_indices())), 0.0, None, P1, P3, "shift", False)]
+    got = channel_sums(ops, "ω", b, CTX)
+    # geometries: H1 and H2 at z12 = P1.z - P2.z, 0.0 and -0.0 at P1.z - P3.z
+    points = 2 * N * N + 2 * (N * N - 1)
+    assert calls == [(points, [points, points])]
+    for op, g in zip(ops, got):
+        want = channel_sums([op], "ω", b, CTX)[0]
+        assert list(g.blocks) == list(want.blocks), op
+        assert all(g.blocks[m].tobytes() == a.tobytes() for m, a in want.blocks.items()), op
 
 
 def test_channel_sums_request_only_the_modulus_orders_a_channel_reads():
