@@ -43,7 +43,6 @@ from .rmatrix import (
     cybe_ops,
     cybe_residual,
     embed,
-    kappa,
     super_basis_phi,
     supercommutator,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "transition_factor",
     # rmatrix
     "MultiIndex",
-    "kappa",
     "HeisenbergBasis",
     "channel_shift",
     "basis_phi",

@@ -33,7 +33,6 @@ from .superfunc import (_MEMO_LIMIT, SuperFunction, SuperPoint, _dressing, _memo
 
 __all__ = [
     "MultiIndex",
-    "kappa",
     "HeisenbergBasis",
     "channel_shift",
     "basis_phi",
@@ -73,11 +72,6 @@ class MultiIndex(NamedTuple):
 
     def is_zero(self) -> bool:
         return self.a1 == 0 and self.a2 == 0
-
-
-def kappa(alpha, beta, N: int) -> complex:
-    """Cocycle of the projective basis product."""
-    return cmath.exp(1j * math.pi * (beta[0] * alpha[1] - beta[1] * alpha[0]) / N)
 
 
 class HeisenbergBasis:
@@ -137,8 +131,8 @@ def _gather(N: int) -> np.ndarray:
     is the stored entry (r, c) of T_a (x) T_-a for the only a2 whose entry there is nonzero, a2 = c, the
     first input, since the first output is 0."""
     t = HeisenbergBasis(N).t
-    reps = _layout(2, N)[0][:N]
-    # conserve the charge and the shift by construction: gathered without the checks
+    reps = _layout(2, N)
+    # T_a (x) T_-a conserves the charge and the shift, so its representatives hold all of it
     gather = np.array([[np.take(np.kron(t((a1, a2)), t((-a1, -a2))), reps[:, a2]) for a2 in range(N)]
                        for a1 in range(N)]).transpose(0, 2, 1).copy()
     gather.flags.writeable = False
@@ -221,23 +215,22 @@ def _representative(outs, ins, d: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _layout(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index plan of the stored layout of an n-site block (see SuperMatrix).
+def _layout(n: int, d: int) -> np.ndarray:
+    """Where the stored entries of an n-site block (see SuperMatrix) sit in the full (d**n, d**n) block.
 
-    Returns two read-only integer arrays of shape (d**n, d**(n-1)), one
-    entry per position on the charge pattern (rows the outputs, columns the
-    inputs of every factor but the last, flattened in factor order): its
-    flat position in the full (d**n, d**n) block, and the flat position of
-    its orbit's representative in the stored (d**(n-1), d**(n-1)) block.
-    The first d**(n-1) rows, first output digit 0, are the representatives.
+    Returns a read-only integer array of shape (d**(n-1), d**(n-1)), one
+    entry per representative (rows the outputs of every factor but the
+    first, columns the inputs of every factor but the last, flattened in
+    factor order, the first output digit 0): its flat position in the full
+    block.
     """
-    outs = _digits(np.arange(d**n)[:, None], n, d)
-    ins = _digits(np.arange(d ** (n - 1))[None, :], n - 1, d)
+    side = d ** (n - 1)
+    outs = _digits(np.arange(side)[:, None], n, d)
+    ins = _digits(np.arange(side)[None, :], n - 1, d)
     ins.append((sum(outs) - sum(ins)) % d)
     full = _flat(outs, d) * d**n + _flat(ins, d)
-    rep = np.broadcast_to(_representative(outs, ins, d), full.shape)
     full.flags.writeable = False
-    return full, rep
+    return full
 
 
 @functools.lru_cache(maxsize=64)
@@ -279,10 +272,6 @@ def _product_plan(left_sites: tuple, right_sites: tuple, d: int):
     return union, left, right
 
 
-# how far entries of one joint-shift orbit may differ, relative to the block's largest finite entry
-_ORBIT_TOL = 1e-12
-
-
 class SuperMatrix:
     """Square matrix over the Grassmann algebra that commutes with Q and Lambda on every site at once.
 
@@ -306,13 +295,9 @@ class SuperMatrix:
     factor but the last, both flattened in factor order, first factor most
     significant.  The last input is implied: i_last = (sum of outputs - sum
     of other inputs) mod d.  A 1-site block is one number, c times the
-    identity.  The constructor and add_block take full (dim, dim) arrays,
-    raise ValueError if an entry off the charge pattern is nonzero or an
-    entry differs from its representative by more than _ORBIT_TOL = 1e-12
-    of the array's largest finite entry (the rounding of np.kron products
-    of HeisenbergBasis.t stays near 1e-14 up to N = 9) or is NaN where its
-    representative is not, and keep the representatives.  Sums work on the representatives, and max_abs is
-    taken over them.
+    identity.  No full array is built: builders assign the stored blocks to
+    .blocks.  Sums work on the representatives, and max_abs is taken over
+    them.
 
     The product multiplies basis monomials in the algebra, keeping the left
     factor's monomial on the left, and contracts the coefficient blocks over
@@ -320,14 +305,14 @@ class SuperMatrix:
     as the identity on the other's remaining sites, and the result acts on
     the sorted union of both site sets.  Matrices have complex entries, so
     no extra grading sign arises.  placed() shares the blocks, like a numpy
-    view, since the layout depends only on factor order; += / -= update a
-    matrix's blocks in place, so they also change every matrix that shares
-    them; + and - copy.  A product's blocks are new and its own.
+    view, since the layout depends only on factor order; += updates a
+    matrix's blocks in place, so it also changes every matrix that shares
+    them; - and -= copy.  A product's blocks are new and its own.
     """
 
-    __slots__ = ("n_sites", "site_dim", "dim", "blocks", "sites")
+    __slots__ = ("n_sites", "site_dim", "blocks", "sites")
 
-    def __init__(self, n_sites: int, site_dim: int, blocks=None, sites=None) -> None:
+    def __init__(self, n_sites: int, site_dim: int, sites=None) -> None:
         if n_sites < 1 or n_sites > 3:
             raise ValueError("n_sites must be 1, 2 or 3")
         sites = tuple(range(1, n_sites + 1)) if sites is None else tuple(int(s) for s in sites)
@@ -335,31 +320,8 @@ class SuperMatrix:
             raise ValueError("sites must name one distinct positive position per factor")
         self.n_sites = n_sites
         self.site_dim = site_dim
-        self.dim = site_dim**n_sites
         self.sites = sites
         self.blocks: dict[int, np.ndarray] = {}
-        if blocks:
-            for mask, arr in blocks.items():
-                self.add_block(mask, arr)
-
-    def add_block(self, mask: int, arr: np.ndarray) -> None:
-        """Add a full (dim, dim) coefficient array at the monomial mask."""
-        arr = np.asarray(arr, dtype=complex)
-        if arr.shape != (self.dim, self.dim):
-            raise ValueError(f"block shape {arr.shape} does not match dim {self.dim}")
-        full, rep = _layout(self.n_sites, self.site_dim)
-        pattern = np.take(arr, full)
-        if np.count_nonzero(pattern) != np.count_nonzero(arr):
-            raise ValueError(f"block {mask} has nonzero entries off the Z_{self.site_dim} charge pattern")
-        stored = pattern[: rep.shape[1]].copy()
-        # a NaN matches only a NaN representative, so none is dropped with its orbit
-        bound = _ORBIT_TOL * np.abs(pattern[np.isfinite(pattern)]).max(initial=0.0)
-        if not np.isclose(pattern, np.take(stored, rep), rtol=0.0, atol=bound, equal_nan=True).all():
-            raise ValueError(f"block {mask} is not invariant under the joint cyclic shift of every site")
-        if mask in self.blocks:
-            self.blocks[mask] = self.blocks[mask] + stored
-        else:
-            self.blocks[mask] = stored
 
     def max_abs(self) -> float:
         return float(np.abs(np.array(list(self.blocks.values()))).max(initial=0.0))
@@ -390,17 +352,11 @@ class SuperMatrix:
         out.blocks = {mask: arr.copy() for mask, arr in self.blocks.items()}
         return out
 
-    def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self._copy()._accumulate(other, 1)
-
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
         return self._copy()._accumulate(other, -1)
 
     def __iadd__(self, other: "SuperMatrix") -> "SuperMatrix":
         return self._accumulate(other, 1)
-
-    def __isub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self._accumulate(other, -1)
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         """Graded product over the representatives, through a cached index plan.
@@ -453,7 +409,11 @@ def embed(m: SuperMatrix, sites: Sequence[int], n_total: int = 3) -> SuperMatrix
     """
     if any(int(s) < 1 or int(s) > n_total for s in sites):
         raise ValueError(f"sites must lie in 1..{n_total}")
-    identity = SuperMatrix(n_total, m.site_dim, {0: np.eye(m.site_dim**n_total)})
+    d = m.site_dim
+    identity = SuperMatrix(n_total, d)
+    # the identity's representatives: 1 where the flat position r * dim + c in the full block has r = c, a
+    # multiple of dim + 1
+    identity.blocks = {0: (_layout(n_total, d) % (d**n_total + 1) == 0).astype(complex)}
     return m.placed(sites) @ identity
 
 

@@ -362,8 +362,9 @@ def _compute_aybe(inputs, cfg) -> float:
     res, scale = aybe_residual(built[6:12])
     rel = max(rel, _rel(res.max_abs(), scale))
     # operator assemblies of the odd quantum matrix agree
+    scale = built[6].max_abs()
     for other in built[12:]:
-        rel = max(rel, _rel((built[6] - other).max_abs(), built[6].max_abs()))
+        rel = max(rel, _rel((built[6] - other).max_abs(), scale))
     return rel
 
 

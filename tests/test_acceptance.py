@@ -11,7 +11,7 @@ import time
 from itertools import product
 
 import numpy as np
-from helpers import aybe_factors, cybe_factors
+from helpers import aybe_factors, cybe_factors, kappa
 
 from superkron.elliptic import (
     EllipticContext,
@@ -26,7 +26,6 @@ from superkron.rmatrix import (
     aybe_residual,
     build_R,
     cybe_residual,
-    kappa,
     super_basis_phi,
 )
 from superkron.suites import VerifyConfig, run_suites
