@@ -130,8 +130,8 @@ def test_lines_come_from_the_contract_corpus():
 
 
 def test_production_holds_only_code_the_cli_reaches_or_the_allowlist_names():
-    src = str(Path(superkron.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    paths = [str(Path(superkron.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     unused = json.loads(done.stdout)
