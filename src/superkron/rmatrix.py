@@ -107,7 +107,11 @@ class HeisenbergBasis:
     def channel_blocks(self, coeffs: np.ndarray) -> np.ndarray:
         """Stored entries of sum over a of coeffs[m, a1, a2] T_a (x) T_-a, shape (monomials, N, N),
         summed over a1 in order as adding channel by channel sums them (other channels add zeros)."""
-        return np.ascontiguousarray(np.add.accumulate(coeffs[:, :, None, :] * _gather(self.N), axis=1)[:, -1])
+        terms = coeffs[:, :, None, :] * _gather(self.N)
+        out = terms[:, 0].copy()
+        for a1 in range(1, self.N):
+            out += terms[:, a1]
+        return out
 
     def canonical_indices(self) -> tuple[MultiIndex, ...]:
         """Every channel (a1, a2), 0 <= a1, a2 < N, a1 major: one tuple per N, cached."""
