@@ -354,7 +354,7 @@ def _reciprocal_derivs(f) -> list:
 
     f[d] is the d-th derivative: one point's stack, a tuple summed on plain
     Python numbers, or in the batch an (order, point) array, summed on rows
-    over points; so for the two helpers below.  1/f[0] is numpy's division,
+    over points; so for the helpers below.  1/f[0] is numpy's division,
     which Python's complex division does not match bit for bit.
     """
     r = [np.divide(1.0, f[0])]
@@ -366,6 +366,13 @@ def _reciprocal_derivs(f) -> list:
             acc += comb(m, k) * f[k] * r[m - k]
         r.append(-r[0] * acc)
     return r
+
+
+def _reciprocal_dot(f_dot, r: list) -> list:
+    """Modulus-derivative stack of 1/f, by order, from that of f and the derivatives r of 1/f (at least
+    as many): -(f_dot r) r, each product a Leibniz sum, so no power of r beyond the first is formed."""
+    g = [sum(comb(s, i) * f_dot[i] * r[s - i] for i in range(s + 1)) for s in range(len(f_dot))]
+    return [-sum(comb(p, s) * g[s] * r[p - s] for s in range(p + 1)) for p in range(len(f_dot))]
 
 
 @lru_cache(maxsize=32)
@@ -415,16 +422,25 @@ def _envelope(hbar: complex, z: complex, z_red: complex, n_z: int, n_h: int) -> 
         raise OverflowError(f"lattice multiplier exceeds the floating-point range (hbar={hbar}, z={z})") from None
 
 
-def _restored(inner, c_z, c_h, envelope) -> list:
-    """phi_derivs' lattice multipliers restored on inner, the rows of cells at the reduced points, from
-    c_z = -2 pi i n_z, c_h = -2 pi i n_h and _envelope: Python numbers, or rows over points in the batch.
+def _restored(inner, n_z, n_h, envelope, plain=None) -> list:
+    """phi_derivs' lattice multipliers restored on inner, the rows of cells at the reduced points, from the
+    lattice shifts n_z and n_h and _envelope: Python numbers, or rows over points in the batch.
 
     A shift of z contributes a multiplier exponential in the parameter and
     vice versa, so differentiation mixes orders downward: cell [j][k] is the
-    envelope times the sum over i <= j and l <= k of
-    comb(j, i) c_z^(j-i) comb(k, l) c_h^(k-l) inner[i][l], the powers taken
-    by ** (which for complex numbers does not round like repeated products).
+    envelope times the sum over i <= j and l <= k of comb(j, i) c_z^(j-i)
+    comb(k, l) c_h^(k-l) inner[i][l], c = -2 pi i n, the powers taken by **
+    (which for complex numbers does not round like repeated products).  With
+    plain, the kernel's cells at the reduced points one order further in each
+    variable, inner holds modulus-derivative cells, which first gain the chain
+    term of the reduced points and the envelope moving with the modulus:
+    d_tau phi(hbar, z) = E [d_tau phi + 2 pi i n_h n_z phi - n_h d_hbar phi - n_z d_z phi](hbar_r, z_r).
     """
+    c_z, c_h = -_TWO_PI_I * n_z, -_TWO_PI_I * n_h
+    if plain is not None:
+        cross = _TWO_PI_I * n_h * n_z
+        inner = [[cell + cross * plain[j][k] - n_h * plain[j + 1][k] - n_z * plain[j][k + 1]
+                  for k, cell in enumerate(row)] for j, row in enumerate(inner)]
     rows, cols = len(inner), len(inner[0])
     p_h = [c_h**e for e in range(cols)]
     out = []
@@ -438,6 +454,41 @@ def _restored(inner, c_z, c_h, envelope) -> list:
                     acc += w * comb(k, l) * p_h[k - l] * inner[i][l]
             out[-1].append(envelope * acc)
     return out
+
+
+def _table(hbar: complex, z: complex, ctx: EllipticContext, max_j: int, max_k: int, dtau: int, reduce: bool):
+    """phi_derivs (dtau = 0) or phi_tau_derivs (dtau = 1): the table of a ratio of theta stacks, at the
+    reduced points where reduce, with the lattice multipliers of a shifted point restored (_restored)."""
+    hbar = complex(hbar)
+    z = complex(z)
+    z_red, h_red, n_z, n_h = z, hbar, 0, 0
+    if reduce:
+        z_red, _, n_z = lattice_reduce(z, ctx.tau)
+        h_red, _, n_h = lattice_reduce(hbar, ctx.tau)
+    a_red, shifted = h_red + z_red, n_z or n_h
+    if dtau:
+        # modulus order 1 first at each argument: its pass memoizes order 0 too
+        d_z = theta_stack(z_red, ctx, max_k, 1)
+        d_h = theta_stack(h_red, ctx, max_j, 1)
+        a_dot = theta_stack(a_red, ctx, max_j + max_k, 1)
+    # a shifted modulus-derivative table reads the kernel's cells one order further in each variable
+    mj, mk = (max_j + 1, max_k + 1) if dtau and shifted else (max_j, max_k)
+    s_z = theta_stack(z_red, ctx, mk)
+    s_h = theta_stack(h_red, ctx, mj)
+    a = theta_stack(a_red, ctx, mj + mk)
+    _check_poles(hbar, z, ctx)
+    u, v = _reciprocal_derivs(s_h), _reciprocal_derivs(s_z)
+    prime0, prime0_dot = _origin_data(ctx)
+    inner = None
+    if shifted or not dtau:
+        # the kernel's table at the reduced points, with no lattice multipliers
+        table = inner = [[prime0 * cell for cell in row] for row in _leibniz(a, u, v, mj, mk)]
+    if dtau:
+        cells, dots = _leibniz(a, u, v, max_j, max_k, (a_dot, _reciprocal_dot(d_h, u), _reciprocal_dot(d_z, v)))
+        table = [[prime0_dot * c + prime0 * d for c, d in zip(*rows)] for rows in zip(cells, dots)]
+    if not shifted:
+        return np.array(table)
+    return np.array(_restored(table, n_z, n_h, _envelope(hbar, z, z_red, n_z, n_h), inner if dtau else None))
 
 
 def phi_derivs(
@@ -459,34 +510,7 @@ def phi_derivs(
     at the given points directly, which is what independence checks of the
     quasi-periodicity itself must use.
     """
-    hbar = complex(hbar)
-    z = complex(z)
-    z_red, h_red, n_z, n_h = z, hbar, 0, 0
-    if reduce:
-        z_red, _, n_z = lattice_reduce(z, ctx.tau)
-        h_red, _, n_h = lattice_reduce(hbar, ctx.tau)
-    s_z = theta_stack(z_red, ctx, max_k)
-    s_h = theta_stack(h_red, ctx, max_j)
-    a = theta_stack(h_red + z_red, ctx, max_j + max_k)
-    _check_poles(hbar, z, ctx)
-    u, v = _reciprocal_derivs(s_h), _reciprocal_derivs(s_z)
-    prime0, _ = _origin_data(ctx)
-    # the table at the reduced points, with no lattice multipliers
-    inner = [[prime0 * cell for cell in row] for row in _leibniz(a, u, v, max_j, max_k)]
-    if n_z == 0 and n_h == 0:
-        return np.array(inner)
-    return np.array(_restored(inner, -_TWO_PI_I * n_z, -_TWO_PI_I * n_h, _envelope(hbar, z, z_red, n_z, n_h)))
-
-
-def _derivs_of_square(f: list) -> list:
-    """Derivatives of f^2 from derivatives of f, by order."""
-    return [sum(comb(s, i) * f[i] * f[s - i] for i in range(s + 1)) for s in range(len(f))]
-
-
-def _reciprocal_dot(f_dot, r: list) -> list:
-    """Modulus-derivative stack of 1/f, by order, from that of f and the derivatives r of 1/f."""
-    r2 = _derivs_of_square(r)
-    return [-sum(comb(p, s) * f_dot[s] * r2[p - s] for s in range(p + 1)) for p in range(len(r))]
+    return _table(hbar, z, ctx, max_j, max_k, 0, reduce)
 
 
 def phi_tau_derivs(
@@ -495,30 +519,19 @@ def phi_tau_derivs(
     ctx: EllipticContext,
     max_j: int = 1,
     max_k: int = 0,
+    reduce: bool = False,
 ) -> np.ndarray:
-    """Modulus derivative of the kernel's mixed-derivative table, directly.
+    """Modulus derivative of the kernel's mixed-derivative table.
 
     Entry [j, k] is the modulus derivative of the (j, k) mixed derivative,
     obtained by differentiating the defining ratio of lattice functions
-    term by term in the modulus.  No lattice reduction and no use of the
-    flow identity, so comparisons against tables produced by phi_derivs
-    are genuine two-route checks.
+    term by term in the modulus.  No use of the flow identity, so
+    comparisons against tables produced by phi_derivs are genuine two-route
+    checks.  By default the series are summed at the given points directly;
+    reduce=True sums them at the reduced points, as phi_derivs does, and
+    restores the multipliers with their modulus chain term (_restored).
     """
-    hbar = complex(hbar)
-    z = complex(z)
-    # modulus order 1 first at each argument: its pass memoizes order 0 too
-    z_dot = theta_stack(z, ctx, max_k, dtau=1)
-    s_z = theta_stack(z, ctx, max_k)
-    h_dot = theta_stack(hbar, ctx, max_j, dtau=1)
-    s_h = theta_stack(hbar, ctx, max_j)
-    a_dot = theta_stack(hbar + z, ctx, max_j + max_k, dtau=1)
-    a = theta_stack(hbar + z, ctx, max_j + max_k)
-    _check_poles(hbar, z, ctx)
-    u, v = _reciprocal_derivs(s_h), _reciprocal_derivs(s_z)
-    u_dot, v_dot = _reciprocal_dot(h_dot, u), _reciprocal_dot(z_dot, v)
-    prime0, prime0_dot = _origin_data(ctx)
-    cells, dots = _leibniz(a, u, v, max_j, max_k, (a_dot, u_dot, v_dot))
-    return np.array([[prime0_dot * c + prime0 * d for c, d in zip(*rows)] for rows in zip(cells, dots)])
+    return _table(hbar, z, ctx, max_j, max_k, 1, reduce)
 
 
 # -- degenerations ----------------------------------------------------------
@@ -604,11 +617,11 @@ def kernel_derivs(
     A request _check_orders refuses, for every kind, or a kind outside
     KINDS raises ValueError.  dtau = 1 tabulates their modulus
     derivatives instead: for the elliptic kernel through the direct modulus
-    series (phi_tau_derivs, unreduced); for the degenerate kinds as zeros,
-    with no pole check, because the modulus derivative equals a mixed
-    derivative by the flow identity.  reduce applies to the elliptic table
-    with dtau = 0 only.  batch.elliptic_tables tabulates many elliptic points
-    at once.
+    series (phi_tau_derivs); for the degenerate kinds as zeros, with no
+    pole check, because the modulus derivative equals a mixed derivative by
+    the flow identity.  reduce applies to the elliptic tables of both
+    modulus orders (phi_derivs, phi_tau_derivs).  batch.elliptic_tables
+    tabulates many elliptic points at once, reduced.
 
     Tables are memoized on ctx by (kind, hbar, z, dtau, reduce where it
     applies), the two zeros told apart, largest table kept: no cell depends
@@ -625,7 +638,7 @@ def kernel_derivs(
         raise ValueError(f"kind must be one of {KINDS}")
     hbar = complex(hbar)
     z = complex(z)
-    key = (kind, hbar, z, dtau, bool(reduce) or dtau == 1 or kind != "elliptic")
+    key = (kind, hbar, z, dtau, bool(reduce) or kind != "elliptic")
     if not (hbar.real and hbar.imag and z.real and z.imag):
         # complex equality does not tell the two zeros apart
         key += (repr(hbar), repr(z))
@@ -634,7 +647,7 @@ def kernel_derivs(
         rows, cols = (1, 1) if table is None else table.shape
         mj, mk = max(max_j, rows - 1), max(max_k, cols - 1)
         if kind == "elliptic":
-            table = phi_tau_derivs(hbar, z, ctx, mj, mk) if dtau else phi_derivs(hbar, z, ctx, mj, mk, reduce)
+            table = (phi_tau_derivs if dtau else phi_derivs)(hbar, z, ctx, mj, mk, reduce)
         elif dtau:
             table = np.zeros((mj + 1, mk + 1), dtype=np.complex128)
         else:

@@ -81,6 +81,12 @@ CONFIGS = (
       for r in ("0.2", "0.4") for seed in (7, 42)),
     *(f"{suite} --samples 2 --n {n} --tau-im {im} --truncated"
       for suite in ("aybe", "cybe") for n in (2, 6) for im in ("1.1", "60", "300")),
+    # the modulus-derivative tables far from the real axis (ROADMAP item 1) and far up (item 14)
+    "basis --samples 20 --n 6 --tau-im 60 --seed 42",
+    "aybe --samples 3 --n 6 --tau-im 60",
+    "aybe --samples 10 --n 3 --tau-im 60 --seed 42",
+    "aybe --samples 200 --n 6 --tau-im 60 --seed 42",
+    "heat --samples 3 --tau-im 400",
     # series errors before pole redraws at a dense lattice
     *(f"{suite} --samples 2 --tau-im {im}" for suite in ("kronecker", "aybe --n 2", "cybe --n 4")
       for im in ("1e-4", "1e-300")),

@@ -241,6 +241,16 @@ def test_criterion_08_super_yang_baxter_equations(capsys):
     assert emit(capsys, 8, "graded associative/classical Yang-Baxter", worst, 1e-9, ok, seconds)
 
 
+def test_channel_suites_far_from_the_real_axis():
+    # at Im tau = 60 and N = 6 the channel parameters hbar + (a1 + a2 tau)/N
+    # lie up to 50 off the real axis, and the modulus-derivative tables are
+    # summed at the reduced points (ROADMAP item 1); the tolerances are
+    # criterion 2's for basis and criterion 8's for aybe
+    for suite, tol in (("basis", 1e-10), ("aybe", 1e-9)):
+        reports = run_suites(VerifyConfig(n=6, tau=0.3 + 60j, samples=20, tol_relative=tol, suites=(suite,)))
+        assert all(r.passed for r in reports), (suite, suite_worst(reports))
+
+
 def test_criterion_09_cross_representation_assemblies(capsys):
     start = time.perf_counter()
     worst = 0.0

@@ -205,13 +205,13 @@ def reciprocal_derivs_reference(f):
 
 
 def reciprocal_dot_reference(f_dot, r):
-    """The modulus-derivative stack of 1/f, on numpy array elements."""
-    r2 = np.zeros(r.shape, dtype=np.complex128)
-    for s in range(len(r)):
-        r2[s] = sum(comb(s, i) * r[i] * r[s - i] for i in range(s + 1))
-    out = np.zeros(r.shape, dtype=np.complex128)
-    for p in range(len(r)):
-        out[p] = -sum(comb(p, s) * f_dot[s] * r2[p - s] for s in range(p + 1))
+    """The modulus-derivative stack of 1/f, -(f_dot r) r, on numpy array elements."""
+    g = np.zeros(f_dot.shape, dtype=np.complex128)
+    for s in range(len(f_dot)):
+        g[s] = sum(comb(s, i) * f_dot[i] * r[s - i] for i in range(s + 1))
+    out = np.zeros(f_dot.shape, dtype=np.complex128)
+    for p in range(len(f_dot)):
+        out[p] = -sum(comb(p, s) * g[s] * r[p - s] for s in range(p + 1))
     return out
 
 
@@ -232,6 +232,21 @@ def inner_table_reference(hbar, z, ctx, max_j, max_k):
     return out
 
 
+def restored_reference(inner, hbar, z_red, n_z, n_h):
+    """The lattice multiplier sums of a reduced table, on numpy array elements."""
+    envelope = cmath.exp(-TWO_PI_I * (n_z * hbar + n_h * z_red))
+    c_z, c_h = -TWO_PI_I * n_z, -TWO_PI_I * n_h
+    out = np.zeros(inner.shape, dtype=np.complex128)
+    for j in range(inner.shape[0]):
+        for k in range(inner.shape[1]):
+            acc = 0j
+            for i in range(j + 1):
+                for l in range(k + 1):
+                    acc += comb(j, i) * c_z ** (j - i) * comb(k, l) * c_h ** (k - l) * inner[i, l]
+            out[j, k] = envelope * acc
+    return out
+
+
 def phi_derivs_reference(hbar, z, ctx, max_j, max_k, reduce):
     """phi_derivs' table and lattice multiplier sums, on numpy array elements."""
     if not reduce:
@@ -241,21 +256,24 @@ def phi_derivs_reference(hbar, z, ctx, max_j, max_k, reduce):
     inner = inner_table_reference(h_red, z_red, ctx, max_j, max_k)
     if n_z == 0 and n_h == 0:
         return inner
-    envelope = cmath.exp(-TWO_PI_I * (n_z * hbar + n_h * z_red))
-    c_z, c_h = -TWO_PI_I * n_z, -TWO_PI_I * n_h
-    out = np.zeros((max_j + 1, max_k + 1), dtype=np.complex128)
-    for j in range(max_j + 1):
-        for k in range(max_k + 1):
-            acc = 0j
-            for i in range(j + 1):
-                for l in range(k + 1):
-                    acc += comb(j, i) * c_z ** (j - i) * comb(k, l) * c_h ** (k - l) * inner[i, l]
-            out[j, k] = envelope * acc
-    return out
+    return restored_reference(inner, hbar, z_red, n_z, n_h)
 
 
-def phi_tau_derivs_reference(hbar, z, ctx, max_j, max_k):
-    """phi_tau_derivs' Leibniz sums, on numpy array elements."""
+def phi_tau_derivs_reference(hbar, z, ctx, max_j, max_k, reduce=False):
+    """phi_tau_derivs' Leibniz sums, and where reduce its chain term and lattice multiplier sums, on numpy
+    array elements."""
+    z_red, _, n_z = lattice_reduce(z, ctx.tau)
+    h_red, _, n_h = lattice_reduce(hbar, ctx.tau)
+    if reduce and (n_z or n_h):
+        inner = phi_tau_derivs_reference(h_red, z_red, ctx, max_j, max_k)
+        plain = inner_table_reference(h_red, z_red, ctx, max_j + 1, max_k + 1)
+        for j in range(max_j + 1):
+            for k in range(max_k + 1):
+                inner[j, k] = (inner[j, k] + TWO_PI_I * n_h * n_z * plain[j, k] - n_h * plain[j + 1, k]
+                               - n_z * plain[j, k + 1])
+        return restored_reference(inner, hbar, z_red, n_z, n_h)
+    if reduce:
+        hbar, z = h_red, z_red
     top = max_j + max_k
     a, a_dot = (theta_stack_reference(hbar + z, ctx, top, dtau) for dtau in (0, 1))
     u = reciprocal_derivs_reference(theta_stack_reference(hbar, ctx, max_j))
@@ -322,13 +340,14 @@ def test_tables_bitwise_equal_reference_loops(tau):
                 assert got.tobytes() == phi_derivs_reference(h, z, ctx, max_j, max_k, reduce).tobytes()
                 compared += 1
         for max_j, max_k in ((0, 0), (1, 0), (1, 1)):
-            try:
-                got = phi_tau_derivs(h, z, ctx, max_j, max_k)
-            except (SeriesTruncationError, PoleProximityError):
-                continue
-            assert got.tobytes() == phi_tau_derivs_reference(h, z, ctx, max_j, max_k).tobytes()
-            compared += 1
-    assert compared >= 100
+            for reduce in (True, False):
+                try:
+                    got = phi_tau_derivs(h, z, ctx, max_j, max_k, reduce)
+                except (SeriesTruncationError, PoleProximityError, OverflowError):
+                    continue
+                assert got.tobytes() == phi_tau_derivs_reference(h, z, ctx, max_j, max_k, reduce).tobytes()
+                compared += 1
+    assert compared >= 150
     # the per-frequency constants are cached by tau's bits: this modulus's own, not the other zero's
     theta_stack(0.1 + 0.2j, ctx)
     n = pair_count(0.1 + 0.2j, tau)
@@ -378,13 +397,17 @@ def test_pair_count_bounds_the_first_omitted_terms():
             for dtau in (0, 1):
                 assert np.isfinite(theta_stack(w, EllipticContext(tau), 7 - 2 * dtau, dtau)).all(), (tau, w, dtau)
     # a largest term within the range whose derivative factors are not: refused on both routes,
-    # naming z, before anything is summed
+    # naming z, before anything is summed; the batch sums at reduced points, where hbar + z of two
+    # points of the cell can be such a z
     tau, z = 0.3 + 60j, -1.4 + 120j
     for call in (lambda: pair_count(z, tau), lambda: theta_stack(z, EllipticContext(tau)),
-                 lambda: batch._pair_counts(np.array([0.1 + 0.2j, z]), tau),
-                 lambda: elliptic_tables([z], 0.1, EllipticContext(tau), [(0, 0, 1, slice(None))])[0]):
+                 lambda: batch._pair_counts(np.array([0.1 + 0.2j, z]), tau)):
         with pytest.raises(SeriesTruncationError, match=re.escape(f"floating-point range (z={z}, tau={tau})")):
             call()
+    tau, h, w = 0.3 + 400j, 0.1 + 161.75j, 0.2 + 161.75j
+    assert lattice_reduce(h, tau)[0] == h and lattice_reduce(w, tau)[0] == w
+    with pytest.raises(SeriesTruncationError, match=re.escape(f"floating-point range (z={h + w}, tau={tau})")):
+        elliptic_tables([h], w, EllipticContext(tau), [(0, 0, 1, slice(None))])
 
 
 def test_stack_entries_do_not_depend_on_the_stack_length():
@@ -396,17 +419,17 @@ def test_stack_entries_do_not_depend_on_the_stack_length():
         zs = cell_points(rng, 5, tau) + [0j, complex(-0.0, 0.0), 2.1 - 1.3 * tau]
         pairs = np.array([pair_count(z, tau) for z in zs])
         for dtau in (0, 1):
-            batched = batch._theta_sums(np.array(zs), pairs, tau, 5, bool(dtau))[dtau]
+            batched = batch._theta_sums(np.array(zs), pairs, tau, 5, 5)[dtau]
             for z, n, row in zip(zs, pairs, batched):
                 longest = theta_stack(z, EllipticContext(tau), 5, dtau)
                 for d in range(6):
-                    alone = batch._theta_sums(np.array([z]), np.array([n]), tau, d, bool(dtau))[dtau][0]
+                    alone = batch._theta_sums(np.array([z]), np.array([n]), tau, d, d)[dtau][0]
                     assert alone.tobytes() == row[: d + 1].tobytes()
                     assert bits(theta_stack(z, EllipticContext(tau), d, dtau)) == bits(longest[: d + 1])
         ctx = EllipticContext(tau)
         h, z = cell_points(rng, 2, tau)
         hs = [h + (a + b * tau) / 3 for a in range(3) for b in range(3)]
-        # reduce applies to the scalar route; the batch reduces at modulus order 0 always
+        # reduce applies to the scalar route at both modulus orders; the batch always reduces
         for dtau, reduce, sizes in ((0, True, ((0, 0), (1, 1), (2, 1), (3, 3))), (0, False, ((0, 0), (2, 2))),
                                     (1, True, ((0, 0), (1, 0), (1, 1)))):
             big = sizes[-1]
@@ -430,7 +453,7 @@ def test_batched_theta_sums_equal_theta_stack_bitwise(tau):
     zs = reduced + shifted
     pairs = np.array([pair_count(z, tau) for z in zs])
     for top in range(6):
-        rows = batch._theta_sums(np.array(zs), pairs, tau, top, True)
+        rows = batch._theta_sums(np.array(zs), pairs, tau, top, top)
         for dtau in (0, 1):
             for z, row in zip(zs, rows[dtau]):
                 assert row.tobytes() == bits(theta_stack(z, EllipticContext(tau), top, dtau)), (z, top, dtau)
@@ -553,7 +576,7 @@ def test_theta_stack_refuses_orders_beyond_the_truncation_rule():
     ctx = EllipticContext(tau)
     n = pair_count(z, tau)
     with np.errstate(over="ignore", invalid="ignore"):
-        beyond = batch._theta_sums(np.array([z]), np.array([n]), tau, 8, False)[0][0]
+        beyond = batch._theta_sums(np.array([z]), np.array([n]), tau, 8)[0][0]
     assert np.isfinite(beyond[:8]).all() and not np.isfinite(beyond[8])
     for dtau in (0, 1):
         for call in (theta_stack, theta):
@@ -594,7 +617,7 @@ def test_failed_checks_are_not_memoized():
     far = 0.1 + 0.95j
     for _ in range(2):
         with pytest.raises(SeriesTruncationError):
-            kernel_derivs("elliptic", far, z, ctx, dtau=1)
+            kernel_derivs("elliptic", far, z, ctx, dtau=1, reduce=False)
         # the series of hbar failed: no stack of it
         assert (far, 0) not in ctx._stacks and (far, 1) not in ctx._stacks
         with pytest.raises(PoleProximityError, match="hbar="):
@@ -614,7 +637,7 @@ def test_table_requests_raise_series_errors_before_pole_errors():
     requests = (
         lambda h, w, ctx: phi_derivs(h, w, ctx, 1, 1, reduce=False),
         lambda h, w, ctx: phi_tau_derivs(h, w, ctx, 1, 1),
-        lambda h, w, ctx: kernel_derivs("elliptic", h, w, ctx, 1, 1, dtau=1),
+        lambda h, w, ctx: kernel_derivs("elliptic", h, w, ctx, 1, 1, dtau=1, reduce=False),
     )
     for request in requests:
         # z on a lattice point, hbar's unreduced series too long
@@ -641,20 +664,21 @@ def test_series_truncation_is_not_memoized():
 @pytest.mark.parametrize(
     "tau, bad, message",
     [
-        # turnaround after 190 pairs, with every term finite
-        (0.3 + 0.005j, 0.1 + 0.95j, "needs more than 200 frequency pairs"),
-        # the largest term is about exp(1142)
-        (0.3 + 1.1j, 0.3 - 20j, "exceeds the floating-point range"),
+        # at the reduced hbar + z, 0.3 + 0.9 Im(tau) i, the turnaround comes after 200.2 pairs, with every
+        # term finite; z and bad themselves need 199.7
+        (0.3 + 0.000595j, 0.1 + 0.45 * 0.000595j, "needs more than 200 frequency pairs"),
+        # the largest term at hbar + z = 0.3 + 330i is about exp(723)
+        (0.3 + 400j, 0.1 + 150j, "exceeds the floating-point range"),
         # the largest term is about exp(-785): every term underflowed, and the stack was (0j, 0j)
         (0.3 + 1000j, 0.3 + 0j, "terms fall below the floating-point range"),
     ],
 )
 def test_batched_series_errors_name_the_failing_point(tau, bad, message):
+    # every point in the cell, so its reduced theta arguments are its own; the second point fails
     ctx = EllipticContext(tau)
-    good, z = 0.4 + 0.1 * tau.imag * 1j, 0.2 + 0.1 * tau.imag * 1j
+    good, z = 0.4 - 0.1 * tau.imag * 1j, 0.2 + 0.45 * tau.imag * 1j
     with pytest.raises(SeriesTruncationError, match=message) as err:
-        theta_stack(bad, EllipticContext(tau))
-    # modulus order 1, whose tables are unreduced, sums the series at bad itself
+        kernel_derivs("elliptic", bad, z, EllipticContext(tau), 1, 0, 1)
     with pytest.raises(SeriesTruncationError, match=message) as batch_err:
         elliptic_tables([good, bad], z, ctx, [(1, 0, 1, slice(None))])[0]
     assert str(batch_err.value) == str(err.value)
@@ -663,11 +687,12 @@ def test_batched_series_errors_name_the_failing_point(tau, bad, message):
 
 
 def test_batch_raises_series_errors_before_poles():
-    # unreduced, the first parameter's series is too long; the second is a
-    # lattice point.  Alone each raises its own error; in a list, either
-    # order, every point's series is decided before any pole is checked
-    tau = 0.3 + 0.005j
-    first, z = 0.1 + 0.95j, 0.4 + 0.0005j
+    # at the first parameter the series of hbar + z, 0.3 + 330i, leaves the
+    # floating-point range; the second is a lattice point.  Alone each raises
+    # its own error; in a list, either order, every point's series is decided
+    # before any pole is checked
+    tau = 0.3 + 400j
+    first, z = 0.1 + 150j, 0.2 + 180j
     with pytest.raises(SeriesTruncationError):
         kernel_derivs("elliptic", first, z, EllipticContext(tau), dtau=1)
     with pytest.raises(PoleProximityError):
@@ -688,12 +713,14 @@ def _raised(call):
     # an order-0 series error at one point against an order-1 series error at another
     ([0.4 + 0.1j, 0.1 + 0.2j], [0.3 + 0j, 0.2 + 0j], 0.3 + 1000j, [(0, 0, 0, [0]), (0, 0, 1, [1])],
      SeriesTruncationError, SeriesTruncationError),
-    # a pole that order 0 checks against an order-1 series error
-    ([TAU1, 0.3 - 20j], 0.2 + 0.1j, TAU1, [(0, 0, 0, slice(None)), (0, 0, 1, [1])],
+    # a pole that order 0 checks against an order-1 series error at a point order 0 does not read: the
+    # largest term of hbar = 0.1 + 448.9i is about exp(705), while that of z at 0.2 + 0.1i is exp(-705)
+    ([0.3 + 898j, 0.1 + 448.9j], 0.2 + 0.1j, 0.3 + 898j, [(0, 0, 0, [0]), (0, 0, 1, [1])],
      PoleProximityError, SeriesTruncationError),
-    # an order-0 lattice multiplier beyond the range against an order-1 series error at the same point
-    ([0.1 + 1.2 * (0.3 + 260j)], 0.2 + 0.45 * (0.3 + 260j), 0.3 + 260j,
-     [(0, 0, 0, slice(None)), (0, 0, 1, slice(None))], OverflowError, SeriesTruncationError),
+    # an order-0 lattice multiplier beyond the range, about exp(735), against an order-1 series error
+    # at another point, whose hbar + z = 0.435 + 362i has a largest term of about exp(745)
+    ([0.1 + 1.2 * (0.3 + 500j), 0.1 + 245j], 0.335 + 117j, 0.3 + 500j, [(0, 0, 0, [0]), (0, 0, 1, [1])],
+     OverflowError, SeriesTruncationError),
     # a pole at a point that only order 1 asks for is still checked, after the order-1 series
     ([0.4 + 0.1j, TAU1], 0.2 + 0.1j, TAU1, [(1, 0, 0, [0]), (0, 0, 1, [0, 1])],
      PoleProximityError, PoleProximityError),
@@ -702,7 +729,9 @@ def test_one_call_raises_what_its_requests_raise_one_after_another(hbars, z, tau
     # a call with requests at both modulus orders raises what the same
     # requests raise when made one by one, in order, on one context; in the
     # first three cases the order-1 request alone raises something else, so
-    # the order of the stages decides the error
+    # the order of the stages decides the error.  Both orders read the same
+    # reduced arguments, so the second and third cases put the order-1 error
+    # at a point that order 0 does not read
     def sequential():
         ctx = EllipticContext(tau)
         for r in requests:
@@ -1049,12 +1078,11 @@ def test_failed_kernel_requests_store_nothing():
     z = 0.4 + 0.0005j
     # unreduced, the lattice point 190 tau needs more than 200 pairs; reduced, it is a pole
     for _ in range(2):
-        with pytest.raises(SeriesTruncationError):
-            kernel_derivs("elliptic", 190 * tau, z, ctx, dtau=1)
-        with pytest.raises(SeriesTruncationError):
-            kernel_derivs("elliptic", 190 * tau, z, ctx, reduce=False)
-        with pytest.raises(PoleProximityError, match="hbar="):
-            kernel_derivs("elliptic", 190 * tau, z, ctx)
+        for dtau in (0, 1):
+            with pytest.raises(SeriesTruncationError):
+                kernel_derivs("elliptic", 190 * tau, z, ctx, dtau=dtau, reduce=False)
+            with pytest.raises(PoleProximityError, match="hbar="):
+                kernel_derivs("elliptic", 190 * tau, z, ctx, dtau=dtau)
         with pytest.raises(PoleProximityError):
             kernel_derivs("trig", 1e-5j, z, ctx)
         with pytest.raises(PoleProximityError):
@@ -1128,6 +1156,45 @@ def test_phi_tau_derivs_higher_orders(rng):
         dn = phi_derivs(h, z, EllipticContext(TAU1 - step), j, k, reduce=False)[j, k]
         fd = (up - dn) / (2 * step)
         assert abs(tab[j, k] - fd) <= 1e-7 * max(abs(fd), 1.0)
+
+
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.3 + 60j])
+def test_reduced_modulus_derivative_tables_follow_the_flow_identity(tau):
+    # 2 pi i d_tau phi = d_hbar d_z phi, which neither route uses: at points
+    # shifted by up to two periods both routes sum the modulus derivative at
+    # the reduced points and restore its lattice multiplier with the chain
+    # term; at Im tau = 60 the series summed at the given points lose up to
+    # all digits of these cells (ROADMAP item 1)
+    rng = np.random.default_rng(59)
+    ctx = EllipticContext(tau)
+    hs, zs, plains = [], [], []
+    for h, z in zip(cell_points(rng, 16, tau), cell_points(rng, 16, tau)):
+        h += int(rng.integers(-2, 3)) + int(rng.integers(-2, 3)) * tau
+        z += int(rng.integers(-2, 3)) + int(rng.integers(-2, 3)) * tau
+        try:
+            plains.append(kernel_derivs("elliptic", h, z, ctx, 2, 2))
+        except OverflowError:
+            continue
+        hs.append(h)
+        zs.append(z)
+    assert len(hs) >= 8 and sum(lattice_reduce(w, tau)[2] != 0 for w in hs + zs) >= 8
+    batched = elliptic_tables(hs, zs, EllipticContext(tau), [(1, 1, 1, slice(None))])[0]
+    for h, z, plain, table in zip(hs, zs, plains, batched):
+        flow = plain[1:, 1:] / TWO_PI_I
+        for got in (kernel_derivs("elliptic", h, z, ctx, 1, 1, 1), table):
+            assert np.abs(got - flow).max() <= 1e-12 * np.abs(plain).max(), (h, z)
+
+
+@pytest.mark.parametrize("im", [500, 600, 700])
+def test_modulus_derivative_table_is_finite_where_the_reciprocal_square_underflows(im):
+    # |theta(hbar)| is far above one here, so 1/theta(hbar)^2 would underflow
+    # to zero and drop the modulus derivative of log theta(hbar); the
+    # reciprocal's modulus derivative is -(theta_dot / theta) / theta instead
+    ctx = EllipticContext(complex(0.3, im))
+    got = kernel_derivs("elliptic", 0.1 + 0.05j, 0.2 + 0.03j, ctx, 1, 0, 1)
+    plain = kernel_derivs("elliptic", 0.1 + 0.05j, 0.2 + 0.03j, ctx, 2, 1)
+    assert np.isfinite(got).all()
+    assert np.abs(got - plain[1:, 1:] / TWO_PI_I).max() <= 1e-12 * np.abs(plain).max()
 
 
 # -- degenerate kernels ------------------------------------------------------

@@ -729,6 +729,37 @@ def test_one_channel_sum_pass_per_yang_baxter_sample(monkeypatch):
     assert calls == [(3 * 35, [(3 * 35, 0, 1, 0), (3 * 35, 1, 0, 0)])]
 
 
+@pytest.mark.parametrize("suite", ["aybe", "cybe"])
+def test_one_theta_pass_serves_both_modulus_orders(suite, monkeypatch):
+    # the two requests of a Yang-Baxter sample's pass read the same reduced
+    # theta arguments z, hbar and hbar+z: one series pass sums each distinct
+    # one once, for both modulus orders, over the channel points of both
+    from superkron import batch, suites
+    from superkron.elliptic import lattice_reduce
+
+    elliptic_tables, theta_sums, points, sums = batch.elliptic_tables, batch._theta_sums, [], []
+
+    def counting_tables(hbars, z, ctx, requests):
+        points.append(list(zip(np.array(hbars).tolist(), np.broadcast_to(z, np.shape(hbars)).tolist())))
+        return elliptic_tables(hbars, z, ctx, requests)
+
+    def counting_sums(ws, pairs, tau, top, dot_top=None):
+        sums.append((ws.copy(), dot_top))
+        return theta_sums(ws, pairs, tau, top, dot_top)
+
+    monkeypatch.setattr(batch, "elliptic_tables", counting_tables)
+    monkeypatch.setattr(batch, "_theta_sums", counting_sums)
+    cfg = suites.VerifyConfig(n=6, tau=0.3 + 60j)
+    suites.replay_sample(suite, suites._sample_three_points(np.random.default_rng(7), cfg), cfg)
+    assert len(points) == len(sums) == 1 and sums[0][1] is not None
+    want = set()
+    for h, z in points[0]:
+        h_red, z_red = lattice_reduce(h, cfg.tau)[0], lattice_reduce(z, cfg.tau)[0]
+        want |= {np.complex128(w).tobytes() for w in (z_red, h_red, h_red + z_red)}
+    got = [w.tobytes() for w in sums[0][0]]
+    assert len(got) == len(set(got)) and set(got) == want
+
+
 @pytest.mark.parametrize("N", [2, 3, 6])
 def test_channel_sums_tabulate_each_geometry_once(N, monkeypatch):
     # operators that share their channels and the bits of hbar and z12, a
@@ -765,23 +796,30 @@ def test_channel_sums_tabulate_each_geometry_once(N, monkeypatch):
         assert all(g.blocks[m].tobytes() == a.tobytes() for m, a in want.blocks.items()), op
 
 
-def test_channel_sums_request_only_the_modulus_orders_a_channel_reads():
-    # at parameter h the unreduced modulus-derivative series overflows, so
-    # an odd operator there raises; an ordinary one reads modulus order 0
-    # only, reduced, and in one pass with an odd operator at cell points
-    # each comes out bit for bit as built alone, in either order
-    from superkron.elliptic import SeriesTruncationError
+def test_channel_sums_request_only_the_modulus_orders_a_channel_reads(monkeypatch):
+    # an ordinary operator reads modulus order 0 only: in one pass with an
+    # odd operator at other points, far from the cell, the order-1 request
+    # covers the odd operator's channel points alone, and each operator comes
+    # out bit for bit as built alone, in either order
+    from superkron import batch
+
+    elliptic_tables, calls = batch.elliptic_tables, []
+
+    def counting(hbars, z, ctx, requests):
+        calls.append([(dtau, len(np.arange(len(hbars))[at])) for _, _, dtau, at in requests])
+        return elliptic_tables(hbars, z, ctx, requests)
 
     h = 0.3 + 30j
     for N in (2, 6):
         b = HeisenbergBasis(N)
-        with pytest.raises(SeriesTruncationError, match="exceeds the floating-point range"):
-            build_R(h, "μ1", P1, P2, "ω", b, CTX, super=True)
         ops = [(b.canonical_indices(), H1, "μ1", P1, P2, "shift", True),
                (b.canonical_indices(), h, None, P1, P2, "shift", False)]
         want = [build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True), build_R(h, None, P1, P2, "ω", b, CTX)]
+        monkeypatch.setattr(batch, "elliptic_tables", counting)
         for order in ((0, 1), (1, 0)):
+            calls.clear()
             got = channel_sums([ops[i] for i in order], "ω", b, CTX)
+            assert calls == [[(0, 2 * N * N), (1, N * N)]], (N, order)
             for i, g in zip(order, got):
                 assert list(g.blocks) == list(want[i].blocks), (N, i)
                 assert all(g.blocks[m].tobytes() == a.tobytes() for m, a in want[i].blocks.items()), (N, i)
@@ -829,18 +867,13 @@ def test_dressing_overflow_names_its_point(odd):
 
 
 def test_residual_raises_its_first_failing_request():
-    # the first operator's modulus-derivative series (unreduced) overflows,
-    # while the fourth, at parameter h - h = 0, sits on a pole.  Built alone
-    # the first raises the series error; the residual's pass makes its
-    # reduced request first, which holds the pole, so it raises that
-    from superkron.elliptic import SeriesTruncationError
-
+    # the first operator sits at a parameter far from the cell, while the
+    # fourth, at parameter h - h = 0, sits on a pole.  The residual's pass
+    # reduces both modulus orders at every point, so it raises the pole
     h = 0.3 + 30j
     mu12 = GENS.generator("μ1") - GENS.generator("μ2")
     for N in (2, 6):
         b = HeisenbergBasis(N)
-        with pytest.raises(SeriesTruncationError, match="exceeds the floating-point range"):
-            build_R(h, "μ1", P1, P2, "ω", b, CTX, super=True)
         with pytest.raises(PoleProximityError) as alone:
             build_R(0.0, mu12, P1, P2, "ω", b, CTX, super=True)
         with pytest.raises(PoleProximityError) as got:
