@@ -36,7 +36,6 @@ from .elliptic import (
     _LOG_MIN,
     _MODULUS,
     _PI_I,
-    _TWO_PI_I,
     EllipticContext,
     _check_orders,
     _columns,
