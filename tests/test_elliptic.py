@@ -1186,10 +1186,10 @@ def test_reduced_modulus_derivative_tables_follow_the_flow_identity(tau):
 
 
 @pytest.mark.parametrize("im", [500, 600, 700])
-def test_modulus_derivative_table_is_finite_where_the_reciprocal_square_underflows(im):
-    # |theta(hbar)| is far above one here, so 1/theta(hbar)^2 would underflow
-    # to zero and drop the modulus derivative of log theta(hbar); the
-    # reciprocal's modulus derivative is -(theta_dot / theta) / theta instead
+def test_modulus_derivative_table_is_finite_where_the_reciprocal_square_overflows(im):
+    # |theta| is about 1e-171 to 1e-239 at these arguments, so 1/theta^2
+    # would overflow; the reciprocal's modulus derivative is
+    # -(theta_dot / theta) / theta instead, whose factors stay in range
     ctx = EllipticContext(complex(0.3, im))
     got = kernel_derivs("elliptic", 0.1 + 0.05j, 0.2 + 0.03j, ctx, 1, 0, 1)
     plain = kernel_derivs("elliptic", 0.1 + 0.05j, 0.2 + 0.03j, ctx, 2, 1)
