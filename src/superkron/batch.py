@@ -223,7 +223,7 @@ def elliptic_tables(hbars, z, ctx: EllipticContext, requests) -> list[np.ndarray
             d_z, d_h, a_dot = (stacks[1][:, i::3] for i in range(3))
             dots = (a_dot, _reciprocal_dot(d_h[: dot_j + 1], u), _reciprocal_dot(d_z[: dot_k + 1], v))
             tables.append(prime0_dot * cells[: dot_j + 1, : dot_k + 1]
-                          + prime0 * np.array(_leibniz(a, u, v, dot_j, dot_k, dots)[1]))
+                          + prime0 * np.array(_leibniz(a, u, v, dot_j, dot_k, dots)))
     if len(shifted):
         # the order-1 chain term reads the order-0 cells before their multipliers
         for table, plain in zip(tables, (None, tables[0][..., shifted])):

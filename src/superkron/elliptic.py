@@ -386,32 +386,33 @@ def _leibniz_terms(max_j: int, max_k: int) -> tuple:
     )
 
 
-def _leibniz(a, u, v, max_j: int, max_k: int, dots=None):
+def _leibniz(a, u, v, max_j: int, max_k: int, dots=None) -> list:
     """Cells [j][k] of the mixed derivatives of a(hbar + z) u(hbar) v(z), as rows of cells.
 
     a, u and v hold derivatives by order, as in _reciprocal_derivs: Python
     numbers on the scalar route, rows over points in the batch.  With dots,
     the modulus-derivative stacks (a_dot, u_dot, v_dot) of the factors, it
-    also returns their modulus-derivative cells, summed in the same pass.
+    returns their modulus-derivative cells instead; both routes take the
+    plain cells from their own call without dots.
     Each cell adds its terms (_leibniz_terms, cached per size) in order from
     0j.  The routes share this code but not its bits: numpy's complex products
     over arrays round differently from Python's, though alike at every array
     length, so a batch of one equals a row of a longer batch.
     """
     a_dot, u_dot, v_dot = dots or (None, None, None)
-    cells, dot_cells = [], []
+    cells = []
     for row in _leibniz_terms(max_j, max_k):
         cells.append([])
-        dot_cells.append([])
         for cell in row:
-            acc = dot = 0j
-            for c, s, m, n in cell:
-                acc += c * a[s] * u[m] * v[n]
-                if dots:
-                    dot += c * (a_dot[s] * u[m] * v[n] + a[s] * u_dot[m] * v[n] + a[s] * u[m] * v_dot[n])
+            acc = 0j
+            if dots:
+                for c, s, m, n in cell:
+                    acc += c * (a_dot[s] * u[m] * v[n] + a[s] * u_dot[m] * v[n] + a[s] * u[m] * v_dot[n])
+            else:
+                for c, s, m, n in cell:
+                    acc += c * a[s] * u[m] * v[n]
             cells[-1].append(acc)
-            dot_cells[-1].append(dot)
-    return (cells, dot_cells) if dots else cells
+    return cells
 
 
 def _envelope(hbar: complex, z: complex, z_red: complex, n_z: int, n_h: int) -> complex:
@@ -479,12 +480,11 @@ def _table(hbar: complex, z: complex, ctx: EllipticContext, max_j: int, max_k: i
     _check_poles(hbar, z, ctx)
     u, v = _reciprocal_derivs(s_h), _reciprocal_derivs(s_z)
     prime0, prime0_dot = _origin_data(ctx)
-    inner = None
-    if shifted or not dtau:
-        # the kernel's table at the reduced points, with no lattice multipliers
-        table = inner = [[prime0 * cell for cell in row] for row in _leibniz(a, u, v, mj, mk)]
+    cells = _leibniz(a, u, v, mj, mk)
+    # the kernel's table at the reduced points, with no lattice multipliers
+    table = inner = [[prime0 * cell for cell in row] for row in cells]
     if dtau:
-        cells, dots = _leibniz(a, u, v, max_j, max_k, (a_dot, _reciprocal_dot(d_h, u), _reciprocal_dot(d_z, v)))
+        dots = _leibniz(a, u, v, max_j, max_k, (a_dot, _reciprocal_dot(d_h, u), _reciprocal_dot(d_z, v)))
         table = [[prime0_dot * c + prime0 * d for c, d in zip(*rows)] for rows in zip(cells, dots)]
     if not shifted:
         return np.array(table)
