@@ -89,7 +89,7 @@ class EllipticContext:
       Only theta_stack fills it, so the batch route
       (batch.elliptic_tables) sums its own, all but the origin's.
     - _tables: the largest read-only table kernel_derivs has made at each
-      point and request (see there).
+      point and request (see there), both modulus orders of one point in one pass.
     A series that fails leaves no stack and a request that fails no table;
     pole checks are not memoized.  Each memo is cleared
     whenever it holds _MEMO_LIMIT (4096) entries, so a long-lived context
@@ -457,23 +457,24 @@ def _restored(inner, n_z, n_h, envelope, plain=None) -> list:
     return out
 
 
-def _table(hbar: complex, z: complex, ctx: EllipticContext, max_j: int, max_k: int, dtau: int, reduce: bool):
-    """phi_derivs (dtau = 0) or phi_tau_derivs (dtau = 1): the table of a ratio of theta stacks, at the
-    reduced points where reduce, with the lattice multipliers of a shifted point restored (_restored)."""
-    hbar = complex(hbar)
-    z = complex(z)
+def _table(hbar: complex, z: complex, ctx: EllipticContext, size0, size1, reduce: bool) -> tuple:
+    """(phi_derivs, phi_tau_derivs) at one point, sizes size0 and size1 ((max_j, max_k) or None for no table), in
+    one pass: ratios of theta stacks, at the reduced points where reduce, multipliers restored (_restored); one
+    Leibniz pass makes both orders' plain cells, at a shifted point one order further for order 1's chain term."""
+    hbar, z = complex(hbar), complex(z)
     z_red, h_red, n_z, n_h = z, hbar, 0, 0
     if reduce:
         z_red, _, n_z = lattice_reduce(z, ctx.tau)
         h_red, _, n_h = lattice_reduce(hbar, ctx.tau)
-    a_red, shifted = h_red + z_red, n_z or n_h
-    if dtau:
-        # modulus order 1 first at each argument: its pass memoizes order 0 too
-        d_z = theta_stack(z_red, ctx, max_k, 1)
-        d_h = theta_stack(h_red, ctx, max_j, 1)
-        a_dot = theta_stack(a_red, ctx, max_j + max_k, 1)
-    # a shifted modulus-derivative table reads the kernel's cells one order further in each variable
-    mj, mk = (max_j + 1, max_k + 1) if dtau and shifted else (max_j, max_k)
+    a_red, shifted = h_red + z_red, bool(n_z or n_h)
+    mj, mk = size0 or (0, 0)
+    if size1:
+        dj, dk = size1
+        mj, mk = max(mj, dj + shifted), max(mk, dk + shifted)
+        # modulus order 1 first, its pass (which sums order 0 too) as long as the truncation rule allows
+        d_z = theta_stack(z_red, ctx, min(mk, _TOP_ORDER - 2), 1)[: dk + 1]
+        d_h = theta_stack(h_red, ctx, min(mj, _TOP_ORDER - 2), 1)[: dj + 1]
+        a_dot = theta_stack(a_red, ctx, min(mj + mk, _TOP_ORDER - 2), 1)
     s_z = theta_stack(z_red, ctx, mk)
     s_h = theta_stack(h_red, ctx, mj)
     a = theta_stack(a_red, ctx, mj + mk)
@@ -481,14 +482,18 @@ def _table(hbar: complex, z: complex, ctx: EllipticContext, max_j: int, max_k: i
     u, v = _reciprocal_derivs(s_h), _reciprocal_derivs(s_z)
     prime0, prime0_dot = _origin_data(ctx)
     cells = _leibniz(a, u, v, mj, mk)
-    # the kernel's table at the reduced points, with no lattice multipliers
-    table = inner = [[prime0 * cell for cell in row] for row in cells]
-    if dtau:
-        dots = _leibniz(a, u, v, max_j, max_k, (a_dot, _reciprocal_dot(d_h, u), _reciprocal_dot(d_z, v)))
-        table = [[prime0_dot * c + prime0 * d for c, d in zip(*rows)] for rows in zip(cells, dots)]
-    if not shifted:
-        return np.array(table)
-    return np.array(_restored(table, n_z, n_h, _envelope(hbar, z, z_red, n_z, n_h), inner if dtau else None))
+    # the kernel's cells at the reduced points, with no lattice multipliers
+    plain = table0 = [[prime0 * cell for cell in row] for row in cells]
+    if size0 and size0 != (mj, mk):
+        table0 = [row[: size0[1] + 1] for row in plain[: size0[0] + 1]]
+    if size1:
+        dots = _leibniz(a, u, v, dj, dk, (a_dot, _reciprocal_dot(d_h, u), _reciprocal_dot(d_z, v)))
+        table1 = [[prime0_dot * c + prime0 * d for c, d in zip(*rows)] for rows in zip(cells, dots)]
+    if shifted:
+        envelope = _envelope(hbar, z, z_red, n_z, n_h)
+        table0 = size0 and _restored(table0, n_z, n_h, envelope)
+        table1 = size1 and _restored(table1, n_z, n_h, envelope, plain)
+    return size0 and np.array(table0), size1 and np.array(table1)
 
 
 def phi_derivs(
@@ -510,7 +515,7 @@ def phi_derivs(
     at the given points directly, which is what independence checks of the
     quasi-periodicity itself must use.
     """
-    return _table(hbar, z, ctx, max_j, max_k, 0, reduce)
+    return _table(hbar, z, ctx, (max_j, max_k), None, reduce)[0]
 
 
 def phi_tau_derivs(
@@ -531,7 +536,7 @@ def phi_tau_derivs(
     reduce=True sums them at the reduced points, as phi_derivs does, and
     restores the multipliers with their modulus chain term (_restored).
     """
-    return _table(hbar, z, ctx, max_j, max_k, 1, reduce)
+    return _table(hbar, z, ctx, None, (max_j, max_k), reduce)[1]
 
 
 # -- degenerations ----------------------------------------------------------
@@ -617,42 +622,55 @@ def kernel_derivs(
     A request _check_orders refuses, for every kind, or a kind outside
     KINDS raises ValueError.  dtau = 1 tabulates their modulus
     derivatives instead: for the elliptic kernel through the direct modulus
-    series (phi_tau_derivs); for the degenerate kinds as zeros, with no
-    pole check, because the modulus derivative equals a mixed derivative by
-    the flow identity.  reduce applies to the elliptic tables of both
-    modulus orders (phi_derivs, phi_tau_derivs).  batch.elliptic_tables
-    tabulates many elliptic points at once, reduced.
+    series; for the degenerate kinds as zeros, with no pole check, because
+    the modulus derivative equals a mixed derivative by the flow identity.
+    reduce applies to the elliptic tables of both modulus orders, made by
+    phi_derivs' and phi_tau_derivs' own pass (_table).  _kernel_tables, of
+    which this is the one-order form, makes both orders of a point in that
+    one pass, as SuperFunction.evaluate asks; batch.elliptic_tables makes
+    many elliptic points at once, reduced.
 
     Tables are memoized on ctx by (kind, hbar, z, dtau, reduce where it
     applies), the two zeros told apart, largest table kept: no cell depends
     on the table size, so a request no larger in either order reads the
     leading cells of the stored table, and any other tabulates the larger
     of both sizes in each order and replaces it.  A failed request stores
-    nothing.  An elliptic request raises the series errors of its theta
-    arguments z, hbar and hbar+z (reduced where the table is), in that
-    order, before the pole errors of z, hbar and hbar+z as given
-    (_check_poles).
+    nothing, for either order.  An elliptic request raises the series errors
+    of its theta arguments z, hbar and hbar+z (reduced where the table is),
+    in that order, before the pole errors of z, hbar and hbar+z as given.
     """
     _check_orders(max_j, max_k, dtau)
+    size = (max_j, max_k)
+    table = _kernel_tables(kind, hbar, z, ctx, None if dtau else size, size if dtau else None, reduce)[dtau]
+    return table if table.shape == (max_j + 1, max_k + 1) else table[: max_j + 1, : max_k + 1]
+
+
+def _kernel_tables(kind: str, hbar: complex, z: complex, ctx: EllipticContext, size0, size1, reduce: bool) -> list:
+    """[order-0 table, order-1 table] that kernel_derivs stores for one point, at least of sizes size0 and size1
+    ((max_j, max_k), or None for no table): the orders that must grow are made in one pass, then stored."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    hbar = complex(hbar)
-    z = complex(z)
-    key = (kind, hbar, z, dtau, bool(reduce) or kind != "elliptic")
+    hbar, z = complex(hbar), complex(z)
+    key = (kind, hbar, z, bool(reduce) or kind != "elliptic")
     if not (hbar.real and hbar.imag and z.real and z.imag):
         # complex equality does not tell the two zeros apart
         key += (repr(hbar), repr(z))
-    table = ctx._tables.get(key)
-    if table is None or table.shape[0] <= max_j or table.shape[1] <= max_k:
-        rows, cols = (1, 1) if table is None else table.shape
-        mj, mk = max(max_j, rows - 1), max(max_k, cols - 1)
-        if kind == "elliptic":
-            table = (phi_tau_derivs if dtau else phi_derivs)(hbar, z, ctx, mj, mk, reduce)
-        elif dtau:
-            table = np.zeros((mj + 1, mk + 1), dtype=np.complex128)
-        else:
-            # looked up at call time, so wrappers installed on the module are seen
-            table = (phi_trig if kind == "trig" else phi_rat)(hbar, z, ctx, mj, mk)
-        table.flags.writeable = False
-        _remember(ctx._tables, key, table)
-    return table if table.shape == (max_j + 1, max_k + 1) else table[: max_j + 1, : max_k + 1]
+    tables, grow = [None, None], [None, None]
+    for dtau, size in enumerate((size0, size1)):
+        if size:
+            _check_orders(*size, dtau)
+            table = tables[dtau] = ctx._tables.get(key + (dtau,))
+            rows, cols = (0, 0) if table is None else table.shape
+            if rows <= size[0] or cols <= size[1]:
+                grow[dtau] = max(size[0], rows - 1), max(size[1], cols - 1)
+    if kind == "elliptic":
+        made = _table(hbar, z, ctx, *grow, reduce) if grow != [None, None] else ()
+    else:
+        # looked up at call time, so wrappers installed on the module are seen
+        made = (grow[0] and (phi_trig if kind == "trig" else phi_rat)(hbar, z, ctx, *grow[0]),
+                grow[1] and np.zeros((grow[1][0] + 1, grow[1][1] + 1), dtype=np.complex128))
+    for dtau, table in enumerate(made):
+        if table is not None:
+            table.flags.writeable = False
+            tables[dtau] = _remember(ctx._tables, key + (dtau,), table)
+    return tables

@@ -11,8 +11,8 @@ which turns the whole object into a GrassmannElement.
 Modulus descriptors are evaluated through the direct modulus-differentiated
 series, never through the flow identity that the operators use for
 rewriting, so heat-equation residuals compare two independent routes.
-Evaluation reads one table per modulus order from elliptic.kernel_derivs,
-for every kernel family: elliptic, trigonometric or rational.
+Evaluation reads the tables of both modulus orders of a point from one pass
+(elliptic._kernel_tables), for every kernel family: elliptic, trigonometric or rational.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import chain
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .elliptic import KINDS, EllipticContext, _remember, kernel_derivs
+from .elliptic import KINDS, EllipticContext, _kernel_tables, _remember, kernel_derivs
 from .grassmann import GrassmannElement, default_generators, grassmann_exp, nilpotent_powers
 
 __all__ = [
@@ -284,19 +284,16 @@ class SuperFunction:
         soul, if given, is an even nilpotent element added to z12; the
         coefficient functions are extended to it by their finite Taylor
         expansion, with derivatives skipped whenever the accompanying
-        Grassmann product already vanished.  Evaluation is plan, one
-        kernel_derivs table per modulus order, then combine; the R-matrix
+        Grassmann product already vanished.  Evaluation is plan, one pass
+        for the tables of both modulus orders, then combine; the R-matrix
         channel sums compile plan's rows once into a dense matrix and
         contract it with the tables of many channels at once
         (rmatrix.channel_sums).
         """
         z12 = complex(z1) - complex(z2)
         rows, sizes = self.plan(soul)
-        tables = {
-            dtau: kernel_derivs(self.kind, self.hbar, z12, self.ctx, mj, mk, dtau, reduce)
-            for dtau, (mj, mk) in sizes.items()
-        }
-        return self.combine(rows, tables, z12)
+        tables = _kernel_tables(self.kind, self.hbar, z12, self.ctx, sizes.get(0), sizes.get(1), reduce)
+        return self.combine(rows, {dtau: tables[dtau] for dtau in sizes}, z12)
 
     def plan(self, soul: GrassmannElement | None = None):
         """Rows (monomial, dtau, j, k, scalar) as a tuple and the table sizes {dtau: (max j, max k)} they read.
