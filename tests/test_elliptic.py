@@ -1012,7 +1012,7 @@ def _forbid_tabulation(monkeypatch):
     def tabulated(*args, **kwargs):
         raise AssertionError("a memoized table was made again")
 
-    for name in ("theta_stack", "phi_derivs", "phi_tau_derivs", "phi_trig", "phi_rat"):
+    for name in ("theta_stack", "_table", "phi_derivs", "phi_tau_derivs", "phi_trig", "phi_rat"):
         monkeypatch.setattr(elliptic, name, tabulated)
 
 
@@ -1087,6 +1087,54 @@ def test_failed_kernel_requests_store_nothing():
             kernel_derivs("trig", 1e-5j, z, ctx)
         with pytest.raises(PoleProximityError):
             kernel_derivs("rational", 0.3, 1e-5, ctx, 1, 1)
+    assert not ctx._tables
+
+
+# (order-0 size, order-1 size) of one joint request: order 0 smaller than, equal to and larger than order 1
+# one order further in each variable, and last one whose plain stacks outgrow the order-1 pass's cover
+JOINT_SIZES = (((0, 1), (1, 1)), ((2, 0), (0, 0)), ((2, 2), (1, 1)), ((1, 3), (0, 2)), ((3, 2), (1, 1)),
+               ((4, 3), (1, 1)))
+
+
+@pytest.mark.parametrize("tau", SWEEP_MODULI)
+def test_joint_tables_equal_separate_tables_bitwise(tau):
+    # both modulus orders made in one pass get the bits each gets alone, on
+    # a fresh context, reduced or not, at points in the centred cell and
+    # shifted by up to two periods in each argument
+    rng = np.random.default_rng(SWEEP_MODULI.index(tau) + 70)
+    shifts = [(0, 0, 0, 0)] + [tuple(int(n) for n in rng.integers(-2, 3, 4)) for _ in range(3)]
+    shifted = 0
+    for w_h, w_z in zip(cell_points(rng, 3, tau), cell_points(rng, 3, tau)):
+        h0, z0 = lattice_reduce(w_h, tau)[0], lattice_reduce(w_z, tau)[0]
+        for m_h, n_h, m_z, n_z in shifts:
+            h, z = h0 + m_h + n_h * tau, z0 + m_z + n_z * tau
+            shifted += bool(n_h or n_z)
+            for reduce in (True, False):
+                for size0, size1 in JOINT_SIZES:
+                    got = elliptic._kernel_tables("elliptic", h, z, EllipticContext(tau), size0, size1, reduce)
+                    want = (phi_derivs(h, z, EllipticContext(tau), *size0, reduce),
+                            phi_tau_derivs(h, z, EllipticContext(tau), *size1, reduce))
+                    for table, alone in zip(got, want):
+                        assert table.tobytes() == alone.tobytes(), (h, z, reduce, size0, size1)
+    assert shifted >= 6
+
+
+def test_joint_requests_raise_before_they_store():
+    # an order-1 size _check_orders refuses raises before anything is summed
+    # or stored, whatever the order-0 size; a pole stores neither order
+    ctx = EllipticContext(TAU1)
+    h, z = 0.31 + 0.17j, 0.2 + 0.4j
+    for kind in KINDS:
+        for size1, message in (((3, 3), "limited to 7"), ((0, -1), "non-negative")):
+            with pytest.raises(ValueError, match=message):
+                elliptic._kernel_tables(kind, h, z, ctx, (1, 1), size1, True)
+    assert not (ctx._tables or ctx._stacks)
+    for reduce in (True, False):
+        with pytest.raises(PoleProximityError, match="hbar="):
+            elliptic._kernel_tables("elliptic", TAU1 + 1.0, z, ctx, (2, 1), (1, 0), reduce)
+    for kind, pole in (("trig", 1e-5j), ("rational", 1e-5)):
+        with pytest.raises(PoleProximityError):
+            elliptic._kernel_tables(kind, pole, z, ctx, (2, 1), (1, 0), True)
     assert not ctx._tables
 
 

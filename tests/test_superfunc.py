@@ -46,6 +46,32 @@ def rel(err, scale):
     return err / max(scale, 1.0)
 
 
+# -- evaluation ------------------------------------------------------------------
+
+
+def test_evaluate_makes_both_modulus_orders_in_one_pass(monkeypatch):
+    # at a shifted point one evaluate checks its poles once and runs two
+    # Leibniz passes, plain and dots; each order's own request then reads
+    # the stored table and makes nothing
+    calls = {}
+    for name in ("_check_poles", "_leibniz"):
+        def counting(*args, _name=name, _original=getattr(elliptic, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(elliptic, name, counting)
+    ctx = EllipticContext(CTX.tau)
+    hbar = H1 + 1.0 - CTX.tau
+    f = super_phi(hbar, "μ1", P1, P2, "ω", ctx)
+    f.evaluate(P1.z, P2.z)
+    assert calls == {"_check_poles": 1, "_leibniz": 2}
+    sizes = f.plan()[1]
+    stored = list(ctx._tables.values())
+    assert sorted(sizes) == [0, 1] and len(stored) == 2
+    for dtau, table in enumerate(stored):
+        assert kernel_derivs("elliptic", hbar, Z12, ctx, *sizes[dtau], dtau) is table
+    assert calls == {"_check_poles": 1, "_leibniz": 2}
+
+
 # -- structure of the five-term template --------------------------------------
 
 
