@@ -471,7 +471,7 @@ def _table(hbar: complex, z: complex, ctx: EllipticContext, size0, size1, reduce
     if size1:
         dj, dk = size1
         mj, mk = max(mj, dj + shifted), max(mk, dk + shifted)
-        # modulus order 1 first, its pass (which sums order 0 too) as long as the truncation rule allows
+        # order 1 first, at the plain cells' lengths where the truncation rule allows: its pass sums order 0 too
         d_z = theta_stack(z_red, ctx, min(mk, _TOP_ORDER - 2), 1)[: dk + 1]
         d_h = theta_stack(h_red, ctx, min(mj, _TOP_ORDER - 2), 1)[: dj + 1]
         a_dot = theta_stack(a_red, ctx, min(mj + mk, _TOP_ORDER - 2), 1)
