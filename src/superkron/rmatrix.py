@@ -28,8 +28,8 @@ import numpy as np
 
 from .elliptic import EllipticContext, _remember, kernel_derivs
 from .grassmann import default_generators, parity
-from .superfunc import (_MEMO_LIMIT, SuperFunction, SuperPoint, _dressing, _memo_key, _odd_element, super_phi,
-                        three_term, three_term_specs)
+from .superfunc import (_MEMO_LIMIT, SuperFunction, SuperPoint, _dressing, _entry, _fresh, _memo_key, _odd_element,
+                        super_phi, three_term, three_term_specs)
 
 __all__ = [
     "MultiIndex",
@@ -182,21 +182,23 @@ def super_basis_phi(
     rewritten through the flow identity, the shape that survives
     degeneration.  c = 2 pi i a2 / N throughout.  The terms depend on the
     channel only through a2: a1 and hbar enter only as the kernel parameter.
+    They are memoized with their plans in _TEMPLATES by (form, raw a2, N,
+    slots by superfunc._memo_key), checked on a miss only, like super_phi's.
     """
-    if form not in BASIS_FORMS:
-        raise ValueError(f"form must be one of {BASIS_FORMS}")
-    c = _TWO_PI_I * alpha[1] / N
-    if form == "mu-shift":
-        mu_eff = _odd_element(omega, "omega") * c
-        mu = mu_eff if mu is None else _odd_element(mu, "mu") + mu_eff
-    f = super_phi(
-        _channel_hbar(alpha, hbar, N, ctx.tau), mu, p1, p2, omega, ctx,
-        exp_coeff=c, hbar_tau_rate=alpha[1] / N if form == "basis" else 0.0,
-        tau_term="heat" if form == "heat" else "dtau",
-    )
-    if form != "shift" or c == 0:
-        return f
-    return f.lmul(default_generators().one() + (p1.resolve() * p2.resolve()) * c)
+    c, hbar = _TWO_PI_I * alpha[1] / N, _channel_hbar(alpha, hbar, N, ctx.tau)
+    key = (form, alpha[1], N, *map(_memo_key, (p1.zeta, p2.zeta, omega, mu)))
+    if (entry := _TEMPLATES.get(key)) is None:
+        if form not in BASIS_FORMS:
+            raise ValueError(f"form must be one of {BASIS_FORMS}")
+        if form == "mu-shift":
+            mu_eff = _odd_element(omega, "omega") * c
+            mu = mu_eff if mu is None else _odd_element(mu, "mu") + mu_eff
+        f = super_phi(hbar, mu, p1, p2, omega, ctx, exp_coeff=c, hbar_tau_rate=alpha[1] / N if form == "basis" else 0.0,
+                      tau_term="heat" if form == "heat" else "dtau")
+        if form == "shift" and c != 0:
+            f = f.lmul(default_generators().one() + (p1.resolve() * p2.resolve()) * c)
+        entry = _remember(_TEMPLATES, key, [*_entry(f), None], _MEMO_LIMIT)
+    return _fresh(entry, ctx, hbar, "elliptic", c)
 
 
 def _digits(flat, m: int, d: int) -> list:
@@ -430,7 +432,7 @@ def supercommutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return (a @ b)._accumulate(b @ a, 1 if kinds == {"odd"} else -1)
 
 
-# compiled odd channel functions by (form, a2, N, slots), cleared at superfunc's bound of 1024 (elliptic._remember)
+# super_basis_phi's [terms, plans by soul, _Template or None] by (form, raw a2, N, slots), cleared at 1024 entries
 _TEMPLATES: dict = {}
 
 
@@ -454,14 +456,14 @@ class _Template:
 
 
 def _templates(a2s, hbar, mu, p1, p2, omega, ctx, N, form) -> list[_Template]:
-    """super_basis_phi at each (0, a2), compiled once per (form, a2, N, slots), its plan depending on neither
+    """super_basis_phi at each (0, a2), compiled once into its _TEMPLATES entry, its plan depending on neither
     a1, hbar nor ctx; the slots are keyed once per call, by superfunc._memo_key."""
     slots, out = tuple(map(_memo_key, (p1.zeta, p2.zeta, omega, mu))), []
     for a2 in a2s:
-        if (hit := _TEMPLATES.get(key := (form, a2, N, *slots))) is None:
+        if (entry := _TEMPLATES.get(key := (form, a2, N, *slots))) is None or entry[2] is None:
             f = super_basis_phi((0, a2), hbar, mu, p1, p2, omega, ctx, N, form)
-            hit = _remember(_TEMPLATES, key, _Template(*f.plan()), _MEMO_LIMIT)
-        out.append(hit)
+            (entry := _TEMPLATES[key])[2] = _Template(*f.plan())
+        out.append(entry[2])
     return out
 
 

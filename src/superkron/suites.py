@@ -314,8 +314,8 @@ def _compute_basis(inputs, cfg) -> float:
         return super_basis_phi(x[0], x[1], x[2], pa, pb, "ω", ctx, N, form=form).evaluate(pa.z, pb.z)
 
     # graded before plain, so that each kernel table is made once, at the largest size read at its point:
-    # first all four assembly forms of the same channel function agree, the heat form (which reads the
-    # most cells) first
+    # first all four assembly forms of the same channel function agree: two table passes, in any order, but
+    # with the heat form first its pass makes order 0 at (2, 1), the largest read, and the next one order 1
     forms = {form: sbp((al, h1, mu1), 0, 1, form=form) for form in ("heat", "shift", "mu-shift", "basis")}
     ref = forms.pop("shift")
     rel = max(_rel((v - ref).max_abs(), ref.max_abs()) for v in forms.values())

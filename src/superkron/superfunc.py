@@ -46,7 +46,7 @@ __all__ = [
 
 _TWO_PI_I = 2j * math.pi
 
-# super_phi's terms by structure (_memo_key), and each entry's plans by soul, elliptic._remember at this bound
+# super_phi's terms and heat_residual's sides by structure (_memo_key), each with its plans by soul, at this bound
 _MEMO_LIMIT = 1024
 _PHI_TERMS: dict = {}
 
@@ -54,6 +54,18 @@ _PHI_TERMS: dict = {}
 def _memo_key(x):
     """x as part of a memo key: an element by its exact terms in order, else by its repr (both keep a zero's sign)."""
     return tuple(map(repr, x.items())) if isinstance(x, GrassmannElement) else repr(x)
+
+
+def _entry(f: "SuperFunction") -> list:
+    """A memo entry of f: [its terms as tuples, {} for the plans by soul of the functions _fresh makes from it]."""
+    return [tuple((m, tuple(row.items())) for m, row in f.terms.items()), {}]
+
+
+def _fresh(entry, ctx: EllipticContext, hbar: complex, kind: str = "elliptic", exp_coeff: complex = 0.0):
+    """A function with an entry's terms, as rows of its own (add_term on it cannot reach the memo), and its plans."""
+    f = SuperFunction(ctx, hbar, kind, exp_coeff)
+    f.terms, f._plans = {m: dict(row) for m, row in entry[0]}, entry[1]
+    return f
 
 
 def _dressing(c: complex, z12: complex) -> complex:
@@ -146,7 +158,7 @@ class SuperFunction:
     and the monomials are those of default_generators().  No term depends
     on hbar, so a plan combines with tables at any parameter.  Change
     terms only through add_term, which drops the plans (_plans) a function
-    fresh from super_phi carries; other functions plan from their terms.
+    fresh from a memo entry (_fresh) carries; others plan from their terms.
     Every operator maps the stored rows into a new function with the same
     analytic metadata.
     """
@@ -298,8 +310,8 @@ class SuperFunction:
     def plan(self, soul: GrassmannElement | None = None):
         """Rows (monomial, dtau, j, k, scalar) as a tuple and the table sizes {dtau: (max j, max k)} they read.
 
-        The same for any hbar, ctx and kind.  A function fresh from
-        super_phi reads and fills the plans its memo entry carries, by the
+        The same for any hbar, ctx and kind.  A function fresh from a memo
+        entry (_fresh) reads and fills the plans the entry carries, by the
         soul's terms (_memo_key); any other function plans from its terms
         on each call and stores nothing.  The sizes are a fresh dict.
         """
@@ -393,14 +405,13 @@ def super_phi(
     The slots and tau_term are checked on a memo miss only: the key holds
     every input the checks read, and a failing check stores nothing.
     """
-    f = SuperFunction(ctx, hbar, kind=kind, exp_coeff=exp_coeff)
     key = tuple(map(_memo_key, (kind, exp_coeff, hbar_tau_rate, tau_term, p1.zeta, p2.zeta, omega, mu)))
     entry = _PHI_TERMS.get(key)
     if entry is None:
+        f = SuperFunction(ctx, hbar, kind=kind, exp_coeff=exp_coeff)
         if tau_term not in ("dtau", "heat"):
             raise ValueError("tau_term must be 'dtau' or 'heat'")
-        zeta1 = p1.resolve()
-        zeta2 = p2.resolve()
+        zeta1, zeta2 = p1.resolve(), p2.resolve()
         omega_e = _odd_element(omega, "omega")
         mu_e = None if mu is None else _odd_element(mu, "mu")
         combined = 0
@@ -424,12 +435,8 @@ def super_phi(
         if mu_e is not None:
             f.add_element_term(zz * mu_e, 0, 1, 0)
             f.add_element_term((zeta1 + zeta2) * mu_e * omega_e, 0, 2, 0, 0.5)
-        entry = _remember(_PHI_TERMS, key, (tuple((m, tuple(row.items())) for m, row in f.terms.items()), {}),
-                          _MEMO_LIMIT)
-    terms, f._plans = entry
-    # fresh rows, so that add_term on f cannot reach the memo
-    f.terms = {m: dict(row) for m, row in terms}
-    return f
+        entry = _remember(_PHI_TERMS, key, _entry(f), _MEMO_LIMIT)
+    return _fresh(entry, ctx, hbar, kind, exp_coeff)
 
 
 def super_phi_truncated(
@@ -559,16 +566,22 @@ def heat_residual(
     parameter/argument derivatives, so the residual genuinely tests the
     relation.  zeta1 and omega must each be one plain generator.  The right
     side is evaluated first: it reads the larger tables at the same point.
+    Both sides are memoized with their plans in _PHI_TERMS by the slots'
+    _memo_key; the checks run on a miss only, before storing anything.
     """
-    f = super_phi(hbar, mu, p1, p2, omega, ctx)
-    zeta1 = p1.resolve()
-    zeta2 = p2.resolve()
-    lhs = f.d_generator(_generator_index(_as_element(omega), "omega"))
-    lhs = lhs + f.d_tau().lmul(zeta1 + zeta2).scale(_TWO_PI_I)
-    dh = f.d_hbar()
-    rhs = dh.d_generator(_generator_index(zeta1, "zeta1")) + dh.d_z1().lmul(zeta1)
-    if mu is not None:
-        rhs = rhs - dh.d_hbar().lmul(_as_element(mu)).scale(0.5)
+    key = ("heat_residual", *map(_memo_key, (mu, p1.zeta, p2.zeta, omega)))
+    if (sides := _PHI_TERMS.get(key)) is None:
+        zeta1, zeta2 = p1.resolve(), p2.resolve()
+        g_omega = _generator_index(_odd_element(omega, "omega"), "omega")
+        g_zeta1 = _generator_index(zeta1, "zeta1")
+        f = super_phi(hbar, mu, p1, p2, omega, ctx)
+        lhs = f.d_generator(g_omega) + f.d_tau().lmul(zeta1 + zeta2).scale(_TWO_PI_I)
+        dh = f.d_hbar()
+        rhs = dh.d_generator(g_zeta1) + dh.d_z1().lmul(zeta1)
+        if mu is not None:
+            rhs = rhs - dh.d_hbar().lmul(_as_element(mu)).scale(0.5)
+        sides = _remember(_PHI_TERMS, key, (_entry(lhs), _entry(rhs)), _MEMO_LIMIT)
+    lhs, rhs = (_fresh(side, ctx, hbar) for side in sides)
     rval = rhs.evaluate(p1.z, p2.z)
     lval = lhs.evaluate(p1.z, p2.z)
     return lval - rval, max(lval.max_abs(), rval.max_abs(), 1e-300)
