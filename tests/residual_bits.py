@@ -10,8 +10,10 @@ package empty (superfunc's function terms and plans, rmatrix's channel
 templates, elliptic's cached theta constants, and every functools cache of
 elliptic, batch, grassmann, superfunc and rmatrix), then again with the
 caches the first computation filled; both must give the same record.  The
-plans that functions fresh from super_phi carry live in the entries of
-superfunc._PHI_TERMS, so emptying it empties them too.  The per-context
+plans that functions fresh from a memo entry carry (super_phi's and
+heat_residual's in superfunc._PHI_TERMS, super_basis_phi's beside the
+compiled templates in rmatrix._TEMPLATES) live in those entries, so
+emptying the two dicts empties them too.  The per-context
 memos (theta stacks, kernel tables) start empty in every
 sample, whose suite builds its own EllipticContext.  Rounding depends
 on the interpreter, numpy and the machine, so the record names all three and

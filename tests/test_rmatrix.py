@@ -855,6 +855,102 @@ def test_template_keys_tell_slots_apart(monkeypatch):
     assert list(got[0].blocks) == list(got[1].blocks) == sorted(got[0].blocks)
 
 
+@pytest.fixture
+def cold_channel_memos(monkeypatch):
+    from superkron import rmatrix, superfunc
+
+    monkeypatch.setattr(rmatrix, "_TEMPLATES", {})
+    monkeypatch.setattr(superfunc, "_PHI_TERMS", {})
+    return rmatrix._TEMPLATES, superfunc._PHI_TERMS
+
+
+def _value_bits(elem):
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in elem.items()]
+
+
+def test_channel_functions_from_their_entry_keep_every_bit(cold_channel_memos):
+    # each case built with the memos emptied, then every case again from the memos that all of them filled,
+    # at the same parameter and points: every coefficient of the value has the same bits.  The shifted point
+    # moves z1 by the modulus and zeta1 by 2 pi i omega, and evaluates unreduced with the soul that leaves,
+    # as the periodicity check does
+    templates, terms = cold_channel_memos
+    z1e, ome = GENS.generator("ζ1"), GENS.generator("ω")
+    mu_e = GENS.generator("μ1") * (0.3 + 0.7j) - GENS.generator("μ2")
+    shifted, soul = SuperPoint(P1.z + CTX.tau, z1e + ome * TPI), (z1e * ome) * TPI
+
+    def value(alpha, mu, p1, form, N):
+        f = super_basis_phi(alpha, H1, mu, p1, P2, "ω", CTX, N, form=form)
+        if p1 is P1:
+            return _value_bits(f.evaluate(P1.z, P2.z))
+        return _value_bits(f.evaluate(p1.z, P2.z, soul=soul, reduce=False))
+
+    cases = [(MultiIndex(1, a2), mu, p1, form, N) for N in (2, 3)
+             for a2, form, mu, p1 in product((-1, 0, 1, N - 1, N), BASIS_FORMS, (None, "μ1", mu_e), (P1, shifted))]
+    cold = []
+    for case in cases:
+        templates.clear()
+        terms.clear()
+        cold.append(value(*case))
+    warm = [value(*case) for case in cases for _ in range(2)][1::2]
+    # at N = 2, a2 = 1 is also N - 1: one entry per distinct (form, a2, N, mu, point)
+    assert len(templates) == len({(alpha[1], str(mu), p1 is P1, form, N) for alpha, mu, p1, form, N in cases})
+    for case, c, w in zip(cases, cold, warm):
+        assert w == c, case
+
+
+def test_channel_entries_are_isolated_and_checked_on_a_miss(cold_channel_memos):
+    # add_term on a returned function leaves the entry's rows as they were; a failing check raises as
+    # before, on every call, and stores nothing in either memo
+    templates, terms = cold_channel_memos
+    f = super_basis_phi(MultiIndex(1, 1), H1, "μ1", P1, P2, "ω", CTX, 2)
+    want = list(f._rows())
+    f.add_term(GENS.mask_of("ζ1ζ2"), 0, 2, 1, 0.75)
+    g = super_basis_phi(MultiIndex(0, 1), H2, "μ1", P1, P2, "ω", CTX, 2)
+    assert list(g._rows()) == want != list(f._rows()) and len(templates) == 1
+    templates.clear()
+    terms.clear()
+    even = GENS.generator("ζ1") * GENS.generator("ζ2")
+    # (mu, omega, form): the mu-shift form's mu slot holds a combination, which the collision check skips
+    failing = [("μ1", "ω", "spiral", "form must be one of"), (even, "ω", "mu-shift", "mu must be parity-odd")]
+    failing += [("μ1", "ζ2", form, "generator collision") for form in BASIS_FORMS]
+    failing += [("ζ1", "ω", form, "generator collision") for form in BASIS_FORMS if form != "mu-shift"]
+    for _ in range(2):
+        for mu, omega, form, match in failing:
+            with pytest.raises(ValueError, match=match):
+                super_basis_phi(MultiIndex(0, 1), H1, mu, P1, P2, omega, CTX, 2, form=form)
+            assert templates == {} and terms == {}, (mu, omega, form)
+
+
+def test_channel_entries_stay_within_their_bound(cold_channel_memos):
+    from superkron.superfunc import _MEMO_LIMIT
+
+    templates, _ = cold_channel_memos
+    for a2 in range(_MEMO_LIMIT + 1):
+        super_basis_phi(MultiIndex(0, a2), H1, None, P1, P2, "ω", CTX, 2, form="basis")
+        assert len(templates) <= _MEMO_LIMIT == 1024
+    assert len(templates) == 1
+
+
+def test_channel_sums_and_super_basis_phi_share_entries(cold_channel_memos, monkeypatch):
+    # one entry per (form, a2, N, slots) serves both routes: the channel sums compile their template into
+    # the entry super_basis_phi made, and a later super_basis_phi at any a1 and hbar is a hit
+    from superkron import rmatrix
+
+    templates, _ = cold_channel_memos
+    b = HeisenbergBasis(3)
+    before = [super_basis_phi(MultiIndex(0, a2), H1, "μ1", P1, P2, "ω", CTX, 3, form="heat") for a2 in (0, 1)]
+    made = list(templates.values())
+    assert [e[2] for e in made] == [None, None]
+    build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True, form="heat")
+    assert list(templates.values())[:2] == made and len(templates) == 3
+    assert all(isinstance(e[2], rmatrix._Template) for e in templates.values())
+    built = []
+    monkeypatch.setattr(rmatrix, "super_phi", lambda *args, **kwargs: built.append(args))
+    after = [super_basis_phi(MultiIndex(2, a2), H2, "μ1", P1, P2, "ω", CTX, 3, form="heat") for a2 in (0, 1)]
+    assert built == [] and len(templates) == 3
+    assert [list(f._rows()) for f in after] == [list(f._rows()) for f in before]
+
+
 @pytest.mark.parametrize("odd", [False, True])
 def test_dressing_overflow_names_its_point(odd):
     # exp(c z12) of the a2 = 5 channels at N = 6 leaves the floating-point

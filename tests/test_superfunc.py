@@ -628,6 +628,84 @@ def test_derived_functions_plan_from_their_terms(cold_memos):
     assert g._plans is None and memos() == before
 
 
+def _heat_keys():
+    return [key for key in superfunc._PHI_TERMS if key[0] == "heat_residual"]
+
+
+def test_heat_sides_from_their_entry_keep_every_bit(cold_memos):
+    # full and truncated, mu as a label and as an element, at a point and one shifted by a period: the
+    # residual and its scale from the memo that every case filled have the bits of a build with the memo
+    # emptied
+    mu_e = MUE * (0.3 + 0.7j) - GENS.generator("μ2")
+    cases = [(mu, p1) for mu in ("μ1", mu_e, None) for p1 in (P1, SuperPoint(P1.z + 1.0 + CTX.tau, "ζ1"))]
+
+    def residual_bits(mu, p1):
+        res, scale = heat_residual(H1, mu, p1, P2, "ω", CTX)
+        return _bits(res), scale.hex()
+
+    cold = []
+    for case in cases:
+        superfunc._PHI_TERMS.clear()
+        cold.append(residual_bits(*case))
+    warm = [residual_bits(*case) for case in cases for _ in range(2)][1::2]
+    assert len(_heat_keys()) == 3 and warm == cold
+
+
+def test_heat_entries_are_checked_on_a_miss_and_bounded(cold_memos):
+    # an omega or zeta1 that is not one plain generator raises as before, on every call, and stores
+    # nothing; the entries stay within the memo's bound
+    failing = [(P1, 2.0 * OME, "omega is not a single generator"),
+               (SuperPoint(P1.z, Z1E + OME * TPI), "ω", "zeta1 is not a single generator"),
+               (P1, "ζ1", "generator collision")]
+    for _ in range(2):
+        for p1, omega, match in failing:
+            with pytest.raises(ValueError, match=match):
+                heat_residual(H1, "μ1", p1, P2, omega, CTX)
+            assert superfunc._PHI_TERMS == {}, match
+    m1 = GENS.mask_of("μ1")
+    for i in range(superfunc._MEMO_LIMIT // 2 + 1):
+        heat_residual(H1, GrassmannElement({m1: complex(1.0, i)}), P1, P2, "ω", CTX)
+        assert len(superfunc._PHI_TERMS) <= superfunc._MEMO_LIMIT
+    # each call stores a super_phi entry and a heat entry: the last pair after a clearing
+    assert len(superfunc._PHI_TERMS) == 2 and len(_heat_keys()) == 1
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_warm_graded_sample_builds_nothing_symbolic(truncated, monkeypatch):
+    # once a basis and a heat sample have run, a second of each, at new points and parameters (basis: at
+    # the same channels), neither calls super_phi nor derives, multiplies or plans a function
+    calls = []
+
+    def spying(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    for owner in (superfunc, rmatrix, suites):
+        spying(owner, "super_phi")
+    for name in ("lmul", "_derived", "_plan_rows"):
+        spying(SuperFunction, name)
+    rng = np.random.default_rng(3)
+    cfg = suites.VerifyConfig(n=2, truncated=truncated)
+    for suite in ("basis", "heat"):
+        sample, _ = suites._SUITES[suite]
+        first, second = sample(rng, cfg), sample(rng, cfg)
+        if suite == "basis":
+            second.update(alpha=first["alpha"], beta=first["beta"])
+        superfunc._PHI_TERMS.clear()
+        rmatrix._TEMPLATES.clear()
+        calls.clear()
+        suites.replay_sample(suite, first, cfg)
+        assert {"super_phi", "_plan_rows"} <= set(calls), suite  # the spies see a cold sample
+        calls.clear()
+        suites.replay_sample(suite, second, cfg)
+        assert calls == [], suite
+
+
 @pytest.mark.parametrize("truncated", [False, True])
 @pytest.mark.parametrize("suite, kind", [("heat", "elliptic"), ("fay", "elliptic"), ("fay", "trig"),
                                          ("fay", "rational"), ("periodicity", "elliptic"),
