@@ -639,15 +639,15 @@ def test_heat_sides_from_their_entry_keep_every_bit(cold_memos):
     mu_e = MUE * (0.3 + 0.7j) - GENS.generator("μ2")
     cases = [(mu, p1) for mu in ("μ1", mu_e, None) for p1 in (P1, SuperPoint(P1.z + 1.0 + CTX.tau, "ζ1"))]
 
-    def residual_bits(mu, p1):
+    def heat_bits(mu, p1):
         res, scale = heat_residual(H1, mu, p1, P2, "ω", CTX)
         return _bits(res), scale.hex()
 
     cold = []
     for case in cases:
         superfunc._PHI_TERMS.clear()
-        cold.append(residual_bits(*case))
-    warm = [residual_bits(*case) for case in cases for _ in range(2)][1::2]
+        cold.append(heat_bits(*case))
+    warm = [heat_bits(*case) for case in cases for _ in range(2)][1::2]
     assert len(_heat_keys()) == 3 and warm == cold
 
 
