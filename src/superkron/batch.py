@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .elliptic import (
+    _COLUMNS,
     _FREQS,
     _HEADROOM,
     _K_MAX,
@@ -38,7 +39,6 @@ from .elliptic import (
     _PI_I,
     EllipticContext,
     _check_orders,
-    _columns,
     _envelope,
     _leibniz,
     _origin_data,
@@ -137,10 +137,10 @@ def _theta_sums(ws: np.ndarray, pairs: np.ndarray, tau: complex, top: int, dot_t
     """theta_stack up to order top at every point of ws, each over its own number of pairs, and with
     dot_top also the stacks of the modulus derivative up to order dot_top, from the same exponentials:
     shape (len(ws), order + 1) each.  The frequencies and their factors are theta_stack's own (_FREQS,
-    _MODULUS, _columns); each order is its own cumulative sum, whatever the top order."""
+    _MODULUS, _COLUMNS); each order is its own cumulative sum, whatever the top order."""
     width = 2 * int(pairs.max())
     f, modulus = np.array(_FREQS[:width]), np.array(_MODULUS[:width])
-    powers = np.array([column[:width] for column in _columns(max(top, dot_top or 0))]).T
+    powers = np.array([column[:width] for column in _COLUMNS[: max(top, dot_top or 0) + 1]]).T
     base = np.exp(_PI_I * (tau * f * f + (2.0 * (ws + 0.5))[:, None] * f))
     # cumulative sums in frequency order, read at each point's own last term
     last = (np.arange(len(ws)), 2 * pairs - 1)

@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import comb
 from operator import mul
 
@@ -44,8 +45,8 @@ KINDS = ("elliptic", "trig", "rational")
 
 _TWO_PI_I = 2j * math.pi
 _PI_I = 1j * math.pi
-# entries a memo holds before it starts again from empty: a context's theta stacks and tables, and _SQUARES
-_MEMO_LIMIT = 4096
+# entries every memo of the package holds before it starts again from empty (_remember), and _squares' size
+_MEMO_LIMIT = 1024
 # relative series tolerance and the hard cap on frequency pairs summed
 _SERIES_TOL = 1e-14
 _K_MAX = 200
@@ -92,7 +93,7 @@ class EllipticContext:
       point and request (see there), both modulus orders of one point in one pass.
     A series that fails leaves no stack and a request that fails no table;
     pole checks are not memoized.  Each memo is cleared
-    whenever it holds _MEMO_LIMIT (4096) entries, so a long-lived context
+    whenever it holds _MEMO_LIMIT (1024) entries, so a long-lived context
     cannot grow it without limit.  The memos are not constructor
     parameters and take no part in equality or hashing: two equal
     contexts compare and hash equal but keep separate memos.
@@ -115,9 +116,9 @@ class EllipticContext:
             raise ValueError("pole_radius must be positive and finite")
 
 
-def _remember(memo: dict, key, value, limit: int = _MEMO_LIMIT):
-    """value, stored in memo under key; a memo that holds limit entries is cleared first."""
-    if len(memo) >= limit:
+def _remember(memo: dict, key, value):
+    """value, stored in memo under key; a memo that holds _MEMO_LIMIT entries is cleared first."""
+    if len(memo) >= _MEMO_LIMIT:
         memo.clear()
     memo[key] = value
     return value
@@ -177,32 +178,19 @@ def pair_count(z: complex, tau: complex) -> int:
 
 
 # the frequencies +1/2, -1/2, +3/2, -3/2, ... of _K_MAX pairs, in summing order, their modulus
-# factors pi i f^2, and the memo of _squares
+# factors pi i f^2, and their argument factors (2 pi i f)^d, one tuple per order d = 0.._TOP_ORDER, each
+# the one before times 2 pi i f from 1.0 + 0j
 _FREQS = tuple(f for p in range(_K_MAX) for f in (p + 0.5, -(p + 0.5)))
 _MODULUS = tuple(_PI_I * f * f for f in _FREQS)
-_SQUARES: dict = {}
+_COLUMNS = tuple(accumulate(repeat(tuple(_TWO_PI_I * f for f in _FREQS), _TOP_ORDER),
+                            lambda column, steps: tuple(map(mul, column, steps)), initial=(1.0 + 0j,) * len(_FREQS)))
 
 
-@lru_cache(maxsize=8)
-def _columns(top: int) -> tuple:
-    """The argument factors (2 pi i f)^d at _FREQS, one tuple per order d = 0..top, each the one
-    before times 2 pi i f from 1.0 + 0j, so a column does not depend on top."""
-    steps = [_TWO_PI_I * f for f in _FREQS]
-    columns = [(1.0 + 0j,) * len(steps)]
-    for _ in range(top):
-        columns.append(tuple(map(mul, columns[-1], steps)))
-    return tuple(columns)
-
-
-def _squares(tau: complex, pairs: int) -> tuple:
-    """tau f f at the first 2 pairs frequencies of _FREQS, memoized by tau's bits and pairs: the two
-    zeros of tau.real compare and hash equal, so its sign is part of the key.  The memo is cleared
-    like the context memos (_remember)."""
-    key = (tau, math.copysign(1.0, tau.real), pairs)
-    squares = _SQUARES.get(key)
-    if squares is None:
-        squares = _remember(_SQUARES, key, tuple(tau * f * f for f in _FREQS[: 2 * pairs]))
-    return squares
+@lru_cache(maxsize=_MEMO_LIMIT)
+def _squares(tau: complex, sign: float, pairs: int) -> tuple:
+    """tau f f at the first 2 pairs frequencies of _FREQS, cached by tau, sign = copysign(1.0, tau.real)
+    (the two zeros of tau.real compare and hash equal) and pairs."""
+    return tuple(tau * f * f for f in _FREQS[: 2 * pairs])
 
 
 def _check_orders(max_j: int, max_k: int, dtau: int) -> None:
@@ -233,7 +221,7 @@ def theta_stack(
     is summed, so a table request, which sums its stacks before it checks
     its poles (_check_poles), raises a series error before any pole error.
     The per-frequency constants are cached (_squares per tau and pair
-    count, _MODULUS and _columns per process): an order's terms are the
+    count, _MODULUS and _COLUMNS per process): an order's terms are the
     exponentials times its column of argument factors, added in frequency
     order from 0j by sum().
 
@@ -252,9 +240,9 @@ def theta_stack(
         return stack[: max_dz + 1]
     tau = ctx.tau
     shift = 2.0 * (z + 0.5)
-    bases = [cmath.exp(_PI_I * (q + shift * f)) for q, f in zip(_squares(tau, pair_count(z, tau)), _FREQS)]
-    # one cached entry serves every order the truncation rule covers
-    columns = _columns(_TOP_ORDER)[: max_dz + 1]
+    squares = _squares(tau, math.copysign(1.0, tau.real), pair_count(z, tau))
+    bases = [cmath.exp(_PI_I * (q + shift * f)) for q, f in zip(squares, _FREQS)]
+    columns = _COLUMNS[: max_dz + 1]
     if dtau == 1:
         plain = memo.get((z, 0))
         if plain is None or len(plain) <= max_dz:

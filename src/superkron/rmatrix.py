@@ -26,10 +26,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .elliptic import EllipticContext, _remember, kernel_derivs
+from .elliptic import EllipticContext, kernel_derivs
 from .grassmann import default_generators, parity
-from .superfunc import (_MEMO_LIMIT, SuperFunction, SuperPoint, _dressing, _entry, _fresh, _memo_key, _odd_element,
-                        super_phi, three_term, three_term_specs)
+from .superfunc import (SuperFunction, SuperPoint, _dressing, _entry, _five_terms, _fresh, _memo, _memo_key,
+                        _odd_element, three_term, three_term_specs)
 
 __all__ = [
     "MultiIndex",
@@ -178,27 +178,32 @@ def super_basis_phi(
     the five-term template on the dressed channel function, whose parameter
     moves with the modulus at rate a2 / N, so the third term takes the total
     modulus derivative (super_phi with hbar_tau_rate = a2 / N; the other
-    forms pass no rate).  "heat": same with the third term
-    rewritten through the flow identity, the shape that survives
-    degeneration.  c = 2 pi i a2 / N throughout.  The terms depend on the
-    channel only through a2: a1 and hbar enter only as the kernel parameter.
-    They are memoized with their plans in _TEMPLATES by (form, raw a2, N,
-    slots by superfunc._memo_key), checked on a miss only, like super_phi's.
+    forms pass no rate).  "heat": same with the third term rewritten through
+    the flow identity, the shape that survives degeneration.  c = 2 pi i
+    a2 / N throughout.  The terms depend on the channel only through a2: a1
+    and hbar enter only as the kernel parameter.  They are memoized with their
+    plans in superfunc._PHI_TERMS by (form, raw a2, N, slots by _memo_key),
+    checked on a miss only, by _channel_function, which stores nothing.
     """
     c, hbar = _TWO_PI_I * alpha[1] / N, _channel_hbar(alpha, hbar, N, ctx.tau)
-    key = (form, alpha[1], N, *map(_memo_key, (p1.zeta, p2.zeta, omega, mu)))
-    if (entry := _TEMPLATES.get(key)) is None:
-        if form not in BASIS_FORMS:
-            raise ValueError(f"form must be one of {BASIS_FORMS}")
-        if form == "mu-shift":
-            mu_eff = _odd_element(omega, "omega") * c
-            mu = mu_eff if mu is None else _odd_element(mu, "mu") + mu_eff
-        f = super_phi(hbar, mu, p1, p2, omega, ctx, exp_coeff=c, hbar_tau_rate=alpha[1] / N if form == "basis" else 0.0,
-                      tau_term="heat" if form == "heat" else "dtau")
-        if form == "shift" and c != 0:
-            f = f.lmul(default_generators().one() + (p1.resolve() * p2.resolve()) * c)
-        entry = _remember(_TEMPLATES, key, [*_entry(f), None], _MEMO_LIMIT)
+    key = ("super_basis_phi", form, alpha[1], N, *map(_memo_key, (p1.zeta, p2.zeta, omega, mu)))
+    entry = _memo(key, lambda: _entry(_channel_function(alpha[1], hbar, mu, p1, p2, omega, ctx, N, form)))
     return _fresh(entry, ctx, hbar, "elliptic", c)
+
+
+def _channel_function(a2, hbar, mu, p1, p2, omega, ctx, N, form) -> SuperFunction:
+    """super_basis_phi's function of the channels with this a2, its inputs checked, built without any memo."""
+    if form not in BASIS_FORMS:
+        raise ValueError(f"form must be one of {BASIS_FORMS}")
+    c = _TWO_PI_I * a2 / N
+    if form == "mu-shift":
+        mu_eff = _odd_element(omega, "omega") * c
+        mu = mu_eff if mu is None else _odd_element(mu, "mu") + mu_eff
+    f = _five_terms(hbar, mu, p1, p2, omega, ctx, "elliptic", c, a2 / N if form == "basis" else 0.0,
+                    "heat" if form == "heat" else "dtau")
+    if form == "shift" and c != 0:
+        f = f.lmul(default_generators().one() + (p1.resolve() * p2.resolve()) * c)
+    return f
 
 
 def _digits(flat, m: int, d: int) -> list:
@@ -432,10 +437,6 @@ def supercommutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return (a @ b)._accumulate(b @ a, 1 if kinds == {"odd"} else -1)
 
 
-# super_basis_phi's [terms, plans by soul, _Template or None] by (form, raw a2, N, slots), cleared at 1024 entries
-_TEMPLATES: dict = {}
-
-
 class _Template:
     """A channel function compiled to a dense matrix: matrix[m, c] is what table cell c, at modulus order
     dtau[c] and position (j[c], k[c]), contributes to monomial masks[m], masks and cells (dtau, j, k)
@@ -456,15 +457,12 @@ class _Template:
 
 
 def _templates(a2s, hbar, mu, p1, p2, omega, ctx, N, form) -> list[_Template]:
-    """super_basis_phi at each (0, a2), compiled once into its _TEMPLATES entry, its plan depending on neither
-    a1, hbar nor ctx; the slots are keyed once per call, by superfunc._memo_key."""
-    slots, out = tuple(map(_memo_key, (p1.zeta, p2.zeta, omega, mu))), []
-    for a2 in a2s:
-        if (entry := _TEMPLATES.get(key := (form, a2, N, *slots))) is None or entry[2] is None:
-            f = super_basis_phi((0, a2), hbar, mu, p1, p2, omega, ctx, N, form)
-            (entry := _TEMPLATES[key])[2] = _Template(*f.plan())
-        out.append(entry[2])
-    return out
+    """The channel function of each a2 compiled once into an entry of its own in superfunc._PHI_TERMS, by (form,
+    a2, N, slots), its plan depending on neither a1, hbar nor ctx; the slots are keyed once per call."""
+    slots = tuple(map(_memo_key, (p1.zeta, p2.zeta, omega, mu)))
+    return [_memo(("_templates", form, a2, N, *slots),
+                  lambda: _Template(*_channel_function(a2, hbar, mu, p1, p2, omega, ctx, N, form).plan()))
+            for a2 in a2s]
 
 
 # the dressed kernel of every ordinary channel: cell (0, 0) into monomial 0

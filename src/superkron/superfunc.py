@@ -46,8 +46,9 @@ __all__ = [
 
 _TWO_PI_I = 2j * math.pi
 
-# super_phi's terms and heat_residual's sides by structure (_memo_key), each with its plans by soul, at this bound
-_MEMO_LIMIT = 1024
+# every graded function built from symbolic inputs, by structure (_memo_key) and led by the name of what builds
+# it: super_phi's and rmatrix.super_basis_phi's terms and heat_residual's sides, each with its plans by soul,
+# and rmatrix._templates' compiled channel functions
 _PHI_TERMS: dict = {}
 
 
@@ -56,9 +57,15 @@ def _memo_key(x):
     return tuple(map(repr, x.items())) if isinstance(x, GrassmannElement) else repr(x)
 
 
-def _entry(f: "SuperFunction") -> list:
-    """A memo entry of f: [its terms as tuples, {} for the plans by soul of the functions _fresh makes from it]."""
-    return [tuple((m, tuple(row.items())) for m, row in f.terms.items()), {}]
+def _memo(key, build):
+    """The _PHI_TERMS entry under key; a miss stores build(), which stores nothing, once it has returned."""
+    entry = _PHI_TERMS.get(key)
+    return _remember(_PHI_TERMS, key, build()) if entry is None else entry
+
+
+def _entry(f: "SuperFunction") -> tuple:
+    """A memo entry of f: (its terms as tuples, {} for the plans by soul of the functions _fresh makes from it)."""
+    return tuple((m, tuple(row.items())) for m, row in f.terms.items()), {}
 
 
 def _fresh(entry, ctx: EllipticContext, hbar: complex, kind: str = "elliptic", exp_coeff: complex = 0.0):
@@ -319,7 +326,7 @@ class SuperFunction:
             rows, sizes = self._plan_rows(soul)
         else:
             key = _memo_key(soul)
-            rows, sizes = self._plans.get(key) or _remember(self._plans, key, self._plan_rows(soul), _MEMO_LIMIT)
+            rows, sizes = self._plans.get(key) or _remember(self._plans, key, self._plan_rows(soul))
         return rows, dict(sizes)
 
     def _plan_rows(self, soul: GrassmannElement | None):
@@ -402,41 +409,44 @@ def super_phi(
     The terms are memoized by all but hbar, ctx and even coordinates, each
     entry with the plans of its fresh functions by soul (SuperFunction.plan;
     derived functions carry none), so emptying _PHI_TERMS empties those too.
-    The slots and tau_term are checked on a memo miss only: the key holds
-    every input the checks read, and a failing check stores nothing.
+    The slots and tau_term are checked on a memo miss only, by _five_terms,
+    which stores nothing: the key holds every input the checks read.
     """
-    key = tuple(map(_memo_key, (kind, exp_coeff, hbar_tau_rate, tau_term, p1.zeta, p2.zeta, omega, mu)))
-    entry = _PHI_TERMS.get(key)
-    if entry is None:
-        f = SuperFunction(ctx, hbar, kind=kind, exp_coeff=exp_coeff)
-        if tau_term not in ("dtau", "heat"):
-            raise ValueError("tau_term must be 'dtau' or 'heat'")
-        zeta1, zeta2 = p1.resolve(), p2.resolve()
-        omega_e = _odd_element(omega, "omega")
-        mu_e = None if mu is None else _odd_element(mu, "mu")
-        combined = 0
-        for label, elem in (("zeta1", zeta1), ("zeta2", zeta2), ("omega", omega_e), ("mu", mu_e)):
-            m = 0 if elem is None else _plain_mask(elem)
-            if m & combined:
-                raise ValueError(f"generator collision: {label} reuses another slot's generator")
-            combined |= m
-        zz = zeta1 * zeta2
-        f.add_element_term(zeta1 - zeta2, 0, 0, 0)
-        f.add_element_term(omega_e, 0, 1, 0)
-        zzw = zz * omega_e
-        if tau_term == "dtau":
-            f.add_element_term(zzw, 1, 0, 0, _TWO_PI_I)
-            if hbar_tau_rate != 0:
-                f.add_element_term(zzw, 0, 1, 0, _TWO_PI_I * hbar_tau_rate)
-        else:
-            f.add_element_term(zzw, 0, 1, 1)
-            if exp_coeff != 0:
-                f.add_element_term(zzw, 0, 1, 0, exp_coeff)
-        if mu_e is not None:
-            f.add_element_term(zz * mu_e, 0, 1, 0)
-            f.add_element_term((zeta1 + zeta2) * mu_e * omega_e, 0, 2, 0, 0.5)
-        entry = _remember(_PHI_TERMS, key, _entry(f), _MEMO_LIMIT)
-    return _fresh(entry, ctx, hbar, kind, exp_coeff)
+    key = ("super_phi", *map(_memo_key, (kind, exp_coeff, hbar_tau_rate, tau_term, p1.zeta, p2.zeta, omega, mu)))
+    inputs = (hbar, mu, p1, p2, omega, ctx, kind, exp_coeff, hbar_tau_rate, tau_term)
+    return _fresh(_memo(key, lambda: _entry(_five_terms(*inputs))), ctx, hbar, kind, exp_coeff)
+
+
+def _five_terms(hbar, mu, p1, p2, omega, ctx, kind="elliptic", exp_coeff=0.0, hbar_tau_rate=0.0, tau_term="dtau"):
+    """super_phi's function, its inputs checked, built without any memo."""
+    f = SuperFunction(ctx, hbar, kind=kind, exp_coeff=exp_coeff)
+    if tau_term not in ("dtau", "heat"):
+        raise ValueError("tau_term must be 'dtau' or 'heat'")
+    zeta1, zeta2 = p1.resolve(), p2.resolve()
+    omega_e = _odd_element(omega, "omega")
+    mu_e = None if mu is None else _odd_element(mu, "mu")
+    combined = 0
+    for label, elem in (("zeta1", zeta1), ("zeta2", zeta2), ("omega", omega_e), ("mu", mu_e)):
+        m = 0 if elem is None else _plain_mask(elem)
+        if m & combined:
+            raise ValueError(f"generator collision: {label} reuses another slot's generator")
+        combined |= m
+    zz = zeta1 * zeta2
+    f.add_element_term(zeta1 - zeta2, 0, 0, 0)
+    f.add_element_term(omega_e, 0, 1, 0)
+    zzw = zz * omega_e
+    if tau_term == "dtau":
+        f.add_element_term(zzw, 1, 0, 0, _TWO_PI_I)
+        if hbar_tau_rate != 0:
+            f.add_element_term(zzw, 0, 1, 0, _TWO_PI_I * hbar_tau_rate)
+    else:
+        f.add_element_term(zzw, 0, 1, 1)
+        if exp_coeff != 0:
+            f.add_element_term(zzw, 0, 1, 0, exp_coeff)
+    if mu_e is not None:
+        f.add_element_term(zz * mu_e, 0, 1, 0)
+        f.add_element_term((zeta1 + zeta2) * mu_e * omega_e, 0, 2, 0, 0.5)
+    return f
 
 
 def super_phi_truncated(
@@ -567,24 +577,27 @@ def heat_residual(
     relation.  zeta1 and omega must each be one plain generator.  The right
     side is evaluated first: it reads the larger tables at the same point.
     Both sides are memoized with their plans in _PHI_TERMS by the slots'
-    _memo_key; the checks run on a miss only, before storing anything.
+    _memo_key; _heat_sides checks on a miss only, before storing anything.
     """
     key = ("heat_residual", *map(_memo_key, (mu, p1.zeta, p2.zeta, omega)))
-    if (sides := _PHI_TERMS.get(key)) is None:
-        zeta1, zeta2 = p1.resolve(), p2.resolve()
-        g_omega = _generator_index(_odd_element(omega, "omega"), "omega")
-        g_zeta1 = _generator_index(zeta1, "zeta1")
-        f = super_phi(hbar, mu, p1, p2, omega, ctx)
-        lhs = f.d_generator(g_omega) + f.d_tau().lmul(zeta1 + zeta2).scale(_TWO_PI_I)
-        dh = f.d_hbar()
-        rhs = dh.d_generator(g_zeta1) + dh.d_z1().lmul(zeta1)
-        if mu is not None:
-            rhs = rhs - dh.d_hbar().lmul(_as_element(mu)).scale(0.5)
-        sides = _remember(_PHI_TERMS, key, (_entry(lhs), _entry(rhs)), _MEMO_LIMIT)
-    lhs, rhs = (_fresh(side, ctx, hbar) for side in sides)
+    lhs, rhs = (_fresh(side, ctx, hbar) for side in _memo(key, lambda: _heat_sides(hbar, mu, p1, p2, omega, ctx)))
     rval = rhs.evaluate(p1.z, p2.z)
     lval = lhs.evaluate(p1.z, p2.z)
     return lval - rval, max(lval.max_abs(), rval.max_abs(), 1e-300)
+
+
+def _heat_sides(hbar, mu, p1, p2, omega, ctx) -> tuple:
+    """heat_residual's two sides as memo entries, left then right, their inputs checked, stored nowhere."""
+    zeta1, zeta2 = p1.resolve(), p2.resolve()
+    g_omega = _generator_index(_odd_element(omega, "omega"), "omega")
+    g_zeta1 = _generator_index(zeta1, "zeta1")
+    f = _five_terms(hbar, mu, p1, p2, omega, ctx)
+    lhs = f.d_generator(g_omega) + f.d_tau().lmul(zeta1 + zeta2).scale(_TWO_PI_I)
+    dh = f.d_hbar()
+    rhs = dh.d_generator(g_zeta1) + dh.d_z1().lmul(zeta1)
+    if mu is not None:
+        rhs = rhs - dh.d_hbar().lmul(_as_element(mu)).scale(0.5)
+    return _entry(lhs), _entry(rhs)
 
 
 def transition_factor(hbar: complex, mu, zeta, omega, slot: int) -> GrassmannElement:

@@ -6,14 +6,14 @@ hex of every relative residual its compute function returned, in sample
 order (samples), so a refactor that claims to keep every residual bit can
 be checked against the record, sample by sample.  Each run is
 computed twice in one process: first with every process-wide cache of the
-package empty (superfunc's function terms and plans, rmatrix's channel
-templates, elliptic's cached theta constants, and every functools cache of
-elliptic, batch, grassmann, superfunc and rmatrix), then again with the
-caches the first computation filled; both must give the same record.  The
-plans that functions fresh from a memo entry carry (super_phi's and
-heat_residual's in superfunc._PHI_TERMS, super_basis_phi's beside the
-compiled templates in rmatrix._TEMPLATES) live in those entries, so
-emptying the two dicts empties them too.  The per-context
+package empty (superfunc._PHI_TERMS, the one memo of the functions built
+from symbolic inputs and of the compiled channel templates, and every
+functools cache of elliptic, batch, grassmann, superfunc and rmatrix,
+elliptic's cached theta constants among them), then again with the caches
+the first computation filled; both must give the same record.  The plans
+that functions fresh from a memo entry carry (super_phi's,
+heat_residual's and rmatrix.super_basis_phi's) live in their entries of
+_PHI_TERMS, so emptying it empties them too.  The per-context
 memos (theta stacks, kernel tables) start empty in every
 sample, whose suite builds its own EllipticContext.  Rounding depends
 on the interpreter, numpy and the machine, so the record names all three and
@@ -87,10 +87,9 @@ def environment() -> dict:
 
 
 def empty_caches() -> None:
-    """Empty the memo dicts of superfunc, rmatrix and elliptic and call cache_clear() on every functools
-    cache in the namespaces of the package's computing modules."""
-    for memo in (superfunc._PHI_TERMS, rmatrix._TEMPLATES, elliptic._SQUARES):
-        memo.clear()
+    """Empty superfunc._PHI_TERMS and call cache_clear() on every functools cache in the namespaces of the
+    package's computing modules."""
+    superfunc._PHI_TERMS.clear()
     for module in (elliptic, batch, grassmann, superfunc, rmatrix):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):

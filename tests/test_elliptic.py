@@ -352,7 +352,7 @@ def test_tables_bitwise_equal_reference_loops(tau):
     theta_stack(0.1 + 0.2j, ctx)
     n = pair_count(0.1 + 0.2j, tau)
     want = [tau * f * f for p in range(n) for f in (p + 0.5, -(p + 0.5))]
-    assert np.array(elliptic._squares(tau, n)).tobytes() == np.array(want).tobytes()
+    assert np.array(elliptic._squares(tau, math.copysign(1.0, tau.real), n)).tobytes() == np.array(want).tobytes()
 
 
 def test_pair_count_bounds_the_first_omitted_terms():
@@ -571,13 +571,17 @@ def test_theta_stack_rejects_higher_modulus_orders():
 def test_theta_stack_refuses_orders_beyond_the_truncation_rule():
     # the rule covers argument order + 2 modulus order <= 7.  Here pair_count
     # accepts the point, every covered order is finite, and order 8, summed
-    # past the check, is not; theta_stack and theta refuse it before they sum
+    # past the check with its own factor (2 pi i f)^8, is not; theta_stack and
+    # theta refuse it before they sum
     tau, z = 0.3 + 20j, -0.5 + 66.2j
     ctx = EllipticContext(tau)
     n = pair_count(z, tau)
+    covered = batch._theta_sums(np.array([z]), np.array([n]), tau, 7)[0][0]
+    f = np.array(elliptic._FREQS[: 2 * n])
     with np.errstate(over="ignore", invalid="ignore"):
-        beyond = batch._theta_sums(np.array([z]), np.array([n]), tau, 8)[0][0]
-    assert np.isfinite(beyond[:8]).all() and not np.isfinite(beyond[8])
+        order8 = np.array(elliptic._COLUMNS[7][: 2 * n]) * (2j * np.pi * f)
+        beyond = np.sum(np.exp(1j * np.pi * (tau * f * f + 2.0 * (z + 0.5) * f)) * order8)
+    assert np.isfinite(covered).all() and not np.isfinite(beyond)
     for dtau in (0, 1):
         for call in (theta_stack, theta):
             with pytest.raises(ValueError, match="derivative orders limited to 7"):

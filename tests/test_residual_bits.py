@@ -11,8 +11,8 @@ import pytest
 import residual_bits
 
 # In a fresh process, every module-level dict that elliptic, batch, grassmann, superfunc or rmatrix hands to
-# elliptic._remember while one basis and one heat sample run; printed as JSON: their names, then those that
-# residual_bits.empty_caches() leaves non-empty
+# elliptic._remember, and every functools cache of theirs, that one basis and one heat sample fill; printed as
+# JSON: their names, then those that residual_bits.empty_caches() leaves non-empty
 _MEMO_SCRIPT = """
 import json
 import numpy as np
@@ -34,8 +34,12 @@ for suite in ("basis", "heat"):
     suites.replay_sample(suite, suites._SUITES[suite][0](rng, cfg), cfg)
 memos = {f"{m.__name__}.{name}": v for m in modules for name, v in vars(m).items()
          if isinstance(v, dict) and any(v is p for p in passed)}
+caches = {f"{m.__name__}.{name}": v for m in modules for name, v in vars(m).items()
+          if hasattr(v, "cache_info") and v.cache_info().currsize}
 residual_bits.empty_caches()
-print(json.dumps([sorted(memos), sorted(name for name, memo in memos.items() if memo)]))
+left = [name for name, memo in memos.items() if memo]
+left += [name for name, cache in caches.items() if cache.cache_info().currsize]
+print(json.dumps([sorted(memos) + sorted(caches), sorted(left)]))
 """
 
 
@@ -51,13 +55,14 @@ def test_residuals_match_the_record():
 
 
 def test_empty_caches_empties_every_process_memo(tmp_path):
-    # a fresh process starts with every memo cold, so each one a sample fills passes through _remember; a
-    # memo that empty_caches leaves full would make the cold run of residual_bits.py warm
+    # a fresh process starts with every memo cold, so each dict a sample fills passes through _remember and
+    # each functools cache it fills holds entries; a memo that empty_caches leaves full would make the cold
+    # run of residual_bits.py warm
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _MEMO_SCRIPT], capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     memos, left = json.loads(proc.stdout)
-    assert {"superkron.superfunc._PHI_TERMS", "superkron.rmatrix._TEMPLATES", "superkron.elliptic._SQUARES"} <= set(memos)
+    assert {"superkron.superfunc._PHI_TERMS", "superkron.elliptic._squares"} <= set(memos)
     assert left == []

@@ -583,20 +583,21 @@ def test_channel_sum_matches_per_term_reference():
 
 
 def test_channel_functions_are_built_once_per_a2(monkeypatch):
-    from superkron import rmatrix
+    from superkron import rmatrix, superfunc
 
     built = []
+    channel_function = rmatrix._channel_function
 
-    def counting(alpha, *args, **kwargs):
-        built.append(alpha)
-        return super_basis_phi(alpha, *args, **kwargs)
+    def counting(a2, *args, **kwargs):
+        built.append(a2)
+        return channel_function(a2, *args, **kwargs)
 
-    monkeypatch.setattr(rmatrix, "super_basis_phi", counting)
-    monkeypatch.setattr(rmatrix, "_TEMPLATES", {})
-    # each from the representative (0, a2), in ascending a2, whatever
-    # channel of the list has that a2 first
+    monkeypatch.setattr(rmatrix, "_channel_function", counting)
+    monkeypatch.setattr(superfunc, "_PHI_TERMS", {})
+    # each once per a2, in ascending a2, whatever channel of the list has
+    # that a2 first
     b = HeisenbergBasis(3)
-    representatives = [(0, 0), (0, 1), (0, 2)]
+    representatives = [0, 1, 2]
     build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True)
     assert built == representatives
     built.clear()
@@ -610,8 +611,8 @@ def test_channel_functions_are_built_once_per_a2(monkeypatch):
     build_R(H2, "μ1", SuperPoint(0.1, "ζ1"), SuperPoint(0.3j, "ζ2"), "ω", b, EllipticContext(3.3 + 0.4j), super=True)
     cybe_residual(cybe_factors([P1, P2, P3], b, CTX, odd=True))
     assert built == representatives * 2
-    # N per slot set: the odd quantum one and the classical ones of three point pairs
-    assert len(rmatrix._TEMPLATES) == 3 + 3 * 3
+    # N per slot set: the odd quantum one and the classical ones of three point pairs, and no other entry
+    assert [key[0] for key in superfunc._PHI_TERMS] == ["_templates"] * (3 + 3 * 3)
 
 
 def test_channel_sums_make_one_request_per_table(monkeypatch):
@@ -828,7 +829,7 @@ def test_channel_sums_request_only_the_modulus_orders_a_channel_reads(monkeypatc
 def test_template_keys_tell_slots_apart(monkeypatch):
     # an element slot is keyed by its exact terms in order, signed zeros
     # included: each of these gets its own template and a fresh build's bits
-    from superkron import rmatrix
+    from superkron import superfunc
     from superkron.grassmann import GrassmannElement
 
     m1, m2 = GENS.mask_of("μ1"), GENS.mask_of("μ2")
@@ -839,41 +840,40 @@ def test_template_keys_tell_slots_apart(monkeypatch):
         GrassmannElement({m1: complex(1.0, -0.0)}),
     ]
     b = HeisenbergBasis(3)
-    monkeypatch.setattr(rmatrix, "_TEMPLATES", {})
+    monkeypatch.setattr(superfunc, "_PHI_TERMS", {})
     for form in BASIS_FORMS:
         got = [build_R(H1, mu, P1, P2, "ω", b, CTX, super=True, form=form) for mu in mus]
         for mu, g in zip(mus, got):
-            rmatrix._TEMPLATES.clear()
+            superfunc._PHI_TERMS.clear()
             want = build_R(H1, mu, P1, P2, "ω", b, CTX, super=True, form=form)
             assert list(g.blocks) == list(want.blocks), form
             assert all(g.blocks[m].tobytes() == a.tobytes() for m, a in want.blocks.items()), form
-        rmatrix._TEMPLATES.clear()
+        superfunc._PHI_TERMS.clear()
         for mu in mus:
             build_R(H1, mu, P1, P2, "ω", b, CTX, super=True, form=form)
-        assert len(rmatrix._TEMPLATES) == len(mus) * b.N, form
+        assert len(superfunc._PHI_TERMS) == len(mus) * b.N, form
     # the sum's monomials come out ascending, whatever the terms' order
     assert list(got[0].blocks) == list(got[1].blocks) == sorted(got[0].blocks)
 
 
 @pytest.fixture
-def cold_channel_memos(monkeypatch):
-    from superkron import rmatrix, superfunc
+def cold_channel_memo(monkeypatch):
+    from superkron import superfunc
 
-    monkeypatch.setattr(rmatrix, "_TEMPLATES", {})
     monkeypatch.setattr(superfunc, "_PHI_TERMS", {})
-    return rmatrix._TEMPLATES, superfunc._PHI_TERMS
+    return superfunc._PHI_TERMS
 
 
 def _value_bits(elem):
     return [(m, c.real.hex(), c.imag.hex()) for m, c in elem.items()]
 
 
-def test_channel_functions_from_their_entry_keep_every_bit(cold_channel_memos):
+def test_channel_functions_from_their_entry_keep_every_bit(cold_channel_memo):
     # each case built with the memos emptied, then every case again from the memos that all of them filled,
     # at the same parameter and points: every coefficient of the value has the same bits.  The shifted point
     # moves z1 by the modulus and zeta1 by 2 pi i omega, and evaluates unreduced with the soul that leaves,
     # as the periodicity check does
-    templates, terms = cold_channel_memos
+    memo = cold_channel_memo
     z1e, ome = GENS.generator("ζ1"), GENS.generator("ω")
     mu_e = GENS.generator("μ1") * (0.3 + 0.7j) - GENS.generator("μ2")
     shifted, soul = SuperPoint(P1.z + CTX.tau, z1e + ome * TPI), (z1e * ome) * TPI
@@ -888,27 +888,26 @@ def test_channel_functions_from_their_entry_keep_every_bit(cold_channel_memos):
              for a2, form, mu, p1 in product((-1, 0, 1, N - 1, N), BASIS_FORMS, (None, "μ1", mu_e), (P1, shifted))]
     cold = []
     for case in cases:
-        templates.clear()
-        terms.clear()
+        memo.clear()
         cold.append(value(*case))
     warm = [value(*case) for case in cases for _ in range(2)][1::2]
-    # at N = 2, a2 = 1 is also N - 1: one entry per distinct (form, a2, N, mu, point)
-    assert len(templates) == len({(alpha[1], str(mu), p1 is P1, form, N) for alpha, mu, p1, form, N in cases})
+    # at N = 2, a2 = 1 is also N - 1: one entry per distinct (form, a2, N, mu, point), and no other entry
+    assert [key[0] for key in memo] == ["super_basis_phi"] * len(
+        {(alpha[1], str(mu), p1 is P1, form, N) for alpha, mu, p1, form, N in cases})
     for case, c, w in zip(cases, cold, warm):
         assert w == c, case
 
 
-def test_channel_entries_are_isolated_and_checked_on_a_miss(cold_channel_memos):
+def test_channel_entries_are_isolated_and_checked_on_a_miss(cold_channel_memo):
     # add_term on a returned function leaves the entry's rows as they were; a failing check raises as
-    # before, on every call, and stores nothing in either memo
-    templates, terms = cold_channel_memos
+    # before, on every call, and stores nothing
+    memo = cold_channel_memo
     f = super_basis_phi(MultiIndex(1, 1), H1, "μ1", P1, P2, "ω", CTX, 2)
     want = list(f._rows())
     f.add_term(GENS.mask_of("ζ1ζ2"), 0, 2, 1, 0.75)
     g = super_basis_phi(MultiIndex(0, 1), H2, "μ1", P1, P2, "ω", CTX, 2)
-    assert list(g._rows()) == want != list(f._rows()) and len(templates) == 1
-    templates.clear()
-    terms.clear()
+    assert list(g._rows()) == want != list(f._rows()) and len(memo) == 1
+    memo.clear()
     even = GENS.generator("ζ1") * GENS.generator("ζ2")
     # (mu, omega, form): the mu-shift form's mu slot holds a combination, which the collision check skips
     failing = [("μ1", "ω", "spiral", "form must be one of"), (even, "ω", "mu-shift", "mu must be parity-odd")]
@@ -918,36 +917,44 @@ def test_channel_entries_are_isolated_and_checked_on_a_miss(cold_channel_memos):
         for mu, omega, form, match in failing:
             with pytest.raises(ValueError, match=match):
                 super_basis_phi(MultiIndex(0, 1), H1, mu, P1, P2, omega, CTX, 2, form=form)
-            assert templates == {} and terms == {}, (mu, omega, form)
+            assert memo == {}, (mu, omega, form)
 
 
-def test_channel_entries_stay_within_their_bound(cold_channel_memos):
-    from superkron.superfunc import _MEMO_LIMIT
+def test_channel_entries_stay_within_their_bound(cold_channel_memo):
+    from superkron.elliptic import _MEMO_LIMIT
 
-    templates, _ = cold_channel_memos
+    memo = cold_channel_memo
     for a2 in range(_MEMO_LIMIT + 1):
         super_basis_phi(MultiIndex(0, a2), H1, None, P1, P2, "ω", CTX, 2, form="basis")
-        assert len(templates) <= _MEMO_LIMIT == 1024
-    assert len(templates) == 1
+        assert len(memo) <= _MEMO_LIMIT == 1024
+    assert len(memo) == 1
 
 
-def test_channel_sums_and_super_basis_phi_share_entries(cold_channel_memos, monkeypatch):
-    # one entry per (form, a2, N, slots) serves both routes: the channel sums compile their template into
-    # the entry super_basis_phi made, and a later super_basis_phi at any a1 and hbar is a hit
+def test_channel_sums_and_super_basis_phi_keep_entries_of_their_own(cold_channel_memo, monkeypatch):
+    # the channel sums store each compiled template as an entry of its own, beside the channel functions
+    # super_basis_phi stores, neither reading nor changing those; each route's later calls, at any a1, hbar,
+    # points or modulus with the same slots, are hits, and a template holds the plan of the function
+    # super_basis_phi gives
     from superkron import rmatrix
 
-    templates, _ = cold_channel_memos
+    memo = cold_channel_memo
     b = HeisenbergBasis(3)
     before = [super_basis_phi(MultiIndex(0, a2), H1, "μ1", P1, P2, "ω", CTX, 3, form="heat") for a2 in (0, 1)]
-    made = list(templates.values())
-    assert [e[2] for e in made] == [None, None]
+    made = list(memo.items())
+    assert [key[0] for key, _ in made] == ["super_basis_phi"] * 2
     build_R(H1, "μ1", P1, P2, "ω", b, CTX, super=True, form="heat")
-    assert list(templates.values())[:2] == made and len(templates) == 3
-    assert all(isinstance(e[2], rmatrix._Template) for e in templates.values())
+    assert list(memo.items())[:2] == made and [key[0] for key in memo][2:] == ["_templates"] * 3
+    templates = [entry for key, entry in memo.items() if key[0] == "_templates"]
+    for f, t in zip(before, templates):
+        want = rmatrix._Template(*f.plan())
+        assert want.shape == t.shape and want.matrix.tobytes() == t.matrix.tobytes()
     built = []
-    monkeypatch.setattr(rmatrix, "super_phi", lambda *args, **kwargs: built.append(args))
+    channel_function = rmatrix._channel_function
+    monkeypatch.setattr(rmatrix, "_channel_function", lambda *args: built.append(args) or channel_function(*args))
     after = [super_basis_phi(MultiIndex(2, a2), H2, "μ1", P1, P2, "ω", CTX, 3, form="heat") for a2 in (0, 1)]
-    assert built == [] and len(templates) == 3
+    build_R(H2, "μ1", SuperPoint(0.1, "ζ1"), SuperPoint(0.3j, "ζ2"), "ω", b, EllipticContext(3.3 + 0.4j), super=True,
+            form="heat")
+    assert built == [] and len(memo) == 5
     assert [list(f._rows()) for f in after] == [list(f._rows()) for f in before]
 
 

@@ -1,7 +1,12 @@
 """Checks for the Grassmann-extended kernel and its identity residuals."""
 
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,9 +537,9 @@ def test_warm_call_checks_no_slot(cold_memos, monkeypatch):
 
 
 def test_memos_are_cleared_at_their_bound(cold_memos):
-    for i in range(superfunc._MEMO_LIMIT):
+    for i in range(elliptic._MEMO_LIMIT):
         super_phi(H1, "μ1", P1, P2, "ω", CTX, exp_coeff=complex(i)).plan()
-    assert len(superfunc._PHI_TERMS) == superfunc._MEMO_LIMIT == 1024
+    assert len(superfunc._PHI_TERMS) == elliptic._MEMO_LIMIT == 1024
     super_phi(H1, "μ1", P1, P2, "ω", CTX, exp_coeff=-1.0).plan()
     assert len(superfunc._PHI_TERMS) == 1
 
@@ -542,15 +547,16 @@ def test_memos_are_cleared_at_their_bound(cold_memos):
 def test_second_graded_sample_builds_no_function(cold_memos, monkeypatch):
     # the terms and plans depend on the slots and dressings only, so a
     # second sample of each graded suite (basis: at the same channels)
-    # builds no terms and plans no function fresh from super_phi; derived
-    # functions plan from their terms on every call; counted, not timed
-    phi_, mul, plan_rows = superfunc.super_phi, GrassmannElement.__mul__, SuperFunction._plan_rows
+    # builds no terms (every memo miss builds through _five_terms) and plans
+    # no function fresh from a memo entry; derived functions plan from their
+    # terms on every call; counted, not timed
+    five_terms, mul, plan_rows = superfunc._five_terms, GrassmannElement.__mul__, SuperFunction._plan_rows
     inside, muls, plans = [False], [], []
 
-    def counting_phi(*args, **kwargs):
+    def counting_five_terms(*args, **kwargs):
         inside[0] = True
         try:
-            return phi_(*args, **kwargs)
+            return five_terms(*args, **kwargs)
         finally:
             inside[0] = False
 
@@ -564,8 +570,8 @@ def test_second_graded_sample_builds_no_function(cold_memos, monkeypatch):
             plans.append(soul)
         return plan_rows(self, soul)
 
-    for module in (superfunc, rmatrix, suites):
-        monkeypatch.setattr(module, "super_phi", counting_phi)
+    for module in (superfunc, rmatrix):
+        monkeypatch.setattr(module, "_five_terms", counting_five_terms)
     monkeypatch.setattr(GrassmannElement, "__mul__", counting_mul)
     monkeypatch.setattr(SuperFunction, "_plan_rows", counting_plan_rows)
     rng = np.random.default_rng(7)
@@ -617,7 +623,7 @@ def test_derived_functions_plan_from_their_terms(cold_memos):
     want = tuple((m, *d, c) for m, d, c in g._rows())
 
     def memos():
-        # superfunc._PHI_TERMS, rmatrix._TEMPLATES and elliptic._SQUARES among them
+        # superfunc._PHI_TERMS among them
         modules = (superfunc, rmatrix, elliptic)
         return [dict(v) for m in modules for name, v in vars(m).items() if isinstance(v, dict) and name[:2] != "__"]
 
@@ -653,7 +659,7 @@ def test_heat_sides_from_their_entry_keep_every_bit(cold_memos):
 
 def test_heat_entries_are_checked_on_a_miss_and_bounded(cold_memos):
     # an omega or zeta1 that is not one plain generator raises as before, on every call, and stores
-    # nothing; the entries stay within the memo's bound
+    # nothing; a miss stores its own entry only, and the entries stay within the memo's bound
     failing = [(P1, 2.0 * OME, "omega is not a single generator"),
                (SuperPoint(P1.z, Z1E + OME * TPI), "ω", "zeta1 is not a single generator"),
                (P1, "ζ1", "generator collision")]
@@ -663,17 +669,51 @@ def test_heat_entries_are_checked_on_a_miss_and_bounded(cold_memos):
                 heat_residual(H1, "μ1", p1, P2, omega, CTX)
             assert superfunc._PHI_TERMS == {}, match
     m1 = GENS.mask_of("μ1")
-    for i in range(superfunc._MEMO_LIMIT // 2 + 1):
+    for i in range(elliptic._MEMO_LIMIT + 1):
         heat_residual(H1, GrassmannElement({m1: complex(1.0, i)}), P1, P2, "ω", CTX)
-        assert len(superfunc._PHI_TERMS) <= superfunc._MEMO_LIMIT
-    # each call stores a super_phi entry and a heat entry: the last pair after a clearing
-    assert len(superfunc._PHI_TERMS) == 2 and len(_heat_keys()) == 1
+        # one heat entry per call, the last call's stored after a clearing
+        assert len(superfunc._PHI_TERMS) == len(_heat_keys()) == i % elliptic._MEMO_LIMIT + 1
+
+
+# In a fresh process, one cold sample at N = 2 of each suite that builds graded functions, every cache emptied
+# before it; printed as JSON: per suite, the builders that lead the keys its sample leaves in _PHI_TERMS
+_BUILDERS_SCRIPT = """
+import json
+import numpy as np
+import residual_bits
+from superkron import suites, superfunc
+
+rng, out = np.random.default_rng(11), {}
+for suite in ("fay", "heat", "periodicity", "degenerations", "basis", "aybe", "cybe"):
+    cfg = suites.VerifyConfig(n=2)
+    inputs = suites._SUITES[suite][0](rng, cfg)
+    residual_bits.empty_caches()
+    suites.replay_sample(suite, inputs, cfg)
+    out[suite] = sorted({key[0] for key in superfunc._PHI_TERMS})
+print(json.dumps(out))
+"""
+
+
+def test_cold_sample_stores_only_the_entries_of_the_builders_it_calls(tmp_path):
+    # a miss builds through bodies that store nothing, so no sample leaves an entry that only another
+    # entry's miss used: the Yang-Baxter suites keep compiled templates only, basis its channel
+    # functions only and heat its sides only
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _BUILDERS_SCRIPT], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "fay": ["super_phi"], "heat": ["heat_residual"], "periodicity": ["super_phi"],
+        "degenerations": ["super_phi"], "basis": ["super_basis_phi"], "aybe": ["_templates"], "cybe": ["_templates"],
+    }
 
 
 @pytest.mark.parametrize("truncated", [False, True])
 def test_warm_graded_sample_builds_nothing_symbolic(truncated, monkeypatch):
     # once a basis and a heat sample have run, a second of each, at new points and parameters (basis: at
-    # the same channels), neither calls super_phi nor derives, multiplies or plans a function
+    # the same channels), neither calls super_phi or _five_terms, through which every miss builds, nor
+    # derives, multiplies or plans a function
     calls = []
 
     def spying(owner, name):
@@ -685,8 +725,10 @@ def test_warm_graded_sample_builds_nothing_symbolic(truncated, monkeypatch):
 
         monkeypatch.setattr(owner, name, spy)
 
-    for owner in (superfunc, rmatrix, suites):
+    for owner in (superfunc, suites):
         spying(owner, "super_phi")
+    for owner in (superfunc, rmatrix):
+        spying(owner, "_five_terms")
     for name in ("lmul", "_derived", "_plan_rows"):
         spying(SuperFunction, name)
     rng = np.random.default_rng(3)
@@ -697,10 +739,9 @@ def test_warm_graded_sample_builds_nothing_symbolic(truncated, monkeypatch):
         if suite == "basis":
             second.update(alpha=first["alpha"], beta=first["beta"])
         superfunc._PHI_TERMS.clear()
-        rmatrix._TEMPLATES.clear()
         calls.clear()
         suites.replay_sample(suite, first, cfg)
-        assert {"super_phi", "_plan_rows"} <= set(calls), suite  # the spies see a cold sample
+        assert {"_five_terms", "_plan_rows"} <= set(calls), suite  # the spies see a cold sample
         calls.clear()
         suites.replay_sample(suite, second, cfg)
         assert calls == [], suite
