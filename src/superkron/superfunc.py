@@ -46,9 +46,10 @@ __all__ = [
 
 _TWO_PI_I = 2j * math.pi
 
-# every graded function built from symbolic inputs, by structure (_memo_key) and led by the name of what builds
-# it: super_phi's and rmatrix.super_basis_phi's terms and heat_residual's sides, each with its plans by soul,
-# and rmatrix._templates' compiled channel functions
+# everything built from symbolic inputs alone, by structure (_memo_key) and led by the name of what builds it:
+# super_phi's and rmatrix.super_basis_phi's terms and heat_residual's sides, each with its plans by soul,
+# rmatrix._templates' compiled channel functions, and the Grassmann elements of transition_factor (its soul
+# series), super_phi_degenerate (its prefactors) and periodicity_residual (each shifted slot)
 _PHI_TERMS: dict = {}
 
 
@@ -479,21 +480,30 @@ def super_phi_degenerate(
     - (omega + z1 z2 mu)/sinh^2 h + (z1+z2) mu omega cosh h / sinh^3 h,
     with the odd partners in place of the shorthand; rational replaces the
     three parameter profiles by 1/h, 1/h^2, 1/h^3.  ctx supplies the pole
-    radius only.
+    radius only.  The prefactors are memoized in _PHI_TERMS by the four slots,
+    checked on a miss only; the kind is checked on every call.
     """
     if kind not in ("trig", "rational"):
         raise ValueError("degenerate kinds are 'trig' and 'rational'")
-    zeta1 = p1.resolve()
-    zeta2 = p2.resolve()
-    omega_e = _odd_element(omega, "omega")
-    mu_e = None if mu is None else _odd_element(mu, "mu")
+    key = ("super_phi_degenerate", *map(_memo_key, (mu, p1.zeta, p2.zeta, omega)))
+    diff, omega_e, zzm, szmw = _memo(key, lambda: _degenerate_prefactors(mu, p1, p2, omega))
     z12 = complex(p1.z) - complex(p2.z)
     base, d1, d2 = kernel_derivs(kind, hbar, z12, ctx, max_j=2)[:, 0]
-    out = (zeta1 - zeta2) * base + omega_e * d1
-    if mu_e is not None:
-        out = out + zeta1 * zeta2 * mu_e * d1
-        out = out + (zeta1 + zeta2) * mu_e * omega_e * (0.5 * d2)
+    out = diff * base + omega_e * d1
+    if zzm is not None:
+        out = out + zzm * d1
+        out = out + szmw * (0.5 * d2)
     return out
+
+
+def _degenerate_prefactors(mu, p1, p2, omega) -> tuple:
+    """super_phi_degenerate's prefactors of base, d1, d1 and d2 / 2 (None without mu), checked, stored nowhere."""
+    zeta1, zeta2 = p1.resolve(), p2.resolve()
+    omega_e = _odd_element(omega, "omega")
+    if mu is None:
+        return zeta1 - zeta2, omega_e, None, None
+    mu_e = _odd_element(mu, "mu")
+    return zeta1 - zeta2, omega_e, zeta1 * zeta2 * mu_e, (zeta1 + zeta2) * mu_e * omega_e
 
 
 # -- residual checkers ---------------------------------------------------------
@@ -605,17 +615,23 @@ def transition_factor(hbar: complex, mu, zeta, omega, slot: int) -> GrassmannEle
 
     Slot 1 carries exp(-2 pi i (hbar - mu zeta1 - pi i mu omega)), slot 2
     the reciprocal sign pattern with zeta2.  mu = None gives the plain
-    exp(-/+ 2 pi i hbar) of the truncated variant.
+    exp(-/+ 2 pi i hbar) of the truncated variant.  The exponent's soul series
+    is memoized in _PHI_TERMS by (mu, zeta, omega, slot), checked on a miss
+    only; each call multiplies it by a fresh exp(-/+ 2 pi i hbar).
     """
-    gens = default_generators()
     sign = -1.0 if slot == 1 else 1.0
-    exponent = gens.scalar(sign * _TWO_PI_I * complex(hbar))
+    body = default_generators().scalar(sign * _TWO_PI_I * complex(hbar)).body
+    key = ("transition_factor", *map(_memo_key, (mu, zeta, omega, slot)))
+    return _memo(key, lambda: _transition_series(sign, mu, zeta, omega)) * cmath.exp(body)
+
+
+def _transition_series(sign, mu, zeta, omega) -> GrassmannElement:
+    """grassmann_exp of transition_factor's exponent without its scalar part, checked, stored nowhere."""
+    exponent = GrassmannElement({})
     if mu is not None:
-        mu_e = _odd_element(mu, "mu")
-        zeta_e = _odd_element(zeta, "zeta")
-        omega_e = _odd_element(omega, "omega")
+        mu_e, zeta_e, omega_e = _odd_element(mu, "mu"), _odd_element(zeta, "zeta"), _odd_element(omega, "omega")
         inner = mu_e * zeta_e + (mu_e * omega_e) * (1j * math.pi)
-        exponent = exponent + inner * (-sign * _TWO_PI_I)
+        exponent = inner * (-sign * _TWO_PI_I)
     return grassmann_exp(exponent)
 
 
@@ -637,6 +653,8 @@ def periodicity_residual(
     factor.  The unshifted function is built and evaluated once.  Both
     sides evaluate without lattice reduction, otherwise the check would
     assume what it verifies.  mu = None checks the truncated function.
+    Each shifted slot (zeta + 2 pi i omega and its soul) is memoized in
+    _PHI_TERMS by (that slot's zeta, omega, slot), checked on a miss only.
     """
     base = super_phi(hbar, mu, p1, p2, omega, ctx)
     base_val = base.evaluate(p1.z, p2.z, reduce=False)
@@ -648,15 +666,22 @@ def periodicity_residual(
             shifted = base.evaluate(*zs, reduce=False)
             reference = base_val
         else:
-            omega_e = _odd_element(omega, "omega")
             points = [p1, p2]
-            zeta_old = points[slot - 1].resolve()
-            points[slot - 1] = SuperPoint(zs[slot - 1], zeta_old + omega_e * _TWO_PI_I)
+            zeta = points[slot - 1].zeta
+            key = ("periodicity_residual", *map(_memo_key, (zeta, omega, slot)))
+            zeta_new, soul = _memo(key, lambda: _shifted_slot(points[slot - 1], omega, slot))
+            points[slot - 1] = SuperPoint(zs[slot - 1], zeta_new)
             shifted_fn = super_phi(hbar, mu, *points, omega, ctx)
-            # a soul on z2 enters z12 = z1 - z2 with a minus sign
-            soul = (zeta_old * omega_e) * (_TWO_PI_I if slot == 1 else -_TWO_PI_I)
             zs[slot - 1] += ctx.tau
             shifted = shifted_fn.evaluate(*zs, soul=soul, reduce=False)
-            reference = transition_factor(hbar, mu, zeta_old, omega_e, slot) * base_val
+            reference = transition_factor(hbar, mu, zeta, omega, slot) * base_val
         out.append((shifted - reference, max(shifted.max_abs(), reference.max_abs(), 1e-300)))
     return out
+
+
+def _shifted_slot(point: SuperPoint, omega, slot: int) -> tuple:
+    """periodicity_residual's zeta + 2 pi i omega of one slot and the soul it adds to z12, checked, stored nowhere."""
+    omega_e = _odd_element(omega, "omega")
+    zeta = point.resolve()
+    # a soul on z2 enters z12 = z1 - z2 with a minus sign
+    return zeta + omega_e * _TWO_PI_I, (zeta * omega_e) * (_TWO_PI_I if slot == 1 else -_TWO_PI_I)
