@@ -7,7 +7,9 @@ order (samples), so a refactor that claims to keep every residual bit can
 be checked against the record, sample by sample.  Each run is
 computed twice in one process: first with every process-wide cache of the
 package empty (superfunc._PHI_TERMS, the one memo of the functions built
-from symbolic inputs and of the compiled channel templates, and every
+from symbolic inputs, of the compiled channel templates and of the
+Grassmann elements of the periodicity and degeneration checks that depend
+on the generator labels alone, and every
 functools cache of elliptic, batch, grassmann, superfunc and rmatrix,
 elliptic's cached theta constants among them), then again with the caches
 the first computation filled; both must give the same record.  The plans
@@ -87,8 +89,9 @@ def environment() -> dict:
 
 
 def empty_caches() -> None:
-    """Empty superfunc._PHI_TERMS and call cache_clear() on every functools cache in the namespaces of the
-    package's computing modules."""
+    """Empty superfunc._PHI_TERMS (functions, channel templates, and the transition series, degenerate
+    prefactors and shifted periodicity slots) and call cache_clear() on every functools cache in the namespaces
+    of the package's computing modules."""
     superfunc._PHI_TERMS.clear()
     for module in (elliptic, batch, grassmann, superfunc, rmatrix):
         for value in vars(module).values():

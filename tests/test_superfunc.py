@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import residual_bits
 from helpers import isclose, phi
 from superkron import elliptic, rmatrix, suites, superfunc
 from superkron.elliptic import KINDS, EllipticContext, PoleProximityError, kernel_derivs, phi_derivs, phi_rat, phi_trig
@@ -697,15 +698,18 @@ print(json.dumps(out))
 def test_cold_sample_stores_only_the_entries_of_the_builders_it_calls(tmp_path):
     # a miss builds through bodies that store nothing, so no sample leaves an entry that only another
     # entry's miss used: the Yang-Baxter suites keep compiled templates only, basis its channel
-    # functions only and heat its sides only
+    # functions only and heat its sides only; periodicity adds its shifted slots and transition series,
+    # degenerations its closed form's prefactors
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _BUILDERS_SCRIPT], capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "fay": ["super_phi"], "heat": ["heat_residual"], "periodicity": ["super_phi"],
-        "degenerations": ["super_phi"], "basis": ["super_basis_phi"], "aybe": ["_templates"], "cybe": ["_templates"],
+        "fay": ["super_phi"], "heat": ["heat_residual"],
+        "periodicity": ["periodicity_residual", "super_phi", "transition_factor"],
+        "degenerations": ["super_phi", "super_phi_degenerate"], "basis": ["super_basis_phi"],
+        "aybe": ["_templates"], "cybe": ["_templates"],
     }
 
 
@@ -808,3 +812,128 @@ def test_truncated_modulus_shift_multiplier():
     )
     want = base * cmath.exp(-TPI * H1)
     assert (shifted - want).max_abs() <= 1e-12 * max(want.max_abs(), 1.0)
+
+
+# -- label-only elements of the periodicity and degeneration checks ---------------------------------------
+
+
+def _keys(builder):
+    return [key for key in superfunc._PHI_TERMS if key[0] == builder]
+
+
+def _warm_bits_are_cold_bits(cases, bits_of):
+    # each case built cold, every cache of the package emptied before it, then each twice after all of them,
+    # the second time from the memo that every case filled
+    cold = []
+    for case in cases:
+        residual_bits.empty_caches()
+        cold.append(bits_of(*case))
+    warm = [bits_of(*case) for case in cases for _ in range(2)][1::2]
+    assert warm == cold
+    return cold
+
+
+# hbar with signed-zero parts, where a zero's sign reaches exp(-/+ 2 pi i hbar); the last makes no body at all
+_SIGNED_ZERO_HBARS = (H1, complex(0.25, -0.0), complex(-0.0, 0.7), complex(-0.0, -0.3), complex(0.0, -0.0))
+
+
+def _transition_reference(hbar, mu, zeta, slot):
+    # the whole exponent as one element, exponentiated with no memo
+    sign = -1.0 if slot == 1 else 1.0
+    exponent = GENS.scalar(sign * TPI * complex(hbar))
+    if mu is not None:
+        mu_e, zeta_e = superfunc._as_element(mu), superfunc._as_element(zeta)
+        exponent = exponent + (mu_e * zeta_e + (mu_e * OME) * (1j * math.pi)) * (-sign * TPI)
+    return grassmann_exp(exponent)
+
+
+def test_transition_series_from_its_entry_keeps_every_bit(cold_memos):
+    # both slots, mu as None, a label and an element with a signed zero, zeta as a label and as the shifted
+    # zeta + 2 pi i omega of the periodicity check: one entry per (mu, zeta, omega, slot), not per hbar, and
+    # the bits of grassmann_exp of the whole exponent
+    mu_e = GrassmannElement({GENS.mask_of("μ1"): complex(0.5, -0.0), GENS.mask_of("μ2"): -1.25 + 0.5j})
+    cases = [(h, mu, zeta, OME, slot) for slot in (1, 2) for mu in (None, "μ1", mu_e)
+             for zeta in ("ζ1", Z1E + OME * TPI) for h in _SIGNED_ZERO_HBARS]
+    cold = _warm_bits_are_cold_bits(cases, lambda *case: _bits(transition_factor(*case)))
+    assert len(_keys("transition_factor")) == 12 and len(superfunc._PHI_TERMS) == 12
+    for (h, mu, zeta, _, slot), got in zip(cases, cold):
+        assert got == _bits(_transition_reference(h, mu, zeta, slot)), (h, mu, zeta, slot)
+
+
+def test_degenerate_prefactors_from_their_entry_keep_every_bit(cold_memos):
+    # both kinds, mu as None and as a label: one entry per set of slots, shared by both kinds, and the bits of
+    # the closed form written out
+    cases = [(kind, h, mu, P1, P2, "ω", CTX) for kind in ("trig", "rational") for mu in (None, "μ1") for h in (H1, H2)]
+    cold = _warm_bits_are_cold_bits(cases, lambda *case: _bits(super_phi_degenerate(*case)))
+    assert len(_keys("super_phi_degenerate")) == 2 and len(superfunc._PHI_TERMS) == 2
+    for (kind, h, mu, *_), got in zip(cases, cold):
+        base, d1, d2 = kernel_derivs(kind, h, Z12, CTX, max_j=2)[:, 0]
+        want = (Z1E - Z2E) * base + OME * d1
+        if mu is not None:
+            want = want + Z1E * Z2E * MUE * d1
+            want = want + (Z1E + Z2E) * MUE * OME * (0.5 * d2)
+        assert got == _bits(want), (kind, mu)
+
+
+def test_periodicity_residuals_from_their_entries_keep_every_bit(cold_memos):
+    # plain and truncated, each residual and its scale, also with one combination in both slots, whose
+    # shifted slots differ in the sign of their soul: one shifted-slot entry per slot, every residual small
+    def residual_bits_of(*case):
+        out = periodicity_residual(*case)
+        assert max(rel(res.max_abs(), scale) for res, scale in out) < 1e-12
+        return [(_bits(res), scale.hex()) for res, scale in out]
+
+    mix = Z1E + Z2E * 0.5
+    slots = ((P1, P2), (SuperPoint(P1.z, mix), SuperPoint(P2.z, mix)))
+    cases = [(h, mu, *pts, "ω", CTX) for pts in slots for mu in ("μ1", None) for h in (H1, H2)]
+    _warm_bits_are_cold_bits(cases, residual_bits_of)
+    assert len(_keys("periodicity_residual")) == 4 and len(_keys("transition_factor")) == 8
+
+
+def test_label_only_entries_are_checked_on_a_miss(cold_memos):
+    # an even zeta or omega, an unknown label or a bad kind raises its error on every call and stores nothing
+    even, shifted = Z1E * Z2E, SuperPoint(P1.z, Z1E * Z2E)
+    failing = [
+        (ValueError, "^zeta must be parity-odd$", lambda: transition_factor(H1, "μ1", even, "ω", 1)),
+        (ValueError, "^omega must be parity-odd$", lambda: transition_factor(H1, "μ1", "ζ1", even, 2)),
+        (KeyError, "unknown generator 'μ9'", lambda: transition_factor(H1, "μ9", "ζ1", "ω", 1)),
+        (ValueError, "^degenerate kinds are 'trig' and 'rational'$",
+         lambda: super_phi_degenerate("elliptic", H1, "μ1", P1, P2, "ω", CTX)),
+        (ValueError, "^zeta must be parity-odd$", lambda: super_phi_degenerate("trig", H1, "μ1", shifted, P2, "ω", CTX)),
+        (ValueError, "^omega must be parity-odd$", lambda: super_phi_degenerate("trig", H1, None, P1, P2, even, CTX)),
+        (KeyError, "unknown generator 'μ9'", lambda: super_phi_degenerate("rational", H1, "μ9", P1, P2, "ω", CTX)),
+        (ValueError, "^zeta must be parity-odd$", lambda: periodicity_residual(H1, "μ1", shifted, P2, "ω", CTX)),
+        (ValueError, "^omega must be parity-odd$", lambda: periodicity_residual(H1, None, P1, P2, even, CTX)),
+        (KeyError, "unknown generator 'ζ9'", lambda: periodicity_residual(H1, "μ1", SuperPoint(P1.z, "ζ9"), P2, "ω", CTX)),
+    ]
+    for _ in range(2):
+        for error, match, call in failing:
+            with pytest.raises(error, match=match):
+                call()
+            assert superfunc._PHI_TERMS == {}, match
+    # an overflowing exp(-/+ 2 pi i hbar) raises after the series is kept, on a miss and on a hit
+    for slot, hbar in ((1, 1e3j), (2, -1e3j)):
+        for _ in range(2):
+            with pytest.raises(OverflowError, match="math range error"):
+                transition_factor(hbar, "μ1", "ζ1", "ω", slot)
+    assert len(_keys("transition_factor")) == 2
+
+
+def test_label_only_entries_stay_within_the_bound(cold_memos):
+    # each transition_factor or super_phi_degenerate miss stores its own entry only, the memo is cleared at
+    # its bound, and a periodicity sample at a full memo leaves the entries of a cold one
+    m1 = GENS.mask_of("μ1")
+    for builder, call in (("transition_factor", lambda mu: transition_factor(H1, mu, "ζ1", "ω", 1)),
+                          ("super_phi_degenerate", lambda mu: super_phi_degenerate("trig", H1, mu, P1, P2, "ω", CTX))):
+        superfunc._PHI_TERMS.clear()
+        for i in range(elliptic._MEMO_LIMIT + 1):
+            call(GrassmannElement({m1: complex(1.0, i)}))
+            assert len(superfunc._PHI_TERMS) == len(_keys(builder)) == i % elliptic._MEMO_LIMIT + 1
+    superfunc._PHI_TERMS.clear()
+    periodicity_residual(H1, "μ1", P1, P2, "ω", CTX)
+    cold = list(superfunc._PHI_TERMS)
+    superfunc._PHI_TERMS.clear()
+    for i in range(elliptic._MEMO_LIMIT):
+        transition_factor(H1, GrassmannElement({m1: complex(1.0, i)}), "ζ1", "ω", 1)
+    periodicity_residual(H1, "μ1", P1, P2, "ω", CTX)
+    assert list(superfunc._PHI_TERMS) == cold
